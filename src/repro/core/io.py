@@ -49,6 +49,7 @@ compatibility.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import mmap
@@ -56,7 +57,7 @@ import os
 import struct
 import zipfile
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -521,7 +522,36 @@ def _is_v3(path: str) -> bool:
         return fh.read(len(V3_MAGIC)) == V3_MAGIC
 
 
-def _load_reports_v3(path: str) -> Tuple[ReportSet, Optional[GroundTruth]]:
+def _shared_or_decoded(
+    table: Optional[PredicateTable], table_sha: Optional[str], table_json
+) -> PredicateTable:
+    """An archive's predicate table, decoding it only when necessary.
+
+    Returns ``table`` itself when the archive's recorded ``table_sha``
+    names it; otherwise (no table given, a different signature, or a
+    version 1 archive with no recorded signature) decodes ``table_json()``.
+
+    A decoded table takes the recorded ``table_sha`` as its signature
+    rather than re-hashing itself: the recorded signature is the
+    archive's table identity, the one a shard store compares with its
+    manifest, just as when the table is shared.  Version 1 archives
+    record none, so their tables hash their content on first use.
+    """
+    if table is not None and table_sha is not None and table_sha == table.signature():
+        return table
+    decoded = _table_from_json(str(table_json()))
+    decoded._signature = table_sha
+    return decoded
+
+
+def _recorded_table_sha(archive) -> Optional[str]:
+    """A ``.npz`` archive's recorded table signature (``None`` for v1)."""
+    return str(archive["table_sha"]) if "table_sha" in archive else None
+
+
+def _load_reports_v3(
+    path: str, table: Optional[PredicateTable]
+) -> Tuple[ReportSet, Optional[GroundTruth]]:
     header, data_start = _v3_read_header(path)
     buf = _v3_map(path)
     toc = header["arrays"]
@@ -530,7 +560,9 @@ def _load_reports_v3(path: str) -> Tuple[ReportSet, Optional[GroundTruth]]:
     def arr(name: str) -> np.ndarray:
         return _v3_array(buf, data_start, toc, name)
 
-    table = _table_from_json(str(header["table_json"]))
+    table = _shared_or_decoded(
+        table, str(header["table_sha"]), lambda: header["table_json"]
+    )
     stacks_raw = json.loads(str(header["stacks_json"]))
     stacks = [tuple(s) if s is not None else None for s in stacks_raw]
     metas = json.loads(str(header["metas_json"]))
@@ -561,7 +593,26 @@ def _check_version(archive) -> int:
     return version
 
 
-def load_reports(path: str) -> Tuple[ReportSet, Optional[GroundTruth]]:
+@contextlib.contextmanager
+def _archive_errors(what: str, path: str) -> Iterator[None]:
+    """Translate a loader's raw parse failures into :class:`ArchiveCorruptError`.
+
+    :class:`ArchiveError` passes through unchanged (it is a
+    ``ValueError``, which the corruption classes would otherwise catch).
+    """
+    if not os.path.exists(path):
+        raise FileNotFoundError(path)
+    try:
+        yield
+    except ArchiveError:
+        raise
+    except _CORRUPTION_ERRORS as exc:
+        raise ArchiveCorruptError(f"cannot read {what} {path}: {exc!r}") from exc
+
+
+def load_reports(
+    path: str, table: Optional[PredicateTable] = None
+) -> Tuple[ReportSet, Optional[GroundTruth]]:
     """Read a report set written by :func:`save_reports`.
 
     Dispatches on the leading magic bytes: version 3 archives are
@@ -569,6 +620,18 @@ def load_reports(path: str) -> Tuple[ReportSet, Optional[GroundTruth]]:
     views), while version 1/2 ``.npz`` archives load through ``np.load``
     as before (version 1 metas may contain stringified values -- that
     layout wrote them with ``default=str``).
+
+    Args:
+        path: The archive to read.
+        table: A predicate table the caller already holds -- a shard
+            store passes its own.  When the archive's recorded
+            ``table_sha`` equals ``table.signature()`` the returned
+            report set shares ``table`` and the embedded table JSON is
+            never decoded; otherwise (another signature, or a version 1
+            archive, which records none) the embedded table is decoded
+            as without it.  Callers that must reject a foreign table
+            compare ``reports.table.signature()`` themselves (see
+            ``ShardStore.iter_reports``).
 
     Returns:
         ``(reports, truth)``; ``truth`` is ``None`` when the archive was
@@ -583,14 +646,14 @@ def load_reports(path: str) -> Tuple[ReportSet, Optional[GroundTruth]]:
             of :data:`SUPPORTED_VERSIONS`.
         FileNotFoundError: When ``path`` does not exist.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    try:
+    with _archive_errors("report archive", path):
         if _is_v3(path):
-            return _load_reports_v3(path)
+            return _load_reports_v3(path, table)
         with np.load(path, allow_pickle=False) as archive:
             _check_version(archive)
-            table = _table_from_json(str(archive["table_json"]))
+            table = _shared_or_decoded(
+                table, _recorded_table_sha(archive), lambda: archive["table_json"]
+            )
             stacks_raw = json.loads(str(archive["stacks_json"]))
             stacks = [tuple(s) if s is not None else None for s in stacks_raw]
             metas = json.loads(str(archive["metas_json"]))
@@ -607,13 +670,31 @@ def load_reports(path: str) -> Tuple[ReportSet, Optional[GroundTruth]]:
                 truth = GroundTruth(bug_ids=json.loads(str(archive["truth_bugs_json"])))
                 for bugs in json.loads(str(archive["truth_runs_json"])):
                     truth.add_run(bugs)
-    except ArchiveError:
-        raise
-    except _CORRUPTION_ERRORS as exc:
-        raise ArchiveCorruptError(
-            f"cannot read report archive {path}: {exc!r}"
-        ) from exc
     return reports, truth
+
+
+def load_table(path: str) -> PredicateTable:
+    """Read only an archive's predicate table.
+
+    Parses the v3 header (or the ``.npz`` table member) and decodes the
+    table, without mapping or building any count matrix -- what a shard
+    store needs to learn its table before the first shard read.
+
+    Raises:
+        ArchiveCorruptError, ArchiveVersionError, FileNotFoundError: As
+            for :func:`load_reports`.
+    """
+    with _archive_errors("report archive", path):
+        if _is_v3(path):
+            header, _ = _v3_read_header(path)
+            return _shared_or_decoded(
+                None, str(header["table_sha"]), lambda: header["table_json"]
+            )
+        with np.load(path, allow_pickle=False) as archive:
+            _check_version(archive)
+            return _shared_or_decoded(
+                None, _recorded_table_sha(archive), lambda: archive["table_json"]
+            )
 
 
 def load_shard_stats(
@@ -644,9 +725,7 @@ def load_shard_stats(
             as a raw numpy/zip/JSON exception.
         ArchiveVersionError: On an unsupported format version.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    try:
+    with _archive_errors("shard statistics from", path):
         if _is_v3(path):
             header, data_start = _v3_read_header(path)
             buf = _v3_map(path)
@@ -677,7 +756,7 @@ def load_shard_stats(
 
         # Version 1 fallback: derive the statistics from the full archive
         # and report the loaded table's signature so integrity checks
-        # still apply.  This runs inside the corruption-translating try:
+        # still apply.  This runs inside the corruption-translating block:
         # a v1 archive damaged past the version stamp used to escape as a
         # raw numpy/JSON error from load_reports' re-read of the file.
         reports, _ = load_reports(path)
@@ -691,9 +770,3 @@ def load_shard_stats(
             num_successful,
             reports.table.signature(),
         )
-    except ArchiveError:
-        raise
-    except _CORRUPTION_ERRORS as exc:
-        raise ArchiveCorruptError(
-            f"cannot read shard statistics from {path}: {exc!r}"
-        ) from exc

@@ -178,6 +178,9 @@ class PredicateTable:
         self.sites: List[Site] = []
         self.predicates: List[Predicate] = []
         self._site_preds: List[List[int]] = []
+        # Memo of signature(): reset by the registration methods, seeded
+        # by archive loaders with the signature the archive recorded.
+        self._signature: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Registration
@@ -204,6 +207,7 @@ class PredicateTable:
         Returns:
             The newly registered :class:`Site`.
         """
+        self._signature = None
         site = Site(len(self.sites), scheme, function, line, description)
         self.sites.append(site)
         kinds = SCHEME_KINDS.get(scheme, (PredicateKind.CUSTOM,))
@@ -234,6 +238,7 @@ class PredicateTable:
         Used for hand-rolled instrumentation (Section 5 notes the approach
         extends to any predicate one can evaluate at a program point).
         """
+        self._signature = None
         site = Site(len(self.sites), Scheme.CUSTOM, function, line, description)
         self.sites.append(site)
         indices: List[int] = []
@@ -311,7 +316,15 @@ class PredicateTable:
         Shard manifests and archives store the signature to detect mixing
         reports from different instrumentations (or different subject
         versions), which would silently mis-attribute counters.
+
+        The hash is memoised (the table is append-only, and registering a
+        site resets the memo), so the per-shard checks of merging and
+        committing cost a string compare rather than a re-hash.  A table
+        decoded from a v2/v3 archive starts with the signature the
+        archive recorded (see ``repro.core.io.load_reports``).
         """
+        if self._signature is not None:
+            return self._signature
         import hashlib
         import json as _json
 
@@ -326,7 +339,8 @@ class PredicateTable:
             for s in self.sites
         ]
         blob = _json.dumps(spec, separators=(",", ":"), sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        self._signature = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return self._signature
 
     def __len__(self) -> int:
         return len(self.predicates)

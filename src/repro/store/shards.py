@@ -65,6 +65,7 @@ from repro.core.io import (
     file_sha256,
     load_reports,
     load_shard_stats,
+    load_table,
     save_reports,
 )
 from repro.core.predicates import PredicateTable
@@ -112,6 +113,31 @@ def shard_filename(seed_start: int) -> str:
     return f"shard-{seed_start:08d}.npz"
 
 
+def _check_table_sha(filename: str, shard_sha: str, table_sha: str) -> None:
+    """Reject a shard whose predicate table is not the manifest's.
+
+    Raises:
+        ShardIntegrityError: ``shard_sha`` differs from ``table_sha``.
+    """
+    if shard_sha != table_sha:
+        raise ShardIntegrityError(
+            filename,
+            f"carries table signature {shard_sha[:12]}..., manifest "
+            f"expects {table_sha[:12]}...",
+        )
+
+
+def _committed_path(directory: str, entry: "ShardEntry") -> str:
+    """A committed shard's path, or :class:`StaleManifestError` if it is gone."""
+    path = os.path.join(directory, entry.filename)
+    if not os.path.exists(path):
+        raise StaleManifestError(
+            f"manifest lists {entry.filename} but the file is missing; "
+            "run audit() to quarantine it"
+        )
+    return path
+
+
 def load_entry_stats(directory: str, entry: "ShardEntry", table_sha: str) -> SufficientStats:
     """Load and verify one committed shard's embedded sufficient statistics.
 
@@ -126,12 +152,7 @@ def load_entry_stats(directory: str, entry: "ShardEntry", table_sha: str) -> Suf
         ShardCorruptionError: Its bytes fail to parse.
         ShardIntegrityError: It carries a different predicate table.
     """
-    path = os.path.join(directory, entry.filename)
-    if not os.path.exists(path):
-        raise StaleManifestError(
-            f"manifest lists {entry.filename} but the file is missing; "
-            "run audit() to quarantine it"
-        )
+    path = _committed_path(directory, entry)
     if _obs_enabled():
         _obs_inc("store.shards_streamed")
         _obs_inc("store.bytes_streamed", os.path.getsize(path))
@@ -141,12 +162,8 @@ def load_entry_stats(directory: str, entry: "ShardEntry", table_sha: str) -> Suf
         )
     except ArchiveError as exc:
         raise ShardCorruptionError(entry.filename, str(exc)) from exc
-    if shard_sha is not None and shard_sha != table_sha:
-        raise ShardIntegrityError(
-            entry.filename,
-            f"carries table signature {shard_sha[:12]}..., manifest "
-            f"expects {table_sha[:12]}...",
-        )
+    if shard_sha is not None:
+        _check_table_sha(entry.filename, shard_sha, table_sha)
     return SufficientStats(
         F=F,
         S=S,
@@ -420,12 +437,34 @@ class ShardStore:
         return [os.path.join(self.directory, e.filename) for e in self.manifest.shards]
 
     def table(self) -> PredicateTable:
-        """The predicate table, loaded lazily from the first shard."""
+        """The store's one predicate table, shared by every shard read.
+
+        Stores made by :meth:`create` or :meth:`open_or_create` hold the
+        program's table from the start.  Otherwise the first shard read
+        (:meth:`iter_reports`) fills it, or, called first, this decodes
+        just the first shard's embedded table -- so a store decodes at
+        most one table per open.
+
+        Raises:
+            ValueError: The store is empty and was opened without a table.
+            StaleManifestError: The first shard's file is missing.
+            ShardCorruptionError: Its bytes fail to parse.
+            ShardIntegrityError: It carries a different predicate table
+                than the manifest.
+        """
         if self._table is None:
             if not self.manifest.shards:
                 raise ValueError("empty store has no shards to read a table from")
-            reports, _ = load_reports(self.shard_paths()[0])
-            self._table = reports.table
+            entry = self.manifest.shards[0]
+            path = _committed_path(self.directory, entry)
+            try:
+                table = load_table(path)
+            except ArchiveError as exc:
+                raise ShardCorruptionError(entry.filename, str(exc)) from exc
+            _check_table_sha(
+                entry.filename, table.signature(), self.manifest.table_sha
+            )
+            self._table = table
         return self._table
 
     # ------------------------------------------------------------------
@@ -708,12 +747,8 @@ class ShardStore:
             )
         except ArchiveError as exc:
             raise ShardCorruptionError(entry.filename, str(exc)) from exc
-        if table_sha is not None and table_sha != self.manifest.table_sha:
-            raise ShardIntegrityError(
-                entry.filename,
-                f"table signature {table_sha[:12]}... does not match "
-                f"manifest {self.manifest.table_sha[:12]}...",
-            )
+        if table_sha is not None:
+            _check_table_sha(entry.filename, table_sha, self.manifest.table_sha)
         if num_failing + num_successful != entry.n_runs:
             raise ShardIntegrityError(
                 entry.filename,
@@ -814,23 +849,34 @@ class ShardStore:
     def iter_reports(self) -> Iterator[Tuple[ReportSet, Optional[GroundTruth]]]:
         """Yield ``(reports, truth)`` per shard, in collection order.
 
-        Peak memory is one shard at a time.
+        Peak memory is one shard at a time.  Every yielded report set
+        shares the store's one :meth:`table`: a shard whose recorded
+        ``table_sha`` names it skips decoding its embedded copy, and the
+        first shard read fills the table when the store holds none yet.
+        This is also where a foreign table is caught -- a shard whose
+        table is not the manifest's raises rather than being swapped in
+        or mixed with the store's.
 
         Raises:
             StaleManifestError: A committed shard file is missing.
-            ShardCorruptionError: A shard's bytes fail to parse; run
-                :meth:`audit` to quarantine it and continue without.
+            ShardCorruptionError: A shard's bytes fail to parse.
+            ShardIntegrityError: A shard carries a different predicate
+                table than the manifest.  In all three cases,
+                :meth:`audit` quarantines the offender so a retry
+                proceeds over the survivors.
         """
-        for entry, path in zip(self.manifest.shards, self.shard_paths()):
-            if not os.path.exists(path):
-                raise StaleManifestError(
-                    f"manifest lists {entry.filename} but the file is missing; "
-                    "run audit() to quarantine it"
-                )
+        for entry in self.manifest.shards:
+            path = _committed_path(self.directory, entry)
             try:
-                yield load_reports(path)
+                reports, truth = load_reports(path, table=self._table)
             except ArchiveError as exc:
                 raise ShardCorruptionError(entry.filename, str(exc)) from exc
+            _check_table_sha(
+                entry.filename, reports.table.signature(), self.manifest.table_sha
+            )
+            if self._table is None:
+                self._table = reports.table
+            yield reports, truth
 
     def load_merged(self) -> Tuple[ReportSet, Optional[GroundTruth]]:
         """Materialise the whole population (all shards concatenated).

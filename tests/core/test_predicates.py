@@ -108,3 +108,36 @@ class TestLookup:
         table = PredicateTable()
         table.add_site(Scheme.RETURNS, "f", 1, "g")
         assert len(table) == 6
+
+
+class TestSignature:
+    """The memoised signature must track every registration."""
+
+    @staticmethod
+    def _build(n_branch_sites, custom=False):
+        table = PredicateTable()
+        for i in range(n_branch_sites):
+            table.add_site(Scheme.BRANCHES, "f", i + 1, f"c{i}")
+        if custom:
+            table.add_custom_site("g", 9, "probe", ["p ok", "p bad"])
+        return table
+
+    def test_add_site_changes_signature(self):
+        table = self._build(2)
+        before = table.signature()
+        table.add_site(Scheme.BRANCHES, "f", 3, "c2")
+        after = table.signature()
+        assert after != before
+        assert after == self._build(3).signature()
+
+    def test_add_custom_site_changes_signature(self):
+        table = self._build(2)
+        before = table.signature()
+        table.add_custom_site("g", 9, "probe", ["p ok", "p bad"])
+        after = table.signature()
+        assert after != before
+        assert after == self._build(2, custom=True).signature()
+
+    def test_repeated_calls_agree(self):
+        table = self._build(4)
+        assert table.signature() == table.signature() == self._build(4).signature()
