@@ -84,9 +84,10 @@ class ReportSpool:
         """Persist one report; returns its spool path."""
         path = self._path(report.seed)
         tmp = path + ".tmp"
+        # One write: json.dump would call write once per encoder chunk.
+        text = json.dumps(report.to_wire(), sort_keys=True) + "\n"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(report.to_wire(), handle, sort_keys=True)
-            handle.write("\n")
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -301,11 +302,12 @@ def drain_spool(
         for seed in seeds:
             if seed in acked:
                 spool.remove(seed)
+        sent = set(seeds)
         report.accepted.extend(
-            seed for seed in response.get("accepted", []) if seed in set(seeds)
+            seed for seed in response.get("accepted", []) if seed in sent
         )
         report.duplicate.extend(
-            seed for seed in response.get("duplicate", []) if seed in set(seeds)
+            seed for seed in response.get("duplicate", []) if seed in sent
         )
 
     return report

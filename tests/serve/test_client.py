@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -73,6 +74,40 @@ class TestSpool:
         with open(stray, "w") as handle:
             handle.write("{torn")
         assert spool.pending_seeds() == [1]
+
+    @pytest.mark.parametrize(
+        "report, sha",
+        [
+            (
+                RunReport(
+                    seed=12,
+                    failed=True,
+                    site_obs={3: 2, 1: 1},
+                    pred_true={7: 2},
+                    stack=("f", "g"),
+                    bugs=("bug1",),
+                    steering="v3",
+                ),
+                "59144e56f64e9236115b56e553c64a30107b43101b4b349100d5b7cf86d005ac",
+            ),
+            (_report(13), "0ee44e7a17ec34c0eef4dc548f341096e7a5a9fdb2dbe80468cb3286812d2705"),
+        ],
+        ids=["stack-and-steering", "neither"],
+    )
+    def test_save_bytes_are_pinned(self, tmp_path, report, sha):
+        spool = ReportSpool(str(tmp_path))
+        with open(spool.save(report), "rb") as handle:
+            data = handle.read()
+        assert data == (json.dumps(report.to_wire(), sort_keys=True) + "\n").encode()
+        assert hashlib.sha256(data).hexdigest() == sha
+
+    def test_corrupt_entry_raises_on_load(self, tmp_path):
+        spool = ReportSpool(str(tmp_path))
+        path = spool.save(_report(4))
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
+        with pytest.raises(ValueError):
+            spool.load(4)
 
     def test_remove_is_idempotent(self, tmp_path):
         spool = ReportSpool(str(tmp_path))

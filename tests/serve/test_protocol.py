@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -19,6 +22,24 @@ from repro.serve.protocol import (
 )
 
 TABLE_SHA = "f" * 64
+
+#: A fixed two-report batch: one report with a stack and a steering
+#: stamp, one with neither.
+PINNED_BATCH = [
+    RunReport(
+        seed=7,
+        failed=True,
+        site_obs={4: 2, 0: 1},
+        pred_true={9: 2},
+        stack=("main", "read_block"),
+        bugs=("bug1",),
+        steering="v3",
+    ),
+    RunReport(seed=8, failed=False, site_obs={0: 3}, pred_true={}, stack=None, bugs=()),
+]
+
+#: SHA-256 of the pinned batch's uncompressed JSON document.
+PINNED_DOCUMENT_SHA = "10c2130dea229052adea88fbd3d129341c3728f0cfad5788762c4b8ab912f26e"
 
 
 def _report(seed=0, **overrides) -> RunReport:
@@ -75,6 +96,9 @@ class TestEncodeDecode:
         one, _ = encode_batch([_report(3)], "demo", TABLE_SHA)
         two, _ = encode_batch([_report(3)], "demo", TABLE_SHA)
         assert one == two
+        one, _ = encode_batch(PINNED_BATCH, "demo", TABLE_SHA)
+        two, _ = encode_batch(PINNED_BATCH, "demo", TABLE_SHA)
+        assert one == two
 
     def test_broken_gzip_rejected(self):
         with pytest.raises(ProtocolError) as err:
@@ -103,6 +127,104 @@ class TestEncodeDecode:
         with pytest.raises(ProtocolError) as err:
             decode_body(body, "gzip")
         assert err.value.reason == "too-large"
+
+    def test_bomb_is_refused_within_bounded_memory(self):
+        # 256 MiB of zeros in ~256 KB of gzip, built a MiB at a time.
+        bomb_size = 256 << 20
+        deflate = zlib.compressobj(9, zlib.DEFLATED, 16 + zlib.MAX_WBITS)
+        zeros = bytes(1 << 20)
+        body = b"".join(deflate.compress(zeros) for _ in range(bomb_size >> 20))
+        body += deflate.flush()
+        assert len(body) < 512 * 1024
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError) as err:
+                decode_body(body, "gzip")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.reason == "too-large"
+        # Bounded by the limit, not by the bomb.
+        assert peak < 1.25 * MAX_BODY_BYTES < bomb_size / 3
+
+
+class TestGzipAcceptance:
+    """``decode_body`` accepts exactly what :func:`gzip.decompress` does."""
+
+    PAYLOAD = {"schema": REPORT_SCHEMA, "subject": "demo"}
+
+    def _member(self, text: bytes) -> bytes:
+        return gzip.compress(text, mtime=0)
+
+    def test_multi_member_body_accepted(self):
+        text = json.dumps(self.PAYLOAD).encode()
+        body = self._member(text[:10]) + self._member(text[10:])
+        assert decode_body(body, "gzip") == self.PAYLOAD
+
+    def test_zero_padding_after_member_tolerated(self):
+        body = self._member(json.dumps(self.PAYLOAD).encode()) + b"\x00" * 16
+        assert decode_body(body, "gzip") == self.PAYLOAD
+
+    @pytest.mark.parametrize("trailer", [b"junk", b"\x1f", b"\x00\x00junk"])
+    def test_other_trailing_bytes_rejected(self, trailer):
+        body = self._member(json.dumps(self.PAYLOAD).encode()) + trailer
+        with pytest.raises(ProtocolError) as err:
+            decode_body(body, "gzip")
+        assert err.value.reason == "bad-encoding"
+
+    @pytest.mark.parametrize("keep", [2, 10, -8, -1])
+    def test_truncated_stream_rejected(self, keep):
+        body = self._member(json.dumps(self.PAYLOAD).encode())
+        with pytest.raises(ProtocolError) as err:
+            decode_body(body[:keep], "gzip")
+        assert err.value.reason == "bad-encoding"
+
+    def test_corrupt_trailer_rejected(self):
+        body = bytearray(self._member(json.dumps(self.PAYLOAD).encode()))
+        body[-8] ^= 0xFF  # CRC-32
+        with pytest.raises(ProtocolError) as err:
+            decode_body(bytes(body), "gzip")
+        assert err.value.reason == "bad-encoding"
+
+    def test_multi_step_member_accepted(self):
+        # Past one inflate step (1 MiB), output arrives in several pieces.
+        text = json.dumps({"pad": "x" * (3 << 20)}).encode()
+        assert decode_body(self._member(text), "gzip") == {"pad": "x" * (3 << 20)}
+
+    @pytest.mark.parametrize("encoding", [None, "gzip"])
+    def test_empty_body_is_bad_json(self, encoding):
+        with pytest.raises(ProtocolError) as err:
+            decode_body(b"", encoding)
+        assert err.value.reason == "bad-json"
+
+
+class TestPinnedBytes:
+    """The uncompressed wire bytes do not depend on the gzip level."""
+
+    def _document(self) -> dict:
+        return {
+            "schema": REPORT_SCHEMA,
+            "subject": "demo",
+            "table_sha": TABLE_SHA,
+            "reports": [r.to_wire() for r in PINNED_BATCH],
+        }
+
+    def test_json_document_is_pinned(self):
+        body, headers = encode_batch(PINNED_BATCH, "demo", TABLE_SHA)
+        assert headers["Content-Encoding"] == "gzip"
+        text = gzip.decompress(body)
+        assert text == json.dumps(self._document(), sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == PINNED_DOCUMENT_SHA
+
+    def test_level_9_body_decodes_the_same(self):
+        # What a client that compressed at gzip's default level sends.
+        body, headers = encode_batch(PINNED_BATCH, "demo", TABLE_SHA)
+        old = gzip.compress(gzip.decompress(body), compresslevel=9, mtime=0)
+        assert old != body
+        payload = decode_body(old, "gzip")
+        assert payload == decode_body(body, headers["Content-Encoding"])
+        assert payload == self._document()
+        assert _validate(payload) == PINNED_BATCH
 
 
 class TestValidation:
