@@ -71,7 +71,7 @@ def main() -> None:
         server.close(drain=True)
 
     served = ShardStore.open(store_dir)
-    engine = AnalysisEngine(jobs=1)
+    engine = AnalysisEngine()
     stats = engine.store_stats(served)
     faulty = faulty_predicate_mask(program.table, subject.bug_sites())
 

@@ -51,6 +51,14 @@ SUBJECTS: Dict[str, Callable[[], Subject]] = {
 SUBJECTS.update(corpus_subjects())
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for counts such as ``--top``: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -92,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="elimination discard strategy (Section 5)",
     )
-    run.add_argument("--top", type=int, default=15, help="max predictors to report")
+    run.add_argument(
+        "--top", type=non_negative_int, default=15, help="max predictors to report"
+    )
     run.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes (default 1, unified across subcommands; "
@@ -187,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         "archive",
         help="archive written by `run --save`, or a directory written by `collect`",
     )
-    analyze.add_argument("--top", type=int, default=15)
+    analyze.add_argument("--top", type=non_negative_int, default=15)
     analyze.add_argument(
         "--strategy", type=int, choices=[1, 2, 3], default=1,
         help="elimination discard strategy (Section 5)",
@@ -209,11 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--profile", action="store_true",
         help="print a timer/counter profile of the analysis to stderr",
-    )
-    analyze.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (default 1, unified across subcommands; "
-        "output is bit-identical for every value)",
     )
     analyze.add_argument(
         "--measure", choices=list(measures.available()),
@@ -363,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="round budget for --until-converged",
     )
     submit.add_argument(
-        "--top", type=int, default=0,
+        "--top", type=non_negative_int, default=0,
         help="after draining, fetch and print the top-K live scores",
     )
     submit.add_argument(
@@ -455,10 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 400)",
     )
     bakeoff.add_argument("--seed", type=int, default=0, help="base trial seed")
-    bakeoff.add_argument(
-        "--jobs", type=int, default=1,
-        help="scoring worker processes (matrix is identical for every value)",
-    )
     bakeoff.add_argument(
         "--json", action="store_true",
         help="emit the repro-bakeoff/v1 document on stdout instead of a table",
@@ -992,7 +993,6 @@ def _bakeoff(args) -> int:
         measure_names=args.measures,
         runs=args.runs,
         seed=args.seed,
-        jobs=args.jobs,
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -1021,6 +1021,7 @@ def _bakeoff(args) -> int:
 def _analyze_store(args) -> int:
     """Analyse a shard store: streaming pruning, then (optionally) elimination."""
     from repro.core.engine import AnalysisEngine
+    from repro.core.ranking import rank_by_measure
     from repro.store import ShardStore
 
     store = ShardStore.open(args.archive)
@@ -1062,12 +1063,9 @@ def _analyze_store(args) -> int:
         if store.n_shards == 0:
             print("audit left no usable shards; nothing to analyse", file=sys.stderr)
             return 1
-    # All analysis goes through the engine -- at --jobs 1 the same
-    # partitioned code path runs inline, so serial and parallel output
-    # cannot drift apart.  Pruning needs only the sufficient statistics,
-    # streamed shard by shard; no run matrix is materialised for it.
-    engine = AnalysisEngine(jobs=args.jobs)
-    analysis = engine.analyze_store(
+    # Pruning needs only the sufficient statistics, streamed shard by
+    # shard; no run matrix is materialised for it.
+    analysis = AnalysisEngine().analyze_store(
         store,
         method=args.method,
         strategy=DiscardStrategy(args.strategy),
@@ -1083,26 +1081,25 @@ def _analyze_store(args) -> int:
     )
 
     if args.stats_only:
-        # Rank the pruning survivors under the selected registry measure.
-        # Python's sort is stable, so equal values keep ascending
-        # predicate-index order -- for the default measure this is the
-        # exact historical Importance ordering (the registry entry
-        # delegates to importance_scores).
-        table = store.table()
-        values = analysis.measure_values
-        order = sorted(
-            pruning.kept_indices.tolist(),
-            key=lambda i: values[i],
-            reverse=True,
-        )[: args.top]
+        # Rank the pruning survivors under the selected registry measure
+        # (ties resolve in ascending predicate-index order).
+        ranking = rank_by_measure(
+            store.table(),
+            scores,
+            analysis.measure,
+            candidates=pruning.kept,
+            values=analysis.measure_values,
+            top=args.top,
+        )
         label = analysis.measure.capitalize()
         width = max(10, len(label))
         print(f"{label:>{width}}  {'Increase':>8}  {'F':>6}  {'S':>6}  predicate")
-        for i in order:
+        for entry in ranking.entries:
+            i = entry.predicate.index
             print(
-                f"{values[i]:>{width}.3f}  {scores.increase[i]:>8.3f}  "
+                f"{entry.sort_key:>{width}.3f}  {scores.increase[i]:>8.3f}  "
                 f"{int(scores.F[i]):>6}  {int(scores.S[i]):>6}  "
-                f"{table.predicates[i].name}"
+                f"{entry.predicate.name}"
             )
         return 0
 
@@ -1131,7 +1128,7 @@ def _analyze(args) -> int:
         f"{reports.n_predicates} predicates",
         file=sys.stderr,
     )
-    analysis = AnalysisEngine(jobs=args.jobs).analyze_reports(
+    analysis = AnalysisEngine().analyze_reports(
         reports,
         truth=truth,
         method=args.method,

@@ -147,8 +147,7 @@ def eliminate(
     Determinism: ties in effective ``Importance`` are broken by predicate
     index (``np.argmax`` returns the first maximum), so the selection
     order is a pure function of the population -- independent of
-    candidate-mask construction order, shard layout, and the worker count
-    of the parallel engine that feeds this loop
+    candidate-mask construction order and shard layout
     (``tests/core/test_engine_differential.py`` pins this).
 
     The working state is two persistent boolean bitsets -- run membership

@@ -1,192 +1,46 @@
-"""The parallel streaming analysis engine behind ``analyze --jobs N``.
+"""The serial analysis engine behind ``analyze``.
 
-The paper's analysis is embarrassingly parallel in two independent
-directions, and this module exploits both behind one façade:
+One pass, one path: stream a store's sufficient statistics shard by
+shard (:meth:`ShardStore.sufficient_stats
+<repro.store.shards.ShardStore.sufficient_stats>`), score them
+(:meth:`SufficientStats.to_scores
+<repro.store.incremental.SufficientStats.to_scores>`), compute the
+z-test p-values, prune (:func:`repro.core.pruning.prune_predicates`),
+apply the selected suspiciousness measure, and -- unless only the
+statistics are wanted -- run iterative elimination over the
+materialised population.
 
-* **run axis** -- the six sufficient statistics (``F``, ``S``,
-  ``F_obs``, ``S_obs``, ``NumF``, ``NumS``) are integer sums over runs,
-  so disjoint shard subsets can stream in separate worker processes and
-  the partial sums tree-merge in the parent
-  (:meth:`SufficientStats.merge_tree <repro.store.incremental.SufficientStats.merge_tree>`);
-* **predicate axis** -- every score, p-value and pruning decision is an
-  elementwise function of one predicate's statistics, so the table can
-  be cut into contiguous partitions, scored in workers, and
-  concatenated.
+Every stage after the stream is elementwise numpy over the predicate
+table and costs milliseconds, so the engine runs in one process; see
+``docs/ALGORITHM.md`` section 9 for the measured fork/IPC cost that
+made a process pool slower at every store size this project reaches.
 
 Determinism contract
 --------------------
 
-``analyze --jobs N`` output is **bit-identical** to the serial path for
-every ``N``, every discard strategy and every shard layout:
-
-* integer addition is associative and commutative, so any partition or
-  merge order of the statistics reproduces the monolithic counts
-  *exactly* -- and every float downstream is a function of those counts;
-* :func:`repro.core.scores.scores_from_counts`,
-  :func:`repro.core.scores.z_test_pvalues` and
-  :func:`repro.core.pruning.prune_mask` are elementwise over predicates,
-  so partitioned evaluation concatenates to the same bits;
-* elimination runs in the parent (each round depends on the previous
-  round's discards), rewritten around persistent run-membership bitsets,
-  with ties broken by predicate index -- a pure function of the
-  population, so identical pruning masks give identical rankings.
-
-``tests/core/test_engine_differential.py`` enforces the contract on all
-five subjects, shard layouts {1, 3, 7} and ``--jobs`` {1, 2, 4};
-``tests/instrument/test_sampling_properties.py`` property-checks the
-partition/merge algebra.
+Output is **bit-identical** for every shard layout of the same runs:
+the statistics are integer sums, so any split of the runs into shards
+reproduces the monolithic counts exactly, and every float downstream
+is a function of those counts.  Elimination breaks ties by predicate
+index.  ``tests/core/test_engine_differential.py`` enforces the
+contract on all five subjects at shard layouts {1, 3, 7}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core.elimination import DiscardStrategy, EliminationResult, eliminate
 from repro.core.measures import DEFAULT_MEASURE, get as get_measure
-from repro.core.pruning import PruningResult, prune_mask
+from repro.core.pruning import PruningResult, prune_predicates
 from repro.core.reports import ReportSet
-from repro.core.scores import (
-    DEFAULT_CONFIDENCE,
-    PredicateScores,
-    scores_from_counts,
-    z_test_pvalues,
-)
+from repro.core.scores import DEFAULT_CONFIDENCE, PredicateScores, z_test_pvalues
 from repro.core.truth import GroundTruth
-from repro.obs import (
-    enabled as _obs_enabled,
-    gauge as _obs_gauge,
-    span as _obs_span,
-    timer as _obs_timer,
-)
+from repro.obs import span as _obs_span
 from repro.store.incremental import SufficientStats
-
-
-def partition_bounds(n: int, parts: int) -> List[Tuple[int, int]]:
-    """Cut ``range(n)`` into at most ``parts`` contiguous ``[lo, hi)`` slices.
-
-    Deterministic and balanced (sizes differ by at most one, larger
-    slices first), with no empty slices: ``parts`` is clamped to ``n``.
-    Used for both axes -- shard subsets per stats worker and predicate
-    partitions per scoring worker.
-    """
-    if n < 0:
-        raise ValueError(f"cannot partition a negative range ({n})")
-    parts = max(1, min(parts, n))
-    if n == 0:
-        return []
-    base, extra = divmod(n, parts)
-    bounds: List[Tuple[int, int]] = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + base + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-def concat_scores(parts: List[PredicateScores]) -> PredicateScores:
-    """Reassemble predicate-partition scores into one full-table result.
-
-    The population totals and confidence level are partition-invariant
-    (every slice carries the whole population's ``NumF``/``NumS``), so
-    only the per-predicate arrays concatenate.
-    """
-    if not parts:
-        raise ValueError("cannot concatenate an empty sequence of scores")
-    if len(parts) == 1:
-        return parts[0]
-    first = parts[0]
-    return PredicateScores(
-        F=np.concatenate([p.F for p in parts]),
-        S=np.concatenate([p.S for p in parts]),
-        F_obs=np.concatenate([p.F_obs for p in parts]),
-        S_obs=np.concatenate([p.S_obs for p in parts]),
-        failure=np.concatenate([p.failure for p in parts]),
-        context=np.concatenate([p.context for p in parts]),
-        increase=np.concatenate([p.increase for p in parts]),
-        increase_se=np.concatenate([p.increase_se for p in parts]),
-        increase_lo=np.concatenate([p.increase_lo for p in parts]),
-        increase_hi=np.concatenate([p.increase_hi for p in parts]),
-        pf=np.concatenate([p.pf for p in parts]),
-        ps=np.concatenate([p.ps for p in parts]),
-        z=np.concatenate([p.z for p in parts]),
-        z_defined=np.concatenate([p.z_defined for p in parts]),
-        defined=np.concatenate([p.defined for p in parts]),
-        num_failing=first.num_failing,
-        num_successful=first.num_successful,
-        confidence=first.confidence,
-    )
-
-
-def _stats_task(task) -> SufficientStats:
-    """Worker: stream one contiguous shard subset into a partial sum.
-
-    Runs the exact per-shard loader the serial path uses
-    (:func:`repro.store.shards.load_entry_stats`), so verification
-    errors and ``store.shards_streamed`` counters match shard for shard.
-    """
-    directory, entries, table_sha = task
-    from repro.store.shards import load_entry_stats
-
-    total: Optional[SufficientStats] = None
-    for entry in entries:
-        part = load_entry_stats(directory, entry, table_sha)
-        # v3 parts are read-only file-mapping views; copy before +=.
-        total = part.materialized() if total is None else total.add(part)
-    assert total is not None  # partitions are never empty
-    return total
-
-
-def _multi_stats_task(task) -> SufficientStats:
-    """Worker: stream shards drawn from *several* stores into one sum.
-
-    ``task`` is a list of ``(directory, entry, table_sha)`` triples --
-    unlike :func:`_stats_task`, each shard carries its own store
-    directory, so one worker can span store boundaries.  Same loader,
-    same verification, same counters.
-    """
-    from repro.store.shards import load_entry_stats
-
-    total: Optional[SufficientStats] = None
-    for directory, entry, table_sha in task:
-        part = load_entry_stats(directory, entry, table_sha)
-        total = part.materialized() if total is None else total.add(part)
-    assert total is not None  # partitions are never empty
-    return total
-
-
-def _score_task(task):
-    """Worker: score, p-value, prune and measure one predicate partition.
-
-    Every step -- including the registered suspiciousness measure -- is
-    elementwise over predicates (see the module docstring and the
-    registry contract in :mod:`repro.core.measures.registry`), so the
-    partition results concatenate bit-identically to a whole-table pass.
-    """
-    (
-        F,
-        S,
-        F_obs,
-        S_obs,
-        num_failing,
-        num_successful,
-        confidence,
-        method,
-        min_true_runs,
-        measure,
-    ) = task
-    scores = scores_from_counts(
-        F, S, F_obs, S_obs, num_failing, num_successful, confidence=confidence
-    )
-    pvalues = z_test_pvalues(scores)
-    kept = prune_mask(
-        scores, confidence=confidence, min_true_runs=min_true_runs, method=method
-    )
-    values = get_measure(measure).values(scores)
-    return scores, pvalues, kept, values
 
 
 @dataclass
@@ -195,8 +49,7 @@ class EngineScoring:
 
     ``measure`` names the suspiciousness measure this pass scored under
     (``"importance"`` unless a consumer asked otherwise) and
-    ``measure_values`` holds its per-predicate values, computed inside
-    the same partitioned workers as the scores themselves.
+    ``measure_values`` holds its per-predicate values.
     """
 
     scores: PredicateScores
@@ -211,7 +64,6 @@ class EngineAnalysis:
     """One complete ``analyze`` pass through the engine.
 
     Attributes:
-        jobs: Worker count the pass ran with (1 = inline).
         stats: Population sufficient statistics.
         scores: Full-table :class:`~repro.core.scores.PredicateScores`.
         pvalues: One-sided z-test p-values per predicate.
@@ -224,7 +76,6 @@ class EngineAnalysis:
         measure_values: Per-predicate values of that measure.
     """
 
-    jobs: int
     stats: SufficientStats
     scores: PredicateScores
     pvalues: np.ndarray
@@ -237,53 +88,24 @@ class EngineAnalysis:
 
 
 class AnalysisEngine:
-    """Process-pool analysis: stream, score, prune and eliminate.
+    """Stream, score, prune and eliminate, in the calling process.
 
-    ``jobs=1`` runs every stage inline through the *same* partitioned
-    code path (one partition covering everything), so the parallel and
-    serial paths cannot drift apart; ``jobs=N`` forks ``N`` workers per
-    stage via :func:`repro.harness.parallel.fork_map`.
-
-    Wall-clock speedup needs both shards and cores: the stats stage
-    scales with the shard count per worker, and on a single-core host
-    the fork overhead makes ``jobs > 1`` a wash (the bench records
-    ``cpu_count`` next to every measurement for exactly this reason).
+    ``jobs`` survives only so existing ``AnalysisEngine(jobs=1)`` calls
+    keep working: analysis is serial, and any other value is an error.
     """
 
     def __init__(self, jobs: int = 1, confidence: float = DEFAULT_CONFIDENCE) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = int(jobs)
+        if jobs != 1:
+            raise ValueError(f"analysis is serial: jobs must be 1, got {jobs}")
         self.confidence = confidence
-
-    def _map(self, fn, tasks, label: str) -> list:
-        from repro.harness.parallel import fork_map
-
-        return fork_map(fn, tasks, jobs=self.jobs, label=label)
 
     # ------------------------------------------------------------------
     # Stage 1: sufficient statistics
     # ------------------------------------------------------------------
     def store_stats(self, store) -> SufficientStats:
-        """Stream a shard store's statistics across ``jobs`` workers.
-
-        Each worker streams a disjoint contiguous shard subset into a
-        per-worker :class:`SufficientStats`; the parent tree-merges the
-        partial sums.  Bit-identical to the serial stream for any worker
-        count and shard layout (integer addition commutes).
-        """
-        entries = list(store.manifest.shards)
-        if not entries:
-            raise ValueError("cannot score an empty shard store")
-        bounds = partition_bounds(len(entries), self.jobs)
-        tasks = [
-            (store.directory, entries[lo:hi], store.manifest.table_sha)
-            for lo, hi in bounds
-        ]
-        with _obs_timer("store.stream_stats"):
-            with _obs_span("engine.stream_stats", shards=len(entries), jobs=self.jobs):
-                parts = self._map(_stats_task, tasks, label="engine.stats_worker")
-        return SufficientStats.merge_tree(parts)
+        """Stream a shard store's statistics (:meth:`ShardStore.sufficient_stats`)."""
+        with _obs_span("engine.stream_stats", shards=store.n_shards):
+            return store.sufficient_stats()
 
     def multi_store_stats(self, stores) -> SufficientStats:
         """Stream several stores' statistics as one population.
@@ -306,39 +128,18 @@ class AnalysisEngine:
                     f"{store.manifest.table_sha[:12]}..., expected "
                     f"{table_sha[:12]}...; cannot sum statistics across tables"
                 )
-        shards = [
-            (store.directory, entry, table_sha)
-            for store in stores
-            for entry in store.manifest.shards
-        ]
-        if not shards:
+        populated = [store for store in stores if store.manifest.shards]
+        if not populated:
             raise ValueError("cannot score empty shard stores")
-        bounds = partition_bounds(len(shards), self.jobs)
-        tasks = [shards[lo:hi] for lo, hi in bounds]
-        with _obs_timer("store.stream_stats"):
-            with _obs_span(
-                "engine.stream_multi_stats",
-                stores=len(stores),
-                shards=len(shards),
-                jobs=self.jobs,
-            ):
-                parts = self._map(
-                    _multi_stats_task, tasks, label="engine.stats_worker"
-                )
-        return SufficientStats.merge_tree(parts)
-
-    def federated_scores(self, stores, measure: str = DEFAULT_MEASURE) -> EngineScoring:
-        """Score N stores as one population (see :meth:`multi_store_stats`).
-
-        ``measure`` selects any registered suspiciousness measure; the
-        federated values are bit-identical to scoring the equivalent
-        single store because measures are elementwise over the summed
-        sufficient statistics.
-        """
-        return self.score_stats(self.multi_store_stats(stores), measure=measure)
+        shards = sum(store.n_shards for store in populated)
+        with _obs_span("engine.stream_multi_stats", stores=len(stores), shards=shards):
+            total = populated[0].sufficient_stats()
+            for store in populated[1:]:
+                total.add(store.sufficient_stats())
+        return total
 
     # ------------------------------------------------------------------
-    # Stage 2: scores, p-values, pruning over predicate partitions
+    # Stage 2: scores, p-values, pruning and the measure
     # ------------------------------------------------------------------
     def score_stats(
         self,
@@ -347,56 +148,28 @@ class AnalysisEngine:
         min_true_runs: int = 1,
         measure: str = DEFAULT_MEASURE,
     ) -> EngineScoring:
-        """Score and prune the population over predicate partitions.
+        """Score, prune and apply ``measure`` over the whole table.
 
         ``measure`` names a registered suspiciousness measure
-        (:mod:`repro.core.measures`); its per-predicate values are
-        computed inside the partition workers and concatenated, which is
-        bit-identical to a whole-table pass because registered measures
-        are elementwise (unknown names raise
+        (:mod:`repro.core.measures`); unknown names raise
         :class:`~repro.core.measures.UnknownMeasureError` before any
-        worker forks).
+        scoring.
         """
-        get_measure(measure)  # validate the name up front
-        bounds = partition_bounds(stats.n_predicates, self.jobs)
-        tasks = [
-            (
-                stats.F[lo:hi],
-                stats.S[lo:hi],
-                stats.F_obs[lo:hi],
-                stats.S_obs[lo:hi],
-                stats.num_failing,
-                stats.num_successful,
-                self.confidence,
-                method,
-                min_true_runs,
-                measure,
-            )
-            for lo, hi in bounds
-        ]
-        with _obs_span(
-            "engine.score_partitions", predicates=stats.n_predicates, jobs=self.jobs
-        ):
-            parts = self._map(_score_task, tasks, label="engine.score_worker")
-        scores = concat_scores([p[0] for p in parts])
-        pvalues = np.concatenate([p[1] for p in parts])
-        kept = np.concatenate([p[2] for p in parts])
-        values = np.concatenate([p[3] for p in parts])
-        pruning = PruningResult(kept=kept, scores=scores)
-        if _obs_enabled():
-            _obs_gauge("analysis.pruning_initial", float(pruning.n_initial))
-            _obs_gauge("analysis.pruning_kept", float(pruning.n_kept))
+        scorer = get_measure(measure)
+        scores = stats.to_scores(confidence=self.confidence)
+        pruning = prune_predicates(
+            scores=scores,
+            confidence=self.confidence,
+            min_true_runs=min_true_runs,
+            method=method,
+        )
         return EngineScoring(
             scores=scores,
-            pvalues=pvalues,
+            pvalues=z_test_pvalues(scores),
             pruning=pruning,
             measure=measure,
-            measure_values=values,
+            measure_values=scorer.values(scores),
         )
-
-    def scores_from_stats(self, stats: SufficientStats) -> PredicateScores:
-        """Full-table scores via the partitioned path (no pruning kept)."""
-        return self.score_stats(stats).scores
 
     # ------------------------------------------------------------------
     # Stage 3: end-to-end analyses
@@ -414,53 +187,33 @@ class AnalysisEngine:
     ) -> EngineAnalysis:
         """Analyse a shard store: stream, score, prune, (then eliminate).
 
-        Elimination needs run-level data (each round discards runs), so
-        unless ``stats_only`` the merged population is materialised and
-        the mask-based elimination loop runs in the parent -- its rounds
-        are inherently sequential, and each costs only a few sparse
-        matvecs over the persistent bitsets.
+        Pruning needs only the streamed statistics.  Elimination needs
+        run-level data (each round discards runs), so unless
+        ``stats_only`` the merged population is materialised and the
+        mask-based elimination loop runs over it.
 
         ``measure`` selects the suspiciousness measure carried on the
         result (and used by consumers to rank statistics); the iterative
         elimination loop itself always follows the paper's Importance,
         per Section 3.3.
         """
-        with _obs_span("engine.analyze", jobs=self.jobs, store=store.directory):
+        with _obs_span("engine.analyze", store=store.directory):
             stats = self.store_stats(store)
             scoring = self.score_stats(
                 stats, method=method, min_true_runs=min_true_runs, measure=measure
             )
-            if stats_only:
-                return EngineAnalysis(
-                    jobs=self.jobs,
-                    stats=stats,
-                    scores=scoring.scores,
-                    pvalues=scoring.pvalues,
-                    pruning=scoring.pruning,
-                    measure=scoring.measure,
-                    measure_values=scoring.measure_values,
+            reports = truth = elimination = None
+            if not stats_only:
+                reports, truth = store.load_merged()
+                elimination = eliminate(
+                    reports,
+                    candidates=scoring.pruning.kept,
+                    strategy=strategy,
+                    confidence=self.confidence,
+                    max_predictors=max_predictors,
+                    min_importance=min_importance,
                 )
-            reports, truth = store.load_merged()
-            elimination = eliminate(
-                reports,
-                candidates=scoring.pruning.kept,
-                strategy=strategy,
-                confidence=self.confidence,
-                max_predictors=max_predictors,
-                min_importance=min_importance,
-            )
-            return EngineAnalysis(
-                jobs=self.jobs,
-                stats=stats,
-                scores=scoring.scores,
-                pvalues=scoring.pvalues,
-                pruning=scoring.pruning,
-                elimination=elimination,
-                reports=reports,
-                truth=truth,
-                measure=scoring.measure,
-                measure_values=scoring.measure_values,
-            )
+            return self._analysis(stats, scoring, elimination, reports, truth)
 
     def analyze_reports(
         self,
@@ -474,15 +227,9 @@ class AnalysisEngine:
         min_true_runs: int = 1,
         measure: str = DEFAULT_MEASURE,
     ) -> EngineAnalysis:
-        """Analyse an in-memory population (a ``run --save`` archive).
-
-        The counting pass stays in the parent -- shipping sparse run
-        matrices to workers would cost more than the two matvecs they
-        pay for -- and scoring/pruning run over predicate partitions
-        exactly as in :meth:`analyze_store` (including the selected
-        suspiciousness ``measure``).
-        """
-        with _obs_span("engine.analyze", jobs=self.jobs, runs=reports.n_runs):
+        """Analyse an in-memory population (a ``run --save`` archive)
+        exactly as :meth:`analyze_store` analyses a store."""
+        with _obs_span("engine.analyze", runs=reports.n_runs):
             stats = SufficientStats.from_reports(reports)
             scoring = self.score_stats(
                 stats, method=method, min_true_runs=min_true_runs, measure=measure
@@ -497,15 +244,18 @@ class AnalysisEngine:
                     max_predictors=max_predictors,
                     min_importance=min_importance,
                 )
-            return EngineAnalysis(
-                jobs=self.jobs,
-                stats=stats,
-                scores=scoring.scores,
-                pvalues=scoring.pvalues,
-                pruning=scoring.pruning,
-                elimination=elimination,
-                reports=reports,
-                truth=truth,
-                measure=scoring.measure,
-                measure_values=scoring.measure_values,
-            )
+            return self._analysis(stats, scoring, elimination, reports, truth)
+
+    @staticmethod
+    def _analysis(stats, scoring, elimination, reports, truth) -> EngineAnalysis:
+        return EngineAnalysis(
+            stats=stats,
+            scores=scoring.scores,
+            pvalues=scoring.pvalues,
+            pruning=scoring.pruning,
+            elimination=elimination,
+            reports=reports,
+            truth=truth,
+            measure=scoring.measure,
+            measure_values=scoring.measure_values,
+        )

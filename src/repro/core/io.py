@@ -36,7 +36,7 @@ contents, then the raw little-endian array bytes, each 64-byte aligned
 and uncompressed.  Readers ``mmap`` the file once and hand back zero-copy
 views -- :func:`load_shard_stats` touches only the four statistic
 columns' pages, never decompressing or copying the run matrices, which
-is what lets ``analyze --jobs`` and the serve daemon's incremental
+is what lets ``analyze`` and the serve daemon's incremental
 scorer stream shards at page-cache speed.  The byte stream is a pure
 function of the report population (sorted-key JSON, no timestamps), so
 shard SHAs stay reproducible.  See DESIGN.md ("Archive format v3") for

@@ -15,9 +15,9 @@ Two contracts every measure must honour:
   per-predicate count/score array and the population totals
   (``num_failing`` / ``num_successful``), but the value it assigns to
   predicate ``i`` must depend only on row ``i`` and those totals.  This is
-  what makes measure values invariant under the engine's predicate
-  partitioning, so serial, ``--jobs N``, service, and federated scoring
-  are bit-identical by construction.
+  what makes measure values a function of the summed counts alone, so
+  local, service, and federated scoring are bit-identical by
+  construction.
 * **No NaN / no inf.**  Undefined quantities score ``0.0``, matching the
   repo-wide convention of :mod:`repro.core.scores`; ranking code never
   needs NaN handling.

@@ -17,7 +17,12 @@ from typing import Optional
 import numpy as np
 
 from repro.core.reports import ReportSet
-from repro.core.scores import DEFAULT_CONFIDENCE, PredicateScores, compute_scores
+from repro.core.scores import (
+    DEFAULT_CONFIDENCE,
+    PredicateScores,
+    compute_scores,
+    z_test_pvalues,
+)
 from repro.obs import enabled as _obs_enabled, gauge as _obs_gauge, timer as _obs_timer
 
 
@@ -56,38 +61,6 @@ class PruningResult:
         if self.n_initial == 0:
             return 0.0
         return 1.0 - self.n_kept / self.n_initial
-
-
-def prune_mask(
-    scores: PredicateScores,
-    confidence: float = DEFAULT_CONFIDENCE,
-    min_true_runs: int = 1,
-    method: str = "interval",
-) -> np.ndarray:
-    """The pruning decision as a pure, elementwise function of scores.
-
-    Every term -- the interval bound, the z-test p-value, the ``defined``
-    and support masks -- is computed per predicate with no cross-predicate
-    interaction, so applying this to any predicate-axis slice of the
-    scores and concatenating gives bit-identical results to applying it
-    to the whole table.  That property is what lets the parallel engine
-    (:mod:`repro.core.engine`) prune partitions independently;
-    :func:`prune_predicates` wraps the same mask with bookkeeping.
-    """
-    if method == "interval":
-        positive = scores.increase_lo > 0.0
-    elif method == "ztest":
-        from repro.core.scores import z_test_pvalues
-
-        # p < alpha <=> z > critical for defined rows; undefined rows
-        # carry p = 1.0, so they can never pass the filter even without
-        # the explicit `defined` mask below.
-        pvalues = z_test_pvalues(scores)
-        positive = (pvalues < 1.0 - confidence) & (scores.increase > 0.0)
-    else:
-        raise ValueError(f"unknown pruning method {method!r}")
-    kept = scores.defined & positive & (scores.F + scores.S >= min_true_runs)
-    return np.asarray(kept, dtype=bool)
 
 
 def prune_predicates(
@@ -131,13 +104,18 @@ def prune_predicates(
             raise ValueError("prune_predicates needs reports or precomputed scores")
         scores = compute_scores(reports, confidence=confidence)
     with _obs_timer("analysis.prune"):
-        kept = prune_mask(
-            scores,
-            confidence=confidence,
-            min_true_runs=min_true_runs,
-            method=method,
-        )
-    result = PruningResult(kept=kept, scores=scores)
+        if method == "interval":
+            positive = scores.increase_lo > 0.0
+        elif method == "ztest":
+            # p < alpha <=> z > critical for defined rows; undefined rows
+            # carry p = 1.0, so they can never pass the filter even
+            # without the explicit `defined` mask below.
+            pvalues = z_test_pvalues(scores)
+            positive = (pvalues < 1.0 - confidence) & (scores.increase > 0.0)
+        else:
+            raise ValueError(f"unknown pruning method {method!r}")
+        kept = scores.defined & positive & (scores.F + scores.S >= min_true_runs)
+    result = PruningResult(kept=np.asarray(kept, dtype=bool), scores=scores)
     if _obs_enabled():
         _obs_gauge("analysis.pruning_initial", float(result.n_initial))
         _obs_gauge("analysis.pruning_kept", float(result.n_kept))

@@ -60,6 +60,27 @@ class RankingResult:
         return len(self.entries)
 
 
+def _ranked_entries(table, scores, imp, key, mask, top) -> List[RankedPredicate]:
+    """The ``mask`` predicates by descending ``key``, cut to ``top``.
+
+    The stable sort keeps equal-key predicates in ascending index order.
+    """
+    if top is not None and top < 0:
+        raise ValueError(f"top must be >= 0 or None, got {top}")
+    ranked = np.flatnonzero(mask)
+    ranked = ranked[np.argsort(-key[ranked], kind="stable")][:top]
+    return [
+        RankedPredicate(
+            rank=rank,
+            predicate=table.predicates[int(idx)],
+            row=scores.row(int(idx)),
+            importance=float(imp.importance[idx]),
+            sort_key=float(key[idx]),
+        )
+        for rank, idx in enumerate(ranked, start=1)
+    ]
+
+
 def rank_predicates(
     reports: ReportSet,
     strategy: RankingStrategy,
@@ -77,7 +98,8 @@ def rank_predicates(
             ``Increase`` is positive and defined, matching the paper's
             "after predicates where Increase(P)=0 are discarded").
         confidence: Confidence level for intervals.
-        top: Optional truncation of the returned list.
+        top: Optional truncation of the returned list (``0`` returns no
+            entries; a negative value raises ``ValueError``).
         scores: Optional precomputed scores for this population.
 
     Returns:
@@ -102,13 +124,13 @@ def rank_from_scores(
     The scores may come from anywhere that produces a
     :class:`~repro.core.scores.PredicateScores` -- a materialised
     population, incrementally accumulated shard statistics
-    (``SufficientStats.to_scores``), or the parallel engine's
-    predicate-partitioned scoring -- which is what lets ``analyze
-    --stats-only`` rank a store without reconstructing a single run.
+    (``SufficientStats.to_scores``), or the analysis engine -- so a
+    store can be ranked without reconstructing a single run.
 
     Ties in the sort key resolve in predicate-index order: the stable
     descending argsort keeps equal-key predicates in their original
-    (ascending-index) positions.
+    (ascending-index) positions.  Predicates with a non-finite key are
+    left out.
 
     Args:
         table: The :class:`~repro.core.predicates.PredicateTable` the
@@ -117,7 +139,8 @@ def rank_from_scores(
         strategy: Which sort key to use.
         candidates: Boolean candidate mask (default: ``Increase`` positive
             and defined, as in :func:`rank_predicates`).
-        top: Optional truncation of the returned list.
+        top: Optional truncation of the returned list (``0`` returns no
+            entries; a negative value raises ``ValueError``).
     """
     imp = importance_scores(scores)
 
@@ -133,23 +156,9 @@ def rank_from_scores(
     else:
         key = imp.importance
 
-    masked = np.where(candidates, key, -np.inf)
-    order = np.argsort(-masked, kind="stable")
-    entries: List[RankedPredicate] = []
-    for rank, idx in enumerate(order, start=1):
-        if not np.isfinite(masked[idx]) or not candidates[idx]:
-            break
-        entries.append(
-            RankedPredicate(
-                rank=rank,
-                predicate=table.predicates[int(idx)],
-                row=scores.row(int(idx)),
-                importance=float(imp.importance[idx]),
-                sort_key=float(key[idx]),
-            )
-        )
-        if top is not None and len(entries) >= top:
-            break
+    entries = _ranked_entries(
+        table, scores, imp, key, candidates & np.isfinite(key), top
+    )
     return RankingResult(strategy=strategy, entries=entries, scores=scores, importance=imp)
 
 
@@ -197,7 +206,8 @@ def rank_by_measure(
         measure: Registered measure name (:mod:`repro.core.measures`).
         candidates: Optional boolean mask restricting the ranking;
             default ranks the whole table.
-        top: Optional truncation of the returned list.
+        top: Optional truncation of the returned list (``0`` returns no
+            entries; a negative value raises ``ValueError``).
         values: Optional precomputed values of ``measure`` over
             ``scores`` (e.g. ``EngineScoring.measure_values``); computed
             here when omitted.
@@ -207,27 +217,10 @@ def rank_by_measure(
         values = m.values(scores)
     else:
         values = np.asarray(values, dtype=np.float64)
-    imp = importance_scores(scores)
     if candidates is None:
         candidates = np.ones(scores.n_predicates, dtype=bool)
-    else:
-        candidates = np.asarray(candidates, dtype=bool)
-
-    masked = np.where(candidates, values, -np.inf)
-    order = np.argsort(-masked, kind="stable")
-    entries: List[RankedPredicate] = []
-    for rank, idx in enumerate(order, start=1):
-        if not candidates[idx]:
-            break
-        entries.append(
-            RankedPredicate(
-                rank=rank,
-                predicate=table.predicates[int(idx)],
-                row=scores.row(int(idx)),
-                importance=float(imp.importance[idx]),
-                sort_key=float(values[idx]),
-            )
-        )
-        if top is not None and len(entries) >= top:
-            break
+    imp = importance_scores(scores)
+    entries = _ranked_entries(
+        table, scores, imp, values, np.asarray(candidates, dtype=bool), top
+    )
     return MeasureRanking(measure=m, entries=entries, scores=scores, values=values)

@@ -9,9 +9,10 @@ Replicating committed shard *bytes* (not reports, not counts) therefore
 preserves every downstream result bit for bit: shard SHAs, streamed
 statistics, scores, rankings.  The same property holds for every
 registered suspiciousness measure (:mod:`repro.core.measures`):
-``AnalysisEngine.federated_scores(stores, measure=...)`` scores the
-un-materialised union of N stores bit-identically to scoring the merged
-store this module produces, under any measure.
+``AnalysisEngine.score_stats(engine.multi_store_stats(stores),
+measure=...)`` scores the un-materialised union of N stores
+bit-identically to scoring the merged store this module produces, under
+any measure.
 
 Protocol (manifest-diff sync):
 

@@ -100,7 +100,6 @@ def run_bakeoff(
     measure_names: Optional[Sequence[str]] = None,
     runs: Optional[int] = None,
     seed: int = 0,
-    jobs: int = 1,
 ) -> Dict[str, object]:
     """Run the full measure x subject bake-off matrix.
 
@@ -116,9 +115,6 @@ def run_bakeoff(
         measure_names: Subset of measures (default: every registered
             measure, sorted).
         seed: Base trial seed.
-        jobs: Worker count for the scoring engine (the measure values go
-            through :meth:`AnalysisEngine.score_stats`, so the matrix is
-            identical for any ``jobs``).
 
     Returns:
         A ``repro-bakeoff/v1`` JSON document (see ``docs/MEASURES.md``).
@@ -133,7 +129,7 @@ def run_bakeoff(
     mnames = list(measure_names) if measure_names else list(measures.available())
     for m in mnames:
         measures.get(m)  # fail fast on unknown names
-    engine = AnalysisEngine(jobs=jobs)
+    engine = AnalysisEngine()
 
     subject_docs: Dict[str, object] = {}
     matrix: Dict[str, Dict[str, Dict[str, object]]] = {m: {} for m in mnames}

@@ -69,69 +69,6 @@ _WORKER: Dict[str, object] = {}
 _RunRecord = Tuple[int, bool, Dict[int, int], Dict[int, int], Optional[Tuple[str, ...]], List[str]]
 
 
-def fork_map(fn, tasks, jobs: int = 1, label: str = "parallel.map") -> list:
-    """Order-preserving map over ``tasks``, optionally in forked workers.
-
-    The shared process-pool primitive of the collection *and* analysis
-    layers (:mod:`repro.core.engine` maps its shard-streaming and
-    predicate-scoring tasks through here).  ``fn`` must be a module-level
-    (picklable) function of one task; with ``jobs <= 1`` or fewer than
-    two tasks the map runs inline in the caller -- the exact same ``fn``
-    invocations in the same order, so for pure ``fn`` the two paths are
-    interchangeable bit for bit.
-
-    Observability follows the worker-snapshot protocol of
-    :func:`run_trials_sharded`'s chunk workers: each forked worker resets
-    the registry it inherited, wraps its task in a ``label`` span (trace
-    events stream straight to the shared trace file), and ships a metrics
-    snapshot back with its result; the parent merges the snapshots in
-    task order, so counters are deterministic and cover exactly the
-    mapped work.
-
-    Args:
-        fn: Module-level function applied to each task.
-        tasks: The task payloads (pickled to workers when ``jobs > 1``).
-        jobs: Worker process count; capped at ``len(tasks)``.
-        label: Span name for per-task timing.
-
-    Returns:
-        ``[fn(t) for t in tasks]``, in task order.
-    """
-    tasks = list(tasks)
-    if jobs <= 1 or len(tasks) < 2:
-        results = []
-        for index, task in enumerate(tasks):
-            with _obs_span(label, task=index):
-                results.append(fn(task))
-        return results
-    ctx = multiprocessing.get_context("fork")
-    payloads = [(fn, label, index, task) for index, task in enumerate(tasks)]
-    with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
-        outcomes = pool.map(_fork_map_task, payloads)
-    results = []
-    for result, snap in outcomes:
-        if snap is not None and _obs_enabled():
-            _obs_merge(snap)
-        results.append(result)
-    return results
-
-
-def _fork_map_task(payload):
-    """Worker body for :func:`fork_map`: run one task under a span.
-
-    Returns ``(result, snapshot)`` where the snapshot covers exactly this
-    task's metrics (the inherited registry is reset first), or ``None``
-    when observability is off.
-    """
-    fn, label, index, task = payload
-    obs_on = _obs_enabled()
-    if obs_on:
-        _obs_reset()
-    with _obs_span(label, task=index):
-        result = fn(task)
-    return result, (_obs_snapshot() if obs_on else None)
-
-
 def _init_worker(subject: Subject, config: Optional[InstrumentationConfig]) -> None:
     program = subject.build_program(config=config)
     _WORKER["subject"] = subject

@@ -19,11 +19,9 @@ documents at the repo root (or ``--out-dir``):
   bandwidth for the v2 ``.npz`` layout vs the v3 memory-mapped layout
   over the same population (``shard_decode``), end-to-end scoring
   latency (streamed sufficient statistics -> scores -> pruning) at
-  three store sizes, and the parallel engine's serial-vs-``--jobs 4``
-  scoring walls at the same sizes (speedup is hardware-relative: the
-  entry's ``environment.cpu_count`` says how many cores the measurement
-  had), plus scoring latency at factory-package predicate counts
-  (``factory_scoring``).
+  three store sizes, per-measure scoring walls at the same sizes
+  (``bakeoff``), plus scoring latency at factory-package predicate
+  counts (``factory_scoring``).
 
 Both documents share schema :data:`BENCH_SCHEMA` (``repro-bench/v1``),
 documented with a worked example in ``docs/OBSERVABILITY.md``; the
@@ -433,44 +431,17 @@ def run_analysis_scenarios(quick: bool, scale: float = 1.0) -> List[dict]:
                 )
             )
 
-        # Serial vs parallel engine scoring at each size: the same
-        # partitioned pipeline at --jobs 1 and --jobs 4 (bit-identical
-        # outputs; only the wall clock may differ, and only when the
-        # host actually has cores to spend -- see environment.cpu_count).
+        # Measure bake-off wall: every registered suspiciousness measure
+        # scored over the same streamed statistics, per store size.  The
+        # per-measure walls price the registry seam itself -- each pass
+        # runs the full score_stats pipeline under one measure, exactly
+        # what `bakeoff` and `GET /scores?measure=` pay.
+        from repro.core import measures as _measures
         from repro.core.engine import AnalysisEngine
 
         for size, store_dir in store_dirs:
             store = ShardStore.open(store_dir)
-            walls = {}
-            for jobs in (1, 4):
-                engine = AnalysisEngine(jobs=jobs)
-                start = time.perf_counter()
-                stats = engine.store_stats(store)
-                engine.score_stats(stats)
-                walls[jobs] = time.perf_counter() - start
-            scenarios.append(
-                _scenario(
-                    "parallel_analyze",
-                    {"runs": size, "shards": store.n_shards, "jobs": 4},
-                    {
-                        "serial_wall_seconds": walls[1],
-                        "parallel_wall_seconds": walls[4],
-                        "speedup": walls[1] / max(walls[4], 1e-9),
-                    },
-                    subject="ccrypt",
-                )
-            )
-
-        # Measure bake-off wall: every registered suspiciousness measure
-        # scored over the same streamed statistics, per store size.  The
-        # per-measure walls price the registry seam itself -- each pass
-        # runs the full partitioned score_stats pipeline under one
-        # measure, exactly what `bakeoff` and `GET /scores?measure=` pay.
-        from repro.core import measures as _measures
-
-        for size, store_dir in store_dirs:
-            store = ShardStore.open(store_dir)
-            engine = AnalysisEngine(jobs=1)
+            engine = AnalysisEngine()
             stats = engine.store_stats(store)
             walls: Dict[str, float] = {}
             for m in _measures.available():
@@ -582,7 +553,7 @@ def run_analysis_scenarios(quick: bool, scale: float = 1.0) -> List[dict]:
         fsubject, fprogram, sizes[0], SamplingPlan.full(), seed=0
     )
     stats = SufficientStats.from_reports(reports)
-    engine = AnalysisEngine(jobs=1)
+    engine = AnalysisEngine()
     start = time.perf_counter()
     engine.score_stats(stats)
     wall = time.perf_counter() - start

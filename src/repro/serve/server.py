@@ -57,7 +57,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional, Tuple
 
 from repro.core.engine import AnalysisEngine
-from repro.core.importance import importance_scores
+from repro.core.ranking import rank_by_measure
 from repro.core.reports import ReportBuilder
 from repro.core.truth import GroundTruth
 from repro.obs import span as _obs_span
@@ -132,7 +132,7 @@ class CollectionService:
         self.table = store.table()
         self.lock = threading.RLock()
         self.metrics = MetricsRegistry()
-        self.engine = AnalysisEngine(jobs=1)
+        self.engine = AnalysisEngine()
         self.started_at = time.time()
         self._upload_counter = 0
         self.steering_enabled = steering
@@ -453,8 +453,9 @@ class CollectionService:
         (:data:`repro.core.measures.DEFAULT_MEASURE`).  Computed from the
         live statistics through the exact ``analyze --stats-only`` path
         (:meth:`AnalysisEngine.score_stats <repro.core.engine.AnalysisEngine.score_stats>`
-        with the same measure + the CLI's ranking expression), so counts
-        and floats agree bit for bit with the CLI run against the store
+        with the same measure, ranked by
+        :func:`~repro.core.ranking.rank_by_measure`), so counts, floats
+        and order agree bit for bit with the CLI run against the store
         directory at this moment.  Each predicate entry carries the
         selected measure's value as ``score``; ``importance`` stays
         populated for schema compatibility with older clients.
@@ -462,11 +463,14 @@ class CollectionService:
         Raises:
             repro.core.measures.UnknownMeasureError: For unknown names
                 (the HTTP layer maps it to a 400).
+            ValueError: For a negative ``k``.
         """
         from repro.core import measures as _measures
 
         measure_name = measure or _measures.DEFAULT_MEASURE
         _measures.get(measure_name)  # validate before taking the lock
+        if k is not None and k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         with self.lock:
             stats = self.live_stats
             n_runs = stats.num_failing + stats.num_successful
@@ -482,31 +486,29 @@ class CollectionService:
             if n_runs == 0:
                 return document
             scoring = self.engine.score_stats(stats, measure=measure_name)
-            scores = scoring.scores
-            values = scoring.measure_values
-            imp = importance_scores(scores)
-            order = sorted(
-                scoring.pruning.kept_indices.tolist(),
-                key=lambda i: values[i],
-                reverse=True,
+            ranking = rank_by_measure(
+                self.table,
+                scoring.scores,
+                measure_name,
+                candidates=scoring.pruning.kept,
+                values=scoring.measure_values,
+                top=k,
             )
-            if k is not None:
-                order = order[:k]
             document["predicates"] = [
                 {
-                    "index": int(i),
-                    "name": self.table.predicates[i].name,
-                    "score": float(values[i]),
-                    "importance": float(imp.importance[i]),
-                    "increase": float(scores.increase[i]),
-                    "failure": float(scores.failure[i]),
-                    "context": float(scores.context[i]),
-                    "F": int(scores.F[i]),
-                    "S": int(scores.S[i]),
-                    "F_obs": int(scores.F_obs[i]),
-                    "S_obs": int(scores.S_obs[i]),
+                    "index": entry.predicate.index,
+                    "name": entry.predicate.name,
+                    "score": entry.sort_key,
+                    "importance": entry.importance,
+                    "increase": entry.row.increase,
+                    "failure": entry.row.failure,
+                    "context": entry.row.context,
+                    "F": entry.row.F,
+                    "S": entry.row.S,
+                    "F_obs": entry.row.F_obs,
+                    "S_obs": entry.row.S_obs,
                 }
-                for i in order
+                for entry in ranking.entries
             ]
             return document
 
@@ -653,6 +655,8 @@ class _IngestHandler(BaseHTTPRequestHandler):
                 if part.startswith("k="):
                     try:
                         k = int(part[2:])
+                        if k < 0:
+                            raise ValueError(part)
                     except ValueError:
                         self._send_json(400, {"error": "bad-query", "detail": part})
                         return

@@ -125,55 +125,6 @@ class SufficientStats:
         self.num_successful += other.num_successful
         return self
 
-    @classmethod
-    def merge_tree(cls, parts: "list[SufficientStats]") -> "SufficientStats":
-        """Combine per-worker statistics by pairwise tree reduction.
-
-        Integer addition is associative and commutative, so *any* merge
-        shape -- left fold, tree, random -- produces identical counts;
-        the tree shape is what the parallel engine uses to combine its
-        workers' partial sums, and keeping it as a named operation lets
-        ``tests/instrument/test_sampling_properties.py`` pin the
-        shape-independence property directly.
-
-        Args:
-            parts: One partial statistic per disjoint run subset.
-
-        Raises:
-            ValueError: On an empty sequence or mismatched predicate
-                counts.
-        """
-        parts = list(parts)
-        if not parts:
-            raise ValueError("cannot merge an empty sequence of statistics")
-        while len(parts) > 1:
-            merged = [
-                parts[i] + parts[i + 1] for i in range(0, len(parts) - 1, 2)
-            ]
-            if len(parts) % 2:
-                merged.append(parts[-1])
-            parts = merged
-        return parts[0]
-
-    def slice_predicates(self, lo: int, hi: int) -> "SufficientStats":
-        """The statistics of predicate columns ``[lo, hi)`` alone.
-
-        The population totals (``NumF``/``NumS``) are population-wide,
-        not per-predicate, so they are carried unchanged: scoring a slice
-        with :func:`repro.core.scores.scores_from_counts` gives exactly
-        the rows ``[lo, hi)`` of scoring the whole table, which is the
-        predicate-axis half of the parallel engine's bit-identity
-        contract.
-        """
-        return SufficientStats(
-            F=self.F[lo:hi],
-            S=self.S[lo:hi],
-            F_obs=self.F_obs[lo:hi],
-            S_obs=self.S_obs[lo:hi],
-            num_failing=self.num_failing,
-            num_successful=self.num_successful,
-        )
-
     def __add__(self, other: "SufficientStats") -> "SufficientStats":
         self._check_compatible(other)
         return SufficientStats(

@@ -141,11 +141,9 @@ def _committed_path(directory: str, entry: "ShardEntry") -> str:
 def load_entry_stats(directory: str, entry: "ShardEntry", table_sha: str) -> SufficientStats:
     """Load and verify one committed shard's embedded sufficient statistics.
 
-    The single per-shard step of the streaming scorer, factored out at
-    module level so the serial loop (:meth:`ShardStore.sufficient_stats`)
-    and the parallel engine's forked workers
-    (:mod:`repro.core.engine`) run the *same* bytes-to-counts code --
-    including the missing-file, unreadable and table-mismatch errors.
+    The per-shard step of :meth:`ShardStore.sufficient_stats`:
+    bytes to counts, with the missing-file, unreadable and
+    table-mismatch errors.
 
     Raises:
         StaleManifestError: The shard file is missing.
@@ -899,22 +897,17 @@ class ShardStore:
                 truth_out = GroundTruth.merge([t for t in truths if t is not None])
             return merged, truth_out
 
-    def sufficient_stats(self, jobs: int = 1) -> SufficientStats:
+    def sufficient_stats(self) -> SufficientStats:
         """Accumulate scoring statistics across shards, streaming.
 
+        The one shard-streaming loop: ``analyze``, the daemon and the
+        federation analysis all read a store's statistics through here.
         Format-v3 shards are memory-mapped and only the statistic
         columns' pages are touched (zero-copy); format-v2 shards read
         six small arrays out of their ``.npz``.  Either way the
-        run-by-predicate matrices are never reconstructed, so parent
-        memory is bounded by one predicate-length array set regardless
-        of how many runs the store holds.
-
-        Args:
-            jobs: With ``jobs > 1``, disjoint shard subsets stream in
-                that many forked workers and the partial sums tree-merge
-                in the parent (:mod:`repro.core.engine`).  The counts are
-                integers, so the result is bit-identical to the serial
-                stream for every worker count.
+        run-by-predicate matrices are never reconstructed, so memory is
+        bounded by one predicate-length array set regardless of how
+        many runs the store holds.
 
         Raises:
             StaleManifestError: A committed shard file is missing.
@@ -926,10 +919,6 @@ class ShardStore:
         """
         if not self.manifest.shards:
             raise ValueError("cannot score an empty shard store")
-        if jobs > 1:
-            from repro.core.engine import AnalysisEngine
-
-            return AnalysisEngine(jobs=jobs).store_stats(self)
         total: Optional[SufficientStats] = None
         with _obs_timer("store.stream_stats"):
             for entry in self.manifest.shards:
@@ -942,20 +931,8 @@ class ShardStore:
         assert total is not None
         return total
 
-    def compute_scores(
-        self, confidence: float = DEFAULT_CONFIDENCE, jobs: int = 1
-    ) -> PredicateScores:
-        """Score the whole store incrementally (see :mod:`repro.store.incremental`).
-
-        With ``jobs > 1`` both halves run through the parallel engine --
-        shard streaming over run subsets, then scoring over predicate
-        partitions -- with bit-identical results (the engine's contract).
-        """
-        if jobs > 1:
-            from repro.core.engine import AnalysisEngine
-
-            engine = AnalysisEngine(jobs=jobs, confidence=confidence)
-            return engine.scores_from_stats(engine.store_stats(self))
+    def compute_scores(self, confidence: float = DEFAULT_CONFIDENCE) -> PredicateScores:
+        """Score the whole store incrementally (see :mod:`repro.store.incremental`)."""
         return self.sufficient_stats().to_scores(confidence=confidence)
 
     def __repr__(self) -> str:

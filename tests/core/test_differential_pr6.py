@@ -8,9 +8,9 @@ Four independent equivalences, each across all five paper subjects:
   same seeds, under full, uniform and per-site plans;
 * **Archive v1 vs v2 vs v3** -- one population saved in every readable
   layout loads back to bitwise-identical scores;
-* **Serial vs ``--jobs``** over a v3 (memory-mapped) store -- the
-  parallel engine's bit-identity contract extends to the zero-copy
-  reader;
+* **Streamed vs monolithic** over 1- and 3-shard v3 (memory-mapped)
+  stores -- the shard-layout bit-identity contract extends to the
+  zero-copy reader;
 * **Observability on vs off** -- metrics instrumentation never touches
   the analysed numbers.
 
@@ -164,8 +164,9 @@ class TestArchiveVersionDifferential:
 
 
 def _v3_store(directory, experiment, n_shards=3):
-    from repro.core.engine import partition_bounds
     from repro.core.io import V3_MAGIC
+
+    from tests.helpers import partition_bounds
 
     reports, truth = experiment.reports, experiment.truth
     store = ShardStore.create(
@@ -182,19 +183,18 @@ def _v3_store(directory, experiment, n_shards=3):
 
 
 class TestV3StoreParallelDifferential:
-    """Zero-copy shard streaming is bit-identical, serial or parallel."""
+    """Zero-copy shard streaming is bit-identical at every shard layout."""
 
     @pytest.mark.parametrize("fixture", SUBJECT_FIXTURES)
-    def test_jobs_match_serial_over_v3_store(self, fixture, request, tmp_path):
+    def test_streamed_scores_match_monolithic_over_v3_store(
+        self, fixture, request, tmp_path
+    ):
         experiment = request.getfixturevalue(fixture)
-        store = _v3_store(tmp_path / "store", experiment)
         expected = compute_scores(experiment.reports)
-        serial = store.compute_scores(jobs=1)
-        _assert_scores_bitwise_equal(serial, expected, f"{fixture}/serial-v3")
-        for jobs in (2, 3):
-            parallel = ShardStore.open(store.directory).compute_scores(jobs=jobs)
+        for n_shards in (1, 3):
+            store = _v3_store(tmp_path / f"store-{n_shards}", experiment, n_shards)
             _assert_scores_bitwise_equal(
-                parallel, serial, f"{fixture}/jobs={jobs}"
+                store.compute_scores(), expected, f"{fixture}/{n_shards}-shard-v3"
             )
 
     def test_v3_store_audit_recover_roundtrip(self, tmp_path, moss_experiment):
@@ -216,10 +216,10 @@ class TestObservabilityDifferential:
 
         experiment = request.getfixturevalue(fixture)
         store = _v3_store(tmp_path / "store", experiment)
-        baseline = store.compute_scores(jobs=1)
+        baseline = store.compute_scores()
         obs.configure()
         try:
-            with_obs = ShardStore.open(store.directory).compute_scores(jobs=1)
+            with_obs = ShardStore.open(store.directory).compute_scores()
         finally:
             obs.shutdown()
         _assert_scores_bitwise_equal(with_obs, baseline, f"{fixture}/obs")

@@ -1,16 +1,17 @@
-"""Differential suite: ``analyze --jobs N`` is bit-identical to serial.
+"""Differential suite: ``analyze`` is bit-identical across shard layouts.
 
-The engine's contract (``repro/core/engine.py``) is that worker count,
-shard layout and discard strategy never change a single output bit:
+The engine's contract (``repro/core/engine.py``) is that shard layout
+never changes a single output bit:
 
 * sufficient statistics -- integer equality across shard layouts
-  {1, 3, 7} and ``--jobs`` {1, 2, 4}, for all five subjects;
+  {1, 3, 7}, for all five subjects;
 * scores, p-values, pruning -- *bitwise* float equality (``tobytes``,
-  not ``allclose``) against the serial streaming path;
+  not ``allclose``) against scoring the monolithic counts;
 * elimination rankings -- identical predictor sequences, importances and
-  populations under every discard strategy, with Importance ties
-  resolving in predicate-index order at every worker count;
-* the CLI -- byte-identical stdout for ``--jobs 1`` vs ``--jobs 4``.
+  populations under every discard strategy against elimination over the
+  materialised population, with Importance ties resolving in
+  predicate-index order;
+* the CLI -- byte-identical stdout for a 1-shard and a 7-shard store.
 
 These tests are the enforcement arm of the determinism contract
 documented in ``docs/ALGORITHM.md``; weakening any equality here to a
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.engine import AnalysisEngine, concat_scores, partition_bounds
+from repro.core.engine import AnalysisEngine
 from repro.core.elimination import DiscardStrategy, eliminate
 from repro.core.scores import compute_scores
 from repro.core.truth import bugs_covered
@@ -31,7 +32,7 @@ from repro.instrument.sampling import SamplingPlan
 from repro.store import ShardStore
 from repro.store.incremental import SufficientStats
 
-from tests.helpers import make_reports
+from tests.helpers import make_reports, partition_bounds
 
 #: Session-scoped experiment fixtures covering all five paper subjects.
 SUBJECT_FIXTURES = [
@@ -43,7 +44,6 @@ SUBJECT_FIXTURES = [
 ]
 
 SHARD_LAYOUTS = (1, 3, 7)
-JOB_COUNTS = (1, 2, 4)
 
 #: Per-predicate float arrays of PredicateScores, all compared bitwise.
 _SCORE_FIELDS = (
@@ -115,35 +115,29 @@ def _assert_stats_equal(got, want):
 @pytest.mark.parametrize("subject_fixture", SUBJECT_FIXTURES)
 class TestScoresBitIdentical:
     def test_stats_scores_and_pruning(self, request, sharded_stores, subject_fixture):
-        """Full layout x jobs matrix: statistics, scores, p-values and
-        pruned sets match the serial stream bit for bit."""
-        stores = sharded_stores(request, subject_fixture)
-        reference = stores[SHARD_LAYOUTS[0]].sufficient_stats()
-        ref_scores = reference.to_scores()
-        for layout, store in stores.items():
-            serial = store.sufficient_stats()
-            _assert_stats_equal(serial, reference)
-            for jobs in JOB_COUNTS:
-                engine = AnalysisEngine(jobs=jobs)
-                stats = engine.store_stats(store)
-                _assert_stats_equal(stats, serial)
-                scoring = engine.score_stats(stats)
-                _assert_scores_bitwise_equal(scoring.scores, ref_scores)
-                np.testing.assert_array_equal(
-                    scoring.pruning.kept,
-                    AnalysisEngine(jobs=1).score_stats(serial).pruning.kept,
-                )
+        """Every shard layout: statistics, scores and pruned sets match
+        the monolithic population bit for bit."""
+        experiment = request.getfixturevalue(subject_fixture)
+        reference = SufficientStats.from_reports(experiment.reports)
+        ref_scores = compute_scores(experiment.reports)
+        ref_kept = AnalysisEngine().score_stats(reference).pruning.kept
+        for store in sharded_stores(request, subject_fixture).values():
+            engine = AnalysisEngine()
+            stats = engine.store_stats(store)
+            _assert_stats_equal(stats, reference)
+            scoring = engine.score_stats(stats)
+            _assert_scores_bitwise_equal(scoring.scores, ref_scores)
+            np.testing.assert_array_equal(scoring.pruning.kept, ref_kept)
 
     def test_pvalues_bitwise(self, request, sharded_stores, subject_fixture):
-        """The z-test p-values survive predicate partitioning bitwise."""
+        """The engine's z-test p-values equal the monolithic ones bitwise."""
         from repro.core.scores import z_test_pvalues
 
+        experiment = request.getfixturevalue(subject_fixture)
         store = sharded_stores(request, subject_fixture)[3]
-        stats = store.sufficient_stats()
-        serial = z_test_pvalues(stats.to_scores())
-        for jobs in JOB_COUNTS:
-            scoring = AnalysisEngine(jobs=jobs).score_stats(stats)
-            assert scoring.pvalues.tobytes() == serial.tobytes()
+        scoring = AnalysisEngine().score_stats(store.sufficient_stats())
+        want = z_test_pvalues(compute_scores(experiment.reports))
+        assert scoring.pvalues.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("subject_fixture", SUBJECT_FIXTURES)
@@ -152,86 +146,86 @@ class TestEliminationBitIdentical:
     def test_rankings_match_serial(
         self, request, sharded_stores, subject_fixture, strategy
     ):
-        """End-to-end analyze at every worker count reproduces the serial
-        elimination ranking exactly -- order, importances, populations."""
+        """End-to-end analyze over a 3-shard store reproduces elimination
+        over the monolithic population exactly -- order, importances,
+        populations."""
+        reports = request.getfixturevalue(subject_fixture).reports
         store = sharded_stores(request, subject_fixture)[3]
-        reports, _ = store.load_merged()
-        scores = compute_scores(reports)
-        serial_pruning = AnalysisEngine(jobs=1).score_stats(
+        pruning = AnalysisEngine().score_stats(
             SufficientStats.from_reports(reports)
         ).pruning
         reference = eliminate(
             reports,
-            candidates=serial_pruning.kept,
+            candidates=pruning.kept,
             strategy=strategy,
             max_predictors=6,
         )
-        assert scores.n_predicates == reports.n_predicates
-        for jobs in JOB_COUNTS:
-            analysis = AnalysisEngine(jobs=jobs).analyze_store(
-                store, strategy=strategy, max_predictors=6
-            )
-            got = analysis.elimination
-            assert [s.predicate.index for s in got.selected] == [
-                s.predicate.index for s in reference.selected
-            ]
-            for g, r in zip(got.selected, reference.selected):
-                assert g.rank == r.rank
-                assert g.predicate.index == r.predicate.index
-                for phase in ("initial", "effective"):
-                    gs, rs = getattr(g, phase), getattr(r, phase)
-                    assert gs.importance == rs.importance
-                    assert gs.importance_lo == rs.importance_lo
-                    assert gs.importance_hi == rs.importance_hi
-                    assert gs.num_failing == rs.num_failing
-                assert g.runs_discarded == r.runs_discarded
-                assert g.failing_runs_covered == r.failing_runs_covered
-            assert got.iterations == reference.iterations
-            assert got.remaining_failing == reference.remaining_failing
+        got = AnalysisEngine().analyze_store(
+            store, strategy=strategy, max_predictors=6
+        ).elimination
+        assert [s.predicate.index for s in got.selected] == [
+            s.predicate.index for s in reference.selected
+        ]
+        for g, r in zip(got.selected, reference.selected):
+            assert g.rank == r.rank
+            assert g.predicate.index == r.predicate.index
+            for phase in ("initial", "effective"):
+                gs, rs = getattr(g, phase), getattr(r, phase)
+                assert gs.importance == rs.importance
+                assert gs.importance_lo == rs.importance_lo
+                assert gs.importance_hi == rs.importance_hi
+                assert gs.num_failing == rs.num_failing
+            assert g.runs_discarded == r.runs_discarded
+            assert g.failing_runs_covered == r.failing_runs_covered
+        assert got.iterations == reference.iterations
+        assert got.remaining_failing == reference.remaining_failing
 
 
 class TestCliStdoutIdentical:
-    def test_jobs_flag_does_not_change_output(
+    @staticmethod
+    def _stdout(capsys, argv):
+        assert cli_main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_shard_layout_does_not_change_output(
         self, request, sharded_stores, capsys
     ):
-        """``analyze --jobs 4`` prints byte-identical stdout to serial."""
-        store = sharded_stores(request, "ccrypt_experiment")[7]
-        outputs = {}
-        for jobs in (1, 4):
-            code = cli_main(
-                ["analyze", store.directory, "--jobs", str(jobs), "--no-audit"]
-            )
-            assert code == 0
-            outputs[jobs] = capsys.readouterr().out
-        assert outputs[1] == outputs[4]
+        """``analyze`` prints byte-identical stdout for 1 and 7 shards."""
+        stores = sharded_stores(request, "ccrypt_experiment")
+        one, seven = (
+            self._stdout(capsys, ["analyze", stores[k].directory, "--no-audit"])
+            for k in (1, 7)
+        )
+        assert one == seven
 
     def test_stats_only_identical(self, request, sharded_stores, capsys):
-        store = sharded_stores(request, "bc_experiment")[3]
-        outputs = {}
-        for jobs in (1, 4):
-            code = cli_main(
-                [
-                    "analyze",
-                    store.directory,
-                    "--jobs",
-                    str(jobs),
-                    "--stats-only",
-                    "--no-audit",
-                ]
+        stores = sharded_stores(request, "bc_experiment")
+        one, three = (
+            self._stdout(
+                capsys,
+                ["analyze", stores[k].directory, "--stats-only", "--no-audit"],
             )
-            assert code == 0
-            outputs[jobs] = capsys.readouterr().out
-        assert outputs[1] == outputs[4]
+            for k in (1, 3)
+        )
+        assert one == three
+
+    @pytest.mark.parametrize("command", ["analyze", "bakeoff"])
+    def test_jobs_flag_is_a_usage_error(self, command, capsys):
+        argv = [command, "--jobs", "2"] + (["store"] if command == "analyze" else [])
+        with pytest.raises(SystemExit) as exc_info:
+            cli_main(argv)
+        assert exc_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestTieDeterminism:
-    """Importance ties resolve by predicate index -- serial and parallel."""
+    """Importance ties resolve by predicate index at every shard layout."""
 
     def _tied_reports(self):
         # P1 and P3 are true in exactly the same runs (perfectly
         # correlated duplicates), so their Importance is identical; P0
         # and P2 are weaker noise.  The engine must select the lower
-        # index (1) first at every worker count.  The pattern repeats so
+        # index (1) first at every shard layout.  The pattern repeats so
         # the Increase interval clears zero and survives pruning.
         runs = [
             (True, {1, 3}, None),
@@ -250,28 +244,28 @@ class TestTieDeterminism:
         result = eliminate(reports, max_predictors=2)
         assert result.selected[0].predicate.index == 1
 
-    def test_parallel_matches_serial_under_ties(self, tmp_path):
+    def test_shard_layouts_agree_under_ties(self, tmp_path):
         reports = self._tied_reports()
-        store = ShardStore.create(
-            str(tmp_path / "tied"), "tied", reports.table, SamplingPlan.full()
-        )
-        for lo, hi in partition_bounds(reports.n_runs, 3):
-            mask = np.zeros(reports.n_runs, dtype=bool)
-            mask[lo:hi] = True
-            store.append_shard(reports.subset(mask), seed_start=lo)
-        store = ShardStore.open(store.directory)
         picks = {}
-        for jobs in JOB_COUNTS:
-            analysis = AnalysisEngine(jobs=jobs).analyze_store(store)
-            picks[jobs] = [s.predicate.index for s in analysis.elimination.selected]
+        for layout in SHARD_LAYOUTS:
+            store = ShardStore.create(
+                str(tmp_path / f"tied-{layout}"), "tied", reports.table,
+                SamplingPlan.full(),
+            )
+            for lo, hi in partition_bounds(reports.n_runs, layout):
+                mask = np.zeros(reports.n_runs, dtype=bool)
+                mask[lo:hi] = True
+                store.append_shard(reports.subset(mask), seed_start=lo)
+            analysis = AnalysisEngine().analyze_store(ShardStore.open(store.directory))
+            picks[layout] = [s.predicate.index for s in analysis.elimination.selected]
         assert picks[1][0] == 1
-        assert picks[1] == picks[2] == picks[4]
+        assert picks[1] == picks[3] == picks[7]
 
 
 class TestLemma31ThroughEngine:
     def test_every_intersecting_bug_covered(self, tmp_path):
-        """Lemma 3.1 holds through the parallel path: every bug whose
-        profile intersects the predicated runs gets a predictor."""
+        """Lemma 3.1 holds through the engine: every bug whose profile
+        intersects the predicated runs gets a predictor."""
         from repro.core.truth import GroundTruth
 
         # Two disjoint bugs, each with a faithful predictor, plus noise;
@@ -302,18 +296,14 @@ class TestLemma31ThroughEngine:
             store.append_shard(
                 reports.subset(mask), truth=truth.subset(mask), seed_start=lo
             )
-        store = ShardStore.open(store.directory)
-        for jobs in JOB_COUNTS:
-            analysis = AnalysisEngine(jobs=jobs).analyze_store(store)
-            selected = [s.predicate.index for s in analysis.elimination.selected]
-            covered = bugs_covered(
-                analysis.reports, analysis.truth, selected
-            )
-            assert set(covered) == {"bug-a", "bug-b"}
+        analysis = AnalysisEngine().analyze_store(ShardStore.open(store.directory))
+        selected = [s.predicate.index for s in analysis.elimination.selected]
+        covered = bugs_covered(analysis.reports, analysis.truth, selected)
+        assert set(covered) == {"bug-a", "bug-b"}
 
 
 class TestEngineUnit:
-    """Direct engine coverage: partitioning, concatenation, errors."""
+    """Direct engine coverage: the shard-layout helper and errors."""
 
     def test_partition_bounds_cover_exactly(self):
         for n in (0, 1, 2, 5, 17, 100):
@@ -328,31 +318,65 @@ class TestEngineUnit:
         with pytest.raises(ValueError, match="negative"):
             partition_bounds(-1, 2)
 
-    def test_concat_scores_roundtrip(self):
+    def test_engine_rejects_bad_jobs(self):
+        for jobs in (0, 2):
+            with pytest.raises(ValueError, match="jobs"):
+                AnalysisEngine(jobs=jobs)
+
+    def test_score_stats_fires_documented_timers(self):
+        """``analyze --profile`` shows ``scores.from_counts`` and
+        ``analysis.prune``: the engine scores and prunes through
+        ``SufficientStats.to_scores`` and ``prune_predicates``."""
+        from repro import obs
+
         reports = make_reports(
-            5,
-            [(True, {0, 1}, None), (True, {2}, None), (False, {3}, None)],
+            3, [(True, {0}, None), (True, {0, 1}, None), (False, {2}, None)]
         )
         stats = SufficientStats.from_reports(reports)
-        whole = stats.to_scores()
-        parts = [
-            stats.slice_predicates(lo, hi).to_scores()
-            for lo, hi in partition_bounds(stats.n_predicates, 3)
-        ]
-        _assert_scores_bitwise_equal(concat_scores(parts), whole)
+        obs.configure()
+        try:
+            AnalysisEngine().score_stats(stats)
+            snap = obs.snapshot()
+        finally:
+            obs.shutdown()
+        assert {"scores.from_counts", "analysis.prune"} <= set(snap["timers"])
+        assert snap["gauges"]["analysis.pruning_initial"] == 3.0
 
-    def test_concat_scores_single_part_passthrough(self):
-        reports = make_reports(2, [(True, {0}, None), (False, {1}, None)])
-        scores = SufficientStats.from_reports(reports).to_scores()
-        assert concat_scores([scores]) is scores
+    def test_multi_store_stats_sums_stores(self, tmp_path):
+        """Disjoint stores sum to the whole population; empty ones add
+        nothing."""
+        reports = make_reports(
+            3, [(True, {0}, None), (True, {0, 1}, None), (False, {2}, None)] * 3
+        )
+        stores = []
+        for name, (lo, hi) in zip("abc", [(0, 4), (4, 4), (4, reports.n_runs)]):
+            store = ShardStore.create(
+                str(tmp_path / name), "multi", reports.table, SamplingPlan.full()
+            )
+            if hi > lo:
+                mask = np.zeros(reports.n_runs, dtype=bool)
+                mask[lo:hi] = True
+                store.append_shard(reports.subset(mask), seed_start=lo)
+            stores.append(ShardStore.open(store.directory))
+        got = AnalysisEngine().multi_store_stats(stores)
+        _assert_stats_equal(got, SufficientStats.from_reports(reports))
 
-    def test_concat_scores_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            concat_scores([])
-
-    def test_engine_rejects_bad_jobs(self):
-        with pytest.raises(ValueError, match="jobs"):
-            AnalysisEngine(jobs=0)
+    def test_multi_store_stats_rejects_bad_input(self, tmp_path):
+        small = make_reports(2, [(True, {0}, None)])
+        large = make_reports(3, [(True, {0}, None)])
+        stores = []
+        for name, reports in (("small", small), ("large", large)):
+            store = ShardStore.create(
+                str(tmp_path / name), name, reports.table, SamplingPlan.full()
+            )
+            stores.append(store)
+        engine = AnalysisEngine()
+        with pytest.raises(ValueError, match="at least one"):
+            engine.multi_store_stats([])
+        with pytest.raises(ValueError, match="empty shard stores"):
+            engine.multi_store_stats(stores[:1])
+        with pytest.raises(ValueError, match="across tables"):
+            engine.multi_store_stats(stores)
 
     def test_empty_store_rejected(self, tmp_path):
         reports = make_reports(2, [(True, {0}, None)])
@@ -360,19 +384,19 @@ class TestEngineUnit:
             str(tmp_path / "empty"), "empty", reports.table, SamplingPlan.full()
         )
         with pytest.raises(ValueError, match="empty shard store"):
-            AnalysisEngine(jobs=2).store_stats(store)
+            AnalysisEngine().store_stats(store)
 
     def test_analyze_reports_stats_only(self):
         reports = make_reports(
             3, [(True, {0}, None), (True, {0, 1}, None), (False, {2}, None)]
         )
-        analysis = AnalysisEngine(jobs=2).analyze_reports(reports, stats_only=True)
+        analysis = AnalysisEngine().analyze_reports(reports, stats_only=True)
         assert analysis.elimination is None
         reference = compute_scores(reports)
         _assert_scores_bitwise_equal(analysis.scores, reference)
 
-    def test_corruption_surfaces_from_workers(self, tmp_path):
-        """A damaged shard raises the same typed error through the pool."""
+    def test_corruption_surfaces_as_store_error(self, tmp_path):
+        """A damaged shard raises a typed store error out of the engine."""
         from repro.store.errors import StoreError
 
         reports = make_reports(
@@ -390,7 +414,6 @@ class TestEngineUnit:
         with open(victim, "r+b") as fh:
             fh.seek(30)
             fh.write(b"\xff\xff\xff\xff")
-        for jobs in (1, 2):
-            with pytest.raises(StoreError) as exc_info:
-                AnalysisEngine(jobs=jobs).store_stats(store)
-            assert "shard" in str(exc_info.value)
+        with pytest.raises(StoreError) as exc_info:
+            AnalysisEngine().store_stats(store)
+        assert "shard" in str(exc_info.value)

@@ -99,7 +99,7 @@ class TestRegistry:
         stats.num_failing = 1
         stats.num_successful = 1
         with pytest.raises(UnknownMeasureError):
-            AnalysisEngine(jobs=1).score_stats(stats, measure="bogus")
+            AnalysisEngine().score_stats(stats, measure="bogus")
 
     def test_unknown_name_rejected_by_ranking(self):
         from repro.instrument.tracer import instrument_source

@@ -4,10 +4,10 @@ The tentpole contract of the measure registry: for any registered
 suspiciousness measure ``m`` and any subject population, the per-predicate
 value arrays agree **bitwise** (``tobytes``, never ``allclose``) across
 
-* serial scoring (``AnalysisEngine(jobs=1).score_stats``),
-* the parallel engine at ``--jobs`` {2, 4},
+* the registry applied to the monolithic scores (``Measure.values``),
+* engine scoring (``AnalysisEngine().score_stats``) of a 3-shard store,
 * the collection daemon's ``GET /scores?measure=m`` payload, and
-* ``federated_scores`` over a two-store split of the same seeds,
+* ``multi_store_stats`` over a two-store split of the same seeds,
 
 on all five paper subjects.  The identity holds *structurally* (measures
 are elementwise over sufficient statistics that add exactly) -- these
@@ -24,10 +24,13 @@ import numpy as np
 import pytest
 
 from repro.core import measures
-from repro.core.engine import AnalysisEngine, partition_bounds
+from repro.core.engine import AnalysisEngine
+from repro.core.ranking import rank_by_measure
 from repro.core.importance import importance_scores
 from repro.instrument.sampling import SamplingPlan
 from repro.store import ShardStore
+
+from tests.helpers import partition_bounds
 
 SUBJECT_FIXTURES = [
     "moss_experiment",
@@ -36,8 +39,6 @@ SUBJECT_FIXTURES = [
     "exif_experiment",
     "rhythmbox_experiment",
 ]
-
-JOB_COUNTS = (2, 4)
 
 
 def _build_store(directory, experiment, n_shards, lo_runs=0, hi_runs=None):
@@ -82,28 +83,30 @@ def measure_stores(tmp_path_factory):
 
 @pytest.mark.parametrize("subject_fixture", SUBJECT_FIXTURES)
 class TestMeasureBitIdentity:
-    def test_serial_vs_jobs(self, request, measure_stores, subject_fixture):
-        """Every measure: jobs {2,4} values == serial values, bitwise."""
+    def test_engine_vs_registry(self, request, measure_stores, subject_fixture):
+        """Every measure: streamed engine values == the registry applied
+        to the monolithic population's scores, bitwise."""
+        from repro.core.scores import compute_scores
+
         stores = measure_stores(request, subject_fixture)
-        stats = AnalysisEngine(jobs=1).store_stats(stores["whole"])
+        engine = AnalysisEngine()
+        stats = engine.store_stats(stores["whole"])
+        monolithic = compute_scores(stores["experiment"].reports)
         for name in measures.available():
-            serial = AnalysisEngine(jobs=1).score_stats(stats, measure=name)
-            assert serial.measure == name
-            for jobs in JOB_COUNTS:
-                parallel = AnalysisEngine(jobs=jobs).score_stats(stats, measure=name)
-                assert (
-                    parallel.measure_values.tobytes()
-                    == serial.measure_values.tobytes()
-                ), (name, jobs)
+            scoring = engine.score_stats(stats, measure=name)
+            assert scoring.measure == name
+            want = measures.get(name).values(monolithic)
+            assert scoring.measure_values.tobytes() == want.tobytes(), name
 
     def test_federated_vs_single_store(self, request, measure_stores, subject_fixture):
         """Every measure: federated two-store scoring == whole store, bitwise."""
         stores = measure_stores(request, subject_fixture)
-        engine = AnalysisEngine(jobs=1)
+        engine = AnalysisEngine()
         whole_stats = engine.store_stats(stores["whole"])
+        split_stats = engine.multi_store_stats(stores["split"])
         for name in measures.available():
             whole = engine.score_stats(whole_stats, measure=name)
-            federated = engine.federated_scores(stores["split"], measure=name)
+            federated = engine.score_stats(split_stats, measure=name)
             assert federated.measure == name
             assert (
                 federated.measure_values.tobytes() == whole.measure_values.tobytes()
@@ -117,11 +120,13 @@ class TestMeasureBitIdentity:
         stores = measure_stores(request, subject_fixture)
         experiment = stores["experiment"]
         service = CollectionService(stores["whole"], experiment.config.subject)
-        engine = AnalysisEngine(jobs=1)
+        engine = AnalysisEngine()
         stats = engine.store_stats(stores["whole"])
         for name in measures.available():
             scoring = engine.score_stats(stats, measure=name)
             values = scoring.measure_values
+            # An independent reference order: Python's stable sort,
+            # descending, so ties keep ascending predicate index.
             order = sorted(
                 scoring.pruning.kept_indices.tolist(),
                 key=lambda i: values[i],
@@ -142,8 +147,8 @@ class TestMeasureBitIdentity:
         service = CollectionService(stores["whole"], experiment.config.subject)
         payload = service.scores_payload(k=10)
         assert payload["measure"] == "importance"
-        stats = AnalysisEngine(jobs=1).store_stats(stores["whole"])
-        scoring = AnalysisEngine(jobs=1).score_stats(stats)
+        engine = AnalysisEngine()
+        scoring = engine.score_stats(engine.store_stats(stores["whole"]))
         imp = importance_scores(scoring.scores).importance
         for p in payload["predicates"]:
             assert p["score"] == p["importance"] == float(imp[p["index"]])
@@ -176,6 +181,14 @@ class TestScoresEndpointHTTP:
             want = service.scores_payload(k=5, measure=name)
             assert doc == want
 
+    def test_negative_k_is_a_400(self, server):
+        _stores, _service, srv = server
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            self._get(srv, "/scores?k=-2")
+        assert excinfo.value.code == 400
+        body = json.loads(excinfo.value.read().decode("utf-8"))
+        assert body == {"error": "bad-query", "detail": "k=-2"}
+
     def test_unknown_measure_is_a_400(self, server):
         _stores, _service, srv = server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -184,3 +197,80 @@ class TestScoresEndpointHTTP:
         body = json.loads(excinfo.value.read().decode("utf-8"))
         assert body["error"] == "unknown-measure"
         assert "tarantula" in body["detail"]
+
+
+class TestRankingPathsAgree:
+    """``analyze --stats-only``, ``GET /scores`` and ``rank_by_measure``
+    order tied measure values identically: by ascending predicate index."""
+
+    @pytest.fixture()
+    def tied_store(self, tmp_path):
+        from tests.helpers import make_reports
+
+        # P1 and P3 are true in exactly the same runs, so every measure
+        # gives them the same value; the pattern repeats so both survive
+        # pruning.
+        runs = [
+            (True, {1, 3}, None),
+            (True, {1, 3}, None),
+            (True, {0, 1, 3}, None),
+            (True, {2}, None),
+            (False, {0}, None),
+            (False, {2}, None),
+            (False, set(), None),
+            (False, set(), None),
+        ] * 5
+        reports = make_reports(4, runs)
+        store = ShardStore.create(
+            str(tmp_path / "tied"), "tied", reports.table, SamplingPlan.full()
+        )
+        for lo, hi in partition_bounds(reports.n_runs, 2):
+            mask = np.zeros(reports.n_runs, dtype=bool)
+            mask[lo:hi] = True
+            store.append_shard(reports.subset(mask), seed_start=lo)
+        return ShardStore.open(store.directory)
+
+    def test_tied_values_rank_identically(self, tied_store, capsys):
+        from repro.cli import main as cli_main
+        from repro.serve import CollectionService
+
+        service = CollectionService(tied_store, None, steering=False)
+        engine = AnalysisEngine()
+        stats = engine.store_stats(tied_store)
+        for name in measures.available():
+            scoring = engine.score_stats(stats, measure=name)
+            assert scoring.pruning.kept[1] and scoring.pruning.kept[3]
+            assert scoring.measure_values[1] == scoring.measure_values[3]
+            ranking = rank_by_measure(
+                tied_store.table(),
+                scoring.scores,
+                name,
+                candidates=scoring.pruning.kept,
+                values=scoring.measure_values,
+            )
+            want = [e.predicate.name for e in ranking.entries]
+            assert want.index("P1") < want.index("P3"), name
+
+            payload = service.scores_payload(measure=name)
+            assert [p["name"] for p in payload["predicates"]] == want, name
+
+            argv = ["analyze", tied_store.directory, "--stats-only", "--measure", name]
+            assert cli_main(argv) == 0
+            rows = capsys.readouterr().out.splitlines()[2:]
+            assert [row.split()[-1] for row in rows] == want, name
+
+    def test_negative_k_rejected(self, tied_store):
+        from repro.serve import CollectionService
+
+        service = CollectionService(tied_store, None, steering=False)
+        assert len(service.scores_payload(k=0)["predicates"]) == 0
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            service.scores_payload(k=-2)
+
+    def test_cli_rejects_negative_top(self, tied_store, capsys):
+        from repro.cli import main as cli_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["analyze", tied_store.directory, "--stats-only", "--top", "-2"])
+        assert excinfo.value.code == 2
+        assert "--top: must be >= 0" in capsys.readouterr().err

@@ -1,8 +1,15 @@
 """Tests for the three Table 1 ranking strategies."""
 
 import numpy as np
+import pytest
 
-from repro.core.ranking import RankingStrategy, rank_predicates
+from repro.core.ranking import (
+    RankingStrategy,
+    rank_by_measure,
+    rank_from_scores,
+    rank_predicates,
+)
+from repro.core.scores import compute_scores
 
 from tests.helpers import make_reports
 
@@ -67,3 +74,34 @@ class TestStrategies:
         assert [e.rank for e in result.entries] == list(
             range(1, len(result.entries) + 1)
         )
+
+
+class TestTop:
+    """``top`` truncates every ranking function the same way."""
+
+    @staticmethod
+    def _rankers():
+        reports = _table1_population()
+        scores = compute_scores(reports)
+        strategy = RankingStrategy.BY_IMPORTANCE
+        return [
+            lambda top: rank_predicates(reports, strategy, top=top),
+            lambda top: rank_from_scores(reports.table, scores, strategy, top=top),
+            lambda top: rank_by_measure(reports.table, scores, top=top),
+        ]
+
+    def test_top_truncates(self):
+        for rank in self._rankers():
+            full = rank(None).entries
+            assert len(full) >= 2
+            assert rank(1).entries == full[:1]
+            assert rank(len(full) + 5).entries == full
+
+    def test_top_zero_returns_no_entries(self):
+        for rank in self._rankers():
+            assert rank(0).entries == []
+
+    def test_negative_top_rejected(self):
+        for rank in self._rankers():
+            with pytest.raises(ValueError, match="top"):
+                rank(-1)

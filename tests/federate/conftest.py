@@ -67,39 +67,36 @@ def distribute(baseline, directories, assign=None):
     return stores
 
 
-def assert_federated_equals_baseline(dest, baseline, jobs=(1, 2)):
+def assert_federated_equals_baseline(dest, baseline):
     """The PR's central claim: merged store == single-daemon store.
 
     Checks shard membership (names, seed ranges, digests), raw archive
     bytes, streamed sufficient statistics, and every scores column by
-    exact bytes, at multiple engine worker counts.
+    exact bytes.
     """
     assert shard_essence(dest) == shard_essence(baseline)
     for entry in baseline.manifest.shards:
         assert read_shard(dest, entry.filename) == read_shard(
             baseline, entry.filename
         )
-    for n in jobs:
-        engine = AnalysisEngine(jobs=n)
-        stats_a = engine.store_stats(baseline)
-        stats_b = engine.store_stats(dest)
-        np.testing.assert_array_equal(stats_a.F, stats_b.F)
-        np.testing.assert_array_equal(stats_a.S, stats_b.S)
-        np.testing.assert_array_equal(stats_a.F_obs, stats_b.F_obs)
-        np.testing.assert_array_equal(stats_a.S_obs, stats_b.S_obs)
-        assert stats_a.num_failing == stats_b.num_failing
-        assert stats_a.num_successful == stats_b.num_successful
-        scoring_a = engine.score_stats(stats_a)
-        scoring_b = engine.score_stats(stats_b)
-        for field in SCORE_FIELDS:
-            assert (
-                getattr(scoring_a.scores, field).tobytes()
-                == getattr(scoring_b.scores, field).tobytes()
-            )
-        assert scoring_a.pvalues.tobytes() == scoring_b.pvalues.tobytes()
+    engine = AnalysisEngine()
+    stats_a = engine.store_stats(baseline)
+    stats_b = engine.store_stats(dest)
+    np.testing.assert_array_equal(stats_a.F, stats_b.F)
+    np.testing.assert_array_equal(stats_a.S, stats_b.S)
+    np.testing.assert_array_equal(stats_a.F_obs, stats_b.F_obs)
+    np.testing.assert_array_equal(stats_a.S_obs, stats_b.S_obs)
+    assert stats_a.num_failing == stats_b.num_failing
+    assert stats_a.num_successful == stats_b.num_successful
+    scoring_a = engine.score_stats(stats_a)
+    scoring_b = engine.score_stats(stats_b)
+    for field in SCORE_FIELDS:
         assert (
-            scoring_a.pruning.kept.tolist() == scoring_b.pruning.kept.tolist()
+            getattr(scoring_a.scores, field).tobytes()
+            == getattr(scoring_b.scores, field).tobytes()
         )
+    assert scoring_a.pvalues.tobytes() == scoring_b.pvalues.tobytes()
+    assert scoring_a.pruning.kept.tolist() == scoring_b.pruning.kept.tolist()
 
 
 @pytest.fixture

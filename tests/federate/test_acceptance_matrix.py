@@ -192,7 +192,7 @@ class TestFleetMatrix:
 
         # And the merge-free analysis path agrees too: summing the
         # daemon stores in place is the same population.
-        engine = AnalysisEngine(jobs=2)
+        engine = AnalysisEngine()
         merged = engine.multi_store_stats(stores)
         direct = engine.store_stats(baseline)
         np.testing.assert_array_equal(merged.F, direct.F)

@@ -83,7 +83,7 @@ class TestDamagedSourceShards:
         )
         assert report.clean
         assert report.retries == 1
-        assert_federated_equals_baseline(dest, baseline_store, jobs=(1,))
+        assert_federated_equals_baseline(dest, baseline_store)
         # Provenance shows the fallback: the victim came from b-src.
         by_name = {e.filename: e.source for e in dest.manifest.shards}
         assert by_name[victim.filename] == str(tmp_path / "b-src")

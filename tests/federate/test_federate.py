@@ -91,7 +91,7 @@ class TestFederateEqualsSingleStore:
         for store in fleet:
             federate_stores([LocalSource(store.directory)], dest)
             dest = ShardStore.open(dest.directory)
-        assert_federated_equals_baseline(dest, baseline_store, jobs=(1,))
+        assert_federated_equals_baseline(dest, baseline_store)
 
     def test_provenance_recorded_and_round_trips(self, tmp_path, baseline_store):
         _, sources, dest, _ = _federate_fleet(tmp_path, baseline_store, 2)
@@ -124,7 +124,7 @@ class TestDedup:
         assert {label for _, label in report.deduped} == {sources[1].label}
         # Every pull came from the smaller label.
         assert {e.source for e in dest.manifest.shards} == {sources[0].label}
-        assert_federated_equals_baseline(dest, baseline_store, jobs=(1,))
+        assert_federated_equals_baseline(dest, baseline_store)
 
     def test_plan_is_order_insensitive(self, tmp_path, baseline_store):
         fleet = distribute(
@@ -288,7 +288,7 @@ class TestFederationFaults:
         )
         assert report.clean
         assert report.retries == 2
-        assert_federated_equals_baseline(dest, baseline_store, jobs=(1,))
+        assert_federated_equals_baseline(dest, baseline_store)
 
     def test_corrupt_fetch_caught_and_retried(self, tmp_path, baseline_store):
         injector = FaultInjector((Fault("fed-corrupt-fetch", chunk=1),))
@@ -297,7 +297,7 @@ class TestFederationFaults:
         )
         assert report.clean
         assert report.retries == 1
-        assert_federated_equals_baseline(dest, baseline_store, jobs=(1,))
+        assert_federated_equals_baseline(dest, baseline_store)
 
     def test_exhausted_retries_skip_with_audited_reason(
         self, tmp_path, baseline_store
@@ -376,7 +376,7 @@ class TestServeEndpoints:
         )
         report = federate_stores([source], dest)
         assert report.clean
-        assert_federated_equals_baseline(dest, baseline_store, jobs=(1,))
+        assert_federated_equals_baseline(dest, baseline_store)
         assert all(e.source == source.label for e in dest.manifest.shards)
         assert cross_audit(dest, [source]).clean
 
@@ -423,7 +423,7 @@ class TestCli:
         assert f"{baseline_store.n_shards} shards pulled" in out
         assert "fully replicated" in out
         assert_federated_equals_baseline(
-            ShardStore.open(dest_dir), baseline_store, jobs=(1,)
+            ShardStore.open(dest_dir), baseline_store
         )
 
     def test_exit_1_on_skips(self, tmp_path, baseline_store, capsys):

@@ -176,7 +176,7 @@ def test_federation_fleet_smoke(tmp_path):
         (e.filename, e.seed_start, e.n_runs, e.sha256)
         for e in serial.manifest.shards
     ]
-    engine = AnalysisEngine(jobs=2)
+    engine = AnalysisEngine()
     a = engine.store_stats(serial)
     b = engine.store_stats(merged)
     np.testing.assert_array_equal(a.F, b.F)

@@ -329,13 +329,15 @@ class TestListJson:
 
 class TestJobsDefaultsUnified:
     def test_every_jobs_flag_defaults_to_one(self):
+        """Only trial collection has worker processes; analysis is serial."""
         parser = build_parser()
         for argv in (
             ["run", "--subject", "ccrypt"],
             ["collect", "--subject", "ccrypt", "--out", "x"],
-            ["analyze", "store"],
         ):
             assert parser.parse_args(argv).jobs == 1, argv
+        for argv in (["analyze", "store"], ["bakeoff"]):
+            assert not hasattr(parser.parse_args(argv), "jobs"), argv
 
     def test_runs_defaults_to_subject_budget(self):
         parser = build_parser()

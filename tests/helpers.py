@@ -11,6 +11,29 @@ from repro.core.predicates import PredicateTable
 from repro.core.reports import ReportBuilder, ReportSet
 
 
+def partition_bounds(n: int, parts: int) -> List[Tuple[int, int]]:
+    """Cut ``range(n)`` into at most ``parts`` contiguous ``[lo, hi)`` slices.
+
+    Deterministic and balanced (sizes differ by at most one, larger
+    slices first), with no empty slices: ``parts`` is clamped to ``n``.
+    The differential suites use it to lay one population out as
+    1, 3 or 7 shards.
+    """
+    if n < 0:
+        raise ValueError(f"cannot partition a negative range ({n})")
+    parts = max(1, min(parts, n))
+    if n == 0:
+        return []
+    base, extra = divmod(n, parts)
+    bounds: List[Tuple[int, int]] = []
+    lo = 0
+    for i in range(parts):
+        hi = lo + base + (1 if i < extra else 0)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
 def make_table(n_predicates: int) -> PredicateTable:
     """A table of ``n_predicates`` single-predicate custom sites.
 

@@ -299,12 +299,12 @@ class TestExplicitModeRoundTrip:
 
 
 class TestSufficientStatsPartitionAlgebra:
-    """The parallel engine's algebra: sufficient statistics are additive
-    over *any* run partition and sliceable over *any* predicate
-    partition, with integer (run axis) and bitwise-float (predicate
-    axis) equality to the monolithic computation.  These are the two
-    halves of the ``analyze --jobs`` bit-identity contract
-    (``repro/core/engine.py``)."""
+    """The streaming scorer's algebra: sufficient statistics are additive
+    over *any* run partition (integer equality to the monolithic counts,
+    whatever the summation order -- so every shard layout of a store
+    streams the same statistics), and scoring is elementwise over
+    predicates (bitwise-float equality of any predicate slice to the
+    matching rows of the whole table)."""
 
     @staticmethod
     def _random_population(data, max_preds=6, max_runs=40):
@@ -331,8 +331,8 @@ class TestSufficientStatsPartitionAlgebra:
     @settings(max_examples=40, **_SETTINGS)
     @given(data=st.data())
     def test_random_run_partition_merges_to_monolithic(self, data):
-        """Any assignment of runs to parts, merged in any tree shape,
-        reproduces the monolithic counts exactly (integer equality)."""
+        """Any assignment of runs to parts, summed, reproduces the
+        monolithic counts exactly (integer equality)."""
         from repro.core.scores import sufficient_counts
         from repro.store.incremental import SufficientStats
 
@@ -344,7 +344,9 @@ class TestSufficientStatsPartitionAlgebra:
             mask = np.array([a == part for a in assignment], dtype=bool)
             if mask.any():
                 parts.append(SufficientStats.from_reports(reports, run_mask=mask))
-        merged = SufficientStats.merge_tree(parts)
+        merged = parts[0].materialized()
+        for part in parts[1:]:
+            merged.add(part)
 
         F, S, F_obs, S_obs, num_failing, num_successful = sufficient_counts(reports)
         np.testing.assert_array_equal(merged.F, F)
@@ -357,7 +359,8 @@ class TestSufficientStatsPartitionAlgebra:
     @settings(max_examples=40, **_SETTINGS)
     @given(data=st.data())
     def test_merge_shape_independence(self, data):
-        """Tree merge equals left fold over any permutation of parts."""
+        """Summing parts pairwise in any order equals the in-place left
+        fold the streaming scorer runs."""
         from repro.store.incremental import SufficientStats
 
         reports, np, n_runs = self._random_population(data)
@@ -370,7 +373,11 @@ class TestSufficientStatsPartitionAlgebra:
         order = data.draw(st.permutations(range(len(parts))))
         shuffled = [parts[i] for i in order]
 
-        tree = SufficientStats.merge_tree([p + SufficientStats.zeros(p.n_predicates) for p in shuffled])
+        tree = shuffled
+        while len(tree) > 1:
+            tree = [sum(tree[i:i + 2], SufficientStats.zeros(tree[0].n_predicates))
+                    for i in range(0, len(tree), 2)]
+        tree = tree[0]
         fold = SufficientStats.zeros(parts[0].n_predicates)
         for p in parts:
             fold.add(p)
@@ -384,25 +391,26 @@ class TestSufficientStatsPartitionAlgebra:
     @settings(max_examples=40, **_SETTINGS)
     @given(data=st.data())
     def test_predicate_slices_score_bitwise(self, data):
-        """Scoring predicate slices and concatenating is bitwise equal
-        to scoring the whole table (the predicate-axis half)."""
-        from repro.core.engine import concat_scores, partition_bounds
+        """Scoring any predicate slice of the counts is bitwise equal to
+        the same rows of scoring the whole table (scores are elementwise)."""
+        from repro.core.scores import scores_from_counts
         from repro.store.incremental import SufficientStats
+
+        from tests.helpers import partition_bounds
 
         reports, np, _ = self._random_population(data)
         stats = SufficientStats.from_reports(reports)
         parts = data.draw(st.integers(1, 8))
         whole = stats.to_scores()
-        sliced = concat_scores(
-            [
-                stats.slice_predicates(lo, hi).to_scores()
-                for lo, hi in partition_bounds(stats.n_predicates, parts)
-            ]
-        )
-        for field in (
-            "failure", "context", "increase", "increase_se", "increase_lo",
-            "increase_hi", "pf", "ps", "z", "z_defined", "defined",
-        ):
-            assert getattr(sliced, field).tobytes() == getattr(whole, field).tobytes()
-        np.testing.assert_array_equal(sliced.F, whole.F)
-        np.testing.assert_array_equal(sliced.S, whole.S)
+        for lo, hi in partition_bounds(stats.n_predicates, parts):
+            sliced = scores_from_counts(
+                stats.F[lo:hi], stats.S[lo:hi], stats.F_obs[lo:hi],
+                stats.S_obs[lo:hi], stats.num_failing, stats.num_successful,
+            )
+            for field in (
+                "F", "S", "failure", "context", "increase", "increase_se",
+                "increase_lo", "increase_hi", "pf", "ps", "z", "z_defined",
+                "defined",
+            ):
+                got = getattr(sliced, field).tobytes()
+                assert got == getattr(whole, field)[lo:hi].tobytes(), field

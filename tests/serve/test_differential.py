@@ -7,7 +7,7 @@ the same seeds collected locally by
 
 * sufficient statistics -- integer equality, all five subjects;
 * scores -- bitwise float equality (``tobytes``), all five subjects;
-* ``analyze`` at ``--jobs`` {1, 2} over both stores agrees bitwise;
+* engine scoring and pruning over both stores agree bitwise;
 * the identity survives injected network faults (client-side refusals,
   server 500s, dropped connections, slow responses that force timeout
   retries) and a server kill/restart mid-stream.
@@ -104,16 +104,15 @@ def _assert_stores_identical(served: ShardStore, local: ShardStore):
             == getattr(local_scores, field).tobytes()
         ), field
 
-    for jobs in (1, 2):
-        engine = AnalysisEngine(jobs=jobs)
-        got = engine.score_stats(engine.store_stats(served))
-        want = engine.score_stats(engine.store_stats(local))
-        for field in _SCORE_FIELDS:
-            assert (
-                getattr(got.scores, field).tobytes()
-                == getattr(want.scores, field).tobytes()
-            ), (jobs, field)
-        np.testing.assert_array_equal(got.pruning.kept, want.pruning.kept)
+    engine = AnalysisEngine()
+    got = engine.score_stats(engine.store_stats(served))
+    want = engine.score_stats(engine.store_stats(local))
+    for field in _SCORE_FIELDS:
+        assert (
+            getattr(got.scores, field).tobytes()
+            == getattr(want.scores, field).tobytes()
+        ), field
+    np.testing.assert_array_equal(got.pruning.kept, want.pruning.kept)
 
 
 @pytest.mark.parametrize("name,n_runs", SUBJECT_RUNS)

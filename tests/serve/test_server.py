@@ -177,7 +177,7 @@ class TestScores:
         assert store.n_runs == 60
 
         live = service.scores_payload(k=10)
-        engine = AnalysisEngine(jobs=1)
+        engine = AnalysisEngine()
         scoring = engine.score_stats(store.sufficient_stats())
         imp = importance_scores(scoring.scores)
         order = sorted(
