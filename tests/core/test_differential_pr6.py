@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.scores import compute_scores
+from repro.harness.parallel import run_trials_sharded
 from repro.harness.runner import run_trials
 from repro.instrument.sampling import SamplingPlan
 from repro.instrument.tracer import instrument_source
@@ -33,6 +34,8 @@ from repro.subjects.ccrypt import CcryptSubject
 from repro.subjects.exif import ExifSubject
 from repro.subjects.moss import MossSubject
 from repro.subjects.rhythmbox import RhythmboxSubject
+
+from tests.golden import CASES, analyze_digest, assert_golden, shard_digests
 
 SUBJECTS = [MossSubject, CcryptSubject, BcSubject, ExifSubject, RhythmboxSubject]
 
@@ -208,18 +211,40 @@ class TestV3StoreParallelDifferential:
 
 
 class TestObservabilityDifferential:
-    """Metrics on vs off never changes an analysed bit."""
+    """Metrics and tracing on never change an analysed bit: a sharded
+    collection, stats stream and ``analyze --profile`` run with
+    observability enabled reproduce the golden digests."""
 
-    @pytest.mark.parametrize("fixture", SUBJECT_FIXTURES)
-    def test_obs_toggle_is_score_neutral(self, fixture, request, tmp_path):
+    @pytest.mark.parametrize(
+        "case",
+        [case for case in CASES if case.mode == "full" and case.subject != "tiny"],
+        ids=lambda case: case.key,
+    )
+    def test_obs_on_matches_golden(self, case, tmp_path):
         from repro import obs
 
-        experiment = request.getfixturevalue(fixture)
-        store = _v3_store(tmp_path / "store", experiment)
-        baseline = store.compute_scores()
-        obs.configure()
+        obs.configure(trace_path=str(tmp_path / "trace.jsonl"))
         try:
-            with_obs = ShardStore.open(store.directory).compute_scores()
+            store = run_trials_sharded(
+                case.build_subject(),
+                case.n_runs,
+                case.plan(),
+                str(tmp_path / "store"),
+                seed=case.seed,
+                jobs=2,
+                chunk_size=case.chunk,
+            )
+            stats = ShardStore.open(store.directory).sufficient_stats()
+            assert_golden(
+                case.key,
+                table_sha=store.manifest.table_sha,
+                stats=stats,
+                scores=stats.to_scores(),
+                shards=shard_digests(store),
+            )
+            assert obs.snapshot()["counters"]["collect.chunks"] > 0
         finally:
             obs.shutdown()
-        _assert_scores_bitwise_equal(with_obs, baseline, f"{fixture}/obs")
+        assert_golden(
+            case.key, analyze=analyze_digest(store.directory, "--profile")
+        )

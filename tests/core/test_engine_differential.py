@@ -11,7 +11,11 @@ never changes a single output bit:
   populations under every discard strategy against elimination over the
   materialised population, with Importance ties resolving in
   predicate-index order;
-* the CLI -- byte-identical stdout for a 1-shard and a 7-shard store.
+* the CLI -- byte-identical stdout for a 1-shard and a 7-shard store;
+* golden digests -- every ``tests/golden`` key, collected serially and
+  laid out as {1, 3, 7} shards, and collected by the sharded runner,
+  reproduces its committed table signature, statistics, scores,
+  ``analyze`` stdout and (sharded runner) shard bytes.
 
 These tests are the enforcement arm of the determinism contract
 documented in ``docs/ALGORITHM.md``; weakening any equality here to a
@@ -28,10 +32,13 @@ from repro.core.engine import AnalysisEngine
 from repro.core.elimination import DiscardStrategy, eliminate
 from repro.core.scores import compute_scores
 from repro.core.truth import bugs_covered
+from repro.harness.parallel import run_trials_sharded
+from repro.harness.runner import run_trials
 from repro.instrument.sampling import SamplingPlan
 from repro.store import ShardStore
 from repro.store.incremental import SufficientStats
 
+from tests.golden import CASES, assert_golden, assert_golden_store
 from tests.helpers import make_reports, partition_bounds
 
 #: Session-scoped experiment fixtures covering all five paper subjects.
@@ -65,9 +72,8 @@ _SCORE_FIELDS = (
 )
 
 
-def _build_store(directory, experiment, n_shards):
-    """Shard an experiment's population into ``n_shards`` contiguous parts."""
-    reports, truth = experiment.reports, experiment.truth
+def _build_store(directory, reports, truth, n_shards):
+    """Shard a population into ``n_shards`` contiguous parts."""
     store = ShardStore.create(
         str(directory), "differential", reports.table, SamplingPlan.full()
     )
@@ -90,7 +96,9 @@ def sharded_stores(tmp_path_factory):
             experiment = request.getfixturevalue(fixture_name)
             base = tmp_path_factory.mktemp(fixture_name)
             cache[fixture_name] = {
-                k: _build_store(base / f"shards-{k}", experiment, k)
+                k: _build_store(
+                    base / f"shards-{k}", experiment.reports, experiment.truth, k
+                )
                 for k in SHARD_LAYOUTS
             }
         return cache[fixture_name]
@@ -216,6 +224,39 @@ class TestCliStdoutIdentical:
             cli_main(argv)
         assert exc_info.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.key)
+class TestGoldenDigests:
+    """The local collection paths reproduce ``tests/golden`` exactly."""
+
+    def test_serial_collection_at_every_shard_layout(self, case, tmp_path):
+        subject = case.build_subject()
+        program = subject.build_program()
+        reports, truth = run_trials(
+            subject, program, case.n_runs, case.plan(), seed=case.seed
+        )
+        assert_golden(
+            case.key,
+            table_sha=reports.table.signature(),
+            stats=SufficientStats.from_reports(reports),
+            scores=compute_scores(reports),
+        )
+        for k in SHARD_LAYOUTS:
+            store = _build_store(tmp_path / f"shards-{k}", reports, truth, k)
+            assert_golden_store(case.key, store, shards=False)
+
+    def test_sharded_collection(self, case, tmp_path):
+        store = run_trials_sharded(
+            case.build_subject(),
+            case.n_runs,
+            case.plan(),
+            str(tmp_path / "store"),
+            seed=case.seed,
+            jobs=2,
+            chunk_size=case.chunk,
+        )
+        assert_golden_store(case.key, store)
 
 
 class TestTieDeterminism:

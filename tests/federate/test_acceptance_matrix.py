@@ -1,11 +1,12 @@
 """Fleet-scale differential acceptance matrix.
 
-Every cell of {2, 3, 5 daemons} x {clean, kill+restart, net-fault} x
-{v2, v3 archives} runs real spooling clients against real in-process
-daemons over disjoint seed ranges, federates the daemon stores into one,
-and asserts the merged store is *bitwise* equal -- shard digests, raw
-bytes, statistics, every scores column -- to a single daemon ingesting
-the identical 120 reports alone.  This is the paper's fleet story made
+Every cell of {2, 3, 5 daemons} x {clean, kill+restart, net-fault}
+runs real spooling clients against real in-process daemons over
+disjoint seed ranges, federates the daemon stores into one, and asserts
+the merged store is *bitwise* equal -- shard digests, raw bytes,
+statistics, every scores column -- to a single daemon ingesting the
+identical 120 reports alone, and that both reproduce the
+``tiny/full`` golden digests (``tests/golden``).  This is the paper's fleet story made
 falsifiable: sharding ingestion across machines (and crashing some of
 them) must be invisible in the analysis.
 """
@@ -27,6 +28,7 @@ from repro.store import ShardStore
 from repro.store.faults import Fault, FaultInjector
 
 from tests.federate.conftest import assert_federated_equals_baseline
+from tests.golden import CASES_BY_KEY, CHUNK, assert_golden_store
 from tests.harness.test_runner import TinySubject
 
 pytestmark = pytest.mark.slow
@@ -34,7 +36,10 @@ pytestmark = pytest.mark.slow
 #: Total runs per cell; every daemon range is a multiple of BATCH_RUNS,
 #: so daemon shard boundaries coincide with the single-daemon baseline.
 TOTAL_RUNS = 120
-BATCH_RUNS = 20
+BATCH_RUNS = CHUNK
+
+#: The golden key every cell's merged store must reproduce.
+GOLDEN_KEY = "tiny/full/seeds-0-120/chunk-20"
 
 #: Daemon seed ranges per fleet size (half-open, batch-aligned).
 RANGES = {
@@ -75,12 +80,10 @@ def _spool_subset(parent, source_spool, lo, hi):
     return spool
 
 
-def _make_daemon(directory, tiny, version, faults=None):
-    """A live daemon over a fresh store pinned to ``version`` archives."""
+def _make_daemon(directory, tiny, faults=None):
+    """A live daemon over a fresh store."""
     subject, program, plan = tiny
-    store = ShardStore.create(
-        str(directory), subject.name, program.table, plan, format_version=version
-    )
+    store = ShardStore.create(str(directory), subject.name, program.table, plan)
     service = CollectionService(store, subject, batch_runs=BATCH_RUNS)
     server = FeedbackServer(service, faults=faults).start()
     return store, service, server
@@ -99,22 +102,19 @@ def _drain(spool, server, tiny, **kwargs):
     )
 
 
-@pytest.fixture(scope="module", params=[2, 3])
-def _version(request):
-    return request.param
-
-
 @pytest.fixture(scope="module")
-def baseline(tiny, wire_spool, tmp_path_factory, _version):
+def baseline(tiny, wire_spool, tmp_path_factory):
     """A single daemon ingesting all 120 reports -- the ground truth."""
-    root = tmp_path_factory.mktemp(f"baseline-v{_version}")
-    store, service, server = _make_daemon(root / "store", tiny, _version)
+    root = tmp_path_factory.mktemp("baseline")
+    store, service, server = _make_daemon(root / "store", tiny)
     spool = _spool_subset(root / "spool", wire_spool, 0, TOTAL_RUNS)
     result = _drain(spool, server, tiny)
     assert len(result.accepted) == TOTAL_RUNS
     server.close(drain=True)
     assert store.n_shards == TOTAL_RUNS // BATCH_RUNS
-    return ShardStore.open(store.directory)
+    store = ShardStore.open(store.directory)
+    assert_golden_store(GOLDEN_KEY, store)
+    return store
 
 
 def _kill_and_restart(index, store, service, server, spool, tiny):
@@ -137,7 +137,7 @@ SCENARIOS = ["clean", "kill-restart", "net-fault"]
 @pytest.mark.parametrize("n_daemons", sorted(RANGES))
 class TestFleetMatrix:
     def test_federated_fleet_equals_single_daemon(
-        self, tmp_path, tiny, wire_spool, baseline, _version, n_daemons, scenario
+        self, tmp_path, tiny, wire_spool, baseline, n_daemons, scenario
     ):
         daemons = []
         for i, (lo, hi) in enumerate(RANGES[n_daemons]):
@@ -151,7 +151,7 @@ class TestFleetMatrix:
                     )
                 )
             store, service, server = _make_daemon(
-                tmp_path / f"daemon-{i}", tiny, _version, faults=server_faults
+                tmp_path / f"daemon-{i}", tiny, faults=server_faults
             )
             spool = _spool_subset(tmp_path / f"spool-{i}", wire_spool, lo, hi)
             daemons.append([store, service, server, spool, (lo, hi)])
@@ -186,8 +186,8 @@ class TestFleetMatrix:
         report = federate_stores(sources, dest)
         assert report.clean
         assert report.runs_merged == TOTAL_RUNS
-        assert dest.shard_format_version == _version
         assert_federated_equals_baseline(dest, baseline)
+        assert_golden_store(GOLDEN_KEY, dest)
         assert cross_audit(dest, sources).clean
 
         # And the merge-free analysis path agrees too: summing the
@@ -204,23 +204,17 @@ class TestFleetMatrix:
 
 
 class TestBaselineSanity:
-    def test_baseline_matches_serial_collection(
-        self, tmp_path, tiny, baseline, _version
-    ):
+    def test_baseline_matches_serial_collection(self, tmp_path, tiny, baseline):
         """The networked baseline is itself the serial collection."""
         from repro.harness.parallel import run_trials_sharded
 
         subject, program, plan = tiny
-        serial_dir = tmp_path / "serial"
-        store = ShardStore.create(
-            str(serial_dir), subject.name, program.table, plan,
-            format_version=_version,
-        )
-        del store
+        assert CASES_BY_KEY[GOLDEN_KEY].plan() == plan
         serial = run_trials_sharded(
-            subject, TOTAL_RUNS, plan, str(serial_dir), seed=0, jobs=2,
+            subject, TOTAL_RUNS, plan, str(tmp_path / "serial"), seed=0, jobs=2,
             chunk_size=BATCH_RUNS,
         )
         assert [
             (e.filename, e.sha256) for e in serial.manifest.shards
         ] == [(e.filename, e.sha256) for e in baseline.manifest.shards]
+        assert_golden_store(GOLDEN_KEY, serial)

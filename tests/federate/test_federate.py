@@ -16,6 +16,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
+from repro.harness.parallel import run_trials_sharded
 from repro.federate import (
     FederationError,
     FederationFetchError,
@@ -32,6 +33,7 @@ from repro.store.faults import Fault, FaultInjector
 from repro.store.manifest import ShardEntry, ShardManifest
 
 from tests.conftest import build_synthetic_store
+from tests.golden import CASES, assert_golden_store
 from tests.federate.conftest import (
     assert_federated_equals_baseline,
     distribute,
@@ -105,6 +107,43 @@ class TestFederateEqualsSingleStore:
         # Local shards keep the old manifest shape: no source key at all.
         for entry in baseline_store.manifest.shards:
             assert "source" not in entry.to_json()
+
+
+#: One golden key federates in the default lane; the slow lane covers
+#: every subject under both sampling modes.
+GOLDEN_FLEET_CASES = [
+    pytest.param(
+        case,
+        id=case.key,
+        marks=() if case.key.startswith("ccrypt/full/") else pytest.mark.slow,
+    )
+    for case in CASES
+    if case.subject != "tiny"  # the acceptance matrix federates it
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN_FLEET_CASES)
+def test_federated_fleet_matches_golden(tmp_path, case):
+    """Two stores collecting disjoint, chunk-aligned seed ranges
+    federate into exactly the golden population."""
+    subject = case.build_subject()
+    split = case.chunk * (case.n_runs // case.chunk // 2 or 1)
+    fleet = [
+        run_trials_sharded(
+            subject,
+            hi - lo,
+            case.plan(),
+            str(tmp_path / f"daemon-{lo}"),
+            seed=case.seed + lo,
+            jobs=2,
+            chunk_size=case.chunk,
+        )
+        for lo, hi in ((0, split), (split, case.n_runs))
+    ]
+    dest = ShardStore.create_like(str(tmp_path / "merged"), fleet[0].manifest)
+    report = federate_stores([LocalSource(s.directory) for s in fleet], dest)
+    assert report.clean and report.runs_merged == case.n_runs
+    assert_golden_store(case.key, ShardStore.open(dest.directory))
 
 
 class TestDedup:

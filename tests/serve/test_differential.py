@@ -8,6 +8,10 @@ the same seeds collected locally by
 * sufficient statistics -- integer equality, all five subjects;
 * scores -- bitwise float equality (``tobytes``), all five subjects;
 * engine scoring and pruning over both stores agree bitwise;
+* both stores reproduce their ``tests/golden`` digests -- table
+  signature, statistics, scores, shard bytes and ``analyze`` stdout --
+  for every golden key (full-sampling keys in the default lane, uniform
+  ones in the slow lane);
 * the identity survives injected network faults (client-side refusals,
   server 500s, dropped connections, slow responses that force timeout
   retries) and a server kill/restart mid-stream.
@@ -28,21 +32,15 @@ from repro.serve.client import drain_spool, run_and_spool
 from repro.store import ShardStore
 from repro.store.faults import FaultInjector, parse_faults
 
+from tests.golden import CHUNK, SUBJECT_RUNS, GoldenCase, assert_golden_store
+
 from .conftest import make_service
 
-#: (cli name, runs) per subject; budgets sized for test wall-clock.
-SUBJECT_RUNS = [
-    ("moss", 45),
-    ("ccrypt", 60),
-    ("bc", 50),
-    ("exif", 45),
-    ("rhythmbox", 45),
-    # One factory-made, multi-module subject: the networked path must be
-    # bit-identical for manufactured subjects too.
-    ("jsonscan-off1", 40),
-]
+# SUBJECT_RUNS: (cli name, runs) per subject, the golden budgets -- the
+# five paper subjects plus one factory-made, multi-module subject (the
+# networked path must be bit-identical for manufactured subjects too).
 
-BATCH_RUNS = 20  # server shard size == local chunk_size, so layouts match
+BATCH_RUNS = CHUNK  # server shard size == local chunk_size, so layouts match
 
 _SCORE_FIELDS = (
     "F",
@@ -71,11 +69,11 @@ def _subject(name):
     return SUBJECTS[name]()
 
 
-def _local_store(directory, subject, n_runs):
+def _local_store(directory, subject, n_runs, plan=None):
     run_trials_sharded(
         subject,
         n_runs,
-        SamplingPlan.full(),
+        plan or SamplingPlan.full(),
         str(directory),
         seed=0,
         jobs=2,
@@ -115,13 +113,13 @@ def _assert_stores_identical(served: ShardStore, local: ShardStore):
     np.testing.assert_array_equal(got.pruning.kept, want.pruning.kept)
 
 
-@pytest.mark.parametrize("name,n_runs", SUBJECT_RUNS)
-def test_networked_collection_bit_identical(tmp_path, name, n_runs):
+def _check_networked_collection(tmp_path, name, n_runs, mode):
+    case = GoldenCase(name, mode, n_runs)
     subject = _subject(name)
-    plan = SamplingPlan.full()
+    plan = case.plan()
     program = subject.build_program()
 
-    local = _local_store(tmp_path / "local", subject, n_runs)
+    local = _local_store(tmp_path / "local", subject, n_runs, plan)
 
     store, service = make_service(
         tmp_path / "served", subject, program, plan, batch_runs=BATCH_RUNS
@@ -145,6 +143,19 @@ def test_networked_collection_bit_identical(tmp_path, name, n_runs):
     served = ShardStore.open(str(tmp_path / "served"))
     assert served.n_runs == local.n_runs == n_runs
     _assert_stores_identical(served, local)
+    assert_golden_store(case.key, local)
+    assert_golden_store(case.key, served)
+
+
+@pytest.mark.parametrize("name,n_runs", SUBJECT_RUNS)
+def test_networked_collection_bit_identical(tmp_path, name, n_runs):
+    _check_networked_collection(tmp_path, name, n_runs, "full")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,n_runs", SUBJECT_RUNS)
+def test_networked_uniform_collection_bit_identical(tmp_path, name, n_runs):
+    _check_networked_collection(tmp_path, name, n_runs, "uniform")
 
 
 def test_bit_identical_under_network_faults(
