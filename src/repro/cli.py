@@ -118,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--save",
         metavar="PATH",
         default=None,
-        help="save the collected feedback reports (+ ground truth) as .npz",
+        help="save the collected feedback reports (+ ground truth) as a "
+        "report archive",
     )
 
     collect = sub.add_parser(
@@ -478,8 +479,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """CLI entry point."""
-    args = build_parser().parse_args(argv)
+    from repro.core.io import ArchiveVersionError
+    from repro.store.errors import StoreVersionError
 
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (ArchiveVersionError, StoreVersionError) as exc:
+        # A retired v1/v2 archive or store: refuse with the reason, not
+        # a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(args) -> int:
+    """Dispatch one parsed command line."""
     if args.command == "list":
         if args.json:
             import json

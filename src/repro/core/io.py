@@ -4,47 +4,33 @@ The real CBI system collected feedback reports from deployed user
 populations and analysed them offline, so report sets need a durable
 on-disk form.  This module stores a :class:`~repro.core.reports.ReportSet`
 (plus optional :class:`~repro.core.truth.GroundTruth`) as a single
-NumPy ``.npz`` archive:
-
-* sparse counter matrices in CSR component form;
-* outcome labels, crash-stack signatures, and per-run metadata as JSON;
-* the predicate table (sites and predicate names) so an archive is
-  self-describing and can be analysed without re-instrumenting.
-
-Round-tripping is exact: ``load_reports(save_reports(r)) == r`` in all
-analysed quantities (a property test asserts score equality), and per-run
-metadata must be JSON-clean -- :func:`save_reports` raises on values that
-would come back as a different type (see :func:`validate_metas`).
-
-Format version 2 (the shard format of :mod:`repro.store`) extends the
-version 1 layout with:
-
-* ``table_sha`` -- the predicate table's content signature, so shards of
-  one population can be checked for instrumentation compatibility before
-  merging;
-* ``stats_*`` -- the per-predicate sufficient statistics (``F``, ``S``,
-  ``F_obs``, ``S_obs``) and population totals (``NumF``, ``NumS``), so a
-  shard can be *scored* by reading six small arrays without rebuilding
-  its run-by-predicate matrices;
-* strict (validated) per-run metadata, where version 1 silently
-  stringified non-JSON values via ``json.dumps(default=str)``.
-
-Format version 3 (this module's current writer) abandons the ``.npz``
-zip container for a **memory-mappable columnar layout**: a magic tag, a
+**memory-mappable columnar archive** (format version 3): a magic tag, a
 JSON header carrying every non-array field plus an array table of
 contents, then the raw little-endian array bytes, each 64-byte aligned
-and uncompressed.  Readers ``mmap`` the file once and hand back zero-copy
-views -- :func:`load_shard_stats` touches only the four statistic
-columns' pages, never decompressing or copying the run matrices, which
-is what lets ``analyze`` and the serve daemon's incremental
-scorer stream shards at page-cache speed.  The byte stream is a pure
-function of the report population (sorted-key JSON, no timestamps), so
-shard SHAs stay reproducible.  See DESIGN.md ("Archive format v3") for
-the on-disk spec.
+and uncompressed.  The archive holds:
 
-Version 1 and 2 archives remain loadable: the loaders sniff the leading
-magic bytes and dispatch, and ``tests/core/test_io.py`` pins the
-compatibility.
+* the run-by-site and run-by-predicate counter matrices in CSR
+  component form, and the outcome labels;
+* the per-predicate sufficient statistics (``F``, ``S``, ``F_obs``,
+  ``S_obs``) and population totals, so a shard can be *scored* by
+  reading four columns without rebuilding its matrices;
+* the predicate table (sites and predicate names) and its ``table_sha``
+  signature, so an archive is self-describing and shards of one
+  population can be checked for instrumentation compatibility;
+* crash-stack signatures and per-run metadata as JSON.
+
+Readers ``mmap`` the file once and hand back zero-copy views --
+:func:`load_shard_stats` touches only the four statistic columns' pages,
+which is what lets ``analyze`` and the serve daemon's incremental scorer
+stream shards at page-cache speed.  The byte stream is a pure function
+of the report population (sorted-key JSON, no timestamps), so shard SHAs
+stay reproducible.  Round-tripping is exact, and per-run metadata must
+be JSON-clean -- :func:`save_reports` raises on values that would come
+back as a different type (see :func:`validate_metas`).  See DESIGN.md
+("Archive format v3") for the on-disk spec.
+
+Archives of the retired ``.npz`` formats (versions 1 and 2) are refused
+with :class:`ArchiveVersionError`; their runs must be re-collected.
 """
 
 from __future__ import annotations
@@ -55,8 +41,6 @@ import json
 import mmap
 import os
 import struct
-import zipfile
-import zlib
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -66,26 +50,20 @@ from repro.core.predicates import PredicateTable, Scheme
 from repro.core.reports import ReportSet
 from repro.core.truth import GroundTruth
 
-#: Archive format version, bumped on incompatible layout changes.
+#: The archive format version this module reads and writes.
 FORMAT_VERSION = 3
 
-#: All versions :func:`load_reports` can read.
-SUPPORTED_VERSIONS = (1, 2, 3)
-
-#: Versions :func:`save_reports` can write (v2 keeps append sessions to
-#: pre-v3 stores homogeneous; see ``repro.store.shards``).
-WRITABLE_VERSIONS = (2, 3)
-
-#: Leading magic of a version-3 archive (v1/v2 ``.npz`` files start with
-#: the zip signature ``PK``, so the two container families are sniffable
-#: from the first 8 bytes).
+#: Leading magic of an archive.
 V3_MAGIC = b"RPROSHD3"
 
-#: Alignment of every array section in a v3 archive.
-_V3_ALIGN = 64
+#: Leading bytes of a retired v1/v2 ``.npz`` archive (a zip file).
+_ZIP_MAGIC = b"PK\x03\x04"
 
-#: Fixed-size v3 preamble: magic + little-endian uint64 header length.
-_V3_PREAMBLE = len(V3_MAGIC) + 8
+#: Alignment of every array section.
+_ALIGN = 64
+
+#: Fixed-size preamble: magic + little-endian uint64 header length.
+_PREAMBLE = len(V3_MAGIC) + 8
 
 #: JSON-representable scalar types that survive a round trip unchanged.
 _JSON_SCALARS = (str, int, float, bool, type(None))
@@ -107,27 +85,13 @@ class ArchiveVersionError(ArchiveError):
     """The archive declares a format version this build cannot read."""
 
 
-#: Exceptions :func:`load_reports` translates into :class:`ArchiveCorruptError`.
-#: ``KeyError`` covers missing archive members, ``zlib.error`` a flipped
-#: byte inside a compressed member, ``BadZipFile``/``EOFError``/``OSError``
-#: truncation, and ``ValueError`` both damaged embedded JSON
-#: (``JSONDecodeError``) and ``np.load`` rejecting bytes that are not an
-#: archive at all.  ``struct.error`` and ``NotImplementedError`` are
-#: ``zipfile`` leaks on flipped bytes in member headers (a corrupted
-#: length field, or a compression-method byte flipped to an unsupported
-#: codec -- found by the archive fuzz tests).  :class:`ArchiveError`
-#: itself is re-raised unchanged by the loaders despite being a
-#: ``ValueError``.
-_CORRUPTION_ERRORS = (
-    zipfile.BadZipFile,
-    zlib.error,
-    KeyError,
-    EOFError,
-    OSError,
-    ValueError,
-    struct.error,
-    NotImplementedError,
-)
+#: Exceptions the loaders translate into :class:`ArchiveCorruptError`.
+#: ``KeyError`` covers missing header fields, ``OSError`` unreadable
+#: files, and ``ValueError`` damaged magic, header JSON
+#: (``JSONDecodeError``), array tables and truncation (including
+#: ``mmap`` refusing an empty file).  :class:`ArchiveError` itself is
+#: re-raised unchanged by the loaders despite being a ``ValueError``.
+_CORRUPTION_ERRORS = (KeyError, OSError, ValueError)
 
 
 def file_sha256(path: str) -> str:
@@ -212,27 +176,6 @@ def _table_from_json(text: str) -> PredicateTable:
     return table
 
 
-def _csr_parts(matrix: sparse.csr_matrix, prefix: str) -> Dict[str, np.ndarray]:
-    m = matrix.tocsr()
-    return {
-        f"{prefix}_data": m.data,
-        f"{prefix}_indices": m.indices,
-        f"{prefix}_indptr": m.indptr,
-        f"{prefix}_shape": np.asarray(m.shape, dtype=np.int64),
-    }
-
-
-def _csr_from_parts(archive, prefix: str) -> sparse.csr_matrix:
-    return sparse.csr_matrix(
-        (
-            archive[f"{prefix}_data"],
-            archive[f"{prefix}_indices"],
-            archive[f"{prefix}_indptr"],
-        ),
-        shape=tuple(archive[f"{prefix}_shape"]),
-    )
-
-
 def _check_json_clean(value: object, where: str) -> None:
     if isinstance(value, _JSON_SCALARS):
         return
@@ -279,21 +222,13 @@ def save_reports(
     path: str,
     reports: ReportSet,
     truth: Optional[GroundTruth] = None,
-    version: Optional[int] = None,
 ) -> None:
     """Write a report set (and optional ground truth) to ``path``.
-
-    Writes the current (version 3, memory-mappable) layout by default;
-    see the module docstring for the format history.
 
     Args:
         path: Destination filename.
         reports: The report population.
         truth: Optional run-aligned ground truth.
-        version: Archive format to write; ``None`` means the current
-            :data:`FORMAT_VERSION`.  Passing ``2`` writes the legacy
-            ``.npz`` layout so appends to a pre-v3 shard store keep the
-            store homogeneous.
 
     The archive is written crash-safely (temp file + fsync + atomic
     rename), so an interrupted save never leaves a truncated archive at
@@ -301,66 +236,21 @@ def save_reports(
 
     Raises:
         ValueError: When a per-run meta is not JSON-clean (see
-            :func:`validate_metas`) or ``version`` is not writable.
+            :func:`validate_metas`).
     """
-    if version is None:
-        version = FORMAT_VERSION
-    if version not in WRITABLE_VERSIONS:
-        raise ValueError(
-            f"cannot write report archive version {version} "
-            f"(writable: {', '.join(map(str, WRITABLE_VERSIONS))})"
-        )
     validate_metas(reports.metas)
     if truth is not None:
         truth._check_aligned(reports)
-    if version == 2:
-        atomic_write_bytes_via(
-            path, lambda handle: _write_reports_v2(handle, reports, truth)
-        )
-    else:
-        atomic_write_bytes_via(
-            path, lambda handle: _write_reports_v3(handle, reports, truth)
-        )
+    atomic_write_bytes_via(path, lambda handle: _write_reports(handle, reports, truth))
 
 
-def _write_reports_v2(handle, reports: ReportSet, truth: Optional[GroundTruth]) -> None:
-    """Write the legacy version-2 ``.npz`` layout to an open handle."""
-    from repro.core.scores import sufficient_counts
-
-    F, S, F_obs, S_obs, num_failing, num_successful = sufficient_counts(reports)
-    payload: Dict[str, np.ndarray] = {
-        "format_version": np.asarray([2]),
-        "failed": reports.failed,
-        "table_sha": np.asarray(reports.table.signature()),
-        "stats_F": F,
-        "stats_S": S,
-        "stats_F_obs": F_obs,
-        "stats_S_obs": S_obs,
-        "stats_num_failing": np.asarray([num_failing], dtype=np.int64),
-        "stats_num_successful": np.asarray([num_successful], dtype=np.int64),
-    }
-    payload.update(_csr_parts(reports.site_counts, "sites"))
-    payload.update(_csr_parts(reports.true_counts, "preds"))
-    payload["table_json"] = np.asarray(_table_to_json(reports.table))
-    payload["stacks_json"] = np.asarray(
-        json.dumps([list(s) if s is not None else None for s in reports.stacks])
-    )
-    payload["metas_json"] = np.asarray(json.dumps(reports.metas))
-    if truth is not None:
-        payload["truth_bugs_json"] = np.asarray(json.dumps(list(truth.bug_ids)))
-        payload["truth_runs_json"] = np.asarray(
-            json.dumps([sorted(occ) for occ in truth.occurrences])
-        )
-    np.savez_compressed(handle, **payload)
+def _aligned(offset: int) -> int:
+    """Round ``offset`` up to the next :data:`_ALIGN` boundary."""
+    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def _v3_aligned(offset: int) -> int:
-    """Round ``offset`` up to the next :data:`_V3_ALIGN` boundary."""
-    return (offset + _V3_ALIGN - 1) // _V3_ALIGN * _V3_ALIGN
-
-
-def _write_reports_v3(handle, reports: ReportSet, truth: Optional[GroundTruth]) -> None:
-    """Write the version-3 memory-mappable layout to an open handle.
+def _write_reports(handle, reports: ReportSet, truth: Optional[GroundTruth]) -> None:
+    """Write the memory-mappable layout to an open handle.
 
     Layout: :data:`V3_MAGIC`, a little-endian ``uint64`` header length,
     the sorted-key JSON header, zero padding to a 64-byte boundary, then
@@ -396,7 +286,7 @@ def _write_reports_v3(handle, reports: ReportSet, truth: Optional[GroundTruth]) 
         arr = np.ascontiguousarray(raw)
         if arr.dtype.byteorder == ">":  # pragma: no cover - big-endian host
             arr = arr.astype(arr.dtype.newbyteorder("<"))
-        offset = _v3_aligned(offset)
+        offset = _aligned(offset)
         toc[name] = {
             "dtype": arr.dtype.str,
             "shape": [int(d) for d in arr.shape],
@@ -406,7 +296,7 @@ def _write_reports_v3(handle, reports: ReportSet, truth: Optional[GroundTruth]) 
         sections.append((offset, arr))
         offset += arr.nbytes
     header: Dict[str, object] = {
-        "format_version": 3,
+        "format_version": FORMAT_VERSION,
         "table_sha": reports.table.signature(),
         "num_failing": int(num_failing),
         "num_successful": int(num_successful),
@@ -430,8 +320,8 @@ def _write_reports_v3(handle, reports: ReportSet, truth: Optional[GroundTruth]) 
     handle.write(V3_MAGIC)
     handle.write(struct.pack("<Q", len(header_bytes)))
     handle.write(header_bytes)
-    data_start = _v3_aligned(_V3_PREAMBLE + len(header_bytes))
-    handle.write(b"\x00" * (data_start - _V3_PREAMBLE - len(header_bytes)))
+    data_start = _aligned(_PREAMBLE + len(header_bytes))
+    handle.write(b"\x00" * (data_start - _PREAMBLE - len(header_bytes)))
     pos = 0
     for section_offset, arr in sections:
         if section_offset > pos:
@@ -441,50 +331,49 @@ def _write_reports_v3(handle, reports: ReportSet, truth: Optional[GroundTruth]) 
         pos += arr.nbytes
 
 
-def _v3_read_header(path: str) -> Tuple[Dict[str, object], int]:
-    """Parse a v3 archive's JSON header.
+def _read_header(path: str) -> Tuple[Dict[str, object], int]:
+    """Parse an archive's JSON header.
 
     Returns ``(header, data_start)`` where ``data_start`` is the absolute
     file offset of the aligned data section.  Raises plain ``ValueError``
     (or ``KeyError``) on damage -- the public loaders translate those
     into :class:`ArchiveCorruptError` -- and
-    :class:`ArchiveVersionError` directly on an unreadable version.
+    :class:`ArchiveVersionError` directly on a retired ``.npz`` archive
+    or any declared version but :data:`FORMAT_VERSION`.
     """
     with open(path, "rb") as fh:
-        preamble = fh.read(_V3_PREAMBLE)
-        if len(preamble) < _V3_PREAMBLE or not preamble.startswith(V3_MAGIC):
-            raise ValueError("truncated v3 archive preamble")
+        preamble = fh.read(_PREAMBLE)
+        if preamble.startswith(_ZIP_MAGIC):
+            raise ArchiveVersionError(
+                f"{path} is a v1/v2 (.npz) report archive; those formats are "
+                "no longer read -- re-collect the runs"
+            )
+        if len(preamble) < _PREAMBLE or not preamble.startswith(V3_MAGIC):
+            raise ValueError("truncated or unrecognised archive preamble")
         (header_len,) = struct.unpack("<Q", preamble[len(V3_MAGIC) :])
         if header_len > (1 << 31):
-            raise ValueError(f"implausible v3 header length {header_len}")
+            raise ValueError(f"implausible archive header length {header_len}")
         header_bytes = fh.read(header_len)
     if len(header_bytes) != header_len:
-        raise ValueError("truncated v3 archive header")
+        raise ValueError("truncated archive header")
     header = json.loads(header_bytes.decode("utf-8"))
     if not isinstance(header, dict):
-        raise ValueError("v3 archive header is not a JSON object")
+        raise ValueError("archive header is not a JSON object")
     version = int(header["format_version"])
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise ArchiveVersionError(
             f"unsupported report archive version {version} "
-            f"(supported: {', '.join(map(str, SUPPORTED_VERSIONS))})"
+            f"(this build reads version {FORMAT_VERSION} only)"
         )
-    return header, _v3_aligned(_V3_PREAMBLE + header_len)
+    return header, _aligned(_PREAMBLE + header_len)
 
 
-def _v3_map(path: str) -> mmap.mmap:
-    """Memory-map an archive read-only (the fd may close immediately;
-    the mapping keeps the pages alive until the arrays viewing it die)."""
-    with open(path, "rb") as fh:
-        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-
-
-def _v3_array(buf, data_start: int, toc: Dict[str, object], name: str) -> np.ndarray:
+def _array(buf, data_start: int, toc: Dict[str, object], name: str) -> np.ndarray:
     """Zero-copy view of one array section; bounds-checked, read-only."""
     try:
         spec = toc[name]
     except (KeyError, TypeError):
-        raise ValueError(f"v3 archive missing array section {name!r}") from None
+        raise ValueError(f"archive missing array section {name!r}") from None
     dtype = np.dtype(str(spec["dtype"]))
     shape = tuple(int(d) for d in spec["shape"])
     nbytes = int(spec["nbytes"])
@@ -499,7 +388,7 @@ def _v3_array(buf, data_start: int, toc: Dict[str, object], name: str) -> np.nda
     return np.frombuffer(buf, dtype=dtype, count=count, offset=offset).reshape(shape)
 
 
-def _v3_check_extent(buf, data_start: int, toc: Dict[str, object]) -> None:
+def _check_extent(buf, data_start: int, toc: Dict[str, object]) -> None:
     """Check the mapped file covers every section the TOC declares.
 
     A stats-only reader touches just the leading pages, so without this
@@ -507,90 +396,47 @@ def _v3_check_extent(buf, data_start: int, toc: Dict[str, object]) -> None:
     statistics; the commit protocol treats any byte loss as corruption.
     """
     if not isinstance(toc, dict) or not toc:
-        raise ValueError("v3 archive has no array table of contents")
+        raise ValueError("archive has no array table of contents")
     end = max(int(s["offset"]) + int(s["nbytes"]) for s in toc.values())
     if data_start + end > len(buf):
         raise ValueError(
-            f"v3 archive truncated: declares {data_start + end} bytes, "
+            f"archive truncated: declares {data_start + end} bytes, "
             f"file has {len(buf)}"
         )
 
 
-def _is_v3(path: str) -> bool:
-    """True when the file at ``path`` starts with the v3 magic bytes."""
+def _open_mapped(path: str) -> Tuple[Dict[str, object], mmap.mmap, int]:
+    """``(header, mapping, data_start)`` of an archive whose mapped bytes
+    cover every section its header declares."""
+    header, data_start = _read_header(path)
     with open(path, "rb") as fh:
-        return fh.read(len(V3_MAGIC)) == V3_MAGIC
+        # The fd may close at once: the mapping keeps the pages alive
+        # until the arrays viewing it die.
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    _check_extent(buf, data_start, header["arrays"])
+    return header, buf, data_start
 
 
 def _shared_or_decoded(
-    table: Optional[PredicateTable], table_sha: Optional[str], table_json
+    table: Optional[PredicateTable], header: Dict[str, object]
 ) -> PredicateTable:
     """An archive's predicate table, decoding it only when necessary.
 
     Returns ``table`` itself when the archive's recorded ``table_sha``
-    names it; otherwise (no table given, a different signature, or a
-    version 1 archive with no recorded signature) decodes ``table_json()``.
+    names it; otherwise (no table given, or a different signature)
+    decodes the header's table JSON.
 
     A decoded table takes the recorded ``table_sha`` as its signature
     rather than re-hashing itself: the recorded signature is the
     archive's table identity, the one a shard store compares with its
-    manifest, just as when the table is shared.  Version 1 archives
-    record none, so their tables hash their content on first use.
+    manifest, just as when the table is shared.
     """
-    if table is not None and table_sha is not None and table_sha == table.signature():
+    table_sha = str(header["table_sha"])
+    if table is not None and table_sha == table.signature():
         return table
-    decoded = _table_from_json(str(table_json()))
+    decoded = _table_from_json(str(header["table_json"]))
     decoded._signature = table_sha
     return decoded
-
-
-def _recorded_table_sha(archive) -> Optional[str]:
-    """A ``.npz`` archive's recorded table signature (``None`` for v1)."""
-    return str(archive["table_sha"]) if "table_sha" in archive else None
-
-
-def _load_reports_v3(
-    path: str, table: Optional[PredicateTable]
-) -> Tuple[ReportSet, Optional[GroundTruth]]:
-    header, data_start = _v3_read_header(path)
-    buf = _v3_map(path)
-    toc = header["arrays"]
-    _v3_check_extent(buf, data_start, toc)
-
-    def arr(name: str) -> np.ndarray:
-        return _v3_array(buf, data_start, toc, name)
-
-    table = _shared_or_decoded(
-        table, str(header["table_sha"]), lambda: header["table_json"]
-    )
-    stacks_raw = json.loads(str(header["stacks_json"]))
-    stacks = [tuple(s) if s is not None else None for s in stacks_raw]
-    metas = json.loads(str(header["metas_json"]))
-    site_counts = sparse.csr_matrix(
-        (arr("sites_data"), arr("sites_indices"), arr("sites_indptr")),
-        shape=tuple(int(d) for d in header["sites_shape"]),
-    )
-    true_counts = sparse.csr_matrix(
-        (arr("preds_data"), arr("preds_indices"), arr("preds_indptr")),
-        shape=tuple(int(d) for d in header["preds_shape"]),
-    )
-    reports = ReportSet(table, arr("failed"), site_counts, true_counts, stacks, metas)
-    truth: Optional[GroundTruth] = None
-    if "truth_bugs_json" in header:
-        truth = GroundTruth(bug_ids=json.loads(str(header["truth_bugs_json"])))
-        for bugs in json.loads(str(header["truth_runs_json"])):
-            truth.add_run(bugs)
-    return reports, truth
-
-
-def _check_version(archive) -> int:
-    version = int(archive["format_version"][0])
-    if version not in SUPPORTED_VERSIONS:
-        raise ArchiveVersionError(
-            f"unsupported report archive version {version} "
-            f"(supported: {', '.join(map(str, SUPPORTED_VERSIONS))})"
-        )
-    return version
 
 
 @contextlib.contextmanager
@@ -615,11 +461,8 @@ def load_reports(
 ) -> Tuple[ReportSet, Optional[GroundTruth]]:
     """Read a report set written by :func:`save_reports`.
 
-    Dispatches on the leading magic bytes: version 3 archives are
-    memory-mapped (count matrices come back as zero-copy read-only
-    views), while version 1/2 ``.npz`` archives load through ``np.load``
-    as before (version 1 metas may contain stringified values -- that
-    layout wrote them with ``default=str``).
+    The file is memory-mapped: count matrices come back as zero-copy
+    read-only views.
 
     Args:
         path: The archive to read.
@@ -627,9 +470,8 @@ def load_reports(
             store passes its own.  When the archive's recorded
             ``table_sha`` equals ``table.signature()`` the returned
             report set shares ``table`` and the embedded table JSON is
-            never decoded; otherwise (another signature, or a version 1
-            archive, which records none) the embedded table is decoded
-            as without it.  Callers that must reject a foreign table
+            never decoded; otherwise the embedded table is decoded as
+            without it.  Callers that must reject a foreign table
             compare ``reports.table.signature()`` themselves (see
             ``ShardStore.iter_reports``).
 
@@ -639,134 +481,85 @@ def load_reports(
 
     Raises:
         ArchiveCorruptError: When the file cannot be parsed -- truncated
-            zip or v3 header, flipped bytes inside a compressed member,
-            missing members or array sections, out-of-bounds section
-            offsets, or damaged embedded JSON.
-        ArchiveVersionError: When the declared format version is not one
-            of :data:`SUPPORTED_VERSIONS`.
+            header or sections, unrecognised magic, missing array
+            sections, out-of-bounds section offsets, or damaged
+            embedded JSON.
+        ArchiveVersionError: When the file is a retired v1/v2 ``.npz``
+            archive or declares a version other than
+            :data:`FORMAT_VERSION`.
         FileNotFoundError: When ``path`` does not exist.
     """
     with _archive_errors("report archive", path):
-        if _is_v3(path):
-            return _load_reports_v3(path, table)
-        with np.load(path, allow_pickle=False) as archive:
-            _check_version(archive)
-            table = _shared_or_decoded(
-                table, _recorded_table_sha(archive), lambda: archive["table_json"]
-            )
-            stacks_raw = json.loads(str(archive["stacks_json"]))
-            stacks = [tuple(s) if s is not None else None for s in stacks_raw]
-            metas = json.loads(str(archive["metas_json"]))
-            reports = ReportSet(
-                table,
-                archive["failed"],
-                _csr_from_parts(archive, "sites"),
-                _csr_from_parts(archive, "preds"),
-                stacks,
-                metas,
-            )
-            truth: Optional[GroundTruth] = None
-            if "truth_bugs_json" in archive:
-                truth = GroundTruth(bug_ids=json.loads(str(archive["truth_bugs_json"])))
-                for bugs in json.loads(str(archive["truth_runs_json"])):
-                    truth.add_run(bugs)
+        header, buf, data_start = _open_mapped(path)
+        toc = header["arrays"]
+
+        def arr(name: str) -> np.ndarray:
+            return _array(buf, data_start, toc, name)
+
+        table = _shared_or_decoded(table, header)
+        stacks_raw = json.loads(str(header["stacks_json"]))
+        stacks = [tuple(s) if s is not None else None for s in stacks_raw]
+        metas = json.loads(str(header["metas_json"]))
+        site_counts = sparse.csr_matrix(
+            (arr("sites_data"), arr("sites_indices"), arr("sites_indptr")),
+            shape=tuple(int(d) for d in header["sites_shape"]),
+        )
+        true_counts = sparse.csr_matrix(
+            (arr("preds_data"), arr("preds_indices"), arr("preds_indptr")),
+            shape=tuple(int(d) for d in header["preds_shape"]),
+        )
+        reports = ReportSet(table, arr("failed"), site_counts, true_counts, stacks, metas)
+        truth: Optional[GroundTruth] = None
+        if "truth_bugs_json" in header:
+            truth = GroundTruth(bug_ids=json.loads(str(header["truth_bugs_json"])))
+            for bugs in json.loads(str(header["truth_runs_json"])):
+                truth.add_run(bugs)
     return reports, truth
 
 
 def load_table(path: str) -> PredicateTable:
     """Read only an archive's predicate table.
 
-    Parses the v3 header (or the ``.npz`` table member) and decodes the
-    table, without mapping or building any count matrix -- what a shard
-    store needs to learn its table before the first shard read.
+    Parses the header and decodes the table, without mapping or
+    building any count matrix -- what a shard store needs to learn its
+    table before the first shard read.
 
     Raises:
         ArchiveCorruptError, ArchiveVersionError, FileNotFoundError: As
             for :func:`load_reports`.
     """
     with _archive_errors("report archive", path):
-        if _is_v3(path):
-            header, _ = _v3_read_header(path)
-            return _shared_or_decoded(
-                None, str(header["table_sha"]), lambda: header["table_json"]
-            )
-        with np.load(path, allow_pickle=False) as archive:
-            _check_version(archive)
-            return _shared_or_decoded(
-                None, _recorded_table_sha(archive), lambda: archive["table_json"]
-            )
+        header, _ = _read_header(path)
+        return _shared_or_decoded(None, header)
 
 
 def load_shard_stats(
     path: str,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int, Optional[str]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int, str]:
     """Read only the sufficient statistics from an archive.
 
-    For version 3 archives this memory-maps the file and returns
-    zero-copy (read-only) views of the four statistic columns, which sit
-    on the file's leading pages -- no decompression, no copy, no matrix
-    reconstruction.  Version 2 archives read six small dense arrays out
-    of the ``.npz``.  Version 1 archives lack the embedded statistics,
-    so they are derived by loading the shard's matrices (one shard at a
-    time -- still bounded by the largest single shard).
+    Memory-maps the file and returns zero-copy (read-only) views of the
+    four statistic columns, which sit on the file's leading pages -- no
+    copy, no matrix reconstruction.
 
     Returns:
-        ``(F, S, F_obs, S_obs, num_failing, num_successful, table_sha)``;
-        ``table_sha`` is ``None`` for version 1 archives (the signature
-        is instead derived from the materialised table).  The arrays may
-        be read-only views backed by the file mapping; copy before
-        mutating (see ``SufficientStats.materialized``).
+        ``(F, S, F_obs, S_obs, num_failing, num_successful, table_sha)``.
+        The arrays are read-only views backed by the file mapping; copy
+        before mutating (see ``SufficientStats.materialized``).
 
     Raises:
-        ArchiveCorruptError: When the statistics cannot be read (see
-            :func:`load_reports` for the failure classes covered).  The
-            version 1 derivation path is covered too: a truncated or
-            garbage legacy archive surfaces as a typed error here, never
-            as a raw numpy/zip/JSON exception.
-        ArchiveVersionError: On an unsupported format version.
+        ArchiveCorruptError, ArchiveVersionError, FileNotFoundError: As
+            for :func:`load_reports`.
     """
     with _archive_errors("shard statistics from", path):
-        if _is_v3(path):
-            header, data_start = _v3_read_header(path)
-            buf = _v3_map(path)
-            toc = header["arrays"]
-            _v3_check_extent(buf, data_start, toc)
-            return (
-                _v3_array(buf, data_start, toc, "stats_F"),
-                _v3_array(buf, data_start, toc, "stats_S"),
-                _v3_array(buf, data_start, toc, "stats_F_obs"),
-                _v3_array(buf, data_start, toc, "stats_S_obs"),
-                int(header["num_failing"]),
-                int(header["num_successful"]),
-                str(header["table_sha"]),
-            )
-        with np.load(path, allow_pickle=False) as archive:
-            version = _check_version(archive)
-            if version >= 2:
-                return (
-                    np.asarray(archive["stats_F"], dtype=np.int64),
-                    np.asarray(archive["stats_S"], dtype=np.int64),
-                    np.asarray(archive["stats_F_obs"], dtype=np.int64),
-                    np.asarray(archive["stats_S_obs"], dtype=np.int64),
-                    int(archive["stats_num_failing"][0]),
-                    int(archive["stats_num_successful"][0]),
-                    str(archive["table_sha"]),
-                )
-        from repro.core.scores import sufficient_counts
-
-        # Version 1 fallback: derive the statistics from the full archive
-        # and report the loaded table's signature so integrity checks
-        # still apply.  This runs inside the corruption-translating block:
-        # a v1 archive damaged past the version stamp used to escape as a
-        # raw numpy/JSON error from load_reports' re-read of the file.
-        reports, _ = load_reports(path)
-        F, S, F_obs, S_obs, num_failing, num_successful = sufficient_counts(reports)
+        header, buf, data_start = _open_mapped(path)
+        toc = header["arrays"]
         return (
-            F,
-            S,
-            F_obs,
-            S_obs,
-            num_failing,
-            num_successful,
-            reports.table.signature(),
+            _array(buf, data_start, toc, "stats_F"),
+            _array(buf, data_start, toc, "stats_S"),
+            _array(buf, data_start, toc, "stats_F_obs"),
+            _array(buf, data_start, toc, "stats_S_obs"),
+            int(header["num_failing"]),
+            int(header["num_successful"]),
+            str(header["table_sha"]),
         )

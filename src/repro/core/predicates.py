@@ -320,7 +320,7 @@ class PredicateTable:
         The hash is memoised (the table is append-only, and registering a
         site resets the memo), so the per-shard checks of merging and
         committing cost a string compare rather than a re-hash.  A table
-        decoded from a v2/v3 archive starts with the signature the
+        decoded from an archive starts with the signature the
         archive recorded (see ``repro.core.io.load_reports``).
         """
         if self._signature is not None:

@@ -336,7 +336,7 @@ def _verify_bytes(
             _, _, _, _, num_failing, num_successful, table_sha = load_shard_stats(tmp)
         except ArchiveError as exc:
             return ("unreadable", str(exc))
-        if table_sha is not None and table_sha != dest.manifest.table_sha:
+        if table_sha != dest.manifest.table_sha:
             return (
                 "table-mismatch",
                 f"shard carries table signature {table_sha[:12]}..., "

@@ -14,9 +14,9 @@ Two collection modes are provided:
   :func:`repro.harness.runner.run_trials` for the same arguments, which
   ``tests/harness/test_parallel.py`` asserts.
 * :func:`run_trials_sharded` has each worker write its chunk *directly
-  to disk* as a shard archive (:mod:`repro.store`, written in the
-  store's pinned format version); only shard membership records (a
-  filename and two counts per chunk) return to the parent.  This removes the parent-merge bottleneck and bounds parent
+  to disk* as a shard archive (:mod:`repro.store`); only shard
+  membership records (a filename and two counts per chunk) return to the
+  parent.  This removes the parent-merge bottleneck and bounds parent
   memory independently of ``n_runs``, which is the collection story for
   populations far larger than one process can hold.  Merging the shards
   in seed order reproduces the streamed population exactly.
@@ -140,18 +140,16 @@ def run_trials_parallel(
 
 
 def _run_chunk_to_shard(
-    args: Tuple[int, int, SamplingPlan, str, Optional[int]]
+    args: Tuple[int, int, SamplingPlan, str]
 ) -> Tuple[str, int, int, int]:
     """Worker task: run one chunk and persist it as a shard archive.
 
-    The archive format version comes from the store's manifest so append
-    sessions keep a store homogeneous; ``None`` means the current
-    default.  Returns ``(filename, n_runs, num_failing, seed_start)`` --
-    the only data crossing back to the parent.
+    Returns ``(filename, n_runs, num_failing, seed_start)`` -- the only
+    data crossing back to the parent.
     """
     from repro.core.io import save_reports
 
-    start, count, plan, shard_path, shard_version = args
+    start, count, plan, shard_path = args
     subject: Subject = _WORKER["subject"]  # type: ignore[assignment]
     program = _WORKER["program"]
 
@@ -163,7 +161,7 @@ def _run_chunk_to_shard(
         builder.add_run(failed, site_obs, pred_true, stack=stack, seed=run_seed)
         truth.add_run(bugs)
     reports = builder.build()
-    save_reports(shard_path, reports, truth, version=shard_version)
+    save_reports(shard_path, reports, truth)
     return os.path.basename(shard_path), reports.n_runs, reports.num_failing, start
 
 
@@ -221,7 +219,6 @@ def _chunk_worker(
     count: int,
     plan: SamplingPlan,
     pending_path: str,
-    shard_version: Optional[int],
     faults,
 ) -> None:
     """Collection worker body: run a chunk, write + hash its shard.
@@ -254,7 +251,7 @@ def _chunk_worker(
         count=count,
     ):
         _, n_runs, num_failing, _ = _run_chunk_to_shard(
-            (start, count, plan, pending_path, shard_version)
+            (start, count, plan, pending_path)
         )
         digest = file_sha256(pending_path)
     apply_worker_damage(injector, chunk_index, attempt, pending_path)
@@ -283,8 +280,7 @@ def run_trials_sharded(
     Unlike :func:`run_trials_parallel`, no run record ever crosses back
     to the parent: each worker builds its chunk's
     :class:`~repro.core.reports.ReportSet` locally and writes it as a
-    shard archive (in the store's pinned format version) into
-    ``store_dir``.  The parent only instruments once
+    shard archive into ``store_dir``.  The parent only instruments once
     (for the predicate table in the manifest) and commits shard
     membership, so its memory use is independent of ``n_runs``.
 
@@ -468,7 +464,7 @@ def run_trials_sharded(
             _, _, _, _, num_failing, num_successful, table_sha = load_shard_stats(staged)
         except ArchiveError as exc:
             return None, f"unreadable: {exc}"
-        if table_sha is not None and table_sha != store.manifest.table_sha:
+        if table_sha != store.manifest.table_sha:
             return None, "table signature mismatch"
         if num_failing + num_successful != chunk.count or n != chunk.count:
             return None, (
@@ -518,7 +514,6 @@ def run_trials_sharded(
                         chunk.count,
                         plan,
                         pending_path_of(chunk),
-                        store.shard_format_version,
                         injector.faults,
                     ),
                     daemon=True,

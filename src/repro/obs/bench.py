@@ -15,9 +15,7 @@ documents at the repo root (or ``--out-dir``):
   resulting subject's trial throughput
   (``factory_collection_throughput``);
 * ``BENCH_analysis.json`` -- analysis-side scenarios: streaming-merge
-  bandwidth (MB/s over the shard bytes), shard statistics decode
-  bandwidth for the v2 ``.npz`` layout vs the v3 memory-mapped layout
-  over the same population (``shard_decode``), end-to-end scoring
+  bandwidth (MB/s over the shard bytes), end-to-end scoring
   latency (streamed sufficient statistics -> scores -> pruning) at
   three store sizes, per-measure scoring walls at the same sizes
   (``bakeoff``), plus scoring latency at factory-package predicate
@@ -479,53 +477,6 @@ def run_analysis_scenarios(quick: bool, scale: float = 1.0) -> List[dict]:
                 {
                     "wall_seconds": wall,
                     "mb_per_sec": total_bytes / 1e6 / max(wall, 1e-9),
-                },
-                subject="ccrypt",
-            )
-        )
-
-        # Shard statistics decode bandwidth, v2 (.npz, decompressing)
-        # vs v3 (mmap, zero-copy), over the same population: the raw
-        # speed win the v3 layout exists for.  Each pass re-reads every
-        # shard's statistics exactly as the streaming scorer would.
-        from repro.core.io import load_reports, load_shard_stats, save_reports
-
-        v2_dir = os.path.join(tmp, "decode-v2")
-        v3_dir = os.path.join(tmp, "decode-v3")
-        os.makedirs(v2_dir)
-        os.makedirs(v3_dir)
-        shard_bytes = {2: 0, 3: 0}
-        for i, path in enumerate(store.shard_paths()):
-            reports, truth = load_reports(path)
-            for version, directory in ((2, v2_dir), (3, v3_dir)):
-                out = os.path.join(directory, f"shard-{i:04d}")
-                save_reports(out, reports, truth, version=version)
-                shard_bytes[version] += os.path.getsize(out)
-        passes = 3 if quick else 10
-        decode_walls = {}
-        for version, directory in ((2, v2_dir), (3, v3_dir)):
-            names = sorted(os.listdir(directory))
-            start = time.perf_counter()
-            for _ in range(passes):
-                for name in names:
-                    load_shard_stats(os.path.join(directory, name))
-            decode_walls[version] = time.perf_counter() - start
-        scenarios.append(
-            _scenario(
-                "shard_decode",
-                {
-                    "runs": size,
-                    "shards": store.n_shards,
-                    "passes": passes,
-                    "v2_bytes": shard_bytes[2],
-                    "v3_bytes": shard_bytes[3],
-                },
-                {
-                    "v2_mb_per_sec": shard_bytes[2] * passes / 1e6
-                    / max(decode_walls[2], 1e-9),
-                    "v3_mb_per_sec": shard_bytes[3] * passes / 1e6
-                    / max(decode_walls[3], 1e-9),
-                    "speedup": decode_walls[2] / max(decode_walls[3], 1e-12),
                 },
                 subject="ccrypt",
             )

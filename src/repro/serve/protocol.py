@@ -27,7 +27,7 @@ clients additionally stamp each report (and the envelope) with an
 optional ``steering`` version string naming the ``repro-steering/v1``
 document whose rates produced the run; the key is omitted for unsteered
 collection, so those payloads stay byte-identical to older clients.  ``table_sha``
-is the archive-v2 table signature
+is the archive table signature
 (:meth:`repro.core.predicates.PredicateTable.signature`): the server
 refuses reports instrumented against a different table rather than
 silently misaligning predicate indices.

@@ -2,9 +2,9 @@
 
 The paper's deployment collected feedback reports from user populations
 far too large for one process, so this package splits a population into
-*shards*: independently written ``.npz`` archives (format version 2 of
-:mod:`repro.core.io`) described by a JSON *manifest*.  Three properties
-make the split safe:
+*shards*: independently written report archives (the memory-mappable
+format of :mod:`repro.core.io`) described by a JSON *manifest*.  Three
+properties make the split safe:
 
 1. **Merge exactness** -- :meth:`repro.core.reports.ReportSet.merge`
    concatenates shards in collection order, reproducing the monolithic
@@ -35,6 +35,7 @@ from repro.store.errors import (
     ShardIntegrityError,
     StaleManifestError,
     StoreError,
+    StoreVersionError,
 )
 from repro.store.faults import (
     FAULT_KINDS,
@@ -82,6 +83,7 @@ __all__ = [
     "ShardStore",
     "StaleManifestError",
     "StoreError",
+    "StoreVersionError",
     "SufficientStats",
     "config_digest",
     "faults_from_env",

@@ -73,6 +73,15 @@ class StaleManifestError(StoreError):
     """
 
 
+class StoreVersionError(StoreError):
+    """A store's manifest declares a shard format this build cannot read.
+
+    Stores of the retired ``.npz`` formats (manifest ``format_version``
+    1 or 2, or no such field) are refused rather than half-read; their
+    runs must be re-collected.
+    """
+
+
 class CollectionError(StoreError):
     """A collection chunk exhausted its retries.
 

@@ -25,8 +25,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.io import FORMAT_VERSION
 from repro.instrument.sampling import SamplingPlan
 from repro.instrument.transform import InstrumentationConfig
+from repro.store.errors import StoreVersionError
 
 #: Manifest schema version, independent of the shard archive version.
 MANIFEST_VERSION = 1
@@ -151,7 +153,8 @@ class ShardManifest:
         config_sha: Digest of the instrumentation configuration.
         plan: Sampling plan in :func:`plan_to_json` form.
         shards: Shard entries in collection (merge) order.
-        format_version: Shard archive format the store writes.
+        format_version: Shard archive format of the store's shards
+            (always :data:`repro.core.io.FORMAT_VERSION`).
         manifest_version: Schema version of this file.
     """
 
@@ -160,7 +163,7 @@ class ShardManifest:
     config_sha: str
     plan: Dict[str, object]
     shards: List[ShardEntry] = field(default_factory=list)
-    format_version: int = 2
+    format_version: int = FORMAT_VERSION
     manifest_version: int = MANIFEST_VERSION
 
     @property
@@ -212,11 +215,31 @@ class ShardManifest:
 
     @classmethod
     def from_json(cls, spec: Dict[str, object]) -> "ShardManifest":
+        """Parse a manifest document.
+
+        Raises:
+            StoreVersionError: The store's shards are not in
+                :data:`~repro.core.io.FORMAT_VERSION` (a v1/v2 store, whose
+                manifest says 1 or 2 or has no ``format_version``).
+            ValueError: The manifest schema is newer than this build.
+        """
         version = int(spec.get("manifest_version", 1))
         if version > MANIFEST_VERSION:
             raise ValueError(
                 f"manifest version {version} is newer than supported "
                 f"({MANIFEST_VERSION})"
+            )
+        declared = spec.get("format_version")
+        if declared != FORMAT_VERSION:
+            what = (
+                "no archive format"
+                if declared is None
+                else f"archive format {declared!r}"
+            )
+            raise StoreVersionError(
+                f"shard store declares {what}; this build reads only format "
+                f"{FORMAT_VERSION} stores -- v1/v2 stores are no longer read, "
+                "re-collect the runs"
             )
         return cls(
             subject=str(spec["subject"]),
@@ -224,7 +247,6 @@ class ShardManifest:
             config_sha=str(spec["config_sha"]),
             plan=dict(spec["plan"]),
             shards=[ShardEntry.from_json(e) for e in spec["shards"]],
-            format_version=int(spec.get("format_version", 2)),
             manifest_version=version,
         )
 

@@ -5,8 +5,8 @@ A :class:`ShardStore` wraps a directory laid out as::
     store/
       manifest.json           # ShardManifest: provenance + membership
       shard-00000000.npz      # report archives (core/io.py); the .npz
-      shard-00000200.npz      #   suffix is historical -- v3 shards are
-                              #   mmap-columnar files, sniffed by magic
+      shard-00000200.npz      #   suffix is historical -- shards are
+                              #   mmap-columnar files
       ...
       collection_log.jsonl    # append-only record of collection events
       quarantine/             # damaged shards, moved aside with reasons
@@ -59,8 +59,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from repro.core.io import (
-    FORMAT_VERSION,
-    WRITABLE_VERSIONS,
     ArchiveError,
     file_sha256,
     load_reports,
@@ -160,8 +158,7 @@ def load_entry_stats(directory: str, entry: "ShardEntry", table_sha: str) -> Suf
         )
     except ArchiveError as exc:
         raise ShardCorruptionError(entry.filename, str(exc)) from exc
-    if shard_sha is not None:
-        _check_table_sha(entry.filename, shard_sha, table_sha)
+    _check_table_sha(entry.filename, shard_sha, table_sha)
     return SufficientStats(
         F=F,
         S=S,
@@ -263,21 +260,8 @@ class ShardStore:
         table: PredicateTable,
         plan: SamplingPlan,
         config: Optional[InstrumentationConfig] = None,
-        format_version: Optional[int] = None,
     ) -> "ShardStore":
-        """Initialise an empty store (directory may exist but not a manifest).
-
-        ``format_version`` pins the shard archive version the store will
-        write (it must be in :data:`repro.core.io.WRITABLE_VERSIONS`);
-        the default is the current writer.
-        """
-        if format_version is None:
-            format_version = FORMAT_VERSION
-        if format_version not in WRITABLE_VERSIONS:
-            raise ValueError(
-                f"cannot create a store writing archive version {format_version} "
-                f"(writable: {sorted(WRITABLE_VERSIONS)})"
-            )
+        """Initialise an empty store (directory may exist but not a manifest)."""
         os.makedirs(directory, exist_ok=True)
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         if os.path.exists(manifest_path):
@@ -289,7 +273,6 @@ class ShardStore:
             table_sha=table.signature(),
             config_sha=config_digest(config),
             plan=plan_to_json(plan),
-            format_version=format_version,
         )
         store = cls(directory, manifest)
         store._table = table
@@ -395,21 +378,6 @@ class ShardStore:
     def n_shards(self) -> int:
         """Number of shards registered."""
         return len(self.manifest.shards)
-
-    @property
-    def shard_format_version(self) -> int:
-        """Archive version this store's shards are written in.
-
-        Pinned at creation (new stores get the current
-        :data:`repro.core.io.FORMAT_VERSION`), so append sessions to a
-        store collected under an older format keep it homogeneous --
-        readers dispatch per file either way, but a uniform store keeps
-        its checksums comparable across sessions.  Stores whose manifest
-        predates writable-version tracking fall back to the current
-        writer.
-        """
-        version = self.manifest.format_version
-        return version if version in WRITABLE_VERSIONS else FORMAT_VERSION
 
     @property
     def n_runs(self) -> int:
@@ -525,7 +493,7 @@ class ShardStore:
         if os.path.exists(path):
             raise FileExistsError(f"shard {filename} already exists in the store")
         staged = path + PENDING_SUFFIX
-        save_reports(staged, reports, truth, version=self.shard_format_version)
+        save_reports(staged, reports, truth)
         self.commit_shard(
             ShardEntry(
                 filename=filename,
@@ -745,8 +713,7 @@ class ShardStore:
             )
         except ArchiveError as exc:
             raise ShardCorruptionError(entry.filename, str(exc)) from exc
-        if table_sha is not None:
-            _check_table_sha(entry.filename, table_sha, self.manifest.table_sha)
+        _check_table_sha(entry.filename, table_sha, self.manifest.table_sha)
         if num_failing + num_successful != entry.n_runs:
             raise ShardIntegrityError(
                 entry.filename,
@@ -902,12 +869,10 @@ class ShardStore:
 
         The one shard-streaming loop: ``analyze``, the daemon and the
         federation analysis all read a store's statistics through here.
-        Format-v3 shards are memory-mapped and only the statistic
-        columns' pages are touched (zero-copy); format-v2 shards read
-        six small arrays out of their ``.npz``.  Either way the
-        run-by-predicate matrices are never reconstructed, so memory is
-        bounded by one predicate-length array set regardless of how
-        many runs the store holds.
+        Shards are memory-mapped and only the statistic columns' pages
+        are touched (zero-copy); the run-by-predicate matrices are never
+        reconstructed, so memory is bounded by one predicate-length
+        array set regardless of how many runs the store holds.
 
         Raises:
             StaleManifestError: A committed shard file is missing.
@@ -925,7 +890,7 @@ class ShardStore:
                 part = load_entry_stats(
                     self.directory, entry, self.manifest.table_sha
                 )
-                # v3 parts are read-only file-mapping views; seed the
+                # Parts are read-only file-mapping views; seed the
                 # accumulator with a writable copy before += kicks in.
                 total = part.materialized() if total is None else total.add(part)
         assert total is not None

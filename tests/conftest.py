@@ -60,7 +60,6 @@ def build_synthetic_store(
     n_preds=4,
     seed=0,
     seed_start=0,
-    format_version=None,
 ):
     """A store of ``k`` seeded shards plus the monolithic population.
 
@@ -74,11 +73,7 @@ def build_synthetic_store(
 
     whole = make_population(n_preds=n_preds, n_runs=n_runs, seed=seed)
     store = ShardStore.create(
-        str(directory),
-        "synthetic",
-        whole.table,
-        SamplingPlan.full(),
-        format_version=format_version,
+        str(directory), "synthetic", whole.table, SamplingPlan.full()
     )
     offset = seed_start
     for part in split_reports(whole, k):
@@ -135,6 +130,9 @@ def store_factory(tmp_path):
 
 
 def _small_experiment(subject, n_runs, training_runs=60, **kwargs):
+    # Two collection workers: run_trials_parallel is bit-identical to the
+    # serial runner (tests/harness/test_parallel.py), and these session
+    # fixtures are the largest single cost of the default lane.
     config = Experiment(
         subject=subject,
         n_runs=n_runs,
@@ -143,6 +141,7 @@ def _small_experiment(subject, n_runs, training_runs=60, **kwargs):
         seed=kwargs.pop("seed", 0),
         strategy=kwargs.pop("strategy", DiscardStrategy.DISCARD_ALL),
         max_predictors=kwargs.pop("max_predictors", 15),
+        jobs=kwargs.pop("jobs", 2),
         **kwargs,
     )
     return run_experiment(config)

@@ -1,18 +1,14 @@
 """Differential suite for the raw-speed pass: fast paths change no bits.
 
-Four independent equivalences, each across all five paper subjects:
+Two independent equivalences, each across all five paper subjects:
 
 * **Sampler fast path vs legacy dispatch** -- the inlined-countdown
   helpers (``Runtime(sampler="fast")``, the default) produce the exact
   run records the original ``_take``-dispatch helpers produce for the
   same seeds, under full, uniform and per-site plans;
-* **Archive v1 vs v2 vs v3** -- one population saved in every readable
-  layout loads back to bitwise-identical scores;
-* **Streamed vs monolithic** over 1- and 3-shard v3 (memory-mapped)
-  stores -- the shard-layout bit-identity contract extends to the
-  zero-copy reader;
-* **Observability on vs off** -- metrics instrumentation never touches
-  the analysed numbers.
+* **Streamed vs monolithic** over 1- and 3-shard (memory-mapped) stores
+  -- the shard-layout bit-identity contract extends to the zero-copy
+  reader.
 
 Float comparisons are bitwise (``tobytes``), not ``allclose``; weakening
 any equality here to a tolerance is a bug.
@@ -24,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.core.scores import compute_scores
-from repro.harness.parallel import run_trials_sharded
 from repro.harness.runner import run_trials
 from repro.instrument.sampling import SamplingPlan
 from repro.instrument.tracer import instrument_source
@@ -34,8 +29,6 @@ from repro.subjects.ccrypt import CcryptSubject
 from repro.subjects.exif import ExifSubject
 from repro.subjects.moss import MossSubject
 from repro.subjects.rhythmbox import RhythmboxSubject
-
-from tests.golden import CASES, analyze_digest, assert_golden, shard_digests
 
 SUBJECTS = [MossSubject, CcryptSubject, BcSubject, ExifSubject, RhythmboxSubject]
 
@@ -129,43 +122,6 @@ class TestSamplerFastPathDifferential:
         )
 
 
-class TestArchiveVersionDifferential:
-    """One population, three on-disk layouts, identical scores."""
-
-    @pytest.mark.parametrize("fixture", SUBJECT_FIXTURES)
-    def test_v1_v2_v3_score_identically(self, fixture, request, tmp_path):
-        from repro.core.io import load_reports, save_reports
-
-        experiment = request.getfixturevalue(fixture)
-        reports, truth = experiment.reports, experiment.truth
-        expected = compute_scores(reports)
-
-        paths = {}
-        for version in (2, 3):
-            path = tmp_path / f"a.v{version}"
-            save_reports(str(path), reports, truth, version=version)
-            paths[version] = path
-        # Derive a v1 archive by stripping the v2-only members.
-        v1 = tmp_path / "a.v1"
-        data = dict(np.load(str(paths[2]), allow_pickle=False))
-        for key in list(data):
-            if key.startswith("stats_") or key == "table_sha":
-                del data[key]
-        data["format_version"] = np.asarray([1])
-        with open(v1, "wb") as fh:
-            np.savez_compressed(fh, **data)
-        paths[1] = v1
-
-        for version, path in sorted(paths.items()):
-            loaded, loaded_truth = load_reports(str(path))
-            _assert_scores_bitwise_equal(
-                compute_scores(loaded), expected, f"{fixture}/v{version}"
-            )
-            assert loaded.failed.tolist() == reports.failed.tolist()
-            assert loaded_truth is not None
-            assert loaded_truth.occurrences == truth.occurrences
-
-
 def _v3_store(directory, experiment, n_shards=3):
     from repro.core.io import V3_MAGIC
 
@@ -207,44 +163,4 @@ class TestV3StoreParallelDifferential:
         merged, _ = store.load_merged()
         _assert_scores_bitwise_equal(
             compute_scores(merged), compute_scores(moss_experiment.reports), "merged"
-        )
-
-
-class TestObservabilityDifferential:
-    """Metrics and tracing on never change an analysed bit: a sharded
-    collection, stats stream and ``analyze --profile`` run with
-    observability enabled reproduce the golden digests."""
-
-    @pytest.mark.parametrize(
-        "case",
-        [case for case in CASES if case.mode == "full" and case.subject != "tiny"],
-        ids=lambda case: case.key,
-    )
-    def test_obs_on_matches_golden(self, case, tmp_path):
-        from repro import obs
-
-        obs.configure(trace_path=str(tmp_path / "trace.jsonl"))
-        try:
-            store = run_trials_sharded(
-                case.build_subject(),
-                case.n_runs,
-                case.plan(),
-                str(tmp_path / "store"),
-                seed=case.seed,
-                jobs=2,
-                chunk_size=case.chunk,
-            )
-            stats = ShardStore.open(store.directory).sufficient_stats()
-            assert_golden(
-                case.key,
-                table_sha=store.manifest.table_sha,
-                stats=stats,
-                scores=stats.to_scores(),
-                shards=shard_digests(store),
-            )
-            assert obs.snapshot()["counters"]["collect.chunks"] > 0
-        finally:
-            obs.shutdown()
-        assert_golden(
-            case.key, analyze=analyze_digest(store.directory, "--profile")
         )

@@ -13,9 +13,10 @@ never changes a single output bit:
   predicate-index order;
 * the CLI -- byte-identical stdout for a 1-shard and a 7-shard store;
 * golden digests -- every ``tests/golden`` key, collected serially and
-  laid out as {1, 3, 7} shards, and collected by the sharded runner,
-  reproduces its committed table signature, statistics, scores,
-  ``analyze`` stdout and (sharded runner) shard bytes.
+  laid out as {1, 3, 7} shards and as the golden chunking, and collected
+  by the sharded runner with observability on, reproduces its committed
+  table signature, statistics, scores, ``analyze`` stdout and (golden
+  chunking) shard bytes.
 
 These tests are the enforcement arm of the determinism contract
 documented in ``docs/ALGORITHM.md``; weakening any equality here to a
@@ -38,7 +39,13 @@ from repro.instrument.sampling import SamplingPlan
 from repro.store import ShardStore
 from repro.store.incremental import SufficientStats
 
-from tests.golden import CASES, assert_golden, assert_golden_store
+from tests.golden import (
+    CASES,
+    analyze_digest,
+    assert_golden,
+    assert_golden_store,
+    shard_digests,
+)
 from tests.helpers import make_reports, partition_bounds
 
 #: Session-scoped experiment fixtures covering all five paper subjects.
@@ -72,12 +79,13 @@ _SCORE_FIELDS = (
 )
 
 
-def _build_store(directory, reports, truth, n_shards):
-    """Shard a population into ``n_shards`` contiguous parts."""
+def _build_store(directory, reports, truth, bounds):
+    """Shard a population into the contiguous ``[lo, hi)`` run ranges
+    ``bounds``."""
     store = ShardStore.create(
         str(directory), "differential", reports.table, SamplingPlan.full()
     )
-    for lo, hi in partition_bounds(reports.n_runs, n_shards):
+    for lo, hi in bounds:
         mask = np.zeros(reports.n_runs, dtype=bool)
         mask[lo:hi] = True
         store.append_shard(
@@ -97,7 +105,10 @@ def sharded_stores(tmp_path_factory):
             base = tmp_path_factory.mktemp(fixture_name)
             cache[fixture_name] = {
                 k: _build_store(
-                    base / f"shards-{k}", experiment.reports, experiment.truth, k
+                    base / f"shards-{k}",
+                    experiment.reports,
+                    experiment.truth,
+                    partition_bounds(experiment.reports.n_runs, k),
                 )
                 for k in SHARD_LAYOUTS
             }
@@ -226,11 +237,22 @@ class TestCliStdoutIdentical:
         assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda case: case.key)
+def _sharded_case(case):
+    """Full-sampling keys' sharded-runner stores are asserted in the
+    default lane by ``tests/serve/test_differential.py``; here they run
+    in the slow lane only."""
+    marks = pytest.mark.slow if case.mode == "full" and case.subject != "tiny" else ()
+    return pytest.param(case, id=case.key, marks=marks)
+
+
 class TestGoldenDigests:
     """The local collection paths reproduce ``tests/golden`` exactly."""
 
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: case.key)
     def test_serial_collection_at_every_shard_layout(self, case, tmp_path):
+        """Serial trials, then the population laid out as {1, 3, 7}
+        shards and as the golden chunking (which must reproduce the
+        golden shard bytes)."""
         subject = case.build_subject()
         program = subject.build_program()
         reports, truth = run_trials(
@@ -243,20 +265,45 @@ class TestGoldenDigests:
             scores=compute_scores(reports),
         )
         for k in SHARD_LAYOUTS:
-            store = _build_store(tmp_path / f"shards-{k}", reports, truth, k)
+            bounds = partition_bounds(case.n_runs, k)
+            store = _build_store(tmp_path / f"shards-{k}", reports, truth, bounds)
             assert_golden_store(case.key, store, shards=False)
-
-    def test_sharded_collection(self, case, tmp_path):
-        store = run_trials_sharded(
-            case.build_subject(),
-            case.n_runs,
-            case.plan(),
-            str(tmp_path / "store"),
-            seed=case.seed,
-            jobs=2,
-            chunk_size=case.chunk,
-        )
+        chunks = [
+            (lo, min(lo + case.chunk, case.n_runs))
+            for lo in range(0, case.n_runs, case.chunk)
+        ]
+        store = _build_store(tmp_path / "chunked", reports, truth, chunks)
         assert_golden_store(case.key, store)
+
+    @pytest.mark.parametrize("case", [_sharded_case(case) for case in CASES])
+    def test_sharded_collection(self, case, tmp_path):
+        """The supervised sharded runner and ``analyze --profile``, with
+        metrics and tracing on: observability never changes a bit."""
+        from repro import obs
+
+        obs.configure(trace_path=str(tmp_path / "trace.jsonl"))
+        try:
+            store = run_trials_sharded(
+                case.build_subject(),
+                case.n_runs,
+                case.plan(),
+                str(tmp_path / "store"),
+                seed=case.seed,
+                jobs=2,
+                chunk_size=case.chunk,
+            )
+            assert obs.snapshot()["counters"]["collect.chunks"] > 0
+            stats = ShardStore.open(store.directory).sufficient_stats()
+            assert_golden(
+                case.key,
+                table_sha=store.manifest.table_sha,
+                stats=stats,
+                scores=stats.to_scores(),
+                shards=shard_digests(store),
+            )
+        finally:
+            obs.shutdown()
+        assert_golden(case.key, analyze=analyze_digest(store.directory, "--profile"))
 
 
 class TestTieDeterminism:

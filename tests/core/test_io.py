@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.io import load_reports, save_reports
+from repro.core.io import (
+    ArchiveVersionError,
+    load_reports,
+    load_shard_stats,
+    load_table,
+    save_reports,
+)
 from repro.core.scores import compute_scores
 from repro.core.truth import GroundTruth
 
-from tests.helpers import make_reports
+from tests.helpers import make_reports, rewrite_archive_header
 
 
 def _population():
@@ -87,34 +93,21 @@ class TestRoundTrip:
         assert loaded.site_counts[0, 0] == 2
 
     def test_version_check(self, tmp_path):
-        reports, _ = _population()
-        path = tmp_path / "reports.npz"
-        save_reports(str(path), reports, version=2)
-        # Corrupt the version marker.
-        import numpy as _np
-
-        data = dict(_np.load(str(path), allow_pickle=False))
-        data["format_version"] = _np.asarray([999])
-        with open(path, "wb") as fh:
-            _np.savez_compressed(fh, **data)
-        with pytest.raises(ValueError):
-            load_reports(str(path))
-
-
-def _downgrade_to_v1(path):
-    """Rewrite an archive in the version 1 layout (no stats, no table_sha)."""
-    data = dict(np.load(str(path), allow_pickle=False))
-    for key in list(data):
-        if key.startswith("stats_") or key == "table_sha":
-            del data[key]
-    data["format_version"] = np.asarray([1])
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, **data)
+        """Any declared version but 3 is refused -- including 1 and 2 in a
+        file with the current magic, which must not be parsed as v3."""
+        reports, truth = _population()
+        for version in (1, 2, 999):
+            path = tmp_path / f"reports.v{version}"
+            save_reports(str(path), reports, truth)
+            rewrite_archive_header(path, format_version=version)
+            for loader in (load_reports, load_table, load_shard_stats):
+                with pytest.raises(ArchiveVersionError, match=f"version {version}"):
+                    loader(str(path))
 
 
 class TestFormatVersions:
     def test_writer_emits_current_version(self, tmp_path):
-        from repro.core.io import FORMAT_VERSION, V3_MAGIC, load_shard_stats
+        from repro.core.io import FORMAT_VERSION, V3_MAGIC
 
         reports, _ = _population()
         path = tmp_path / "reports.v3"
@@ -125,34 +118,12 @@ class TestFormatVersions:
         *_, table_sha = load_shard_stats(str(path))
         assert table_sha == reports.table.signature()
 
-    def test_v2_writer_emits_legacy_npz(self, tmp_path):
-        """``version=2`` must keep producing the exact legacy layout so
-        append sessions to pre-v3 stores stay homogeneous."""
-        reports, _ = _population()
-        path = tmp_path / "reports.npz"
-        save_reports(str(path), reports, version=2)
-        with np.load(str(path), allow_pickle=False) as archive:
-            assert int(archive["format_version"][0]) == 2
-            assert str(archive["table_sha"]) == reports.table.signature()
-
     def test_unwritable_version_rejected(self, tmp_path):
+        """There is one archive format; ``save_reports`` takes no version."""
         reports, _ = _population()
-        with pytest.raises(ValueError, match="cannot write"):
-            save_reports(str(tmp_path / "r"), reports, version=1)
-
-    def test_v2_and_v3_archives_load_identically(self, tmp_path):
-        reports, truth = _population()
-        p2, p3 = tmp_path / "a.v2", tmp_path / "a.v3"
-        save_reports(str(p2), reports, truth, version=2)
-        save_reports(str(p3), reports, truth, version=3)
-        r2, t2 = load_reports(str(p2))
-        r3, t3 = load_reports(str(p3))
-        assert r2.failed.tolist() == r3.failed.tolist()
-        assert r2.stacks == r3.stacks and r2.metas == r3.metas
-        assert t2.occurrences == t3.occurrences
-        s2, s3 = compute_scores(r2), compute_scores(r3)
-        np.testing.assert_array_equal(s2.F, s3.F)
-        np.testing.assert_array_equal(s2.increase, s3.increase)
+        for version in (2, 3):
+            with pytest.raises(TypeError):
+                save_reports(str(tmp_path / "r"), reports, version=version)
 
     def test_v3_bytes_are_deterministic(self, tmp_path):
         """Shard SHAs must be reproducible: same population, same bytes."""
@@ -163,8 +134,6 @@ class TestFormatVersions:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_v3_stats_are_zero_copy_readonly(self, tmp_path):
-        from repro.core.io import load_shard_stats
-
         reports, _ = _population()
         path = tmp_path / "r.v3"
         save_reports(str(path), reports)
@@ -173,25 +142,7 @@ class TestFormatVersions:
         with pytest.raises((ValueError, RuntimeError)):
             F[0] = 99
 
-    def test_v1_archive_still_loads(self, tmp_path):
-        """Compatibility guarantee: archives in the pre-shard layout keep
-        loading through the new reader."""
-        reports, truth = _population()
-        path = tmp_path / "reports.npz"
-        save_reports(str(path), reports, truth, version=2)
-        _downgrade_to_v1(path)
-
-        loaded, loaded_truth = load_reports(str(path))
-        assert loaded.failed.tolist() == reports.failed.tolist()
-        assert loaded.stacks == reports.stacks
-        assert loaded_truth is not None
-        assert loaded_truth.occurrences == truth.occurrences
-        before, after = compute_scores(reports), compute_scores(loaded)
-        np.testing.assert_array_equal(before.F, after.F)
-        np.testing.assert_array_equal(before.S, after.S)
-
     def test_embedded_stats_match_recomputation(self, tmp_path):
-        from repro.core.io import load_shard_stats
         from repro.core.scores import sufficient_counts
 
         reports, _ = _population()
@@ -207,52 +158,10 @@ class TestFormatVersions:
 
 
 class TestShardStatsCorruption:
-    """Every escape from ``load_shard_stats`` is a typed ``ArchiveError``.
-
-    Regression for the v1 fallback: it used to re-read the archive via
-    ``load_reports`` *outside* the corruption-translating ``try``, so a
-    v1 archive damaged past the version stamp leaked raw numpy/zip/JSON
-    exceptions to the streaming scorer."""
-
-    def _v1_archive(self, tmp_path):
-        reports, truth = _population()
-        path = tmp_path / "v1.npz"
-        save_reports(str(path), reports, truth, version=2)
-        _downgrade_to_v1(path)
-        return path
-
-    def test_truncated_v1_archive_raises_typed_error(self, tmp_path):
-        from repro.core.io import ArchiveError, load_shard_stats
-
-        path = self._v1_archive(tmp_path)
-        data = path.read_bytes()
-        for cut in (len(data) // 4, len(data) // 2, len(data) - 7):
-            bad = tmp_path / f"t{cut}.npz"
-            bad.write_bytes(data[:cut])
-            with pytest.raises(ArchiveError):
-                load_shard_stats(str(bad))
-
-    def test_flipped_bytes_in_v1_archive_raise_typed_error(self, tmp_path):
-        from repro.core.io import ArchiveError, load_shard_stats
-
-        path = self._v1_archive(tmp_path)
-        data = bytearray(path.read_bytes())
-        step = max(1, len(data) // 23)
-        survived = 0
-        for pos in range(40, len(data), step):
-            bad = tmp_path / f"f{pos}.npz"
-            flipped = bytearray(data)
-            flipped[pos] ^= 0xFF
-            bad.write_bytes(bytes(flipped))
-            try:
-                load_shard_stats(str(bad))
-                survived += 1  # flip landed somewhere redundant: fine
-            except ArchiveError:
-                pass  # typed, as required; raw exceptions fail the test
-        assert survived < 23  # at least one flip must actually be detected
+    """Every escape from ``load_shard_stats`` is a typed ``ArchiveError``."""
 
     def test_garbage_bytes_raise_typed_error(self, tmp_path):
-        from repro.core.io import ArchiveError, load_shard_stats
+        from repro.core.io import ArchiveError
 
         for name, payload in [
             ("zipish", b"PK\x03\x04 not really a zip archive"),
@@ -267,7 +176,7 @@ class TestShardStatsCorruption:
                 load_shard_stats(str(path))
 
     def test_truncated_v3_archive_raises_typed_error(self, tmp_path):
-        from repro.core.io import ArchiveError, load_reports, load_shard_stats
+        from repro.core.io import ArchiveError
 
         reports, truth = _population()
         path = tmp_path / "full.v3"

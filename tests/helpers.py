@@ -110,3 +110,24 @@ def run_pattern(
 ) -> List[int]:
     """Sorted run indices where the predicate was observed true."""
     return sorted(reports.runs_where_true(predicate_index).tolist())
+
+
+def rewrite_archive_header(path, **fields) -> None:
+    """Rewrite a report archive's JSON header with ``fields`` replaced.
+
+    The array sections are carried over unchanged behind the re-padded
+    header, so the result is a well-formed archive that differs from
+    the original only in the given header fields.
+    """
+    import json
+    import struct
+
+    data = open(path, "rb").read()
+    (length,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16 : 16 + length])
+    body = data[-(-(16 + length) // 64) * 64 :]
+    header.update(fields)
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    pad = -(16 + len(raw)) % 64
+    with open(path, "wb") as handle:
+        handle.write(data[:8] + struct.pack("<Q", len(raw)) + raw + b"\0" * pad + body)

@@ -20,6 +20,7 @@ from repro.core.io import (
     file_sha256,
     load_reports,
     load_shard_stats,
+    load_table,
     save_reports,
 )
 from repro.store import (
@@ -41,7 +42,7 @@ from repro.store.shards import PENDING_SUFFIX, shard_filename
 
 from tests.conftest import build_synthetic_store
 from tests.helpers import make_population as _population
-from tests.helpers import make_reports
+from tests.helpers import make_reports, rewrite_archive_header
 
 
 def _build_store(tmp_path, k=3, n_runs=24, n_preds=4, seed=0):
@@ -113,10 +114,19 @@ class TestLoaderFuzz:
 
     @pytest.mark.parametrize("loader", [load_reports, load_shard_stats])
     def test_unsupported_version(self, tmp_path, loader):
-        path = str(tmp_path / "future.npz")
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, format_version=np.asarray([99]))
+        path = self._archive(tmp_path)
+        rewrite_archive_header(path, format_version=99)
         with pytest.raises(ArchiveVersionError, match="version 99"):
+            loader(path)
+
+    @pytest.mark.parametrize("loader", [load_reports, load_table, load_shard_stats])
+    def test_npz_archive_refused(self, tmp_path, loader):
+        """A retired v1/v2 ``.npz`` archive is a version error, not
+        corruption: its runs must be re-collected."""
+        path = str(tmp_path / "legacy.npz")
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, format_version=np.asarray([2]))
+        with pytest.raises(ArchiveVersionError, match="no longer read.*re-collect"):
             loader(path)
 
     def test_typed_errors_remain_value_errors(self):
@@ -262,6 +272,23 @@ class TestAuditQuarantine:
         report = store.audit()
         assert [r.reason for r in report.quarantined] == ["unreadable"]
 
+    def test_npz_shard_quarantined_unreadable(self, tmp_path):
+        """A retired ``.npz`` archive planted under a committed shard's
+        name is quarantined as unreadable; the survivors still score."""
+        store, _ = _build_store(tmp_path)
+        paths = store.shard_paths()
+        survivors = _shard_stats(paths[0]).add(_shard_stats(paths[2]))
+        with open(paths[1], "wb") as fh:
+            np.savez_compressed(fh, format_version=np.asarray([2]))
+        store.manifest.shards[1] = dataclasses.replace(
+            store.manifest.shards[1], sha256=file_sha256(paths[1])
+        )
+        store.manifest.save(store.manifest_path)
+        report = store.audit()
+        assert [r.reason for r in report.quarantined] == ["unreadable"]
+        assert "no longer read" in report.quarantined[0].detail
+        _assert_stats_equal(store.sufficient_stats(), survivors)
+
     def test_alien_table_quarantined(self, tmp_path):
         store, _ = _build_store(tmp_path, n_preds=4)
         path = store.shard_paths()[1]
@@ -352,59 +379,6 @@ class TestAuditQuarantine:
             store.sufficient_stats()
         with pytest.raises(StaleManifestError, match="audit"):
             list(store.iter_reports())
-
-
-class TestMixedVersionStores:
-    """v1 shards (no embedded stats/signature) coexist with v2 shards;
-    integrity checking covers them through the derived signature."""
-
-    def _downgrade_to_v1(self, store, index):
-        """Rewrite one shard in the legacy v1 layout, keeping its entry's
-        digest honest (the bytes legitimately changed)."""
-        path = store.shard_paths()[index]
-        # The store writes v3 archives; rewrite through the v2 (.npz)
-        # layout first so the npz-surgery below has a zip to operate on.
-        reports, truth = load_reports(path)
-        save_reports(path, reports, truth, version=2)
-        data = dict(np.load(path, allow_pickle=False))
-        for key in list(data):
-            if key.startswith("stats_") or key == "table_sha":
-                del data[key]
-        data["format_version"] = np.asarray([1])
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **data)
-        store.manifest.shards[index] = dataclasses.replace(
-            store.manifest.shards[index], sha256=file_sha256(path)
-        )
-        store.manifest.save(store.manifest_path)
-
-    def test_mixed_store_scores_exactly(self, tmp_path):
-        store, _ = _build_store(tmp_path, k=3)
-        expected = store.sufficient_stats()
-        self._downgrade_to_v1(store, 1)
-        assert store.audit().clean
-        _assert_stats_equal(store.sufficient_stats(), expected)
-
-    def test_v1_shard_with_alien_table_caught(self, tmp_path):
-        """The v1 fallback derives the table signature from the archive,
-        so even legacy shards cannot smuggle in a foreign table."""
-        store, _ = _build_store(tmp_path, n_preds=4)
-        path = store.shard_paths()[1]
-        alien = make_reports(9, [(True, {0}, None)] * 8)
-        save_reports(path, alien, version=2)
-        data = dict(np.load(path, allow_pickle=False))
-        for key in list(data):
-            if key.startswith("stats_") or key == "table_sha":
-                del data[key]
-        data["format_version"] = np.asarray([1])
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **data)
-        store.manifest.shards[1] = dataclasses.replace(
-            store.manifest.shards[1], sha256=file_sha256(path)
-        )
-        store.manifest.save(store.manifest_path)
-        report = store.audit()
-        assert [r.reason for r in report.quarantined] == ["table-mismatch"]
 
 
 class TestFaultSpecs:

@@ -122,11 +122,8 @@ def _assert_same_read(path, table):
 
 
 class TestSharedTableEquivalence:
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_shared_read_equals_plain_decode(self, tmp_path, version):
-        built, _ = build_synthetic_store(
-            tmp_path / "store", k=3, n_runs=24, n_preds=5, format_version=version
-        )
+    def test_shared_read_equals_plain_decode(self, tmp_path):
+        built, _ = build_synthetic_store(tmp_path / "store", k=3, n_runs=24, n_preds=5)
         store = ShardStore.open(built.directory)
         for path in store.shard_paths():
             _assert_same_read(path, store.table())
@@ -135,22 +132,6 @@ class TestSharedTableEquivalence:
         store = ShardStore.open(ccrypt_store)
         for path in store.shard_paths():
             _assert_same_read(path, store.table())
-
-    def test_v1_archive_keeps_decoding(self, tmp_path):
-        """A v1 archive records no table signature, so nothing is reused."""
-        store, whole = build_synthetic_store(tmp_path / "store", n_preds=4)
-        path = str(tmp_path / "v1.npz")
-        save_reports(path, whole, version=2)
-        data = dict(np.load(path, allow_pickle=False))
-        for key in list(data):
-            if key.startswith("stats_") or key == "table_sha":
-                del data[key]
-        data["format_version"] = np.asarray([1])
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **data)
-        reports, _ = load_reports(path, table=store.table())
-        assert reports.table is not store.table()
-        assert reports.table.signature() == store.manifest.table_sha
 
     def test_merged_population_shares_the_store_table(self, ccrypt_store):
         store = ShardStore.open(ccrypt_store)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.io import load_shard_stats, save_reports
+from repro.core.io import load_shard_stats
 from repro.core.reports import ReportSet
 from repro.core.scores import compute_scores
 from repro.core.truth import GroundTruth
@@ -15,6 +15,7 @@ from repro.store import ShardStore, SufficientStats, plan_from_json, plan_to_jso
 from repro.store.manifest import ShardEntry, ShardManifest, config_digest
 from repro.instrument.transform import InstrumentationConfig
 
+from tests.conftest import build_synthetic_store
 from tests.helpers import make_population, make_reports, make_table, split_reports
 
 # Local names kept for the module's many call sites; the builders
@@ -254,30 +255,38 @@ class TestManifest:
         with pytest.raises(ValueError, match="newer"):
             ShardManifest.load(path)
 
+    @pytest.mark.parametrize("declared", [1, 2, None])
+    def test_pre_v3_store_refused(self, tmp_path, declared):
+        """A manifest declaring shard format 1 or 2 -- or none, as v1/v2
+        stores' manifests may -- is a typed refusal from every opener."""
+        from repro.store import StoreError, StoreVersionError
+
+        store, whole = build_synthetic_store(tmp_path / "store")
+        with open(store.manifest_path) as fh:
+            document = json.load(fh)
+        document.pop("format_version")
+        if declared is not None:
+            document["format_version"] = declared
+        with open(store.manifest_path, "w") as fh:
+            json.dump(document, fh)
+        with pytest.raises(StoreVersionError, match="re-collect") as info:
+            ShardStore.open(store.directory)
+        assert isinstance(info.value, StoreError)
+        with pytest.raises(StoreVersionError):
+            ShardStore.open_or_create(
+                store.directory, "synthetic", whole.table, SamplingPlan.full()
+            )
+
+    def test_manifest_records_format_3(self, tmp_path):
+        store, _ = build_synthetic_store(tmp_path / "store")
+        with open(store.manifest_path) as fh:
+            assert json.load(fh)["format_version"] == 3
+        with pytest.raises(TypeError):
+            ShardStore.create(
+                str(tmp_path / "v2"), "x", make_table(2), SamplingPlan.full(),
+                format_version=2,
+            )
+
     def test_open_without_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ShardStore.open(str(tmp_path))
-
-
-class TestV1ShardFallback:
-    def test_load_shard_stats_from_v1_archive(self, tmp_path):
-        """v1 archives lack embedded stats; they are derived by loading."""
-        whole = _population(n_preds=4, n_runs=12)
-        path = str(tmp_path / "v1.npz")
-        save_reports(path, whole, version=2)
-        # Downgrade the archive to the v1 layout: strip the v2-only keys.
-        data = dict(np.load(path, allow_pickle=False))
-        for key in list(data):
-            if key.startswith("stats_") or key == "table_sha":
-                del data[key]
-        data["format_version"] = np.asarray([1])
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **data)
-
-        F, S, F_obs, S_obs, numf, nums, sha = load_shard_stats(path)
-        # v1 archives carry no embedded signature; it is derived from the
-        # materialised table so integrity checks still cover v1 shards.
-        assert sha == whole.table.signature()
-        _assert_counters_equal(
-            SufficientStats(F, S, F_obs, S_obs, numf, nums), compute_scores(whole)
-        )
