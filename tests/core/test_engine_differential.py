@@ -39,13 +39,7 @@ from repro.instrument.sampling import SamplingPlan
 from repro.store import ShardStore
 from repro.store.incremental import SufficientStats
 
-from tests.golden import (
-    CASES,
-    analyze_digest,
-    assert_golden,
-    assert_golden_store,
-    shard_digests,
-)
+from tests.golden import CASES, CHUNK, assert_golden, assert_golden_store
 from tests.helpers import make_reports, partition_bounds
 
 #: Session-scoped experiment fixtures covering all five paper subjects.
@@ -237,27 +231,27 @@ class TestCliStdoutIdentical:
         assert "--jobs" in capsys.readouterr().err
 
 
-def _sharded_case(case):
-    """Full-sampling keys' sharded-runner stores are asserted in the
-    default lane by ``tests/serve/test_differential.py``; here they run
-    in the slow lane only."""
-    marks = pytest.mark.slow if case.mode == "full" and case.subject != "tiny" else ()
-    return pytest.param(case, id=case.key, marks=marks)
+def _lane(case, slow_mode):
+    """``case`` as a parameter, in the slow lane when its sampling mode
+    is ``slow_mode``.  The default lane runs every key through one local
+    path here: full-sampling keys serially (their sharded-runner stores
+    are asserted by ``tests/serve/test_differential.py``), uniform keys
+    through the sharded runner."""
+    slow = case.mode == slow_mode and case.subject != "tiny"
+    return pytest.param(case, id=case.key, marks=pytest.mark.slow if slow else ())
 
 
 class TestGoldenDigests:
     """The local collection paths reproduce ``tests/golden`` exactly."""
 
-    @pytest.mark.parametrize("case", CASES, ids=lambda case: case.key)
+    @pytest.mark.parametrize("case", [_lane(case, "uniform") for case in CASES])
     def test_serial_collection_at_every_shard_layout(self, case, tmp_path):
         """Serial trials, then the population laid out as {1, 3, 7}
         shards and as the golden chunking (which must reproduce the
         golden shard bytes)."""
         subject = case.build_subject()
         program = subject.build_program()
-        reports, truth = run_trials(
-            subject, program, case.n_runs, case.plan(), seed=case.seed
-        )
+        reports, truth = run_trials(subject, program, case.n_runs, case.plan())
         assert_golden(
             case.key,
             table_sha=reports.table.signature(),
@@ -269,16 +263,16 @@ class TestGoldenDigests:
             store = _build_store(tmp_path / f"shards-{k}", reports, truth, bounds)
             assert_golden_store(case.key, store, shards=False)
         chunks = [
-            (lo, min(lo + case.chunk, case.n_runs))
-            for lo in range(0, case.n_runs, case.chunk)
+            (lo, min(lo + CHUNK, case.n_runs)) for lo in range(0, case.n_runs, CHUNK)
         ]
         store = _build_store(tmp_path / "chunked", reports, truth, chunks)
         assert_golden_store(case.key, store)
 
-    @pytest.mark.parametrize("case", [_sharded_case(case) for case in CASES])
+    @pytest.mark.parametrize("case", [_lane(case, "full") for case in CASES])
     def test_sharded_collection(self, case, tmp_path):
-        """The supervised sharded runner and ``analyze --profile``, with
-        metrics and tracing on: observability never changes a bit."""
+        """The supervised sharded runner, the stats stream and
+        ``analyze``, with metrics and tracing on: observability never
+        changes a bit."""
         from repro import obs
 
         obs.configure(trace_path=str(tmp_path / "trace.jsonl"))
@@ -288,22 +282,13 @@ class TestGoldenDigests:
                 case.n_runs,
                 case.plan(),
                 str(tmp_path / "store"),
-                seed=case.seed,
                 jobs=2,
-                chunk_size=case.chunk,
+                chunk_size=CHUNK,
             )
             assert obs.snapshot()["counters"]["collect.chunks"] > 0
-            stats = ShardStore.open(store.directory).sufficient_stats()
-            assert_golden(
-                case.key,
-                table_sha=store.manifest.table_sha,
-                stats=stats,
-                scores=stats.to_scores(),
-                shards=shard_digests(store),
-            )
+            assert_golden_store(case.key, store)
         finally:
             obs.shutdown()
-        assert_golden(case.key, analyze=analyze_digest(store.directory, "--profile"))
 
 
 class TestTieDeterminism:

@@ -16,7 +16,6 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
-from repro.harness.parallel import run_trials_sharded
 from repro.federate import (
     FederationError,
     FederationFetchError,
@@ -28,18 +27,19 @@ from repro.federate import (
     open_source,
     plan_sync,
 )
+from repro.harness.parallel import run_trials_sharded
 from repro.store import ShardIntegrityError, ShardStore
 from repro.store.faults import Fault, FaultInjector
 from repro.store.manifest import ShardEntry, ShardManifest
 
 from tests.conftest import build_synthetic_store
-from tests.golden import CASES, assert_golden_store
 from tests.federate.conftest import (
     assert_federated_equals_baseline,
     distribute,
     read_shard,
     shard_essence,
 )
+from tests.golden import CASES, CHUNK, assert_golden_store
 
 #: Retry timing for fault tests: fast, deterministic.
 FAST = dict(backoff_base=0.001, backoff_cap=0.002)
@@ -127,16 +127,16 @@ def test_federated_fleet_matches_golden(tmp_path, case):
     """Two stores collecting disjoint, chunk-aligned seed ranges
     federate into exactly the golden population."""
     subject = case.build_subject()
-    split = case.chunk * (case.n_runs // case.chunk // 2 or 1)
+    split = CHUNK * (case.n_runs // CHUNK // 2 or 1)
     fleet = [
         run_trials_sharded(
             subject,
             hi - lo,
             case.plan(),
             str(tmp_path / f"daemon-{lo}"),
-            seed=case.seed + lo,
+            seed=lo,
             jobs=2,
-            chunk_size=case.chunk,
+            chunk_size=CHUNK,
         )
         for lo, hi in ((0, split), (split, case.n_runs))
     ]

@@ -42,20 +42,16 @@ UNIFORM_RATE = 0.5
 
 @dataclasses.dataclass(frozen=True)
 class GoldenCase:
-    """One pinned population: ``n_runs`` trials from ``seed``."""
+    """One pinned population: trials of seeds ``0 .. n_runs``, stored in
+    :data:`CHUNK`-run shards."""
 
     subject: str
     mode: str
     n_runs: int
-    seed: int = 0
-    chunk: int = CHUNK
 
     @property
     def key(self) -> str:
-        return (
-            f"{self.subject}/{self.mode}/seeds-{self.seed}-"
-            f"{self.seed + self.n_runs}/chunk-{self.chunk}"
-        )
+        return f"{self.subject}/{self.mode}/seeds-0-{self.n_runs}/chunk-{CHUNK}"
 
     def plan(self):
         from repro.instrument.sampling import SamplingPlan
@@ -74,9 +70,8 @@ class GoldenCase:
         return SUBJECTS[self.subject]()
 
 
-#: (subject, runs): the five paper subjects and one factory subject at
-#: the daemon differential suite's budgets, plus the federation
-#: acceptance matrix's tiny subject.
+#: (subject, runs): the five paper subjects and one factory subject, at
+#: the daemon differential suite's budgets.
 SUBJECT_RUNS = (
     ("moss", 45),
     ("ccrypt", 60),
@@ -86,13 +81,13 @@ SUBJECT_RUNS = (
     ("jsonscan-off1", 40),
 )
 
+#: Every key: each subject under both modes, plus the federation
+#: acceptance matrix's tiny subject.
 CASES: List[GoldenCase] = [
     GoldenCase(name, mode, n_runs)
     for name, n_runs in SUBJECT_RUNS
     for mode in ("full", "uniform")
 ] + [GoldenCase("tiny", "full", 120)]
-
-CASES_BY_KEY: Dict[str, GoldenCase] = {case.key: case for case in CASES}
 
 
 def stats_digest(stats) -> str:
@@ -122,13 +117,13 @@ def shard_digests(store) -> List[str]:
     return [file_sha256(path) for path in store.shard_paths()]
 
 
-def analyze_digest(directory: str, *options: str) -> str:
-    """SHA-256 of ``repro-cbi analyze DIRECTORY [OPTIONS]`` stdout."""
+def analyze_digest(directory: str) -> str:
+    """SHA-256 of ``repro-cbi analyze DIRECTORY`` stdout."""
     from repro.cli import main
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["analyze", str(directory), *options]) == 0
+        assert main(["analyze", str(directory)]) == 0
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 

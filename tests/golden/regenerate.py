@@ -25,6 +25,7 @@ from typing import Dict
 
 from tests.golden import (
     CASES,
+    CHUNK,
     GOLDEN_PATH,
     GoldenCase,
     analyze_digest,
@@ -44,7 +45,7 @@ def case_digests(case: GoldenCase, workdir: str) -> Dict[str, object]:
 
     subject = case.build_subject()
     program = subject.build_program()
-    reports, _ = run_trials(subject, program, case.n_runs, case.plan(), seed=case.seed)
+    reports, _ = run_trials(subject, program, case.n_runs, case.plan())
     serial = {
         "table_sha": program.table.signature(),
         "stats": stats_digest(SufficientStats.from_reports(reports)),
@@ -56,9 +57,8 @@ def case_digests(case: GoldenCase, workdir: str) -> Dict[str, object]:
         case.n_runs,
         case.plan(),
         os.path.join(workdir, case.key.replace("/", "_")),
-        seed=case.seed,
         jobs=2,
-        chunk_size=case.chunk,
+        chunk_size=CHUNK,
     )
     stats = store.sufficient_stats()
     sharded = {

@@ -25,7 +25,6 @@ import pytest
 from repro.core.engine import AnalysisEngine
 from repro.core.scores import compute_scores
 from repro.harness.parallel import run_trials_sharded
-from repro.instrument.sampling import SamplingPlan
 from repro.instrument.tracer import instrument_source
 from repro.serve import CollectionService, FeedbackServer, ReportSpool
 from repro.serve.client import drain_spool, run_and_spool
@@ -35,10 +34,6 @@ from repro.store.faults import FaultInjector, parse_faults
 from tests.golden import CHUNK, SUBJECT_RUNS, GoldenCase, assert_golden_store
 
 from .conftest import make_service
-
-# SUBJECT_RUNS: (cli name, runs) per subject, the golden budgets -- the
-# five paper subjects plus one factory-made, multi-module subject (the
-# networked path must be bit-identical for manufactured subjects too).
 
 BATCH_RUNS = CHUNK  # server shard size == local chunk_size, so layouts match
 
@@ -69,11 +64,11 @@ def _subject(name):
     return SUBJECTS[name]()
 
 
-def _local_store(directory, subject, n_runs, plan=None):
+def _local_store(directory, subject, n_runs, plan):
     run_trials_sharded(
         subject,
         n_runs,
-        plan or SamplingPlan.full(),
+        plan,
         str(directory),
         seed=0,
         jobs=2,
@@ -166,7 +161,7 @@ def test_bit_identical_under_network_faults(
     slow first POST that forces a client timeout + duplicate-acked
     retry.  None of it may change a bit of the result."""
     n_runs = 60
-    local = _local_store(tmp_path / "local", ccrypt_subject, n_runs)
+    local = _local_store(tmp_path / "local", ccrypt_subject, n_runs, full_plan)
 
     store, service = make_service(
         tmp_path / "served", ccrypt_subject, ccrypt_program, full_plan,
@@ -211,7 +206,7 @@ def test_bit_identical_across_server_restart(
     store directory, finish the upload: WAL replay makes the final
     population identical to an uninterrupted local collection."""
     n_runs = 60
-    local = _local_store(tmp_path / "local", ccrypt_subject, n_runs)
+    local = _local_store(tmp_path / "local", ccrypt_subject, n_runs, full_plan)
 
     spool = ReportSpool(str(tmp_path / "spool"))
     run_and_spool(ccrypt_subject, ccrypt_program, full_plan, spool, n_runs)
