@@ -40,6 +40,12 @@ CHUNK = 20
 UNIFORM_RATE = 0.5
 
 
+def per_site_rates(n_sites: int) -> List[float]:
+    """Rates of the golden per-site plan: seven distinct rates in
+    (0.05, 0.95), cycling over the sites."""
+    return [0.05 + 0.9 * (i % 7) / 7 for i in range(n_sites)]
+
+
 @dataclasses.dataclass(frozen=True)
 class GoldenCase:
     """One pinned population: trials of seeds ``0 .. n_runs``, stored in
@@ -58,6 +64,9 @@ class GoldenCase:
 
         if self.mode == "full":
             return SamplingPlan.full()
+        if self.mode == "per-site":
+            n_sites = self.build_subject().build_program().table.n_sites
+            return SamplingPlan.per_site(per_site_rates(n_sites))
         return SamplingPlan.uniform(UNIFORM_RATE)
 
     def build_subject(self):
@@ -81,13 +90,14 @@ SUBJECT_RUNS = (
     ("jsonscan-off1", 40),
 )
 
-#: Every key: each subject under both modes, plus the federation
+#: Every key: each subject under both modes, moss under a per-site plan
+#: (the mode adaptive sampling runs through), plus the federation
 #: acceptance matrix's tiny subject.
 CASES: List[GoldenCase] = [
     GoldenCase(name, mode, n_runs)
     for name, n_runs in SUBJECT_RUNS
     for mode in ("full", "uniform")
-] + [GoldenCase("tiny", "full", 120)]
+] + [GoldenCase("moss", "per-site", 45), GoldenCase("tiny", "full", 120)]
 
 
 def stats_digest(stats) -> str:
