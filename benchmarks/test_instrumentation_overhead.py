@@ -85,58 +85,79 @@ def test_sampling_overhead_ordering(benchmark):
     )
 
 
-def test_fast_sampler_noop_floor_not_regressed(benchmark):
-    """The inlined fast path may not cost more than the legacy sampler.
+#: Ceiling on the no-op floor in units of a bare identity call.  Before
+#: the method-dispatch sampler was retired, 12 interleaved measurements
+#: on a 2-vCPU Linux VM (Python 3.11) put it at a median 5.11x a bare
+#: call (4.94-5.43x), and the inlined countdown at 4.47x (4.20-4.70x):
+#: installing the sampler touched the instance ``__dict__``, which
+#: slows every attribute load in the helpers.  Without that, the
+#: inlined countdown measures 1.9-2.3x.  The gate this replaces was
+#: "inlined < 1.25 x dispatch", about 6.4x a bare call; this one is
+#: tighter, and catches a return of the materialised ``__dict__``.
+NOOP_FLOOR_MAX_RATIO = 3.5
 
-    The raw-speed pass inlined the "not sampled" countdown decrement
-    into every observation helper precisely to lower the per-opportunity
-    floor that dominates sparse deployments.  This gate holds that
-    floor: at a near-zero rate, where essentially every call takes the
-    no-op branch, the fast path must stay within a generous noise
-    margin of the legacy dispatch sampler it replaced (it is typically
-    measurably *under* it; `BENCH_collection.json`'s `sampler_overhead`
-    scenario records the trajectory).
+
+class _BareHelper:
+    """The reference cost: a method with ``Runtime.branch``'s signature
+    that only returns its value."""
+
+    def branch(self, site, value):
+        return value
+
+
+def test_fast_sampler_noop_floor_not_regressed(benchmark):
+    """The "not sampled" branch stays within a fixed multiple of a call.
+
+    The runtime inlines the countdown decrement into every observation
+    helper precisely to lower the per-opportunity floor that dominates
+    sparse deployments.  This gate holds that floor: at a near-zero
+    rate, where essentially every call takes the no-op branch,
+    ``Runtime.branch`` may cost at most :data:`NOOP_FLOOR_MAX_RATIO`
+    times a bare identity method with the same signature.  The two
+    loops are timed interleaved in one process, best of five each, so
+    host load moves both alike (`BENCH_collection.json`'s
+    `sampler_overhead` scenario records the absolute trajectory).
     """
     from repro.core.predicates import PredicateTable, Scheme
     from repro.instrument.runtime import Runtime
 
     n_obs = 100_000
+    table = PredicateTable()
+    site = table.add_site(Scheme.BRANCHES, "bench", 1, "x")
+    runtime = Runtime(table)
+    runtime.begin_run(SamplingPlan.uniform(1e-6), seed=0)
+    index = site.index
 
-    def floor_ns(sampler: str) -> float:
-        table = PredicateTable()
-        site = table.add_site(Scheme.BRANCHES, "bench", 1, "x")
-        runtime = Runtime(table, sampler=sampler)
-        runtime.begin_run(SamplingPlan.uniform(1e-6), seed=0)
-        branch = runtime.branch
-        index = site.index
-
+    def loop_of(branch):
         def loop():
             for _ in range(n_obs):
                 branch(index, True)
+        return loop
 
-        best = min(_timed(loop) for _ in range(3))
-        runtime.end_run()
-        return best / n_obs * 1e9
+    loops = {"runtime": loop_of(runtime.branch), "bare": loop_of(_BareHelper().branch)}
+    best = {name: float("inf") for name in loops}
+    for _ in range(5):
+        for name, loop in loops.items():
+            best[name] = min(best[name], _timed(loop))
+    runtime.end_run()
+    fast_ns = best["runtime"] / n_obs * 1e9
+    bare_ns = best["bare"] / n_obs * 1e9
+    ratio = fast_ns / bare_ns
 
-    fast_ns = floor_ns("fast")
-    legacy_ns = floor_ns("legacy")
+    benchmark.pedantic(loops["runtime"], rounds=1, iterations=1)
 
-    benchmark.pedantic(lambda: floor_ns("fast"), rounds=1, iterations=1)
-
-    # Generous margin: the gate only catches a real regression (the fast
-    # path growing a per-call allocation or an extra dispatch), not
-    # scheduler jitter on a loaded CI host.
-    assert fast_ns < legacy_ns * 1.25, (
-        f"fast no-op floor {fast_ns:.0f} ns/obs vs legacy {legacy_ns:.0f} ns/obs"
+    assert ratio < NOOP_FLOOR_MAX_RATIO, (
+        f"no-op floor {fast_ns:.0f} ns/obs is {ratio:.2f}x a bare call "
+        f"({bare_ns:.0f} ns/obs); the gate allows {NOOP_FLOOR_MAX_RATIO}x"
     )
 
     write_result(
         "sampler_noop_floor.txt",
         (
-            f"{n_obs} observations at uniform rate 1e-6\n"
-            f"fast sampler:   {fast_ns:8.1f} ns/obs\n"
-            f"legacy sampler: {legacy_ns:8.1f} ns/obs\n"
-            f"speedup:        {legacy_ns / fast_ns:8.2f}x"
+            f"{n_obs} observations at uniform rate 1e-6, best of 5 interleaved\n"
+            f"Runtime.branch:  {fast_ns:8.1f} ns/obs\n"
+            f"bare call:       {bare_ns:8.1f} ns/obs\n"
+            f"ratio:           {ratio:8.2f}x (gate: < {NOOP_FLOOR_MAX_RATIO}x)"
         ),
     )
 

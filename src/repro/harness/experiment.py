@@ -16,6 +16,8 @@ artefact, so benchmarks can regenerate any table from one run.
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -54,14 +56,17 @@ class Experiment:
         max_predictors: Optional cap on the elimination output length.
         instrumentation: Scheme configuration for the transformer.
         jobs: Worker processes for trial collection (1 = in-process
-            serial; >1 uses :mod:`repro.harness.parallel`, which is
-            bit-identical to serial for the same seed).
+            serial).  Above 1, trials are collected as shards by
+            :func:`repro.harness.parallel.run_trials_sharded` -- into a
+            temporary store unless ``shard_dir`` is set -- and the merged
+            population, bit-identical to serial collection for the same
+            seed, feeds the analysis.
         shard_dir: When set, trials are collected as on-disk shards
             written directly by the workers
             (:func:`repro.harness.parallel.run_trials_sharded`), then the
-            merged population -- bit-identical to the other collection
-            modes -- feeds the analysis.  The shard store remains on disk
-            for later ``repro-cbi analyze`` sessions.
+            merged population -- bit-identical to serial collection --
+            feeds the analysis.  The shard store remains on disk for
+            later ``repro-cbi analyze`` sessions.
     """
 
     subject: Subject
@@ -167,32 +172,27 @@ def run_experiment(config: Experiment) -> ExperimentResult:
             seed=config.seed,
             refit_runs=config.training_runs,
         )
-    elif config.shard_dir is not None:
+    elif config.jobs > 1 or config.shard_dir is not None:
         from repro.harness.parallel import run_trials_sharded
 
-        store = run_trials_sharded(
-            config.subject,
-            config.n_runs,
-            plan,
-            config.shard_dir,
-            seed=config.seed,
-            jobs=config.jobs,
-            config=config.instrumentation,
+        store_dir = (
+            contextlib.nullcontext(config.shard_dir)
+            if config.shard_dir is not None
+            else tempfile.TemporaryDirectory(prefix="repro-shards-")
         )
-        reports, truth = store.load_merged()
+        with store_dir as directory:
+            store = run_trials_sharded(
+                config.subject,
+                config.n_runs,
+                plan,
+                directory,
+                seed=config.seed,
+                jobs=config.jobs,
+                config=config.instrumentation,
+            )
+            reports, truth = store.load_merged()
         if truth is None:  # pragma: no cover - shards always carry truth here
             truth = GroundTruth(bug_ids=list(config.subject.bug_ids))
-    elif config.jobs > 1:
-        from repro.harness.parallel import run_trials_parallel
-
-        reports, truth = run_trials_parallel(
-            config.subject,
-            config.n_runs,
-            plan,
-            seed=config.seed,
-            jobs=config.jobs,
-            config=config.instrumentation,
-        )
     else:
         reports, truth = run_trials(
             config.subject, program, config.n_runs, plan, seed=config.seed

@@ -2,26 +2,19 @@
 
 Trials are independent by construction (each derives its input and
 sampler state from ``seed + i``), so populations can be collected on all
-cores.  Each worker process instruments its own copy of the subject --
-the transform is deterministic, so site and predicate indices agree
-across processes.
+cores.  :func:`run_trials_sharded` is the one parallel collector: each
+worker writes its chunk *directly to disk* as a shard archive
+(:mod:`repro.store`), and only shard membership records (a filename and
+two counts per chunk) return to the parent.  Parent memory is therefore
+independent of ``n_runs``, which is the collection story for
+populations far larger than one process can hold.  Merging the shards
+in seed order (``ShardStore.load_merged``) reproduces the serial
+:func:`repro.harness.runner.run_trials` population bit for bit; callers
+that want the population in memory collect into a temporary store and
+merge it (:func:`repro.harness.experiment.run_experiment` with
+``jobs > 1``).
 
-Two collection modes are provided:
-
-* :func:`run_trials_parallel` streams plain-tuple run records back
-  through the parent, which merges them in seed order into one in-memory
-  :class:`~repro.core.reports.ReportSet` -- bit-identical to the serial
-  :func:`repro.harness.runner.run_trials` for the same arguments, which
-  ``tests/harness/test_parallel.py`` asserts.
-* :func:`run_trials_sharded` has each worker write its chunk *directly
-  to disk* as a shard archive (:mod:`repro.store`); only shard
-  membership records (a filename and two counts per chunk) return to the
-  parent.  This removes the parent-merge bottleneck and bounds parent
-  memory independently of ``n_runs``, which is the collection story for
-  populations far larger than one process can hold.  Merging the shards
-  in seed order reproduces the streamed population exactly.
-
-The sharded collector is additionally *supervised*: each chunk runs in
+The collector is *supervised*: each chunk runs in
 its own forked worker process whose death (SIGKILL, crash) or hang
 (per-chunk timeout) the parent detects and repairs by re-running the
 chunk's seed range with exponential backoff.  Because every trial
@@ -45,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.reports import ReportBuilder, ReportSet
+from repro.core.reports import ReportBuilder
 from repro.core.truth import GroundTruth
 from repro.harness.runner import run_one_trial
 from repro.instrument.sampling import SamplingPlan
@@ -61,108 +54,35 @@ from repro.obs import (
 )
 from repro.subjects.base import Subject
 
-#: Per-process cache of the instrumented program.
+#: The instrumented program, handed to forked chunk workers.
 _WORKER: Dict[str, object] = {}
 
-#: One run's serialised record:
-#: (seed, failed, site_obs, pred_true, stack, bugs)
-_RunRecord = Tuple[int, bool, Dict[int, int], Dict[int, int], Optional[Tuple[str, ...]], List[str]]
 
+def _run_chunk_to_shard(
+    start: int, count: int, plan: SamplingPlan, shard_path: str
+) -> Tuple[int, int]:
+    """Worker task: run one chunk and persist it as a shard archive.
 
-def _init_worker(subject: Subject, config: Optional[InstrumentationConfig]) -> None:
-    program = subject.build_program(config=config)
-    _WORKER["subject"] = subject
-    _WORKER["program"] = program
+    Returns ``(n_runs, num_failing)`` -- the only data crossing back to
+    the parent.
+    """
+    from repro.core.io import save_reports
 
-
-def _run_chunk(args: Tuple[int, int, SamplingPlan]) -> List[_RunRecord]:
-    start, count, plan = args
     subject: Subject = _WORKER["subject"]  # type: ignore[assignment]
     program = _WORKER["program"]
     entry = program.func(subject.entry)  # type: ignore[attr-defined]
 
-    records: List[_RunRecord] = []
-    for i in range(start, start + count):
-        failed, site_obs, pred_true, stack, bugs = run_one_trial(
-            subject, program, entry, plan, i  # type: ignore[arg-type]
-        )
-        records.append((i, failed, site_obs, pred_true, stack, bugs))
-    return records
-
-
-def run_trials_parallel(
-    subject: Subject,
-    n_runs: int,
-    plan: SamplingPlan,
-    seed: int = 0,
-    jobs: int = 2,
-    config: Optional[InstrumentationConfig] = None,
-    chunk_size: int = 200,
-) -> Tuple[ReportSet, GroundTruth]:
-    """Collect a report population using ``jobs`` worker processes.
-
-    Args:
-        subject: The subject program.
-        n_runs: Total trials.
-        plan: Sampling plan (shared by every trial).
-        seed: Base seed; trial ``i`` uses ``seed + i``, exactly like the
-            serial runner.
-        jobs: Worker process count.
-        config: Instrumentation configuration (must match whatever the
-            analysis side instruments with).
-        chunk_size: Trials per task; larger amortises IPC.
-
-    Returns:
-        ``(reports, truth)``, run-aligned and ordered by trial index.
-    """
-    # The parent instruments too, for the predicate table.
-    program = subject.build_program(config=config)
-    builder = ReportBuilder(program.table)
-    truth = GroundTruth(bug_ids=list(subject.bug_ids))
-
-    chunks = [
-        (seed + start, min(chunk_size, n_runs - start), plan)
-        for start in range(0, n_runs, chunk_size)
-    ]
-
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(
-        processes=max(jobs, 1),
-        initializer=_init_worker,
-        initargs=(subject, config),
-    ) as pool:
-        for records in pool.imap(_run_chunk, chunks):
-            for run_seed, failed, site_obs, pred_true, stack, bugs in records:
-                builder.add_run(failed, site_obs, pred_true, stack=stack, seed=run_seed)
-                truth.add_run(bugs)
-
-    return builder.build(), truth
-
-
-def _run_chunk_to_shard(
-    args: Tuple[int, int, SamplingPlan, str]
-) -> Tuple[str, int, int, int]:
-    """Worker task: run one chunk and persist it as a shard archive.
-
-    Returns ``(filename, n_runs, num_failing, seed_start)`` -- the only
-    data crossing back to the parent.
-    """
-    from repro.core.io import save_reports
-
-    start, count, plan, shard_path = args
-    subject: Subject = _WORKER["subject"]  # type: ignore[assignment]
-    program = _WORKER["program"]
-
     builder = ReportBuilder(program.table)  # type: ignore[attr-defined]
     truth = GroundTruth(bug_ids=list(subject.bug_ids))
-    for run_seed, failed, site_obs, pred_true, stack, bugs in _run_chunk(
-        (start, count, plan)
-    ):
+    for run_seed in range(start, start + count):
+        failed, site_obs, pred_true, stack, bugs = run_one_trial(
+            subject, program, entry, plan, run_seed  # type: ignore[arg-type]
+        )
         builder.add_run(failed, site_obs, pred_true, stack=stack, seed=run_seed)
         truth.add_run(bugs)
     reports = builder.build()
     save_reports(shard_path, reports, truth)
-    return os.path.basename(shard_path), reports.n_runs, reports.num_failing, start
+    return reports.n_runs, reports.num_failing
 
 
 #: How long a hang-worker fault sleeps; effectively forever next to any
@@ -250,9 +170,7 @@ def _chunk_worker(
         seed_start=start,
         count=count,
     ):
-        _, n_runs, num_failing, _ = _run_chunk_to_shard(
-            (start, count, plan, pending_path)
-        )
+        n_runs, num_failing = _run_chunk_to_shard(start, count, plan, pending_path)
         digest = file_sha256(pending_path)
     apply_worker_damage(injector, chunk_index, attempt, pending_path)
     result_queue.put(
@@ -277,8 +195,8 @@ def run_trials_sharded(
 ):
     """Collect a population as on-disk shards written directly by workers.
 
-    Unlike :func:`run_trials_parallel`, no run record ever crosses back
-    to the parent: each worker builds its chunk's
+    No run record ever crosses back to the parent: each worker builds its
+    chunk's
     :class:`~repro.core.reports.ReportSet` locally and writes it as a
     shard archive into ``store_dir``.  The parent only instruments once
     (for the predicate table in the manifest) and commits shard

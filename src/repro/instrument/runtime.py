@@ -19,8 +19,8 @@ One :class:`Runtime` is shared across all runs of an instrumented program;
 :meth:`Runtime.begin_run` resets the counters and installs the sampling
 plan for the next execution.
 
-The hot-path layout (the fast sampler)
---------------------------------------
+The hot-path layout
+-------------------
 
 Every one of a deployment's millions of trials pays the helpers' cost at
 every observation opportunity, so the common "not sampled" case is kept
@@ -28,10 +28,13 @@ as cheap as pure Python allows:
 
 * the countdown is **inlined** into each helper -- a skipped opportunity
   costs one attribute load, an integer decrement and a store, with no
-  ``self._take(site)`` method call (no frame push) on the way;
+  method call (no frame push) on the way;
 * the sampler's identity is an explicit :attr:`mode` attribute (mirrored
-  by the integer ``_mode_id`` the helpers branch on), not a bound-method
-  comparison;
+  by the integer ``_mode_id`` the helpers branch on);
+* nothing reads or writes the instance ``__dict__`` directly: on CPython
+  3.11+ that materialises the dict and roughly doubles the cost of every
+  attribute load in the helpers (the no-op floor gate in
+  ``benchmarks/test_instrumentation_overhead.py`` catches it);
 * uniform-mode countdown refills are **batched**: geometric gaps are
   pre-drawn :data:`GAP_BATCH` at a time with the ``log(1-rate)``
   denominator computed once per run, amortising the ``math`` calls and
@@ -41,12 +44,10 @@ as cheap as pure Python allows:
   bit-identical to the unbatched sampler; the pending gaps travel inside
   :meth:`sampler_state` snapshots so resumability is unaffected.
 
-The pre-fast-path implementation survives as the **legacy sampler**
-(``Runtime(table, sampler="legacy")`` or :meth:`select_sampler`): helpers
-that dispatch through ``self._take`` and refill one gap at a time.  It
-exists so the differential suite can pin, on real subjects, that the fast
-path changes only the clock, never a counter
-(``tests/core/test_differential_pr6.py``).
+The countdown each helper inlines is checked against a geometric gap
+stream drawn in the test itself (``tests/instrument/
+test_sampling_properties.py``); the golden digests (``tests/golden``)
+pin its output on real subjects under full, uniform and per-site plans.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ UNBOUND = object()
 
 _NUMERIC = (int, float)
 
-#: Uniform-mode gap draws per batched refill (fast sampler).  One draw
+#: Uniform-mode gap draws per batched refill.  One draw
 #: consumes exactly one RNG variate whatever the batch size, so the
 #: decision stream is invariant under this constant.
 GAP_BATCH = 64
@@ -78,22 +79,10 @@ _INF = float("inf")
 _NINF = float("-inf")
 
 #: Integer mode ids the hot helpers branch on (cheaper than string
-#: comparison, and immune to bound-method identity games).
+#: comparison).
 _MODE_FULL, _MODE_UNIFORM, _MODE_PER_SITE = 0, 1, 2
 
 _MODE_IDS = {"full": _MODE_FULL, "uniform": _MODE_UNIFORM, "per-site": _MODE_PER_SITE}
-
-
-def _is_scalar(value) -> bool:
-    """True for the scalar values the paper's C schemes observe.
-
-    ``bool`` is excluded explicitly: ``isinstance(True, int)`` holds in
-    Python, but the C ``returns``/``scalar-pairs`` schemes only cover
-    scalar-returning call sites, and Python truth values would otherwise
-    flood those schemes with observations that have no C analogue
-    (branch outcomes are already covered by the ``branches`` scheme).
-    """
-    return isinstance(value, _NUMERIC) and not isinstance(value, bool)
 
 
 class Runtime:
@@ -109,48 +98,22 @@ class Runtime:
     #: Exposed so instrumented code can reference ``_cbi.UNBOUND``.
     UNBOUND = UNBOUND
 
-    def __init__(self, table: PredicateTable, sampler: str = "fast") -> None:
+    def __init__(self, table: PredicateTable) -> None:
         self.table = table
         self._base: List[int] = []
         self._site_obs: List[int] = []
         self._true: List[int] = []
         self.mode = "full"
         self._mode_id = _MODE_FULL
-        self._take = self._take_full
         self._rate = 1.0
         self._gap = 1
         self._log_q = 0.0
         self._pending: List[int] = []
-        self._gap_batch = GAP_BATCH
         self._gaps: List[int] = []
         self._rates: List[float] = []
         self._rng = random.Random(0)
         self._rng_random = self._rng.random
-        self.select_sampler(sampler)
         self.refresh()
-
-    def select_sampler(self, sampler: str) -> None:
-        """Choose the helper implementations: ``"fast"`` or ``"legacy"``.
-
-        The decision streams are identical (the differential suite pins
-        it); only the per-opportunity cost differs.  Instrumented code
-        looks the helpers up on the instance, so the legacy path is
-        installed by shadowing the class methods with the ``_legacy_*``
-        bound methods, and the fast path by removing the shadows.
-        """
-        if sampler == "fast":
-            self._gap_batch = GAP_BATCH
-            for name in ("branch", "ret", "pairs", "float_kind", "enter", "custom"):
-                self.__dict__.pop(name, None)
-        elif sampler == "legacy":
-            # Legacy refills draw one gap at a time: the RNG state at any
-            # instant matches the original implementation exactly.
-            self._gap_batch = 1
-            for name in ("branch", "ret", "pairs", "float_kind", "enter", "custom"):
-                self.__dict__[name] = getattr(self, f"_legacy_{name}")
-        else:
-            raise ValueError(f"unknown sampler implementation {sampler!r}")
-        self.sampler = sampler
 
     def refresh(self) -> None:
         """Re-derive per-site predicate base indices after registration.
@@ -181,13 +144,10 @@ class Runtime:
 
         if _obs_enabled():
             _obs_inc(f"runtime.begin_run.{plan.mode}")
-        if plan.mode == "full":
-            self._take = self._take_full
-        elif plan.mode == "uniform":
+        if plan.mode == "uniform":
             self._rate = plan.rate
             self._log_q = math.log(1.0 - plan.rate) if plan.rate < 1.0 else 0.0
             self._gap = geometric_gap(plan.rate, self._rng_random())
-            self._take = self._take_uniform
         elif plan.mode == "per-site":
             if plan.site_rates is None or len(plan.site_rates) < n_sites:
                 raise ValueError("per-site plan lacks rates for every site")
@@ -195,8 +155,7 @@ class Runtime:
             self._gaps = [
                 geometric_gap(r, self._rng_random()) for r in self._rates
             ]
-            self._take = self._take_persite
-        else:
+        elif plan.mode != "full":
             raise ValueError(f"unknown sampling mode {plan.mode!r}")
         self.mode = plan.mode
         self._mode_id = _MODE_IDS[plan.mode]
@@ -233,14 +192,11 @@ class Runtime:
         countdown state survives an arbitrary split point, the in-process
         analogue of a shard boundary.
 
-        The snapshot carries the explicit :attr:`mode` attribute (under
-        both ``"mode"`` and the pre-fast-path key ``"kind"``) and the
+        The snapshot carries the explicit :attr:`mode` attribute and the
         batched sampler's undealt pre-drawn gaps (``"pending"``, in
-        consumption order), so snapshots splice across fast and legacy
-        runtimes in either direction.
+        consumption order).
         """
         return {
-            "kind": self.mode,
             "mode": self.mode,
             "rate": self._rate,
             "gap": self._gap,
@@ -256,12 +212,14 @@ class Runtime:
         Only the sampling side (countdowns and RNG) is restored; the
         observation counters are left alone, so a caller can both resume
         a run and splice decision streams across runtime instances.
-        Snapshots written before the fast-path sampler (no ``"mode"`` or
-        ``"pending"`` keys) restore too.
+
+        Raises:
+            ValueError: The snapshot has no ``"mode"`` key or names an
+                unknown mode.
         """
-        kind = state.get("kind", state.get("mode"))
-        if kind not in _MODE_IDS:
-            raise ValueError(f"unknown sampler kind {kind!r} in snapshot")
+        mode = state.get("mode")
+        if mode not in _MODE_IDS:
+            raise ValueError(f"unknown sampler mode {mode!r} in snapshot")
         self._rate = float(state["rate"])  # type: ignore[arg-type]
         self._gap = int(state["gap"])  # type: ignore[arg-type]
         self._rates = [float(r) for r in state["rates"]]  # type: ignore[union-attr]
@@ -271,60 +229,29 @@ class Runtime:
         self._rng = random.Random()
         self._rng.setstate(state["rng"])  # type: ignore[arg-type]
         self._rng_random = self._rng.random
-        self.mode = kind  # type: ignore[assignment]
-        self._mode_id = _MODE_IDS[kind]
-        if kind == "full":
-            self._take = self._take_full
-        elif kind == "uniform":
-            self._take = self._take_uniform
-        else:
-            self._take = self._take_persite
-
-    # ------------------------------------------------------------------
-    # Samplers (bound to self._take per run).  These are the dispatching
-    # reference implementations; the fast helpers inline the same
-    # countdown over the same state, so mixing calls is always safe.
-    # ------------------------------------------------------------------
-    def _take_full(self, site: int) -> bool:
-        return True
-
-    def _take_uniform(self, site: int) -> bool:
-        g = self._gap - 1
-        if g > 0:
-            self._gap = g
-            return False
-        self._gap = self._next_gap()
-        return True
-
-    def _take_persite(self, site: int) -> bool:
-        gaps = self._gaps
-        g = gaps[site] - 1
-        if g > 0:
-            gaps[site] = g
-            return False
-        gaps[site] = geometric_gap(self._rates[site], self._rng_random())
-        return True
+        self.mode = mode  # type: ignore[assignment]
+        self._mode_id = _MODE_IDS[mode]  # type: ignore[index]
 
     def _next_gap(self) -> int:
         """Deal the next uniform-mode gap, refilling the batch when dry.
 
         Gaps are consumed in draw order (the batch is stored reversed so
         ``pop()`` is O(1)), and every gap costs exactly one RNG variate,
-        so the decision stream is independent of ``_gap_batch``.
+        so the decision stream is independent of :data:`GAP_BATCH`.
         """
         pending = self._pending
         if not pending:
             rnd = self._rng_random
             rate = self._rate
             if rate >= 1.0:
-                pending[:] = [geometric_gap(rate, rnd()) for _ in range(self._gap_batch)]
+                pending[:] = [geometric_gap(rate, rnd()) for _ in range(GAP_BATCH)]
             else:
                 log_q = self._log_q
                 floor = math.floor
                 log = math.log
                 pending[:] = [
                     int(floor(log(max(rnd(), 1e-300)) / log_q)) + 1
-                    for _ in range(self._gap_batch)
+                    for _ in range(GAP_BATCH)
                 ]
             pending.reverse()
         return pending.pop()
@@ -521,91 +448,3 @@ class Runtime:
         for offset, flag in enumerate(flags):
             if flag:
                 t[base + offset] += 1
-
-    # ------------------------------------------------------------------
-    # Legacy helpers: the pre-fast-path implementations, dispatching
-    # through ``self._take`` per opportunity.  Installed by
-    # ``select_sampler("legacy")``; the differential suite pins that they
-    # and the fast path produce identical counters run for run.
-    # ------------------------------------------------------------------
-    def _legacy_branch(self, site: int, value):
-        if self._take(site):
-            self._site_obs[site] += 1
-            b = self._base[site]
-            if value:
-                self._true[b] += 1
-            else:
-                self._true[b + 1] += 1
-        return value
-
-    def _legacy_ret(self, site: int, value):
-        if _is_scalar(value) and self._take(site):
-            self._site_obs[site] += 1
-            b = self._base[site]
-            t = self._true
-            if value < 0:
-                t[b] += 1
-                t[b + 4] += 1
-                t[b + 5] += 1
-            elif value == 0:
-                t[b + 1] += 1
-                t[b + 3] += 1
-                t[b + 5] += 1
-            else:
-                t[b + 2] += 1
-                t[b + 3] += 1
-                t[b + 4] += 1
-        return value
-
-    def _legacy_pairs(self, sites: Sequence[int], x, ys: Sequence) -> None:
-        if not _is_scalar(x):
-            return
-        take = self._take
-        t = self._true
-        for site, y in zip(sites, ys):
-            if _is_scalar(y) and take(site):
-                self._site_obs[site] += 1
-                b = self._base[site]
-                if x < y:
-                    t[b] += 1
-                    t[b + 4] += 1
-                    t[b + 5] += 1
-                elif x == y:
-                    t[b + 1] += 1
-                    t[b + 3] += 1
-                    t[b + 5] += 1
-                else:
-                    t[b + 2] += 1
-                    t[b + 3] += 1
-                    t[b + 4] += 1
-
-    def _legacy_float_kind(self, site: int, value) -> None:
-        if type(value) is float and self._take(site):
-            self._site_obs[site] += 1
-            b = self._base[site]
-            t = self._true
-            if value != value:
-                t[b + 3] += 1
-            elif value == _INF or value == _NINF:
-                t[b + 4] += 1
-            elif value == 0.0:
-                t[b + 1] += 1
-            elif -_TINY < value < _TINY:
-                t[b + 5] += 1
-            elif value < 0.0:
-                t[b] += 1
-            else:
-                t[b + 2] += 1
-
-    def _legacy_enter(self, site: int) -> None:
-        if self._take(site):
-            self._site_obs[site] += 1
-            self._true[self._base[site]] += 1
-
-    def _legacy_custom(self, site: int, flags: Sequence[bool]) -> None:
-        if self._take(site):
-            self._site_obs[site] += 1
-            base = self._base[site]
-            for offset, flag in enumerate(flags):
-                if flag:
-                    self._true[base + offset] += 1

@@ -6,8 +6,8 @@ documents at the repo root (or ``--out-dir``):
 * ``BENCH_collection.json`` -- collection-side scenarios: instrumented
   trial throughput (runs/sec) for every registered subject, the raw
   per-observation sampler cost at a near-zero rate (``sampler_overhead``:
-  the fast path's no-op floor vs the legacy dispatch sampler, in ns per
-  observation), the supervised sharded collector's end-to-end throughput
+  the no-op floor of the inlined countdown, in ns per observation), the
+  supervised sharded collector's end-to-end throughput
   including its disk commits, and the networked ingestion path's
   reports/sec and MB/s through ``POST /reports`` at upload batch sizes
   1/32/256 (``serve_ingest``), plus the subject factory's whole-package
@@ -125,34 +125,28 @@ def run_collection_scenarios(quick: bool, scale: float = 1.0) -> List[dict]:
 
     # Raw per-observation sampler cost at a near-zero sampling rate: the
     # "not sampled" case is the one paid millions of times per deployed
-    # run, so this measures the no-op floor of the fast path (inlined
-    # countdown decrement) against the legacy method-dispatch sampler.
+    # run, so this measures the no-op floor of the inlined countdown
+    # decrement.
     from repro.core.predicates import PredicateTable, Scheme
     from repro.instrument.runtime import Runtime
 
     n_obs = _scaled(20_000 if quick else 200_000, scale)
-    walls: Dict[str, float] = {}
-    for sampler in ("fast", "legacy"):
-        table = PredicateTable()
-        site = table.add_site(Scheme.BRANCHES, "bench", 1, "x")
-        runtime = Runtime(table, sampler=sampler)
-        runtime.begin_run(SamplingPlan.uniform(1e-6), seed=0)
-        branch = runtime.branch
-        index = site.index
-        start = time.perf_counter()
-        for _ in range(n_obs):
-            branch(index, True)
-        walls[sampler] = time.perf_counter() - start
-        runtime.end_run()
+    table = PredicateTable()
+    site = table.add_site(Scheme.BRANCHES, "bench", 1, "x")
+    runtime = Runtime(table)
+    runtime.begin_run(SamplingPlan.uniform(1e-6), seed=0)
+    branch = runtime.branch
+    index = site.index
+    start = time.perf_counter()
+    for _ in range(n_obs):
+        branch(index, True)
+    wall = time.perf_counter() - start
+    runtime.end_run()
     scenarios.append(
         _scenario(
             "sampler_overhead",
             {"observations": n_obs, "sampling": "uniform", "rate": 1e-6},
-            {
-                "fast_ns_per_obs": walls["fast"] / n_obs * 1e9,
-                "legacy_ns_per_obs": walls["legacy"] / n_obs * 1e9,
-                "speedup": walls["legacy"] / max(walls["fast"], 1e-12),
-            },
+            {"fast_ns_per_obs": wall / n_obs * 1e9},
         )
     )
 

@@ -130,9 +130,11 @@ def store_factory(tmp_path):
 
 
 def _small_experiment(subject, n_runs, training_runs=60, **kwargs):
-    # Two collection workers: run_trials_parallel is bit-identical to the
-    # serial runner (tests/harness/test_parallel.py), and these session
-    # fixtures are the largest single cost of the default lane.
+    # Two collection workers: jobs > 1 collects with run_trials_sharded
+    # into a temporary store, whose merged shards are bit-identical to
+    # the serial runner (tests/harness/test_parallel.py, tests/golden),
+    # and these session fixtures are the largest single cost of the
+    # default lane.
     config = Experiment(
         subject=subject,
         n_runs=n_runs,

@@ -1,4 +1,5 @@
-"""Tests for the parallel trial runner and the direct-to-disk shard writers."""
+"""Tests for the supervised parallel collector and its direct-to-disk
+shard writers."""
 
 import os
 import tracemalloc
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.harness.parallel import run_trials_parallel, run_trials_sharded
+from repro.harness.parallel import run_trials_sharded
 from repro.harness.runner import collect_site_means, run_trials
 from repro.instrument.sampling import SamplingPlan
 from repro.instrument.tracer import instrument_source
@@ -33,100 +34,53 @@ def _assert_populations_identical(a_reports, a_truth, b_reports, b_truth):
         assert a_truth.occurrences == b_truth.occurrences
 
 
-class TestParallelRunner:
-    def test_bit_identical_to_serial(self):
-        subject = TinySubject()
-        plan = SamplingPlan.uniform(0.3)
-
-        program = instrument_source(subject.source(), subject.name)
-        serial_reports, serial_truth = run_trials(
-            subject, program, 300, plan, seed=5
-        )
-        par_reports, par_truth = run_trials_parallel(
-            subject, 300, plan, seed=5, jobs=3, chunk_size=40
-        )
-
-        _assert_populations_identical(
-            par_reports, par_truth, serial_reports, serial_truth
-        )
-
-    def test_bit_identical_under_per_site_plan(self):
-        """The serial/parallel identity must hold for adaptive (per-site)
-        sampling too, where every site keeps its own countdown."""
-        subject = TinySubject()
-        program = instrument_source(subject.source(), subject.name)
-        plan = _adaptive_plan(subject, program)
-        assert plan.mode == "per-site"
-
-        serial_reports, serial_truth = run_trials(
-            subject, program, 240, plan, seed=11
-        )
-        par_reports, par_truth = run_trials_parallel(
-            subject, 240, plan, seed=11, jobs=3, chunk_size=50
-        )
-        _assert_populations_identical(
-            par_reports, par_truth, serial_reports, serial_truth
-        )
-
-    def test_crash_stacks_preserved_across_processes(self):
-        """Crash-stack-bearing failing runs keep their signatures when
-        records cross the process boundary."""
-        subject = TinySubject()
-        program = instrument_source(subject.source(), subject.name)
-        serial_reports, _ = run_trials(
-            subject, program, 150, SamplingPlan.full(), seed=2
-        )
-        par_reports, _ = run_trials_parallel(
-            subject, 150, SamplingPlan.full(), seed=2, jobs=2, chunk_size=30
-        )
-        assert par_reports.num_failing > 0
-        assert par_reports.stacks == serial_reports.stacks
-        for i in range(par_reports.n_runs):
-            if par_reports.failed[i]:
-                assert par_reports.stacks[i][-1] == "ValueError"
-
-    def test_single_job_works(self):
-        subject = TinySubject()
-        reports, truth = run_trials_parallel(
-            subject, 50, SamplingPlan.full(), seed=0, jobs=1, chunk_size=10
-        )
-        assert reports.n_runs == 50 == truth.n_runs
-        assert reports.num_failing > 0
-
-    def test_chunk_boundaries_preserve_order(self):
-        subject = TinySubject()
-        reports, _ = run_trials_parallel(
-            subject, 25, SamplingPlan.full(), seed=100, jobs=2, chunk_size=4
-        )
-        assert [m["seed"] for m in reports.metas] == list(range(100, 125))
-
-
 class TestShardedCollection:
-    @pytest.mark.parametrize("plan_kind", ["uniform", "per-site"])
-    def test_merged_shards_bit_identical_to_serial(self, tmp_path, plan_kind):
+    @pytest.mark.parametrize(
+        "plan_kind, seed, n_runs, chunk_size",
+        [
+            ("uniform", 7, 200, 30),
+            ("per-site", 7, 200, 30),
+            # Many small chunks: seed order and crash stacks survive the
+            # chunk and process boundaries.
+            ("full", 100, 25, 4),
+        ],
+        ids=["uniform", "per-site", "full-chunk-4"],
+    )
+    def test_merged_shards_bit_identical_to_serial(
+        self, tmp_path, plan_kind, seed, n_runs, chunk_size
+    ):
         subject = TinySubject()
         program = instrument_source(subject.source(), subject.name)
         if plan_kind == "uniform":
             plan = SamplingPlan.uniform(0.3)
+        elif plan_kind == "full":
+            plan = SamplingPlan.full()
         else:
             plan = _adaptive_plan(subject, program)
 
         serial_reports, serial_truth = run_trials(
-            subject, program, 200, plan, seed=7
+            subject, program, n_runs, plan, seed=seed
         )
         store = run_trials_sharded(
             subject,
-            200,
+            n_runs,
             plan,
             str(tmp_path / "store"),
-            seed=7,
+            seed=seed,
             jobs=3,
-            chunk_size=30,
+            chunk_size=chunk_size,
         )
         merged_reports, merged_truth = store.load_merged()
         _assert_populations_identical(
             merged_reports, merged_truth, serial_reports, serial_truth
         )
+        assert [m["seed"] for m in merged_reports.metas] == list(
+            range(seed, seed + n_runs)
+        )
+        assert merged_reports.num_failing > 0
+        for stack, failed in zip(merged_reports.stacks, merged_reports.failed):
+            if failed:
+                assert stack[-1] == "ValueError"
 
     def test_incremental_store_scores_equal_monolithic(self, tmp_path):
         """The acceptance property: streaming shard statistics produce

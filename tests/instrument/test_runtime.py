@@ -225,8 +225,7 @@ class TestCustomScheme:
         assert site_obs[site.index] == 1
         assert set(pred_true) == {0, 2}
 
-    @pytest.mark.parametrize("sampler", ["fast", "legacy"])
-    def test_predicate_less_custom_site(self, sampler):
+    def test_predicate_less_custom_site(self):
         """Regression: ``Runtime.custom`` used to call
         ``table.predicate_indices_at(site)[0]`` per observation, which
         raised IndexError on a custom site registered with no predicates
@@ -234,7 +233,7 @@ class TestCustomScheme:
         ``_base`` table like every other helper."""
         table = PredicateTable()
         site = table.add_custom_site("f", 1, "empty family", [])
-        rt = Runtime(table, sampler=sampler)
+        rt = Runtime(table)
         rt.begin_run(SamplingPlan.full(), seed=0)
         rt.custom(site.index, [])  # must not raise
         site_obs, pred_true = rt.end_run()

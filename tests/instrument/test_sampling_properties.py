@@ -5,13 +5,20 @@ Two families of properties:
 * the geometric-countdown sampler is *distributionally equivalent* to
   per-opportunity Bernoulli coin flips (the paper's "each potential
   sample is taken or skipped randomly and independently"), and the
-  countdown implementation inside :class:`Runtime` is *exactly*
-  equivalent to drawing geometric gaps from the same RNG stream;
+  countdown inlined into every observation helper the transform emits
+  (``branch``, ``ret``, ``pairs``, ``float_kind``, ``enter``,
+  ``custom``) is *exactly* equivalent to drawing geometric gaps from the
+  same RNG stream.  The oracle is written here and shares no code with
+  :class:`Runtime`: it draws the gaps by inverse CDF from
+  ``random.Random(seed)`` itself;
 * sampler state round-trips through
   :meth:`Runtime.sampler_state`/:meth:`restore_sampler_state`, so the
   take/skip decision stream survives an arbitrary split point -- the
   in-process analogue of a shard boundary, and the determinism contract
   the fault-tolerant collector's retries lean on.
+
+Every decision is read off the public helpers: an opportunity counts as
+taken when it raised the site's observation counter.
 
 All statistical assertions use a deterministic RNG derived from
 hypothesis-chosen seeds plus generous (many-sigma) bounds, so the suite
@@ -27,10 +34,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.instrument.runtime import Runtime  # noqa: E402
+from repro.core.predicates import PredicateTable, Scheme  # noqa: E402
+from repro.instrument.runtime import UNBOUND, Runtime  # noqa: E402
 from repro.instrument.sampling import SamplingPlan, geometric_gap  # noqa: E402
-
-from tests.helpers import make_table  # noqa: E402
 
 pytestmark = pytest.mark.property
 
@@ -41,9 +47,80 @@ _SETTINGS = dict(derandomize=True, deadline=None)
 _rates = st.floats(min_value=0.02, max_value=1.0, allow_nan=False)
 _seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
+#: Each observation helper: the scheme of the sites it records at, and
+#: a call that offers site ``s`` exactly one sampling opportunity.
+HELPERS = {
+    "branch": (Scheme.BRANCHES, lambda rt, s: rt.branch(s, True)),
+    "ret": (Scheme.RETURNS, lambda rt, s: rt.ret(s, 3)),
+    "pairs": (Scheme.SCALAR_PAIRS, lambda rt, s: rt.pairs((s,), 1, (2,))),
+    "float_kind": (Scheme.FLOAT_KINDS, lambda rt, s: rt.float_kind(s, 0.5)),
+    "enter": (Scheme.FUNCTION_ENTRIES, lambda rt, s: rt.enter(s)),
+    "custom": (Scheme.CUSTOM, lambda rt, s: rt.custom(s, [True])),
+}
+
+_helpers = st.sampled_from(sorted(HELPERS))
+
 
 def _mean(xs):
     return sum(xs) / len(xs)
+
+
+def _runtime(helper, n_sites=1):
+    """A runtime over ``n_sites`` sites of ``helper``'s scheme."""
+    scheme = HELPERS[helper][0]
+    table = PredicateTable()
+    for i in range(n_sites):
+        table.add_site(scheme, "f", i + 1, f"s{i}")
+    return Runtime(table)
+
+
+def taken(runtime, helper, site=0):
+    """Offer ``site`` one opportunity through ``helper``; report whether
+    it was sampled (the site's observation counter went up)."""
+    before = runtime._site_obs[site]
+    HELPERS[helper][1](runtime, site)
+    return runtime._site_obs[site] > before
+
+
+def _oracle_gap(rate, u):
+    """Geometric(rate) gap on {1, 2, ...} by inverse CDF."""
+    if rate >= 1.0:
+        return 1
+    return int(math.floor(math.log(max(u, 1e-300)) / math.log(1.0 - rate))) + 1
+
+
+def _uniform_oracle(rate, seed, n):
+    """The take/skip stream of one countdown over gaps drawn from
+    ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    gap = _oracle_gap(rate, rng.random())
+    stream = []
+    for _ in range(n):
+        gap -= 1
+        stream.append(gap <= 0)
+        if gap <= 0:
+            gap = _oracle_gap(rate, rng.random())
+    return stream
+
+
+def _per_site_oracle(rates, seed, visits):
+    """The take/skip stream of one independent countdown per site: the
+    initial gaps are drawn in site order, refills in visit order."""
+    rng = random.Random(seed)
+    gaps = [_oracle_gap(r, rng.random()) for r in rates]
+    stream = []
+    for s in visits:
+        gaps[s] -= 1
+        stream.append(gaps[s] <= 0)
+        if gaps[s] <= 0:
+            gaps[s] = _oracle_gap(rates[s], rng.random())
+    return stream
+
+
+def _visits(seed, n_sites, n):
+    """An interleaved visit order over ``n_sites`` sites."""
+    site_rng = random.Random(seed ^ 0x5EED)
+    return [site_rng.randrange(n_sites) for _ in range(n)]
 
 
 class TestGeometricEquivalence:
@@ -94,28 +171,82 @@ class TestGeometricEquivalence:
     def test_rate_one_always_samples(self, u):
         assert geometric_gap(1.0, u) == 1
 
+    @pytest.mark.parametrize("helper", sorted(HELPERS))
     @settings(max_examples=25, **_SETTINGS)
     @given(rate=_rates, seed=_seeds, n=st.integers(min_value=1, max_value=400))
-    def test_runtime_countdown_equals_gap_stream(self, rate, seed, n):
-        """The uniform-mode countdown in Runtime produces exactly the
-        take/skip stream implied by drawing geometric gaps from the same
+    def test_runtime_countdown_equals_gap_stream(self, helper, rate, seed, n):
+        """Each helper's inlined uniform-mode countdown takes exactly the
+        opportunities implied by drawing geometric gaps from the same
         RNG -- the countdown is an implementation of the gap draw, not an
         approximation of it."""
-        runtime = Runtime(make_table(1))
+        runtime = _runtime(helper)
         runtime.begin_run(SamplingPlan.uniform(rate), seed=seed)
-        stream = [runtime._take(0) for _ in range(n)]
+        stream = [taken(runtime, helper) for _ in range(n)]
+        assert stream == _uniform_oracle(rate, seed, n)
 
-        rng = random.Random(seed)
-        expected = []
-        gap = geometric_gap(rate, rng.random())
-        for _ in range(n):
-            gap -= 1
-            if gap > 0:
-                expected.append(False)
-            else:
-                expected.append(True)
-                gap = geometric_gap(rate, rng.random())
-        assert stream == expected
+    @pytest.mark.parametrize("helper", sorted(HELPERS))
+    @settings(max_examples=20, **_SETTINGS)
+    @given(
+        seed=_seeds,
+        n=st.integers(min_value=1, max_value=300),
+        rates=st.lists(_rates, min_size=2, max_size=4),
+    )
+    def test_per_site_countdown_equals_gap_stream(self, helper, seed, n, rates):
+        """Under a per-site plan every site runs its own countdown over
+        the shared RNG; interleaved visits take exactly the oracle's
+        opportunities."""
+        visits = _visits(seed, len(rates), n)
+        runtime = _runtime(helper, len(rates))
+        runtime.begin_run(SamplingPlan.per_site(rates), seed=seed)
+        stream = [taken(runtime, helper, s) for s in visits]
+        assert stream == _per_site_oracle(rates, seed, visits)
+
+
+class TestTickRule:
+    """Which calls consume a countdown tick.  Today only an opportunity
+    the helper can observe does: a non-scalar ``ret``/``pairs`` operand
+    (``bool`` included) and a non-float ``float_kind`` value leave the
+    sampler untouched, as if the call never happened."""
+
+    _NO_TICK = [
+        ("ret", lambda rt, s: rt.ret(s, True)),
+        ("ret", lambda rt, s: rt.ret(s, None)),
+        ("ret", lambda rt, s: rt.ret(s, "3")),
+        ("pairs", lambda rt, s: rt.pairs((s,), True, (2,))),
+        ("pairs", lambda rt, s: rt.pairs((s,), 1, (False,))),
+        ("pairs", lambda rt, s: rt.pairs((s,), 1, (UNBOUND,))),
+        ("pairs", lambda rt, s: rt.pairs((s,), [1], (2,))),
+        ("float_kind", lambda rt, s: rt.float_kind(s, 1)),
+        ("float_kind", lambda rt, s: rt.float_kind(s, True)),
+        ("float_kind", lambda rt, s: rt.float_kind(s, None)),
+    ]
+
+    @settings(max_examples=15, **_SETTINGS)
+    @given(
+        mode=st.sampled_from(["uniform", "per-site"]),
+        rate=_rates,
+        seed=_seeds,
+        n=st.integers(min_value=1, max_value=200),
+    )
+    def test_unobservable_operands_consume_no_tick(self, mode, rate, seed, n):
+        plan = (
+            SamplingPlan.uniform(rate)
+            if mode == "uniform"
+            else SamplingPlan.per_site([rate, 0.5])
+        )
+        for helper, skip in self._NO_TICK:
+            runtime = _runtime(helper, 2)
+            runtime.begin_run(plan, seed=seed)
+            stream = []
+            for s in _visits(seed, 2, n):
+                state = runtime.sampler_state()
+                skip(runtime, s)
+                assert runtime.sampler_state() == state, helper
+                stream.append(taken(runtime, helper, s))
+            reference = _runtime(helper, 2)
+            reference.begin_run(plan, seed=seed)
+            expected = [taken(reference, helper, s) for s in _visits(seed, 2, n)]
+            assert stream == expected, helper
 
 
 class TestSamplerStateRoundTrip:
@@ -125,76 +256,72 @@ class TestSamplerStateRoundTrip:
 
     @settings(max_examples=25, **_SETTINGS)
     @given(
+        helper=_helpers,
         rate=_rates,
         seed=_seeds,
         n=st.integers(min_value=2, max_value=300),
         data=st.data(),
     )
-    def test_uniform_stream_survives_split(self, rate, seed, n, data):
+    def test_uniform_stream_survives_split(self, helper, rate, seed, n, data):
         split = data.draw(st.integers(min_value=0, max_value=n))
-        reference = Runtime(make_table(1))
-        reference.begin_run(SamplingPlan.uniform(rate), seed=seed)
-        whole = [reference._take(0) for _ in range(n)]
+        whole = _uniform_oracle(rate, seed, n)
 
-        first = Runtime(make_table(1))
+        first = _runtime(helper)
         first.begin_run(SamplingPlan.uniform(rate), seed=seed)
-        head = [first._take(0) for _ in range(split)]
+        head = [taken(first, helper) for _ in range(split)]
         snapshot = first.sampler_state()
 
-        second = Runtime(make_table(1))
+        second = _runtime(helper)
         second.begin_run(SamplingPlan.uniform(rate), seed=seed + 12345)
         second.restore_sampler_state(snapshot)
-        tail = [second._take(0) for _ in range(n - split)]
+        tail = [taken(second, helper) for _ in range(n - split)]
         assert head + tail == whole
 
     @settings(max_examples=20, **_SETTINGS)
     @given(
+        helper=_helpers,
         seed=_seeds,
         n=st.integers(min_value=2, max_value=200),
         rates=st.lists(_rates, min_size=2, max_size=4),
         data=st.data(),
     )
-    def test_per_site_stream_survives_split(self, seed, n, rates, data):
+    def test_per_site_stream_survives_split(self, helper, seed, n, rates, data):
         split = data.draw(st.integers(min_value=0, max_value=n))
         n_sites = len(rates)
         plan = SamplingPlan.per_site(rates)
-        # The visit order exercises interleaved per-site countdowns.
-        site_rng = random.Random(seed ^ 0x5EED)
-        visits = [site_rng.randrange(n_sites) for _ in range(n)]
+        visits = _visits(seed, n_sites, n)
+        whole = _per_site_oracle(rates, seed, visits)
 
-        reference = Runtime(make_table(n_sites))
-        reference.begin_run(plan, seed=seed)
-        whole = [reference._take(s) for s in visits]
-
-        first = Runtime(make_table(n_sites))
+        first = _runtime(helper, n_sites)
         first.begin_run(plan, seed=seed)
-        head = [first._take(s) for s in visits[:split]]
+        head = [taken(first, helper, s) for s in visits[:split]]
         snapshot = first.sampler_state()
 
-        second = Runtime(make_table(n_sites))
+        second = _runtime(helper, n_sites)
         second.begin_run(plan, seed=seed + 999)
         second.restore_sampler_state(snapshot)
-        tail = [second._take(s) for s in visits[split:]]
+        tail = [taken(second, helper, s) for s in visits[split:]]
         assert head + tail == whole
 
+    @pytest.mark.parametrize("helper", sorted(HELPERS))
     @settings(max_examples=10, **_SETTINGS)
     @given(seed=_seeds)
-    def test_full_mode_round_trips(self, seed):
-        runtime = Runtime(make_table(1))
+    def test_full_mode_round_trips(self, helper, seed):
+        runtime = _runtime(helper)
         runtime.begin_run(SamplingPlan.full(), seed=seed)
         snapshot = runtime.sampler_state()
-        assert snapshot["kind"] == "full"
-        other = Runtime(make_table(1))
+        assert snapshot["mode"] == "full"
+        other = _runtime(helper)
         other.begin_run(SamplingPlan.uniform(0.5), seed=seed)
         other.restore_sampler_state(snapshot)
-        assert all(other._take(0) for _ in range(50))
+        assert all(taken(other, helper) for _ in range(50))
 
     @settings(max_examples=15, **_SETTINGS)
     @given(rate=_rates, seed=_seeds)
     def test_snapshot_does_not_disturb_counters(self, rate, seed):
         """Snapshotting and restoring is observation-neutral: only the
         sampling side moves, never the counters."""
-        runtime = Runtime(make_table(1))
+        runtime = _runtime("branch")
         runtime.begin_run(SamplingPlan.uniform(rate), seed=seed)
         for _ in range(20):
             runtime.branch(0, True)
@@ -203,20 +330,23 @@ class TestSamplerStateRoundTrip:
         assert runtime.end_run() == before
 
     def test_unknown_snapshot_kind_rejected(self):
-        runtime = Runtime(make_table(1))
+        """A snapshot must name a known sampler ``mode``."""
+        runtime = _runtime("branch")
         runtime.begin_run(SamplingPlan.full(), seed=0)
         snapshot = runtime.sampler_state()
-        snapshot["kind"] = "quantum"
-        with pytest.raises(ValueError, match="unknown sampler kind"):
+        snapshot["mode"] = "quantum"
+        with pytest.raises(ValueError, match="unknown sampler mode 'quantum'"):
+            runtime.restore_sampler_state(snapshot)
+        del snapshot["mode"]
+        with pytest.raises(ValueError, match="unknown sampler mode None"):
             runtime.restore_sampler_state(snapshot)
 
 
 class TestExplicitModeRoundTrip:
     """The runtime's explicit ``mode`` attribute round-trips through
-    ``sampler_state`` / ``restore_sampler_state`` -- the snapshot carries
-    it under both the legacy ``kind`` key and the new ``mode`` key, and
-    restoring reproduces the attribute (and the integer dispatch id
-    behind the fast path) exactly."""
+    ``sampler_state`` / ``restore_sampler_state``: restoring reproduces
+    the attribute (and the integer dispatch id behind the helpers)
+    exactly."""
 
     def _begin(self, runtime, mode, rate, seed):
         if mode == "full":
@@ -232,18 +362,17 @@ class TestExplicitModeRoundTrip:
         rate=_rates,
         seed=_seeds,
         warmup=st.integers(min_value=0, max_value=80),
-        sampler=st.sampled_from(["fast", "legacy"]),
     )
-    def test_mode_round_trips(self, mode, rate, seed, warmup, sampler):
-        runtime = Runtime(make_table(2), sampler=sampler)
+    def test_mode_round_trips(self, mode, rate, seed, warmup):
+        runtime = _runtime("branch", 2)
         self._begin(runtime, mode, rate, seed)
         for _ in range(warmup):
-            runtime._take(0)
+            taken(runtime, "branch")
         assert runtime.mode == mode
         snapshot = runtime.sampler_state()
-        assert snapshot["mode"] == mode == snapshot["kind"]
+        assert snapshot["mode"] == mode
 
-        other = Runtime(make_table(2), sampler=sampler)
+        other = _runtime("branch", 2)
         # Start the receiver in a *different* mode: the snapshot wins.
         self._begin(other, "uniform" if mode != "uniform" else "full", 0.5, seed + 7)
         other.restore_sampler_state(snapshot)
@@ -252,50 +381,30 @@ class TestExplicitModeRoundTrip:
 
     @settings(max_examples=25, **_SETTINGS)
     @given(
+        helper=_helpers,
         rate=_rates,
         seed=_seeds,
         warmup=st.integers(min_value=0, max_value=120),
         n=st.integers(min_value=1, max_value=200),
     )
-    def test_pending_gap_batch_survives_round_trip(self, rate, seed, warmup, n):
-        """The fast path pre-draws a batch of countdown gaps; a snapshot
-        taken mid-batch must hand the unconsumed gaps (in consumption
-        order) to the restored instance, keeping the decision stream
-        bit-identical to the uninterrupted one."""
-        reference = Runtime(make_table(1))
-        reference.begin_run(SamplingPlan.uniform(rate), seed=seed)
-        whole = [reference._take(0) for _ in range(warmup + n)]
+    def test_pending_gap_batch_survives_round_trip(self, helper, rate, seed, warmup, n):
+        """Uniform-mode refills pre-draw a batch of countdown gaps; a
+        snapshot taken mid-batch must hand the unconsumed gaps (in
+        consumption order) to the restored instance, keeping the decision
+        stream bit-identical to the uninterrupted one."""
+        whole = _uniform_oracle(rate, seed, warmup + n)
 
-        first = Runtime(make_table(1))
+        first = _runtime(helper)
         first.begin_run(SamplingPlan.uniform(rate), seed=seed)
-        head = [first._take(0) for _ in range(warmup)]
+        head = [taken(first, helper) for _ in range(warmup)]
         snapshot = first.sampler_state()
         assert snapshot["pending"] == first.sampler_state()["pending"]
 
-        second = Runtime(make_table(1))
+        second = _runtime(helper)
         second.begin_run(SamplingPlan.uniform(0.9), seed=seed + 1)
         second.restore_sampler_state(snapshot)
-        tail = [second._take(0) for _ in range(n)]
+        tail = [taken(second, helper) for _ in range(n)]
         assert head + tail == whole
-
-    @settings(max_examples=15, **_SETTINGS)
-    @given(seed=_seeds, rate=_rates, warmup=st.integers(min_value=0, max_value=60))
-    def test_legacy_snapshot_without_mode_key_restores(self, seed, rate, warmup):
-        """Snapshots written before the explicit ``mode`` attribute carry
-        only ``kind``; they must keep restoring byte-for-byte."""
-        donor = Runtime(make_table(1))
-        donor.begin_run(SamplingPlan.uniform(rate), seed=seed)
-        for _ in range(warmup):
-            donor._take(0)
-        snapshot = donor.sampler_state()
-        del snapshot["mode"]
-        expected = [donor._take(0) for _ in range(100)]
-
-        receiver = Runtime(make_table(1))
-        receiver.begin_run(SamplingPlan.full(), seed=seed)
-        receiver.restore_sampler_state(snapshot)
-        assert receiver.mode == "uniform"
-        assert [receiver._take(0) for _ in range(100)] == expected
 
 
 class TestSufficientStatsPartitionAlgebra:
