@@ -196,9 +196,8 @@ def run_trials_sharded(
     """Collect a population as on-disk shards written directly by workers.
 
     No run record ever crosses back to the parent: each worker builds its
-    chunk's
-    :class:`~repro.core.reports.ReportSet` locally and writes it as a
-    shard archive into ``store_dir``.  The parent only instruments once
+    chunk's :class:`~repro.core.reports.ReportSet` locally and writes it
+    as a shard archive into ``store_dir``.  The parent only instruments once
     (for the predicate table in the manifest) and commits shard
     membership, so its memory use is independent of ``n_runs``.
 

@@ -40,12 +40,6 @@ CHUNK = 20
 UNIFORM_RATE = 0.5
 
 
-def per_site_rates(n_sites: int) -> List[float]:
-    """Rates of the golden per-site plan: seven distinct rates in
-    (0.05, 0.95), cycling over the sites."""
-    return [0.05 + 0.9 * (i % 7) / 7 for i in range(n_sites)]
-
-
 @dataclasses.dataclass(frozen=True)
 class GoldenCase:
     """One pinned population: trials of seeds ``0 .. n_runs``, stored in
@@ -65,8 +59,11 @@ class GoldenCase:
         if self.mode == "full":
             return SamplingPlan.full()
         if self.mode == "per-site":
+            # Seven rates from 0.05 to ~0.82, cycling over the sites.
             n_sites = self.build_subject().build_program().table.n_sites
-            return SamplingPlan.per_site(per_site_rates(n_sites))
+            return SamplingPlan.per_site(
+                [0.05 + 0.9 * (i % 7) / 7 for i in range(n_sites)]
+            )
         return SamplingPlan.uniform(UNIFORM_RATE)
 
     def build_subject(self):
