@@ -302,9 +302,8 @@ class TestSamplerStateRoundTrip:
         tail = [taken(second, helper, s) for s in visits[split:]]
         assert head + tail == whole
 
-    @pytest.mark.parametrize("helper", sorted(HELPERS))
-    @settings(max_examples=10, **_SETTINGS)
-    @given(seed=_seeds)
+    @settings(max_examples=20, **_SETTINGS)
+    @given(helper=_helpers, seed=_seeds)
     def test_full_mode_round_trips(self, helper, seed):
         runtime = _runtime(helper)
         runtime.begin_run(SamplingPlan.full(), seed=seed)
