@@ -11,6 +11,7 @@ Shape claims reproduced from the paper:
 """
 
 from repro.core.pruning import prune_predicates
+from repro.core.scores import compute_scores
 from repro.harness.tables import format_summary_table
 
 from benchmarks.conftest import write_result
@@ -22,7 +23,7 @@ def test_table2_summary(benchmark, all_benches):
     # Benchmark the pruning pass on the largest population.
     moss = all_benches["moss"]
     benchmark.pedantic(
-        lambda: prune_predicates(moss.reports), rounds=3, iterations=1
+        lambda: prune_predicates(compute_scores(moss.reports)), rounds=3, iterations=1
     )
 
     for summary in summaries:

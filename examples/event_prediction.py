@@ -22,6 +22,7 @@ import numpy as np
 from repro.core.elimination import eliminate
 from repro.core.pruning import prune_predicates
 from repro.core.reports import ReportSet
+from repro.core.scores import compute_scores
 from repro.harness.runner import run_trials
 from repro.harness.tables import format_predictor_table
 from repro.instrument.sampling import SamplingPlan
@@ -77,7 +78,7 @@ def main(n_runs: int = 2000) -> None:
     print(f"{reports.n_runs} clean runs, event occurred in "
           f"{reports.num_failing} of them")
 
-    pruning = prune_predicates(reports)
+    pruning = prune_predicates(compute_scores(reports))
     result = eliminate(reports, candidates=pruning.kept, max_predictors=6)
     print("\nearly predictors of the event:")
     print(format_predictor_table(result))

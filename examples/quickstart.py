@@ -9,7 +9,7 @@ Run with:  python examples/quickstart.py
 import os
 import random
 
-from repro import ReportBuilder, eliminate, prune_predicates
+from repro import ReportBuilder, compute_scores, eliminate, prune_predicates
 from repro.core.truth import GroundTruth
 from repro.harness.runner import run_trials
 from repro.harness.tables import format_predictor_table
@@ -64,7 +64,7 @@ def main() -> None:
     print(f"collected {reports.n_runs} runs, {reports.num_failing} failing")
 
     # 3. Prune predicates whose Increase interval is not above zero.
-    pruning = prune_predicates(reports)
+    pruning = prune_predicates(compute_scores(reports))
     print(f"pruning: {pruning.n_initial} -> {pruning.n_kept} predicates "
           f"({pruning.reduction:.1%} discarded)")
 

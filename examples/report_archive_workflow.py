@@ -17,7 +17,7 @@ import os
 import sys
 import tempfile
 
-from repro import eliminate, load_reports, prune_predicates, save_reports
+from repro import compute_scores, eliminate, load_reports, prune_predicates, save_reports
 from repro.core.affinity import affinity_groups
 from repro.core.truth import dominant_bug
 from repro.harness.parallel import run_trials_sharded
@@ -49,7 +49,7 @@ def main(n_runs: int = 1500) -> None:
 
         print("\nanalysis site: loading the archive...")
         loaded, loaded_truth = load_reports(archive)
-        pruning = prune_predicates(loaded)
+        pruning = prune_predicates(compute_scores(loaded))
         result = eliminate(loaded, candidates=pruning.kept, max_predictors=6)
         print(f"pruning: {pruning.n_initial} -> {pruning.n_kept}; "
               f"selected {len(result)} predictors")

@@ -23,12 +23,12 @@ debugging system:
 
 from repro.core.predicates import Predicate, PredicateKind, PredicateTable, Scheme, Site
 from repro.core.reports import FeedbackReport, ReportBuilder, ReportSet
-from repro.core.scores import PredicateScores, compute_scores
+from repro.core.scores import PredicateScores, SufficientStats, compute_scores
 from repro.core.importance import importance_scores
 from repro.core.pruning import prune_predicates
 from repro.core.elimination import DiscardStrategy, EliminationResult, SelectedPredictor, eliminate
 from repro.core.affinity import affinity_groups, affinity_list
-from repro.core.ranking import RankingStrategy, rank_predicates
+from repro.core.ranking import rank
 from repro.core.runs_needed import runs_needed
 from repro.core.io import load_reports, save_reports
 from repro.core.online import OnlineMonitor, monitor_from_elimination
@@ -46,6 +46,7 @@ __all__ = [
     "ReportBuilder",
     "ReportSet",
     "PredicateScores",
+    "SufficientStats",
     "compute_scores",
     "importance_scores",
     "prune_predicates",
@@ -55,8 +56,7 @@ __all__ = [
     "eliminate",
     "affinity_list",
     "affinity_groups",
-    "RankingStrategy",
-    "rank_predicates",
+    "rank",
     "runs_needed",
     "save_reports",
     "load_reports",

@@ -209,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--stats-only", action="store_true",
-        help="shard stores only: rank by streaming sufficient statistics "
-        "without materialising the population (skips elimination)",
+        help="rank the pruning survivors by --measure from the sufficient "
+        "statistics alone (skips elimination; a shard store is never "
+        "materialised)",
     )
     analyze.add_argument(
         "--no-audit", action="store_true",
@@ -1035,7 +1036,6 @@ def _bakeoff(args) -> int:
 def _analyze_store(args) -> int:
     """Analyse a shard store: streaming pruning, then (optionally) elimination."""
     from repro.core.engine import AnalysisEngine
-    from repro.core.ranking import rank_by_measure
     from repro.store import ShardStore
 
     store = ShardStore.open(args.archive)
@@ -1085,38 +1085,49 @@ def _analyze_store(args) -> int:
         strategy=DiscardStrategy(args.strategy),
         max_predictors=args.top,
         stats_only=args.stats_only,
-        measure=getattr(args, "measure", measures.DEFAULT_MEASURE),
+        measure=args.measure,
     )
-    scores = analysis.scores
     pruning = analysis.pruning
     print(
         f"pruning kept {pruning.n_kept}/{pruning.n_initial} predicates "
         "(scored incrementally)"
     )
-
     if args.stats_only:
-        # Rank the pruning survivors under the selected registry measure
-        # (ties resolve in ascending predicate-index order).
-        ranking = rank_by_measure(
-            store.table(),
-            scores,
-            analysis.measure,
-            candidates=pruning.kept,
-            values=analysis.measure_values,
-            top=args.top,
-        )
-        label = analysis.measure.capitalize()
-        width = max(10, len(label))
-        print(f"{label:>{width}}  {'Increase':>8}  {'F':>6}  {'S':>6}  predicate")
-        for entry in ranking.entries:
-            i = entry.predicate.index
-            print(
-                f"{entry.sort_key:>{width}.3f}  {scores.increase[i]:>8.3f}  "
-                f"{int(scores.F[i]):>6}  {int(scores.S[i]):>6}  "
-                f"{entry.predicate.name}"
-            )
+        _print_stats_ranking(store.table(), analysis, args.top)
         return 0
+    print(f"elimination selected {len(analysis.elimination)}")
+    print(_predictor_table(analysis))
+    return 0
 
+
+def _print_stats_ranking(table, analysis, top) -> None:
+    """Print the pruning survivors ranked by the analysis's measure.
+
+    The ``--stats-only`` output of archives and stores alike; ties
+    resolve in ascending predicate-index order.
+    """
+    from repro.core.ranking import rank
+
+    scores = analysis.scores
+    label = analysis.measure.capitalize()
+    width = max(10, len(label))
+    print(f"{label:>{width}}  {'Increase':>8}  {'F':>6}  {'S':>6}  predicate")
+    for entry in rank(
+        table,
+        scores,
+        analysis.measure_values,
+        candidates=analysis.pruning.kept,
+        top=top,
+    ):
+        print(
+            f"{entry.sort_key:>{width}.3f}  {entry.row.increase:>8.3f}  "
+            f"{entry.row.F:>6}  {entry.row.S:>6}  {entry.predicate.name}"
+        )
+
+
+def _predictor_table(analysis) -> str:
+    """The elimination's predictor table, with per-bug co-occurrence
+    columns when the population carries ground truth."""
     reports, truth = analysis.reports, analysis.truth
     elimination = analysis.elimination
     co = None
@@ -1126,9 +1137,7 @@ def _analyze_store(args) -> int:
         co = cooccurrence_table(
             reports, truth, [s.predicate.index for s in elimination.selected]
         )
-    print(f"elimination selected {len(elimination)}")
-    print(format_predictor_table(elimination, co, bug_ids=bug_ids))
-    return 0
+    return format_predictor_table(elimination, co, bug_ids=bug_ids)
 
 
 def _analyze(args) -> int:
@@ -1148,22 +1157,19 @@ def _analyze(args) -> int:
         method=args.method,
         strategy=DiscardStrategy(args.strategy),
         max_predictors=args.top,
-        measure=getattr(args, "measure", measures.DEFAULT_MEASURE),
+        stats_only=args.stats_only,
+        measure=args.measure,
     )
     pruning = analysis.pruning
-    elimination = analysis.elimination
-    co = None
-    bug_ids = None
-    if truth is not None and truth.bug_ids:
-        bug_ids = list(truth.bug_ids)
-        co = cooccurrence_table(
-            reports, truth, [s.predicate.index for s in elimination.selected]
-        )
+    if args.stats_only:
+        print(f"pruning kept {pruning.n_kept}/{pruning.n_initial} predicates")
+        _print_stats_ranking(reports.table, analysis, args.top)
+        return 0
     print(
         f"pruning kept {pruning.n_kept}/{pruning.n_initial} predicates; "
-        f"elimination selected {len(elimination)}"
+        f"elimination selected {len(analysis.elimination)}"
     )
-    print(format_predictor_table(elimination, co, bug_ids=bug_ids))
+    print(_predictor_table(analysis))
     return 0
 
 

@@ -4,7 +4,7 @@ One pass, one path: stream a store's sufficient statistics shard by
 shard (:meth:`ShardStore.sufficient_stats
 <repro.store.shards.ShardStore.sufficient_stats>`), score them
 (:meth:`SufficientStats.to_scores
-<repro.store.incremental.SufficientStats.to_scores>`), compute the
+<repro.core.scores.SufficientStats.to_scores>`), compute the
 z-test p-values, prune (:func:`repro.core.pruning.prune_predicates`),
 apply the selected suspiciousness measure, and -- unless only the
 statistics are wanted -- run iterative elimination over the
@@ -37,19 +37,23 @@ from repro.core.elimination import DiscardStrategy, EliminationResult, eliminate
 from repro.core.measures import DEFAULT_MEASURE, get as get_measure
 from repro.core.pruning import PruningResult, prune_predicates
 from repro.core.reports import ReportSet
-from repro.core.scores import DEFAULT_CONFIDENCE, PredicateScores, z_test_pvalues
+from repro.core.scores import (
+    DEFAULT_CONFIDENCE,
+    PredicateScores,
+    SufficientStats,
+    z_test_pvalues,
+)
 from repro.core.truth import GroundTruth
 from repro.obs import span as _obs_span
-from repro.store.incremental import SufficientStats
 
 
 @dataclass
 class EngineScoring:
     """Scoring-stage output: full-table scores, p-values and pruning.
 
-    ``measure`` names the suspiciousness measure this pass scored under
-    (``"importance"`` unless a consumer asked otherwise) and
-    ``measure_values`` holds its per-predicate values.
+    ``measure`` is the registry name of the suspiciousness measure this
+    pass scored under (``"importance"`` unless a consumer asked
+    otherwise) and ``measure_values`` holds its per-predicate values.
     """
 
     scores: PredicateScores
@@ -145,29 +149,23 @@ class AnalysisEngine:
         self,
         stats: SufficientStats,
         method: str = "interval",
-        min_true_runs: int = 1,
         measure: str = DEFAULT_MEASURE,
     ) -> EngineScoring:
         """Score, prune and apply ``measure`` over the whole table.
 
         ``measure`` names a registered suspiciousness measure
-        (:mod:`repro.core.measures`); unknown names raise
+        (:mod:`repro.core.measures`, looked up case- and
+        whitespace-insensitively); unknown names raise
         :class:`~repro.core.measures.UnknownMeasureError` before any
         scoring.
         """
         scorer = get_measure(measure)
         scores = stats.to_scores(confidence=self.confidence)
-        pruning = prune_predicates(
-            scores=scores,
-            confidence=self.confidence,
-            min_true_runs=min_true_runs,
-            method=method,
-        )
         return EngineScoring(
             scores=scores,
             pvalues=z_test_pvalues(scores),
-            pruning=pruning,
-            measure=measure,
+            pruning=prune_predicates(scores, method=method),
+            measure=scorer.name,
             measure_values=scorer.values(scores),
         )
 
@@ -182,7 +180,6 @@ class AnalysisEngine:
         max_predictors: Optional[int] = None,
         min_importance: float = 0.0,
         stats_only: bool = False,
-        min_true_runs: int = 1,
         measure: str = DEFAULT_MEASURE,
     ) -> EngineAnalysis:
         """Analyse a shard store: stream, score, prune, (then eliminate).
@@ -199,9 +196,7 @@ class AnalysisEngine:
         """
         with _obs_span("engine.analyze", store=store.directory):
             stats = self.store_stats(store)
-            scoring = self.score_stats(
-                stats, method=method, min_true_runs=min_true_runs, measure=measure
-            )
+            scoring = self.score_stats(stats, method=method, measure=measure)
             reports = truth = elimination = None
             if not stats_only:
                 reports, truth = store.load_merged()
@@ -224,16 +219,13 @@ class AnalysisEngine:
         max_predictors: Optional[int] = None,
         min_importance: float = 0.0,
         stats_only: bool = False,
-        min_true_runs: int = 1,
         measure: str = DEFAULT_MEASURE,
     ) -> EngineAnalysis:
         """Analyse an in-memory population (a ``run --save`` archive)
         exactly as :meth:`analyze_store` analyses a store."""
         with _obs_span("engine.analyze", runs=reports.n_runs):
             stats = SufficientStats.from_reports(reports)
-            scoring = self.score_stats(
-                stats, method=method, min_true_runs=min_true_runs, measure=measure
-            )
+            scoring = self.score_stats(stats, method=method, measure=measure)
             elimination = None
             if not stats_only:
                 elimination = eliminate(

@@ -24,7 +24,6 @@ term is a deterministic function of the integer count ``F(P)``), giving
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -83,28 +82,14 @@ def harmonic_importance(increase: np.ndarray, sensitivity: np.ndarray) -> np.nda
     return h
 
 
-def importance_scores(
-    scores: PredicateScores,
-    num_failing: Optional[int] = None,
-    confidence: Optional[float] = None,
-) -> ImportanceScores:
+def importance_scores(scores: PredicateScores) -> ImportanceScores:
     """Compute ``Importance(P)`` for every predicate.
 
-    Args:
-        scores: Output of :func:`repro.core.scores.compute_scores`.
-        num_failing: ``NumF``; defaults to the population's failing count.
-        confidence: Confidence level for the delta-method interval;
-            defaults to the level used for the ``Increase`` interval.
-
-    Returns:
-        An :class:`ImportanceScores`.
+    ``NumF`` is the scored population's failing count, and the
+    delta-method interval uses the level of the ``Increase`` interval
+    (``scores.confidence``).
     """
-    if num_failing is None:
-        num_failing = scores.num_failing
-    if confidence is None:
-        confidence = scores.confidence
-
-    sens = log_sensitivity(scores.F, num_failing)
+    sens = log_sensitivity(scores.F, scores.num_failing)
     imp = harmonic_importance(scores.increase, sens)
 
     # Delta method: propagate Var(Increase) through the harmonic mean.
@@ -113,7 +98,7 @@ def importance_scores(
         denom = np.maximum(scores.increase + sens, 1e-300)
         grad = np.where(ok, 2.0 * sens * sens / (denom * denom), 0.0)
     se = grad * scores.increase_se
-    crit = _z_for_confidence(confidence)
+    crit = _z_for_confidence(scores.confidence)
     lo = np.clip(imp - crit * se, 0.0, 1.0)
     hi = np.clip(imp + crit * se, 0.0, 1.0)
     return ImportanceScores(importance=imp, sensitivity=sens, lo=lo, hi=hi, se=se)

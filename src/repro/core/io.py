@@ -259,18 +259,18 @@ def _write_reports(handle, reports: ReportSet, truth: Optional[GroundTruth]) -> 
     start of the data section).  Everything is deterministic given the
     report population, so shard checksums stay reproducible.
     """
-    from repro.core.scores import sufficient_counts
+    from repro.core.scores import SufficientStats
 
-    F, S, F_obs, S_obs, num_failing, num_successful = sufficient_counts(reports)
+    stats = SufficientStats.from_reports(reports)
     sites = reports.site_counts.tocsr()
     preds = reports.true_counts.tocsr()
     # Statistics columns first: a stats-only reader touches only the
     # file's leading pages.
     columns = [
-        ("stats_F", F),
-        ("stats_S", S),
-        ("stats_F_obs", F_obs),
-        ("stats_S_obs", S_obs),
+        ("stats_F", stats.F),
+        ("stats_S", stats.S),
+        ("stats_F_obs", stats.F_obs),
+        ("stats_S_obs", stats.S_obs),
         ("failed", reports.failed),
         ("sites_data", sites.data),
         ("sites_indices", sites.indices),
@@ -298,8 +298,8 @@ def _write_reports(handle, reports: ReportSet, truth: Optional[GroundTruth]) -> 
     header: Dict[str, object] = {
         "format_version": FORMAT_VERSION,
         "table_sha": reports.table.signature(),
-        "num_failing": int(num_failing),
-        "num_successful": int(num_successful),
+        "num_failing": stats.num_failing,
+        "num_successful": stats.num_successful,
         "sites_shape": [int(d) for d in sites.shape],
         "preds_shape": [int(d) for d in preds.shape],
         "table_json": _table_to_json(reports.table),

@@ -12,17 +12,10 @@ predicates supported by too few observations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from repro.core.reports import ReportSet
-from repro.core.scores import (
-    DEFAULT_CONFIDENCE,
-    PredicateScores,
-    compute_scores,
-    z_test_pvalues,
-)
+from repro.core.scores import PredicateScores, z_test_pvalues
 from repro.obs import enabled as _obs_enabled, gauge as _obs_gauge, timer as _obs_timer
 
 
@@ -63,46 +56,32 @@ class PruningResult:
         return 1.0 - self.n_kept / self.n_initial
 
 
-def prune_predicates(
-    reports: Optional[ReportSet] = None,
-    confidence: float = DEFAULT_CONFIDENCE,
-    scores: Optional[PredicateScores] = None,
-    min_true_runs: int = 1,
-    method: str = "interval",
-) -> PruningResult:
+def prune_predicates(scores: PredicateScores, method: str = "interval") -> PruningResult:
     """Keep predicates whose ``Increase`` is credibly positive.
 
     Two equivalent-in-spirit filters are provided:
 
     * ``"interval"`` (the paper's): keep ``P`` when the two-sided
-      ``confidence`` interval of ``Increase(P)`` lies strictly above 0;
+      ``scores.confidence`` interval of ``Increase(P)`` lies strictly above 0;
     * ``"ztest"`` (the Section 3.2 reading): keep ``P`` when the
       one-sided two-proportion test rejects ``H0: pf = ps`` in favour of
-      ``H1: pf > ps`` at level ``alpha = 1 - confidence``.
+      ``H1: pf > ps`` at level ``alpha = 1 - scores.confidence``.
 
     Section 3.2 shows ``Increase(P) > 0  <=>  pf(P) > ps(P)``, so the two
     filters agree on direction and differ only in how they weigh sample
     size.
 
+    The filter is a pure function of the scores, so shard stores prune
+    from streamed statistics without materialising any matrix.
+
     Args:
-        reports: The feedback-report population.  May be ``None`` when
-            ``scores`` is supplied -- the filter is a pure function of the
-            scores, which lets shard stores prune from incrementally
-            accumulated statistics without materialising any matrix.
-        confidence: Confidence level (paper: 0.95).
-        scores: Optional precomputed scores for the same population.
-        min_true_runs: Additionally require at least this many runs with
-            ``R(P) = 1`` (1 keeps the paper's behaviour; higher values are
-            an extension for extremely noisy data).
+        scores: Scores of the population (their ``confidence`` sets the
+            level; the paper's is 0.95).
         method: ``"interval"`` or ``"ztest"``.
 
     Returns:
         A :class:`PruningResult`.
     """
-    if scores is None:
-        if reports is None:
-            raise ValueError("prune_predicates needs reports or precomputed scores")
-        scores = compute_scores(reports, confidence=confidence)
     with _obs_timer("analysis.prune"):
         if method == "interval":
             positive = scores.increase_lo > 0.0
@@ -111,10 +90,10 @@ def prune_predicates(
             # carry p = 1.0, so they can never pass the filter even
             # without the explicit `defined` mask below.
             pvalues = z_test_pvalues(scores)
-            positive = (pvalues < 1.0 - confidence) & (scores.increase > 0.0)
+            positive = (pvalues < 1.0 - scores.confidence) & (scores.increase > 0.0)
         else:
             raise ValueError(f"unknown pruning method {method!r}")
-        kept = scores.defined & positive & (scores.F + scores.S >= min_true_runs)
+        kept = scores.defined & positive
     result = PruningResult(kept=np.asarray(kept, dtype=bool), scores=scores)
     if _obs_enabled():
         _obs_gauge("analysis.pruning_initial", float(result.n_initial))

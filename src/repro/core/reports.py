@@ -218,7 +218,7 @@ class ReportSet:
         """Cached ``R(P) = 1`` indicator matrix (``(n_runs, n_preds)``, int64).
 
         Masked column sums over this matrix -- one sparse matvec per
-        outcome class -- are what :func:`repro.core.scores.sufficient_counts`
+        outcome class -- are what :meth:`repro.core.scores.SufficientStats.from_reports`
         reduces to, so the cache is built once per population instead of
         ``astype(bool)`` allocating a fresh copy on every scoring round.
         """

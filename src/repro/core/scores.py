@@ -17,6 +17,11 @@ these scores: a standard-error estimate and confidence interval for
 proves ``Increase(P) > 0  <=>  pf(P) > ps(P)``; tests rely on that
 equivalence.
 
+Every score is a function of the per-predicate counts alone, so the
+module has one scoring path: :class:`SufficientStats` holds the counts
+and :meth:`SufficientStats.to_scores` derives the scores from them.
+:func:`compute_scores` is that path applied to an in-memory population.
+
 All functions are vectorised over the full predicate table.  Quantities
 whose denominators are zero are *undefined*; they are reported as ``0.0``
 with the corresponding bit cleared in the ``defined`` mask rather than as
@@ -26,7 +31,7 @@ NaN, so downstream ranking code needs no NaN handling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy import sparse, stats
@@ -158,52 +163,230 @@ def _masked_column_sums(
     return np.asarray(indicator.T @ row_mask.astype(np.int64), dtype=np.int64)
 
 
-def sufficient_counts(
-    reports: ReportSet,
-    run_mask: Optional[np.ndarray] = None,
-    failed_mask: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Extract the per-predicate sufficient statistics of Section 3.1.
+@dataclass
+class SufficientStats:
+    """The per-predicate counts every score is a function of.
 
-    Everything :func:`compute_scores` reports is a function of six
-    quantities -- ``F(P)``, ``S(P)``, ``F(P obs)``, ``S(P obs)`` per
-    predicate plus the population totals ``NumF``/``NumS`` -- so these are
-    *sufficient statistics* for the scoring pass.  They are integer counts
-    and therefore add exactly across disjoint run populations, which is
-    what makes shard-by-shard incremental scoring
-    (:mod:`repro.store.incremental`) and the partition-and-merge parallel
-    engine (:mod:`repro.core.engine`) bit-identical to the monolithic path.
+    ``F(P)``, ``S(P)``, ``F(P obs)`` and ``S(P obs)`` per predicate plus
+    the population totals ``NumF``/``NumS`` are *sufficient statistics*
+    for the whole analysis: :meth:`to_scores` derives every Section
+    3.1-3.2 quantity from them.  They are integer counts and therefore
+    add exactly across disjoint run populations, so scoring statistics
+    accumulated shard by shard (:meth:`ShardStore.sufficient_stats
+    <repro.store.shards.ShardStore.sufficient_stats>`, the serve
+    daemon's live totals) is bit-identical to scoring the merged
+    population.
 
-    Args:
-        reports: The feedback-report population.
-        run_mask: Optional boolean mask restricting which runs count.
-        failed_mask: Optional boolean array overriding ``reports.failed``
-            as the outcome labelling.  The elimination loop's ``RELABEL``
-            strategy passes its working labels here instead of rebuilding
-            a relabelled :class:`~repro.core.reports.ReportSet` per round.
-
-    Returns:
-        ``(F, S, F_obs, S_obs, num_failing, num_successful)``.
+    Attributes:
+        F: ``F(P)`` -- failing runs where ``P`` observed true.
+        S: ``S(P)`` -- successful runs where ``P`` observed true.
+        F_obs: ``F(P observed)`` per predicate.
+        S_obs: ``S(P observed)`` per predicate.
+        num_failing: ``NumF`` -- failing runs in the population.
+        num_successful: Successful runs in the population.
     """
-    failed = reports.failed if failed_mask is None else np.asarray(failed_mask, dtype=bool)
-    if run_mask is None:
-        fail_rows = failed
-        succ_rows = ~failed
-    else:
-        run_mask = np.asarray(run_mask, dtype=bool)
-        fail_rows = run_mask & failed
-        succ_rows = run_mask & ~failed
 
-    true_ind = reports.true_indicator()
-    site_ind = reports.site_indicator()
+    F: np.ndarray
+    S: np.ndarray
+    F_obs: np.ndarray
+    S_obs: np.ndarray
+    num_failing: int = 0
+    num_successful: int = 0
 
-    F = _masked_column_sums(true_ind, fail_rows)
-    S = _masked_column_sums(true_ind, succ_rows)
-    F_obs_site = _masked_column_sums(site_ind, fail_rows)
-    S_obs_site = _masked_column_sums(site_ind, succ_rows)
-    F_obs = F_obs_site[reports.pred_site]
-    S_obs = S_obs_site[reports.pred_site]
-    return F, S, F_obs, S_obs, int(fail_rows.sum()), int(succ_rows.sum())
+    @classmethod
+    def zeros(cls, n_predicates: int) -> "SufficientStats":
+        """An identity element covering zero runs."""
+        return cls(
+            F=np.zeros(n_predicates, dtype=np.int64),
+            S=np.zeros(n_predicates, dtype=np.int64),
+            F_obs=np.zeros(n_predicates, dtype=np.int64),
+            S_obs=np.zeros(n_predicates, dtype=np.int64),
+        )
+
+    @classmethod
+    def from_reports(
+        cls,
+        reports: ReportSet,
+        run_mask: Optional[np.ndarray] = None,
+        failed_mask: Optional[np.ndarray] = None,
+    ) -> "SufficientStats":
+        """Count the statistics of one (possibly masked) report set.
+
+        Args:
+            reports: The feedback-report population.
+            run_mask: Optional boolean mask restricting which runs count.
+            failed_mask: Optional boolean array overriding
+                ``reports.failed`` as the outcome labelling.  The
+                elimination loop's ``RELABEL`` strategy passes its working
+                labels here instead of rebuilding a relabelled
+                :class:`~repro.core.reports.ReportSet` per round.
+        """
+        failed = reports.failed if failed_mask is None else np.asarray(failed_mask, dtype=bool)
+        if run_mask is None:
+            fail_rows = failed
+            succ_rows = ~failed
+        else:
+            run_mask = np.asarray(run_mask, dtype=bool)
+            fail_rows = run_mask & failed
+            succ_rows = run_mask & ~failed
+
+        true_ind = reports.true_indicator()
+        site_ind = reports.site_indicator()
+        F_obs_site = _masked_column_sums(site_ind, fail_rows)
+        S_obs_site = _masked_column_sums(site_ind, succ_rows)
+        return cls(
+            F=_masked_column_sums(true_ind, fail_rows),
+            S=_masked_column_sums(true_ind, succ_rows),
+            F_obs=F_obs_site[reports.pred_site],
+            S_obs=S_obs_site[reports.pred_site],
+            num_failing=int(fail_rows.sum()),
+            num_successful=int(succ_rows.sum()),
+        )
+
+    @property
+    def n_predicates(self) -> int:
+        """Number of predicate columns covered."""
+        return int(self.F.shape[0])
+
+    @property
+    def n_runs(self) -> int:
+        """Total runs accumulated."""
+        return self.num_failing + self.num_successful
+
+    def _check_compatible(self, other: "SufficientStats") -> None:
+        if self.n_predicates != other.n_predicates:
+            raise ValueError(
+                f"cannot combine statistics over {self.n_predicates} and "
+                f"{other.n_predicates} predicates -- different tables?"
+            )
+
+    def materialized(self) -> "SufficientStats":
+        """A writable deep copy of these statistics.
+
+        Statistics loaded from a format-v3 archive are zero-copy
+        *read-only* views of the file mapping
+        (:func:`repro.core.io.load_shard_stats`), so an accumulator
+        seeded directly from one (``total = part; total.add(...)``)
+        would crash on the in-place ``+=``.  Seed accumulators with a
+        copy; the per-shard parts themselves are never written to.
+        """
+        return SufficientStats(
+            F=np.array(self.F, dtype=np.int64),
+            S=np.array(self.S, dtype=np.int64),
+            F_obs=np.array(self.F_obs, dtype=np.int64),
+            S_obs=np.array(self.S_obs, dtype=np.int64),
+            num_failing=self.num_failing,
+            num_successful=self.num_successful,
+        )
+
+    def add(self, other: "SufficientStats") -> "SufficientStats":
+        """Accumulate another shard's statistics in place."""
+        self._check_compatible(other)
+        self.F += other.F
+        self.S += other.S
+        self.F_obs += other.F_obs
+        self.S_obs += other.S_obs
+        self.num_failing += other.num_failing
+        self.num_successful += other.num_successful
+        return self
+
+    def __add__(self, other: "SufficientStats") -> "SufficientStats":
+        self._check_compatible(other)
+        return SufficientStats(
+            F=self.F + other.F,
+            S=self.S + other.S,
+            F_obs=self.F_obs + other.F_obs,
+            S_obs=self.S_obs + other.S_obs,
+            num_failing=self.num_failing + other.num_failing,
+            num_successful=self.num_successful + other.num_successful,
+        )
+
+    def to_scores(self, confidence: float = DEFAULT_CONFIDENCE) -> PredicateScores:
+        """Compute every Section 3.1-3.2 score from the counts alone.
+
+        The one implementation of the scoring arithmetic: in-memory
+        populations (:func:`compute_scores`), streamed stores and the
+        serve daemon all score through here.
+        """
+        with _obs_timer("scores.from_counts"):
+            _obs_inc("scores.computations")
+            F = np.asarray(self.F, dtype=np.int64)
+            S = np.asarray(self.S, dtype=np.int64)
+            F_obs = np.asarray(self.F_obs, dtype=np.int64)
+            S_obs = np.asarray(self.S_obs, dtype=np.int64)
+
+            n_true = F + S
+            n_obs = F_obs + S_obs
+
+            with np.errstate(divide="ignore", invalid="ignore"):
+                failure = np.where(n_true > 0, F / np.maximum(n_true, 1), 0.0)
+                context = np.where(n_obs > 0, F_obs / np.maximum(n_obs, 1), 0.0)
+                increase = np.where((n_true > 0) & (n_obs > 0), failure - context, 0.0)
+
+                # Standard error of Increase, treating Failure and Context
+                # as independent binomial proportions.  Because the
+                # "observed true" runs are a subset of the "observed" runs
+                # the two are positively correlated, so this over-estimates
+                # the variance: the interval is conservative, which is the
+                # safe direction for the pruning filter.  The proportions
+                # are Laplace-smoothed for the variance estimate only, so a
+                # proportion of exactly 0 or 1 backed by a handful of
+                # observations cannot claim zero variance (a predicate true
+                # in a single failing run must not pass the 95% filter).
+                f_sm = (F + 0.5) / np.maximum(n_true + 1.0, 1.0)
+                c_sm = (F_obs + 0.5) / np.maximum(n_obs + 1.0, 1.0)
+                var = np.where(
+                    (n_true > 0) & (n_obs > 0),
+                    f_sm * (1.0 - f_sm) / np.maximum(n_true, 1)
+                    + c_sm * (1.0 - c_sm) / np.maximum(n_obs, 1),
+                    0.0,
+                )
+                se = np.sqrt(var)
+
+                pf = np.where(F_obs > 0, F / np.maximum(F_obs, 1), 0.0)
+                ps = np.where(S_obs > 0, S / np.maximum(S_obs, 1), 0.0)
+                # Pooled variance under H0 (pf = ps); unlike the per-group
+                # sample variance it stays positive under perfect separation.
+                p_pool = np.where(n_obs > 0, n_true / np.maximum(n_obs, 1), 0.0)
+                z_var = (
+                    p_pool
+                    * (1.0 - p_pool)
+                    * (1.0 / np.maximum(F_obs, 1) + 1.0 / np.maximum(S_obs, 1))
+                )
+                z_defined = (F_obs > 0) & (S_obs > 0) & (z_var > 0)
+                z = np.where(
+                    z_defined,
+                    (pf - ps) / np.sqrt(np.maximum(z_var, 1e-300)),
+                    0.0,
+                )
+
+            crit = _z_for_confidence(confidence)
+            return PredicateScores(
+                F=F,
+                S=S,
+                F_obs=F_obs,
+                S_obs=S_obs,
+                failure=failure,
+                context=context,
+                increase=increase,
+                increase_se=se,
+                increase_lo=increase - crit * se,
+                increase_hi=increase + crit * se,
+                pf=pf,
+                ps=ps,
+                z=z,
+                z_defined=z_defined,
+                defined=(n_true > 0) & (n_obs > 0),
+                num_failing=int(self.num_failing),
+                num_successful=int(self.num_successful),
+                confidence=confidence,
+            )
+
+    def __repr__(self) -> str:
+        return (
+            f"SufficientStats(runs={self.n_runs}, failing={self.num_failing}, "
+            f"predicates={self.n_predicates})"
+        )
 
 
 def compute_scores(
@@ -212,120 +395,17 @@ def compute_scores(
     confidence: float = DEFAULT_CONFIDENCE,
     failed_mask: Optional[np.ndarray] = None,
 ) -> PredicateScores:
-    """Compute all Section 3.1-3.2 scores for every predicate.
+    """Score an in-memory population:
+    ``SufficientStats.from_reports(...).to_scores(...)``.
 
-    Args:
-        reports: The feedback-report population.
-        run_mask: Optional boolean mask restricting the population (used by
-            the elimination loop to rescore after discarding runs).
-        confidence: Confidence level for the ``Increase`` interval.
-        failed_mask: Optional outcome-label override (see
-            :func:`sufficient_counts`).
-
-    Returns:
-        A :class:`PredicateScores` with one entry per predicate.
+    ``run_mask`` restricts the population (the elimination loop rescores
+    after discarding runs) and ``failed_mask`` overrides the outcome
+    labels (see :meth:`SufficientStats.from_reports`).
     """
     with _obs_timer("scores.compute"):
-        F, S, F_obs, S_obs, num_failing, num_successful = sufficient_counts(
-            reports, run_mask, failed_mask=failed_mask
+        return SufficientStats.from_reports(reports, run_mask, failed_mask).to_scores(
+            confidence
         )
-        return scores_from_counts(
-            F, S, F_obs, S_obs, num_failing, num_successful, confidence=confidence
-        )
-
-
-def scores_from_counts(
-    F: np.ndarray,
-    S: np.ndarray,
-    F_obs: np.ndarray,
-    S_obs: np.ndarray,
-    num_failing: int,
-    num_successful: int,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> PredicateScores:
-    """Compute :class:`PredicateScores` from sufficient statistics alone.
-
-    This is the arithmetic half of :func:`compute_scores`; it never sees
-    the run-by-predicate matrices, so it can score populations accumulated
-    shard by shard (:class:`repro.store.incremental.SufficientStats`)
-    without materialising them.  ``compute_scores`` delegates here, which
-    guarantees the incremental and monolithic paths share every formula.
-    """
-    _obs_inc("scores.computations")
-    F = np.asarray(F, dtype=np.int64)
-    S = np.asarray(S, dtype=np.int64)
-    F_obs = np.asarray(F_obs, dtype=np.int64)
-    S_obs = np.asarray(S_obs, dtype=np.int64)
-
-    n_true = F + S
-    n_obs = F_obs + S_obs
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        failure = np.where(n_true > 0, F / np.maximum(n_true, 1), 0.0)
-        context = np.where(n_obs > 0, F_obs / np.maximum(n_obs, 1), 0.0)
-        increase = np.where((n_true > 0) & (n_obs > 0), failure - context, 0.0)
-
-        # Standard error of Increase, treating Failure and Context as
-        # independent binomial proportions.  Because the "observed true"
-        # runs are a subset of the "observed" runs the two are positively
-        # correlated, so this over-estimates the variance: the interval is
-        # conservative, which is the safe direction for the pruning filter.
-        # The proportions are Laplace-smoothed for the variance estimate
-        # only, so a proportion of exactly 0 or 1 backed by a handful of
-        # observations cannot claim zero variance (a predicate true in a
-        # single failing run must not pass the 95% filter).
-        f_sm = (F + 0.5) / np.maximum(n_true + 1.0, 1.0)
-        c_sm = (F_obs + 0.5) / np.maximum(n_obs + 1.0, 1.0)
-        var = np.where(
-            (n_true > 0) & (n_obs > 0),
-            f_sm * (1.0 - f_sm) / np.maximum(n_true, 1)
-            + c_sm * (1.0 - c_sm) / np.maximum(n_obs, 1),
-            0.0,
-        )
-        se = np.sqrt(var)
-
-        pf = np.where(F_obs > 0, F / np.maximum(F_obs, 1), 0.0)
-        ps = np.where(S_obs > 0, S / np.maximum(S_obs, 1), 0.0)
-        # Pooled variance under H0 (pf = ps); unlike the per-group sample
-        # variance it stays positive under perfect separation.
-        p_pool = np.where(n_obs > 0, n_true / np.maximum(n_obs, 1), 0.0)
-        z_var = (
-            p_pool
-            * (1.0 - p_pool)
-            * (1.0 / np.maximum(F_obs, 1) + 1.0 / np.maximum(S_obs, 1))
-        )
-        z_defined = (F_obs > 0) & (S_obs > 0) & (z_var > 0)
-        z = np.where(
-            z_defined,
-            (pf - ps) / np.sqrt(np.maximum(z_var, 1e-300)),
-            0.0,
-        )
-
-    crit = _z_for_confidence(confidence)
-    increase_lo = increase - crit * se
-    increase_hi = increase + crit * se
-    defined = (n_true > 0) & (n_obs > 0)
-
-    return PredicateScores(
-        F=F,
-        S=S,
-        F_obs=F_obs,
-        S_obs=S_obs,
-        failure=failure,
-        context=context,
-        increase=increase,
-        increase_se=se,
-        increase_lo=increase_lo,
-        increase_hi=increase_hi,
-        pf=pf,
-        ps=ps,
-        z=z,
-        z_defined=z_defined,
-        defined=defined,
-        num_failing=int(num_failing),
-        num_successful=int(num_successful),
-        confidence=confidence,
-    )
 
 
 def z_test_pvalues(scores: PredicateScores) -> np.ndarray:

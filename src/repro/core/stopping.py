@@ -9,7 +9,7 @@ confidence view of statistical fault localisation; here we keep the
 machinery deliberately simple and -- crucially -- **monotone**.
 
 The convergence test is a pure function of one
-:class:`~repro.store.incremental.SufficientStats` snapshot:
+:class:`~repro.core.scores.SufficientStats` snapshot:
 
 1. restrict to predictors whose ``Increase`` score is defined and
    strictly positive (the Section 3.1 candidate set);
@@ -38,8 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-import numpy as np
-
+from repro.core.ranking import order
 from repro.core.scores import DEFAULT_CONFIDENCE, _z_for_confidence
 
 #: Default half-interval width (on ``Increase``) below which a top
@@ -145,7 +144,7 @@ def assess_stats(stats, policy: StoppingPolicy = StoppingPolicy()) -> StoppingAs
     refit-determinism contract of ``GET /steering``).
 
     Args:
-        stats: A :class:`~repro.store.incremental.SufficientStats`.
+        stats: A :class:`~repro.core.scores.SufficientStats`.
         policy: The stopping thresholds.
 
     Returns:
@@ -167,21 +166,21 @@ def assess_stats(stats, policy: StoppingPolicy = StoppingPolicy()) -> StoppingAs
         )
 
     scores = stats.to_scores(confidence=policy.confidence)
-    candidate_mask = scores.defined & (scores.increase > 0)
-    indices = np.flatnonzero(candidate_mask)
-    if indices.size == 0:
+    # Rank by Increase descending; ties break toward the lower predicate
+    # index.  Both are invariant under uniform count scaling, which is
+    # what makes convergence monotone (see the module docstring).
+    top = order(
+        scores.increase,
+        candidates=scores.defined & (scores.increase > 0),
+        top=policy.top_k,
+    )
+    if top.size == 0:
         return StoppingAssessment(
             False, n_runs, num_failing, reason="no candidate predictors"
         )
 
-    # Rank by Increase descending; ties break toward the lower predicate
-    # index.  Both are invariant under uniform count scaling, which is
-    # what makes convergence monotone (see the module docstring).
-    order = indices[np.lexsort((indices, -scores.increase[indices]))]
-    top = order[: policy.top_k]
-
     crit = _z_for_confidence(policy.confidence)
-    imp = importance_scores(scores, confidence=policy.confidence)
+    imp = importance_scores(scores)
     candidates = [
         StoppingCandidate(
             index=int(i),

@@ -4,15 +4,16 @@ The paper's deployment is a *fleet*: many independent ingestion points,
 one analysis.  This module turns N daemon-owned stores into one merged
 store without a coordinator, exploiting the property that makes the
 whole reproduction incremental -- all scores are functions of integer
-sufficient statistics that add exactly across disjoint seed ranges.
+sufficient statistics (:class:`~repro.core.scores.SufficientStats`)
+that add exactly across disjoint seed ranges.
 Replicating committed shard *bytes* (not reports, not counts) therefore
 preserves every downstream result bit for bit: shard SHAs, streamed
 statistics, scores, rankings.  The same property holds for every
 registered suspiciousness measure (:mod:`repro.core.measures`):
 ``AnalysisEngine.score_stats(engine.multi_store_stats(stores),
 measure=...)`` scores the un-materialised union of N stores
-bit-identically to scoring the merged store this module produces, under
-any measure.
+bit-identically to ``store.sufficient_stats().to_scores()`` on the
+merged store this module produces, under any measure.
 
 Protocol (manifest-diff sync):
 

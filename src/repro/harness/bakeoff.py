@@ -30,9 +30,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core import measures
+from repro.core.ranking import order
+from repro.core.scores import SufficientStats
 from repro.core.truth import faulty_predicate_mask
 from repro.instrument.sampling import SamplingPlan
-from repro.store.incremental import SufficientStats
 
 #: Document schema identifier, bumped on layout changes.
 BAKEOFF_SCHEMA = "repro-bakeoff/v1"
@@ -65,13 +66,11 @@ def rank_metrics(
 ) -> Dict[str, object]:
     """Grade one measure's value array against the faulty-predicate mask.
 
-    The ranking is the full-table stable descending argsort of
-    ``values`` (ties resolve in predicate-index order, exactly as in
-    :func:`repro.core.ranking.rank_by_measure`).  Returns the metric dict
+    The ranking is the full-table :func:`repro.core.ranking.order` of
+    ``values`` (ties resolve in predicate-index order).  Returns the metric dict
     for one bake-off cell; all three metrics are ``None`` when no
     predicate is faulty (a subject with no extracted bug sites).
     """
-    values = np.asarray(values, dtype=np.float64)
     faulty_mask = np.asarray(faulty_mask, dtype=bool)
     if not faulty_mask.any():
         return {
@@ -79,9 +78,8 @@ def rank_metrics(
             "wasted_effort_sites": None,
             "first_faulty_predicate": None,
         }
-    order = np.argsort(-values, kind="stable")
     examined_sites: set = set()
-    for rank, idx in enumerate(order, start=1):
+    for rank, idx in enumerate(order(values), start=1):
         idx = int(idx)
         if faulty_mask[idx]:
             pred = table.predicates[idx]

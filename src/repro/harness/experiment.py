@@ -25,7 +25,7 @@ from typing import Optional
 from repro.core.elimination import DiscardStrategy, EliminationResult, eliminate
 from repro.core.pruning import PruningResult, prune_predicates
 from repro.core.reports import ReportSet
-from repro.core.scores import DEFAULT_CONFIDENCE
+from repro.core.scores import DEFAULT_CONFIDENCE, compute_scores
 from repro.core.truth import GroundTruth
 from repro.instrument.sampling import DEFAULT_RATE, SamplingPlan
 from repro.instrument.tracer import InstrumentedProgram
@@ -197,7 +197,7 @@ def run_experiment(config: Experiment) -> ExperimentResult:
         reports, truth = run_trials(
             config.subject, program, config.n_runs, plan, seed=config.seed
         )
-    pruning = prune_predicates(reports, confidence=config.confidence)
+    pruning = prune_predicates(compute_scores(reports, confidence=config.confidence))
     elimination = eliminate(
         reports,
         candidates=pruning.kept,

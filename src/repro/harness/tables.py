@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.core.elimination import EliminationResult
-from repro.core.ranking import RankingResult
+from repro.core.ranking import RankedPredicate
 from repro.core.runs_needed import RunsNeededResult
 from repro.core.scores import ScoreRow
 from repro.core.thermometer import Thermometer
@@ -28,19 +28,21 @@ def _row_columns(row: ScoreRow) -> str:
     )
 
 
-def format_ranking_table(result: RankingResult, title: str, top: int = 10) -> str:
-    """Render one Table 1 panel (a/b/c: one ranking strategy)."""
-    entries = result.entries[:top]
+def format_ranking_table(
+    ranking: Sequence[RankedPredicate], title: str, label: str, top: int = 10
+) -> str:
+    """Render one Table 1 panel: a ranking and the ``label`` of its key."""
+    entries = ranking[:top]
     max_runs = max((e.row.F + e.row.S for e in entries), default=1)
     lines = [
-        f"--- {title} (sorted by {result.strategy.value}) ---",
+        f"--- {title} (sorted by {label}) ---",
         f"{'thermometer':<18} {'Context':>7} {'Increase':>15} {'S':>6} {'F':>6} {'F+S':>7}  predicate",
     ]
     for e in entries:
         lines.append(
             f"{_thermometer_text(e.row, max_runs)} {_row_columns(e.row)}  {e.predicate.name}"
         )
-    remaining = len(result.entries) - len(entries)
+    remaining = len(ranking) - len(entries)
     if remaining > 0:
         lines.append(f"... {remaining} additional predicates follow ...")
     return "\n".join(lines)

@@ -407,8 +407,8 @@ def run_analysis_scenarios(quick: bool, scale: float = 1.0) -> List[dict]:
         for size, store_dir in store_dirs:
             store = ShardStore.open(store_dir)
             start = time.perf_counter()
-            scores = store.compute_scores()
-            pruning = prune_predicates(scores=scores)
+            scores = store.sufficient_stats().to_scores()
+            pruning = prune_predicates(scores)
             wall = time.perf_counter() - start
             scenarios.append(
                 _scenario(
@@ -483,7 +483,7 @@ def run_analysis_scenarios(quick: bool, scale: float = 1.0) -> List[dict]:
     from repro.factory import corpus as _corpus
     from repro.factory.subjects import FactorySubject
     from repro.harness.runner import run_trials
-    from repro.store.incremental import SufficientStats
+    from repro.core.scores import SufficientStats
 
     package = "jsonscan"
     fsubject = FactorySubject(

@@ -29,7 +29,7 @@ copy on ack, and a kill/restart cycle converges to the exact population
 a fault-free session would have committed.
 
 Live scores: the service maintains the store's
-:class:`~repro.store.incremental.SufficientStats` incrementally (seeded
+:class:`~repro.core.scores.SufficientStats` incrementally (seeded
 from the manifest at startup, one integer add per committed batch) and
 scores them through the same
 :meth:`AnalysisEngine.score_stats <repro.core.engine.AnalysisEngine.score_stats>`
@@ -57,8 +57,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional, Tuple
 
 from repro.core.engine import AnalysisEngine
-from repro.core.ranking import rank_by_measure
+from repro.core.importance import importance_scores
+from repro.core.ranking import rank
 from repro.core.reports import ReportBuilder
+from repro.core.scores import SufficientStats
 from repro.core.truth import GroundTruth
 from repro.obs import span as _obs_span
 from repro.obs.metrics import MetricsRegistry
@@ -78,7 +80,6 @@ from repro.serve.steering import (
     save_steering,
 )
 from repro.store.faults import FaultInjector
-from repro.store.incremental import SufficientStats
 
 #: Write-ahead ack log filename, inside the store directory.
 WAL_NAME = "ingest_wal.jsonl"
@@ -453,12 +454,13 @@ class CollectionService:
         (:data:`repro.core.measures.DEFAULT_MEASURE`).  Computed from the
         live statistics through the exact ``analyze --stats-only`` path
         (:meth:`AnalysisEngine.score_stats <repro.core.engine.AnalysisEngine.score_stats>`
-        with the same measure, ranked by
-        :func:`~repro.core.ranking.rank_by_measure`), so counts, floats
-        and order agree bit for bit with the CLI run against the store
-        directory at this moment.  Each predicate entry carries the
-        selected measure's value as ``score``; ``importance`` stays
-        populated for schema compatibility with older clients.
+        with the same measure, ranked by :func:`~repro.core.ranking.rank`),
+        so counts, floats and order agree bit for bit with the CLI run
+        against the store directory at this moment.  ``measure`` echoes
+        the registry name the lookup resolved to.  Each predicate entry
+        carries the selected measure's value as ``score``;
+        ``importance`` stays populated for schema compatibility with
+        older clients.
 
         Raises:
             repro.core.measures.UnknownMeasureError: For unknown names
@@ -467,8 +469,8 @@ class CollectionService:
         """
         from repro.core import measures as _measures
 
-        measure_name = measure or _measures.DEFAULT_MEASURE
-        _measures.get(measure_name)  # validate before taking the lock
+        # Validate (and canonicalise) before taking the lock.
+        measure_name = _measures.get(measure or _measures.DEFAULT_MEASURE).name
         if k is not None and k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         with self.lock:
@@ -486,12 +488,12 @@ class CollectionService:
             if n_runs == 0:
                 return document
             scoring = self.engine.score_stats(stats, measure=measure_name)
-            ranking = rank_by_measure(
+            importance = importance_scores(scoring.scores).importance
+            ranking = rank(
                 self.table,
                 scoring.scores,
-                measure_name,
+                scoring.measure_values,
                 candidates=scoring.pruning.kept,
-                values=scoring.measure_values,
                 top=k,
             )
             document["predicates"] = [
@@ -499,7 +501,7 @@ class CollectionService:
                     "index": entry.predicate.index,
                     "name": entry.predicate.name,
                     "score": entry.sort_key,
-                    "importance": entry.importance,
+                    "importance": float(importance[entry.predicate.index]),
                     "increase": entry.row.increase,
                     "failure": entry.row.failure,
                     "context": entry.row.context,
@@ -508,7 +510,7 @@ class CollectionService:
                     "F_obs": entry.row.F_obs,
                     "S_obs": entry.row.S_obs,
                 }
-                for entry in ranking.entries
+                for entry in ranking
             ]
             return document
 

@@ -12,7 +12,7 @@ properties make the split safe:
 2. **Incremental scoring** -- all Section 3.1-3.2 scores are functions
    of per-predicate integer counts (``F``, ``S``, ``F_obs``, ``S_obs``)
    plus ``NumF``/``NumS``, which add exactly across disjoint shards
-   (:class:`~repro.store.incremental.SufficientStats`), so a shard
+   (:class:`~repro.core.scores.SufficientStats`), so a shard
    directory can be scored without materialising any run matrix.
 3. **Compatibility checking** -- every shard and the manifest carry the
    predicate table's content signature, so shards from different
@@ -45,7 +45,6 @@ from repro.store.faults import (
     faults_from_env,
     parse_faults,
 )
-from repro.store.incremental import SufficientStats
 from repro.store.manifest import (
     ShardEntry,
     ShardManifest,
@@ -84,7 +83,6 @@ __all__ = [
     "StaleManifestError",
     "StoreError",
     "StoreVersionError",
-    "SufficientStats",
     "config_digest",
     "faults_from_env",
     "parse_faults",

@@ -68,7 +68,7 @@ from repro.core.io import (
 )
 from repro.core.predicates import PredicateTable
 from repro.core.reports import ReportSet
-from repro.core.scores import DEFAULT_CONFIDENCE, PredicateScores
+from repro.core.scores import SufficientStats
 from repro.core.truth import GroundTruth
 from repro.instrument.sampling import SamplingPlan
 from repro.instrument.transform import InstrumentationConfig
@@ -84,7 +84,6 @@ from repro.store.errors import (
     ShardIntegrityError,
     StaleManifestError,
 )
-from repro.store.incremental import SufficientStats
 from repro.store.manifest import (
     ShardEntry,
     ShardManifest,
@@ -895,10 +894,6 @@ class ShardStore:
                 total = part.materialized() if total is None else total.add(part)
         assert total is not None
         return total
-
-    def compute_scores(self, confidence: float = DEFAULT_CONFIDENCE) -> PredicateScores:
-        """Score the whole store incrementally (see :mod:`repro.store.incremental`)."""
-        return self.sufficient_stats().to_scores(confidence=confidence)
 
     def __repr__(self) -> str:
         return (

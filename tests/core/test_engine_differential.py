@@ -31,13 +31,12 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core.engine import AnalysisEngine
 from repro.core.elimination import DiscardStrategy, eliminate
-from repro.core.scores import compute_scores
+from repro.core.scores import SufficientStats, compute_scores
 from repro.core.truth import bugs_covered
 from repro.harness.parallel import run_trials_sharded
 from repro.harness.runner import run_trials
 from repro.instrument.sampling import SamplingPlan
 from repro.store import ShardStore
-from repro.store.incremental import SufficientStats
 
 from tests.golden import CASES, CHUNK, assert_golden, assert_golden_store
 from tests.helpers import make_reports, partition_bounds

@@ -143,18 +143,18 @@ class TestFormatVersions:
             F[0] = 99
 
     def test_embedded_stats_match_recomputation(self, tmp_path):
-        from repro.core.scores import sufficient_counts
+        from repro.core.scores import SufficientStats
 
         reports, _ = _population()
         path = tmp_path / "reports.npz"
         save_reports(str(path), reports)
         F, S, F_obs, S_obs, numf, nums, _ = load_shard_stats(str(path))
-        eF, eS, eF_obs, eS_obs, enumf, enums = sufficient_counts(reports)
-        np.testing.assert_array_equal(F, eF)
-        np.testing.assert_array_equal(S, eS)
-        np.testing.assert_array_equal(F_obs, eF_obs)
-        np.testing.assert_array_equal(S_obs, eS_obs)
-        assert (numf, nums) == (enumf, enums)
+        want = SufficientStats.from_reports(reports)
+        np.testing.assert_array_equal(F, want.F)
+        np.testing.assert_array_equal(S, want.S)
+        np.testing.assert_array_equal(F_obs, want.F_obs)
+        np.testing.assert_array_equal(S_obs, want.S_obs)
+        assert (numf, nums) == (want.num_failing, want.num_successful)
 
 
 class TestShardStatsCorruption:

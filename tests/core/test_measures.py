@@ -3,7 +3,7 @@
 Registry invariants (the contract in ``repro/core/measures/registry.py``):
 
 * unknown names raise :class:`UnknownMeasureError` everywhere a name can
-  enter (registry, engine, ranking);
+  enter (registry, engine);
 * every measure is deterministic -- same statistics, same bits;
 * every measure is finite, correctly shaped, and elementwise (checked by
   comparing partitioned evaluation against whole-table evaluation);
@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from repro.core import measures
 from repro.core.importance import importance_scores
 from repro.core.measures import UnknownMeasureError
-from repro.core.ranking import rank_by_measure
-from repro.core.scores import scores_from_counts
+from repro.core.ranking import rank
+from repro.core.scores import SufficientStats
 
 #: Measures whose value is non-decreasing in ``F`` with ``S``,
 #: ``F_obs``, ``S_obs`` and the totals held fixed.
@@ -32,14 +32,14 @@ MONOTONE_IN_F = ("tarantula", "ochiai", "jaccard", "dstar2", "f1", "increase")
 
 
 def _scores(F, S, F_obs, S_obs, num_f, num_s):
-    return scores_from_counts(
+    return SufficientStats(
         np.asarray(F, dtype=np.int64),
         np.asarray(S, dtype=np.int64),
         np.asarray(F_obs, dtype=np.int64),
         np.asarray(S_obs, dtype=np.int64),
         num_f,
         num_s,
-    )
+    ).to_scores()
 
 
 @st.composite
@@ -93,22 +93,12 @@ class TestRegistry:
 
     def test_unknown_name_rejected_by_engine_before_forking(self):
         from repro.core.engine import AnalysisEngine
-        from repro.store.incremental import SufficientStats
 
         stats = SufficientStats.zeros(3)
         stats.num_failing = 1
         stats.num_successful = 1
         with pytest.raises(UnknownMeasureError):
             AnalysisEngine().score_stats(stats, measure="bogus")
-
-    def test_unknown_name_rejected_by_ranking(self):
-        from repro.instrument.tracer import instrument_source
-
-        prog = instrument_source("def f(x):\n    return x > 0\n", "tiny")
-        n = len(prog.table.predicates)
-        sc = _scores([1] * n, [0] * n, [1] * n, [1] * n, 2, 2)
-        with pytest.raises(UnknownMeasureError):
-            rank_by_measure(prog.table, sc, measure="bogus")
 
     def test_lookup_is_case_and_whitespace_insensitive(self):
         assert measures.get(" Importance ").name == "importance"
@@ -206,38 +196,21 @@ class TestMeasureRanking:
         sc = _scores([3, 0, 2][:n] + [1] * max(0, n - 3),
                      [0, 1, 1][:n] + [1] * max(0, n - 3),
                      [3] * n, [2] * n, 4, 4)
-        ranking = rank_by_measure(prog.table, sc, measure="jaccard")
-        assert len(ranking.entries) == n
-        assert [e.rank for e in ranking.entries] == list(range(1, n + 1))
-        values = [e.sort_key for e in ranking.entries]
+        ranking = rank(prog.table, sc, measures.measure_values(sc, "jaccard"))
+        assert len(ranking) == n
+        assert [e.rank for e in ranking] == list(range(1, n + 1))
+        values = [e.sort_key for e in ranking]
         assert values == sorted(values, reverse=True)
 
     def test_importance_ranking_matches_historical_strategy(self, request):
-        """rank_by_measure('importance') on the paper's candidate mask ==
-        rank_from_scores BY_IMPORTANCE, entry for entry."""
-        from repro.core.ranking import RankingStrategy, rank_from_scores
-
+        """rank() by the ``importance`` measure on the paper's candidate
+        mask == rank() by Table 1's Importance key, entry for entry."""
         experiment = request.getfixturevalue("ccrypt_experiment")
-        sc = _scores_from_experiment(experiment)
+        sc = SufficientStats.from_reports(experiment.reports).to_scores()
         table = experiment.reports.table
         candidates = sc.defined & (sc.increase > 0.0)
-        old = rank_from_scores(table, sc, RankingStrategy.BY_IMPORTANCE)
-        new = rank_by_measure(table, sc, measure="importance", candidates=candidates)
-        assert [e.predicate.index for e in new.entries] == [
-            e.predicate.index for e in old.entries
-        ]
-        assert [e.sort_key for e in new.entries] == [e.sort_key for e in old.entries]
-
-
-def _scores_from_experiment(experiment):
-    from repro.store.incremental import SufficientStats
-
-    stats = SufficientStats.from_reports(experiment.reports)
-    return scores_from_counts(
-        stats.F,
-        stats.S,
-        stats.F_obs,
-        stats.S_obs,
-        stats.num_failing,
-        stats.num_successful,
-    )
+        measured = rank(
+            table, sc, measures.measure_values(sc, "importance"), candidates
+        )
+        table1 = rank(table, sc, importance_scores(sc).importance, candidates)
+        assert measured == table1

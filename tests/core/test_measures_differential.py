@@ -25,7 +25,7 @@ import pytest
 
 from repro.core import measures
 from repro.core.engine import AnalysisEngine
-from repro.core.ranking import rank_by_measure
+from repro.core.ranking import rank
 from repro.core.importance import importance_scores
 from repro.instrument.sampling import SamplingPlan
 from repro.store import ShardStore
@@ -200,7 +200,7 @@ class TestScoresEndpointHTTP:
 
 
 class TestRankingPathsAgree:
-    """``analyze --stats-only``, ``GET /scores`` and ``rank_by_measure``
+    """``analyze --stats-only``, ``GET /scores`` and ``rank``
     order tied measure values identically: by ascending predicate index."""
 
     @pytest.fixture()
@@ -241,14 +241,13 @@ class TestRankingPathsAgree:
             scoring = engine.score_stats(stats, measure=name)
             assert scoring.pruning.kept[1] and scoring.pruning.kept[3]
             assert scoring.measure_values[1] == scoring.measure_values[3]
-            ranking = rank_by_measure(
+            ranking = rank(
                 tied_store.table(),
                 scoring.scores,
-                name,
+                scoring.measure_values,
                 candidates=scoring.pruning.kept,
-                values=scoring.measure_values,
             )
-            want = [e.predicate.name for e in ranking.entries]
+            want = [e.predicate.name for e in ranking]
             assert want.index("P1") < want.index("P3"), name
 
             payload = service.scores_payload(measure=name)

@@ -131,6 +131,7 @@ class TestFromElimination:
     def test_builds_watchlist_from_selected(self, program):
         from repro.core.elimination import eliminate
         from repro.core.pruning import prune_predicates
+        from repro.core.scores import compute_scores
         from repro.harness.runner import run_trials
         from repro.subjects.base import Subject
         import random
@@ -146,7 +147,7 @@ class TestFromElimination:
                 return (rng.randint(4, 12), rng.randint(0, 100), rng.random() < 0.4)
 
         reports, _ = run_trials(S(), program, 800, SamplingPlan.full(), seed=0)
-        pruning = prune_predicates(reports)
+        pruning = prune_predicates(compute_scores(reports))
         result = eliminate(reports, candidates=pruning.kept, max_predictors=3)
         monitor = monitor_from_elimination(program.runtime, result, top=2)
         assert len(monitor.watched) == min(2, len(result.selected))

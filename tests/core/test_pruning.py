@@ -24,7 +24,7 @@ def _balanced_population(n_each=40):
 class TestPruning:
     def test_keeps_true_predictor_drops_invariant(self):
         reports = _balanced_population()
-        result = prune_predicates(reports)
+        result = prune_predicates(compute_scores(reports))
         assert result.kept[0]  # the real predictor
         assert not result.kept[1]  # program invariant: Increase = 0
         assert not result.kept[2]  # never observed: undefined
@@ -37,32 +37,27 @@ class TestPruning:
         runs += [(False, set(), {0, 1}) for _ in range(4)]
         runs += [(True, set(), {0, 1}) for _ in range(2)]
         reports = make_reports(2, runs)
-        result = prune_predicates(reports)
+        result = prune_predicates(compute_scores(reports))
         scores = result.scores
         assert scores.increase[0] > 0.5  # looks impressive...
         assert not result.kept[0]  # ...but is statistically unsupported
 
     def test_reduction_statistics(self):
         reports = _balanced_population()
-        result = prune_predicates(reports)
+        result = prune_predicates(compute_scores(reports))
         assert result.n_initial == 4
         assert result.n_kept == int(result.kept.sum())
         assert result.reduction == pytest.approx(1 - result.n_kept / 4)
 
-    def test_min_true_runs_extension(self):
-        reports = _balanced_population()
-        strict = prune_predicates(reports, min_true_runs=1000)
-        assert strict.n_kept == 0
-
     def test_accepts_precomputed_scores(self):
         reports = _balanced_population()
         scores = compute_scores(reports)
-        result = prune_predicates(reports, scores=scores)
+        result = prune_predicates(scores)
         assert result.scores is scores
 
     def test_empty_population(self):
         reports = make_reports(3, [])
-        result = prune_predicates(reports)
+        result = prune_predicates(compute_scores(reports))
         assert result.n_kept == 0
         assert result.reduction >= 0.0
 
@@ -70,8 +65,8 @@ class TestPruning:
 class TestZTestMethod:
     def test_ztest_agrees_on_strong_predictors(self):
         reports = _balanced_population()
-        interval = prune_predicates(reports, method="interval")
-        ztest = prune_predicates(reports, method="ztest")
+        interval = prune_predicates(compute_scores(reports), method="interval")
+        ztest = prune_predicates(compute_scores(reports), method="ztest")
         assert ztest.kept[0] and interval.kept[0]
         assert not ztest.kept[1] and not interval.kept[1]
 
@@ -80,14 +75,14 @@ class TestZTestMethod:
         runs += [(False, set(), {0, 1}) for _ in range(4)]
         runs += [(True, set(), {0, 1}) for _ in range(2)]
         reports = make_reports(2, runs)
-        result = prune_predicates(reports, method="ztest")
+        result = prune_predicates(compute_scores(reports), method="ztest")
         assert not result.kept[0]
 
     def test_ztest_never_keeps_negative_increase(self):
         # A predicate anti-correlated with failure.
         runs = [(False, {0}, None)] * 20 + [(True, set(), None)] * 10
         reports = make_reports(1, runs)
-        result = prune_predicates(reports, method="ztest")
+        result = prune_predicates(compute_scores(reports), method="ztest")
         assert not result.kept[0]
 
     def test_unknown_method_rejected(self):
@@ -95,4 +90,4 @@ class TestZTestMethod:
         import pytest as _pytest
 
         with _pytest.raises(ValueError):
-            prune_predicates(reports, method="bogus")
+            prune_predicates(compute_scores(reports), method="bogus")

@@ -1,17 +1,31 @@
-"""Tests for the three Table 1 ranking strategies."""
+"""Tests for ``rank``, driven by the three Table 1 sort keys."""
 
 import numpy as np
 import pytest
 
-from repro.core.ranking import (
-    RankingStrategy,
-    rank_by_measure,
-    rank_from_scores,
-    rank_predicates,
-)
+from repro.core.importance import importance_scores
+from repro.core.ranking import rank
 from repro.core.scores import compute_scores
 
 from tests.helpers import make_reports
+
+#: Table 1's three sort keys: (a) F(P), (b) Increase(P), (c) Importance.
+TABLE1_KEYS = {
+    "F": lambda scores: scores.F.astype(np.float64),
+    "Increase": lambda scores: scores.increase,
+    "Importance": lambda scores: importance_scores(scores).importance,
+}
+
+
+def table1_rank(reports, key, candidates=None, top=None):
+    """Rank ``reports`` by one Table 1 key.  Candidates default to
+    Table 1's: predicates whose Increase is defined and positive."""
+    scores = compute_scores(reports)
+    if candidates is None:
+        candidates = scores.defined & (scores.increase > 0.0)
+    return rank(
+        reports.table, scores, TABLE1_KEYS[key](scores), candidates, top=top
+    )
 
 
 def _table1_population():
@@ -36,72 +50,53 @@ def _table1_population():
 
 class TestStrategies:
     def test_sort_by_f_prefers_super_bug_predictor(self):
-        reports = _table1_population()
-        result = rank_predicates(reports, RankingStrategy.BY_FAILURE_COUNT)
-        assert result.entries[0].predicate.name == "P0"
-        assert result.entries[0].row.S > 100  # huge white band
+        ranking = table1_rank(_table1_population(), "F")
+        assert ranking[0].predicate.name == "P0"
+        assert ranking[0].row.S > 100  # huge white band
 
     def test_sort_by_increase_prefers_deterministic_sub_bug(self):
-        reports = _table1_population()
-        result = rank_predicates(reports, RankingStrategy.BY_INCREASE)
-        assert result.entries[0].predicate.name == "P1"
-        assert result.entries[0].row.F <= 5  # tiny failure coverage
+        ranking = table1_rank(_table1_population(), "Increase")
+        assert ranking[0].predicate.name == "P1"
+        assert ranking[0].row.F <= 5  # tiny failure coverage
 
     def test_harmonic_mean_balances_both(self):
-        reports = _table1_population()
-        result = rank_predicates(reports, RankingStrategy.BY_IMPORTANCE)
-        assert result.entries[0].predicate.name == "P2"
+        ranking = table1_rank(_table1_population(), "Importance")
+        assert ranking[0].predicate.name == "P2"
 
     def test_default_candidates_require_positive_increase(self):
         # A pure invariant predicate (true everywhere) never appears.
         runs = [(True, {0}, None)] * 10 + [(False, {0}, None)] * 10
-        reports = make_reports(1, runs)
-        result = rank_predicates(reports, RankingStrategy.BY_FAILURE_COUNT)
-        assert len(result.entries) == 0
+        assert table1_rank(make_reports(1, runs), "F") == []
 
     def test_explicit_candidates_and_top(self):
-        reports = _table1_population()
         mask = np.array([True, True, False])
-        result = rank_predicates(
-            reports, RankingStrategy.BY_IMPORTANCE, candidates=mask, top=1
+        ranking = table1_rank(
+            _table1_population(), "Importance", candidates=mask, top=1
         )
-        assert len(result.entries) == 1
-        assert result.entries[0].predicate.name != "P2"
+        assert len(ranking) == 1
+        assert ranking[0].predicate.name != "P2"
 
     def test_ranks_are_sequential(self):
-        reports = _table1_population()
-        result = rank_predicates(reports, RankingStrategy.BY_IMPORTANCE)
-        assert [e.rank for e in result.entries] == list(
-            range(1, len(result.entries) + 1)
-        )
+        ranking = table1_rank(_table1_population(), "Importance")
+        assert [e.rank for e in ranking] == list(range(1, len(ranking) + 1))
 
 
 class TestTop:
-    """``top`` truncates every ranking function the same way."""
+    """``top`` truncates the ranking."""
 
     @staticmethod
-    def _rankers():
-        reports = _table1_population()
-        scores = compute_scores(reports)
-        strategy = RankingStrategy.BY_IMPORTANCE
-        return [
-            lambda top: rank_predicates(reports, strategy, top=top),
-            lambda top: rank_from_scores(reports.table, scores, strategy, top=top),
-            lambda top: rank_by_measure(reports.table, scores, top=top),
-        ]
+    def _rank(top):
+        return table1_rank(_table1_population(), "Importance", top=top)
 
     def test_top_truncates(self):
-        for rank in self._rankers():
-            full = rank(None).entries
-            assert len(full) >= 2
-            assert rank(1).entries == full[:1]
-            assert rank(len(full) + 5).entries == full
+        full = self._rank(None)
+        assert len(full) >= 2
+        assert self._rank(1) == full[:1]
+        assert self._rank(len(full) + 5) == full
 
     def test_top_zero_returns_no_entries(self):
-        for rank in self._rankers():
-            assert rank(0).entries == []
+        assert self._rank(0) == []
 
     def test_negative_top_rejected(self):
-        for rank in self._rankers():
-            with pytest.raises(ValueError, match="top"):
-                rank(-1)
+        with pytest.raises(ValueError, match="top"):
+            self._rank(-1)

@@ -162,7 +162,7 @@ class TestStatistics:
             # (undefined z) -- it must not survive the z-test filter.
             [(True, {0, 1}, {0, 1})] * 25 + [(False, set(), {0})] * 25,
         )
-        result = prune_predicates(reports, method="ztest")
+        result = prune_predicates(compute_scores(reports), method="ztest")
         assert result.kept[0]
         assert not result.kept[1]
 

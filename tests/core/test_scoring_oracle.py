@@ -29,7 +29,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.core.elimination import DiscardStrategy  # noqa: E402
 from repro.core.engine import AnalysisEngine  # noqa: E402
 from repro.core.importance import importance_scores  # noqa: E402
-from repro.core.ranking import rank_by_measure  # noqa: E402
+from repro.core.ranking import rank  # noqa: E402
 
 from tests.helpers import make_reports  # noqa: E402
 
@@ -239,11 +239,9 @@ def test_pipeline_matches_oracle(population):
         assert set(scoring.pruning.kept_indices.tolist()) == kept, method
 
         key = [row["importance"] for row in rows]
-        ranking = rank_by_measure(
-            reports.table, scoring.scores, "importance",
-            candidates=scoring.pruning.kept, values=scoring.measure_values,
-        )
-        check_order([e.predicate.index for e in ranking.entries],
+        ranking = rank(reports.table, scoring.scores, scoring.measure_values,
+                       candidates=scoring.pruning.kept)
+        check_order([e.predicate.index for e in ranking],
                     sorted(kept, key=lambda p: (-key[p], p)),
                     key, (F, S, F_obs, S_obs))
 

@@ -18,7 +18,7 @@ from repro.core.stopping import (
     StoppingPolicy,
     assess_stats,
 )
-from repro.store.incremental import SufficientStats
+from repro.core.scores import SufficientStats
 
 from tests.helpers import make_reports
 

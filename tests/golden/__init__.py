@@ -98,7 +98,7 @@ CASES: List[GoldenCase] = [
 
 
 def stats_digest(stats) -> str:
-    """Digest of a :class:`~repro.store.incremental.SufficientStats`."""
+    """Digest of a :class:`~repro.core.scores.SufficientStats`."""
     digest = hashlib.sha256()
     for name in ("F", "S", "F_obs", "S_obs"):
         digest.update(np.asarray(getattr(stats, name), dtype="<i8").tobytes())

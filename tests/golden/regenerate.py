@@ -41,7 +41,7 @@ def case_digests(case: GoldenCase, workdir: str) -> Dict[str, object]:
     from repro.core.scores import compute_scores
     from repro.harness.parallel import run_trials_sharded
     from repro.harness.runner import run_trials
-    from repro.store.incremental import SufficientStats
+    from repro.core.scores import SufficientStats
 
     subject = case.build_subject()
     program = subject.build_program()

@@ -157,24 +157,12 @@ class TestBakeoffDocument:
         scratch through importance_scores and compare the graded rank."""
         from repro.harness.runner import run_trials
         from repro.instrument.sampling import SamplingPlan
-        from repro.store.incremental import SufficientStats
+        from repro.core.scores import SufficientStats
 
         subject = SUBJECTS["ccrypt"]()
         program = instrument_source(subject.source(), "ccrypt")
         reports, _ = run_trials(subject, program, 120, SamplingPlan.full(), seed=0)
-        stats = SufficientStats.from_reports(reports)
-        scores = stats.to_scores() if hasattr(stats, "to_scores") else None
-        if scores is None:
-            from repro.core.scores import scores_from_counts
-
-            scores = scores_from_counts(
-                stats.F,
-                stats.S,
-                stats.F_obs,
-                stats.S_obs,
-                stats.num_failing,
-                stats.num_successful,
-            )
+        scores = SufficientStats.from_reports(reports).to_scores()
         imp = importance_scores(scores).importance
         # Bit-identity of the measure itself...
         assert measures.measure_values(scores, "importance").tobytes() == imp.tobytes()

@@ -166,6 +166,32 @@ class TestCollectCommand:
 
         assert predictor_lines(store_out) == predictor_lines(mono_out)
 
+    def test_stats_only_measure_same_for_archive_and_store(self, capsys, tmp_path):
+        """``--stats-only --measure`` ranks an archive exactly as it ranks
+        a store of the same runs, not with the elimination table."""
+        archive = tmp_path / "reports.npz"
+        main(
+            [
+                "run", "--subject", "ccrypt", "--runs", "90",
+                "--sampling", "full", "--training-runs", "0",
+                "--save", str(archive),
+            ]
+        )
+        store_dir = tmp_path / "store"
+        self._collect(store_dir, seed="0")
+        capsys.readouterr()
+
+        def ranked_rows(path):
+            argv = ["analyze", str(path), "--stats-only", "--measure", "ochiai"]
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            header = next(i for i, line in enumerate(lines) if "Ochiai" in line)
+            return lines[header:]
+
+        archive_rows = ranked_rows(archive)
+        assert len(archive_rows) > 1
+        assert archive_rows == ranked_rows(store_dir)
+
 
 class TestFaultInjectionCLI:
     def _collect(self, store_dir, *extra):

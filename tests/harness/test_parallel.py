@@ -94,7 +94,7 @@ class TestShardedCollection:
         store = run_trials_sharded(
             subject, 180, plan, str(tmp_path / "store"), seed=3, jobs=2, chunk_size=40
         )
-        streaming = store.compute_scores()
+        streaming = store.sufficient_stats().to_scores()
         mono = compute_scores(serial_reports)
         np.testing.assert_array_equal(streaming.F, mono.F)
         np.testing.assert_array_equal(streaming.S, mono.S)

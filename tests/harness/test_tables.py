@@ -2,8 +2,10 @@
 
 from repro.baselines.stacktrace import stack_study
 from repro.core.elimination import eliminate
-from repro.core.ranking import RankingStrategy, rank_predicates
+from repro.core.importance import importance_scores
+from repro.core.ranking import rank
 from repro.core.runs_needed import RunsNeededResult
+from repro.core.scores import compute_scores
 from repro.core.truth import GroundTruth, cooccurrence_table
 from repro.harness.tables import (
     format_logistic_table,
@@ -23,20 +25,25 @@ def _population():
     return make_reports(2, runs)
 
 
+def _importance_ranking(reports):
+    scores = compute_scores(reports)
+    return rank(reports.table, scores, importance_scores(scores).importance)
+
+
 class TestRankingTable:
     def test_contains_predicates_and_counts(self):
         reports = _population()
-        ranking = rank_predicates(reports, RankingStrategy.BY_IMPORTANCE)
-        text = format_ranking_table(ranking, "test", top=5)
+        ranking = _importance_ranking(reports)
+        text = format_ranking_table(ranking, "test", "harmonic mean", top=5)
         assert "P0" in text
         assert "Context" in text
         assert "[" in text  # thermometer bars
 
     def test_truncation_note(self):
         reports = _population()
-        ranking = rank_predicates(reports, RankingStrategy.BY_IMPORTANCE)
-        text = format_ranking_table(ranking, "test", top=1)
-        if len(ranking.entries) > 1:
+        ranking = _importance_ranking(reports)
+        text = format_ranking_table(ranking, "test", "harmonic mean", top=1)
+        if len(ranking) > 1:
             assert "additional predicates follow" in text
 
 

@@ -440,8 +440,7 @@ class TestSufficientStatsPartitionAlgebra:
     def test_random_run_partition_merges_to_monolithic(self, data):
         """Any assignment of runs to parts, summed, reproduces the
         monolithic counts exactly (integer equality)."""
-        from repro.core.scores import sufficient_counts
-        from repro.store.incremental import SufficientStats
+        from repro.core.scores import SufficientStats
 
         reports, np, n_runs = self._random_population(data)
         k = data.draw(st.integers(1, 5))
@@ -455,20 +454,20 @@ class TestSufficientStatsPartitionAlgebra:
         for part in parts[1:]:
             merged.add(part)
 
-        F, S, F_obs, S_obs, num_failing, num_successful = sufficient_counts(reports)
-        np.testing.assert_array_equal(merged.F, F)
-        np.testing.assert_array_equal(merged.S, S)
-        np.testing.assert_array_equal(merged.F_obs, F_obs)
-        np.testing.assert_array_equal(merged.S_obs, S_obs)
-        assert merged.num_failing == num_failing
-        assert merged.num_successful == num_successful
+        whole = SufficientStats.from_reports(reports)
+        np.testing.assert_array_equal(merged.F, whole.F)
+        np.testing.assert_array_equal(merged.S, whole.S)
+        np.testing.assert_array_equal(merged.F_obs, whole.F_obs)
+        np.testing.assert_array_equal(merged.S_obs, whole.S_obs)
+        assert merged.num_failing == whole.num_failing
+        assert merged.num_successful == whole.num_successful
 
     @settings(max_examples=40, **_SETTINGS)
     @given(data=st.data())
     def test_merge_shape_independence(self, data):
         """Summing parts pairwise in any order equals the in-place left
         fold the streaming scorer runs."""
-        from repro.store.incremental import SufficientStats
+        from repro.core.scores import SufficientStats
 
         reports, np, n_runs = self._random_population(data)
         k = data.draw(st.integers(1, 5))
@@ -500,8 +499,7 @@ class TestSufficientStatsPartitionAlgebra:
     def test_predicate_slices_score_bitwise(self, data):
         """Scoring any predicate slice of the counts is bitwise equal to
         the same rows of scoring the whole table (scores are elementwise)."""
-        from repro.core.scores import scores_from_counts
-        from repro.store.incremental import SufficientStats
+        from repro.core.scores import SufficientStats
 
         from tests.helpers import partition_bounds
 
@@ -510,10 +508,10 @@ class TestSufficientStatsPartitionAlgebra:
         parts = data.draw(st.integers(1, 8))
         whole = stats.to_scores()
         for lo, hi in partition_bounds(stats.n_predicates, parts):
-            sliced = scores_from_counts(
+            sliced = SufficientStats(
                 stats.F[lo:hi], stats.S[lo:hi], stats.F_obs[lo:hi],
                 stats.S_obs[lo:hi], stats.num_failing, stats.num_successful,
-            )
+            ).to_scores()
             for field in (
                 "F", "S", "failure", "context", "increase", "increase_se",
                 "increase_lo", "increase_hi", "pf", "ps", "z", "z_defined",

@@ -11,7 +11,8 @@ import pytest
 
 from repro.core.io import load_shard_stats
 from repro.core.importance import importance_scores
-from repro.store import Fault, StaleManifestError, SufficientStats
+from repro.core.scores import SufficientStats
+from repro.store import Fault, StaleManifestError
 
 from tests.conftest import collect_tiny_store
 
@@ -70,8 +71,8 @@ class TestKillAndCorruptAcceptance:
 
     def test_importance_bit_identical_to_uninjected_run(self, stores):
         injected, clean = stores
-        a = importance_scores(injected.compute_scores())
-        b = importance_scores(clean.compute_scores())
+        a = importance_scores(injected.sufficient_stats().to_scores())
+        b = importance_scores(clean.sufficient_stats().to_scores())
         np.testing.assert_array_equal(a.importance, b.importance)
         np.testing.assert_array_equal(a.sensitivity, b.sensitivity)
         np.testing.assert_array_equal(a.lo, b.lo)
@@ -136,6 +137,6 @@ class TestGracefulDegradation:
         # Scores are unaffected by the orphan's presence.
         clean = _collect(tmp_path, "clean")
         np.testing.assert_array_equal(
-            importance_scores(store.compute_scores()).importance,
-            importance_scores(clean.compute_scores()).importance,
+            importance_scores(store.sufficient_stats().to_scores()).importance,
+            importance_scores(clean.sufficient_stats().to_scores()).importance,
         )

@@ -200,6 +200,19 @@ class TestScores:
         assert live["n_runs"] == 60
         assert live["num_failing"] == store.sufficient_stats().num_failing
 
+    def test_measure_echoed_under_its_registry_name(self, ccrypt_service):
+        store, service = ccrypt_service
+        assert service.scores_payload(measure="IMPORTANCE")["measure"] == "importance"
+        reports = [_synthetic(seed, failed=seed % 2 == 0) for seed in range(8)]
+        _post_reports(service, reports, store)
+        service.flush()
+        assert store.n_runs == 8
+        for asked, name in (("IMPORTANCE", "importance"), (" Ochiai ", "ochiai")):
+            doc = service.scores_payload(measure=asked)
+            assert doc["measure"] == name
+            assert doc == service.scores_payload(measure=name)
+
+
 
 class TestWalRestart:
     def test_acked_reports_survive_restart(

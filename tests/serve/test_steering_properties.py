@@ -32,7 +32,7 @@ from repro.serve.steering import (
     steering_from_wire,
 )
 from repro.store import ShardStore
-from repro.store.incremental import SufficientStats
+from repro.core.scores import SufficientStats
 
 from tests.conftest import build_synthetic_store
 from tests.helpers import make_reports

@@ -23,6 +23,7 @@ from repro.core.io import (
     load_table,
     save_reports,
 )
+from repro.core.scores import SufficientStats
 from repro.store import (
     DuplicateSeedRangeError,
     Fault,
@@ -32,7 +33,6 @@ from repro.store import (
     ShardStore,
     StaleManifestError,
     StoreError,
-    SufficientStats,
     faults_from_env,
     parse_faults,
 )

@@ -8,10 +8,10 @@ import pytest
 
 from repro.core.io import load_shard_stats
 from repro.core.reports import ReportSet
-from repro.core.scores import compute_scores
+from repro.core.scores import SufficientStats, compute_scores
 from repro.core.truth import GroundTruth
 from repro.instrument.sampling import SamplingPlan
-from repro.store import ShardStore, SufficientStats, plan_from_json, plan_to_json
+from repro.store import ShardStore, plan_from_json, plan_to_json
 from repro.store.manifest import ShardEntry, ShardManifest, config_digest
 from repro.instrument.transform import InstrumentationConfig
 
@@ -121,7 +121,7 @@ class TestShardStore:
     def test_incremental_scores_equal_monolithic(self, tmp_path):
         whole = _population(n_preds=6, n_runs=42, seed=9)
         store = self._store(tmp_path, whole, k=5)
-        streaming = ShardStore.open(store.directory).compute_scores()
+        streaming = ShardStore.open(store.directory).sufficient_stats().to_scores()
         mono = compute_scores(whole)
         _assert_counters_equal(streaming, mono)
         np.testing.assert_array_equal(streaming.increase, mono.increase)
