@@ -1108,13 +1108,12 @@ def _print_stats_ranking(table, analysis, top) -> None:
     """
     from repro.core.ranking import rank
 
-    scores = analysis.scores
     label = analysis.measure.capitalize()
     width = max(10, len(label))
     print(f"{label:>{width}}  {'Increase':>8}  {'F':>6}  {'S':>6}  predicate")
     for entry in rank(
         table,
-        scores,
+        analysis.scores,
         analysis.measure_values,
         candidates=analysis.pruning.kept,
         top=top,
