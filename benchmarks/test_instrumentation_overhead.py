@@ -115,8 +115,8 @@ def test_fast_sampler_noop_floor_not_regressed(benchmark):
     ``Runtime.branch`` may cost at most :data:`NOOP_FLOOR_MAX_RATIO`
     times a bare identity method with the same signature.  The two
     loops are timed interleaved in one process, best of five each, so
-    host load moves both alike (`BENCH_collection.json`'s
-    `sampler_overhead` scenario records the absolute trajectory).
+    host load moves both alike; both absolute costs and their ratio are
+    written to `benchmarks/results/sampler_noop_floor.txt`.
     """
     from repro.core.predicates import PredicateTable, Scheme
     from repro.instrument.runtime import Runtime

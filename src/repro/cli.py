@@ -59,6 +59,22 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type for sizes such as ``--runs`` or ``--jobs``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def sampling_rate(text: str) -> float:
+    """argparse type for ``--rate``: a probability in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -78,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one bug-isolation experiment")
     run.add_argument("--subject", choices=sorted(SUBJECTS), required=True)
     run.add_argument(
-        "--runs", type=int, default=None,
+        "--runs", type=positive_int, default=None,
         help="number of trials (default: the subject's trial budget, "
         "see `list --json`)",
     )
@@ -88,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="adaptive",
         help="sampling regime (paper default: adaptive nonuniform)",
     )
-    run.add_argument("--rate", type=float, default=0.01, help="uniform sampling rate")
+    run.add_argument("--rate", type=sampling_rate, default=0.01, help="uniform sampling rate")
     run.add_argument(
-        "--training-runs", type=int, default=200, help="adaptive training set size"
+        "--training-runs", type=non_negative_int, default=200, help="adaptive training set size"
     )
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
@@ -104,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=non_negative_int, default=15, help="max predictors to report"
     )
     run.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=positive_int, default=1,
         help="worker processes (default 1, unified across subcommands; "
         "output is bit-identical for every value)",
     )
@@ -132,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard-store directory (created on first use, appended after)",
     )
     collect.add_argument(
-        "--runs", type=int, default=None,
+        "--runs", type=positive_int, default=None,
         help="number of trials (default: the subject's trial budget, "
         "see `list --json`)",
     )
@@ -142,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="adaptive",
         help="sampling regime (paper default: adaptive nonuniform)",
     )
-    collect.add_argument("--rate", type=float, default=0.01, help="uniform sampling rate")
+    collect.add_argument("--rate", type=sampling_rate, default=0.01, help="uniform sampling rate")
     collect.add_argument(
-        "--training-runs", type=int, default=200, help="adaptive training set size"
+        "--training-runs", type=non_negative_int, default=200, help="adaptive training set size"
     )
     collect.add_argument(
         "--seed", type=int, default=None,
@@ -152,16 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
         "repeated collect sessions extend the population contiguously",
     )
     collect.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=positive_int, default=1,
         help="worker processes (default 1, unified across subcommands; "
         "each writes its shards directly to disk, bit-identical for "
         "every value)",
     )
     collect.add_argument(
-        "--chunk-size", type=int, default=200, help="trials per shard"
+        "--chunk-size", type=positive_int, default=200, help="trials per shard"
     )
     collect.add_argument(
-        "--max-attempts", type=int, default=3,
+        "--max-attempts", type=positive_int, default=3,
         help="attempts per chunk before the collection gives up",
     )
     collect.add_argument(
@@ -250,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port; 0 picks a free one (printed on startup)",
     )
     serve.add_argument(
-        "--batch-runs", type=int, default=200,
+        "--batch-runs", type=positive_int, default=200,
         help="contiguous seeds per committed shard",
     )
     serve.add_argument(
@@ -261,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--sampling", choices=["uniform", "adaptive", "full"], default="adaptive",
         help="sampling plan recorded when creating a new store",
     )
-    serve.add_argument("--rate", type=float, default=0.01, help="uniform sampling rate")
+    serve.add_argument("--rate", type=sampling_rate, default=0.01, help="uniform sampling rate")
     serve.add_argument(
-        "--training-runs", type=int, default=200, help="adaptive training set size"
+        "--training-runs", type=non_negative_int, default=200, help="adaptive training set size"
     )
     serve.add_argument(
         "--no-steering", action="store_true",
@@ -271,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         "local sampling plans, the pre-steering behaviour)",
     )
     serve.add_argument(
-        "--refit-runs", type=int, default=100,
+        "--refit-runs", type=positive_int, default=100,
         help="refit the steering document every N committed runs",
     )
     serve.add_argument(
@@ -327,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--url", required=True, help="server base URL, e.g. http://127.0.0.1:8080"
     )
     submit.add_argument(
-        "--runs", type=int, default=None,
+        "--runs", type=non_negative_int, default=None,
         help="trials to run and spool before draining (default: the "
         "subject's trial budget); 0 drains an existing spool only",
     )
@@ -337,21 +353,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="local disk spool; reports persist here until acknowledged",
     )
     submit.add_argument(
-        "--batch-size", type=int, default=32, help="reports per upload request"
+        "--batch-size", type=positive_int, default=32, help="reports per upload request"
     )
     submit.add_argument(
         "--sampling", choices=["uniform", "adaptive", "full"], default="adaptive",
         help="sampling regime (must match what the server's store expects)",
     )
-    submit.add_argument("--rate", type=float, default=0.01, help="uniform sampling rate")
+    submit.add_argument("--rate", type=sampling_rate, default=0.01, help="uniform sampling rate")
     submit.add_argument(
-        "--training-runs", type=int, default=200, help="adaptive training set size"
+        "--training-runs", type=non_negative_int, default=200, help="adaptive training set size"
     )
     submit.add_argument(
         "--timeout", type=float, default=10.0, help="per-request timeout in seconds"
     )
     submit.add_argument(
-        "--max-attempts", type=int, default=8,
+        "--max-attempts", type=positive_int, default=8,
         help="attempts per batch before the drain gives up",
     )
     submit.add_argument(
@@ -397,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="destination store directory (created if absent)",
     )
     federate.add_argument(
-        "--max-attempts", type=int, default=3,
+        "--max-attempts", type=positive_int, default=3,
         help="pull attempts per shard before it is skipped with an "
         "audited reason",
     )
@@ -419,28 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fed-fetch-error@pull[#attempt] or fed-corrupt-fetch@pull[#attempt]",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the standard benchmark scenarios and append the results "
-        "to BENCH_collection.json / BENCH_analysis.json",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="small trial counts for CI smoke runs (entries are marked quick)",
-    )
-    bench.add_argument(
-        "--out-dir", metavar="DIR", default=".",
-        help="directory holding the BENCH_*.json trajectory files",
-    )
-    bench.add_argument(
-        "--label", default=None,
-        help="free-form label recorded with this bench entry (e.g. a commit)",
-    )
-    bench.add_argument(
-        "--scale", type=float, default=1.0,
-        help="multiply every scenario's trial count by this factor",
-    )
-
     bakeoff = sub.add_parser(
         "bakeoff",
         help="grade every registered suspiciousness measure against the "
@@ -457,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure to grade (repeatable; default: every registered measure)",
     )
     bakeoff.add_argument(
-        "--runs", type=int, default=None,
+        "--runs", type=positive_int, default=None,
         help="deterministic full-observation trials per subject "
         "(default: 400)",
     )
@@ -480,15 +474,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """CLI entry point."""
-    from repro.core.io import ArchiveVersionError
-    from repro.store.errors import StoreVersionError
+    from repro.core.io import ArchiveError
+    from repro.store.errors import StoreError
 
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ArchiveVersionError, StoreVersionError) as exc:
-        # A retired v1/v2 archive or store: refuse with the reason, not
-        # a traceback.
+    except (ArchiveError, StoreError, FileNotFoundError) as exc:
+        # A damaged, retired or missing archive or store: refuse with
+        # the reason, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -520,19 +514,6 @@ def _run(args) -> int:
         for name in sorted(SUBJECTS):
             subject = SUBJECTS[name]()
             print(f"{name:<16} kind: {subject.kind:<8} bugs: {', '.join(subject.bug_ids)}")
-        return 0
-
-    if args.command == "bench":
-        from repro.obs.bench import run_bench
-
-        collection_path, analysis_path = run_bench(
-            out_dir=args.out_dir,
-            quick=args.quick,
-            scale=args.scale,
-            label=args.label,
-        )
-        print(f"wrote {collection_path}")
-        print(f"wrote {analysis_path}")
         return 0
 
     if args.command == "bakeoff":

@@ -447,7 +447,7 @@ def _archive_errors(what: str, path: str) -> Iterator[None]:
     ``ValueError``, which the corruption classes would otherwise catch).
     """
     if not os.path.exists(path):
-        raise FileNotFoundError(path)
+        raise FileNotFoundError(f"{path}: no such file")
     try:
         yield
     except ArchiveError:

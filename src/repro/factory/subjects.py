@@ -5,7 +5,7 @@ package or the vendored corpus), an optional deterministic mutation, an
 input generator, and a pass/fail oracle into the same
 :class:`~repro.subjects.base.Subject` protocol the hand-built analogues
 implement -- so every collection path (serial, parallel, sharded,
-daemon, steered) and every analysis path (scoring, bakeoff, bench)
+daemon, steered) and every analysis path (scoring, bakeoff)
 works on manufactured subjects unchanged.
 
 The default oracle is *differential*: a non-crashing output is correct

@@ -244,10 +244,16 @@ def run_trials_sharded(
         ``store.last_collection``.
 
     Raises:
+        ValueError: ``chunk_size`` is not positive or ``n_runs`` is
+            negative.
         repro.store.errors.CollectionError: A chunk failed
             ``max_attempts`` times; everything committed before the
             failure remains committed and recoverable.
     """
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if n_runs < 0:
+        raise ValueError(f"n_runs must be >= 0, got {n_runs}")
     from repro.core.io import file_sha256, load_shard_stats
     from repro.core.io import ArchiveError
     from repro.store import ShardStore

@@ -18,8 +18,7 @@ fully sampled while hot sites back off toward the floor, so the steered
 population reaches a stable ranking in fewer runs.
 
 Everything is deterministic in ``(subject, n_runs, seed)``; the
-EXPERIMENTS.md table and the ``steering`` bench scenario both come from
-these functions.
+EXPERIMENTS.md table comes from these functions.
 """
 
 from __future__ import annotations

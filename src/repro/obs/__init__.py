@@ -1,6 +1,6 @@
 """``repro.obs``: zero-dependency observability for the CBI pipeline.
 
-Three instruments, all stdlib-only and all **measurement-only** (enabling
+Two instruments, both stdlib-only and **measurement-only** (enabling
 them never changes collected reports, scores, or shard bytes -- the
 differential and bit-identical test suites run with observability on):
 
@@ -11,9 +11,6 @@ differential and bit-identical test suites run with observability on):
   records, one JSON object per line, appended crash-safely so forked
   collection workers can share one trace file.  Convert for
   ``chrome://tracing`` with ``python -m repro.obs.trace``.
-* **Benchmarks** (:mod:`repro.obs.bench`): the ``repro-cbi bench``
-  scenarios behind ``BENCH_collection.json`` / ``BENCH_analysis.json``
-  (schema ``repro-bench/v1``), the repo's append-only perf trajectory.
 
 The module-level facade here is what instrumented call sites use::
 

@@ -84,7 +84,7 @@ class Subject(abc.ABC):
     def build_program(self, config=None, table=None):
         """Instrument this subject and return an ``InstrumentedProgram``.
 
-        Every production consumer (collect/analyze/serve/bakeoff/bench)
+        Every production consumer (collect/analyze/serve/bakeoff)
         builds programs through this method so factory subjects -- whose
         programs span several modules behind an import hook -- slot in
         transparently.  The base implementation instruments the single

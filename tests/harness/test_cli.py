@@ -248,13 +248,16 @@ class TestFaultInjectionCLI:
         assert "Importance" in captured.out
 
     def test_analyze_no_audit_surfaces_typed_error(self, capsys, tmp_path):
-        from repro.store import StaleManifestError
-
         store_dir = tmp_path / "store"
         self._collect(store_dir, "--testing", "--inject-fault", "stale-manifest@1")
         capsys.readouterr()
-        with pytest.raises(StaleManifestError, match="audit"):
-            main(["analyze", str(store_dir), "--stats-only", "--no-audit"])
+        assert main(["analyze", str(store_dir), "--stats-only", "--no-audit"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "error: manifest lists shard-00000030.npz but the file is "
+            "missing; run audit() to quarantine it"
+        )
 
 
 class TestObservabilityCLI:
@@ -309,26 +312,6 @@ class TestObservabilityCLI:
         assert "timer" in captured.err
         assert "store.stream_stats" in captured.err
         assert "Importance" not in captured.err  # results stay on stdout
-
-    def test_bench_appends_both_documents(self, capsys, tmp_path):
-        from repro.obs.bench import validate_file
-
-        code = main(
-            [
-                "bench", "--quick", "--scale", "0.01",
-                "--out-dir", str(tmp_path), "--label", "cli-test",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "BENCH_collection.json" in out and "BENCH_analysis.json" in out
-        for name, kind in (
-            ("BENCH_collection.json", "collection"),
-            ("BENCH_analysis.json", "analysis"),
-        ):
-            doc = validate_file(str(tmp_path / name))
-            assert doc["kind"] == kind
-            assert doc["entries"][0]["label"] == "cli-test"
 
 
 class TestListJson:
@@ -438,3 +421,94 @@ class TestServeSubmitCLI:
         assert args.port == 8080
         assert args.batch_runs == 200
         assert args.max_buffered == 100_000
+
+
+class TestBadArguments:
+    """Counts and rates outside their domain are usage errors (exit 2),
+    refused before any trial runs or any store is created."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["collect", "--chunk-size", "0"], "--chunk-size"),
+            (["collect", "--chunk-size", "-2"], "--chunk-size"),
+            (["collect", "--runs", "-3"], "--runs"),
+            (["collect", "--runs", "0"], "--runs"),
+            (["collect", "--jobs", "-2"], "--jobs"),
+            (["collect", "--rate", "1.5"], "--rate"),
+            (["collect", "--training-runs", "-1"], "--training-runs"),
+            (["collect", "--max-attempts", "0"], "--max-attempts"),
+            (["run", "--subject", "ccrypt", "--runs", "-3"], "--runs"),
+            (["run", "--subject", "ccrypt", "--jobs", "0"], "--jobs"),
+            (["run", "--subject", "ccrypt", "--rate", "0"], "--rate"),
+            (["run", "--subject", "ccrypt", "--rate", "nan"], "--rate"),
+            (["bakeoff", "--runs", "0"], "--runs"),
+            (["serve", "store", "--batch-runs", "0"], "--batch-runs"),
+            (["serve", "store", "--refit-runs", "0"], "--refit-runs"),
+            (["serve", "store", "--rate", "-0.5"], "--rate"),
+            (["submit", "--runs", "-1"], "--runs"),
+            (["submit", "--rate", "2"], "--rate"),
+            (["submit", "--batch-size", "0"], "--batch-size"),
+            (["federate", "a", "b", "--max-attempts", "0"], "--max-attempts"),
+        ],
+    )
+    def test_rejected_as_usage_error(self, capsys, tmp_path, argv, flag):
+        if argv[0] == "collect":
+            argv = argv[:1] + [
+                "--subject", "ccrypt", "--out", str(tmp_path / "store"),
+            ] + argv[1:]
+        elif argv[0] == "submit":
+            argv = argv[:1] + [
+                "--subject", "ccrypt", "--url", "http://127.0.0.1:9",
+                "--spool", str(tmp_path / "spool"),
+            ] + argv[1:]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_submit_runs_still_means_drain_only(self):
+        args = build_parser().parse_args(
+            [
+                "submit", "--subject", "ccrypt", "--url", "http://127.0.0.1:9",
+                "--spool", "spool", "--runs", "0", "--training-runs", "0",
+            ]
+        )
+        assert (args.runs, args.training_runs) == (0, 0)
+
+    def test_bench_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--quick"])
+        assert info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+class TestTypedErrors:
+    """Damaged or missing inputs end in one ``error:`` line and exit 1."""
+
+    def _analyze(self, capsys, path):
+        code = main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        return captured.err.splitlines()
+
+    def test_garbage_archive(self, capsys, tmp_path):
+        junk = tmp_path / "junk.npz"
+        junk.write_bytes(b"not an archive" * 10)
+        lines = self._analyze(capsys, junk)
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_directory_without_manifest(self, capsys, tmp_path):
+        lines = self._analyze(capsys, tmp_path)
+        assert lines == [
+            f"error: no manifest.json in {tmp_path}; not a shard store"
+        ]
+
+    def test_missing_path(self, capsys, tmp_path):
+        missing = tmp_path / "missing.npz"
+        assert self._analyze(capsys, missing) == [
+            f"error: {missing}: no such file"
+        ]

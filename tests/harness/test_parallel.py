@@ -124,6 +124,21 @@ class TestShardedCollection:
                 subject, 40, plan, store_dir, seed=20, jobs=1, chunk_size=20
             )
 
+    @pytest.mark.parametrize(
+        "n_runs, chunk_size, match",
+        [(40, 0, "chunk_size"), (40, -2, "chunk_size"), (-3, 20, "n_runs")],
+    )
+    def test_bad_sizes_rejected_before_the_store_exists(
+        self, tmp_path, n_runs, chunk_size, match
+    ):
+        store_dir = tmp_path / "store"
+        with pytest.raises(ValueError, match=match):
+            run_trials_sharded(
+                TinySubject(), n_runs, SamplingPlan.full(), str(store_dir),
+                chunk_size=chunk_size,
+            )
+        assert not store_dir.exists()
+
     def test_parent_memory_bounded_in_n_runs(self, tmp_path):
         """Workers write shards directly, so the parent's peak allocation
         must not grow with the population size (only shard-membership
