@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="contiguous seeds per committed shard",
     )
     serve.add_argument(
-        "--max-buffered", type=int, default=100_000,
+        "--max-buffered", type=positive_int, default=100_000,
         help="pending-report bound; uploads past it get 503",
     )
     serve.add_argument(
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="refit the steering document every N committed runs",
     )
     serve.add_argument(
-        "--watchlist-k", type=int, default=10,
+        "--watchlist-k", type=non_negative_int, default=10,
         help="predicates on the steering watchlist",
     )
     serve.add_argument(

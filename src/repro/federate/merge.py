@@ -25,12 +25,12 @@ Protocol (manifest-diff sync):
    *divergent* claims on overlapping seed ranges raise
    :class:`~repro.federate.errors.FederationError` (the
    seed-disjointness invariant: merging them would double-count runs);
-3. pulls run in seed order; each fetched shard is verified end to end
-   (SHA-256 against the source entry, archive parse, predicate-table
-   signature, run counts) before the destination commits it through the
-   store's crash-safe pending-file protocol
+3. pulls run in seed order; the destination stages each fetched shard
+   under its pending name and commits it only if the store's one shard
+   check (:func:`~repro.store.shards.check_shard`) accepts it against
+   the source entry
    (:meth:`~repro.store.shards.ShardStore.ingest_shard_bytes`);
-4. a shard that keeps failing verification rotates through its
+4. a shard that keeps failing the check rotates through its
    byte-identical candidates and, if every attempt fails, is *skipped*
    with an audited reason (a quarantine record in the destination plus
    a ``federate-skip`` log event) -- damaged source data degrades the
@@ -53,12 +53,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.io import ArchiveError, load_shard_stats
 from repro.federate.errors import FederationError, FederationFetchError
 from repro.federate.sources import StoreSource
 from repro.obs import (
@@ -67,6 +65,7 @@ from repro.obs import (
     span as _obs_span,
     timer as _obs_timer,
 )
+from repro.store.errors import ShardCheckError
 from repro.store.faults import FaultInjector
 from repro.store.manifest import ShardEntry, ShardManifest
 from repro.store.shards import AuditReport, QuarantineRecord, ShardStore
@@ -313,47 +312,6 @@ def _flip_middle(data: bytes, n_bytes: int = 32) -> bytes:
     return data[:offset] + bytes(b ^ 0xFF for b in block) + data[offset + len(block):]
 
 
-def _verify_bytes(
-    dest: ShardStore, entry: ShardEntry, data: bytes
-) -> Optional[Tuple[str, str]]:
-    """Full end-to-end check of fetched shard bytes.
-
-    Returns ``None`` when the bytes are exactly the shard the source
-    manifest committed, else ``(reason, detail)`` in the audit
-    vocabulary.
-    """
-    actual = hashlib.sha256(data).hexdigest()
-    if entry.sha256 is not None and actual != entry.sha256:
-        return (
-            "checksum-mismatch",
-            f"fetched bytes hash to {actual[:12]}..., source entry says "
-            f"{entry.sha256[:12]}...",
-        )
-    fd, tmp = tempfile.mkstemp(prefix=".fetch-", dir=dest.directory)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        try:
-            _, _, _, _, num_failing, num_successful, table_sha = load_shard_stats(tmp)
-        except ArchiveError as exc:
-            return ("unreadable", str(exc))
-        if table_sha != dest.manifest.table_sha:
-            return (
-                "table-mismatch",
-                f"shard carries table signature {table_sha[:12]}..., "
-                f"destination expects {dest.manifest.table_sha[:12]}...",
-            )
-        if num_failing + num_successful != entry.n_runs:
-            return (
-                "count-mismatch",
-                f"archive holds {num_failing + num_successful} runs, "
-                f"source entry says {entry.n_runs}",
-            )
-    finally:
-        os.unlink(tmp)
-    return None
-
-
 def federate_stores(
     sources: Sequence[StoreSource],
     dest: ShardStore,
@@ -405,15 +363,21 @@ def federate_stores(
                         )
                     with _obs_timer("federate.pull_shard"):
                         data = source.fetch(entry)
-                    if injector.fires("fed-corrupt-fetch", ordinal, attempt):
-                        data = _flip_middle(data)
-                except FederationFetchError as exc:
+                        if injector.fires("fed-corrupt-fetch", ordinal, attempt):
+                            data = _flip_middle(data)
+                        # A source entry with no recorded digest takes the
+                        # fetched bytes' hash; the other checks still apply.
+                        committed = dataclasses.replace(
+                            entry,
+                            sha256=entry.sha256 or hashlib.sha256(data).hexdigest(),
+                            source=source.label,
+                        )
+                        dest.ingest_shard_bytes(data, committed)
+                except (FederationFetchError, ShardCheckError) as exc:
                     outcome = (exc.reason, exc.detail)
                     continue
-                outcome = _verify_bytes(dest, entry, data)
-                if outcome is None:
-                    delivered = source
-                    break
+                delivered = source
+                break
 
             if delivered is None:
                 assert outcome is not None
@@ -438,12 +402,6 @@ def federate_stores(
                     _obs_inc("federate.shards_skipped")
                 continue
 
-            committed = dataclasses.replace(
-                entry,
-                sha256=hashlib.sha256(data).hexdigest(),
-                source=delivered.label,
-            )
-            dest.ingest_shard_bytes(data, committed)
             dest.log_event(
                 "federate-pull",
                 filename=entry.filename,

@@ -22,10 +22,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.elimination import DiscardStrategy, EliminationResult, eliminate
-from repro.core.pruning import PruningResult, prune_predicates
+from repro.core.elimination import DiscardStrategy, EliminationResult
+from repro.core.engine import AnalysisEngine
+from repro.core.pruning import PruningResult
 from repro.core.reports import ReportSet
-from repro.core.scores import DEFAULT_CONFIDENCE, compute_scores
+from repro.core.scores import DEFAULT_CONFIDENCE
 from repro.core.truth import GroundTruth
 from repro.instrument.sampling import DEFAULT_RATE, SamplingPlan
 from repro.instrument.tracer import InstrumentedProgram
@@ -197,12 +198,10 @@ def run_experiment(config: Experiment) -> ExperimentResult:
         reports, truth = run_trials(
             config.subject, program, config.n_runs, plan, seed=config.seed
         )
-    pruning = prune_predicates(compute_scores(reports, confidence=config.confidence))
-    elimination = eliminate(
+    analysis = AnalysisEngine(confidence=config.confidence).analyze_reports(
         reports,
-        candidates=pruning.kept,
+        truth,
         strategy=config.strategy,
-        confidence=config.confidence,
         max_predictors=config.max_predictors,
     )
     wall = time.perf_counter() - started
@@ -215,8 +214,8 @@ def run_experiment(config: Experiment) -> ExperimentResult:
         plan=plan,
         reports=reports,
         truth=truth,
-        pruning=pruning,
-        elimination=elimination,
+        pruning=analysis.pruning,
+        elimination=analysis.elimination,
         lines_of_code=loc,
         wall_seconds=wall,
     )

@@ -23,7 +23,8 @@ derives its input and sampler state purely from ``seed + i``
 reproduces the lost shard's contents exactly -- fault recovery never
 perturbs the collected population.  Shards are committed through the
 store's write-ahead protocol (pending file, then manifest append as the
-commit point), their checksums are verified before commit, and damaged
+commit point), each staged shard must pass the store's one shard check
+(:func:`repro.store.shards.check_shard`) before commit, and damaged
 shards are quarantined and re-collected.  Every attempt, failure,
 quarantine and commit is appended to the store's
 ``collection_log.jsonl``.
@@ -60,11 +61,11 @@ _WORKER: Dict[str, object] = {}
 
 def _run_chunk_to_shard(
     start: int, count: int, plan: SamplingPlan, shard_path: str
-) -> Tuple[int, int]:
+) -> int:
     """Worker task: run one chunk and persist it as a shard archive.
 
-    Returns ``(n_runs, num_failing)`` -- the only data crossing back to
-    the parent.
+    Returns the chunk's failing-run count -- with the shard's digest,
+    the only data crossing back to the parent.
     """
     from repro.core.io import save_reports
 
@@ -82,7 +83,7 @@ def _run_chunk_to_shard(
         truth.add_run(bugs)
     reports = builder.build()
     save_reports(shard_path, reports, truth)
-    return reports.n_runs, reports.num_failing
+    return reports.num_failing
 
 
 #: How long a hang-worker fault sleeps; effectively forever next to any
@@ -145,8 +146,8 @@ def _chunk_worker(
 
     Runs in a forked child that inherited the instrumented program via
     :data:`_WORKER`.  The shard digest is computed on the healthy bytes
-    *before* any injected damage, so damage is detected by the parent's
-    checksum verification exactly as real in-transit corruption would be.
+    *before* any injected damage, so the parent's shard check catches
+    the damage exactly as it would catch real in-transit corruption.
     """
     from repro.core.io import file_sha256
     from repro.store.faults import FaultInjector, apply_worker_damage
@@ -170,11 +171,11 @@ def _chunk_worker(
         seed_start=start,
         count=count,
     ):
-        n_runs, num_failing = _run_chunk_to_shard(start, count, plan, pending_path)
+        num_failing = _run_chunk_to_shard(start, count, plan, pending_path)
         digest = file_sha256(pending_path)
     apply_worker_damage(injector, chunk_index, attempt, pending_path)
     result_queue.put(
-        (chunk_index, n_runs, num_failing, digest, _obs_snapshot() if obs_on else None)
+        (chunk_index, num_failing, digest, _obs_snapshot() if obs_on else None)
     )
 
 
@@ -211,12 +212,12 @@ def run_trials_sharded(
     that dies (crash, OOM kill) or exceeds ``chunk_timeout`` is detected
     and its seed range re-run after an exponential backoff
     (``backoff_base * 2**(attempt-1)``, capped at ``backoff_cap``), up to
-    ``max_attempts`` total attempts per chunk.  Completed shards are
-    checksum-verified before commit; damaged ones are quarantined and
-    the chunk retried.  Shards are committed in seed order through the
-    store's write-ahead protocol, so an interrupted session never leaves
-    a partially written shard under a committed name (see
-    :mod:`repro.store.shards`).
+    ``max_attempts`` total attempts per chunk.  Completed shards must
+    pass :func:`repro.store.shards.check_shard` before commit; damaged
+    ones are quarantined and the chunk retried.  Shards are committed in
+    seed order through the store's write-ahead protocol, so an
+    interrupted session never leaves a partially written shard under a
+    committed name (see :mod:`repro.store.shards`).
 
     Args:
         subject: The subject program.
@@ -254,13 +255,11 @@ def run_trials_sharded(
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if n_runs < 0:
         raise ValueError(f"n_runs must be >= 0, got {n_runs}")
-    from repro.core.io import file_sha256, load_shard_stats
-    from repro.core.io import ArchiveError
     from repro.store import ShardStore
-    from repro.store.errors import CollectionError
+    from repro.store.errors import CollectionError, ShardCheckError
     from repro.store.faults import FaultInjector, faults_from_env
     from repro.store.manifest import ShardEntry
-    from repro.store.shards import PENDING_SUFFIX, shard_filename
+    from repro.store.shards import PENDING_SUFFIX, check_shard, shard_filename
 
     injector = FaultInjector(faults if faults is not None else faults_from_env())
 
@@ -316,7 +315,7 @@ def run_trials_sharded(
     completed: Dict[int, ShardEntry] = {}
     chunk_attempt: Dict[int, int] = {}
     next_commit = 0
-    results: Dict[int, Tuple[int, int, str, Optional[dict]]] = {}
+    results: Dict[int, Tuple[int, str, Optional[dict]]] = {}
 
     def pending_path_of(chunk: _ChunkState) -> str:
         return os.path.join(
@@ -372,39 +371,6 @@ def run_trials_sharded(
         )
         waiting.append(chunk)
 
-    def verify_result(chunk: _ChunkState, n: int, failing: int, digest: str):
-        """Check the worker's pending shard before committing it."""
-        staged = pending_path_of(chunk)
-        if not os.path.exists(staged):
-            return None, "pending shard file vanished"
-        actual = file_sha256(staged)
-        if actual != digest:
-            return None, (
-                f"checksum mismatch: worker wrote {digest[:12]}..., "
-                f"file now {actual[:12]}..."
-            )
-        try:
-            _, _, _, _, num_failing, num_successful, table_sha = load_shard_stats(staged)
-        except ArchiveError as exc:
-            return None, f"unreadable: {exc}"
-        if table_sha != store.manifest.table_sha:
-            return None, "table signature mismatch"
-        if num_failing + num_successful != chunk.count or n != chunk.count:
-            return None, (
-                f"run count mismatch: expected {chunk.count}, "
-                f"archive holds {num_failing + num_successful}"
-            )
-        return (
-            ShardEntry(
-                filename=shard_filename(chunk.start),
-                n_runs=n,
-                num_failing=failing,
-                seed_start=chunk.start,
-                sha256=digest,
-            ),
-            None,
-        )
-
     # Entered manually so the span brackets the whole supervision loop
     # without re-indenting it; the matching __exit__ sits in the finally
     # below, so the span closes (and its trace event is emitted) even
@@ -456,8 +422,8 @@ def run_trials_sharded(
 
             # Drain finished workers' results.
             while not result_queue.empty():
-                idx, n, failing, digest, snap = result_queue.get()
-                results[idx] = (n, failing, digest, snap)
+                idx, failing, digest, snap = result_queue.get()
+                results[idx] = (failing, digest, snap)
 
             # Reap exited or timed-out workers.
             for idx in list(active):
@@ -480,8 +446,8 @@ def run_trials_sharded(
                 # but drain once more in case it landed after the loop
                 # above.
                 while not result_queue.empty():
-                    ridx, n, failing, digest, snap = result_queue.get()
-                    results[ridx] = (n, failing, digest, snap)
+                    ridx, failing, digest, snap = result_queue.get()
+                    results[ridx] = (failing, digest, snap)
                 if idx not in results:
                     report.worker_deaths += 1
                     fail_chunk(
@@ -491,10 +457,18 @@ def run_trials_sharded(
                         "reporting a result",
                     )
                     continue
-                n, failing, digest, snap = results.pop(idx)
-                entry, problem = verify_result(chunk, n, failing, digest)
-                if entry is None:
-                    fail_chunk(chunk, "corrupt-shard", problem or "verification failed")
+                failing, digest, snap = results.pop(idx)
+                entry = ShardEntry(
+                    filename=shard_filename(chunk.start),
+                    n_runs=chunk.count,
+                    num_failing=failing,
+                    seed_start=chunk.start,
+                    sha256=digest,
+                )
+                try:
+                    check_shard(pending_path_of(chunk), entry, store.manifest.table_sha)
+                except ShardCheckError as exc:
+                    fail_chunk(chunk, "corrupt-shard", exc.detail)
                     continue
                 # Fold the worker's metrics into the parent registry only
                 # for accepted attempts: counters then reflect exactly the

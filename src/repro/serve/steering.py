@@ -267,6 +267,7 @@ def fit_steering(
     import numpy as np
 
     from repro.core import measures as _measures
+    from repro.core.ranking import order
     from repro.core.stopping import assess_stats
     from repro.instrument.sampling import adaptive_rates
 
@@ -289,8 +290,6 @@ def fit_steering(
     if n_runs > 0:
         scores = stats.to_scores(confidence=policy.confidence)
         values = _measures.measure_values(scores, measure)
-        indices = np.flatnonzero(np.isfinite(values) & (values > 0))
-        order = indices[np.lexsort((indices, -values[indices]))][:watchlist_k]
         table = store.table()
         watchlist = [
             WatchEntry(
@@ -298,7 +297,9 @@ def fit_steering(
                 name=table.predicates[int(i)].name,
                 score=float(values[i]),
             )
-            for i in order
+            for i in order(
+                values, candidates=np.isfinite(values) & (values > 0), top=watchlist_k
+            )
         ]
         assessment = assess_stats(stats, policy)
 

@@ -17,12 +17,27 @@ class StoreError(Exception):
     """Base class for all shard-store failures."""
 
 
-class ShardCorruptionError(StoreError):
+class ShardCheckError(StoreError):
+    """Shard bytes that cannot count toward a store.
+
+    The ways :func:`repro.store.shards.check_shard` refuses a shard.
+    ``reason`` is the failure's code in the audit vocabulary (the
+    ``reason`` of a quarantine record) and ``detail`` its human-readable
+    elaboration, so every caller reports a refusal the same way.
+    """
+
+    reason: str
+    detail: str
+
+
+class ShardCorruptionError(ShardCheckError):
     """A shard archive's bytes are unreadable (truncated, flipped, ...).
 
     Raised when a shard fails to load as a report archive; wraps the
     underlying zip/JSON/NumPy error as ``__cause__``.
     """
+
+    reason = "unreadable"
 
     def __init__(self, filename: str, detail: str) -> None:
         super().__init__(f"shard {filename} is corrupt: {detail}")
@@ -30,29 +45,32 @@ class ShardCorruptionError(StoreError):
         self.detail = detail
 
     def __reduce__(self):
-        # BaseException pickles as ``cls(*self.args)``, which breaks for
-        # multi-argument constructors; these errors cross process
-        # boundaries (analysis-engine workers raise them inside a pool
-        # map), so spell out the real constructor arguments.
+        # BaseException pickles and copies as ``cls(*self.args)``, and
+        # ``args`` here is the one formatted message; spell out the real
+        # constructor arguments so the error rebuilds intact.
         return (type(self), (self.filename, self.detail))
 
 
-class ShardIntegrityError(StoreError):
-    """A shard is readable but inconsistent with the store's manifest.
+class ShardIntegrityError(ShardCheckError):
+    """A shard is readable but inconsistent with what should count.
 
-    Covers checksum mismatches, predicate-table signature mismatches and
-    run-count disagreements -- anything where the bytes parse but cannot
-    be trusted to count toward this store's population.
+    ``reason`` tells the three cases apart: ``checksum-mismatch`` (the
+    bytes do not hash to the entry's SHA-256), ``table-mismatch`` (a
+    foreign predicate table) and ``count-mismatch`` (the archive holds a
+    different number of runs than the entry says).
     """
 
-    def __init__(self, filename: str, detail: str) -> None:
+    def __init__(
+        self, filename: str, detail: str, reason: str = "table-mismatch"
+    ) -> None:
         super().__init__(f"shard {filename} fails integrity check: {detail}")
         self.filename = filename
         self.detail = detail
+        self.reason = reason
 
     def __reduce__(self):
         # See ShardCorruptionError.__reduce__.
-        return (type(self), (self.filename, self.detail))
+        return (type(self), (self.filename, self.detail, self.reason))
 
 
 class DuplicateSeedRangeError(StoreError):
@@ -63,14 +81,22 @@ class DuplicateSeedRangeError(StoreError):
     time) or a quarantine (at audit time) -- never a merge.
     """
 
+    reason = "duplicate-seed-range"
 
-class StaleManifestError(StoreError):
-    """The manifest references a shard file that does not exist.
+
+class StaleManifestError(ShardCheckError):
+    """A shard file that should be on disk is not.
 
     Seen when a shard was deleted (or never renamed into place) after
     the manifest committed it.  :meth:`ShardStore.audit` downgrades this
     to a quarantine record so analysis can proceed over survivors.
     """
+
+    reason = "missing-file"
+
+    @property
+    def detail(self) -> str:
+        return str(self)
 
 
 class StoreVersionError(StoreError):

@@ -40,9 +40,10 @@ A crash between (1) and (2) leaves an uncommitted ``.pending`` file that
 which recovery rolls forward (renames).  No interleaving leaves a
 partially written shard under a committed name.
 
+Bytes count toward a store only after :func:`check_shard` accepts them.
 Damage that slips past collection (bit rot, truncation, deletion) is
-caught by :meth:`ShardStore.audit`, which verifies every committed
-shard's checksum and readability, moves offenders to ``quarantine/``
+caught by :meth:`ShardStore.audit`, which runs that check on every
+committed shard, moves offenders to ``quarantine/``
 with a machine-readable reason file, and reports exactly how many runs
 were lost.  Scores over the surviving shards are bit-identical to a
 clean collection of just those seed ranges -- the sufficient statistics
@@ -80,6 +81,7 @@ from repro.obs import (
 )
 from repro.store.errors import (
     DuplicateSeedRangeError,
+    ShardCheckError,
     ShardCorruptionError,
     ShardIntegrityError,
     StaleManifestError,
@@ -121,6 +123,7 @@ def _check_table_sha(filename: str, shard_sha: str, table_sha: str) -> None:
             filename,
             f"carries table signature {shard_sha[:12]}..., manifest "
             f"expects {table_sha[:12]}...",
+            reason="table-mismatch",
         )
 
 
@@ -133,6 +136,30 @@ def _committed_path(directory: str, entry: "ShardEntry") -> str:
             "run audit() to quarantine it"
         )
     return path
+
+
+def _read_stats(path: str, filename: str, table_sha: str) -> SufficientStats:
+    """A shard file's embedded statistics, once its table is the store's.
+
+    Raises:
+        ShardCorruptionError: The bytes fail to parse.
+        ShardIntegrityError: They carry a different predicate table.
+    """
+    try:
+        F, S, F_obs, S_obs, num_failing, num_successful, shard_sha = (
+            load_shard_stats(path)
+        )
+    except ArchiveError as exc:
+        raise ShardCorruptionError(filename, str(exc)) from exc
+    _check_table_sha(filename, shard_sha, table_sha)
+    return SufficientStats(
+        F=F,
+        S=S,
+        F_obs=F_obs,
+        S_obs=S_obs,
+        num_failing=num_failing,
+        num_successful=num_successful,
+    )
 
 
 def load_entry_stats(directory: str, entry: "ShardEntry", table_sha: str) -> SufficientStats:
@@ -151,26 +178,43 @@ def load_entry_stats(directory: str, entry: "ShardEntry", table_sha: str) -> Suf
     if _obs_enabled():
         _obs_inc("store.shards_streamed")
         _obs_inc("store.bytes_streamed", os.path.getsize(path))
-    try:
-        F, S, F_obs, S_obs, num_failing, num_successful, shard_sha = (
-            load_shard_stats(path)
+    return _read_stats(path, entry.filename, table_sha)
+
+
+def check_shard(path: str, entry: "ShardEntry", table_sha: str) -> None:
+    """Refuse shard bytes at ``path`` that cannot count as ``entry``.
+
+    The one shard check.  :meth:`ShardStore.audit` runs it on committed
+    files, the parallel collector on a worker's staged file, and
+    :meth:`ShardStore.ingest_shard_bytes` on replicated bytes before
+    their commit.  It checks, in order: the file exists, it hashes to
+    ``entry.sha256`` (when set), it parses as an archive, its predicate
+    table is ``table_sha``, and it holds ``entry.n_runs`` runs.
+
+    Raises:
+        StaleManifestError: ``missing-file``.
+        ShardIntegrityError: ``checksum-mismatch``, ``table-mismatch``
+            or ``count-mismatch``.
+        ShardCorruptionError: ``unreadable``.
+    """
+    if not os.path.exists(path):
+        raise StaleManifestError(f"{os.path.basename(path)} is missing")
+    if entry.sha256 is not None:
+        actual = file_sha256(path)
+        if actual != entry.sha256:
+            raise ShardIntegrityError(
+                entry.filename,
+                f"checksum mismatch: entry says {entry.sha256[:12]}..., "
+                f"file hashes to {actual[:12]}...",
+                reason="checksum-mismatch",
+            )
+    n_runs = _read_stats(path, entry.filename, table_sha).n_runs
+    if n_runs != entry.n_runs:
+        raise ShardIntegrityError(
+            entry.filename,
+            f"archive holds {n_runs} runs, entry says {entry.n_runs}",
+            reason="count-mismatch",
         )
-    except ArchiveError as exc:
-        raise ShardCorruptionError(entry.filename, str(exc)) from exc
-    _check_table_sha(entry.filename, shard_sha, table_sha)
-    return SufficientStats(
-        F=F,
-        S=S,
-        F_obs=F_obs,
-        S_obs=S_obs,
-        num_failing=num_failing,
-        num_successful=num_successful,
-    )
-
-
-def pending_name(filename: str) -> str:
-    """The staging name a shard occupies before its manifest commit."""
-    return filename + PENDING_SUFFIX
 
 
 @dataclass
@@ -179,9 +223,10 @@ class QuarantineRecord:
 
     Attributes:
         filename: The shard's name relative to the store directory.
-        reason: Machine-readable reason code (``checksum-mismatch``,
-            ``unreadable``, ``table-mismatch``, ``missing-file``,
-            ``duplicate-seed-range``, ``failed-verification``).
+        reason: Machine-readable reason code: a
+            :class:`~repro.store.errors.ShardCheckError` ``reason``,
+            ``duplicate-seed-range``, or ``failed-verification`` (a
+            collector's staged shard that failed :func:`check_shard`).
         detail: Human-readable elaboration.
         n_runs: Runs the store lost with this shard (0 when the shard
             was never committed).
@@ -224,11 +269,6 @@ class AuditReport:
     def runs_lost(self) -> int:
         """Exactly how many runs the quarantined shards took with them."""
         return sum(r.n_runs for r in self.quarantined)
-
-    @property
-    def failing_lost(self) -> int:
-        """Failing runs among :attr:`runs_lost`."""
-        return sum(r.num_failing for r in self.quarantined)
 
     @property
     def clean(self) -> bool:
@@ -556,33 +596,26 @@ class ShardStore:
         """Commit a shard replicated from another store, byte-for-byte.
 
         The cross-store commit primitive of :mod:`repro.federate`: the
-        raw archive bytes (exactly as committed at the source) go
-        through the same pending-file protocol as a local
-        :meth:`append_shard`, so a crash mid-replication is repaired by
-        :meth:`recover` and never leaves a half-copied shard under a
-        committed name.  ``entry`` must carry the digest of ``data``.
+        raw archive bytes (exactly as committed at the source) are
+        staged under the shard's pending name and must pass
+        :func:`check_shard` against ``entry`` before the commit.  A
+        refused shard's staged file is deleted, so it leaves no file and
+        no manifest entry; a crash mid-replication leaves only the
+        pending file, which :meth:`recover` rolls back.  ``entry`` must
+        carry the digest of ``data``.
 
         Raises:
-            ShardIntegrityError: ``data`` does not hash to
-                ``entry.sha256`` -- damaged in transit, refuse to commit.
+            ShardCheckError: ``data`` fails :func:`check_shard` --
+                damaged in transit or mislabelled, refuse to commit.
             ValueError: ``entry.sha256`` is unset (replication always
                 verifies end to end, so a digest is mandatory here).
 
         Returns:
             The committed shard's absolute path.
         """
-        import hashlib
-
         if entry.sha256 is None:
             raise ValueError(
                 f"refusing to ingest {entry.filename} without a sha256 digest"
-            )
-        actual = hashlib.sha256(data).hexdigest()
-        if actual != entry.sha256:
-            raise ShardIntegrityError(
-                entry.filename,
-                f"replicated bytes hash to {actual[:12]}..., entry says "
-                f"{entry.sha256[:12]}...",
             )
         final = os.path.join(self.directory, entry.filename)
         if os.path.exists(final):
@@ -592,6 +625,11 @@ class ShardStore:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
+        try:
+            check_shard(staged, entry, self.manifest.table_sha)
+        except ShardCheckError:
+            os.unlink(staged)
+            raise
         return self.commit_shard(entry)
 
     # ------------------------------------------------------------------
@@ -684,49 +722,13 @@ class ShardStore:
                     records.append(json.load(handle))
         return records
 
-    def verify_entry(self, entry: ShardEntry) -> None:
-        """Check one committed shard's existence, checksum and contents.
-
-        Raises:
-            StaleManifestError: The file is missing.
-            ShardIntegrityError: Checksum or table-signature mismatch, or
-                run counts disagreeing with the manifest entry.
-            ShardCorruptionError: The bytes fail to parse as an archive.
-        """
-        path = os.path.join(self.directory, entry.filename)
-        if not os.path.exists(path):
-            raise StaleManifestError(
-                f"manifest lists {entry.filename} but the file is missing"
-            )
-        if entry.sha256 is not None:
-            actual = file_sha256(path)
-            if actual != entry.sha256:
-                raise ShardIntegrityError(
-                    entry.filename,
-                    f"checksum mismatch: manifest {entry.sha256[:12]}..., "
-                    f"file {actual[:12]}...",
-                )
-        try:
-            F, S, F_obs, S_obs, num_failing, num_successful, table_sha = (
-                load_shard_stats(path)
-            )
-        except ArchiveError as exc:
-            raise ShardCorruptionError(entry.filename, str(exc)) from exc
-        _check_table_sha(entry.filename, table_sha, self.manifest.table_sha)
-        if num_failing + num_successful != entry.n_runs:
-            raise ShardIntegrityError(
-                entry.filename,
-                f"archive holds {num_failing + num_successful} runs, "
-                f"manifest says {entry.n_runs}",
-            )
-
     def audit(self) -> AuditReport:
         """Verify every committed shard, quarantining what fails.
 
         Runs :meth:`recover` first, then checks each manifest entry for
-        existence, checksum, readability, table compatibility, run-count
-        agreement, and seed-range overlap.  Failing entries are dropped
-        from the manifest and their files moved to ``quarantine/``; the
+        seed-range overlap and with :func:`check_shard`.  Failing entries
+        are dropped from the manifest and their files moved to
+        ``quarantine/``; the
         report says exactly how many runs were lost with them, which is
         also the exact seed budget a re-collection needs.  Scoring the
         surviving shards is bit-identical to a clean collection of just
@@ -751,25 +753,18 @@ class ShardStore:
             clash = next((e for e in kept_so_far if e.overlaps(entry)), None)
             if clash is not None:
                 reason = (
-                    "duplicate-seed-range",
+                    DuplicateSeedRangeError.reason,
                     f"seed range overlaps earlier shard {clash.filename}",
                 )
             else:
                 try:
-                    self.verify_entry(entry)
-                except StaleManifestError as exc:
-                    reason = ("missing-file", str(exc))
-                except ShardCorruptionError as exc:
-                    reason = ("unreadable", exc.detail)
-                except ShardIntegrityError as exc:
-                    code = (
-                        "checksum-mismatch"
-                        if "checksum" in exc.detail
-                        else "table-mismatch"
-                        if "table signature" in exc.detail
-                        else "count-mismatch"
+                    check_shard(
+                        os.path.join(self.directory, entry.filename),
+                        entry,
+                        self.manifest.table_sha,
                     )
-                    reason = (code, exc.detail)
+                except ShardCheckError as exc:
+                    reason = (exc.reason, exc.detail)
             if reason is None:
                 surviving.append(entry)
                 kept_so_far.append(entry)

@@ -450,6 +450,8 @@ class TestBadArguments:
             (["submit", "--rate", "2"], "--rate"),
             (["submit", "--batch-size", "0"], "--batch-size"),
             (["federate", "a", "b", "--max-attempts", "0"], "--max-attempts"),
+            (["serve", "store", "--watchlist-k", "-1"], "--watchlist-k"),
+            (["serve", "store", "--max-buffered", "0"], "--max-buffered"),
         ],
     )
     def test_rejected_as_usage_error(self, capsys, tmp_path, argv, flag):

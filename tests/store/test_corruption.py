@@ -8,6 +8,7 @@ or a quarantine record -- never a silent mis-count.
 import dataclasses
 import json
 import os
+import pickle
 import shutil
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.core.io import (
     save_reports,
 )
 from repro.core.scores import SufficientStats
+from repro.federate import FederationFetchError, LocalSource
 from repro.store import (
     DuplicateSeedRangeError,
     Fault,
@@ -36,11 +38,12 @@ from repro.store import (
     faults_from_env,
     parse_faults,
 )
+from repro.store.errors import ShardCheckError
 from repro.store.faults import damage_flip_bytes, damage_truncate, parse_fault
 from repro.store.manifest import ShardEntry
-from repro.store.shards import PENDING_SUFFIX, shard_filename
+from repro.store.shards import PENDING_SUFFIX, check_shard, shard_filename
 
-from tests.conftest import build_synthetic_store
+from tests.conftest import build_synthetic_store, collect_tiny_store
 from tests.helpers import make_population as _population
 from tests.helpers import make_reports, rewrite_archive_header
 
@@ -379,6 +382,114 @@ class TestAuditQuarantine:
             store.sufficient_stats()
         with pytest.raises(StaleManifestError, match="audit"):
             list(store.iter_reports())
+
+
+def _lie_about_count(store, entry):
+    return dataclasses.replace(entry, n_runs=entry.n_runs + 1)
+
+
+def _drop_digest_and_truncate(store, entry):
+    damage_truncate(os.path.join(store.directory, entry.filename), keep_fraction=0.4)
+    return dataclasses.replace(entry, sha256=None)
+
+
+def _plant_foreign_table(store, entry):
+    path = os.path.join(store.directory, entry.filename)
+    save_reports(path, make_reports(9, [(True, {0}, None)] * entry.n_runs))
+    return dataclasses.replace(entry, sha256=file_sha256(path))
+
+
+def _in_place(damage):
+    def apply(store, entry):
+        damage(os.path.join(store.directory, entry.filename))
+        return entry
+
+    return apply
+
+
+class TestOneShardCheck:
+    """audit(), ingest_shard_bytes and the collector refuse a shard
+    through the same check, so each damage kind gets one reason code
+    wherever it is caught."""
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (_in_place(damage_flip_bytes), "checksum-mismatch"),
+            (
+                _in_place(lambda p: damage_truncate(p, keep_fraction=0.4)),
+                "checksum-mismatch",
+            ),
+            (_drop_digest_and_truncate, "unreadable"),
+            (_plant_foreign_table, "table-mismatch"),
+            (_lie_about_count, "count-mismatch"),
+            (_in_place(os.unlink), "missing-file"),
+        ],
+        ids=["flipped", "truncated", "truncated-no-digest", "foreign-table",
+             "count-lie", "missing"],
+    )
+    def test_audit_and_ingest_agree(self, tmp_path, damage, reason):
+        store, _ = _build_store(tmp_path)
+        entry = damage(store, store.manifest.shards[1])
+        store.manifest.shards[1] = entry
+        store.manifest.save(store.manifest_path)
+
+        with pytest.raises(ShardCheckError) as checked:
+            check_shard(
+                os.path.join(store.directory, entry.filename),
+                entry,
+                store.manifest.table_sha,
+            )
+        assert checked.value.reason == reason
+
+        # The replication path: fetch the source's bytes, then ingest.
+        # Ingest needs a digest; federation gives a digest-less entry
+        # the hash of the bytes it fetched, as here.
+        dest = ShardStore.create_like(str(tmp_path / "dest"), store.manifest)
+        if entry.sha256 is None:
+            path = os.path.join(store.directory, entry.filename)
+            entry = dataclasses.replace(entry, sha256=file_sha256(path))
+        with pytest.raises((ShardCheckError, FederationFetchError)) as pulled:
+            dest.ingest_shard_bytes(LocalSource(store.directory).fetch(entry), entry)
+        assert pulled.value.reason == reason
+        assert sorted(os.listdir(dest.directory)) == ["manifest.json"]
+        assert ShardStore.open(dest.directory).manifest.shards == []
+
+        report = store.audit()
+        assert [(r.filename, r.reason) for r in report.quarantined] == [
+            (entry.filename, reason)
+        ]
+
+    def test_errors_pickle_with_their_reason(self):
+        for exc in (
+            ShardCorruptionError("f", "d"),
+            ShardIntegrityError("f", "d", reason="count-mismatch"),
+            StaleManifestError("d"),
+        ):
+            clone = pickle.loads(pickle.dumps(exc))
+            assert (type(clone), clone.reason, clone.detail, str(clone)) == (
+                type(exc), exc.reason, exc.detail, str(exc)
+            )
+        assert DuplicateSeedRangeError("d").reason == "duplicate-seed-range"
+
+    def test_collector_quarantine_detail_is_the_check_detail(self, tmp_path):
+        store = collect_tiny_store(
+            tmp_path / "store", n_runs=60, chunk_size=20,
+            faults=(Fault("flip-bytes", chunk=1),),
+        )
+        (record,) = store.quarantined()
+        assert record["reason"] == "failed-verification"
+        # The retried chunk reproduced the healthy bytes, so its committed
+        # entry is what the damaged staged file had to match.
+        entry = store.manifest.find(shard_filename(20))
+        with pytest.raises(ShardIntegrityError) as checked:
+            check_shard(
+                os.path.join(store.quarantine_dir, record["filename"]),
+                entry,
+                store.manifest.table_sha,
+            )
+        assert checked.value.reason == "checksum-mismatch"
+        assert record["detail"] == checked.value.detail
 
 
 class TestFaultSpecs:
