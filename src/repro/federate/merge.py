@@ -66,7 +66,7 @@ from repro.obs import (
     timer as _obs_timer,
 )
 from repro.store.errors import ShardCheckError
-from repro.store.faults import FaultInjector
+from repro.store.faults import FaultInjector, flip_middle
 from repro.store.manifest import ShardEntry, ShardManifest
 from repro.store.shards import AuditReport, QuarantineRecord, ShardStore
 
@@ -305,13 +305,6 @@ def plan_sync(
     return plan
 
 
-def _flip_middle(data: bytes, n_bytes: int = 32) -> bytes:
-    """Invert bytes in the middle of a payload (fed-corrupt-fetch)."""
-    offset = max(0, len(data) // 2 - n_bytes // 2)
-    block = data[offset : offset + n_bytes]
-    return data[:offset] + bytes(b ^ 0xFF for b in block) + data[offset + len(block):]
-
-
 def federate_stores(
     sources: Sequence[StoreSource],
     dest: ShardStore,
@@ -364,7 +357,7 @@ def federate_stores(
                     with _obs_timer("federate.pull_shard"):
                         data = source.fetch(entry)
                         if injector.fires("fed-corrupt-fetch", ordinal, attempt):
-                            data = _flip_middle(data)
+                            data = flip_middle(data)
                         # A source entry with no recorded digest takes the
                         # fetched bytes' hash; the other checks still apply.
                         committed = dataclasses.replace(

@@ -31,7 +31,7 @@ from repro.core.truth import GroundTruth
 from repro.instrument.sampling import DEFAULT_RATE, SamplingPlan
 from repro.instrument.tracer import InstrumentedProgram
 from repro.instrument.transform import InstrumentationConfig
-from repro.harness.runner import collect_site_means, run_trials, run_trials_steered
+from repro.harness.runner import collect_site_means, run_trials
 from repro.subjects.base import Subject
 
 
@@ -43,14 +43,11 @@ class Experiment:
         subject: The subject program to study.
         n_runs: Number of random trials.
         sampling: ``"uniform"``, ``"adaptive"`` (per-site rates trained on
-            ``training_runs`` executions), ``"steered"`` (closed-loop:
-            rates refit every ``training_runs`` trials from the
-            cumulative observed counts, the local analogue of daemon
-            steering; serial collection only), or ``"full"`` (no
-            sampling; the paper's validation configuration).
+            ``training_runs`` executions), or ``"full"`` (no sampling;
+            the paper's validation configuration).
         rate: Global rate for ``"uniform"`` sampling.
         training_runs: Training-set size for ``"adaptive"`` sampling
-            (paper: 1,000), and the refit cadence for ``"steered"``.
+            (paper: 1,000).
         seed: Base seed for input generation and samplers.
         confidence: Confidence level for the score intervals.
         strategy: Elimination discard strategy (Section 5).
@@ -140,10 +137,6 @@ def build_plan(
     if sampling == "adaptive":
         means = collect_site_means(subject, program, training_runs, seed=seed + 777_000)
         return SamplingPlan.adaptive(means)
-    if sampling == "steered":
-        # Closed-loop mode has no single static plan; trials start fully
-        # sampled and refit as counts accumulate (run_trials_steered).
-        return SamplingPlan.full()
     raise ValueError(f"unknown sampling mode {sampling!r}")
 
 
@@ -159,21 +152,7 @@ def run_experiment(config: Experiment) -> ExperimentResult:
         training_runs=config.training_runs,
         seed=config.seed,
     )
-    if config.sampling == "steered":
-        if config.shard_dir is not None or config.jobs > 1:
-            raise ValueError(
-                "steered sampling is a serial closed loop; it cannot shard or "
-                "parallelise trial collection (each trial's plan depends on "
-                "every earlier trial's counts)"
-            )
-        reports, truth = run_trials_steered(
-            config.subject,
-            program,
-            config.n_runs,
-            seed=config.seed,
-            refit_runs=config.training_runs,
-        )
-    elif config.jobs > 1 or config.shard_dir is not None:
+    if config.jobs > 1 or config.shard_dir is not None:
         from repro.harness.parallel import run_trials_sharded
 
         store_dir = (

@@ -235,9 +235,9 @@ def run_trials_sharded(
         backoff_base: First-retry delay in seconds.
         backoff_cap: Upper bound on the retry delay.
         faults: Optional iterable of :class:`repro.store.faults.Fault`
-            to inject (testing only); when ``None``, faults may still
-            arrive through the ``REPRO_INJECT_FAULTS`` environment
-            variable.
+            to inject (testing only; the CLI passes them only behind
+            ``--testing``).  Forked workers receive them with their
+            chunk.
 
     Returns:
         The :class:`repro.store.ShardStore` holding the new shards, with
@@ -257,11 +257,11 @@ def run_trials_sharded(
         raise ValueError(f"n_runs must be >= 0, got {n_runs}")
     from repro.store import ShardStore
     from repro.store.errors import CollectionError, ShardCheckError
-    from repro.store.faults import FaultInjector, faults_from_env
+    from repro.store.faults import FaultInjector
     from repro.store.manifest import ShardEntry
     from repro.store.shards import PENDING_SUFFIX, check_shard, shard_filename
 
-    injector = FaultInjector(faults if faults is not None else faults_from_env())
+    injector = FaultInjector(faults or ())
 
     program = subject.build_program(config=config)
     store = ShardStore.open_or_create(

@@ -106,66 +106,6 @@ def run_trials(
     return builder.build(), truth
 
 
-def run_trials_steered(
-    subject: Subject,
-    program: InstrumentedProgram,
-    n_runs: int,
-    seed: int = 0,
-    refit_runs: int = 100,
-    target_samples: float = None,
-    min_rate: float = None,
-) -> Tuple[ReportSet, GroundTruth]:
-    """Closed-loop collection: refit per-site rates from the runs so far.
-
-    The local analogue of daemon steering, for measuring the payoff
-    without a network: trials start fully sampled (a cold fit over zero
-    counts yields rate 1.0 everywhere), and every ``refit_runs`` trials
-    the per-site rates are refit via
-    :func:`repro.instrument.sampling.adaptive_rates` over the cumulative
-    mean observed reach counts -- exactly the statistics a steering
-    daemon accumulates from committed batches.  Hot sites back off
-    toward the 1/100 floor while rarely reached sites stay fully
-    sampled, so information per trial stays high as the budget grows.
-
-    Deterministic in ``(seed, n_runs, refit_runs)``: the rate schedule
-    is a pure function of the trials already executed.
-
-    Returns:
-        ``(reports, truth)``, run-aligned, like :func:`run_trials`.
-    """
-    from repro.instrument.sampling import (
-        DEFAULT_TARGET_SAMPLES,
-        MIN_ADAPTIVE_RATE,
-        adaptive_rates,
-    )
-
-    if target_samples is None:
-        target_samples = DEFAULT_TARGET_SAMPLES
-    if min_rate is None:
-        min_rate = MIN_ADAPTIVE_RATE
-
-    builder = ReportBuilder(program.table)
-    truth = GroundTruth(bug_ids=list(subject.bug_ids))
-    entry = program.func(subject.entry)
-    totals = np.zeros(program.table.n_sites, dtype=np.float64)
-    plan = SamplingPlan.full()
-
-    for i in range(n_runs):
-        if i and i % refit_runs == 0:
-            plan = SamplingPlan.adaptive(
-                totals / i, target_samples=target_samples, min_rate=min_rate
-            )
-        failed, site_obs, pred_true, stack, bugs = run_one_trial(
-            subject, program, entry, plan, seed + i
-        )
-        builder.add_run(failed, site_obs, pred_true, stack=stack, seed=seed + i)
-        truth.add_run(bugs)
-        for site, count in site_obs.items():
-            totals[site] += count
-
-    return builder.build(), truth
-
-
 def collect_site_means(
     subject: Subject,
     program: InstrumentedProgram,

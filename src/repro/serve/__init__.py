@@ -59,9 +59,7 @@ from repro.serve.steering import (
     SteeringDocument,
     fetch_steering,
     fit_steering,
-    load_steering,
     manifest_digest,
-    plan_from_steering,
     steering_from_wire,
 )
 
@@ -92,8 +90,6 @@ __all__ = [
     "SteeringDocument",
     "fetch_steering",
     "fit_steering",
-    "load_steering",
     "manifest_digest",
-    "plan_from_steering",
     "steering_from_wire",
 ]

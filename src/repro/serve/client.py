@@ -365,8 +365,9 @@ def steered_collect_and_submit(
         ProtocolError: The served document targets a different
             predicate table than ``program`` was instrumented with.
     """
+    from repro.instrument.sampling import SamplingPlan
     from repro.serve.protocol import ProtocolError
-    from repro.serve.steering import fetch_steering, plan_from_steering
+    from repro.serve.steering import fetch_steering
 
     document = fetch_steering(url, timeout=timeout)
     if document is None:
@@ -383,7 +384,7 @@ def steered_collect_and_submit(
                 f"steering document targets table {document.table_sha[:12]}..., "
                 f"client is instrumented against {table_sha[:12]}...",
             )
-        plan, version = plan_from_steering(document), document.version
+        plan, version = SamplingPlan.from_steering(document), document.version
     spool = ReportSpool(spool_dir)
     run_and_spool(
         subject, program, plan, spool, n_runs, seed=seed, steering_version=version

@@ -23,11 +23,11 @@ by ``Content-Encoding: gzip``) carrying one or more run reports:
 
 The counter maps are sparse (absent site/predicate means zero) with
 string keys, because JSON objects cannot have integer keys.  Steered
-clients additionally stamp each report (and the envelope) with an
-optional ``steering`` version string naming the ``repro-steering/v1``
-document whose rates produced the run; the key is omitted for unsteered
-collection, so those payloads stay byte-identical to older clients.  ``table_sha``
-is the archive table signature
+clients additionally stamp each report with an optional ``steering``
+version string naming the ``repro-steering/v1`` document whose rates
+produced the run; the key is omitted for unsteered collection, so those
+payloads stay byte-identical to older clients.  ``table_sha`` is the
+archive table signature
 (:meth:`repro.core.predicates.PredicateTable.signature`): the server
 refuses reports instrumented against a different table rather than
 silently misaligning predicate indices.
@@ -209,15 +209,8 @@ def encode_batch(
     subject: str,
     table_sha: str,
     compress: bool = True,
-    steering: Optional[str] = None,
 ) -> Tuple[bytes, Dict[str, str]]:
     """Serialise a batch of reports for ``POST /reports``.
-
-    ``steering`` optionally stamps the envelope with the steering
-    version the submitting client last applied; servers that predate
-    steering ignore unknown envelope keys, and the key is omitted
-    entirely when None so unsteered batches stay byte-identical to
-    pre-steering clients.
 
     Returns:
         ``(body, headers)`` where headers carries ``Content-Type`` and,
@@ -229,8 +222,6 @@ def encode_batch(
         "table_sha": table_sha,
         "reports": [r.to_wire() for r in reports],
     }
-    if steering is not None:
-        document["steering"] = steering
     body = json.dumps(document, sort_keys=True).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     if compress:

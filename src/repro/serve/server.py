@@ -242,7 +242,7 @@ class CollectionService:
 
         totals = np.zeros(self.table.n_sites, dtype=np.int64)
         for reports, _ in self.store.iter_reports():
-            totals += np.asarray(reports.site_counts.sum(axis=0)).ravel().astype(np.int64)
+            totals += reports.site_coverage()
         return totals
 
     def _refit_steering(self) -> None:

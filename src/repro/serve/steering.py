@@ -37,11 +37,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.stopping import StoppingAssessment, StoppingCandidate, StoppingPolicy
-from repro.instrument.sampling import (
-    DEFAULT_TARGET_SAMPLES,
-    MIN_ADAPTIVE_RATE,
-    SamplingPlan,
-)
+from repro.instrument.sampling import DEFAULT_TARGET_SAMPLES, MIN_ADAPTIVE_RATE
 from repro.serve.protocol import ProtocolError
 
 #: Wire schema identifier for steering documents.
@@ -225,16 +221,6 @@ def steering_from_wire(spec: dict) -> SteeringDocument:
     )
 
 
-def plan_from_steering(document: SteeringDocument) -> SamplingPlan:
-    """Turn a steering document's rate table into a per-site plan.
-
-    The result feeds the ordinary trial machinery unchanged, which is
-    what makes steered collection with a pinned table bit-identical to
-    local ``sampling="adaptive"`` collection over the same seeds.
-    """
-    return SamplingPlan.from_steering(document)
-
-
 def fit_steering(
     store,
     subject_name: str,
@@ -334,20 +320,6 @@ def save_steering(directory: str, document: SteeringDocument) -> str:
     return path
 
 
-def load_steering(directory: str) -> Optional[SteeringDocument]:
-    """Load the persisted steering document, or None when absent/invalid."""
-    path = os.path.join(directory, STEERING_NAME)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    try:
-        return steering_from_wire(spec)
-    except ProtocolError:
-        return None
-
-
 def fetch_steering(url: str, timeout: float = 10.0) -> Optional[SteeringDocument]:
     """GET ``/steering`` from a daemon; None when the endpoint is absent.
 
@@ -379,9 +351,7 @@ __all__ = [
     "manifest_digest",
     "steering_version_fields",
     "steering_from_wire",
-    "plan_from_steering",
     "fit_steering",
     "save_steering",
-    "load_steering",
     "fetch_steering",
 ]

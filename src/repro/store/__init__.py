@@ -39,10 +39,8 @@ from repro.store.errors import (
 )
 from repro.store.faults import (
     FAULT_KINDS,
-    FAULTS_ENV_VAR,
     Fault,
     FaultInjector,
-    faults_from_env,
     parse_faults,
 )
 from repro.store.manifest import (
@@ -67,7 +65,6 @@ __all__ = [
     "COLLECTION_LOG_NAME",
     "CollectionError",
     "DuplicateSeedRangeError",
-    "FAULTS_ENV_VAR",
     "FAULT_KINDS",
     "Fault",
     "FaultInjector",
@@ -84,7 +81,6 @@ __all__ = [
     "StoreError",
     "StoreVersionError",
     "config_digest",
-    "faults_from_env",
     "parse_faults",
     "plan_from_json",
     "plan_to_json",

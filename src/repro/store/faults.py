@@ -53,20 +53,13 @@ attempt) or ``flip-bytes@2#1`` (corrupt chunk 2's shard on its second
 attempt).  Specs combine with commas: ``kill-worker@0,flip-bytes@2``.
 Every fault fires on exactly one (chunk, attempt) pair, so a retried
 chunk succeeds -- which is precisely what the integration tests assert.
-
-Faults can also be injected ambiently through the ``REPRO_INJECT_FAULTS``
-environment variable (same syntax), which reaches worker processes that
-the CLI cannot parameterise directly.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-#: Environment variable consulted by :func:`faults_from_env`.
-FAULTS_ENV_VAR = "REPRO_INJECT_FAULTS"
+from typing import Iterable, Optional, Tuple
 
 #: All recognised fault kinds.
 FAULT_KINDS = (
@@ -154,11 +147,6 @@ def parse_faults(spec: Optional[str]) -> Tuple[Fault, ...]:
     return tuple(parse_fault(part) for part in spec.split(",") if part.strip())
 
 
-def faults_from_env(environ=os.environ) -> Tuple[Fault, ...]:
-    """Faults requested through :data:`FAULTS_ENV_VAR`."""
-    return parse_faults(environ.get(FAULTS_ENV_VAR))
-
-
 class FaultInjector:
     """Decides whether a fault fires at a given pipeline point.
 
@@ -179,14 +167,6 @@ class FaultInjector:
             for f in self.faults
         )
 
-    def active_kinds(self) -> List[str]:
-        """The distinct fault kinds carried, in spec order."""
-        seen: List[str] = []
-        for f in self.faults:
-            if f.kind not in seen:
-                seen.append(f.kind)
-        return seen
-
 
 def damage_truncate(path: str, keep_fraction: float = 0.6) -> None:
     """Truncate a file to ``keep_fraction`` of its bytes."""
@@ -195,15 +175,23 @@ def damage_truncate(path: str, keep_fraction: float = 0.6) -> None:
         handle.truncate(max(1, int(size * keep_fraction)))
 
 
+def flip_middle(data: bytes, n_bytes: int = 32) -> bytes:
+    """``data`` with ``n_bytes`` in its middle inverted.
+
+    The one damage rule behind ``flip-bytes`` (a shard file) and
+    ``fed-corrupt-fetch`` (fetched shard bytes).
+    """
+    offset = max(0, len(data) // 2 - n_bytes // 2)
+    block = data[offset : offset + n_bytes]
+    return data[:offset] + bytes(b ^ 0xFF for b in block) + data[offset + len(block):]
+
+
 def damage_flip_bytes(path: str, n_bytes: int = 32) -> None:
-    """Invert ``n_bytes`` in the middle of a file."""
-    size = os.path.getsize(path)
-    offset = max(0, size // 2 - n_bytes // 2)
+    """Invert ``n_bytes`` in the middle of a file (:func:`flip_middle`)."""
     with open(path, "rb+") as handle:
-        handle.seek(offset)
-        block = handle.read(n_bytes)
-        handle.seek(offset)
-        handle.write(bytes(b ^ 0xFF for b in block))
+        data = handle.read()
+        handle.seek(0)
+        handle.write(flip_middle(data, n_bytes))
 
 
 def apply_worker_damage(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import SUBJECTS, build_parser, main
 from repro.factory.mutate import MUTATION_CLASSES
+from repro.store import ShardStore
 
 
 class TestParser:
@@ -210,6 +211,16 @@ class TestFaultInjectionCLI:
         err = capsys.readouterr().err
         assert "--testing" in err
         assert not (tmp_path / "store").exists()
+
+    def test_fault_environment_variable_is_ignored(self, capsys, monkeypatch, tmp_path):
+        # Faults reach collection only through --testing --inject-fault;
+        # an environment variable must not kill a worker behind the gate.
+        monkeypatch.setenv("REPRO_INJECT_FAULTS", "kill-worker@0")
+        store_dir = tmp_path / "store"
+        assert self._collect(store_dir) == 0
+        assert "retries" not in capsys.readouterr().err
+        events = [e["event"] for e in ShardStore.open(str(store_dir)).read_log()]
+        assert "chunk-failed" not in events
 
     def test_collect_survives_injected_faults(self, capsys, tmp_path):
         store_dir = tmp_path / "store"

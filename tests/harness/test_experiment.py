@@ -50,6 +50,13 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             build_plan(subject, program, "bogus")
 
+    def test_closed_loop_is_not_a_sampling_mode(self):
+        # The closed loop runs only through the daemon and its clients.
+        subject = TinySubject()
+        program = instrument_source(subject.source(), "tiny")
+        with pytest.raises(ValueError, match="unknown sampling mode 'steered'"):
+            build_plan(subject, program, "steered")
+
     def test_uniform_plan_uses_rate(self):
         subject = TinySubject()
         program = instrument_source(subject.source(), "tiny")

@@ -19,3 +19,21 @@ def test_ccrypt_payoff_is_pinned_and_deterministic():
     )
     assert payoff.improved
     assert steering_payoff(CcryptSubject(), 120, seed=0, refit_runs=50) == payoff
+
+
+def test_payoff_is_collected_through_the_daemon(monkeypatch):
+    """The steered population comes from the serving daemon's refits:
+    one fit at start-up and one per committed round of ``refit_runs``."""
+    from repro.serve import server
+
+    epochs = []
+    fit = server.fit_steering
+
+    def spy(*args, **kwargs):
+        document = fit(*args, **kwargs)
+        epochs.append(document.epoch)
+        return document
+
+    monkeypatch.setattr(server, "fit_steering", spy)
+    steering_payoff(CcryptSubject(), 120, seed=0, refit_runs=50)
+    assert epochs == [0, 50, 100]

@@ -40,7 +40,6 @@ from repro.serve.steering import (
     STEERING_NAME,
     fetch_steering,
     fit_steering,
-    plan_from_steering,
 )
 from repro.store import ShardStore
 
@@ -300,7 +299,7 @@ def test_pinned_rates_bit_identical_to_local_adaptive(
 
     # Identical training evidence -> bitwise identical rate tables,
     # surviving the JSON wire round trip.
-    steered_plan = plan_from_steering(document)
+    steered_plan = SamplingPlan.from_steering(document)
     np.testing.assert_array_equal(steered_plan.site_rates, local_plan.site_rates)
 
     local_spool = ReportSpool(str(tmp_path / "local-spool"))

@@ -35,7 +35,6 @@ from repro.store import (
     ShardStore,
     StaleManifestError,
     StoreError,
-    faults_from_env,
     parse_faults,
 )
 from repro.store.errors import ShardCheckError
@@ -516,11 +515,6 @@ class TestFaultSpecs:
         with pytest.raises(ValueError, match="unknown fault kind"):
             parse_fault("set-on-fire@0")
 
-    def test_env_parsing(self):
-        faults = faults_from_env({"REPRO_INJECT_FAULTS": "hang-worker@1"})
-        assert faults == (Fault("hang-worker", chunk=1),)
-        assert faults_from_env({}) == ()
-
     def test_injector_fires_exactly_once(self):
         injector = FaultInjector([Fault("kill-worker", chunk=1, attempt=0)])
         assert injector.fires("kill-worker", 1, 0)
@@ -529,9 +523,3 @@ class TestFaultSpecs:
         assert not injector.fires("flip-bytes", 1, 0)
         assert bool(injector)
         assert not bool(FaultInjector())
-
-    def test_active_kinds_deduplicated_in_order(self):
-        injector = FaultInjector(
-            [Fault("flip-bytes", 0), Fault("kill-worker", 1), Fault("flip-bytes", 2)]
-        )
-        assert injector.active_kinds() == ["flip-bytes", "kill-worker"]
