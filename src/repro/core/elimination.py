@@ -144,6 +144,10 @@ def eliminate(
     Returns:
         An :class:`EliminationResult` with the ranked predictor list.
 
+    Raises:
+        ValueError: On a candidate mask of the wrong length, or a
+            candidate whose column a partial ``reports`` does not hold.
+
     Determinism: ties in effective ``Importance`` are broken by predicate
     index (``np.argmax`` returns the first maximum), so the selection
     order is a pure function of the population -- independent of
@@ -163,6 +167,7 @@ def eliminate(
         cand = np.asarray(candidates, dtype=bool).copy()
         if cand.shape[0] != n_preds:
             raise ValueError("candidate mask length does not match predicate count")
+    reports.require_loaded(cand)
 
     active = np.ones(reports.n_runs, dtype=bool)
     failed_work = reports.failed.copy()

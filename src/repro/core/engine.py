@@ -7,8 +7,12 @@ shard (:meth:`ShardStore.sufficient_stats
 <repro.core.scores.SufficientStats.to_scores>`), compute the
 z-test p-values, prune (:func:`repro.core.pruning.prune_predicates`),
 apply the selected suspiciousness measure, and -- unless only the
-statistics are wanted -- run iterative elimination over the
-materialised population.
+statistics are wanted -- run iterative elimination over the columns
+pruning kept (:meth:`ShardStore.load_columns
+<repro.store.shards.ShardStore.load_columns>`).  Every score is a
+function of one predicate's four counts and ``NumF``, so elimination
+over the kept columns selects exactly what it would over the whole
+population, without reading the other columns.
 
 Every stage after the stream is elementwise numpy over the predicate
 table and costs milliseconds, so the engine runs in one process; see
@@ -73,8 +77,10 @@ class EngineAnalysis:
         pvalues: One-sided z-test p-values per predicate.
         pruning: The ``Increase > 0`` filter outcome.
         elimination: Ranked predictors, or ``None`` for stats-only runs.
-        reports: The materialised population (elimination needs run-level
-            data), or ``None`` for stats-only runs.
+        reports: The run-level data elimination read, or ``None`` for
+            stats-only runs.  For a store, the kept columns of the
+            population: a partial set (``reports.columns`` is
+            ``pruning.kept``) whose other predicates cannot be read.
         truth: Ground truth when every shard carried it.
         measure: Name of the suspiciousness measure scored under.
         measure_values: Per-predicate values of that measure.
@@ -185,9 +191,11 @@ class AnalysisEngine:
         """Analyse a shard store: stream, score, prune, (then eliminate).
 
         Pruning needs only the streamed statistics.  Elimination needs
-        run-level data (each round discards runs), so unless
-        ``stats_only`` the merged population is materialised and the
-        mask-based elimination loop runs over it.
+        run-level data (each round discards runs), but only for the
+        predicates pruning kept: unless ``stats_only``, the store reads
+        just those columns and their sites' (``store.load_columns``)
+        and the mask-based elimination loop runs over that partial set.
+        Its selections equal elimination over the whole population.
 
         ``measure`` selects the suspiciousness measure carried on the
         result (and used by consumers to rank statistics); the iterative
@@ -199,7 +207,7 @@ class AnalysisEngine:
             scoring = self.score_stats(stats, method=method, measure=measure)
             reports = truth = elimination = None
             if not stats_only:
-                reports, truth = store.load_merged()
+                reports, truth = store.load_columns(scoring.pruning.kept)
                 elimination = eliminate(
                     reports,
                     candidates=scoring.pruning.kept,

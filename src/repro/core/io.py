@@ -85,6 +85,18 @@ class ArchiveVersionError(ArchiveError):
     """The archive declares a format version this build cannot read."""
 
 
+class ArchiveTableError(ArchiveError):
+    """The archive records another predicate table than the reader's.
+
+    Attributes:
+        table_sha: The signature the archive records.
+    """
+
+    def __init__(self, path: str, table_sha: str) -> None:
+        super().__init__(f"{path} records predicate table {table_sha[:12]}...")
+        self.table_sha = table_sha
+
+
 #: Exceptions the loaders translate into :class:`ArchiveCorruptError`.
 #: ``KeyError`` covers missing header fields, ``OSError`` unreadable
 #: files, and ``ValueError`` damaged magic, header JSON
@@ -236,8 +248,10 @@ def save_reports(
 
     Raises:
         ValueError: When a per-run meta is not JSON-clean (see
-            :func:`validate_metas`).
+            :func:`validate_metas`), or ``reports`` is a partial set
+            (see ``ReportSet.columns``).
     """
+    reports.require_whole("save")
     validate_metas(reports.metas)
     if truth is not None:
         truth._check_aligned(reports)
@@ -417,6 +431,108 @@ def _open_mapped(path: str) -> Tuple[Dict[str, object], mmap.mmap, int]:
     return header, buf, data_start
 
 
+#: One count matrix's CSR sections: ``(data, indices, indptr, shape)``.
+_CSR = Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int]]
+
+
+def _check_csr(name: str, data, indices, indptr, shape: Tuple[int, ...]) -> None:
+    """Refuse CSR sections that do not describe a ``shape`` matrix.
+
+    scipy trusts the components it is handed: an index outside
+    ``[0, n_cols)`` or an ``indptr`` that runs backwards or past the
+    stored entries is not caught when the matrix is built, and a later
+    column read aborts the interpreter (double free, segfault) or
+    raises a bare ``IndexError``.  An archive's SHA-256 only proves the
+    bytes are the ones its writer committed, not that the writer was
+    sound, so every reader of the matrices checks them here first.
+
+    Raises:
+        ValueError: Naming the matrix and the first broken invariant.
+    """
+    if len(shape) != 2 or min(shape) < 0:
+        raise ValueError(f"{name} matrix has invalid shape {shape}")
+    n_rows, n_cols = shape
+    if data.ndim != 1 or indices.ndim != 1 or indptr.ndim != 1:
+        raise ValueError(f"{name} CSR sections are not one-dimensional")
+    if indices.dtype.kind not in "iu" or indptr.dtype.kind not in "iu":
+        raise ValueError(f"{name} CSR index sections are not integers")
+    if data.shape != indices.shape:
+        raise ValueError(
+            f"{name} CSR has {data.shape[0]} values but {indices.shape[0]} indices"
+        )
+    if indptr.shape[0] != n_rows + 1:
+        raise ValueError(
+            f"{name} CSR indptr has {indptr.shape[0]} entries for {n_rows} rows"
+        )
+    if indptr[0] != 0 or indptr[-1] != indices.shape[0]:
+        raise ValueError(
+            f"{name} CSR indptr spans [{indptr[0]}, {indptr[-1]}], "
+            f"not [0, {indices.shape[0]}]"
+        )
+    if np.any(indptr[1:] < indptr[:-1]):
+        raise ValueError(f"{name} CSR indptr decreases")
+    if indices.shape[0] and (indices.min() < 0 or indices.max() >= n_cols):
+        raise ValueError(
+            f"{name} CSR holds column indices outside [0, {n_cols})"
+        )
+
+
+def _csr_sections(buf, data_start: int, header: Dict[str, object], name: str) -> _CSR:
+    """The validated CSR sections of the ``sites`` or ``preds`` matrix."""
+    toc = header["arrays"]
+    data, indices, indptr = (
+        _array(buf, data_start, toc, f"{name}_{part}")
+        for part in ("data", "indices", "indptr")
+    )
+    shape = tuple(int(d) for d in header[f"{name}_shape"])
+    _check_csr(name, data, indices, indptr, shape)
+    return data, indices, indptr, shape  # type: ignore[return-value]
+
+
+def _run_sections(
+    buf, data_start: int, header: Dict[str, object]
+) -> Tuple[np.ndarray, _CSR, _CSR]:
+    """``(failed, sites, preds)``: the run-level sections, validated.
+
+    Both matrices pass :func:`_check_csr`, and they and ``failed``
+    agree on the number of runs.
+    """
+    failed = _array(buf, data_start, header["arrays"], "failed")
+    sites = _csr_sections(buf, data_start, header, "sites")
+    preds = _csr_sections(buf, data_start, header, "preds")
+    if failed.shape != (sites[3][0],) or preds[3][0] != sites[3][0]:
+        raise ValueError(
+            f"archive disagrees on its run count: {failed.shape[0]} outcomes, "
+            f"{sites[3][0]} site rows, {preds[3][0]} predicate rows"
+        )
+    return failed, sites, preds
+
+
+def _select(csr: _CSR, keep: np.ndarray) -> sparse.csr_matrix:
+    """The ``keep`` columns of validated CSR sections, at full shape.
+
+    The other columns come back empty.  Costs one pass over the stored
+    entries, with no sort: kept entries stay in their row order, so a
+    row's new extent is where its old bounds fall among the kept
+    positions.
+    """
+    data, indices, indptr, shape = csr
+    hit = np.flatnonzero(keep[indices])
+    return sparse.csr_matrix(
+        (data[hit], indices[hit], np.searchsorted(hit, indptr)), shape=shape
+    )
+
+
+def _truth(header: Dict[str, object]) -> Optional[GroundTruth]:
+    """The header's ground truth, or ``None`` when it was saved without."""
+    if "truth_bugs_json" not in header:
+        return None
+    truth = GroundTruth(bug_ids=json.loads(str(header["truth_bugs_json"])))
+    for bugs in json.loads(str(header["truth_runs_json"])):
+        truth.add_run(bugs)
+    return truth
+
+
 def _shared_or_decoded(
     table: Optional[PredicateTable], header: Dict[str, object]
 ) -> PredicateTable:
@@ -482,8 +598,9 @@ def load_reports(
     Raises:
         ArchiveCorruptError: When the file cannot be parsed -- truncated
             header or sections, unrecognised magic, missing array
-            sections, out-of-bounds section offsets, or damaged
-            embedded JSON.
+            sections, out-of-bounds section offsets, count-matrix
+            sections that do not describe their matrix (see
+            :func:`_check_csr`), or damaged embedded JSON.
         ArchiveVersionError: When the file is a retired v1/v2 ``.npz``
             archive or declares a version other than
             :data:`FORMAT_VERSION`.
@@ -491,29 +608,15 @@ def load_reports(
     """
     with _archive_errors("report archive", path):
         header, buf, data_start = _open_mapped(path)
-        toc = header["arrays"]
-
-        def arr(name: str) -> np.ndarray:
-            return _array(buf, data_start, toc, name)
-
+        failed, sites, preds = _run_sections(buf, data_start, header)
         table = _shared_or_decoded(table, header)
         stacks_raw = json.loads(str(header["stacks_json"]))
         stacks = [tuple(s) if s is not None else None for s in stacks_raw]
         metas = json.loads(str(header["metas_json"]))
-        site_counts = sparse.csr_matrix(
-            (arr("sites_data"), arr("sites_indices"), arr("sites_indptr")),
-            shape=tuple(int(d) for d in header["sites_shape"]),
-        )
-        true_counts = sparse.csr_matrix(
-            (arr("preds_data"), arr("preds_indices"), arr("preds_indptr")),
-            shape=tuple(int(d) for d in header["preds_shape"]),
-        )
-        reports = ReportSet(table, arr("failed"), site_counts, true_counts, stacks, metas)
-        truth: Optional[GroundTruth] = None
-        if "truth_bugs_json" in header:
-            truth = GroundTruth(bug_ids=json.loads(str(header["truth_bugs_json"])))
-            for bugs in json.loads(str(header["truth_runs_json"])):
-                truth.add_run(bugs)
+        site_counts = sparse.csr_matrix(sites[:3], shape=sites[3])
+        true_counts = sparse.csr_matrix(preds[:3], shape=preds[3])
+        reports = ReportSet(table, failed, site_counts, true_counts, stacks, metas)
+        truth = _truth(header)
     return reports, truth
 
 
@@ -552,14 +655,89 @@ def load_shard_stats(
             for :func:`load_reports`.
     """
     with _archive_errors("shard statistics from", path):
+        return _stats(*_open_mapped(path))
+
+
+def check_archive(
+    path: str,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int, str]:
+    """:func:`load_shard_stats`, once every run-level section is sound.
+
+    What a shard check reads: besides the statistics, the outcome
+    column and both count matrices must be well formed (see
+    :func:`_check_csr`), so a shard that would crash a later matrix
+    read is refused before it counts.  Unlike :func:`load_shard_stats`
+    this also reads both matrices' index sections.
+
+    Raises:
+        ArchiveCorruptError, ArchiveVersionError, FileNotFoundError: As
+            for :func:`load_reports`.
+    """
+    with _archive_errors("report archive", path):
         header, buf, data_start = _open_mapped(path)
-        toc = header["arrays"]
+        _run_sections(buf, data_start, header)
+        return _stats(header, buf, data_start)
+
+
+def _stats(header: Dict[str, object], buf, data_start: int):
+    """The :func:`load_shard_stats` tuple of a mapped archive."""
+    toc = header["arrays"]
+    return (
+        _array(buf, data_start, toc, "stats_F"),
+        _array(buf, data_start, toc, "stats_S"),
+        _array(buf, data_start, toc, "stats_F_obs"),
+        _array(buf, data_start, toc, "stats_S_obs"),
+        int(header["num_failing"]),
+        int(header["num_successful"]),
+        str(header["table_sha"]),
+    )
+
+
+def load_report_columns(
+    path: str, predicates: np.ndarray, sites: np.ndarray, table_sha: str
+) -> Tuple[np.ndarray, sparse.csr_matrix, sparse.csr_matrix, Optional[GroundTruth]]:
+    """Read an archive's outcomes and chosen count-matrix columns.
+
+    The column read behind ``ShardStore.load_columns``: one mapping of
+    the file, the run-level sections validated, and only the
+    ``predicates`` and ``sites`` columns kept.  The crash stacks,
+    per-run metadata and predicate table in the header are never
+    decoded.
+
+    Args:
+        path: The archive to read.
+        predicates: Boolean mask over the predicate table's columns.
+        sites: Boolean mask over its sites.
+        table_sha: Signature of the table the masks index.
+
+    Returns:
+        ``(failed, true_counts, site_counts, truth)``.  Both matrices
+        have the archive's full shape; the columns outside the masks
+        are empty.  ``truth`` is ``None`` when the archive was written
+        without ground truth.
+
+    Raises:
+        ArchiveTableError: The archive records another predicate table.
+        ArchiveCorruptError: As for :func:`load_reports`, and when a
+            mask's length is not the archive's column count.
+        ArchiveVersionError, FileNotFoundError: As for
+            :func:`load_reports`.
+    """
+    with _archive_errors("report archive", path):
+        header, buf, data_start = _open_mapped(path)
+        recorded = str(header["table_sha"])
+        if recorded != table_sha:
+            raise ArchiveTableError(path, recorded)
+        failed, site_sections, pred_sections = _run_sections(buf, data_start, header)
+        for mask, (_, _, _, shape) in ((predicates, pred_sections), (sites, site_sections)):
+            if mask.shape != (shape[1],):
+                raise ValueError(
+                    f"column mask of shape {mask.shape} for a matrix of "
+                    f"{shape[1]} columns"
+                )
         return (
-            _array(buf, data_start, toc, "stats_F"),
-            _array(buf, data_start, toc, "stats_S"),
-            _array(buf, data_start, toc, "stats_F_obs"),
-            _array(buf, data_start, toc, "stats_S_obs"),
-            int(header["num_failing"]),
-            int(header["num_successful"]),
-            str(header["table_sha"]),
+            failed,
+            _select(pred_sections, predicates),
+            _select(site_sections, sites),
+            _truth(header),
         )

@@ -137,6 +137,11 @@ class ReportSet:
         stacks: Per-run crash stack signatures (``None`` for successes or
             for failures with no captured stack).
         metas: Per-run metadata dictionaries.
+        columns: Boolean mask of the predicate columns loaded, or
+            ``None`` when all are.  A *partial* set (see
+            ``ShardStore.load_columns``) holds only those predicates'
+            columns and their sites'; reading any other predicate
+            raises, and a partial set cannot be saved or merged.
     """
 
     def __init__(
@@ -147,8 +152,10 @@ class ReportSet:
         true_counts: sparse.csr_matrix,
         stacks: Optional[List[Optional[Tuple[str, ...]]]] = None,
         metas: Optional[List[Dict[str, object]]] = None,
+        columns: Optional[np.ndarray] = None,
     ) -> None:
         self.table = table
+        self.columns = None if columns is None else np.asarray(columns, dtype=bool)
         self.failed = np.asarray(failed, dtype=bool)
         self.site_counts = site_counts.tocsr()
         self.true_counts = true_counts.tocsr()
@@ -232,8 +239,47 @@ class ReportSet:
             self._site_ind = self._indicator(self.site_counts)
         return self._site_ind
 
+    def require_whole(self, action: str) -> None:
+        """Refuse to ``action`` a partial set (see :attr:`columns`).
+
+        Raises:
+            ValueError: When only some predicate columns are loaded.
+        """
+        if self.columns is not None:
+            raise ValueError(
+                f"cannot {action} a partial report set: only "
+                f"{int(self.columns.sum())} of {self.n_predicates} predicate "
+                "columns are loaded"
+            )
+
+    def require_loaded(self, predicates: np.ndarray) -> None:
+        """Refuse predicates whose columns this set does not hold.
+
+        Args:
+            predicates: Predicate indices, or a boolean predicate mask.
+
+        Raises:
+            ValueError: Naming the first unloaded predicate.
+        """
+        if self.columns is None:
+            return
+        predicates = np.atleast_1d(np.asarray(predicates))
+        if predicates.dtype == bool:
+            predicates = np.flatnonzero(predicates)
+        missing = predicates[~self.columns[predicates]]
+        if missing.size:
+            raise ValueError(
+                f"predicate {int(missing[0])} is not loaded in this partial "
+                "report set"
+            )
+
     def runs_where_true(self, predicate_index: int) -> np.ndarray:
-        """Return the run indices where ``R(P) = 1`` for the predicate."""
+        """Return the run indices where ``R(P) = 1`` for the predicate.
+
+        Raises:
+            ValueError: On a predicate a partial set does not hold.
+        """
+        self.require_loaded(predicate_index)
         col = self._csc()
         start, end = col.indptr[predicate_index], col.indptr[predicate_index + 1]
         return col.indices[start:end].copy()
@@ -258,6 +304,7 @@ class ReportSet:
             self.true_counts[idx],
             [self.stacks[i] for i in idx],
             [self.metas[i] for i in idx],
+            self.columns,
         )
 
     def relabelled(self, to_success_mask: np.ndarray) -> "ReportSet":
@@ -269,7 +316,13 @@ class ReportSet:
         failed = self.failed.copy()
         failed[np.asarray(to_success_mask, dtype=bool)] = False
         return ReportSet(
-            self.table, failed, self.site_counts, self.true_counts, self.stacks, self.metas
+            self.table,
+            failed,
+            self.site_counts,
+            self.true_counts,
+            self.stacks,
+            self.metas,
+            self.columns,
         )
 
     # ------------------------------------------------------------------
@@ -292,11 +345,14 @@ class ReportSet:
                 :meth:`~repro.core.predicates.PredicateTable.signature`.
 
         Raises:
-            ValueError: On an empty sequence or mismatched tables.
+            ValueError: On an empty sequence, mismatched tables or a
+                partial set.
         """
         parts = list(parts)
         if not parts:
             raise ValueError("cannot merge an empty sequence of report sets")
+        for part in parts:
+            part.require_whole("merge")
         if len(parts) == 1:
             first = parts[0]
             return cls(

@@ -220,6 +220,10 @@ class SufficientStats:
                 elimination loop's ``RELABEL`` strategy passes its working
                 labels here instead of rebuilding a relabelled
                 :class:`~repro.core.reports.ReportSet` per round.
+
+        On a partial set (``reports.columns`` is a mask) only the loaded
+        columns are counted: their four counts equal the whole
+        population's, and every other predicate's are zero.
         """
         failed = reports.failed if failed_mask is None else np.asarray(failed_mask, dtype=bool)
         if run_mask is None:
@@ -234,7 +238,7 @@ class SufficientStats:
         site_ind = reports.site_indicator()
         F_obs_site = _masked_column_sums(site_ind, fail_rows)
         S_obs_site = _masked_column_sums(site_ind, succ_rows)
-        return cls(
+        stats = cls(
             F=_masked_column_sums(true_ind, fail_rows),
             S=_masked_column_sums(true_ind, succ_rows),
             F_obs=F_obs_site[reports.pred_site],
@@ -242,6 +246,10 @@ class SufficientStats:
             num_failing=int(fail_rows.sum()),
             num_successful=int(succ_rows.sum()),
         )
+        if reports.columns is not None:
+            for counts in (stats.F, stats.S, stats.F_obs, stats.S_obs):
+                counts[~reports.columns] = 0
+        return stats
 
     @property
     def n_predicates(self) -> int:

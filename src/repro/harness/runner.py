@@ -118,23 +118,17 @@ def collect_site_means(
     on a training set of 1,000 executions, we set the sampling rate of
     each predicate so as to obtain an expected 100 samples" (Section 4).
     Training inputs use a disjoint seed range from the experiment proper.
+    Each training run is trial ``seed + i`` under full sampling
+    (:func:`run_one_trial`); only its site counts are used.
 
     Returns:
         Array of shape ``(n_sites,)`` with mean observation counts.
     """
     totals = np.zeros(program.table.n_sites, dtype=np.float64)
     entry = program.func(subject.entry)
+    plan = SamplingPlan.full()
     for i in range(n_runs):
-        input_rng = random.Random((seed + i) * 2654435761 % (2 ** 31))
-        trial_input = subject.generate_input(input_rng)
-        subject_base.begin_truth_capture()
-        program.begin_run(SamplingPlan.full(), seed=seed + i + 1)
-        try:
-            entry(trial_input)
-        except Exception:
-            pass  # training only measures coverage; outcomes are irrelevant
-        site_obs, _ = program.end_run()
-        subject_base.end_truth_capture()
+        _, site_obs, _, _, _ = run_one_trial(subject, program, entry, plan, seed + i)
         for site, count in site_obs.items():
             totals[site] += count
     if n_runs > 0:

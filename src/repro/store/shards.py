@@ -17,9 +17,10 @@ Shards are appended by collection sessions (possibly across machines --
 workers write shards directly, see
 :func:`repro.harness.parallel.run_trials_sharded`) and analysed either
 by streaming sufficient statistics (:meth:`ShardStore.sufficient_stats`,
-memory bounded by one predicate-length array set) or by materialising
-the merged population (:meth:`ShardStore.load_merged`) when run-level
-data is needed, e.g. for iterative elimination.
+memory bounded by one predicate-length array set), by reading only
+chosen predicates' columns (:meth:`ShardStore.load_columns`, what
+iterative elimination over the pruned predicates needs), or by
+materialising the merged population (:meth:`ShardStore.load_merged`).
 
 Fault tolerance
 ---------------
@@ -59,9 +60,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
+from scipy import sparse
+
 from repro.core.io import (
     ArchiveError,
+    ArchiveTableError,
+    check_archive,
     file_sha256,
+    load_report_columns,
     load_reports,
     load_shard_stats,
     load_table,
@@ -112,6 +119,16 @@ def shard_filename(seed_start: int) -> str:
     return f"shard-{seed_start:08d}.npz"
 
 
+def _table_mismatch(filename: str, shard_sha: str, table_sha: str) -> ShardIntegrityError:
+    """The error for a shard carrying table ``shard_sha``, not ``table_sha``."""
+    return ShardIntegrityError(
+        filename,
+        f"carries table signature {shard_sha[:12]}..., manifest "
+        f"expects {table_sha[:12]}...",
+        reason="table-mismatch",
+    )
+
+
 def _check_table_sha(filename: str, shard_sha: str, table_sha: str) -> None:
     """Reject a shard whose predicate table is not the manifest's.
 
@@ -119,12 +136,15 @@ def _check_table_sha(filename: str, shard_sha: str, table_sha: str) -> None:
         ShardIntegrityError: ``shard_sha`` differs from ``table_sha``.
     """
     if shard_sha != table_sha:
-        raise ShardIntegrityError(
-            filename,
-            f"carries table signature {shard_sha[:12]}..., manifest "
-            f"expects {table_sha[:12]}...",
-            reason="table-mismatch",
-        )
+        raise _table_mismatch(filename, shard_sha, table_sha)
+
+
+def _merged_truth(truths) -> Optional[GroundTruth]:
+    """The shards' ground truth in collection order, when every shard
+    carries it; otherwise ``None``."""
+    if any(t is None for t in truths):
+        return None
+    return GroundTruth.merge(truths)
 
 
 def _committed_path(directory: str, entry: "ShardEntry") -> str:
@@ -138,17 +158,21 @@ def _committed_path(directory: str, entry: "ShardEntry") -> str:
     return path
 
 
-def _read_stats(path: str, filename: str, table_sha: str) -> SufficientStats:
+def _read_stats(
+    path: str, filename: str, table_sha: str, read=load_shard_stats
+) -> SufficientStats:
     """A shard file's embedded statistics, once its table is the store's.
+
+    ``read`` is :func:`~repro.core.io.load_shard_stats`, or
+    :func:`~repro.core.io.check_archive` to also validate the run-level
+    sections.
 
     Raises:
         ShardCorruptionError: The bytes fail to parse.
         ShardIntegrityError: They carry a different predicate table.
     """
     try:
-        F, S, F_obs, S_obs, num_failing, num_successful, shard_sha = (
-            load_shard_stats(path)
-        )
+        F, S, F_obs, S_obs, num_failing, num_successful, shard_sha = read(path)
     except ArchiveError as exc:
         raise ShardCorruptionError(filename, str(exc)) from exc
     _check_table_sha(filename, shard_sha, table_sha)
@@ -189,7 +213,11 @@ def check_shard(path: str, entry: "ShardEntry", table_sha: str) -> None:
     :meth:`ShardStore.ingest_shard_bytes` on replicated bytes before
     their commit.  It checks, in order: the file exists, it hashes to
     ``entry.sha256`` (when set), it parses as an archive, its predicate
-    table is ``table_sha``, and it holds ``entry.n_runs`` runs.
+    table is ``table_sha``, and it holds ``entry.n_runs`` runs.  Parsing
+    covers the run-level sections too (see
+    :func:`~repro.core.io.check_archive`): a count matrix whose CSR
+    sections are out of range is ``unreadable``, even under a matching
+    digest.
 
     Raises:
         StaleManifestError: ``missing-file``.
@@ -208,7 +236,7 @@ def check_shard(path: str, entry: "ShardEntry", table_sha: str) -> None:
                 f"file hashes to {actual[:12]}...",
                 reason="checksum-mismatch",
             )
-    n_runs = _read_stats(path, entry.filename, table_sha).n_runs
+    n_runs = _read_stats(path, entry.filename, table_sha, read=check_archive).n_runs
     if n_runs != entry.n_runs:
         raise ShardIntegrityError(
             entry.filename,
@@ -852,11 +880,68 @@ class ShardStore:
                 truths.append(truth)
             if not parts:
                 raise ValueError("cannot merge an empty shard store")
-            merged = ReportSet.merge(parts)
-            truth_out: Optional[GroundTruth] = None
-            if all(t is not None for t in truths):
-                truth_out = GroundTruth.merge([t for t in truths if t is not None])
-            return merged, truth_out
+            return ReportSet.merge(parts), _merged_truth(truths)
+
+    def load_columns(
+        self, predicates: np.ndarray
+    ) -> Tuple[ReportSet, Optional[GroundTruth]]:
+        """Materialise only some predicates' columns of the population.
+
+        What elimination needs after pruning: every run's outcome, and
+        the ``predicates`` columns with their sites' columns.  Each
+        shard's bytes are mapped once and only those columns are kept;
+        crash stacks and run metadata are never decoded.  The result is
+        a partial :class:`~repro.core.reports.ReportSet` (its
+        ``columns`` is ``predicates``) of the full table shape, in
+        collection order.  Its loaded columns, ``failed`` and the
+        ground truth equal :meth:`load_merged`'s.
+
+        Args:
+            predicates: Boolean mask over the store's predicate table.
+
+        Raises:
+            ValueError: The store is empty, or the mask has the wrong
+                length.
+            StaleManifestError: A committed shard file is missing.
+            ShardCorruptionError: A shard's bytes fail to parse.
+            ShardIntegrityError: A shard carries a different predicate
+                table than the manifest.
+        """
+        if not self.manifest.shards:
+            raise ValueError("cannot load columns of an empty shard store")
+        table = self.table()
+        predicates = np.asarray(predicates, dtype=bool)
+        if predicates.shape != (table.n_predicates,):
+            raise ValueError(
+                f"predicate mask of shape {predicates.shape} for a table of "
+                f"{table.n_predicates} predicates"
+            )
+        sites = np.zeros(table.n_sites, dtype=bool)
+        sites[[table.predicates[i].site_index for i in np.flatnonzero(predicates)]] = True
+        table_sha = self.manifest.table_sha
+        with _obs_timer("store.load_columns"):
+            parts = []
+            for entry in self.manifest.shards:
+                path = _committed_path(self.directory, entry)
+                try:
+                    parts.append(
+                        load_report_columns(path, predicates, sites, table_sha)
+                    )
+                except ArchiveTableError as exc:
+                    raise _table_mismatch(
+                        entry.filename, exc.table_sha, table_sha
+                    ) from exc
+                except ArchiveError as exc:
+                    raise ShardCorruptionError(entry.filename, str(exc)) from exc
+            failed, preds, site_cols, truths = zip(*parts)
+            reports = ReportSet(
+                table,
+                np.concatenate(failed),
+                sparse.vstack(site_cols, format="csr"),
+                sparse.vstack(preds, format="csr"),
+                columns=predicates,
+            )
+            return reports, _merged_truth(truths)
 
     def sufficient_stats(self) -> SufficientStats:
         """Accumulate scoring statistics across shards, streaming.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.elimination import DiscardStrategy, eliminate
+from repro.core.reports import ReportSet
 from repro.core.scores import compute_scores
 
 from tests.helpers import make_reports
@@ -67,6 +68,22 @@ class TestBasicElimination:
         reports = _two_bug_population()
         with pytest.raises(ValueError):
             eliminate(reports, candidates=np.array([True]))
+
+    def test_partial_set_needs_every_candidate_loaded(self):
+        """On a partial set (only some predicate columns loaded) every
+        candidate must be loaded; over the loaded ones the selections
+        equal the whole population's."""
+        whole = _two_bug_population()
+        loaded = np.array([True, True, False])
+        partial = ReportSet(
+            whole.table, whole.failed, whole.site_counts, whole.true_counts,
+            columns=loaded,
+        )
+        with pytest.raises(ValueError, match="predicate 2 is not loaded"):
+            eliminate(partial)
+        assert eliminate(partial, candidates=loaded) == eliminate(
+            whole, candidates=loaded
+        )
 
     def test_all_failures_covered_leaves_none_remaining(self):
         reports = _two_bug_population()

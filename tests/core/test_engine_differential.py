@@ -11,6 +11,8 @@ never changes a single output bit:
   populations under every discard strategy against elimination over the
   materialised population, with Importance ties resolving in
   predicate-index order;
+* the kept-column read elimination runs on -- its predicate and site
+  columns, outcomes and truth equal the merged population's;
 * the CLI -- byte-identical stdout for a 1-shard and a 7-shard store;
 * golden digests -- every ``tests/golden`` key, collected serially and
   laid out as {1, 3, 7} shards and as the golden chunking, and collected
@@ -191,6 +193,36 @@ class TestEliminationBitIdentical:
             assert g.failing_runs_covered == r.failing_runs_covered
         assert got.iterations == reference.iterations
         assert got.remaining_failing == reference.remaining_failing
+
+
+@pytest.mark.parametrize("subject_fixture", SUBJECT_FIXTURES)
+@pytest.mark.parametrize("layout", SHARD_LAYOUTS)
+class TestKeptColumnRead:
+    def test_kept_columns_equal_the_merged_population(
+        self, request, sharded_stores, subject_fixture, layout
+    ):
+        """``load_columns(kept)`` holds exactly the merged population's
+        kept predicate columns, their sites' columns, outcomes and
+        truth -- and nothing else."""
+        store = sharded_stores(request, subject_fixture)[layout]
+        kept = AnalysisEngine().score_stats(store.sufficient_stats()).pruning.kept
+        assert kept.any()
+        partial, partial_truth = store.load_columns(kept)
+        whole, whole_truth = store.load_merged()
+
+        np.testing.assert_array_equal(partial.columns, kept)
+        np.testing.assert_array_equal(partial.failed, whole.failed)
+        preds = np.flatnonzero(kept)
+        sites = np.unique(whole.pred_site[preds])
+        for attr, cols in (("true_counts", preds), ("site_counts", sites)):
+            got, want = getattr(partial, attr), getattr(whole, attr)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(
+                got[:, cols].toarray(), want[:, cols].toarray()
+            )
+            assert got.nnz == want[:, cols].nnz
+        assert partial_truth.bug_ids == whole_truth.bug_ids
+        assert partial_truth.occurrences == whole_truth.occurrences
 
 
 class TestCliStdoutIdentical:

@@ -167,6 +167,34 @@ class TestCollectCommand:
 
         assert predictor_lines(store_out) == predictor_lines(mono_out)
 
+    @pytest.mark.parametrize("strategy", ["1", "2", "3"])
+    def test_store_and_archive_of_same_runs_rank_identically(
+        self, capsys, tmp_path, strategy
+    ):
+        """`analyze DIR` (elimination over the kept columns) prints the
+        same ranked rows, co-occurrence columns included, as `analyze
+        FILE` over the whole population of the same runs."""
+        from repro.core.io import save_reports
+
+        store_dir = tmp_path / "store"
+        self._collect(store_dir, seed="0")
+        archive = str(tmp_path / "reports.npz")
+        save_reports(archive, *ShardStore.open(str(store_dir)).load_merged())
+        capsys.readouterr()
+
+        def rows(path):
+            assert main(["analyze", path, "--strategy", strategy]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[0].startswith("pruning kept")
+            return [
+                line for line in out
+                if not line.startswith(("pruning kept", "elimination selected"))
+            ]
+
+        store_rows = rows(str(store_dir))
+        assert len(store_rows) > 1
+        assert store_rows == rows(archive)
+
     def test_stats_only_measure_same_for_archive_and_store(self, capsys, tmp_path):
         """``--stats-only --measure`` ranks an archive exactly as it ranks
         a store of the same runs, not with the elimination table."""

@@ -131,3 +131,25 @@ def rewrite_archive_header(path, **fields) -> None:
     pad = -(16 + len(raw)) % 64
     with open(path, "wb") as handle:
         handle.write(data[:8] + struct.pack("<Q", len(raw)) + raw + b"\0" * pad + body)
+
+
+def poke_archive_array(path, name: str, index: int, value: int) -> None:
+    """Overwrite entry ``index`` of the archive's array section ``name``.
+
+    Everything else -- header, statistics, the other sections -- keeps
+    its bytes, as when a buggy writer or a hostile source produced the
+    file; callers that need the shard to pass its checksum re-digest it.
+    """
+    import json
+    import struct
+
+    with open(path, "rb") as handle:
+        data = handle.read(16)
+        (length,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(handle.read(length))
+    spec = header["arrays"][name]
+    dtype = np.dtype(spec["dtype"])
+    start = -(-(16 + length) // 64) * 64 + spec["offset"] + index * dtype.itemsize
+    with open(path, "r+b") as handle:
+        handle.seek(start)
+        handle.write(np.asarray([value], dtype=dtype).tobytes())

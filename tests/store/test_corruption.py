@@ -10,15 +10,20 @@ import json
 import os
 import pickle
 import shutil
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.io import (
     ArchiveCorruptError,
     ArchiveError,
     ArchiveVersionError,
     file_sha256,
+    load_report_columns,
     load_reports,
     load_shard_stats,
     load_table,
@@ -44,7 +49,7 @@ from repro.store.shards import PENDING_SUFFIX, check_shard, shard_filename
 
 from tests.conftest import build_synthetic_store, collect_tiny_store
 from tests.helpers import make_population as _population
-from tests.helpers import make_reports, rewrite_archive_header
+from tests.helpers import make_reports, poke_archive_array, rewrite_archive_header
 
 
 def _build_store(tmp_path, k=3, n_runs=24, n_preds=4, seed=0):
@@ -143,6 +148,162 @@ class TestLoaderFuzz:
         with pytest.raises(ArchiveCorruptError) as info:
             load_reports(path)
         assert info.value.__cause__ is not None
+
+
+def _archive_header(path):
+    with open(path, "rb") as handle:
+        handle.seek(8)
+        (length,) = np.frombuffer(handle.read(8), dtype="<u8")
+        return json.loads(handle.read(int(length)))
+
+
+def _reshape_section(path, name, shape):
+    """Declare ``shape`` for section ``name`` (bytes unchanged)."""
+    arrays = _archive_header(path)["arrays"]
+    spec = arrays[name]
+    itemsize = np.dtype(spec["dtype"]).itemsize
+    arrays[name] = {**spec, "shape": shape, "nbytes": int(np.prod(shape)) * itemsize}
+    rewrite_archive_header(path, arrays=arrays)
+
+
+def _retype_section(path, name, dtype):
+    arrays = _archive_header(path)["arrays"]
+    arrays[name] = {**arrays[name], "dtype": dtype}
+    rewrite_archive_header(path, arrays=arrays)
+
+
+class TestCsrSections:
+    """Count-matrix sections that do not describe their matrix are
+    corruption: scipy does not check them, and reading such a matrix
+    crashes the interpreter or raises a bare IndexError."""
+
+    def _archive(self, tmp_path):
+        path = str(tmp_path / "reports.npz")
+        save_reports(path, _population(n_runs=12))
+        return path
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda p, h: poke_archive_array(p, "preds_indices", 0, 4), "outside"),
+            (lambda p, h: poke_archive_array(p, "sites_indices", 0, -5), "outside"),
+            (lambda p, h: poke_archive_array(p, "preds_indptr", 0, 1), "spans"),
+            (lambda p, h: poke_archive_array(p, "preds_indptr", 12, 0), "spans"),
+            (lambda p, h: poke_archive_array(p, "preds_indptr", 6, 10**6), "decreases"),
+            (lambda p, h: rewrite_archive_header(p, preds_shape=[13, 4]), "entries for 13 rows"),
+            (lambda p, h: rewrite_archive_header(p, preds_shape=[12, -1]), "invalid shape"),
+            (
+                lambda p, h: _reshape_section(
+                    p, "preds_data", [h["arrays"]["preds_data"]["shape"][0] - 1]
+                ),
+                "values but",
+            ),
+            (
+                lambda p, h: _reshape_section(
+                    p, "preds_indices", h["arrays"]["preds_indices"]["shape"] + [1]
+                ),
+                "one-dimensional",
+            ),
+            (lambda p, h: _retype_section(p, "preds_indices", "<f4"), "not integers"),
+            (lambda p, h: _reshape_section(p, "failed", [11]), "run count"),
+        ],
+        ids=["index-past-end", "negative-index", "indptr-start", "indptr-end",
+             "indptr-decreases", "indptr-length", "negative-shape",
+             "data-length", "two-dimensional", "float-indices", "outcome-count"],
+    )
+    def test_malformed_sections_are_corruption(self, tmp_path, damage, match):
+        path = self._archive(tmp_path)
+        damage(path, _archive_header(path))
+        with pytest.raises(ArchiveCorruptError, match=match):
+            load_reports(path)
+        # The statistics stream reads only the leading pages.
+        load_shard_stats(path)
+
+    def test_column_read_checks_masks_against_the_archive(self, tmp_path):
+        """A header whose matrix shape disagrees with its own table
+        cannot be indexed by masks over that table."""
+        path = self._archive(tmp_path)
+        header = _archive_header(path)
+        rewrite_archive_header(path, preds_shape=[12, 5])
+        keep = np.ones(4, dtype=bool)
+        with pytest.raises(ArchiveCorruptError, match="column mask"):
+            load_report_columns(path, keep, keep, header["table_sha"])
+
+
+@pytest.fixture(scope="module")
+def rhythmbox_store(tmp_path_factory):
+    from repro.harness.parallel import run_trials_sharded
+    from repro.instrument.sampling import SamplingPlan
+    from repro.subjects.rhythmbox import RhythmboxSubject
+
+    directory = str(tmp_path_factory.mktemp("rhythmbox") / "store")
+    run_trials_sharded(
+        RhythmboxSubject(), 60, SamplingPlan.full(), directory, jobs=1, chunk_size=20
+    )
+    return directory
+
+
+#: ``preds_indices`` values a hostile source can commit under a valid
+#: digest: one past the last column, far past it, and negative.
+_HOSTILE_INDICES = ["n_predicates", 10**9, -5]
+
+
+def _hostile_store(rhythmbox_store, tmp_path, value):
+    """A copy of the rhythmbox store whose second shard holds ``value``
+    as a predicate column index, re-digested so only the check on the
+    sections can catch it."""
+    directory = str(tmp_path / "store")
+    shutil.copytree(rhythmbox_store, directory)
+    store = ShardStore.open(directory)
+    if value == "n_predicates":
+        value = store.table().n_predicates
+    entry = store.manifest.shards[1]
+    path = os.path.join(directory, entry.filename)
+    poke_archive_array(path, "preds_indices", 7, value)
+    store.manifest.shards[1] = dataclasses.replace(entry, sha256=file_sha256(path))
+    store.manifest.save(store.manifest_path)
+    return directory, entry.filename
+
+
+@pytest.mark.parametrize("value", _HOSTILE_INDICES, ids=["one-past", "huge", "negative"])
+class TestHostileColumnIndex:
+    def test_load_reports_raises(self, rhythmbox_store, tmp_path, value):
+        directory, filename = _hostile_store(rhythmbox_store, tmp_path, value)
+        with pytest.raises(ArchiveCorruptError, match="outside"):
+            load_reports(os.path.join(directory, filename))
+
+    def test_audit_quarantines_unreadable(self, rhythmbox_store, tmp_path, value):
+        directory, filename = _hostile_store(rhythmbox_store, tmp_path, value)
+        report = ShardStore.open(directory).audit()
+        assert [(r.filename, r.reason) for r in report.quarantined] == [
+            (filename, "unreadable")
+        ]
+
+    def test_analyze_store_raises(self, rhythmbox_store, tmp_path, value):
+        """In a child interpreter: reading the unchecked matrix used to
+        abort the process, which would take the test run with it."""
+        directory, filename = _hostile_store(rhythmbox_store, tmp_path, value)
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.core.engine import AnalysisEngine
+            from repro.store import ShardCorruptionError, ShardStore
+            try:
+                AnalysisEngine().analyze_store(ShardStore.open(sys.argv[1]))
+            except ShardCorruptionError as exc:
+                print(exc.reason, exc.filename)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script, directory],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["unreadable", filename]
 
 
 class TestCommitProtocol:

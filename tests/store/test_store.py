@@ -2,16 +2,26 @@
 scoring, manifests, and instrumentation-compatibility checking."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from repro.core.io import load_shard_stats
+from repro.core.elimination import DiscardStrategy, eliminate
+from repro.core.io import file_sha256, load_shard_stats, save_reports
 from repro.core.reports import ReportSet
 from repro.core.scores import SufficientStats, compute_scores
 from repro.core.truth import GroundTruth
 from repro.instrument.sampling import SamplingPlan
-from repro.store import ShardStore, plan_from_json, plan_to_json
+from repro.store import (
+    ShardCorruptionError,
+    ShardIntegrityError,
+    ShardStore,
+    StaleManifestError,
+    plan_from_json,
+    plan_to_json,
+)
+from repro.store.faults import damage_truncate
 from repro.store.manifest import ShardEntry, ShardManifest, config_digest
 from repro.instrument.transform import InstrumentationConfig
 
@@ -201,6 +211,119 @@ class TestShardStore:
             SufficientStats(F, S, F_obs, S_obs, numf, nums),
             compute_scores(first),
         )
+
+
+class TestKeptColumns:
+    """``ShardStore.load_columns``: a partial report set holding only the
+    chosen predicates' columns, guarded against reads of the others."""
+
+    KEPT = np.array([False, True, False, False, True, False])
+
+    def _partial(self, tmp_path):
+        store, whole = build_synthetic_store(tmp_path / "store", n_runs=30, n_preds=6)
+        partial, _ = ShardStore.open(store.directory).load_columns(self.KEPT)
+        return store, whole, partial
+
+    def test_loaded_columns_read_like_the_whole(self, tmp_path):
+        _, whole, partial = self._partial(tmp_path)
+        assert partial.n_runs == whole.n_runs
+        assert partial.n_predicates == whole.n_predicates
+        for pred in np.flatnonzero(self.KEPT):
+            np.testing.assert_array_equal(partial.true_mask(pred), whole.true_mask(pred))
+
+    def test_unloaded_column_raises(self, tmp_path):
+        _, _, partial = self._partial(tmp_path)
+        with pytest.raises(ValueError, match="predicate 0 is not loaded"):
+            partial.true_mask(0)
+        with pytest.raises(ValueError, match="predicate 5 is not loaded"):
+            partial.runs_where_true(5)
+
+    def test_counts_only_loaded_columns(self, tmp_path):
+        _, whole, partial = self._partial(tmp_path)
+        got = SufficientStats.from_reports(partial)
+        want = SufficientStats.from_reports(whole)
+        for attr in ("F", "S", "F_obs", "S_obs"):
+            np.testing.assert_array_equal(
+                getattr(got, attr), np.where(self.KEPT, getattr(want, attr), 0)
+            )
+        assert (got.num_failing, got.num_successful) == (
+            want.num_failing, want.num_successful,
+        )
+
+    def test_derived_sets_stay_partial(self, tmp_path):
+        _, _, partial = self._partial(tmp_path)
+        for derived in (
+            partial.subset(np.arange(partial.n_runs) % 2 == 0),
+            partial.relabelled(partial.failed),
+        ):
+            np.testing.assert_array_equal(derived.columns, self.KEPT)
+            with pytest.raises(ValueError):
+                derived.true_mask(0)
+
+    def test_partial_set_cannot_be_saved(self, tmp_path):
+        _, _, partial = self._partial(tmp_path)
+        path = tmp_path / "partial.npz"
+        with pytest.raises(ValueError, match="cannot save a partial"):
+            save_reports(str(path), partial)
+        assert not path.exists()
+
+    def test_partial_set_cannot_be_merged(self, tmp_path):
+        _, whole, partial = self._partial(tmp_path)
+        for parts in ([partial], [whole, partial]):
+            with pytest.raises(ValueError, match="cannot merge a partial"):
+                ReportSet.merge(parts)
+
+    def test_eliminate_refuses_unloaded_candidates(self, tmp_path):
+        _, _, partial = self._partial(tmp_path)
+        with pytest.raises(ValueError, match="not loaded"):
+            eliminate(partial)
+        with pytest.raises(ValueError, match="predicate 2 is not loaded"):
+            eliminate(partial, candidates=self.KEPT | (np.arange(6) == 2))
+
+    @pytest.mark.parametrize("strategy", list(DiscardStrategy))
+    def test_eliminate_over_kept_columns_equals_whole(self, tmp_path, strategy):
+        _, whole, partial = self._partial(tmp_path)
+        got = eliminate(partial, candidates=self.KEPT, strategy=strategy)
+        want = eliminate(whole, candidates=self.KEPT, strategy=strategy)
+        assert got == want
+        assert got.selected
+
+    def test_empty_store_raises(self, tmp_path):
+        store = ShardStore.create(
+            str(tmp_path / "empty"), "synthetic", make_table(6), SamplingPlan.full()
+        )
+        with pytest.raises(ValueError, match="empty shard store"):
+            store.load_columns(self.KEPT)
+
+    def test_mask_length_must_match_the_table(self, tmp_path):
+        store, _ = build_synthetic_store(tmp_path / "store", n_preds=6)
+        with pytest.raises(ValueError, match="table of 6 predicates"):
+            ShardStore.open(store.directory).load_columns(self.KEPT[:4])
+
+    def test_missing_shard_raises_stale_manifest(self, tmp_path):
+        store, _ = build_synthetic_store(tmp_path / "store", n_preds=6)
+        store.table()
+        os.unlink(store.shard_paths()[1])
+        with pytest.raises(StaleManifestError, match="run audit"):
+            store.load_columns(self.KEPT)
+
+    def test_truncated_shard_raises_corruption(self, tmp_path):
+        store, _ = build_synthetic_store(tmp_path / "store", n_preds=6)
+        damage_truncate(store.shard_paths()[2], keep_fraction=0.6)
+        with pytest.raises(ShardCorruptionError) as info:
+            ShardStore.open(store.directory).load_columns(self.KEPT)
+        assert info.value.filename == store.manifest.shards[2].filename
+
+    def test_foreign_table_raises_integrity_error(self, tmp_path):
+        store, _ = build_synthetic_store(tmp_path / "store", n_preds=6)
+        path = store.shard_paths()[1]
+        save_reports(path, make_reports(9, [(True, {0}, None)] * 8))
+        store.manifest.shards[1].sha256 = file_sha256(path)
+        store.manifest.save(store.manifest_path)
+        with pytest.raises(ShardIntegrityError) as info:
+            ShardStore.open(store.directory).load_columns(self.KEPT)
+        assert info.value.reason == "table-mismatch"
+        assert info.value.filename == store.manifest.shards[1].filename
 
 
 class TestManifest:
