@@ -107,11 +107,21 @@ _CORRUPTION_ERRORS = (KeyError, OSError, ValueError)
 
 
 def file_sha256(path: str) -> str:
-    """SHA-256 of a file's bytes, streamed in 1 MiB blocks."""
+    """SHA-256 of a file's bytes, read in 1 MiB blocks into one buffer.
+
+    The file is read, not mapped: one truncated while it is hashed then
+    just hashes short (and fails its digest check) instead of faulting
+    the process with ``SIGBUS``.
+    """
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
+    block = bytearray(1 << 20)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as handle:
+        while True:
+            n = handle.readinto(block)
+            if not n:
+                break
+            digest.update(view[:n])
     return digest.hexdigest()
 
 
@@ -345,32 +355,21 @@ def _write_reports(handle, reports: ReportSet, truth: Optional[GroundTruth]) -> 
         pos += arr.nbytes
 
 
-def _read_header(path: str) -> Tuple[Dict[str, object], int]:
-    """Parse an archive's JSON header.
+#: A reader's memo of parsed archive headers: ``path -> (header bytes,
+#: parse)``.  A shard store keeps one so every read of a committed
+#: shard parses its header once (see :func:`_open_archive`).
+HeaderMemo = Dict[str, Tuple[bytes, Dict[str, object]]]
 
-    Returns ``(header, data_start)`` where ``data_start`` is the absolute
-    file offset of the aligned data section.  Raises plain ``ValueError``
-    (or ``KeyError``) on damage -- the public loaders translate those
-    into :class:`ArchiveCorruptError` -- and
-    :class:`ArchiveVersionError` directly on a retired ``.npz`` archive
-    or any declared version but :data:`FORMAT_VERSION`.
+
+def _parse_header(raw: bytes) -> Dict[str, object]:
+    """Parse an archive's JSON header bytes.
+
+    Raises plain ``ValueError`` on damage -- the public loaders
+    translate it into :class:`ArchiveCorruptError` -- and
+    :class:`ArchiveVersionError` on any declared version but
+    :data:`FORMAT_VERSION`.
     """
-    with open(path, "rb") as fh:
-        preamble = fh.read(_PREAMBLE)
-        if preamble.startswith(_ZIP_MAGIC):
-            raise ArchiveVersionError(
-                f"{path} is a v1/v2 (.npz) report archive; those formats are "
-                "no longer read -- re-collect the runs"
-            )
-        if len(preamble) < _PREAMBLE or not preamble.startswith(V3_MAGIC):
-            raise ValueError("truncated or unrecognised archive preamble")
-        (header_len,) = struct.unpack("<Q", preamble[len(V3_MAGIC) :])
-        if header_len > (1 << 31):
-            raise ValueError(f"implausible archive header length {header_len}")
-        header_bytes = fh.read(header_len)
-    if len(header_bytes) != header_len:
-        raise ValueError("truncated archive header")
-    header = json.loads(header_bytes.decode("utf-8"))
+    header = json.loads(raw.decode("utf-8"))
     if not isinstance(header, dict):
         raise ValueError("archive header is not a JSON object")
     version = int(header["format_version"])
@@ -379,7 +378,7 @@ def _read_header(path: str) -> Tuple[Dict[str, object], int]:
             f"unsupported report archive version {version} "
             f"(this build reads version {FORMAT_VERSION} only)"
         )
-    return header, _aligned(_PREAMBLE + header_len)
+    return header
 
 
 def _array(buf, data_start: int, toc: Dict[str, object], name: str) -> np.ndarray:
@@ -419,14 +418,51 @@ def _check_extent(buf, data_start: int, toc: Dict[str, object]) -> None:
         )
 
 
-def _open_mapped(path: str) -> Tuple[Dict[str, object], mmap.mmap, int]:
-    """``(header, mapping, data_start)`` of an archive whose mapped bytes
-    cover every section its header declares."""
-    header, data_start = _read_header(path)
+def _open_archive(
+    path: str, headers: Optional[HeaderMemo] = None
+) -> Tuple[Dict[str, object], mmap.mmap, int]:
+    """Map an archive and parse its header: ``(header, mapping, data_start)``.
+
+    The one open routine every loader goes through.  The preamble and
+    header bytes are sliced from the mapping, and the mapped bytes must
+    cover every section the header declares.  ``data_start`` is the
+    absolute offset of the aligned data section.
+
+    ``headers`` is a reader's :data:`HeaderMemo`.  The parse recorded
+    for ``path`` is reused only when the header bytes just sliced equal
+    the bytes it was parsed from; any other bytes (rewritten, damaged)
+    are parsed afresh and replace the entry.  The memo holds no mapping.
+
+    Raises plain ``ValueError`` (or ``KeyError``) on damage -- the
+    public loaders translate those into :class:`ArchiveCorruptError` --
+    and :class:`ArchiveVersionError` directly on a retired ``.npz``
+    archive or any declared version but :data:`FORMAT_VERSION`.
+    """
     with open(path, "rb") as fh:
         # The fd may close at once: the mapping keeps the pages alive
         # until the arrays viewing it die.
         buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    if buf[: len(_ZIP_MAGIC)] == _ZIP_MAGIC:
+        raise ArchiveVersionError(
+            f"{path} is a v1/v2 (.npz) report archive; those formats are "
+            "no longer read -- re-collect the runs"
+        )
+    if len(buf) < _PREAMBLE or buf[: len(V3_MAGIC)] != V3_MAGIC:
+        raise ValueError("truncated or unrecognised archive preamble")
+    (header_len,) = struct.unpack_from("<Q", buf, len(V3_MAGIC))
+    if header_len > (1 << 31):
+        raise ValueError(f"implausible archive header length {header_len}")
+    if _PREAMBLE + header_len > len(buf):
+        raise ValueError("truncated archive header")
+    raw = buf[_PREAMBLE : _PREAMBLE + header_len]
+    seen = headers.get(path) if headers is not None else None
+    if seen is not None and seen[0] == raw:
+        header = seen[1]
+    else:
+        header = _parse_header(raw)
+        if headers is not None:
+            headers[path] = (raw, header)
+    data_start = _aligned(_PREAMBLE + header_len)
     _check_extent(buf, data_start, header["arrays"])
     return header, buf, data_start
 
@@ -573,7 +609,9 @@ def _archive_errors(what: str, path: str) -> Iterator[None]:
 
 
 def load_reports(
-    path: str, table: Optional[PredicateTable] = None
+    path: str,
+    table: Optional[PredicateTable] = None,
+    headers: Optional[HeaderMemo] = None,
 ) -> Tuple[ReportSet, Optional[GroundTruth]]:
     """Read a report set written by :func:`save_reports`.
 
@@ -590,6 +628,8 @@ def load_reports(
             without it.  Callers that must reject a foreign table
             compare ``reports.table.signature()`` themselves (see
             ``ShardStore.iter_reports``).
+        headers: The reader's :data:`HeaderMemo`, if it keeps one (see
+            :func:`_open_archive`); every loader takes it.
 
     Returns:
         ``(reports, truth)``; ``truth`` is ``None`` when the archive was
@@ -607,7 +647,7 @@ def load_reports(
         FileNotFoundError: When ``path`` does not exist.
     """
     with _archive_errors("report archive", path):
-        header, buf, data_start = _open_mapped(path)
+        header, buf, data_start = _open_archive(path, headers)
         failed, sites, preds = _run_sections(buf, data_start, header)
         table = _shared_or_decoded(table, header)
         stacks_raw = json.loads(str(header["stacks_json"]))
@@ -620,24 +660,24 @@ def load_reports(
     return reports, truth
 
 
-def load_table(path: str) -> PredicateTable:
+def load_table(path: str, headers: Optional[HeaderMemo] = None) -> PredicateTable:
     """Read only an archive's predicate table.
 
-    Parses the header and decodes the table, without mapping or
-    building any count matrix -- what a shard store needs to learn its
-    table before the first shard read.
+    Parses the header and decodes the table, without building any count
+    matrix -- what a shard store needs to learn its table before the
+    first shard read.
 
     Raises:
         ArchiveCorruptError, ArchiveVersionError, FileNotFoundError: As
             for :func:`load_reports`.
     """
     with _archive_errors("report archive", path):
-        header, _ = _read_header(path)
+        header, _, _ = _open_archive(path, headers)
         return _shared_or_decoded(None, header)
 
 
 def load_shard_stats(
-    path: str,
+    path: str, headers: Optional[HeaderMemo] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int, str]:
     """Read only the sufficient statistics from an archive.
 
@@ -655,11 +695,11 @@ def load_shard_stats(
             for :func:`load_reports`.
     """
     with _archive_errors("shard statistics from", path):
-        return _stats(*_open_mapped(path))
+        return _stats(*_open_archive(path, headers))
 
 
 def check_archive(
-    path: str,
+    path: str, headers: Optional[HeaderMemo] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int, str]:
     """:func:`load_shard_stats`, once every run-level section is sound.
 
@@ -674,7 +714,7 @@ def check_archive(
             for :func:`load_reports`.
     """
     with _archive_errors("report archive", path):
-        header, buf, data_start = _open_mapped(path)
+        header, buf, data_start = _open_archive(path, headers)
         _run_sections(buf, data_start, header)
         return _stats(header, buf, data_start)
 
@@ -693,8 +733,19 @@ def _stats(header: Dict[str, object], buf, data_start: int):
     )
 
 
+def _check_recorded_table(path: str, header: Dict[str, object], table_sha: str) -> None:
+    """Raise :class:`ArchiveTableError` unless the header records ``table_sha``."""
+    recorded = str(header["table_sha"])
+    if recorded != table_sha:
+        raise ArchiveTableError(path, recorded)
+
+
 def load_report_columns(
-    path: str, predicates: np.ndarray, sites: np.ndarray, table_sha: str
+    path: str,
+    predicates: np.ndarray,
+    sites: np.ndarray,
+    table_sha: str,
+    headers: Optional[HeaderMemo] = None,
 ) -> Tuple[np.ndarray, sparse.csr_matrix, sparse.csr_matrix, Optional[GroundTruth]]:
     """Read an archive's outcomes and chosen count-matrix columns.
 
@@ -709,6 +760,7 @@ def load_report_columns(
         predicates: Boolean mask over the predicate table's columns.
         sites: Boolean mask over its sites.
         table_sha: Signature of the table the masks index.
+        headers: As for :func:`load_reports`.
 
     Returns:
         ``(failed, true_counts, site_counts, truth)``.  Both matrices
@@ -724,10 +776,8 @@ def load_report_columns(
             :func:`load_reports`.
     """
     with _archive_errors("report archive", path):
-        header, buf, data_start = _open_mapped(path)
-        recorded = str(header["table_sha"])
-        if recorded != table_sha:
-            raise ArchiveTableError(path, recorded)
+        header, buf, data_start = _open_archive(path, headers)
+        _check_recorded_table(path, header, table_sha)
         failed, site_sections, pred_sections = _run_sections(buf, data_start, header)
         for mask, (_, _, _, shape) in ((predicates, pred_sections), (sites, site_sections)):
             if mask.shape != (shape[1],):
@@ -741,3 +791,42 @@ def load_report_columns(
             _select(site_sections, sites),
             _truth(header),
         )
+
+
+def load_site_totals(
+    path: str, n_sites: int, table_sha: str, headers: Optional[HeaderMemo] = None
+) -> np.ndarray:
+    """Per-site observation totals of an archive's runs, in exact int64.
+
+    What a restarting daemon needs of a committed shard: the column sums
+    of the run-by-site matrix, taken straight from its CSR sections
+    once the run-level sections are validated.  The predicate matrix,
+    crash stacks, per-run metadata and ground truth are never built.
+    Equals ``load_reports(path)[0].site_coverage()``.
+
+    Args:
+        path: The archive to read.
+        n_sites: Site count of the table ``table_sha`` names.
+        table_sha: Signature of the reader's predicate table.
+        headers: As for :func:`load_reports`.
+
+    Raises:
+        ArchiveTableError: The archive records another predicate table.
+        ArchiveCorruptError: As for :func:`load_reports`, and when the
+            site matrix does not have ``n_sites`` columns.
+        ArchiveVersionError, FileNotFoundError: As for
+            :func:`load_reports`.
+    """
+    with _archive_errors("report archive", path):
+        header, buf, data_start = _open_archive(path, headers)
+        _check_recorded_table(path, header, table_sha)
+        _, (data, indices, _, shape), _ = _run_sections(buf, data_start, header)
+        if shape[1] != n_sites:
+            raise ValueError(
+                f"site matrix has {shape[1]} columns for a table of {n_sites} sites"
+            )
+        if data.dtype.kind not in "biu":
+            raise ValueError("site matrix counts are not integers")
+        totals = np.zeros(n_sites, dtype=np.int64)
+        np.add.at(totals, indices, data.astype(np.int64, copy=False))
+        return totals

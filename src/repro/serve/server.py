@@ -49,6 +49,7 @@ federation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -161,7 +162,10 @@ class CollectionService:
         # the input to the steering refit's adaptive-rate fit.  Seeded
         # from the recovered shards before WAL replay (replay commits
         # batches, which increment these).
-        self._site_totals = self._committed_site_totals()
+        self._site_totals = store.site_totals()
+        # Those were the daemon's last shard reads: from here on it
+        # scores and refits from the live statistics.
+        store.forget_headers()
         self._replay_wal()
         if self.steering_enabled:
             self._refit_steering()
@@ -236,15 +240,6 @@ class CollectionService:
     # ------------------------------------------------------------------
     # Steering: the daemon refits rates + watchlist from committed runs
     # ------------------------------------------------------------------
-    def _committed_site_totals(self):
-        """Dense per-site observation totals over the committed shards."""
-        import numpy as np
-
-        totals = np.zeros(self.table.n_sites, dtype=np.int64)
-        for reports, _ in self.store.iter_reports():
-            totals += reports.site_coverage()
-        return totals
-
     def _refit_steering(self) -> None:
         """Refit the steering document from the committed snapshot.
 
@@ -741,13 +736,15 @@ class FeedbackServer:
         self._http = _ThreadingServer((host, port), _IngestHandler)
         self._http.service = service  # type: ignore[attr-defined]
         self._http.injector = faults or FaultInjector()  # type: ignore[attr-defined]
-        self._ordinal = -1
-        self._ordinal_lock = threading.Lock()
+        # The counter must not reach back to ``self``: a cycle through
+        # ``self._http`` would keep a closed server, its service and its
+        # store alive until the next full collection.
+        ordinals = itertools.count()
+        ordinal_lock = threading.Lock()
 
         def next_post_ordinal() -> int:
-            with self._ordinal_lock:
-                self._ordinal += 1
-                return self._ordinal
+            with ordinal_lock:
+                return next(ordinals)
 
         self._http.next_post_ordinal = next_post_ordinal  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None

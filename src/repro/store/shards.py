@@ -53,6 +53,7 @@ are per-shard sums, so dropping a shard drops exactly its runs.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -66,11 +67,13 @@ from scipy import sparse
 from repro.core.io import (
     ArchiveError,
     ArchiveTableError,
+    HeaderMemo,
     check_archive,
     file_sha256,
     load_report_columns,
     load_reports,
     load_shard_stats,
+    load_site_totals,
     load_table,
     save_reports,
 )
@@ -139,6 +142,22 @@ def _check_table_sha(filename: str, shard_sha: str, table_sha: str) -> None:
         raise _table_mismatch(filename, shard_sha, table_sha)
 
 
+@contextlib.contextmanager
+def _shard_read(filename: str, table_sha: str) -> Iterator[None]:
+    """Turn a shard loader's archive errors into the store's typed errors.
+
+    Raises:
+        ShardIntegrityError: The loader found another predicate table.
+        ShardCorruptionError: The bytes fail to parse.
+    """
+    try:
+        yield
+    except ArchiveTableError as exc:
+        raise _table_mismatch(filename, exc.table_sha, table_sha) from exc
+    except ArchiveError as exc:
+        raise ShardCorruptionError(filename, str(exc)) from exc
+
+
 def _merged_truth(truths) -> Optional[GroundTruth]:
     """The shards' ground truth in collection order, when every shard
     carries it; otherwise ``None``."""
@@ -159,22 +178,24 @@ def _committed_path(directory: str, entry: "ShardEntry") -> str:
 
 
 def _read_stats(
-    path: str, filename: str, table_sha: str, read=load_shard_stats
+    path: str,
+    filename: str,
+    table_sha: str,
+    read=load_shard_stats,
+    headers: Optional[HeaderMemo] = None,
 ) -> SufficientStats:
     """A shard file's embedded statistics, once its table is the store's.
 
     ``read`` is :func:`~repro.core.io.load_shard_stats`, or
     :func:`~repro.core.io.check_archive` to also validate the run-level
-    sections.
+    sections; ``headers`` is the reading store's header memo.
 
     Raises:
         ShardCorruptionError: The bytes fail to parse.
         ShardIntegrityError: They carry a different predicate table.
     """
-    try:
-        F, S, F_obs, S_obs, num_failing, num_successful, shard_sha = read(path)
-    except ArchiveError as exc:
-        raise ShardCorruptionError(filename, str(exc)) from exc
+    with _shard_read(filename, table_sha):
+        F, S, F_obs, S_obs, num_failing, num_successful, shard_sha = read(path, headers)
     _check_table_sha(filename, shard_sha, table_sha)
     return SufficientStats(
         F=F,
@@ -186,12 +207,18 @@ def _read_stats(
     )
 
 
-def load_entry_stats(directory: str, entry: "ShardEntry", table_sha: str) -> SufficientStats:
+def load_entry_stats(
+    directory: str,
+    entry: "ShardEntry",
+    table_sha: str,
+    headers: Optional[HeaderMemo] = None,
+) -> SufficientStats:
     """Load and verify one committed shard's embedded sufficient statistics.
 
     The per-shard step of :meth:`ShardStore.sufficient_stats`:
     bytes to counts, with the missing-file, unreadable and
-    table-mismatch errors.
+    table-mismatch errors.  ``headers`` is the reading store's header
+    memo.
 
     Raises:
         StaleManifestError: The shard file is missing.
@@ -202,7 +229,7 @@ def load_entry_stats(directory: str, entry: "ShardEntry", table_sha: str) -> Suf
     if _obs_enabled():
         _obs_inc("store.shards_streamed")
         _obs_inc("store.bytes_streamed", os.path.getsize(path))
-    return _read_stats(path, entry.filename, table_sha)
+    return _read_stats(path, entry.filename, table_sha, headers=headers)
 
 
 def check_shard(path: str, entry: "ShardEntry", table_sha: str) -> None:
@@ -225,6 +252,13 @@ def check_shard(path: str, entry: "ShardEntry", table_sha: str) -> None:
             or ``count-mismatch``.
         ShardCorruptionError: ``unreadable``.
     """
+    _check_shard(path, entry, table_sha)
+
+
+def _check_shard(
+    path: str, entry: "ShardEntry", table_sha: str, headers: Optional[HeaderMemo] = None
+) -> None:
+    """:func:`check_shard`, parsing through a store's header memo."""
     if not os.path.exists(path):
         raise StaleManifestError(f"{os.path.basename(path)} is missing")
     if entry.sha256 is not None:
@@ -236,7 +270,9 @@ def check_shard(path: str, entry: "ShardEntry", table_sha: str) -> None:
                 f"file hashes to {actual[:12]}...",
                 reason="checksum-mismatch",
             )
-    n_runs = _read_stats(path, entry.filename, table_sha, read=check_archive).n_runs
+    n_runs = _read_stats(
+        path, entry.filename, table_sha, read=check_archive, headers=headers
+    ).n_runs
     if n_runs != entry.n_runs:
         raise ShardIntegrityError(
             entry.filename,
@@ -309,12 +345,22 @@ class ShardStore:
 
     Use :meth:`create` for a new store, :meth:`open` for an existing one,
     or :meth:`open_or_create` for append-style collection sessions.
+
+    Every read of a committed shard (:meth:`audit`,
+    :meth:`sufficient_stats`, :meth:`table`, :meth:`load_columns`,
+    :meth:`iter_reports`, :meth:`site_totals`) parses its header through
+    the store's header memo: a shard whose header bytes are those of its
+    last parse is not parsed again, while rewritten or damaged bytes are
+    (see :func:`repro.core.io._open_archive`).  Every other check --
+    digest, extent, count-matrix sections, table signature, run count --
+    still runs on every read.
     """
 
     def __init__(self, directory: str, manifest: ShardManifest) -> None:
         self.directory = directory
         self.manifest = manifest
         self._table: Optional[PredicateTable] = None
+        self._headers: HeaderMemo = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -490,15 +536,22 @@ class ShardStore:
                 raise ValueError("empty store has no shards to read a table from")
             entry = self.manifest.shards[0]
             path = _committed_path(self.directory, entry)
-            try:
-                table = load_table(path)
-            except ArchiveError as exc:
-                raise ShardCorruptionError(entry.filename, str(exc)) from exc
+            with _shard_read(entry.filename, self.manifest.table_sha):
+                table = load_table(path, self._headers)
             _check_table_sha(
                 entry.filename, table.signature(), self.manifest.table_sha
             )
             self._table = table
         return self._table
+
+    def forget_headers(self) -> None:
+        """Drop the header memo; the next read of each shard parses again.
+
+        For a long-lived owner whose shard reads are over, such as the
+        daemon after its restart reads: the memo holds a copy of every
+        committed header (~0.3 MB a shard on exif) that nothing reads.
+        """
+        self._headers.clear()
 
     # ------------------------------------------------------------------
     # Event log
@@ -786,10 +839,11 @@ class ShardStore:
                 )
             else:
                 try:
-                    check_shard(
+                    _check_shard(
                         os.path.join(self.directory, entry.filename),
                         entry,
                         self.manifest.table_sha,
+                        self._headers,
                     )
                 except ShardCheckError as exc:
                     reason = (exc.reason, exc.detail)
@@ -797,6 +851,7 @@ class ShardStore:
                 surviving.append(entry)
                 kept_so_far.append(entry)
             else:
+                self._headers.pop(os.path.join(self.directory, entry.filename), None)
                 report.quarantined.append(
                     self.quarantine_file(
                         entry.filename,
@@ -854,10 +909,10 @@ class ShardStore:
         """
         for entry in self.manifest.shards:
             path = _committed_path(self.directory, entry)
-            try:
-                reports, truth = load_reports(path, table=self._table)
-            except ArchiveError as exc:
-                raise ShardCorruptionError(entry.filename, str(exc)) from exc
+            with _shard_read(entry.filename, self.manifest.table_sha):
+                reports, truth = load_reports(
+                    path, table=self._table, headers=self._headers
+                )
             _check_table_sha(
                 entry.filename, reports.table.signature(), self.manifest.table_sha
             )
@@ -923,16 +978,12 @@ class ShardStore:
             parts = []
             for entry in self.manifest.shards:
                 path = _committed_path(self.directory, entry)
-                try:
+                with _shard_read(entry.filename, table_sha):
                     parts.append(
-                        load_report_columns(path, predicates, sites, table_sha)
+                        load_report_columns(
+                            path, predicates, sites, table_sha, self._headers
+                        )
                     )
-                except ArchiveTableError as exc:
-                    raise _table_mismatch(
-                        entry.filename, exc.table_sha, table_sha
-                    ) from exc
-                except ArchiveError as exc:
-                    raise ShardCorruptionError(entry.filename, str(exc)) from exc
             failed, preds, site_cols, truths = zip(*parts)
             reports = ReportSet(
                 table,
@@ -942,6 +993,33 @@ class ShardStore:
                 columns=predicates,
             )
             return reports, _merged_truth(truths)
+
+    def site_totals(self) -> np.ndarray:
+        """Per-site observation totals over the committed shards.
+
+        What a restarting daemon seeds its steering refit with.  Each
+        shard's site-matrix CSR sections are summed in exact int64
+        (:func:`~repro.core.io.load_site_totals`) once its table
+        signature and both count matrices pass their checks; no
+        predicate matrix, stack, meta or ground truth is built.  Equals
+        the sum of ``reports.site_coverage()`` over :meth:`iter_reports`.
+
+        Raises:
+            ValueError: The store is empty and was opened without a table.
+            StaleManifestError: A committed shard file is missing.
+            ShardCorruptionError: A shard's bytes fail to parse.
+            ShardIntegrityError: A shard carries a different predicate
+                table than the manifest.
+        """
+        n_sites = self.table().n_sites
+        table_sha = self.manifest.table_sha
+        totals = np.zeros(n_sites, dtype=np.int64)
+        with _obs_timer("store.site_totals"):
+            for entry in self.manifest.shards:
+                path = _committed_path(self.directory, entry)
+                with _shard_read(entry.filename, table_sha):
+                    totals += load_site_totals(path, n_sites, table_sha, self._headers)
+        return totals
 
     def sufficient_stats(self) -> SufficientStats:
         """Accumulate scoring statistics across shards, streaming.
@@ -967,7 +1045,7 @@ class ShardStore:
         with _obs_timer("store.stream_stats"):
             for entry in self.manifest.shards:
                 part = load_entry_stats(
-                    self.directory, entry, self.manifest.table_sha
+                    self.directory, entry, self.manifest.table_sha, self._headers
                 )
                 # Parts are read-only file-mapping views; seed the
                 # accumulator with a writable copy before += kicks in.

@@ -247,3 +247,16 @@ class TestMetaValidation:
         # Types, not just values, survive the round trip.
         assert type(loaded.metas[0]["seed"]) is int
         assert type(loaded.metas[0]["nested"]["ratio"]) is float
+
+
+class TestFileSha256:
+    @pytest.mark.parametrize("size", [0, 1, 1 << 20, (1 << 20) + 1, 3 * (1 << 20) - 7])
+    def test_digest_equals_hashlib(self, tmp_path, size):
+        import hashlib
+
+        from repro.core.io import file_sha256
+
+        data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        assert file_sha256(str(path)) == hashlib.sha256(data).hexdigest()
