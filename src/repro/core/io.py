@@ -19,12 +19,18 @@ and uncompressed.  The archive holds:
   population can be checked for instrumentation compatibility;
 * crash-stack signatures and per-run metadata as JSON.
 
-Readers ``mmap`` the file once and hand back zero-copy views --
-:func:`load_shard_stats` touches only the four statistic columns' pages,
-which is what lets ``analyze`` and the serve daemon's incremental scorer
-stream shards at page-cache speed.  The byte stream is a pure function
-of the report population (sorted-key JSON, no timestamps), so shard SHAs
-stay reproducible.  Round-tripping is exact, and per-run metadata must
+Every read goes through one :class:`Archive`: the file is ``mmap``-ed
+and its header parsed and extent-checked once, and each section read
+(statistics, validated run sections, table, whole report set, kept
+columns, site totals) hands back zero-copy views of that one mapping
+and checks what it reads against the header.  The statistics read
+touches only the four statistic columns' pages, which is what lets
+``analyze`` and the serve daemon's incremental scorer stream shards at
+page-cache speed.  :func:`load_reports`, :func:`load_table` and
+:func:`load_shard_stats` are the path-level loaders over it.
+
+The byte stream is a pure function of the report population (sorted-key
+JSON, no timestamps), so shard SHAs stay reproducible.  Round-tripping is exact, and per-run metadata must
 be JSON-clean -- :func:`save_reports` raises on values that would come
 back as a different type (see :func:`validate_metas`).  See DESIGN.md
 ("Archive format v3") for the on-disk spec.
@@ -35,13 +41,13 @@ with :class:`ArchiveVersionError`; their runs must be re-collected.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import hashlib
 import json
 import mmap
 import os
 import struct
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -85,25 +91,15 @@ class ArchiveVersionError(ArchiveError):
     """The archive declares a format version this build cannot read."""
 
 
-class ArchiveTableError(ArchiveError):
-    """The archive records another predicate table than the reader's.
-
-    Attributes:
-        table_sha: The signature the archive records.
-    """
-
-    def __init__(self, path: str, table_sha: str) -> None:
-        super().__init__(f"{path} records predicate table {table_sha[:12]}...")
-        self.table_sha = table_sha
-
-
-#: Exceptions the loaders translate into :class:`ArchiveCorruptError`.
-#: ``KeyError`` covers missing header fields, ``OSError`` unreadable
-#: files, and ``ValueError`` damaged magic, header JSON
-#: (``JSONDecodeError``), array tables and truncation (including
-#: ``mmap`` refusing an empty file).  :class:`ArchiveError` itself is
-#: re-raised unchanged by the loaders despite being a ``ValueError``.
-_CORRUPTION_ERRORS = (KeyError, OSError, ValueError)
+#: Exceptions an :class:`Archive` translates into
+#: :class:`ArchiveCorruptError`.  ``LookupError`` covers missing header
+#: fields and short shape lists, ``TypeError`` header values of the
+#: wrong JSON type, ``OSError`` unreadable files, and ``ValueError``
+#: damaged magic, header JSON (``JSONDecodeError``), array tables and
+#: truncation (including ``mmap`` refusing an empty file).
+#: :class:`ArchiveError` itself passes unchanged despite being a
+#: ``ValueError``.
+_CORRUPTION_ERRORS = (LookupError, OSError, TypeError, ValueError)
 
 
 def file_sha256(path: str) -> str:
@@ -357,15 +353,18 @@ def _write_reports(handle, reports: ReportSet, truth: Optional[GroundTruth]) -> 
 
 #: A reader's memo of parsed archive headers: ``path -> (header bytes,
 #: parse)``.  A shard store keeps one so every read of a committed
-#: shard parses its header once (see :func:`_open_archive`).
+#: shard parses its header once (see :class:`Archive`).
 HeaderMemo = Dict[str, Tuple[bytes, Dict[str, object]]]
+
+#: The sufficient-statistic sections, in :func:`load_shard_stats` order.
+_STATS = ("stats_F", "stats_S", "stats_F_obs", "stats_S_obs")
 
 
 def _parse_header(raw: bytes) -> Dict[str, object]:
     """Parse an archive's JSON header bytes.
 
-    Raises plain ``ValueError`` on damage -- the public loaders
-    translate it into :class:`ArchiveCorruptError` -- and
+    Raises plain ``ValueError`` on damage -- :class:`Archive` translates
+    it into :class:`ArchiveCorruptError` -- and
     :class:`ArchiveVersionError` on any declared version but
     :data:`FORMAT_VERSION`.
     """
@@ -379,92 +378,6 @@ def _parse_header(raw: bytes) -> Dict[str, object]:
             f"(this build reads version {FORMAT_VERSION} only)"
         )
     return header
-
-
-def _array(buf, data_start: int, toc: Dict[str, object], name: str) -> np.ndarray:
-    """Zero-copy view of one array section; bounds-checked, read-only."""
-    try:
-        spec = toc[name]
-    except (KeyError, TypeError):
-        raise ValueError(f"archive missing array section {name!r}") from None
-    dtype = np.dtype(str(spec["dtype"]))
-    shape = tuple(int(d) for d in spec["shape"])
-    nbytes = int(spec["nbytes"])
-    count = 1
-    for dim in shape:
-        count *= dim
-    if count * dtype.itemsize != nbytes:
-        raise ValueError(f"array section {name!r} has inconsistent shape/nbytes")
-    offset = data_start + int(spec["offset"])
-    if offset < data_start or offset + nbytes > len(buf):
-        raise ValueError(f"array section {name!r} overruns the archive")
-    return np.frombuffer(buf, dtype=dtype, count=count, offset=offset).reshape(shape)
-
-
-def _check_extent(buf, data_start: int, toc: Dict[str, object]) -> None:
-    """Check the mapped file covers every section the TOC declares.
-
-    A stats-only reader touches just the leading pages, so without this
-    a shard truncated in its trailing matrix sections would still yield
-    statistics; the commit protocol treats any byte loss as corruption.
-    """
-    if not isinstance(toc, dict) or not toc:
-        raise ValueError("archive has no array table of contents")
-    end = max(int(s["offset"]) + int(s["nbytes"]) for s in toc.values())
-    if data_start + end > len(buf):
-        raise ValueError(
-            f"archive truncated: declares {data_start + end} bytes, "
-            f"file has {len(buf)}"
-        )
-
-
-def _open_archive(
-    path: str, headers: Optional[HeaderMemo] = None
-) -> Tuple[Dict[str, object], mmap.mmap, int]:
-    """Map an archive and parse its header: ``(header, mapping, data_start)``.
-
-    The one open routine every loader goes through.  The preamble and
-    header bytes are sliced from the mapping, and the mapped bytes must
-    cover every section the header declares.  ``data_start`` is the
-    absolute offset of the aligned data section.
-
-    ``headers`` is a reader's :data:`HeaderMemo`.  The parse recorded
-    for ``path`` is reused only when the header bytes just sliced equal
-    the bytes it was parsed from; any other bytes (rewritten, damaged)
-    are parsed afresh and replace the entry.  The memo holds no mapping.
-
-    Raises plain ``ValueError`` (or ``KeyError``) on damage -- the
-    public loaders translate those into :class:`ArchiveCorruptError` --
-    and :class:`ArchiveVersionError` directly on a retired ``.npz``
-    archive or any declared version but :data:`FORMAT_VERSION`.
-    """
-    with open(path, "rb") as fh:
-        # The fd may close at once: the mapping keeps the pages alive
-        # until the arrays viewing it die.
-        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    if buf[: len(_ZIP_MAGIC)] == _ZIP_MAGIC:
-        raise ArchiveVersionError(
-            f"{path} is a v1/v2 (.npz) report archive; those formats are "
-            "no longer read -- re-collect the runs"
-        )
-    if len(buf) < _PREAMBLE or buf[: len(V3_MAGIC)] != V3_MAGIC:
-        raise ValueError("truncated or unrecognised archive preamble")
-    (header_len,) = struct.unpack_from("<Q", buf, len(V3_MAGIC))
-    if header_len > (1 << 31):
-        raise ValueError(f"implausible archive header length {header_len}")
-    if _PREAMBLE + header_len > len(buf):
-        raise ValueError("truncated archive header")
-    raw = buf[_PREAMBLE : _PREAMBLE + header_len]
-    seen = headers.get(path) if headers is not None else None
-    if seen is not None and seen[0] == raw:
-        header = seen[1]
-    else:
-        header = _parse_header(raw)
-        if headers is not None:
-            headers[path] = (raw, header)
-    data_start = _aligned(_PREAMBLE + header_len)
-    _check_extent(buf, data_start, header["arrays"])
-    return header, buf, data_start
 
 
 #: One count matrix's CSR sections: ``(data, indices, indptr, shape)``.
@@ -513,37 +426,6 @@ def _check_csr(name: str, data, indices, indptr, shape: Tuple[int, ...]) -> None
         )
 
 
-def _csr_sections(buf, data_start: int, header: Dict[str, object], name: str) -> _CSR:
-    """The validated CSR sections of the ``sites`` or ``preds`` matrix."""
-    toc = header["arrays"]
-    data, indices, indptr = (
-        _array(buf, data_start, toc, f"{name}_{part}")
-        for part in ("data", "indices", "indptr")
-    )
-    shape = tuple(int(d) for d in header[f"{name}_shape"])
-    _check_csr(name, data, indices, indptr, shape)
-    return data, indices, indptr, shape  # type: ignore[return-value]
-
-
-def _run_sections(
-    buf, data_start: int, header: Dict[str, object]
-) -> Tuple[np.ndarray, _CSR, _CSR]:
-    """``(failed, sites, preds)``: the run-level sections, validated.
-
-    Both matrices pass :func:`_check_csr`, and they and ``failed``
-    agree on the number of runs.
-    """
-    failed = _array(buf, data_start, header["arrays"], "failed")
-    sites = _csr_sections(buf, data_start, header, "sites")
-    preds = _csr_sections(buf, data_start, header, "preds")
-    if failed.shape != (sites[3][0],) or preds[3][0] != sites[3][0]:
-        raise ValueError(
-            f"archive disagrees on its run count: {failed.shape[0]} outcomes, "
-            f"{sites[3][0]} site rows, {preds[3][0]} predicate rows"
-        )
-    return failed, sites, preds
-
-
 def _select(csr: _CSR, keep: np.ndarray) -> sparse.csr_matrix:
     """The ``keep`` columns of validated CSR sections, at full shape.
 
@@ -559,227 +441,281 @@ def _select(csr: _CSR, keep: np.ndarray) -> sparse.csr_matrix:
     )
 
 
-def _truth(header: Dict[str, object]) -> Optional[GroundTruth]:
-    """The header's ground truth, or ``None`` when it was saved without."""
-    if "truth_bugs_json" not in header:
-        return None
-    truth = GroundTruth(bug_ids=json.loads(str(header["truth_bugs_json"])))
-    for bugs in json.loads(str(header["truth_runs_json"])):
-        truth.add_run(bugs)
-    return truth
-
-
-def _shared_or_decoded(
-    table: Optional[PredicateTable], header: Dict[str, object]
-) -> PredicateTable:
-    """An archive's predicate table, decoding it only when necessary.
-
-    Returns ``table`` itself when the archive's recorded ``table_sha``
-    names it; otherwise (no table given, or a different signature)
-    decodes the header's table JSON.
-
-    A decoded table takes the recorded ``table_sha`` as its signature
-    rather than re-hashing itself: the recorded signature is the
-    archive's table identity, the one a shard store compares with its
-    manifest, just as when the table is shared.
-    """
-    table_sha = str(header["table_sha"])
-    if table is not None and table_sha == table.signature():
-        return table
-    decoded = _table_from_json(str(header["table_json"]))
-    decoded._signature = table_sha
-    return decoded
-
-
-@contextlib.contextmanager
-def _archive_errors(what: str, path: str) -> Iterator[None]:
-    """Translate a loader's raw parse failures into :class:`ArchiveCorruptError`.
+def _translated(read):
+    """Turn an :class:`Archive` step's raw parse failures into
+    :class:`ArchiveCorruptError`.
 
     :class:`ArchiveError` passes through unchanged (it is a
     ``ValueError``, which the corruption classes would otherwise catch).
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{path}: no such file")
-    try:
-        yield
-    except ArchiveError:
-        raise
-    except _CORRUPTION_ERRORS as exc:
-        raise ArchiveCorruptError(f"cannot read {what} {path}: {exc!r}") from exc
+
+    @functools.wraps(read)
+    def translated(self, *args):
+        try:
+            return read(self, *args)
+        except ArchiveError:
+            raise
+        except _CORRUPTION_ERRORS as exc:
+            raise ArchiveCorruptError(
+                f"cannot read report archive {self.path}: {exc!r}"
+            ) from exc
+
+    return translated
 
 
-def load_reports(
-    path: str,
-    table: Optional[PredicateTable] = None,
-    headers: Optional[HeaderMemo] = None,
-) -> Tuple[ReportSet, Optional[GroundTruth]]:
-    """Read a report set written by :func:`save_reports`.
+class Archive:
+    """An archive opened for reading: one mapping, one header parse.
 
-    The file is memory-mapped: count matrices come back as zero-copy
-    read-only views.
+    Every read of an archive goes through one.  Opening maps the file,
+    slices the preamble and header from the mapping, parses the header
+    and checks that the mapped bytes cover every section the header
+    declares.  ``headers`` is a reader's :data:`HeaderMemo`: the parse
+    recorded for ``path`` is reused only when the header bytes just
+    sliced equal the bytes it was parsed from; any other bytes
+    (rewritten, damaged) are parsed afresh and replace the entry.  The
+    memo holds no mapping.
 
-    Args:
-        path: The archive to read.
-        table: A predicate table the caller already holds -- a shard
-            store passes its own.  When the archive's recorded
-            ``table_sha`` equals ``table.signature()`` the returned
-            report set shares ``table`` and the embedded table JSON is
-            never decoded; otherwise the embedded table is decoded as
-            without it.  Callers that must reject a foreign table
-            compare ``reports.table.signature()`` themselves (see
-            ``ShardStore.iter_reports``).
-        headers: The reader's :data:`HeaderMemo`, if it keeps one (see
-            :func:`_open_archive`); every loader takes it.
+    The section reads -- :meth:`stats`, :meth:`runs`, :meth:`table`,
+    :meth:`truth`, :meth:`reports`, :meth:`columns` and
+    :meth:`site_totals` -- take zero-copy, read-only views of that one
+    mapping and never map or parse again.  Each checks what it reads:
+    the statistic sections and the header's run counts against the
+    header's matrix shapes (:meth:`stats`), and the run-level sections
+    against each other and the header (:meth:`runs`, which every matrix
+    read goes through).
 
-    Returns:
-        ``(reports, truth)``; ``truth`` is ``None`` when the archive was
-        written without ground truth.
+    Attributes:
+        path: The archive's path.
+        header: Its parsed JSON header.
+        table_sha: The predicate-table signature it records.
 
     Raises:
-        ArchiveCorruptError: When the file cannot be parsed -- truncated
+        ArchiveCorruptError: Opening or any read finds damage: truncated
             header or sections, unrecognised magic, missing array
-            sections, out-of-bounds section offsets, count-matrix
-            sections that do not describe their matrix (see
-            :func:`_check_csr`), or damaged embedded JSON.
-        ArchiveVersionError: When the file is a retired v1/v2 ``.npz``
+            sections, out-of-bounds section offsets, sections or counts
+            that disagree with the header, or damaged embedded JSON.
+        ArchiveVersionError: The file is a retired v1/v2 ``.npz``
             archive or declares a version other than
             :data:`FORMAT_VERSION`.
-        FileNotFoundError: When ``path`` does not exist.
+        FileNotFoundError: ``path`` does not exist.
     """
-    with _archive_errors("report archive", path):
-        header, buf, data_start = _open_archive(path, headers)
-        failed, sites, preds = _run_sections(buf, data_start, header)
-        table = _shared_or_decoded(table, header)
-        stacks_raw = json.loads(str(header["stacks_json"]))
+
+    def __init__(self, path: str, headers: Optional[HeaderMemo] = None) -> None:
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"{path}: no such file")
+        self.path = path
+        self._open(headers)
+
+    @_translated
+    def _open(self, headers: Optional[HeaderMemo]) -> None:
+        with open(self.path, "rb") as fh:
+            # The fd may close at once: the mapping keeps the pages alive
+            # until the arrays viewing it die.
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        if buf[: len(_ZIP_MAGIC)] == _ZIP_MAGIC:
+            raise ArchiveVersionError(
+                f"{self.path} is a v1/v2 (.npz) report archive; those formats "
+                "are no longer read -- re-collect the runs"
+            )
+        if len(buf) < _PREAMBLE or buf[: len(V3_MAGIC)] != V3_MAGIC:
+            raise ValueError("truncated or unrecognised archive preamble")
+        (header_len,) = struct.unpack_from("<Q", buf, len(V3_MAGIC))
+        if header_len > (1 << 31):
+            raise ValueError(f"implausible archive header length {header_len}")
+        if _PREAMBLE + header_len > len(buf):
+            raise ValueError("truncated archive header")
+        raw = buf[_PREAMBLE : _PREAMBLE + header_len]
+        seen = headers.get(self.path) if headers is not None else None
+        if seen is not None and seen[0] == raw:
+            header = seen[1]
+        else:
+            header = _parse_header(raw)
+            if headers is not None:
+                headers[self.path] = (raw, header)
+        self._buf = buf
+        self._start = _aligned(_PREAMBLE + header_len)
+        # A stats-only reader touches just the leading pages, so without
+        # this a shard truncated in its trailing matrix sections would
+        # still yield statistics; the commit protocol treats any byte
+        # loss as corruption.
+        toc = header["arrays"]
+        if not isinstance(toc, dict) or not toc:
+            raise ValueError("archive has no array table of contents")
+        end = self._start + max(
+            int(s["offset"]) + int(s["nbytes"]) for s in toc.values()
+        )
+        if end > len(buf):
+            raise ValueError(
+                f"archive truncated: declares {end} bytes, file has {len(buf)}"
+            )
+        self.header = header
+        self.table_sha = str(header["table_sha"])
+
+    def _array(self, name: str) -> np.ndarray:
+        """Zero-copy view of one array section; bounds-checked, read-only."""
+        try:
+            spec = self.header["arrays"][name]
+        except (KeyError, TypeError):
+            raise ValueError(f"archive missing array section {name!r}") from None
+        dtype = np.dtype(str(spec["dtype"]))
+        shape = tuple(int(d) for d in spec["shape"])
+        nbytes = int(spec["nbytes"])
+        count = 1
+        for dim in shape:
+            count *= dim
+        if count * dtype.itemsize != nbytes:
+            raise ValueError(f"array section {name!r} has inconsistent shape/nbytes")
+        offset = self._start + int(spec["offset"])
+        if offset < self._start or offset + nbytes > len(self._buf):
+            raise ValueError(f"array section {name!r} overruns the archive")
+        view = np.frombuffer(self._buf, dtype=dtype, count=count, offset=offset)
+        return view.reshape(shape)
+
+    def _counts(self) -> Tuple[int, int]:
+        """``(num_failing, num_successful)``, which must add up to both
+        matrices' row count.  Reads the header only."""
+        num_failing = int(self.header["num_failing"])
+        num_successful = int(self.header["num_successful"])
+        rows = [int(self.header[f"{name}_shape"][0]) for name in ("sites", "preds")]
+        if rows != [num_failing + num_successful] * 2:
+            raise ValueError(
+                f"header counts {num_failing} failing and {num_successful} "
+                f"successful runs for matrices of {rows[0]} and {rows[1]} rows"
+            )
+        return num_failing, num_successful
+
+    @_translated
+    def stats(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+        """``(F, S, F_obs, S_obs, num_failing, num_successful)``.
+
+        Read-only views of the four statistic columns, which sit on the
+        file's leading pages -- no copy, no matrix reconstruction.  The
+        header must agree with itself: its run counts pass
+        :meth:`_counts`, and each statistic column holds one entry per
+        predicate column.  A header that lies about its population is
+        refused before it is scored; the checks read the header only.
+        """
+        columns = [self._array(name) for name in _STATS]
+        counts = self._counts()
+        n_preds = int(self.header["preds_shape"][1])
+        for name, column in zip(_STATS, columns):
+            if column.shape != (n_preds,):
+                raise ValueError(
+                    f"statistic section {name!r} has shape {column.shape} for a "
+                    f"matrix of {n_preds} predicate columns"
+                )
+        return (*columns, *counts)  # type: ignore[return-value]
+
+    def _csr(self, name: str) -> _CSR:
+        """The validated CSR sections of the ``sites`` or ``preds`` matrix."""
+        data, indices, indptr = (
+            self._array(f"{name}_{part}") for part in ("data", "indices", "indptr")
+        )
+        shape = tuple(int(d) for d in self.header[f"{name}_shape"])
+        _check_csr(name, data, indices, indptr, shape)
+        return data, indices, indptr, shape  # type: ignore[return-value]
+
+    @_translated
+    def runs(self) -> Tuple[np.ndarray, _CSR, _CSR]:
+        """``(failed, sites, preds)``: the run-level sections, validated.
+
+        Both matrices pass :func:`_check_csr`; they and ``failed`` agree
+        on the number of runs, which is the header's (:meth:`_counts`);
+        and the header's ``num_failing`` is the number of failing
+        outcomes.
+        """
+        failed = self._array("failed")
+        sites = self._csr("sites")
+        preds = self._csr("preds")
+        if failed.shape != (sites[3][0],) or preds[3][0] != sites[3][0]:
+            raise ValueError(
+                f"archive disagrees on its run count: {failed.shape[0]} outcomes, "
+                f"{sites[3][0]} site rows, {preds[3][0]} predicate rows"
+            )
+        num_failing, _ = self._counts()
+        held = int(np.count_nonzero(failed))
+        if held != num_failing:
+            raise ValueError(
+                f"header counts {num_failing} failing runs, outcome column holds {held}"
+            )
+        return failed, sites, preds
+
+    @_translated
+    def table(self, table: Optional[PredicateTable] = None) -> PredicateTable:
+        """The archive's predicate table, decoding it only when necessary.
+
+        Returns ``table`` itself when the archive's recorded
+        ``table_sha`` names it; otherwise (no table given, or a different
+        signature) decodes the header's table JSON.
+
+        A decoded table takes the recorded ``table_sha`` as its signature
+        rather than re-hashing itself: the recorded signature is the
+        archive's table identity, the one a shard store compares with its
+        manifest, just as when the table is shared.
+        """
+        if table is not None and self.table_sha == table.signature():
+            return table
+        decoded = _table_from_json(str(self.header["table_json"]))
+        decoded._signature = self.table_sha
+        return decoded
+
+    @_translated
+    def truth(self) -> Optional[GroundTruth]:
+        """The header's ground truth, or ``None`` when it was saved without."""
+        if "truth_bugs_json" not in self.header:
+            return None
+        truth = GroundTruth(bug_ids=json.loads(str(self.header["truth_bugs_json"])))
+        for bugs in json.loads(str(self.header["truth_runs_json"])):
+            truth.add_run(bugs)
+        return truth
+
+    @_translated
+    def reports(
+        self, table: Optional[PredicateTable] = None
+    ) -> Tuple[ReportSet, Optional[GroundTruth]]:
+        """The whole report set and its ground truth; see :func:`load_reports`.
+
+        The statistic sections are checked (:meth:`stats`) though not
+        returned: an archive whose statistics disagree with its matrices
+        is refused by every whole read.
+        """
+        failed, sites, preds = self.runs()
+        self.stats()
+        table = self.table(table)
+        stacks_raw = json.loads(str(self.header["stacks_json"]))
         stacks = [tuple(s) if s is not None else None for s in stacks_raw]
-        metas = json.loads(str(header["metas_json"]))
+        metas = json.loads(str(self.header["metas_json"]))
         site_counts = sparse.csr_matrix(sites[:3], shape=sites[3])
         true_counts = sparse.csr_matrix(preds[:3], shape=preds[3])
         reports = ReportSet(table, failed, site_counts, true_counts, stacks, metas)
-        truth = _truth(header)
-    return reports, truth
+        return reports, self.truth()
 
+    @_translated
+    def columns(
+        self, predicates: np.ndarray, sites: np.ndarray
+    ) -> Tuple[np.ndarray, sparse.csr_matrix, sparse.csr_matrix, Optional[GroundTruth]]:
+        """The outcomes and chosen count-matrix columns.
 
-def load_table(path: str, headers: Optional[HeaderMemo] = None) -> PredicateTable:
-    """Read only an archive's predicate table.
+        What ``ShardStore.load_columns`` reads of a shard: the run-level
+        sections validated, and only the ``predicates`` and ``sites``
+        columns kept.  The crash stacks, per-run metadata and predicate
+        table in the header are never decoded.
 
-    Parses the header and decodes the table, without building any count
-    matrix -- what a shard store needs to learn its table before the
-    first shard read.
+        Args:
+            predicates: Boolean mask over the predicate table's columns.
+            sites: Boolean mask over its sites.
 
-    Raises:
-        ArchiveCorruptError, ArchiveVersionError, FileNotFoundError: As
-            for :func:`load_reports`.
-    """
-    with _archive_errors("report archive", path):
-        header, _, _ = _open_archive(path, headers)
-        return _shared_or_decoded(None, header)
+        Returns:
+            ``(failed, true_counts, site_counts, truth)``.  Both matrices
+            have the archive's full shape; the columns outside the masks
+            are empty.
 
-
-def load_shard_stats(
-    path: str, headers: Optional[HeaderMemo] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int, str]:
-    """Read only the sufficient statistics from an archive.
-
-    Memory-maps the file and returns zero-copy (read-only) views of the
-    four statistic columns, which sit on the file's leading pages -- no
-    copy, no matrix reconstruction.
-
-    Returns:
-        ``(F, S, F_obs, S_obs, num_failing, num_successful, table_sha)``.
-        The arrays are read-only views backed by the file mapping; copy
-        before mutating (see ``SufficientStats.materialized``).
-
-    Raises:
-        ArchiveCorruptError, ArchiveVersionError, FileNotFoundError: As
-            for :func:`load_reports`.
-    """
-    with _archive_errors("shard statistics from", path):
-        return _stats(*_open_archive(path, headers))
-
-
-def check_archive(
-    path: str, headers: Optional[HeaderMemo] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int, str]:
-    """:func:`load_shard_stats`, once every run-level section is sound.
-
-    What a shard check reads: besides the statistics, the outcome
-    column and both count matrices must be well formed (see
-    :func:`_check_csr`), so a shard that would crash a later matrix
-    read is refused before it counts.  Unlike :func:`load_shard_stats`
-    this also reads both matrices' index sections.
-
-    Raises:
-        ArchiveCorruptError, ArchiveVersionError, FileNotFoundError: As
-            for :func:`load_reports`.
-    """
-    with _archive_errors("report archive", path):
-        header, buf, data_start = _open_archive(path, headers)
-        _run_sections(buf, data_start, header)
-        return _stats(header, buf, data_start)
-
-
-def _stats(header: Dict[str, object], buf, data_start: int):
-    """The :func:`load_shard_stats` tuple of a mapped archive."""
-    toc = header["arrays"]
-    return (
-        _array(buf, data_start, toc, "stats_F"),
-        _array(buf, data_start, toc, "stats_S"),
-        _array(buf, data_start, toc, "stats_F_obs"),
-        _array(buf, data_start, toc, "stats_S_obs"),
-        int(header["num_failing"]),
-        int(header["num_successful"]),
-        str(header["table_sha"]),
-    )
-
-
-def _check_recorded_table(path: str, header: Dict[str, object], table_sha: str) -> None:
-    """Raise :class:`ArchiveTableError` unless the header records ``table_sha``."""
-    recorded = str(header["table_sha"])
-    if recorded != table_sha:
-        raise ArchiveTableError(path, recorded)
-
-
-def load_report_columns(
-    path: str,
-    predicates: np.ndarray,
-    sites: np.ndarray,
-    table_sha: str,
-    headers: Optional[HeaderMemo] = None,
-) -> Tuple[np.ndarray, sparse.csr_matrix, sparse.csr_matrix, Optional[GroundTruth]]:
-    """Read an archive's outcomes and chosen count-matrix columns.
-
-    The column read behind ``ShardStore.load_columns``: one mapping of
-    the file, the run-level sections validated, and only the
-    ``predicates`` and ``sites`` columns kept.  The crash stacks,
-    per-run metadata and predicate table in the header are never
-    decoded.
-
-    Args:
-        path: The archive to read.
-        predicates: Boolean mask over the predicate table's columns.
-        sites: Boolean mask over its sites.
-        table_sha: Signature of the table the masks index.
-        headers: As for :func:`load_reports`.
-
-    Returns:
-        ``(failed, true_counts, site_counts, truth)``.  Both matrices
-        have the archive's full shape; the columns outside the masks
-        are empty.  ``truth`` is ``None`` when the archive was written
-        without ground truth.
-
-    Raises:
-        ArchiveTableError: The archive records another predicate table.
-        ArchiveCorruptError: As for :func:`load_reports`, and when a
-            mask's length is not the archive's column count.
-        ArchiveVersionError, FileNotFoundError: As for
-            :func:`load_reports`.
-    """
-    with _archive_errors("report archive", path):
-        header, buf, data_start = _open_archive(path, headers)
-        _check_recorded_table(path, header, table_sha)
-        failed, site_sections, pred_sections = _run_sections(buf, data_start, header)
-        for mask, (_, _, _, shape) in ((predicates, pred_sections), (sites, site_sections)):
+        Raises:
+            ArchiveCorruptError: Also when a mask's length is not the
+                archive's column count.
+        """
+        failed, site_sections, pred_sections = self.runs()
+        for mask, (*_, shape) in ((predicates, pred_sections), (sites, site_sections)):
             if mask.shape != (shape[1],):
                 raise ValueError(
                     f"column mask of shape {mask.shape} for a matrix of "
@@ -789,38 +725,24 @@ def load_report_columns(
             failed,
             _select(pred_sections, predicates),
             _select(site_sections, sites),
-            _truth(header),
+            self.truth(),
         )
 
+    @_translated
+    def site_totals(self, n_sites: int) -> np.ndarray:
+        """Per-site observation totals of the archive's runs, in exact int64.
 
-def load_site_totals(
-    path: str, n_sites: int, table_sha: str, headers: Optional[HeaderMemo] = None
-) -> np.ndarray:
-    """Per-site observation totals of an archive's runs, in exact int64.
+        What a restarting daemon needs of a committed shard: the column
+        sums of the run-by-site matrix, taken straight from its CSR
+        sections once the run-level sections are validated.  The
+        predicate matrix, crash stacks, per-run metadata and ground truth
+        are never built.  Equals ``load_reports(path)[0].site_coverage()``.
 
-    What a restarting daemon needs of a committed shard: the column sums
-    of the run-by-site matrix, taken straight from its CSR sections
-    once the run-level sections are validated.  The predicate matrix,
-    crash stacks, per-run metadata and ground truth are never built.
-    Equals ``load_reports(path)[0].site_coverage()``.
-
-    Args:
-        path: The archive to read.
-        n_sites: Site count of the table ``table_sha`` names.
-        table_sha: Signature of the reader's predicate table.
-        headers: As for :func:`load_reports`.
-
-    Raises:
-        ArchiveTableError: The archive records another predicate table.
-        ArchiveCorruptError: As for :func:`load_reports`, and when the
-            site matrix does not have ``n_sites`` columns.
-        ArchiveVersionError, FileNotFoundError: As for
-            :func:`load_reports`.
-    """
-    with _archive_errors("report archive", path):
-        header, buf, data_start = _open_archive(path, headers)
-        _check_recorded_table(path, header, table_sha)
-        _, (data, indices, _, shape), _ = _run_sections(buf, data_start, header)
+        Raises:
+            ArchiveCorruptError: Also when the site matrix does not have
+                ``n_sites`` columns or its counts are not integers.
+        """
+        _, (data, indices, _, shape), _ = self.runs()
         if shape[1] != n_sites:
             raise ValueError(
                 f"site matrix has {shape[1]} columns for a table of {n_sites} sites"
@@ -830,3 +752,69 @@ def load_site_totals(
         totals = np.zeros(n_sites, dtype=np.int64)
         np.add.at(totals, indices, data.astype(np.int64, copy=False))
         return totals
+
+
+def load_reports(
+    path: Union[str, Archive], table: Optional[PredicateTable] = None
+) -> Tuple[ReportSet, Optional[GroundTruth]]:
+    """Read a report set written by :func:`save_reports`.
+
+    The file is memory-mapped: count matrices come back as zero-copy
+    read-only views.
+
+    Args:
+        path: The archive to read, or an :class:`Archive` already open.
+        table: A predicate table the caller already holds -- a shard
+            store passes its own.  When the archive's recorded
+            ``table_sha`` equals ``table.signature()`` the returned
+            report set shares ``table`` and the embedded table JSON is
+            never decoded; otherwise the embedded table is decoded as
+            without it.  Callers that must reject a foreign table
+            compare ``Archive.table_sha`` themselves (see
+            ``ShardStore.iter_reports``).
+
+    Returns:
+        ``(reports, truth)``; ``truth`` is ``None`` when the archive was
+        written without ground truth.
+
+    Raises:
+        ArchiveCorruptError, ArchiveVersionError, FileNotFoundError: As
+            for :class:`Archive`.
+    """
+    archive = path if isinstance(path, Archive) else Archive(path)
+    return archive.reports(table)
+
+
+def load_table(path: str) -> PredicateTable:
+    """Read only an archive's predicate table.
+
+    Parses the header and decodes the table, without building any count
+    matrix.
+
+    Raises:
+        ArchiveCorruptError, ArchiveVersionError, FileNotFoundError: As
+            for :class:`Archive`.
+    """
+    return Archive(path).table()
+
+
+def load_shard_stats(
+    path: str,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int, str]:
+    """Read only the sufficient statistics from an archive.
+
+    Memory-maps the file and returns zero-copy (read-only) views of the
+    four statistic columns, which sit on the file's leading pages -- no
+    copy, no matrix reconstruction (see :meth:`Archive.stats`).
+
+    Returns:
+        ``(F, S, F_obs, S_obs, num_failing, num_successful, table_sha)``.
+        The arrays are read-only views backed by the file mapping; copy
+        before mutating (see ``SufficientStats.materialized``).
+
+    Raises:
+        ArchiveCorruptError, ArchiveVersionError, FileNotFoundError: As
+            for :class:`Archive`.
+    """
+    archive = Archive(path)
+    return (*archive.stats(), archive.table_sha)  # type: ignore[return-value]

@@ -308,12 +308,24 @@ def fit_steering(
 
 
 def save_steering(directory: str, document: SteeringDocument) -> str:
-    """Atomically persist ``document`` as ``steering.json`` in a store dir."""
+    """Atomically persist ``document`` as ``steering.json`` in a store dir.
+
+    A file that already holds the document's exact bytes is left as it
+    is: a daemon restarting over an unchanged store refits the document
+    it persisted last, and rewriting it would cost an fsync and a rename
+    for nothing.
+    """
     path = os.path.join(directory, STEERING_NAME)
+    data = (json.dumps(document.to_wire(), indent=2, sort_keys=True) + "\n").encode()
+    try:
+        with open(path, "rb") as handle:
+            if handle.read() == data:
+                return path
+    except FileNotFoundError:
+        pass
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(document.to_wire(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)

@@ -41,6 +41,12 @@ A crash between (1) and (2) leaves an uncommitted ``.pending`` file that
 which recovery rolls forward (renames).  No interleaving leaves a
 partially written shard under a committed name.
 
+Every read of a committed shard and every shard check goes through one
+routine, :func:`_read_shard`: it resolves the path, opens the archive
+once through the store's header memo, compares its recorded table
+signature with the manifest's, and turns archive errors into
+:class:`~repro.store.errors.ShardCorruptionError`.
+
 Bytes count toward a store only after :func:`check_shard` accepts them.
 Damage that slips past collection (bit rot, truncation, deletion) is
 caught by :meth:`ShardStore.audit`, which runs that check on every
@@ -53,28 +59,22 @@ are per-shard sums, so dropping a shard drops exactly its runs.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.io import (
+    Archive,
     ArchiveError,
-    ArchiveTableError,
     HeaderMemo,
-    check_archive,
     file_sha256,
-    load_report_columns,
     load_reports,
-    load_shard_stats,
-    load_site_totals,
-    load_table,
     save_reports,
 )
 from repro.core.predicates import PredicateTable
@@ -117,45 +117,13 @@ COLLECTION_LOG_NAME = "collection_log.jsonl"
 PENDING_SUFFIX = ".pending"
 
 
+#: What a shard read returns.
+T = TypeVar("T")
+
+
 def shard_filename(seed_start: int) -> str:
     """Canonical shard name for a collection chunk starting at a seed."""
     return f"shard-{seed_start:08d}.npz"
-
-
-def _table_mismatch(filename: str, shard_sha: str, table_sha: str) -> ShardIntegrityError:
-    """The error for a shard carrying table ``shard_sha``, not ``table_sha``."""
-    return ShardIntegrityError(
-        filename,
-        f"carries table signature {shard_sha[:12]}..., manifest "
-        f"expects {table_sha[:12]}...",
-        reason="table-mismatch",
-    )
-
-
-def _check_table_sha(filename: str, shard_sha: str, table_sha: str) -> None:
-    """Reject a shard whose predicate table is not the manifest's.
-
-    Raises:
-        ShardIntegrityError: ``shard_sha`` differs from ``table_sha``.
-    """
-    if shard_sha != table_sha:
-        raise _table_mismatch(filename, shard_sha, table_sha)
-
-
-@contextlib.contextmanager
-def _shard_read(filename: str, table_sha: str) -> Iterator[None]:
-    """Turn a shard loader's archive errors into the store's typed errors.
-
-    Raises:
-        ShardIntegrityError: The loader found another predicate table.
-        ShardCorruptionError: The bytes fail to parse.
-    """
-    try:
-        yield
-    except ArchiveTableError as exc:
-        raise _table_mismatch(filename, exc.table_sha, table_sha) from exc
-    except ArchiveError as exc:
-        raise ShardCorruptionError(filename, str(exc)) from exc
 
 
 def _merged_truth(truths) -> Optional[GroundTruth]:
@@ -166,102 +134,47 @@ def _merged_truth(truths) -> Optional[GroundTruth]:
     return GroundTruth.merge(truths)
 
 
-def _committed_path(directory: str, entry: "ShardEntry") -> str:
-    """A committed shard's path, or :class:`StaleManifestError` if it is gone."""
-    path = os.path.join(directory, entry.filename)
-    if not os.path.exists(path):
-        raise StaleManifestError(
-            f"manifest lists {entry.filename} but the file is missing; "
-            "run audit() to quarantine it"
-        )
-    return path
-
-
-def _read_stats(
+def _read_shard(
     path: str,
-    filename: str,
+    entry: ShardEntry,
     table_sha: str,
-    read=load_shard_stats,
+    read: Callable[[Archive], T],
     headers: Optional[HeaderMemo] = None,
-) -> SufficientStats:
-    """A shard file's embedded statistics, once its table is the store's.
+    check: bool = False,
+) -> T:
+    """Read the bytes at ``path`` as ``entry``, a shard of a store whose
+    manifest records predicate table ``table_sha``.
 
-    ``read`` is :func:`~repro.core.io.load_shard_stats`, or
-    :func:`~repro.core.io.check_archive` to also validate the run-level
-    sections; ``headers`` is the reading store's header memo.
+    The one routine behind every shard read and check.  In order:
 
-    Raises:
-        ShardCorruptionError: The bytes fail to parse.
-        ShardIntegrityError: They carry a different predicate table.
-    """
-    with _shard_read(filename, table_sha):
-        F, S, F_obs, S_obs, num_failing, num_successful, shard_sha = read(path, headers)
-    _check_table_sha(filename, shard_sha, table_sha)
-    return SufficientStats(
-        F=F,
-        S=S,
-        F_obs=F_obs,
-        S_obs=S_obs,
-        num_failing=num_failing,
-        num_successful=num_successful,
-    )
+    1. the file must exist (``missing-file``);
+    2. under ``check``, it must hash to ``entry.sha256`` when that is
+       set (``checksum-mismatch``);
+    3. it opens as an archive -- one mapping, and one header parse,
+       reused from ``headers`` (the reading store's memo) while the
+       header bytes are those last parsed (``unreadable``);
+    4. its recorded table signature must be ``table_sha``
+       (``table-mismatch``);
+    5. ``read(archive)`` takes the sections the caller needs from the
+       open archive; what those reads refuse is ``unreadable`` too.
 
-
-def load_entry_stats(
-    directory: str,
-    entry: "ShardEntry",
-    table_sha: str,
-    headers: Optional[HeaderMemo] = None,
-) -> SufficientStats:
-    """Load and verify one committed shard's embedded sufficient statistics.
-
-    The per-shard step of :meth:`ShardStore.sufficient_stats`:
-    bytes to counts, with the missing-file, unreadable and
-    table-mismatch errors.  ``headers`` is the reading store's header
-    memo.
-
-    Raises:
-        StaleManifestError: The shard file is missing.
-        ShardCorruptionError: Its bytes fail to parse.
-        ShardIntegrityError: It carries a different predicate table.
-    """
-    path = _committed_path(directory, entry)
-    if _obs_enabled():
-        _obs_inc("store.shards_streamed")
-        _obs_inc("store.bytes_streamed", os.path.getsize(path))
-    return _read_stats(path, entry.filename, table_sha, headers=headers)
-
-
-def check_shard(path: str, entry: "ShardEntry", table_sha: str) -> None:
-    """Refuse shard bytes at ``path`` that cannot count as ``entry``.
-
-    The one shard check.  :meth:`ShardStore.audit` runs it on committed
-    files, the parallel collector on a worker's staged file, and
-    :meth:`ShardStore.ingest_shard_bytes` on replicated bytes before
-    their commit.  It checks, in order: the file exists, it hashes to
-    ``entry.sha256`` (when set), it parses as an archive, its predicate
-    table is ``table_sha``, and it holds ``entry.n_runs`` runs.  Parsing
-    covers the run-level sections too (see
-    :func:`~repro.core.io.check_archive`): a count matrix whose CSR
-    sections are out of range is ``unreadable``, even under a matching
-    digest.
+    Only archive errors become :class:`ShardCorruptionError`: ``read``
+    should do nothing but archive reads, and the caller's own work on
+    what it returns stays outside this routine.
 
     Raises:
         StaleManifestError: ``missing-file``.
-        ShardIntegrityError: ``checksum-mismatch``, ``table-mismatch``
-            or ``count-mismatch``.
+        ShardIntegrityError: ``checksum-mismatch`` or ``table-mismatch``.
         ShardCorruptionError: ``unreadable``.
     """
-    _check_shard(path, entry, table_sha)
-
-
-def _check_shard(
-    path: str, entry: "ShardEntry", table_sha: str, headers: Optional[HeaderMemo] = None
-) -> None:
-    """:func:`check_shard`, parsing through a store's header memo."""
     if not os.path.exists(path):
-        raise StaleManifestError(f"{os.path.basename(path)} is missing")
-    if entry.sha256 is not None:
+        raise StaleManifestError(
+            f"{os.path.basename(path)} is missing"
+            if check
+            else f"manifest lists {entry.filename} but the file is missing; "
+            "run audit() to quarantine it"
+        )
+    if check and entry.sha256 is not None:
         actual = file_sha256(path)
         if actual != entry.sha256:
             raise ShardIntegrityError(
@@ -270,15 +183,65 @@ def _check_shard(
                 f"file hashes to {actual[:12]}...",
                 reason="checksum-mismatch",
             )
-    n_runs = _read_stats(
-        path, entry.filename, table_sha, read=check_archive, headers=headers
-    ).n_runs
-    if n_runs != entry.n_runs:
-        raise ShardIntegrityError(
-            entry.filename,
-            f"archive holds {n_runs} runs, entry says {entry.n_runs}",
-            reason="count-mismatch",
-        )
+    try:
+        archive = Archive(path, headers)
+        if archive.table_sha != table_sha:
+            raise ShardIntegrityError(
+                entry.filename,
+                f"carries table signature {archive.table_sha[:12]}..., manifest "
+                f"expects {table_sha[:12]}...",
+                reason="table-mismatch",
+            )
+        return read(archive)
+    except ArchiveError as exc:
+        raise ShardCorruptionError(entry.filename, str(exc)) from exc
+
+
+def _held_runs(entry: ShardEntry) -> Callable[[Archive], None]:
+    """The shard check's read: sound sections holding ``entry.n_runs`` runs.
+
+    The returned read raises ``count-mismatch`` when the archive holds
+    another number of runs than ``entry`` says.
+    """
+
+    def read(archive: Archive) -> None:
+        n_runs = len(archive.runs()[0])
+        archive.stats()
+        if n_runs != entry.n_runs:
+            raise ShardIntegrityError(
+                entry.filename,
+                f"archive holds {n_runs} runs, entry says {entry.n_runs}",
+                reason="count-mismatch",
+            )
+
+    return read
+
+
+def check_shard(path: str, entry: ShardEntry, table_sha: str) -> None:
+    """Refuse shard bytes at ``path`` that cannot count as ``entry``.
+
+    The one shard check.  :meth:`ShardStore.audit` runs it on committed
+    files, the parallel collector on a worker's staged file, and
+    :meth:`ShardStore.ingest_shard_bytes` on replicated bytes before
+    their commit.  It checks, in order: the file exists, it hashes to
+    ``entry.sha256`` (when set), it parses as an archive, its predicate
+    table is ``table_sha``, its sections are sound, and it holds
+    ``entry.n_runs`` runs (see :func:`_read_shard`).  Sound means
+    count-matrix CSR sections in range, header run counts that match
+    the matrices and the outcome column
+    (:meth:`~repro.core.io.Archive.runs`), and statistic columns of the
+    predicate matrix's width (:meth:`~repro.core.io.Archive.stats`) -- a
+    shard that breaks any of these is ``unreadable``, even under a
+    matching digest.  The table is compared before any section is read,
+    so a shard that is both foreign and malformed is ``table-mismatch``.
+
+    Raises:
+        StaleManifestError: ``missing-file``.
+        ShardIntegrityError: ``checksum-mismatch``, ``table-mismatch``
+            or ``count-mismatch``.
+        ShardCorruptionError: ``unreadable``.
+    """
+    _read_shard(path, entry, table_sha, _held_runs(entry), check=True)
 
 
 @dataclass
@@ -348,12 +311,13 @@ class ShardStore:
 
     Every read of a committed shard (:meth:`audit`,
     :meth:`sufficient_stats`, :meth:`table`, :meth:`load_columns`,
-    :meth:`iter_reports`, :meth:`site_totals`) parses its header through
-    the store's header memo: a shard whose header bytes are those of its
-    last parse is not parsed again, while rewritten or damaged bytes are
-    (see :func:`repro.core.io._open_archive`).  Every other check --
-    digest, extent, count-matrix sections, table signature, run count --
-    still runs on every read.
+    :meth:`iter_reports`, :meth:`site_totals`) goes through one routine,
+    :func:`_read_shard`, which parses the header through the store's
+    header memo: a shard whose header bytes are those of its last parse
+    is not parsed again, while rewritten or damaged bytes are.  Every
+    other check -- digest (audit), extent, header counts, count-matrix
+    sections, table signature, run counts -- still runs on every read
+    that covers it.
     """
 
     def __init__(self, directory: str, manifest: ShardManifest) -> None:
@@ -534,15 +498,22 @@ class ShardStore:
         if self._table is None:
             if not self.manifest.shards:
                 raise ValueError("empty store has no shards to read a table from")
-            entry = self.manifest.shards[0]
-            path = _committed_path(self.directory, entry)
-            with _shard_read(entry.filename, self.manifest.table_sha):
-                table = load_table(path, self._headers)
-            _check_table_sha(
-                entry.filename, table.signature(), self.manifest.table_sha
-            )
-            self._table = table
+            self._table = self._read(self.manifest.shards[0], Archive.table)
         return self._table
+
+    def _read(
+        self, entry: ShardEntry, read: Callable[[Archive], T], check: bool = False
+    ) -> T:
+        """``read`` of committed shard ``entry`` (see :func:`_read_shard`),
+        against the manifest's table signature and through the header memo."""
+        return _read_shard(
+            os.path.join(self.directory, entry.filename),
+            entry,
+            self.manifest.table_sha,
+            read,
+            self._headers,
+            check,
+        )
 
     def forget_headers(self) -> None:
         """Drop the header memo; the next read of each shard parses again.
@@ -839,12 +810,7 @@ class ShardStore:
                 )
             else:
                 try:
-                    _check_shard(
-                        os.path.join(self.directory, entry.filename),
-                        entry,
-                        self.manifest.table_sha,
-                        self._headers,
-                    )
+                    self._read(entry, _held_runs(entry), check=True)
                 except ShardCheckError as exc:
                     reason = (exc.reason, exc.detail)
             if reason is None:
@@ -908,13 +874,8 @@ class ShardStore:
                 proceeds over the survivors.
         """
         for entry in self.manifest.shards:
-            path = _committed_path(self.directory, entry)
-            with _shard_read(entry.filename, self.manifest.table_sha):
-                reports, truth = load_reports(
-                    path, table=self._table, headers=self._headers
-                )
-            _check_table_sha(
-                entry.filename, reports.table.signature(), self.manifest.table_sha
+            reports, truth = self._read(
+                entry, lambda archive: load_reports(archive, table=self._table)
             )
             if self._table is None:
                 self._table = reports.table
@@ -973,17 +934,11 @@ class ShardStore:
             )
         sites = np.zeros(table.n_sites, dtype=bool)
         sites[[table.predicates[i].site_index for i in np.flatnonzero(predicates)]] = True
-        table_sha = self.manifest.table_sha
         with _obs_timer("store.load_columns"):
-            parts = []
-            for entry in self.manifest.shards:
-                path = _committed_path(self.directory, entry)
-                with _shard_read(entry.filename, table_sha):
-                    parts.append(
-                        load_report_columns(
-                            path, predicates, sites, table_sha, self._headers
-                        )
-                    )
+            parts = [
+                self._read(entry, lambda archive: archive.columns(predicates, sites))
+                for entry in self.manifest.shards
+            ]
             failed, preds, site_cols, truths = zip(*parts)
             reports = ReportSet(
                 table,
@@ -999,7 +954,7 @@ class ShardStore:
 
         What a restarting daemon seeds its steering refit with.  Each
         shard's site-matrix CSR sections are summed in exact int64
-        (:func:`~repro.core.io.load_site_totals`) once its table
+        (:meth:`~repro.core.io.Archive.site_totals`) once its table
         signature and both count matrices pass their checks; no
         predicate matrix, stack, meta or ground truth is built.  Equals
         the sum of ``reports.site_coverage()`` over :meth:`iter_reports`.
@@ -1012,13 +967,12 @@ class ShardStore:
                 table than the manifest.
         """
         n_sites = self.table().n_sites
-        table_sha = self.manifest.table_sha
         totals = np.zeros(n_sites, dtype=np.int64)
         with _obs_timer("store.site_totals"):
             for entry in self.manifest.shards:
-                path = _committed_path(self.directory, entry)
-                with _shard_read(entry.filename, table_sha):
-                    totals += load_site_totals(path, n_sites, table_sha, self._headers)
+                totals += self._read(
+                    entry, lambda archive: archive.site_totals(n_sites)
+                )
         return totals
 
     def sufficient_stats(self) -> SufficientStats:
@@ -1044,9 +998,13 @@ class ShardStore:
         total: Optional[SufficientStats] = None
         with _obs_timer("store.stream_stats"):
             for entry in self.manifest.shards:
-                part = load_entry_stats(
-                    self.directory, entry, self.manifest.table_sha, self._headers
-                )
+                part = SufficientStats(*self._read(entry, Archive.stats))
+                if _obs_enabled():
+                    _obs_inc("store.shards_streamed")
+                    _obs_inc(
+                        "store.bytes_streamed",
+                        os.path.getsize(os.path.join(self.directory, entry.filename)),
+                    )
                 # Parts are read-only file-mapping views; seed the
                 # accumulator with a writable copy before += kicks in.
                 total = part.materialized() if total is None else total.add(part)

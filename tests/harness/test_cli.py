@@ -1,10 +1,15 @@
 """CLI smoke tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import SUBJECTS, build_parser, main
+from repro.core.io import file_sha256
 from repro.factory.mutate import MUTATION_CLASSES
 from repro.store import ShardStore
+
+from tests.helpers import shorten_archive_stats
 
 
 class TestParser:
@@ -535,6 +540,39 @@ class TestTypedErrors:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         return captured.err.splitlines()
+
+    def test_store_with_short_statistics(self, capsys, tmp_path):
+        """A one-shard store whose header declares its statistic columns
+        one entry short of the table, under a matching digest: neither
+        analysis may rank over the short columns or die in a traceback."""
+        store_dir = tmp_path / "store"
+        assert main([
+            "collect", "--subject", "ccrypt", "--runs", "20", "--sampling", "full",
+            "--out", str(store_dir),
+        ]) == 0
+        store = ShardStore.open(str(store_dir))
+        (path,) = store.shard_paths()
+        shorten_archive_stats(path)
+        store.manifest.shards[0] = dataclasses.replace(
+            store.manifest.shards[0], sha256=file_sha256(path)
+        )
+        store.manifest.save(store.manifest_path)
+        for extra in (["--stats-only"], []):
+            capsys.readouterr()
+            assert main(["analyze", str(store_dir), "--no-audit", *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Traceback" not in captured.err
+            errors = [l for l in captured.err.splitlines() if l.startswith("error:")]
+            assert errors == captured.err.splitlines()[-1:]
+            assert errors[0].startswith(
+                "error: shard shard-00000000.npz is corrupt: "
+            )
+            assert "statistic section" in errors[0]
+        assert main(["analyze", str(store_dir), "--stats-only"]) == 1
+        err = capsys.readouterr().err
+        assert "quarantined shard-00000000.npz [unreadable]" in err
+        assert "audit left no usable shards" in err
 
     def test_garbage_archive(self, capsys, tmp_path):
         junk = tmp_path / "junk.npz"

@@ -112,6 +112,16 @@ def run_pattern(
     return sorted(reports.runs_where_true(predicate_index).tolist())
 
 
+def archive_header(path) -> dict:
+    """A report archive's parsed JSON header."""
+    import json
+    import struct
+
+    with open(path, "rb") as handle:
+        (length,) = struct.unpack("<Q", handle.read(16)[8:])
+        return json.loads(handle.read(length))
+
+
 def rewrite_archive_header(path, **fields) -> None:
     """Rewrite a report archive's JSON header with ``fields`` replaced.
 
@@ -131,6 +141,21 @@ def rewrite_archive_header(path, **fields) -> None:
     pad = -(16 + len(raw)) % 64
     with open(path, "wb") as handle:
         handle.write(data[:8] + struct.pack("<Q", len(raw)) + raw + b"\0" * pad + body)
+
+
+def shorten_archive_stats(path) -> None:
+    """Declare an archive's four statistic sections one entry short.
+
+    Their bytes stay where they are, so the file is still well formed,
+    but its statistics no longer cover its predicate matrix.
+    """
+    arrays = archive_header(path)["arrays"]
+    for name in ("stats_F", "stats_S", "stats_F_obs", "stats_S_obs"):
+        spec = arrays[name]
+        n = spec["shape"][0] - 1
+        itemsize = np.dtype(spec["dtype"]).itemsize
+        arrays[name] = {**spec, "shape": [n], "nbytes": n * itemsize}
+    rewrite_archive_header(path, arrays=arrays)
 
 
 def poke_archive_array(path, name: str, index: int, value: int) -> None:

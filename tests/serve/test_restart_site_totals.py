@@ -28,7 +28,12 @@ from repro.subjects.exif import ExifSubject
 from repro.subjects.moss import MossSubject
 from repro.subjects.rhythmbox import RhythmboxSubject
 
-from tests.helpers import poke_archive_array, split_reports
+from tests.helpers import (
+    archive_header,
+    poke_archive_array,
+    rewrite_archive_header,
+    split_reports,
+)
 
 SUBJECTS = {
     "bc": BcSubject,
@@ -125,6 +130,60 @@ def test_restart_refuses_out_of_range_sections(tmp_path, populations, section, v
     with pytest.raises(ShardCorruptionError) as err:
         _restart(tmp_path / "store", subject, program)
     assert err.value.filename == os.path.basename(path)
+
+
+def _widen_site_matrix(path):
+    rows, cols = archive_header(path)["sites_shape"]
+    rewrite_archive_header(path, sites_shape=[rows, cols + 1])
+
+
+def _float_site_counts(path):
+    arrays = archive_header(path)["arrays"]
+    spec = arrays["sites_data"]
+    arrays["sites_data"] = {**spec, "dtype": f"<f{np.dtype(spec['dtype']).itemsize}"}
+    rewrite_archive_header(path, arrays=arrays)
+
+
+@pytest.mark.parametrize(
+    "damage, match",
+    [(_widen_site_matrix, "site matrix has"), (_float_site_counts, "not integers")],
+    ids=["site-column-count", "float-site-counts"],
+)
+def test_site_totals_refuse_a_malformed_site_matrix(tmp_path, populations, damage, match):
+    """A site matrix that passes the CSR checks but is not the table's --
+    another column count, or counts that are not integers -- cannot be
+    summed into the store's site totals, by a reader or at a restart."""
+    subject, program, reports = populations("ccrypt")
+    store = _store(tmp_path / "store", subject, program, reports, 3)
+    path = store.shard_paths()[1]
+    damage(path)
+    store.manifest.shards[1] = dataclasses.replace(
+        store.manifest.shards[1], sha256=file_sha256(path)
+    )
+    store.manifest.save(store.manifest_path)
+    with pytest.raises(ShardCorruptionError, match=match) as err:
+        ShardStore.open(store.directory).site_totals()
+    assert err.value.filename == os.path.basename(path)
+    with pytest.raises(ShardCorruptionError, match=match) as err:
+        _restart(tmp_path / "store", subject, program)
+    assert err.value.filename == os.path.basename(path)
+
+
+def test_restart_over_an_unchanged_store_keeps_the_steering_file(tmp_path, populations):
+    """The restart refits the document the last daemon persisted; the
+    file already holding those bytes is not rewritten."""
+    subject, program, reports = populations("ccrypt")
+    store = _store(tmp_path / "store", subject, program, reports, 3)
+    _restart(tmp_path / "store", subject, program, refit_runs=N_RUNS).close()
+    path = os.path.join(store.directory, STEERING_NAME)
+    before = os.stat(path)
+    with open(path, "rb") as handle:
+        persisted = handle.read()
+    _restart(tmp_path / "store", subject, program, refit_runs=N_RUNS).close()
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    with open(path, "rb") as handle:
+        assert handle.read() == persisted
 
 
 def test_restart_steering_document_equals_full_read_refit(tmp_path, populations):

@@ -19,11 +19,11 @@ import pytest
 
 import repro
 from repro.core.io import (
+    Archive,
     ArchiveCorruptError,
     ArchiveError,
     ArchiveVersionError,
     file_sha256,
-    load_report_columns,
     load_reports,
     load_shard_stats,
     load_table,
@@ -49,7 +49,13 @@ from repro.store.shards import PENDING_SUFFIX, check_shard, shard_filename
 
 from tests.conftest import build_synthetic_store, collect_tiny_store
 from tests.helpers import make_population as _population
-from tests.helpers import make_reports, poke_archive_array, rewrite_archive_header
+from tests.helpers import (
+    archive_header,
+    make_reports,
+    poke_archive_array,
+    rewrite_archive_header,
+    shorten_archive_stats,
+)
 
 
 def _build_store(tmp_path, k=3, n_runs=24, n_preds=4, seed=0):
@@ -150,16 +156,9 @@ class TestLoaderFuzz:
         assert info.value.__cause__ is not None
 
 
-def _archive_header(path):
-    with open(path, "rb") as handle:
-        handle.seek(8)
-        (length,) = np.frombuffer(handle.read(8), dtype="<u8")
-        return json.loads(handle.read(int(length)))
-
-
 def _reshape_section(path, name, shape):
     """Declare ``shape`` for section ``name`` (bytes unchanged)."""
-    arrays = _archive_header(path)["arrays"]
+    arrays = archive_header(path)["arrays"]
     spec = arrays[name]
     itemsize = np.dtype(spec["dtype"]).itemsize
     arrays[name] = {**spec, "shape": shape, "nbytes": int(np.prod(shape)) * itemsize}
@@ -167,7 +166,7 @@ def _reshape_section(path, name, shape):
 
 
 def _retype_section(path, name, dtype):
-    arrays = _archive_header(path)["arrays"]
+    arrays = archive_header(path)["arrays"]
     arrays[name] = {**arrays[name], "dtype": dtype}
     rewrite_archive_header(path, arrays=arrays)
 
@@ -183,51 +182,78 @@ class TestCsrSections:
         return path
 
     @pytest.mark.parametrize(
-        "damage, match",
+        "damage, match, stats_match",
         [
-            (lambda p, h: poke_archive_array(p, "preds_indices", 0, 4), "outside"),
-            (lambda p, h: poke_archive_array(p, "sites_indices", 0, -5), "outside"),
-            (lambda p, h: poke_archive_array(p, "preds_indptr", 0, 1), "spans"),
-            (lambda p, h: poke_archive_array(p, "preds_indptr", 12, 0), "spans"),
-            (lambda p, h: poke_archive_array(p, "preds_indptr", 6, 10**6), "decreases"),
-            (lambda p, h: rewrite_archive_header(p, preds_shape=[13, 4]), "entries for 13 rows"),
-            (lambda p, h: rewrite_archive_header(p, preds_shape=[12, -1]), "invalid shape"),
+            (lambda p, h: poke_archive_array(p, "preds_indices", 0, 4), "outside", None),
+            (lambda p, h: poke_archive_array(p, "sites_indices", 0, -5), "outside", None),
+            (lambda p, h: poke_archive_array(p, "preds_indptr", 0, 1), "spans", None),
+            (lambda p, h: poke_archive_array(p, "preds_indptr", 12, 0), "spans", None),
+            (
+                lambda p, h: poke_archive_array(p, "preds_indptr", 6, 10**6),
+                "decreases",
+                None,
+            ),
+            (
+                lambda p, h: rewrite_archive_header(p, preds_shape=[13, 4]),
+                "entries for 13 rows",
+                "matrices of 12 and 13 rows",
+            ),
+            (
+                lambda p, h: rewrite_archive_header(p, preds_shape=[12, -1]),
+                "invalid shape",
+                "for a matrix of -1 predicate columns",
+            ),
             (
                 lambda p, h: _reshape_section(
                     p, "preds_data", [h["arrays"]["preds_data"]["shape"][0] - 1]
                 ),
                 "values but",
+                None,
             ),
             (
                 lambda p, h: _reshape_section(
                     p, "preds_indices", h["arrays"]["preds_indices"]["shape"] + [1]
                 ),
                 "one-dimensional",
+                None,
             ),
-            (lambda p, h: _retype_section(p, "preds_indices", "<f4"), "not integers"),
-            (lambda p, h: _reshape_section(p, "failed", [11]), "run count"),
+            (lambda p, h: _retype_section(p, "preds_indices", "<f4"), "not integers", None),
+            (lambda p, h: _reshape_section(p, "failed", [11]), "run count", None),
+            (
+                lambda p, h: shorten_archive_stats(p),
+                "statistic section",
+                "statistic section",
+            ),
         ],
         ids=["index-past-end", "negative-index", "indptr-start", "indptr-end",
              "indptr-decreases", "indptr-length", "negative-shape",
-             "data-length", "two-dimensional", "float-indices", "outcome-count"],
+             "data-length", "two-dimensional", "float-indices", "outcome-count",
+             "stats-length"],
     )
-    def test_malformed_sections_are_corruption(self, tmp_path, damage, match):
+    def test_malformed_sections_are_corruption(self, tmp_path, damage, match, stats_match):
         path = self._archive(tmp_path)
-        damage(path, _archive_header(path))
+        damage(path, archive_header(path))
         with pytest.raises(ArchiveCorruptError, match=match):
             load_reports(path)
-        # The statistics stream reads only the leading pages.
-        load_shard_stats(path)
+        if stats_match is None:
+            # The statistics stream reads only the leading pages.
+            load_shard_stats(path)
+        else:
+            # A header that contradicts itself is refused by the
+            # statistics stream too: its checks read the header only.
+            with pytest.raises(ArchiveCorruptError, match=stats_match):
+                load_shard_stats(path)
 
     def test_column_read_checks_masks_against_the_archive(self, tmp_path):
         """A header whose matrix shape disagrees with its own table
         cannot be indexed by masks over that table."""
         path = self._archive(tmp_path)
-        header = _archive_header(path)
+        header = archive_header(path)
         rewrite_archive_header(path, preds_shape=[12, 5])
         keep = np.ones(4, dtype=bool)
+        assert header["preds_shape"] == [12, 4]
         with pytest.raises(ArchiveCorruptError, match="column mask"):
-            load_report_columns(path, keep, keep, header["table_sha"])
+            Archive(path).columns(keep, keep)
 
 
 @pytest.fixture(scope="module")
@@ -535,6 +561,37 @@ class TestAuditQuarantine:
         assert report.clean and report.checked == 3
         assert store.n_runs == whole.n_runs
 
+    def test_short_statistics_quarantined_unreadable(self, tmp_path):
+        """Statistic columns one entry short of the table, under a
+        matching digest: the shard must not count, and no survivor's
+        statistics may be combined with it."""
+        store, _ = _build_store(tmp_path)
+        paths = store.shard_paths()
+        survivors = _shard_stats(paths[0]).add(_shard_stats(paths[2]))
+        shorten_archive_stats(paths[1])
+        store.manifest.shards[1] = dataclasses.replace(
+            store.manifest.shards[1], sha256=file_sha256(paths[1])
+        )
+        store.manifest.save(store.manifest_path)
+        with pytest.raises(ShardCorruptionError, match="statistic section") as err:
+            store.sufficient_stats()
+        assert err.value.filename == store.manifest.shards[1].filename
+        report = store.audit()
+        assert [r.reason for r in report.quarantined] == ["unreadable"]
+        _assert_stats_equal(store.sufficient_stats(), survivors)
+
+    def test_store_errors_keep_their_type(self, tmp_path, monkeypatch):
+        """Only archive reads are turned into shard errors: a ValueError
+        of the store's own work on what a read returns passes as is."""
+        store, _ = _build_store(tmp_path)
+
+        def refuse(self, other):
+            raise ValueError("accumulator refused")
+
+        monkeypatch.setattr(SufficientStats, "add", refuse)
+        with pytest.raises(ValueError, match="accumulator refused"):
+            store.sufficient_stats()
+
     def test_streaming_reads_point_at_audit(self, tmp_path):
         store, _ = _build_store(tmp_path)
         os.unlink(store.shard_paths()[1])
@@ -556,6 +613,24 @@ def _drop_digest_and_truncate(store, entry):
 def _plant_foreign_table(store, entry):
     path = os.path.join(store.directory, entry.filename)
     save_reports(path, make_reports(9, [(True, {0}, None)] * entry.n_runs))
+    return dataclasses.replace(entry, sha256=file_sha256(path))
+
+
+def _lie_about_failing(store, entry):
+    """Move one run from successful to failing in the header alone."""
+    path = os.path.join(store.directory, entry.filename)
+    header = archive_header(path)
+    rewrite_archive_header(
+        path,
+        num_failing=header["num_failing"] + 1,
+        num_successful=header["num_successful"] - 1,
+    )
+    return dataclasses.replace(entry, sha256=file_sha256(path))
+
+
+def _shorten_entry_stats(store, entry):
+    path = os.path.join(store.directory, entry.filename)
+    shorten_archive_stats(path)
     return dataclasses.replace(entry, sha256=file_sha256(path))
 
 
@@ -584,9 +659,11 @@ class TestOneShardCheck:
             (_plant_foreign_table, "table-mismatch"),
             (_lie_about_count, "count-mismatch"),
             (_in_place(os.unlink), "missing-file"),
+            (_lie_about_failing, "unreadable"),
+            (_shorten_entry_stats, "unreadable"),
         ],
         ids=["flipped", "truncated", "truncated-no-digest", "foreign-table",
-             "count-lie", "missing"],
+             "count-lie", "missing", "failing-count-lie", "short-statistics"],
     )
     def test_audit_and_ingest_agree(self, tmp_path, damage, reason):
         store, _ = _build_store(tmp_path)
