@@ -122,12 +122,13 @@ def file_sha256(path: str) -> str:
 
 
 def atomic_write_bytes_via(path: str, write) -> None:
-    """Write a file crash-safely: temp file + flush + fsync + rename.
+    """Write a file crash-safely: temp file, fsync, rename, directory fsync.
 
-    ``write`` is called with the open binary handle.  Either the complete
-    new file appears at ``path`` or nothing does; a crash mid-write
-    leaves at most an orphaned ``.tmp.<pid>`` file, never a truncated
-    archive under the final name.
+    The one whole-file write of store, daemon and spool state.  ``write``
+    is called with the open binary handle.  Either the complete new file
+    appears at ``path`` or nothing does: a crash or error mid-write
+    leaves at most an orphaned ``.tmp.<pid>`` file.  On return the new
+    bytes and the rename are durable.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
@@ -142,13 +143,9 @@ def atomic_write_bytes_via(path: str, write) -> None:
         except OSError:
             pass
         raise
-    _fsync_dir(os.path.dirname(os.path.abspath(path)))
-
-
-def _fsync_dir(directory: str) -> None:
-    """Flush a directory entry so a rename survives power loss."""
+    # Flush the directory entry so the rename survives power loss.
     try:
-        fd = os.open(directory, os.O_RDONLY)
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
     except OSError:  # pragma: no cover - platform without dir-open
         return
     try:
@@ -573,7 +570,8 @@ class Archive:
 
     def _counts(self) -> Tuple[int, int]:
         """``(num_failing, num_successful)``, which must add up to both
-        matrices' row count.  Reads the header only."""
+        matrices' row count, ``num_failing`` being the failing outcomes
+        (the ``failed`` column sits on the leading pages)."""
         num_failing = int(self.header["num_failing"])
         num_successful = int(self.header["num_successful"])
         rows = [int(self.header[f"{name}_shape"][0]) for name in ("sites", "preds")]
@@ -581,6 +579,11 @@ class Archive:
             raise ValueError(
                 f"header counts {num_failing} failing and {num_successful} "
                 f"successful runs for matrices of {rows[0]} and {rows[1]} rows"
+            )
+        held = int(np.count_nonzero(self._array("failed")))
+        if held != num_failing:
+            raise ValueError(
+                f"header counts {num_failing} failing runs, outcome column holds {held}"
             )
         return num_failing, num_successful
 
@@ -590,10 +593,11 @@ class Archive:
 
         Read-only views of the four statistic columns, which sit on the
         file's leading pages -- no copy, no matrix reconstruction.  The
-        header must agree with itself: its run counts pass
+        header must agree with the file: its run counts pass
         :meth:`_counts`, and each statistic column holds one entry per
-        predicate column.  A header that lies about its population is
-        refused before it is scored; the checks read the header only.
+        predicate column.  A header that lies about its population -- its
+        run counts or its failing count -- is refused before it is
+        scored; the checks read the header and the outcome column only.
         """
         columns = [self._array(name) for name in _STATS]
         counts = self._counts()
@@ -632,12 +636,7 @@ class Archive:
                 f"archive disagrees on its run count: {failed.shape[0]} outcomes, "
                 f"{sites[3][0]} site rows, {preds[3][0]} predicate rows"
             )
-        num_failing, _ = self._counts()
-        held = int(np.count_nonzero(failed))
-        if held != num_failing:
-            raise ValueError(
-                f"header counts {num_failing} failing runs, outcome column holds {held}"
-            )
+        self._counts()
         return failed, sites, preds
 
     @_translated

@@ -185,12 +185,12 @@ class Runtime:
         Together with :meth:`restore_sampler_state` this makes the
         take/skip decision stream *resumable*: a runtime restored from a
         snapshot continues with exactly the decisions the snapshotting
-        runtime would have made.  This is the determinism contract the
-        fault-tolerant collector leans on -- a run (or a retried shard
-        range) is a pure function of its seed, and the property suite
-        (`tests/instrument/test_sampling_properties.py`) pins that the
-        countdown state survives an arbitrary split point, the in-process
-        analogue of a shard boundary.
+        runtime would have made, which the property suite
+        (`tests/instrument/test_sampling_properties.py`) pins at an
+        arbitrary split point.  The fault-tolerant collector does not
+        use snapshots: a retried chunk reruns its seed range from
+        scratch (:mod:`repro.harness.parallel`), each run a pure
+        function of its seed.
 
         The snapshot carries the explicit :attr:`mode` attribute and the
         batched sampler's undealt pre-drawn gaps (``"pending"``, in

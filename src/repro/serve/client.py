@@ -33,6 +33,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.io import atomic_write_bytes_via
 from repro.harness.runner import run_one_trial
 from repro.serve.protocol import RunReport, encode_batch, report_from_wire
 
@@ -69,8 +70,8 @@ class SubmitReport:
 class ReportSpool:
     """A crash-safe on-disk queue of wire reports, one file per seed.
 
-    Writes go through a temp file + atomic rename, so a crash mid-write
-    never leaves a torn spool entry under a final name.
+    Writes go through :func:`~repro.core.io.atomic_write_bytes_via`, so a
+    crash mid-write never leaves a torn spool entry under a final name.
     """
 
     def __init__(self, directory: str) -> None:
@@ -83,14 +84,9 @@ class ReportSpool:
     def save(self, report: RunReport) -> str:
         """Persist one report; returns its spool path."""
         path = self._path(report.seed)
-        tmp = path + ".tmp"
         # One write: json.dump would call write once per encoder chunk.
-        text = json.dumps(report.to_wire(), sort_keys=True) + "\n"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        data = (json.dumps(report.to_wire(), sort_keys=True) + "\n").encode()
+        atomic_write_bytes_via(path, lambda handle: handle.write(data))
         return path
 
     def pending_seeds(self) -> List[int]:
@@ -128,11 +124,12 @@ class ReportSpool:
         source = self._path(seed)
         if os.path.exists(source):
             os.replace(source, os.path.join(rejected_dir, name))
-        with open(
-            os.path.join(rejected_dir, f"{name}.reason.json"), "w", encoding="utf-8"
-        ) as handle:
-            json.dump({"reason": reason, "detail": detail}, handle, sort_keys=True)
-            handle.write("\n")
+        record = {"reason": reason, "detail": detail}
+        data = (json.dumps(record, sort_keys=True) + "\n").encode()
+        atomic_write_bytes_via(
+            os.path.join(rejected_dir, f"{name}.reason.json"),
+            lambda handle: handle.write(data),
+        )
 
     def __len__(self) -> int:
         return len(self.pending_seeds())

@@ -58,6 +58,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional, Tuple
 
 from repro.core.engine import AnalysisEngine
+from repro.core.io import atomic_write_bytes_via
 from repro.core.importance import importance_scores
 from repro.core.ranking import rank
 from repro.core.reports import ReportBuilder
@@ -180,6 +181,9 @@ class CollectionService:
 
     def _wal_append(self, reports: List[RunReport]) -> None:
         """Make ``reports`` durable before they are acknowledged."""
+        # An append, not a whole-file replace: rewriting the log per upload
+        # would cost its whole length, and a torn final line is a report
+        # never acknowledged, which _replay_wal drops.
         with open(self.wal_path, "a", encoding="utf-8") as handle:
             for report in reports:
                 handle.write(json.dumps(report.to_wire(), sort_keys=True) + "\n")
@@ -187,15 +191,16 @@ class CollectionService:
             os.fsync(handle.fileno())
 
     def _wal_compact(self) -> None:
-        """Rewrite the WAL to exactly the still-pending reports."""
-        pending = self.batcher.pending_reports()
-        tmp = self.wal_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for report in pending:
-                handle.write(json.dumps(report.to_wire(), sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.wal_path)
+        """Rewrite the WAL to exactly the still-pending reports.
+
+        Run after a commit: the manifest save returns only once durable,
+        so the reports this drops are already in a committed shard.
+        """
+        data = "".join(
+            json.dumps(report.to_wire(), sort_keys=True) + "\n"
+            for report in self.batcher.pending_reports()
+        ).encode()
+        atomic_write_bytes_via(self.wal_path, lambda handle: handle.write(data))
 
     def _replay_wal(self) -> None:
         """Re-queue acknowledged-but-uncommitted reports after a restart.
@@ -294,6 +299,8 @@ class CollectionService:
             "n_runs": len(records),
             "versions": versions,
         }
+        # An append, not a whole-file replace (see _wal_append): the
+        # log is provenance only, read by nothing that scores or commits.
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -380,8 +387,7 @@ class CollectionService:
         self._upload_counter += 1
         name = f"upload-{os.getpid()}-{self._upload_counter:06d}.json"
         path = os.path.join(self.store.directory, name)
-        with open(path, "wb") as handle:
-            handle.write(body)
+        atomic_write_bytes_via(path, lambda handle: handle.write(body))
         self.store.quarantine_file(name, f"upload-{error.reason}", error.detail)
 
     # ------------------------------------------------------------------

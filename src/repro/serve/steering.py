@@ -36,6 +36,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.core.io import atomic_write_bytes_via
 from repro.core.stopping import StoppingAssessment, StoppingCandidate, StoppingPolicy
 from repro.instrument.sampling import DEFAULT_TARGET_SAMPLES, MIN_ADAPTIVE_RATE
 from repro.serve.protocol import ProtocolError
@@ -308,7 +309,8 @@ def fit_steering(
 
 
 def save_steering(directory: str, document: SteeringDocument) -> str:
-    """Atomically persist ``document`` as ``steering.json`` in a store dir.
+    """Crash-safely persist ``document`` as ``steering.json`` in a store
+    dir (:func:`~repro.core.io.atomic_write_bytes_via`).
 
     A file that already holds the document's exact bytes is left as it
     is: a daemon restarting over an unchanged store refits the document
@@ -323,12 +325,7 @@ def save_steering(directory: str, document: SteeringDocument) -> str:
                 return path
     except FileNotFoundError:
         pass
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    atomic_write_bytes_via(path, lambda handle: handle.write(data))
     return path
 
 

@@ -19,13 +19,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.io import FORMAT_VERSION
+from repro.core.io import FORMAT_VERSION, atomic_write_bytes_via
 from repro.instrument.sampling import SamplingPlan
 from repro.instrument.transform import InstrumentationConfig
 from repro.store.errors import StoreVersionError
@@ -251,12 +250,10 @@ class ShardManifest:
         )
 
     def save(self, path: str) -> None:
-        """Write the manifest atomically (write-then-rename)."""
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
+        """Write the manifest crash-safely: the new bytes and the rename
+        are durable when this returns (:func:`atomic_write_bytes_via`)."""
+        data = (json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n").encode()
+        atomic_write_bytes_via(path, lambda handle: handle.write(data))
 
     @classmethod
     def load(cls, path: str) -> "ShardManifest":

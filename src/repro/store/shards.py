@@ -32,7 +32,8 @@ model), so the store follows a write-ahead commit protocol:
    (temp file + fsync + atomic rename inside
    :func:`repro.core.io.save_reports`);
 2. the manifest entry -- including the file's SHA-256 -- is appended and
-   the manifest saved atomically: **this is the commit point**;
+   the manifest saved crash-safely, fsynced with its directory before
+   the save returns: **this is the commit point**;
 3. the pending file is renamed to its final name.
 
 A crash between (1) and (2) leaves an uncommitted ``.pending`` file that
@@ -73,6 +74,7 @@ from repro.core.io import (
     Archive,
     ArchiveError,
     HeaderMemo,
+    atomic_write_bytes_via,
     file_sha256,
     load_reports,
     save_reports,
@@ -198,19 +200,20 @@ def _read_shard(
 
 
 def _held_runs(entry: ShardEntry) -> Callable[[Archive], None]:
-    """The shard check's read: sound sections holding ``entry.n_runs`` runs.
+    """The shard check's read: sound sections holding ``entry.n_runs``
+    runs, ``entry.num_failing`` of them failing.
 
     The returned read raises ``count-mismatch`` when the archive holds
-    another number of runs than ``entry`` says.
+    another number of runs or of failing runs than ``entry`` says.
     """
 
     def read(archive: Archive) -> None:
-        n_runs = len(archive.runs()[0])
-        archive.stats()
-        if n_runs != entry.n_runs:
+        held = (len(archive.runs()[0]), archive.stats()[4])
+        if held != (entry.n_runs, entry.num_failing):
             raise ShardIntegrityError(
                 entry.filename,
-                f"archive holds {n_runs} runs, entry says {entry.n_runs}",
+                f"archive holds {held[0]} runs ({held[1]} failing), entry says "
+                f"{entry.n_runs} ({entry.num_failing} failing)",
                 reason="count-mismatch",
             )
 
@@ -226,7 +229,8 @@ def check_shard(path: str, entry: ShardEntry, table_sha: str) -> None:
     their commit.  It checks, in order: the file exists, it hashes to
     ``entry.sha256`` (when set), it parses as an archive, its predicate
     table is ``table_sha``, its sections are sound, and it holds
-    ``entry.n_runs`` runs (see :func:`_read_shard`).  Sound means
+    ``entry.n_runs`` runs, ``entry.num_failing`` of them failing (see
+    :func:`_read_shard`).  Sound means
     count-matrix CSR sections in range, header run counts that match
     the matrices and the outcome column
     (:meth:`~repro.core.io.Archive.runs`), and statistic columns of the
@@ -339,21 +343,16 @@ class ShardStore:
         config: Optional[InstrumentationConfig] = None,
     ) -> "ShardStore":
         """Initialise an empty store (directory may exist but not a manifest)."""
-        os.makedirs(directory, exist_ok=True)
-        manifest_path = os.path.join(directory, MANIFEST_NAME)
-        if os.path.exists(manifest_path):
-            raise FileExistsError(
-                f"{manifest_path} already exists; use ShardStore.open() to append"
-            )
-        manifest = ShardManifest(
-            subject=subject,
-            table_sha=table.signature(),
-            config_sha=config_digest(config),
-            plan=plan_to_json(plan),
+        store = cls.create_like(
+            directory,
+            ShardManifest(
+                subject=subject,
+                table_sha=table.signature(),
+                config_sha=config_digest(config),
+                plan=plan_to_json(plan),
+            ),
         )
-        store = cls(directory, manifest)
         store._table = table
-        manifest.save(manifest_path)
         return store
 
     @classmethod
@@ -380,9 +379,8 @@ class ShardStore:
             plan=dict(like.plan),
             format_version=like.format_version,
         )
-        store = cls(directory, manifest)
         manifest.save(manifest_path)
-        return store
+        return cls(directory, manifest)
 
     @classmethod
     def open(cls, directory: str) -> "ShardStore":
@@ -535,6 +533,8 @@ class ShardStore:
         machine-readable trail of attempts, failures and quarantines.
         """
         record = {"event": event, "ts": time.time(), **fields}
+        # An append, not a whole-file replace: rewriting the log per event
+        # would cost its whole length, and it is a trail, not store state.
         with open(self.collection_log_path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -673,6 +673,8 @@ class ShardStore:
         if os.path.exists(final):
             raise FileExistsError(f"shard {entry.filename} already exists in the store")
         staged = final + PENDING_SUFFIX
+        # Not atomic_write_bytes_via: the pending name is already the
+        # temp name of the commit protocol, which recover() rolls back.
         with open(staged, "wb") as handle:
             handle.write(data)
             handle.flush()
@@ -749,15 +751,12 @@ class ShardStore:
         source = os.path.join(self.directory, filename)
         if os.path.exists(source):
             os.replace(source, os.path.join(self.quarantine_dir, filename))
-        reason_path = os.path.join(self.quarantine_dir, f"{filename}.reason.json")
-        with open(reason_path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {**record.to_json(), "quarantined_at": time.time()},
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
+        spec = {**record.to_json(), "quarantined_at": time.time()}
+        data = (json.dumps(spec, indent=2, sort_keys=True) + "\n").encode()
+        atomic_write_bytes_via(
+            os.path.join(self.quarantine_dir, f"{filename}.reason.json"),
+            lambda handle: handle.write(data),
+        )
         self.log_event("quarantine", filename=filename, reason=reason, detail=detail)
         return record
 

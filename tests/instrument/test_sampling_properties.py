@@ -13,9 +13,9 @@ Two families of properties:
   ``random.Random(seed)`` itself;
 * sampler state round-trips through
   :meth:`Runtime.sampler_state`/:meth:`restore_sampler_state`, so the
-  take/skip decision stream survives an arbitrary split point -- the
-  in-process analogue of a shard boundary, and the determinism contract
-  the fault-tolerant collector's retries lean on.
+  take/skip decision stream survives an arbitrary split point.  (The
+  fault-tolerant collector does not rely on this: a retried chunk reruns
+  its seed range from scratch, each run a pure function of its seed.)
 
 Every decision is read off the public helpers: an opportunity counts as
 taken when it raised the site's observation counter.

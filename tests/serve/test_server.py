@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import urllib.error
@@ -259,6 +260,86 @@ class TestWalRestart:
         with open(service.wal_path, encoding="utf-8") as handle:
             seeds = [json.loads(line)["seed"] for line in handle if line.strip()]
         assert seeds == [20, 21, 22]  # committed prefix compacted away
+
+
+class TestDurableWrites:
+    def test_manifest_is_durable_before_the_wal_is_compacted(
+        self, ccrypt_service, monkeypatch
+    ):
+        """The compaction drops the committed reports from the WAL, so
+        the commit point -- the manifest's new bytes and the directory
+        entry naming them -- must be on disk before it replaces the log."""
+        store, service = ccrypt_service
+        _post_reports(service, [_synthetic(s) for s in range(3)], store)
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        _post_reports(service, [_synthetic(s) for s in range(3, 20)], store)
+        monkeypatch.undo()
+        assert store.n_shards == 1
+        committed = events.index(("replace", "manifest.json"))
+        compacted = events.index(("replace", WAL_NAME))
+        assert ("fsync", os.stat(store.manifest_path).st_ino) in events[:committed]
+        assert ("fsync", os.stat(store.directory).st_ino) in events[
+            committed:compacted
+        ]
+
+    def test_written_bytes_are_pinned(
+        self, tmp_path, ccrypt_subject, ccrypt_program, full_plan
+    ):
+        """The manifest, steering document, WAL and spool files hold
+        exactly these bytes for these inputs, however they are written."""
+
+        def report(seed):
+            failed = seed % 4 == 1
+            return RunReport(
+                seed=seed,
+                failed=failed,
+                site_obs={0: 1, 3: seed % 3 + 1},
+                pred_true={1: 1} if failed else {},
+                stack=("boom",) if failed else None,
+                bugs=(),
+            )
+
+        store, service = make_service(
+            tmp_path / "store", ccrypt_subject, ccrypt_program, full_plan,
+            refit_runs=20,
+        )
+        try:
+            _post_reports(service, [report(s) for s in range(23)], store)
+        finally:
+            service.close(drain=False)
+        spool = ReportSpool(str(tmp_path / "spool"))
+        spool.save(report(5))
+        spool.save(report(6))
+        spool.reject(6, "bad-report", "site index out of range")
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+            for name in (
+                "store/manifest.json",
+                "store/steering.json",
+                f"store/{WAL_NAME}",
+                "spool/report-00000005.json",
+                "spool/rejected/report-00000006.json.reason.json",
+            )
+        }
+        assert digests == {
+            "store/manifest.json": "30f56cf29a742e7b",
+            "store/steering.json": "cb7fc78ea29a5e2a",
+            f"store/{WAL_NAME}": "366420e303eeed8d",
+            "spool/report-00000005.json": "3b1d854d25205e28",
+            "spool/rejected/report-00000006.json.reason.json": "e403b03722860bd3",
+        }
 
 
 class TestHttpEndpoints:

@@ -5,7 +5,9 @@ Every way a shard directory can be damaged must surface as a typed error
 or a quarantine record -- never a silent mis-count.
 """
 
+import builtins
 import dataclasses
+import errno
 import json
 import os
 import pickle
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.cli import main
 from repro.core.io import (
     Archive,
     ArchiveCorruptError,
@@ -580,6 +583,69 @@ class TestAuditQuarantine:
         assert [r.reason for r in report.quarantined] == ["unreadable"]
         _assert_stats_equal(store.sufficient_stats(), survivors)
 
+    def test_failing_count_lie_refused_by_the_stream(self, tmp_path, capsys):
+        """A header that moves one run from successful to failing, under
+        a matching digest, would stream NumF 6 over runs of which 5
+        failed; the statistics stream refuses it without an audit."""
+        store, whole = _build_store(tmp_path, k=2)
+        assert whole.num_failing == 5
+        store.manifest.shards[1] = _lie_about_failing(store, store.manifest.shards[1])
+        store.manifest.save(store.manifest_path)
+        headers = [archive_header(path) for path in store.shard_paths()]
+        assert sum(h["num_failing"] for h in headers) == 6
+        with pytest.raises(ShardCorruptionError, match="outcome column holds 5") as err:
+            store.sufficient_stats()
+        assert (err.value.filename, err.value.reason) == (
+            store.manifest.shards[1].filename, "unreadable"
+        )
+        assert main(["analyze", store.directory, "--stats-only", "--no-audit"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(
+            f"error: shard {store.manifest.shards[1].filename} is corrupt: "
+        )
+
+    def test_torn_reason_write_leaves_no_reason_file(self, tmp_path, monkeypatch):
+        """A write that fails part-way (a full disk) while a quarantine
+        reason file is written leaves nothing under the reason file's
+        name, so quarantined() still loads the records already there."""
+        store, _ = _build_store(tmp_path)
+        store.quarantine_file("shard-x000009.npz", "unreadable", "first")
+        real_open = builtins.open
+
+        class Torn:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._handle.close()
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def write(self, data):
+                self._handle.write(data[: max(1, len(data) // 2)])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def tearing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            if ".reason.json" in os.fspath(file) and "w" in mode:
+                return Torn(handle)
+            return handle
+
+        filename = store.manifest.shards[1].filename
+        monkeypatch.setattr(builtins, "open", tearing_open)
+        with pytest.raises(OSError, match="No space left"):
+            store.quarantine_file(filename, "unreadable", "second")
+        monkeypatch.undo()
+        assert sorted(os.listdir(store.quarantine_dir)) == [
+            filename, "shard-x000009.npz.reason.json"
+        ]
+        assert [r["detail"] for r in store.quarantined()] == ["first"]
+
     def test_store_errors_keep_their_type(self, tmp_path, monkeypatch):
         """Only archive reads are turned into shard errors: a ValueError
         of the store's own work on what a read returns passes as is."""
@@ -603,6 +669,10 @@ class TestAuditQuarantine:
 
 def _lie_about_count(store, entry):
     return dataclasses.replace(entry, n_runs=entry.n_runs + 1)
+
+
+def _entry_lies_about_failing(store, entry):
+    return dataclasses.replace(entry, num_failing=entry.num_failing + 1)
 
 
 def _drop_digest_and_truncate(store, entry):
@@ -661,9 +731,11 @@ class TestOneShardCheck:
             (_in_place(os.unlink), "missing-file"),
             (_lie_about_failing, "unreadable"),
             (_shorten_entry_stats, "unreadable"),
+            (_entry_lies_about_failing, "count-mismatch"),
         ],
         ids=["flipped", "truncated", "truncated-no-digest", "foreign-table",
-             "count-lie", "missing", "failing-count-lie", "short-statistics"],
+             "count-lie", "missing", "failing-count-lie", "short-statistics",
+             "entry-failing-count-lie"],
     )
     def test_audit_and_ingest_agree(self, tmp_path, damage, reason):
         store, _ = _build_store(tmp_path)

@@ -112,8 +112,9 @@ class TestParseCount:
 class TestStaleness:
     def test_rewritten_shard_is_read_fresh(self, tmp_path, ccrypt_store, ccrypt, parses):
         """Shard 1 is replaced by another seed range's bytes (same table,
-        same run count) and re-digested between two reads of one store:
-        the second read must see the new bytes, not the memo."""
+        same run count) and its entry's digest and failing count are
+        rewritten between two reads of one store: the second read must
+        see the new bytes, not the memo."""
         other = _collect(tmp_path / "other", ccrypt, seed=100, n_runs=20)
         parses.clear()  # the collector checks its staged shards
         store = ShardStore.open(ccrypt_store)
@@ -122,9 +123,12 @@ class TestStaleness:
         assert len(parses) == 3
 
         path = store.shard_paths()[1]
-        shutil.copyfile(ShardStore.open(other).shard_paths()[0], path)
+        swapped = ShardStore.open(other)
+        shutil.copyfile(swapped.shard_paths()[0], path)
         store.manifest.shards[1] = dataclasses.replace(
-            store.manifest.shards[1], sha256=file_sha256(path)
+            store.manifest.shards[1],
+            sha256=file_sha256(path),
+            num_failing=swapped.manifest.shards[0].num_failing,
         )
         store.manifest.save(store.manifest_path)
         parses.clear()
