@@ -28,7 +28,7 @@ from repro.core import measures
 from repro.core.elimination import DiscardStrategy
 from repro.core.truth import cooccurrence_table
 from repro.factory.subjects import corpus_subjects
-from repro.harness.experiment import Experiment, run_experiment
+from repro.harness.experiment import Experiment, build_plan, run_experiment
 from repro.harness.tables import format_predictor_table, format_summary_table
 from repro.subjects.base import Subject
 from repro.subjects.bc import BcSubject
@@ -75,6 +75,29 @@ def sampling_rate(text: str) -> float:
     return value
 
 
+class _Refused(Exception):
+    """A command line the command refuses before doing any work (exit 2)."""
+
+
+def _fault_options(command: str) -> argparse.ArgumentParser:
+    """``--testing`` and ``--inject-fault`` for ``command``, whose help
+    names the kinds it fires (:data:`repro.store.faults.COMMAND_FAULTS`)."""
+    from repro.store.faults import COMMAND_FAULTS
+
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument(
+        "--testing", action="store_true",
+        help="enable testing-only options such as --inject-fault",
+    )
+    options.add_argument(
+        "--inject-fault", action="append", default=[], metavar="SPEC",
+        help="inject a fault (testing only; requires --testing); SPEC is "
+        "kind@index[#attempt] as repro.store.faults defines it, several "
+        f"comma-separated; {command} fires {', '.join(COMMAND_FAULTS[command])}",
+    )
+    return options
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -83,7 +106,79 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lister = sub.add_parser("list", help="list available subject programs")
+    def command(name, handler, help, *parents):
+        subparser = sub.add_parser(name, help=help, parents=list(parents))
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    subject = argparse.ArgumentParser(add_help=False)
+    subject.add_argument("--subject", choices=sorted(SUBJECTS), required=True)
+
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument(
+        "--runs", type=positive_int, default=None,
+        help="number of trials (default: the subject's trial budget, "
+        "see `list --json`)",
+    )
+    trials.add_argument(
+        "--jobs", type=positive_int, default=1,
+        help="worker processes (default 1; output is bit-identical for "
+        "every value, and collect's workers write their shards directly "
+        "to disk)",
+    )
+
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument(
+        "--sampling", choices=["uniform", "adaptive", "full"], default="adaptive",
+        help="sampling regime (paper default: adaptive nonuniform); a new "
+        "store records it, and submit's must match the server's store",
+    )
+    sampling.add_argument(
+        "--rate", type=sampling_rate, default=0.01, help="uniform sampling rate"
+    )
+    sampling.add_argument(
+        "--training-runs", type=non_negative_int, default=200,
+        help="adaptive training set size",
+    )
+
+    elimination = argparse.ArgumentParser(add_help=False)
+    elimination.add_argument(
+        "--strategy", type=int, choices=[1, 2, 3], default=1,
+        help="elimination discard strategy (Section 5)",
+    )
+    elimination.add_argument(
+        "--top", type=non_negative_int, default=15, help="max predictors to report"
+    )
+
+    measure = argparse.ArgumentParser(add_help=False)
+    measure.add_argument(
+        "--measure", choices=list(measures.available()),
+        default=measures.DEFAULT_MEASURE,
+        help="suspiciousness measure ranking analyze's --stats-only output "
+        "or ordering serve's steering watchlist (default: the paper's "
+        "Importance; see docs/MEASURES.md). Elimination always follows "
+        "the paper's Importance.",
+    )
+
+    observability = argparse.ArgumentParser(add_help=False)
+    observability.add_argument(
+        "--metrics", metavar="PATH", default=None,
+        help="write the command's metrics (counters/timers/gauges; serve's "
+        "on shutdown) to PATH as a repro-metrics/v1 JSON document",
+    )
+    observability.add_argument(
+        "--trace", metavar="PATH", default=None,
+        help="append Chrome-compatible trace spans to PATH as JSONL; "
+        "convert with `python -m repro.obs.trace PATH` for chrome://tracing",
+    )
+
+    timeout = argparse.ArgumentParser(add_help=False)
+    timeout.add_argument(
+        "--timeout", type=float, default=10.0,
+        help="per-request timeout in seconds (federate: daemon sources)",
+    )
+
+    lister = command("list", _list, "list available subject programs")
     lister.add_argument(
         "--json", action="store_true",
         help="machine-readable output: one JSON document with name, kind "
@@ -91,87 +186,34 @@ def build_parser() -> argparse.ArgumentParser:
         "counts and default trial budget per subject",
     )
 
-    run = sub.add_parser("run", help="run one bug-isolation experiment")
-    run.add_argument("--subject", choices=sorted(SUBJECTS), required=True)
-    run.add_argument(
-        "--runs", type=positive_int, default=None,
-        help="number of trials (default: the subject's trial budget, "
-        "see `list --json`)",
-    )
-    run.add_argument(
-        "--sampling",
-        choices=["uniform", "adaptive", "full"],
-        default="adaptive",
-        help="sampling regime (paper default: adaptive nonuniform)",
-    )
-    run.add_argument("--rate", type=sampling_rate, default=0.01, help="uniform sampling rate")
-    run.add_argument(
-        "--training-runs", type=non_negative_int, default=200, help="adaptive training set size"
+    run = command(
+        "run", _run, "run one bug-isolation experiment",
+        subject, trials, sampling, elimination,
     )
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
-        "--strategy",
-        type=int,
-        choices=[1, 2, 3],
-        default=1,
-        help="elimination discard strategy (Section 5)",
-    )
-    run.add_argument(
-        "--top", type=non_negative_int, default=15, help="max predictors to report"
-    )
-    run.add_argument(
-        "--jobs", type=positive_int, default=1,
-        help="worker processes (default 1, unified across subcommands; "
-        "output is bit-identical for every value)",
-    )
-    run.add_argument(
-        "--html",
-        metavar="PATH",
-        default=None,
+        "--html", metavar="PATH", default=None,
         help="also write an interactive-style HTML report",
     )
     run.add_argument(
-        "--save",
-        metavar="PATH",
-        default=None,
+        "--save", metavar="PATH", default=None,
         help="save the collected feedback reports (+ ground truth) as a "
         "report archive",
     )
 
-    collect = sub.add_parser(
-        "collect",
-        help="collect feedback-report shards into a store directory",
+    collect = command(
+        "collect", _collect,
+        "collect feedback-report shards into a store directory",
+        subject, trials, sampling, observability, _fault_options("collect"),
     )
-    collect.add_argument("--subject", choices=sorted(SUBJECTS), required=True)
     collect.add_argument(
         "--out", metavar="DIR", required=True,
         help="shard-store directory (created on first use, appended after)",
     )
     collect.add_argument(
-        "--runs", type=positive_int, default=None,
-        help="number of trials (default: the subject's trial budget, "
-        "see `list --json`)",
-    )
-    collect.add_argument(
-        "--sampling",
-        choices=["uniform", "adaptive", "full"],
-        default="adaptive",
-        help="sampling regime (paper default: adaptive nonuniform)",
-    )
-    collect.add_argument("--rate", type=sampling_rate, default=0.01, help="uniform sampling rate")
-    collect.add_argument(
-        "--training-runs", type=non_negative_int, default=200, help="adaptive training set size"
-    )
-    collect.add_argument(
         "--seed", type=int, default=None,
         help="base trial seed; defaults to the store's next free seed, so "
         "repeated collect sessions extend the population contiguously",
-    )
-    collect.add_argument(
-        "--jobs", type=positive_int, default=1,
-        help="worker processes (default 1, unified across subcommands; "
-        "each writes its shards directly to disk, bit-identical for "
-        "every value)",
     )
     collect.add_argument(
         "--chunk-size", type=positive_int, default=200, help="trials per shard"
@@ -184,40 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-timeout", type=float, default=None,
         help="seconds before a hung chunk worker is killed and retried",
     )
-    collect.add_argument(
-        "--testing", action="store_true",
-        help="enable testing-only options such as --inject-fault",
-    )
-    collect.add_argument(
-        "--inject-fault", action="append", default=[], metavar="SPEC",
-        help="inject a collection fault (testing only; requires --testing); "
-        "SPEC is kind@chunk[#attempt], e.g. kill-worker@1 or flip-bytes@2; "
-        "kinds: kill-worker, hang-worker, truncate-shard, flip-bytes, "
-        "duplicate-shard, stale-manifest",
-    )
-    collect.add_argument(
-        "--metrics", metavar="PATH", default=None,
-        help="write collection metrics (counters/timers/gauges, merged "
-        "across workers) to PATH as a repro-metrics/v1 JSON document",
-    )
-    collect.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="append Chrome-compatible trace spans to PATH as JSONL; "
-        "convert with `python -m repro.obs.trace PATH` for chrome://tracing",
-    )
 
-    analyze = sub.add_parser(
-        "analyze",
-        help="re-analyse a saved feedback-report archive or a shard store",
+    analyze = command(
+        "analyze", _analyze,
+        "re-analyse a saved feedback-report archive or a shard store",
+        elimination, measure,
     )
     analyze.add_argument(
         "archive",
         help="archive written by `run --save`, or a directory written by `collect`",
-    )
-    analyze.add_argument("--top", type=non_negative_int, default=15)
-    analyze.add_argument(
-        "--strategy", type=int, choices=[1, 2, 3], default=1,
-        help="elimination discard strategy (Section 5)",
     )
     analyze.add_argument(
         "--method", choices=["interval", "ztest"], default="interval",
@@ -238,17 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", action="store_true",
         help="print a timer/counter profile of the analysis to stderr",
     )
-    analyze.add_argument(
-        "--measure", choices=list(measures.available()),
-        default=measures.DEFAULT_MEASURE,
-        help="suspiciousness measure ranking the --stats-only output "
-        "(default: the paper's Importance; see docs/MEASURES.md). "
-        "Elimination always follows the paper's Importance.",
-    )
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the cooperative collection daemon over a store directory",
+    serve = command(
+        "serve", _serve,
+        "run the cooperative collection daemon over a store directory",
+        sampling, measure, observability, _fault_options("serve"),
     )
     serve.add_argument(
         "store",
@@ -274,14 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pending-report bound; uploads past it get 503",
     )
     serve.add_argument(
-        "--sampling", choices=["uniform", "adaptive", "full"], default="adaptive",
-        help="sampling plan recorded when creating a new store",
-    )
-    serve.add_argument("--rate", type=sampling_rate, default=0.01, help="uniform sampling rate")
-    serve.add_argument(
-        "--training-runs", type=non_negative_int, default=200, help="adaptive training set size"
-    )
-    serve.add_argument(
         "--no-steering", action="store_true",
         help="do not publish GET /steering (clients fall back to their "
         "local sampling plans, the pre-steering behaviour)",
@@ -293,11 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--watchlist-k", type=non_negative_int, default=10,
         help="predicates on the steering watchlist",
-    )
-    serve.add_argument(
-        "--measure", choices=list(measures.available()),
-        default=measures.DEFAULT_MEASURE,
-        help="suspiciousness measure ordering the steering watchlist",
     )
     serve.add_argument(
         "--stop-epsilon", type=float, default=0.1,
@@ -313,32 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="early stopping: minimum committed failing runs before "
         "convergence",
     )
-    serve.add_argument(
-        "--metrics", metavar="PATH", default=None,
-        help="also write final serve metrics to PATH on shutdown",
-    )
-    serve.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="append Chrome-compatible trace spans to PATH as JSONL",
-    )
-    serve.add_argument(
-        "--testing", action="store_true",
-        help="enable testing-only options such as --inject-fault",
-    )
-    serve.add_argument(
-        "--inject-fault", action="append", default=[], metavar="SPEC",
-        help="inject a server-side network fault (testing only); SPEC is "
-        "kind@ordinal, e.g. net-500@1 or net-disconnect@2; the ordinal "
-        "counts POST /reports requests; kinds: net-500, net-disconnect, "
-        "net-slow",
-    )
 
-    submit = sub.add_parser(
-        "submit",
-        help="run trials locally, spool the reports, and upload them to a "
+    submit = command(
+        "submit", _submit,
+        "run trials locally, spool the reports, and upload them to a "
         "collection daemon",
+        subject, sampling, timeout, _fault_options("submit"),
     )
-    submit.add_argument("--subject", choices=sorted(SUBJECTS), required=True)
     submit.add_argument(
         "--url", required=True, help="server base URL, e.g. http://127.0.0.1:8080"
     )
@@ -354,17 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--batch-size", type=positive_int, default=32, help="reports per upload request"
-    )
-    submit.add_argument(
-        "--sampling", choices=["uniform", "adaptive", "full"], default="adaptive",
-        help="sampling regime (must match what the server's store expects)",
-    )
-    submit.add_argument("--rate", type=sampling_rate, default=0.01, help="uniform sampling rate")
-    submit.add_argument(
-        "--training-runs", type=non_negative_int, default=200, help="adaptive training set size"
-    )
-    submit.add_argument(
-        "--timeout", type=float, default=10.0, help="per-request timeout in seconds"
     )
     submit.add_argument(
         "--max-attempts", type=positive_int, default=8,
@@ -389,20 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=non_negative_int, default=0,
         help="after draining, fetch and print the top-K live scores",
     )
-    submit.add_argument(
-        "--testing", action="store_true",
-        help="enable testing-only options such as --inject-fault",
-    )
-    submit.add_argument(
-        "--inject-fault", action="append", default=[], metavar="SPEC",
-        help="inject a client-side network fault (testing only); SPEC is "
-        "net-refuse@batch[#attempt]",
-    )
 
-    federate = sub.add_parser(
-        "federate",
-        help="replicate committed shards from N source stores or daemons "
+    federate = command(
+        "federate", _federate,
+        "replicate committed shards from N source stores or daemons "
         "into one merged store, bit-identical to single-store collection",
+        timeout, _fault_options("federate"),
     )
     federate.add_argument(
         "sources", nargs="+", metavar="SRC",
@@ -418,26 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
         "audited reason",
     )
     federate.add_argument(
-        "--timeout", type=float, default=10.0,
-        help="per-request timeout for daemon sources, in seconds",
-    )
-    federate.add_argument(
         "--no-audit", action="store_true",
         help="skip the closing cross-store audit",
     )
-    federate.add_argument(
-        "--testing", action="store_true",
-        help="enable testing-only options such as --inject-fault",
-    )
-    federate.add_argument(
-        "--inject-fault", action="append", default=[], metavar="SPEC",
-        help="inject a federation fault (testing only); SPEC is "
-        "fed-fetch-error@pull[#attempt] or fed-corrupt-fetch@pull[#attempt]",
-    )
 
-    bakeoff = sub.add_parser(
-        "bakeoff",
-        help="grade every registered suspiciousness measure against the "
+    bakeoff = command(
+        "bakeoff", _bakeoff,
+        "grade every registered suspiciousness measure against the "
         "subjects' ground-truth bug sites",
     )
     bakeoff.add_argument(
@@ -479,7 +426,10 @@ def main(argv=None) -> int:
 
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return args.handler(args)
+    except _Refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ArchiveError, StoreError, FileNotFoundError) as exc:
         # A damaged, retired or missing archive or store: refuse with
         # the reason, not a traceback.
@@ -487,66 +437,37 @@ def main(argv=None) -> int:
         return 1
 
 
-def _run(args) -> int:
-    """Dispatch one parsed command line."""
-    if args.command == "list":
-        if args.json:
-            import json
+def _list(args) -> int:
+    """Print the registered subjects, as a table or one JSON document."""
+    if args.json:
+        import json
 
-            document = []
-            for name in sorted(SUBJECTS):
-                subject = SUBJECTS[name]()
-                program = subject.build_program()
-                document.append(
-                    {
-                        "name": name,
-                        "kind": subject.kind,
-                        "bug_ids": list(subject.bug_ids),
-                        "bug_count": len(subject.bug_ids),
-                        "trial_budget": subject.trial_budget,
-                        "n_sites": program.table.n_sites,
-                        "n_predicates": program.table.n_predicates,
-                        "mutation_class": getattr(subject, "mutation_class", None),
-                    }
-                )
-            print(json.dumps(document, indent=2, sort_keys=True))
-            return 0
+        document = []
         for name in sorted(SUBJECTS):
             subject = SUBJECTS[name]()
-            print(f"{name:<16} kind: {subject.kind:<8} bugs: {', '.join(subject.bug_ids)}")
+            program = subject.build_program()
+            document.append(
+                {
+                    "name": name,
+                    "kind": subject.kind,
+                    "bug_ids": list(subject.bug_ids),
+                    "bug_count": len(subject.bug_ids),
+                    "trial_budget": subject.trial_budget,
+                    "n_sites": program.table.n_sites,
+                    "n_predicates": program.table.n_predicates,
+                    "mutation_class": getattr(subject, "mutation_class", None),
+                }
+            )
+        print(json.dumps(document, indent=2, sort_keys=True))
         return 0
+    for name in sorted(SUBJECTS):
+        subject = SUBJECTS[name]()
+        print(f"{name:<16} kind: {subject.kind:<8} bugs: {', '.join(subject.bug_ids)}")
+    return 0
 
-    if args.command == "bakeoff":
-        return _bakeoff(args)
 
-    if args.command == "analyze":
-        from repro import obs
-
-        if args.profile:
-            obs.configure()
-        try:
-            if os.path.isdir(args.archive):
-                code = _analyze_store(args)
-            else:
-                code = _analyze(args)
-            if args.profile:
-                obs.print_profile()
-            return code
-        finally:
-            obs.shutdown()
-
-    if args.command == "collect":
-        return _collect(args)
-
-    if args.command == "serve":
-        return _serve(args)
-
-    if args.command == "submit":
-        return _submit(args)
-
-    if args.command == "federate":
-        return _federate(args)
-
+def _run(args) -> int:
+    """Run one end-to-end experiment and print its tables."""
     subject = SUBJECTS[args.subject]()
     if args.runs is None:
         args.runs = subject.trial_budget
@@ -567,16 +488,7 @@ def _run(args) -> int:
 
     print(format_summary_table([result.summary()]))
     print()
-    co = cooccurrence_table(
-        result.reports,
-        result.truth,
-        [s.predicate.index for s in result.elimination.selected],
-    )
-    print(
-        format_predictor_table(
-            result.elimination, co, bug_ids=list(subject.bug_ids)
-        )
-    )
+    print(_predictor_table(result))
     if args.html:
         from repro.harness.report import write_report
 
@@ -590,25 +502,41 @@ def _run(args) -> int:
     return 0
 
 
-def _cli_faults(args):
-    """Parse ``--inject-fault`` specs behind the ``--testing`` gate.
+def _injected_faults(args):
+    """The ``--inject-fault`` specs as a :class:`FaultInjector`.
 
-    Returns ``(exit_code, faults)``; a non-zero code means the command
-    must refuse (faults requested without ``--testing``).
+    Raises:
+        _Refused: Faults were requested without ``--testing``, a spec
+            does not parse, or it names a kind this command never fires.
     """
-    from repro.store import parse_faults
+    from repro.store.faults import COMMAND_FAULTS, FaultInjector, parse_faults
 
     if not args.inject_fault:
-        return 0, None
+        return FaultInjector()
     if not args.testing:
-        print(
-            "error: --inject-fault is a testing-only option; "
-            "pass --testing to acknowledge",
-            file=sys.stderr,
+        raise _Refused(
+            "--inject-fault is a testing-only option; pass --testing to acknowledge"
         )
-        return 2, None
-    return 0, tuple(
-        fault for spec in args.inject_fault for fault in parse_faults(spec)
+    try:
+        faults = [fault for spec in args.inject_fault for fault in parse_faults(spec)]
+    except ValueError as exc:
+        raise _Refused(f"--inject-fault: {exc}") from None
+    kinds = COMMAND_FAULTS[args.command]
+    foreign = [fault.spec() for fault in faults if fault.kind not in kinds]
+    if foreign:
+        raise _Refused(
+            f"{args.command} never fires {', '.join(foreign)}; "
+            f"its fault kinds are {', '.join(kinds)}"
+        )
+    return FaultInjector(faults)
+
+
+def _sampling_plan(args, subject, program, seed: int = 0):
+    """The :class:`SamplingPlan` the ``--sampling`` options ask for
+    (``adaptive`` trains it on fully sampled runs from ``seed``)."""
+    return build_plan(
+        subject, program, args.sampling,
+        rate=args.rate, training_runs=args.training_runs, seed=seed,
     )
 
 
@@ -618,44 +546,30 @@ def _serve(args) -> int:
     import threading
 
     from repro import obs
-    from repro.harness.experiment import build_plan
+    from repro.core.stopping import StoppingPolicy
     from repro.serve import CollectionService, FeedbackServer
     from repro.store import ShardStore
-    from repro.store.faults import FaultInjector
     from repro.store.shards import MANIFEST_NAME
 
-    code, faults = _cli_faults(args)
-    if code:
-        return code
-
-    subject_name = args.subject
-    manifest_path = os.path.join(args.store, MANIFEST_NAME)
-    if os.path.exists(manifest_path):
-        stored_subject = ShardStore.open(args.store).manifest.subject
-        if subject_name is not None and subject_name != stored_subject:
-            print(
-                f"error: store {args.store} holds subject "
-                f"{stored_subject!r}, not {subject_name!r}",
-                file=sys.stderr,
+    faults = _injected_faults(args)
+    existing = None
+    name = args.subject
+    if os.path.exists(os.path.join(args.store, MANIFEST_NAME)):
+        existing = ShardStore.open(args.store)
+        name = existing.manifest.subject
+        if args.subject not in (None, name):
+            raise _Refused(
+                f"store {args.store} holds subject {name!r}, not {args.subject!r}"
             )
-            return 2
-        subject_name = stored_subject
-    if subject_name is None:
-        print(
-            "error: --subject is required when creating a new store",
-            file=sys.stderr,
-        )
-        return 2
-
-    subject = SUBJECTS[subject_name]()
+    elif name is None:
+        raise _Refused("--subject is required when creating a new store")
+    subject = SUBJECTS[name]()
     program = subject.build_program()
-    plan = build_plan(
-        subject,
-        program,
-        args.sampling,
-        rate=args.rate,
-        training_runs=args.training_runs,
-        seed=0,
+    # An existing store keeps the plan it was created with, so only a
+    # new one is worth the adaptive plan's training trials.
+    plan = (
+        existing.plan() if existing is not None
+        else _sampling_plan(args, subject, program)
     )
     store = ShardStore.open_or_create(
         args.store, subject.name, program.table, plan
@@ -664,8 +578,6 @@ def _serve(args) -> int:
     obs_on = bool(args.trace)
     if obs_on:
         obs.configure(trace_path=args.trace)
-    from repro.core.stopping import StoppingPolicy
-
     service = CollectionService(
         store,
         subject,
@@ -681,12 +593,7 @@ def _serve(args) -> int:
             min_failing=args.stop_min_failing,
         ),
     )
-    server = FeedbackServer(
-        service,
-        host=args.host,
-        port=args.port,
-        faults=FaultInjector(faults or ()),
-    )
+    server = FeedbackServer(service, host=args.host, port=args.port, faults=faults)
     server.start()
     # The smoke tests parse this line to find the bound port; keep its
     # shape (and the flush) stable.
@@ -720,7 +627,6 @@ def _serve(args) -> int:
 
 def _submit(args) -> int:
     """Run trials, spool their reports, and drain the spool to a server."""
-    from repro.harness.experiment import build_plan
     from repro.serve import (
         ReportSpool,
         drain_spool,
@@ -729,24 +635,15 @@ def _submit(args) -> int:
         steered_collect_and_submit,
         submit_until_converged,
     )
-    from repro.store.faults import FaultInjector
 
-    code, faults = _cli_faults(args)
-    if code:
-        return code
-
+    faults = _injected_faults(args)
     subject = SUBJECTS[args.subject]()
     runs = args.runs if args.runs is not None else subject.trial_budget
     program = subject.build_program()
-    plan = build_plan(
-        subject,
-        program,
-        args.sampling,
-        rate=args.rate,
-        training_runs=args.training_runs,
-        seed=args.seed,
+    plan = _sampling_plan(args, subject, program, seed=args.seed)
+    upload = dict(
+        timeout=args.timeout, max_attempts=args.max_attempts, faults=faults
     )
-    injector = FaultInjector(faults or ())
     if args.until_converged:
         session = submit_until_converged(
             subject,
@@ -758,53 +655,43 @@ def _submit(args) -> int:
             max_rounds=args.max_rounds,
             batch_size=args.batch_size,
             fallback_plan=plan,
-            timeout=args.timeout,
-            max_attempts=args.max_attempts,
-            faults=injector,
+            **upload,
         )
         print(
             f"{'converged' if session.converged else 'round budget exhausted'} "
             f"after {session.rounds} rounds ({session.runs} trials, "
             f"steering epoch {session.final_epoch})"
         )
-    elif args.steered:
-        result = steered_collect_and_submit(
-            subject,
-            program,
-            args.url,
-            args.spool,
-            runs,
-            seed=args.seed,
-            batch_size=args.batch_size,
-            fallback_plan=plan,
-            timeout=args.timeout,
-            max_attempts=args.max_attempts,
-            faults=injector,
-        )
-        print(
-            f"submitted: {len(result.accepted)} accepted, "
-            f"{len(result.duplicate)} duplicate, {len(result.rejected)} rejected "
-            f"({result.requests} requests, {result.retries} retries)"
-        )
     else:
-        spool = ReportSpool(args.spool)
-        if runs:
-            run_and_spool(subject, program, plan, spool, runs, seed=args.seed)
-            print(
-                f"spooled {runs} reports (seeds {args.seed}.."
-                f"{args.seed + runs - 1}) to {args.spool}",
-                file=sys.stderr,
+        if args.steered:
+            result = steered_collect_and_submit(
+                subject,
+                program,
+                args.url,
+                args.spool,
+                runs,
+                seed=args.seed,
+                batch_size=args.batch_size,
+                fallback_plan=plan,
+                **upload,
             )
-        result = drain_spool(
-            spool,
-            args.url,
-            subject.name,
-            program.table.signature(),
-            batch_size=args.batch_size,
-            timeout=args.timeout,
-            max_attempts=args.max_attempts,
-            faults=injector,
-        )
+        else:
+            spool = ReportSpool(args.spool)
+            if runs:
+                run_and_spool(subject, program, plan, spool, runs, seed=args.seed)
+                print(
+                    f"spooled {runs} reports (seeds {args.seed}.."
+                    f"{args.seed + runs - 1}) to {args.spool}",
+                    file=sys.stderr,
+                )
+            result = drain_spool(
+                spool,
+                args.url,
+                subject.name,
+                program.table.signature(),
+                batch_size=args.batch_size,
+                **upload,
+            )
         print(
             f"submitted: {len(result.accepted)} accepted, "
             f"{len(result.duplicate)} duplicate, {len(result.rejected)} rejected "
@@ -840,13 +727,9 @@ def _federate(args) -> int:
         open_source,
     )
     from repro.store import ShardStore
-    from repro.store.faults import FaultInjector
     from repro.store.shards import MANIFEST_NAME
 
-    code, faults = _cli_faults(args)
-    if code:
-        return code
-
+    faults = _injected_faults(args)
     try:
         sources = [open_source(spec, timeout=args.timeout) for spec in args.sources]
         if os.path.exists(os.path.join(args.dest, MANIFEST_NAME)):
@@ -854,14 +737,10 @@ def _federate(args) -> int:
         else:
             dest = ShardStore.create_like(args.dest, sources[0].manifest())
         report = federate_stores(
-            sources,
-            dest,
-            faults=FaultInjector(faults or ()),
-            max_attempts=args.max_attempts,
+            sources, dest, faults=faults, max_attempts=args.max_attempts
         )
     except FederationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(exc) from None
 
     print(
         f"federated {len(sources)} sources into {args.dest}: "
@@ -903,26 +782,16 @@ def _federate(args) -> int:
 
 def _collect(args) -> int:
     """Append shards for a subject to a store directory."""
-    from repro.harness.experiment import build_plan
+    from repro import obs
     from repro.harness.parallel import run_trials_sharded
     from repro.store import ShardStore
 
-    code, faults = _cli_faults(args)
-    if code:
-        return code
-
+    faults = _injected_faults(args)
     subject = SUBJECTS[args.subject]()
     if args.runs is None:
         args.runs = subject.trial_budget
     program = subject.build_program()
-    plan = build_plan(
-        subject,
-        program,
-        args.sampling,
-        rate=args.rate,
-        training_runs=args.training_runs,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    plan = _sampling_plan(args, subject, program, seed=args.seed or 0)
     seed = args.seed
     if seed is None:
         try:
@@ -934,8 +803,6 @@ def _collect(args) -> int:
         f"(seeds {seed}..{seed + args.runs - 1}, {args.sampling} sampling)...",
         file=sys.stderr,
     )
-    from repro import obs
-
     obs_on = bool(args.metrics or args.trace)
     if obs_on:
         obs.configure(trace_path=args.trace)
@@ -950,7 +817,7 @@ def _collect(args) -> int:
             chunk_size=args.chunk_size,
             max_attempts=args.max_attempts,
             chunk_timeout=args.chunk_timeout,
-            faults=faults,
+            faults=faults.faults,
         )
         if args.metrics:
             obs.write_metrics(args.metrics)
@@ -1121,6 +988,24 @@ def _predictor_table(analysis) -> str:
 
 
 def _analyze(args) -> int:
+    """Analyse a shard store (a directory) or a saved archive."""
+    from repro import obs
+
+    if args.profile:
+        obs.configure()
+    try:
+        if os.path.isdir(args.archive):
+            code = _analyze_store(args)
+        else:
+            code = _analyze_archive(args)
+        if args.profile:
+            obs.print_profile()
+        return code
+    finally:
+        obs.shutdown()
+
+
+def _analyze_archive(args) -> int:
     """Re-run the analysis half of the pipeline on a saved archive."""
     from repro.core.engine import AnalysisEngine
     from repro.core.io import load_reports

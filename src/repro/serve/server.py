@@ -16,7 +16,7 @@ without sockets:
   ``GET /scores``, ``GET /steering``, ``GET /healthz`` and
   ``GET /metrics``, with
   deterministic server-side network-fault injection
-  (:data:`repro.store.faults.NETWORK_FAULTS`) for the test suite.
+  (``COMMAND_FAULTS["serve"]`` of :mod:`repro.store.faults`) for the test suite.
 
 Durability story (why acks cannot lose reports): a report is
 acknowledged only after its wire record is appended and fsynced to the

@@ -4,37 +4,50 @@ The store's robustness guarantees (crash-safe writes, quarantine,
 retry/backoff) are only believable if they can be exercised on demand, so
 this module defines a small language of injectable faults used by both
 the test suite and the CLI (``repro-cbi collect --testing
---inject-fault ...``):
+--inject-fault ...``).  Each kind fires in one command, named in the
+table (:data:`COMMAND_FAULTS`); the CLI refuses a kind its command
+never fires:
 
-==================  =====================================================
-kind                effect
-==================  =====================================================
-``kill-worker``     the worker SIGKILLs itself before writing its shard
-                    (models an OOM-killed or crashed collection machine)
-``hang-worker``     the worker sleeps forever (models a wedged machine;
-                    caught by the parent's per-chunk timeout)
-``truncate-shard``  the written shard file is truncated to 60% of its
-                    bytes after the worker hashed it (corruption in
-                    transit)
-``flip-bytes``      bytes in the middle of the written shard are
-                    inverted after hashing (bit rot / bad disk)
-``duplicate-shard`` an unregistered copy of the shard appears in the
-                    store directory (a retried upload that landed twice)
-``stale-manifest``  the shard file is deleted *after* the manifest
-                    committed it (models post-collection data loss)
-``net-refuse``      the client's connection attempt is refused before any
-                    bytes are sent (server down / firewall)
-``net-disconnect``  the server drops the TCP connection mid-request, so
-                    the client sees a reset instead of a response
-``net-500``         the server answers with ``500 Internal Server Error``
-                    after reading the request (transient server bug)
-``net-slow``        the server stalls before responding (congestion /
-                    overload; exercises client timeouts)
-``fed-fetch-error`` a federation pull fails in flight before any bytes
-                    arrive (source daemon briefly unreachable); retried
-``fed-corrupt-fetch`` the fetched shard bytes are damaged in transit;
-                    the checksum verify catches it and the pull retries
-==================  =====================================================
+==================  ==========  =========================================
+kind                command     effect
+==================  ==========  =========================================
+``kill-worker``     collect     the worker SIGKILLs itself before writing
+                                its shard (models an OOM-killed or
+                                crashed collection machine)
+``hang-worker``     collect     the worker sleeps forever (models a wedged
+                                machine; caught by the parent's per-chunk
+                                timeout)
+``truncate-shard``  collect     the written shard file is truncated to 60%
+                                of its bytes after the worker hashed it
+                                (corruption in transit)
+``flip-bytes``      collect     bytes in the middle of the written shard
+                                are inverted after hashing (bit rot / bad
+                                disk)
+``duplicate-shard`` collect     an unregistered copy of the shard appears
+                                in the store directory (a retried upload
+                                that landed twice)
+``stale-manifest``  collect     the shard file is deleted *after* the
+                                manifest committed it (models
+                                post-collection data loss)
+``net-disconnect``  serve       the server drops the TCP connection
+                                mid-request, so the client sees a reset
+                                instead of a response
+``net-500``         serve       the server answers with ``500 Internal
+                                Server Error`` after reading the request
+                                (transient server bug)
+``net-slow``        serve       the server stalls before responding
+                                (congestion / overload; exercises client
+                                timeouts)
+``net-refuse``      submit      the client's connection attempt is refused
+                                before any bytes are sent (server down /
+                                firewall)
+``fed-fetch-error`` federate    a federation pull fails in flight before
+                                any bytes arrive (source daemon briefly
+                                unreachable); retried
+``fed-corrupt-fetch`` federate  the fetched shard bytes are damaged in
+                                transit; the checksum verify catches it
+                                and the pull retries
+==================  ==========  =========================================
 
 The ``net-*`` kinds target the networked collection path of
 :mod:`repro.serve`: for them, "chunk" means the zero-based upload batch
@@ -61,39 +74,27 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
+#: The fault kinds each CLI command fires, in docstring order: the
+#: ``collect`` workers and their supervising parent (``stale-manifest``),
+#: the ``serve`` daemon's request handler, the ``submit`` client's
+#: uploader and the ``federate`` pull loop.  A command refuses every
+#: other kind, since it could never fire one.
+COMMAND_FAULTS = {
+    "collect": (
+        "kill-worker",
+        "hang-worker",
+        "truncate-shard",
+        "flip-bytes",
+        "duplicate-shard",
+        "stale-manifest",
+    ),
+    "serve": ("net-disconnect", "net-500", "net-slow"),
+    "submit": ("net-refuse",),
+    "federate": ("fed-fetch-error", "fed-corrupt-fetch"),
+}
+
 #: All recognised fault kinds.
-FAULT_KINDS = (
-    "kill-worker",
-    "hang-worker",
-    "truncate-shard",
-    "flip-bytes",
-    "duplicate-shard",
-    "stale-manifest",
-    "net-refuse",
-    "net-disconnect",
-    "net-500",
-    "net-slow",
-    "fed-fetch-error",
-    "fed-corrupt-fetch",
-)
-
-#: Fault kinds applied inside the worker process.
-WORKER_FAULTS = frozenset(
-    {"kill-worker", "hang-worker", "truncate-shard", "flip-bytes", "duplicate-shard"}
-)
-
-#: Fault kinds applied by the supervising parent after commit.
-PARENT_FAULTS = frozenset({"stale-manifest"})
-
-#: Fault kinds exercised on the networked collection path
-#: (:mod:`repro.serve`); ``net-refuse`` fires client-side, the rest fire
-#: inside the collection daemon's request handler.
-NETWORK_FAULTS = frozenset({"net-refuse", "net-disconnect", "net-500", "net-slow"})
-
-#: Fault kinds exercised on the store-to-store replication path
-#: (:mod:`repro.federate`); both fire inside the federating process's
-#: pull loop, keyed by the shard's ordinal in the sync plan.
-FEDERATION_FAULTS = frozenset({"fed-fetch-error", "fed-corrupt-fetch"})
+FAULT_KINDS = tuple(kind for kinds in COMMAND_FAULTS.values() for kind in kinds)
 
 
 @dataclass(frozen=True)

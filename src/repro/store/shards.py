@@ -539,11 +539,24 @@ class ShardStore:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     def read_log(self) -> List[dict]:
-        """All event records logged so far (empty when no log exists)."""
+        """All event records logged so far (empty when no log exists).
+
+        A torn final line is dropped, as the daemon's WAL replay drops
+        one; a bad line before it raises ``json.JSONDecodeError``.
+        """
         if not os.path.exists(self.collection_log_path):
             return []
         with open(self.collection_log_path, "r", encoding="utf-8") as handle:
-            return [json.loads(line) for line in handle if line.strip()]
+            lines = [line for line in handle if line.strip()]
+        records = []
+        for index, line in enumerate(lines):
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError:
+                # A torn final line is an append a crash cut short.
+                if index < len(lines) - 1:
+                    raise
+        return records
 
     # ------------------------------------------------------------------
     # Writing
@@ -737,27 +750,37 @@ class ShardStore:
         The file (when present) lands in ``quarantine/`` under its own
         name, next to ``<name>.reason.json`` describing why, what seed
         range was lost, and when.  The manifest is *not* modified here;
-        callers drop the entry themselves (see :meth:`audit`).
+        callers that drop a committed entry order the steps themselves
+        (see :meth:`audit`).
         """
-        record = QuarantineRecord(
-            filename=filename,
-            reason=reason,
-            detail=detail,
-            n_runs=n_runs,
-            num_failing=num_failing,
-            seed_start=seed_start,
+        self._move_to_quarantine(filename)
+        return self._record_quarantine(
+            QuarantineRecord(filename, reason, detail, n_runs, num_failing, seed_start)
         )
+
+    def _move_to_quarantine(self, filename: str) -> None:
         os.makedirs(self.quarantine_dir, exist_ok=True)
         source = os.path.join(self.directory, filename)
         if os.path.exists(source):
             os.replace(source, os.path.join(self.quarantine_dir, filename))
+
+    def _reason_path(self, filename: str) -> str:
+        return os.path.join(self.quarantine_dir, f"{filename}.reason.json")
+
+    def _record_quarantine(self, record: QuarantineRecord) -> QuarantineRecord:
+        """Write ``record``'s reason file and log it."""
+        os.makedirs(self.quarantine_dir, exist_ok=True)
         spec = {**record.to_json(), "quarantined_at": time.time()}
         data = (json.dumps(spec, indent=2, sort_keys=True) + "\n").encode()
         atomic_write_bytes_via(
-            os.path.join(self.quarantine_dir, f"{filename}.reason.json"),
-            lambda handle: handle.write(data),
+            self._reason_path(record.filename), lambda handle: handle.write(data)
         )
-        self.log_event("quarantine", filename=filename, reason=reason, detail=detail)
+        self.log_event(
+            "quarantine",
+            filename=record.filename,
+            reason=record.reason,
+            detail=record.detail,
+        )
         return record
 
     def quarantined(self) -> List[dict]:
@@ -778,8 +801,9 @@ class ShardStore:
 
         Runs :meth:`recover` first, then checks each manifest entry for
         seed-range overlap and with :func:`check_shard`.  Failing entries
-        are dropped from the manifest and their files moved to
-        ``quarantine/``; the
+        get their reason files, are dropped from the manifest, and only
+        then have their files moved to ``quarantine/``, so an audit cut
+        short is finished by the next one under the first reason; the
         report says exactly how many runs were lost with them, which is
         also the exact seed budget a re-collection needs.  Scoring the
         surviving shards is bit-identical to a clean collection of just
@@ -817,17 +841,17 @@ class ShardStore:
                 kept_so_far.append(entry)
             else:
                 self._headers.pop(os.path.join(self.directory, entry.filename), None)
-                report.quarantined.append(
-                    self.quarantine_file(
-                        entry.filename,
-                        reason[0],
-                        reason[1],
-                        n_runs=entry.n_runs,
-                        num_failing=entry.num_failing,
-                        seed_start=entry.seed_start,
-                    )
+                record = QuarantineRecord(
+                    entry.filename, *reason,
+                    entry.n_runs, entry.num_failing, entry.seed_start,
                 )
+                report.quarantined.append(self._record_quarantine(record))
 
+        # Reason files first, the trimmed manifest second, the moves
+        # last (in the scan below): a crash before the manifest save
+        # leaves the entries committed with their files in place, so the
+        # next audit finds the same reasons; one after it leaves
+        # unregistered files whose reason files the next scan finds.
         if report.quarantined:
             self.manifest.shards = surviving
             self.manifest.save(self.manifest_path)
@@ -839,7 +863,10 @@ class ShardStore:
                 and name.endswith(".npz")
                 and name not in registered
             ):
-                report.orphans.append(name)
+                if os.path.exists(self._reason_path(name)):
+                    self._move_to_quarantine(name)
+                else:
+                    report.orphans.append(name)
         if not report.clean:
             self.log_event(
                 "audit",

@@ -1,6 +1,10 @@
 """CLI smoke tests."""
 
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,11 @@ from repro.factory.mutate import MUTATION_CLASSES
 from repro.store import ShardStore
 
 from tests.helpers import shorten_archive_stats
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
 
 
 class TestParser:
@@ -304,6 +313,56 @@ class TestFaultInjectionCLI:
         )
 
 
+class TestForeignFaultKinds:
+    """A fault kind the command never fires is refused with one error
+    line and exit 2, before any trial runs or any store is touched."""
+
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            ("collect", "net-500@0"),
+            ("serve", "net-refuse@0"),
+            ("submit", "net-500@0"),
+            ("federate", "kill-worker@0"),
+        ],
+    )
+    def test_refused(self, capsys, monkeypatch, tmp_path, command, kind):
+        from repro.serve import FeedbackServer
+
+        def never(self):
+            raise AssertionError("serve started despite a foreign fault kind")
+
+        monkeypatch.setattr(FeedbackServer, "start", never)
+        source = tmp_path / "source"
+        assert main([
+            "collect", "--subject", "ccrypt", "--runs", "20",
+            "--sampling", "full", "--out", str(source),
+        ]) == 0
+        capsys.readouterr()
+        target = tmp_path / "target"
+        argv = {
+            "collect": [
+                "collect", "--subject", "ccrypt", "--runs", "20",
+                "--sampling", "full", "--out", str(target),
+            ],
+            "serve": [
+                "serve", str(target), "--subject", "ccrypt", "--port", "0",
+                "--sampling", "full",
+            ],
+            "submit": [
+                "submit", "--subject", "ccrypt", "--url", "http://127.0.0.1:9",
+                "--runs", "0", "--spool", str(target),
+            ],
+            "federate": ["federate", str(source), str(target)],
+        }[command]
+        assert main([*argv, "--testing", "--inject-fault", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {command} never fires {kind}; ")
+        assert not target.exists()
+
+
 class TestObservabilityCLI:
     def _collect(self, store_dir, *extra):
         return main(
@@ -424,6 +483,42 @@ class TestServeSubmitCLI:
         assert main(["serve", str(store_dir), "--subject", "moss"]) == 2
         err = capsys.readouterr().err
         assert "holds subject 'ccrypt'" in err
+
+    def test_serve_restart_trains_no_plan(self, capsys, tmp_path):
+        """An existing store keeps the plan it was created with, so a
+        restarted daemon never runs the adaptive plan's training trials."""
+        store_dir = tmp_path / "store"
+        assert main([
+            "collect", "--subject", "ccrypt", "--runs", "20",
+            "--sampling", "full", "--out", str(store_dir),
+        ]) == 0
+        script = (
+            "import sys\n"
+            "import repro.harness.experiment as experiment\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('trained a sampling plan')\n"
+            "experiment.collect_site_means = refuse\n"
+            "from repro.cli import main\n"
+            "raise SystemExit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        process = subprocess.Popen(
+            [sys.executable, "-c", script, "serve", str(store_dir), "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            line = process.stdout.readline()
+            assert line.startswith("serving ccrypt on http://"), (
+                line + process.stderr.read()
+            )
+            process.send_signal(signal.SIGTERM)
+            out, err = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, err
+        assert "store now holds 1 shards, 20 runs" in out
 
     def test_submit_inject_fault_requires_testing(self, capsys, tmp_path):
         code = main(

@@ -47,7 +47,7 @@ from repro.store import (
 )
 from repro.store.errors import ShardCheckError
 from repro.store.faults import damage_flip_bytes, damage_truncate, parse_fault
-from repro.store.manifest import ShardEntry
+from repro.store.manifest import ShardEntry, ShardManifest
 from repro.store.shards import PENDING_SUFFIX, check_shard, shard_filename
 
 from tests.conftest import build_synthetic_store, collect_tiny_store
@@ -558,6 +558,53 @@ class TestAuditQuarantine:
         assert second.clean
         assert second.checked == 2
 
+    def test_failed_manifest_save_keeps_the_first_reason(self, tmp_path, monkeypatch):
+        """An audit that dies saving the trimmed manifest has moved
+        nothing, so the re-audit records the damage, not a missing file."""
+        store, _ = _build_store(tmp_path)
+        name = store.manifest.shards[1].filename
+        damage_flip_bytes(store.shard_paths()[1], n_bytes=32)
+
+        def crash(self, path):
+            raise OSError(errno.EIO, "crash while saving the manifest")
+
+        monkeypatch.setattr(ShardManifest, "save", crash)
+        with pytest.raises(OSError, match="crash while saving"):
+            store.audit()
+        monkeypatch.undo()
+
+        report = ShardStore.open(store.directory).audit()
+        assert [(r.filename, r.reason) for r in report.quarantined] == [
+            (name, "checksum-mismatch")
+        ]
+        assert [r["reason"] for r in store.quarantined()] == ["checksum-mismatch"]
+        assert os.path.exists(os.path.join(store.quarantine_dir, name))
+
+    def test_crash_after_manifest_save_finishes_the_move(self, tmp_path, monkeypatch):
+        """An audit that dies after the manifest save leaves its shard
+        unregistered beside its reason file; the next audit moves it
+        into quarantine instead of reporting an orphan."""
+        store, _ = _build_store(tmp_path)
+        name = store.manifest.shards[1].filename
+        damage_flip_bytes(store.shard_paths()[1], n_bytes=32)
+
+        def crash(self, filename):
+            raise OSError(errno.EIO, "crash before the move")
+
+        monkeypatch.setattr(ShardStore, "_move_to_quarantine", crash)
+        with pytest.raises(OSError, match="crash before the move"):
+            store.audit()
+        monkeypatch.undo()
+
+        reopened = ShardStore.open(store.directory)
+        assert reopened.n_shards == 2
+        report = reopened.audit()
+        assert report.clean and report.orphans == []
+        assert [r["reason"] for r in store.quarantined()] == ["checksum-mismatch"]
+        assert sorted(os.listdir(store.quarantine_dir)) == [
+            name, f"{name}.reason.json"
+        ]
+
     def test_clean_store_audits_clean(self, tmp_path):
         store, whole = _build_store(tmp_path)
         report = store.audit()
@@ -799,6 +846,24 @@ class TestOneShardCheck:
             )
         assert checked.value.reason == "checksum-mismatch"
         assert record["detail"] == checked.value.detail
+
+
+class TestCollectionLog:
+    def test_torn_final_line_is_dropped(self, tmp_path):
+        store, _ = _build_store(tmp_path)
+        store.log_event("first", n=1)
+        logged = store.read_log()
+        with open(store.collection_log_path, "a", encoding="utf-8") as handle:
+            handle.write('{"event": "quar')
+        assert store.read_log() == logged
+
+    def test_bad_line_before_the_last_raises(self, tmp_path):
+        store, _ = _build_store(tmp_path)
+        with open(store.collection_log_path, "a", encoding="utf-8") as handle:
+            handle.write('{"event": "quar\n')
+        store.log_event("after", n=1)
+        with pytest.raises(json.JSONDecodeError):
+            store.read_log()
 
 
 class TestFaultSpecs:
