@@ -51,28 +51,29 @@ SUBJECTS: Dict[str, Callable[[], Subject]] = {
 SUBJECTS.update(corpus_subjects())
 
 
-def non_negative_int(text: str) -> int:
-    """argparse type for counts such as ``--top``: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _checked(name: str, kind: type, sound: Callable, need: str) -> Callable:
+    """An argparse type named ``name``: a ``kind`` for which ``sound``
+    holds, else a usage error saying it must be ``need``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not sound(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def positive_int(text: str) -> int:
-    """argparse type for sizes such as ``--runs`` or ``--jobs``: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def sampling_rate(text: str) -> float:
-    """argparse type for ``--rate``: a probability in (0, 1]."""
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
-    return value
+# Counts (--top), sizes (--runs), probabilities (--rate; NaN fails every
+# comparison), durations and widths (--timeout, --stop-epsilon), ports.
+non_negative_int = _checked("non_negative_int", int, lambda v: v >= 0, ">= 0")
+positive_int = _checked("positive_int", int, lambda v: v >= 1, ">= 1")
+sampling_rate = _checked("sampling_rate", float, lambda v: 0 < v <= 1, "in (0, 1]")
+positive_float = _checked(
+    "positive_float", float, lambda v: 0 < v < float("inf"), "finite and > 0"
+)
+port = _checked("port", int, lambda v: 0 <= v <= 65535, "in [0, 65535]")
 
 
 class _Refused(Exception):
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     timeout = argparse.ArgumentParser(add_help=False)
     timeout.add_argument(
-        "--timeout", type=float, default=10.0,
+        "--timeout", type=positive_float, default=10.0,
         help="per-request timeout in seconds (federate: daemon sources)",
     )
 
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="attempts per chunk before the collection gives up",
     )
     collect.add_argument(
-        "--chunk-timeout", type=float, default=None,
+        "--chunk-timeout", type=positive_float, default=None,
         help="seconds before a hung chunk worker is killed and retried",
     )
 
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
-        "--port", type=int, default=8080,
+        "--port", type=port, default=8080,
         help="bind port; 0 picks a free one (printed on startup)",
     )
     serve.add_argument(
@@ -298,16 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="predicates on the steering watchlist",
     )
     serve.add_argument(
-        "--stop-epsilon", type=float, default=0.1,
+        "--stop-epsilon", type=positive_float, default=0.1,
         help="early stopping: maximum Increase half-interval width for "
         "the top predictors before the subject converges",
     )
     serve.add_argument(
-        "--stop-min-runs", type=int, default=100,
+        "--stop-min-runs", type=non_negative_int, default=100,
         help="early stopping: minimum committed runs before convergence",
     )
     serve.add_argument(
-        "--stop-min-failing", type=int, default=10,
+        "--stop-min-failing", type=non_negative_int, default=10,
         help="early stopping: minimum committed failing runs before "
         "convergence",
     )
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         "convergence (implies --steered)",
     )
     submit.add_argument(
-        "--max-rounds", type=int, default=50,
+        "--max-rounds", type=positive_int, default=50,
         help="round budget for --until-converged",
     )
     submit.add_argument(
@@ -898,16 +899,11 @@ def _analyze_store(args) -> int:
             print(f"audit: recovered committed shard {name}", file=sys.stderr)
         if audit.quarantined:
             for rec in audit.quarantined:
+                # An audit record is a committed entry's: seeded, runs >= 1.
                 print(
                     f"audit: quarantined {rec.filename} [{rec.reason}] "
-                    f"({rec.n_runs} runs lost"
-                    + (
-                        f", seeds {rec.seed_start}.."
-                        f"{rec.seed_start + rec.n_runs - 1}"
-                        if rec.seed_start is not None and rec.n_runs
-                        else ""
-                    )
-                    + f"): {rec.detail}",
+                    f"({rec.n_runs} runs lost, seeds {rec.seed_start}.."
+                    f"{rec.seed_start + rec.n_runs - 1}): {rec.detail}",
                     file=sys.stderr,
                 )
             print(

@@ -10,12 +10,12 @@ class FederationError(StoreError):
 
     Raised for structural problems the pull loop must not paper over:
     incompatible source stores (different subject, predicate table or
-    instrumentation config), shards without seed provenance, and --
-    the paper-level invariant -- two stores claiming *overlapping* seed
-    ranges with different content, which no dedup rule can merge
-    without double-counting or guessing.  Transient per-shard failures
-    (unreachable daemon, damaged bytes) are NOT this error; they are
-    retried and, if persistent, skipped with an audited reason.
+    instrumentation config) and -- the paper-level invariant -- two
+    stores claiming *overlapping* seed ranges with different content,
+    which no dedup rule can merge without double-counting or guessing.
+    Transient per-shard failures (unreachable daemon, damaged bytes) are
+    NOT this error; they are retried and, if persistent, skipped with an
+    audited reason.
     """
 
 

@@ -51,8 +51,6 @@ single-daemon collection at fleet scale.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -170,6 +168,11 @@ class FederationAudit:
         )
 
 
+def _seeds(entry: ShardEntry) -> str:
+    """``entry``'s seed range as ``[start, stop)``."""
+    return f"[{entry.seed_start}, {entry.seed_range.stop})"
+
+
 def _require_compatible(
     dest_manifest: ShardManifest, label: str, manifest: ShardManifest
 ) -> None:
@@ -194,39 +197,25 @@ def plan_sync(
 
     Deterministic in the *set* of sources: candidates are considered in
     label order, so permuting the input changes nothing.  Enforces the
-    seed-disjointness invariant -- every entry must be seeded, and two
-    entries may share a seed range only when they are byte-identical
-    (same range *and* same SHA-256), in which case the extra copies
-    dedup to fallback candidates.  Anything else (partial overlap, same
-    range with different or unknown digests) raises
-    :class:`FederationError`: no dedup rule can merge diverging claims
-    on the same seeds without double-counting or guessing.
+    seed-disjointness invariant -- two entries may share a seed range
+    only when they are byte-identical (same range *and* same SHA-256),
+    in which case the extra copies dedup to fallback candidates.
+    Anything else (partial overlap, same range with different digests)
+    raises :class:`FederationError`: no dedup rule can merge diverging
+    claims on the same seeds without double-counting or guessing.
+
+    Every entry here passed :meth:`ShardManifest.from_json`, so it is
+    seeded and digested, and its name is that of its seed: a manifest
+    can offer nothing but shard archives (never a store-local file such
+    as ``steering.json``), and nothing outside the destination.
     """
     plan = SyncPlan()
     chosen: Dict[Tuple[int, int], PullItem] = {}
     counted_present: set = set()
 
-    # Steering artifacts (and the ingest WAL) are local to one daemon's
-    # live session: they describe *that* store's fit over *its* committed
-    # population and must never be replicated.  A manifest offering one
-    # is structurally broken — refuse rather than silently skip.
-    from repro.serve.steering import STORE_LOCAL_FILES
-
     for source, manifest in sorted(sources, key=lambda pair: pair[0].label):
         _require_compatible(dest_manifest, source.label, manifest)
         for entry in manifest.shards:
-            if os.path.basename(entry.filename) in STORE_LOCAL_FILES:
-                raise FederationError(
-                    f"source {source.label} manifest lists store-local file "
-                    f"{entry.filename}; steering documents and ingest WALs "
-                    "are never replicated between stores"
-                )
-            if entry.seed_start is None:
-                raise FederationError(
-                    f"source {source.label} shard {entry.filename} has no "
-                    "seed provenance; federation cannot prove disjointness "
-                    "for unseeded shards"
-                )
             key = (entry.seed_start, entry.n_runs)
 
             # Against the destination's committed membership.
@@ -239,11 +228,7 @@ def plan_sync(
                 None,
             )
             if dest_same is not None:
-                if (
-                    entry.sha256 is not None
-                    and dest_same.sha256 is not None
-                    and entry.sha256 == dest_same.sha256
-                ):
+                if entry.sha256 == dest_same.sha256:
                     if dest_same.filename not in counted_present:
                         counted_present.add(dest_same.filename)
                         plan.present.append(dest_same.filename)
@@ -252,36 +237,29 @@ def plan_sync(
                     continue
                 raise FederationError(
                     f"source {source.label} shard {entry.filename} claims seeds "
-                    f"[{entry.seed_start}, {entry.seed_start + entry.n_runs}) "
-                    f"already committed as {dest_same.filename} with different "
-                    "content; refusing to merge diverging claims on one seed range"
+                    f"{_seeds(entry)} already committed as {dest_same.filename} "
+                    "with different content; refusing to merge diverging "
+                    "claims on one seed range"
                 )
             dest_clash = dest_manifest.overlapping(entry)
             if dest_clash is not None:
                 raise FederationError(
                     f"source {source.label} shard {entry.filename} "
-                    f"[{entry.seed_start}, {entry.seed_start + entry.n_runs}) "
-                    f"overlaps committed shard {dest_clash.filename} "
-                    f"[{dest_clash.seed_start}, "
-                    f"{dest_clash.seed_start + dest_clash.n_runs}); merging "
+                    f"{_seeds(entry)} overlaps committed shard "
+                    f"{dest_clash.filename} {_seeds(dest_clash)}; merging "
                     "would double-count runs"
                 )
 
             # Against what earlier (smaller-label) sources contributed.
             if key in chosen:
                 item = chosen[key]
-                if (
-                    entry.sha256 is not None
-                    and item.entry.sha256 is not None
-                    and entry.sha256 == item.entry.sha256
-                ):
+                if entry.sha256 == item.entry.sha256:
                     item.sources.append(source)
                     plan.duplicates.append((entry.filename, source.label))
                     continue
                 raise FederationError(
                     f"sources {item.sources[0].label} and {source.label} both "
-                    f"claim seeds [{entry.seed_start}, "
-                    f"{entry.seed_start + entry.n_runs}) with different content "
+                    f"claim seeds {_seeds(entry)} with different content "
                     f"({item.entry.filename}); refusing to pick one"
                 )
             clash_item = next(
@@ -290,18 +268,14 @@ def plan_sync(
             if clash_item is not None:
                 raise FederationError(
                     f"source {source.label} shard {entry.filename} "
-                    f"[{entry.seed_start}, {entry.seed_start + entry.n_runs}) "
-                    f"overlaps {clash_item.entry.filename} "
-                    f"[{clash_item.entry.seed_start}, "
-                    f"{clash_item.entry.seed_start + clash_item.entry.n_runs}) "
-                    f"from source {clash_item.sources[0].label}; merging would "
+                    f"{_seeds(entry)} overlaps {clash_item.entry.filename} "
+                    f"{_seeds(clash_item.entry)} from source "
+                    f"{clash_item.sources[0].label}; merging would "
                     "double-count runs"
                 )
             chosen[key] = PullItem(entry=entry, sources=[source])
 
-    plan.pulls = sorted(
-        chosen.values(), key=lambda item: (item.entry.seed_start, item.entry.filename)
-    )
+    plan.pulls = sorted(chosen.values(), key=lambda item: item.entry.seed_start)
     return plan
 
 
@@ -358,13 +332,7 @@ def federate_stores(
                         data = source.fetch(entry)
                         if injector.fires("fed-corrupt-fetch", ordinal, attempt):
                             data = flip_middle(data)
-                        # A source entry with no recorded digest takes the
-                        # fetched bytes' hash; the other checks still apply.
-                        committed = dataclasses.replace(
-                            entry,
-                            sha256=entry.sha256 or hashlib.sha256(data).hexdigest(),
-                            source=source.label,
-                        )
+                        committed = dataclasses.replace(entry, source=source.label)
                         dest.ingest_shard_bytes(data, committed)
                 except (FederationFetchError, ShardCheckError) as exc:
                     outcome = (exc.reason, exc.detail)
@@ -416,9 +384,7 @@ def federate_stores(
         # *multi-pass* federation land on the identical manifest (the
         # associativity the property suite pins), and matches the order
         # a single daemon collecting the same seeds would have written.
-        dest.manifest.shards.sort(
-            key=lambda e: (e.seed_start is None, e.seed_start or 0, e.filename)
-        )
+        dest.manifest.shards.sort(key=lambda e: e.seed_start)
         dest.manifest.save(dest.manifest_path)
 
     if _obs_enabled():
@@ -450,22 +416,14 @@ def cross_audit(
     """
     with _obs_span("federate.cross_audit", sources=len(sources)):
         audit = FederationAudit(dest=dest.audit())
-        by_range = {
-            (e.seed_start, e.n_runs): e
-            for e in dest.manifest.shards
-            if e.seed_start is not None
-        }
+        by_range = {(e.seed_start, e.n_runs): e for e in dest.manifest.shards}
         for source in sorted(sources, key=lambda s: s.label):
             result = SourceAudit(label=source.label)
             for entry in source.manifest().shards:
                 committed = by_range.get((entry.seed_start, entry.n_runs))
                 if committed is None:
                     result.missing.append(entry.filename)
-                elif (
-                    entry.sha256 is not None
-                    and committed.sha256 is not None
-                    and entry.sha256 != committed.sha256
-                ):
+                elif entry.sha256 != committed.sha256:
                     result.diverged.append(entry.filename)
                 else:
                     result.replicated.append(entry.filename)

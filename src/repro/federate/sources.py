@@ -106,14 +106,14 @@ class HTTPSource(StoreSource):
                 f"{self.url}/manifest", timeout=self.timeout
             ) as response:
                 document = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
+        except (urllib.error.URLError, OSError, ValueError) as exc:
             raise FederationError(
                 f"cannot read manifest from {self.url}: {exc}"
             ) from exc
-        if document.get("schema") != MANIFEST_SCHEMA:
+        schema = document.get("schema") if isinstance(document, dict) else None
+        if schema != MANIFEST_SCHEMA or "manifest" not in document:
             raise FederationError(
-                f"{self.url}/manifest answered schema "
-                f"{document.get('schema')!r}, expected {MANIFEST_SCHEMA!r}"
+                f"{self.url}/manifest answered no {MANIFEST_SCHEMA} document"
             )
         return ShardManifest.from_json(document["manifest"])
 

@@ -258,8 +258,8 @@ def run_trials_sharded(
     from repro.store import ShardStore
     from repro.store.errors import CollectionError, ShardCheckError
     from repro.store.faults import FaultInjector
-    from repro.store.manifest import ShardEntry
-    from repro.store.shards import PENDING_SUFFIX, check_shard, shard_filename
+    from repro.store.manifest import ShardEntry, shard_filename
+    from repro.store.shards import PENDING_SUFFIX, check_shard
 
     injector = FaultInjector(faults or ())
 
@@ -459,10 +459,9 @@ def run_trials_sharded(
                     continue
                 failing, digest, snap = results.pop(idx)
                 entry = ShardEntry(
-                    filename=shard_filename(chunk.start),
+                    seed_start=chunk.start,
                     n_runs=chunk.count,
                     num_failing=failing,
-                    seed_start=chunk.start,
                     sha256=digest,
                 )
                 try:

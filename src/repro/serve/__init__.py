@@ -55,7 +55,6 @@ from repro.serve.protocol import (
 from repro.serve.server import CollectionService, FeedbackServer
 from repro.serve.steering import (
     STEERING_SCHEMA,
-    STORE_LOCAL_FILES,
     SteeringDocument,
     fetch_steering,
     fit_steering,
@@ -86,7 +85,6 @@ __all__ = [
     "fetch_scores",
     "watched_from_scores",
     "STEERING_SCHEMA",
-    "STORE_LOCAL_FILES",
     "SteeringDocument",
     "fetch_steering",
     "fit_steering",

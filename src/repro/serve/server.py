@@ -147,11 +147,7 @@ class CollectionService:
         self._refit_at_runs = -1
 
         store.recover()
-        committed = tuple(
-            (entry.seed_start, entry.seed_start + entry.n_runs)
-            for entry in store.manifest.shards
-            if entry.seed_start is not None
-        )
+        committed = tuple((e.seed_start, e.seed_range.stop) for e in store.manifest.shards)
         self.batcher = ReportBatcher(
             batch_runs=batch_runs, max_buffered=max_buffered, committed=committed
         )
@@ -707,8 +703,7 @@ class _IngestHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/octet-stream")
         self.send_header("Content-Length", str(len(data)))
-        if entry.sha256 is not None:
-            self.send_header("X-Repro-Sha256", entry.sha256)
+        self.send_header("X-Repro-Sha256", entry.sha256)
         self.end_headers()
         self.wfile.write(data)
         service.metrics.inc("serve.shards_served")

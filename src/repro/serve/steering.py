@@ -21,9 +21,9 @@ serving byte-identical stores publish byte-identical documents (pinned
 by the Hypothesis suite).
 
 Steering artifacts are **store-local**: they describe one daemon's live
-fit over its own committed population and must never ride along when
-stores federate.  :data:`STORE_LOCAL_FILES` names them and
-``repro.federate.merge.plan_sync`` refuses any source that offers one.
+fit over its own committed population and never ride along when stores
+federate -- a manifest entry can name only a shard archive
+(:meth:`repro.store.manifest.ShardManifest.from_json`).
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ STEERING_NAME = "steering.json"
 #: Filename of the per-batch steering provenance log inside a store
 #: directory (one JSON line per committed batch).
 STEERING_LOG_NAME = "steering_log.jsonl"
-
-#: Store-directory files that are local to one daemon and must never be
-#: replicated between stores (the ingest WAL is likewise private).
-STORE_LOCAL_FILES = frozenset({STEERING_NAME, STEERING_LOG_NAME, "ingest_wal.jsonl"})
 
 
 def manifest_digest(manifest) -> str:
@@ -353,7 +349,6 @@ __all__ = [
     "STEERING_SCHEMA",
     "STEERING_NAME",
     "STEERING_LOG_NAME",
-    "STORE_LOCAL_FILES",
     "SteeringDocument",
     "WatchEntry",
     "StoppingCandidate",

@@ -31,6 +31,7 @@ under injected faults (:mod:`repro.store.faults`).
 from repro.store.errors import (
     CollectionError,
     DuplicateSeedRangeError,
+    ManifestError,
     ShardCorruptionError,
     ShardIntegrityError,
     StaleManifestError,
@@ -69,6 +70,7 @@ __all__ = [
     "Fault",
     "FaultInjector",
     "MANIFEST_NAME",
+    "ManifestError",
     "PENDING_SUFFIX",
     "QUARANTINE_DIR",
     "QuarantineRecord",

@@ -12,6 +12,8 @@ or raises one of these.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class StoreError(Exception):
     """Base class for all shard-store failures."""
@@ -106,6 +108,26 @@ class StoreVersionError(StoreError):
     1 or 2, or no such field) are refused rather than half-read; their
     runs must be re-collected.
     """
+
+
+class ManifestError(StoreError):
+    """A manifest document not of the manifest's shape
+    (:meth:`repro.store.manifest.ShardManifest.from_json`).
+
+    ``entry`` names the offending shard entry (``None`` for a
+    store-level field) and ``field`` its key.
+    """
+
+    def __init__(self, field: str, detail: str, entry: Optional[str] = None) -> None:
+        where = "manifest" if entry is None else f"manifest entry {entry}"
+        super().__init__(f"{where}: {field} {detail}")
+        self.field = field
+        self.detail = detail
+        self.entry = entry
+
+    def __reduce__(self):
+        # See ShardCorruptionError.__reduce__.
+        return (type(self), (self.field, self.detail, self.entry))
 
 
 class CollectionError(StoreError):

@@ -9,9 +9,12 @@ membership and provenance.  It records:
   instrumentation, so ``analyze`` can refuse shards that would
   mis-attribute counters;
 * the sampling plan used during collection;
-* one entry per shard with its run counts and base seed, in collection
-  order (merge order matters: it is what makes the merged population
-  bit-identical to a monolithic one).
+* one entry per shard with its base seed, run counts and digest, in
+  collection order (merge order matters: it is what makes the merged
+  population bit-identical to a monolithic one).
+
+Every manifest read from outside goes through one check,
+:meth:`ShardManifest.from_json`.
 """
 
 from __future__ import annotations
@@ -19,15 +22,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.io import FORMAT_VERSION, atomic_write_bytes_via
 from repro.instrument.sampling import SamplingPlan
 from repro.instrument.transform import InstrumentationConfig
-from repro.store.errors import StoreVersionError
+from repro.store.errors import ManifestError, StoreVersionError
 
 #: Manifest schema version, independent of the shard archive version.
 MANIFEST_VERSION = 1
@@ -77,68 +81,105 @@ def plan_from_json(spec: Dict[str, object]) -> SamplingPlan:
     raise ValueError(f"unknown sampling mode {mode!r} in manifest")
 
 
+#: Entry and store-level fields with their JSON types (a bool is no int).
+_ENTRY_FIELDS = {
+    "filename": str, "n_runs": int, "num_failing": int,
+    "seed_start": int, "sha256": str, "source": str,
+}
+_MANIFEST_FIELDS = {
+    "manifest_version": int, "format_version": int, "subject": str,
+    "table_sha": str, "config_sha": str, "plan": dict, "shards": list,
+}
+_SHA256 = re.compile(r"[0-9a-f]{64}")
+
+
+def shard_filename(seed_start: int) -> str:
+    """Canonical shard name for a collection chunk starting at a seed."""
+    return f"shard-{seed_start:08d}.npz"
+
+
+def _check_fields(spec: object, fields: Dict[str, type], entry=None) -> None:
+    """Refuse ``spec`` unless it is an object holding exactly ``fields``
+    (``source`` may be absent), each value of its field's JSON type."""
+    if not isinstance(spec, dict):
+        raise ManifestError("document", "is not a JSON object", entry)
+    unknown = spec.keys() - fields.keys()
+    if unknown:
+        raise ManifestError(repr(min(unknown)), "is not a manifest field", entry)
+    for key, kind in fields.items():
+        if key not in spec and key != "source":
+            raise ManifestError(key, "is missing", entry)
+        if key in spec and type(spec[key]) is not kind:
+            need = f"must be {kind.__name__}, got {spec[key]!r}"
+            raise ManifestError(key, need, entry)
+
+
 @dataclass
 class ShardEntry:
     """One shard's membership record.
 
+    Every entry is seeded, digested and named by its seed: the shard
+    holds the trials of :attr:`seed_range` in the file :attr:`filename`.
+
     Attributes:
-        filename: Shard archive name, relative to the store directory.
+        seed_start: Base seed of the shard's first trial.
         n_runs: Runs in the shard.
         num_failing: Failing runs in the shard.
-        seed_start: Base seed of the shard's first trial (``None`` when
-            the shard was appended from pre-collected reports).
-        sha256: Hex digest of the shard file's bytes at commit time, or
-            ``None`` for entries written before digests were recorded.
-            Verified by :meth:`repro.store.shards.ShardStore.audit`.
+        sha256: Hex digest of the shard file's bytes at commit time,
+            checked by :func:`repro.store.shards.check_shard`.
         source: Provenance label for shards replicated from another
             store (:mod:`repro.federate`): the source store's path or
             daemon URL.  ``None`` for locally collected shards.
     """
 
-    filename: str
+    seed_start: int
     n_runs: int
     num_failing: int
-    seed_start: Optional[int] = None
-    sha256: Optional[str] = None
+    sha256: str
     source: Optional[str] = None
 
     @property
-    def seed_range(self) -> Optional[range]:
+    def filename(self) -> str:
+        """Shard archive name, relative to the store directory."""
+        return shard_filename(self.seed_start)
+
+    @property
+    def seed_range(self) -> range:
         """The half-open trial-seed interval this shard covers."""
-        if self.seed_start is None:
-            return None
         return range(self.seed_start, self.seed_start + self.n_runs)
 
     def overlaps(self, other: "ShardEntry") -> bool:
-        """True when both shards are seeded and their ranges intersect."""
+        """True when both shards' seed ranges intersect."""
         a, b = self.seed_range, other.seed_range
-        if a is None or b is None:
-            return False
         return a.start < b.stop and b.start < a.stop
 
     def to_json(self) -> Dict[str, object]:
-        spec = dataclasses.asdict(self)
-        for optional in ("sha256", "source"):
-            if spec.get(optional) is None:
-                del spec[optional]  # keep old-manifest byte-compat when absent
+        spec = {"filename": self.filename, **dataclasses.asdict(self)}
+        if self.source is None:
+            del spec["source"]
         return spec
 
     @classmethod
-    def from_json(cls, spec: Dict[str, object]) -> "ShardEntry":
-        return cls(
-            filename=str(spec["filename"]),
-            n_runs=int(spec["n_runs"]),
-            num_failing=int(spec["num_failing"]),
-            seed_start=(
-                int(spec["seed_start"]) if spec.get("seed_start") is not None else None
-            ),
-            sha256=(
-                str(spec["sha256"]) if spec.get("sha256") is not None else None
-            ),
-            source=(
-                str(spec["source"]) if spec.get("source") is not None else None
-            ),
-        )
+    def from_json(cls, spec: object, index: int = 0) -> "ShardEntry":
+        """Parse the ``index``-th entry of a manifest document, raising
+        :class:`ManifestError` for any other shape than the class's."""
+        name = spec.get("filename") if isinstance(spec, dict) else None
+        where = repr(name) if isinstance(name, str) else f"#{index}"
+        _check_fields(spec, _ENTRY_FIELDS, where)
+        entry = cls(**{k: v for k, v in spec.items() if k != "filename"})
+        for key, sound, need in (  # ``need`` is formatted only on a refusal
+            ("n_runs", entry.n_runs >= 1, ">= 1"),
+            ("num_failing", 0 <= entry.num_failing <= entry.n_runs,
+             "in [0, n_runs={0.n_runs}]"),
+            ("seed_start", entry.seed_start >= 0, ">= 0"),
+            ("sha256", _SHA256.fullmatch(entry.sha256), "64 lowercase hex digits"),
+            ("filename", name == entry.filename,
+             "{0.filename!r}, the name of its seed_start"),
+        ):
+            if not sound:
+                need = need.format(entry)
+                raise ManifestError(key, f"must be {need}, got {spec[key]!r}", where)
+        return entry
 
 
 @dataclass
@@ -152,9 +193,10 @@ class ShardManifest:
         config_sha: Digest of the instrumentation configuration.
         plan: Sampling plan in :func:`plan_to_json` form.
         shards: Shard entries in collection (merge) order.
-        format_version: Shard archive format of the store's shards
-            (always :data:`repro.core.io.FORMAT_VERSION`).
-        manifest_version: Schema version of this file.
+        format_version: Shard archive format of every store (a class
+            constant, :data:`repro.core.io.FORMAT_VERSION`).
+        manifest_version: Schema version of this file (a class
+            constant, :data:`MANIFEST_VERSION`).
     """
 
     subject: str
@@ -162,8 +204,8 @@ class ShardManifest:
     config_sha: str
     plan: Dict[str, object]
     shards: List[ShardEntry] = field(default_factory=list)
-    format_version: int = FORMAT_VERSION
-    manifest_version: int = MANIFEST_VERSION
+    format_version: ClassVar[int] = FORMAT_VERSION
+    manifest_version: ClassVar[int] = MANIFEST_VERSION
 
     @property
     def n_runs(self) -> int:
@@ -177,15 +219,9 @@ class ShardManifest:
 
     @property
     def next_seed(self) -> int:
-        """First unused trial seed, for appending contiguous collections.
-
-        Assumes seeded shards cover ``[seed_start, seed_start + n_runs)``;
-        returns 0 for an empty or unseeded store.
-        """
-        ends = [
-            e.seed_start + e.n_runs for e in self.shards if e.seed_start is not None
-        ]
-        return max(ends) if ends else 0
+        """First unused trial seed, for appending contiguous collections
+        (0 for an empty store)."""
+        return max((e.seed_range.stop for e in self.shards), default=0)
 
     def find(self, filename: str) -> Optional[ShardEntry]:
         """The entry for ``filename``, or ``None`` if unregistered."""
@@ -197,7 +233,7 @@ class ShardManifest:
     def overlapping(self, entry: ShardEntry) -> Optional[ShardEntry]:
         """The first registered shard whose seed range intersects ``entry``."""
         for existing in self.shards:
-            if existing.filename != entry.filename and existing.overlaps(entry):
+            if existing.overlaps(entry):
                 return existing
         return None
 
@@ -213,23 +249,30 @@ class ShardManifest:
         }
 
     @classmethod
-    def from_json(cls, spec: Dict[str, object]) -> "ShardManifest":
-        """Parse a manifest document.
+    def from_json(cls, spec: object) -> "ShardManifest":
+        """Parse and check a manifest document read from outside: a
+        store's ``manifest.json``, a federation source's, a daemon's
+        ``GET /manifest``.
 
         Raises:
+            ManifestError: Not the shape this class and
+                :class:`ShardEntry` state, or two entries share a name.
             StoreVersionError: The store's shards are not in
                 :data:`~repro.core.io.FORMAT_VERSION` (a v1/v2 store, whose
                 manifest says 1 or 2 or has no ``format_version``).
-            ValueError: The manifest schema is newer than this build.
         """
-        version = int(spec.get("manifest_version", 1))
-        if version > MANIFEST_VERSION:
-            raise ValueError(
-                f"manifest version {version} is newer than supported "
-                f"({MANIFEST_VERSION})"
+        if not isinstance(spec, dict):
+            raise ManifestError("document", "is not a JSON object")
+        version = spec.get("manifest_version")
+        if type(version) is not int or version != MANIFEST_VERSION:
+            newer = type(version) is int and version > MANIFEST_VERSION
+            raise ManifestError(
+                "manifest_version",
+                f"{version!r} is {'newer than' if newer else 'not'} supported "
+                f"(this build reads {MANIFEST_VERSION})",
             )
         declared = spec.get("format_version")
-        if declared != FORMAT_VERSION:
+        if type(declared) is not int or declared != FORMAT_VERSION:
             what = (
                 "no archive format"
                 if declared is None
@@ -240,13 +283,18 @@ class ShardManifest:
                 f"{FORMAT_VERSION} stores -- v1/v2 stores are no longer read, "
                 "re-collect the runs"
             )
+        _check_fields(spec, _MANIFEST_FIELDS)
+        shards = [ShardEntry.from_json(e, i) for i, e in enumerate(spec["shards"])]
+        names = [e.filename for e in shards]
+        if len(set(names)) < len(names):
+            repeat = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ManifestError("filename", "repeats an earlier entry's", repr(repeat))
         return cls(
-            subject=str(spec["subject"]),
-            table_sha=str(spec["table_sha"]),
-            config_sha=str(spec["config_sha"]),
-            plan=dict(spec["plan"]),
-            shards=[ShardEntry.from_json(e) for e in spec["shards"]],
-            manifest_version=version,
+            subject=spec["subject"],
+            table_sha=spec["table_sha"],
+            config_sha=spec["config_sha"],
+            plan=spec["plan"],
+            shards=shards,
         )
 
     def save(self, path: str) -> None:
@@ -257,5 +305,11 @@ class ShardManifest:
 
     @classmethod
     def load(cls, path: str) -> "ShardManifest":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
+        """Read and check (:meth:`from_json`) the manifest at ``path``."""
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            spec = json.loads(data)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ManifestError("document", f"is not JSON: {exc}") from exc
+        return cls.from_json(spec)

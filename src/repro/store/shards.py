@@ -104,6 +104,7 @@ from repro.store.manifest import (
     config_digest,
     plan_from_json,
     plan_to_json,
+    shard_filename,
 )
 
 #: Manifest filename inside a store directory.
@@ -121,11 +122,6 @@ PENDING_SUFFIX = ".pending"
 
 #: What a shard read returns.
 T = TypeVar("T")
-
-
-def shard_filename(seed_start: int) -> str:
-    """Canonical shard name for a collection chunk starting at a seed."""
-    return f"shard-{seed_start:08d}.npz"
 
 
 def _merged_truth(truths) -> Optional[GroundTruth]:
@@ -150,8 +146,8 @@ def _read_shard(
     The one routine behind every shard read and check.  In order:
 
     1. the file must exist (``missing-file``);
-    2. under ``check``, it must hash to ``entry.sha256`` when that is
-       set (``checksum-mismatch``);
+    2. under ``check``, it must hash to ``entry.sha256``
+       (``checksum-mismatch``);
     3. it opens as an archive -- one mapping, and one header parse,
        reused from ``headers`` (the reading store's memo) while the
        header bytes are those last parsed (``unreadable``);
@@ -176,7 +172,7 @@ def _read_shard(
             else f"manifest lists {entry.filename} but the file is missing; "
             "run audit() to quarantine it"
         )
-    if check and entry.sha256 is not None:
+    if check:
         actual = file_sha256(path)
         if actual != entry.sha256:
             raise ShardIntegrityError(
@@ -227,7 +223,7 @@ def check_shard(path: str, entry: ShardEntry, table_sha: str) -> None:
     files, the parallel collector on a worker's staged file, and
     :meth:`ShardStore.ingest_shard_bytes` on replicated bytes before
     their commit.  It checks, in order: the file exists, it hashes to
-    ``entry.sha256`` (when set), it parses as an archive, its predicate
+    ``entry.sha256``, it parses as an archive, its predicate
     table is ``table_sha``, its sections are sound, and it holds
     ``entry.n_runs`` runs, ``entry.num_failing`` of them failing (see
     :func:`_read_shard`).  Sound means
@@ -361,9 +357,9 @@ class ShardStore:
 
         Used by cross-store replication (:mod:`repro.federate`), where
         the destination must accept a source's shards byte-for-byte: the
-        subject, table signature, config digest, sampling plan and
-        archive format version are copied from ``like``; membership
-        starts empty.  No predicate table object is needed -- the first
+        subject, table signature, config digest and sampling plan are
+        copied from ``like`` (every store has the one archive format);
+        membership starts empty.  No predicate table object is needed -- the first
         replicated shard carries it.
         """
         os.makedirs(directory, exist_ok=True)
@@ -372,13 +368,7 @@ class ShardStore:
             raise FileExistsError(
                 f"{manifest_path} already exists; use ShardStore.open() to append"
             )
-        manifest = ShardManifest(
-            subject=like.subject,
-            table_sha=like.table_sha,
-            config_sha=like.config_sha,
-            plan=dict(like.plan),
-            format_version=like.format_version,
-        )
+        manifest = dataclasses.replace(like, plan=dict(like.plan), shards=[])
         manifest.save(manifest_path)
         return cls(directory, manifest)
 
@@ -565,7 +555,8 @@ class ShardStore:
         self,
         reports: ReportSet,
         truth: Optional[GroundTruth] = None,
-        seed_start: Optional[int] = None,
+        *,
+        seed_start: int,
     ) -> str:
         """Write one shard archive and register it in the manifest.
 
@@ -578,8 +569,8 @@ class ShardStore:
             reports: The shard's report population; its table signature
                 must match the store's.
             truth: Optional run-aligned ground truth, persisted alongside.
-            seed_start: Base seed of the shard's first trial, if the shard
-                comes from a seeded collection.
+            seed_start: Base seed of the shard's first trial; it names
+                the shard (:func:`~repro.store.manifest.shard_filename`).
 
         Returns:
             The shard's absolute path.
@@ -589,25 +580,20 @@ class ShardStore:
                 "shard was collected against a different predicate table than "
                 "this store; refusing to append"
             )
-        if seed_start is not None:
-            filename = shard_filename(seed_start)
-        else:
-            filename = f"shard-x{self.n_shards:06d}.npz"
+        filename = shard_filename(seed_start)
         path = os.path.join(self.directory, filename)
         if os.path.exists(path):
             raise FileExistsError(f"shard {filename} already exists in the store")
         staged = path + PENDING_SUFFIX
         save_reports(staged, reports, truth)
-        self.commit_shard(
+        return self.commit_shard(
             ShardEntry(
-                filename=filename,
+                seed_start=seed_start,
                 n_runs=reports.n_runs,
                 num_failing=reports.num_failing,
-                seed_start=seed_start,
                 sha256=file_sha256(staged),
             )
         )
-        return path
 
     def register_shard(self, entry: ShardEntry) -> None:
         """Add a membership entry for a shard file already on disk.
@@ -617,19 +603,18 @@ class ShardStore:
         collection order) and rewrites the manifest.
 
         Raises:
-            ValueError: When ``entry.filename`` is already registered.
             DuplicateSeedRangeError: When the entry's seed range overlaps
                 a registered shard -- counting both would double-count.
+                A name already registered is such an overlap: names are
+                those of their seeds.
         """
-        if self.manifest.find(entry.filename) is not None:
-            raise ValueError(f"shard {entry.filename} is already registered")
         clash = self.manifest.overlapping(entry)
         if clash is not None:
             raise DuplicateSeedRangeError(
                 f"shard {entry.filename} covers seeds "
-                f"[{entry.seed_start}, {entry.seed_start + entry.n_runs}) which "
+                f"[{entry.seed_start}, {entry.seed_range.stop}) which "
                 f"overlaps registered shard {clash.filename} "
-                f"[{clash.seed_start}, {clash.seed_start + clash.n_runs}); "
+                f"[{clash.seed_start}, {clash.seed_range.stop}); "
                 "merging both would double-count runs"
             )
         self.manifest.shards.append(entry)
@@ -666,22 +651,15 @@ class ShardStore:
         :func:`check_shard` against ``entry`` before the commit.  A
         refused shard's staged file is deleted, so it leaves no file and
         no manifest entry; a crash mid-replication leaves only the
-        pending file, which :meth:`recover` rolls back.  ``entry`` must
-        carry the digest of ``data``.
+        pending file, which :meth:`recover` rolls back.
 
         Raises:
             ShardCheckError: ``data`` fails :func:`check_shard` --
                 damaged in transit or mislabelled, refuse to commit.
-            ValueError: ``entry.sha256`` is unset (replication always
-                verifies end to end, so a digest is mandatory here).
 
         Returns:
             The committed shard's absolute path.
         """
-        if entry.sha256 is None:
-            raise ValueError(
-                f"refusing to ingest {entry.filename} without a sha256 digest"
-            )
         final = os.path.join(self.directory, entry.filename)
         if os.path.exists(final):
             raise FileExistsError(f"shard {entry.filename} already exists in the store")

@@ -28,7 +28,7 @@ from repro.federate import (
     plan_sync,
 )
 from repro.harness.parallel import run_trials_sharded
-from repro.store import ShardIntegrityError, ShardStore
+from repro.store import ManifestError, ShardIntegrityError, ShardStore
 from repro.store.faults import Fault, FaultInjector
 from repro.store.manifest import ShardEntry, ShardManifest
 
@@ -183,10 +183,9 @@ class TestDedup:
 
 
 class TestSeedDisjointness:
-    def _entry(self, filename, seed_start, n_runs, sha="0" * 64):
+    def _entry(self, seed_start, n_runs, sha="0" * 64):
         return ShardEntry(
-            filename=filename, n_runs=n_runs, num_failing=1,
-            seed_start=seed_start, sha256=sha,
+            seed_start=seed_start, n_runs=n_runs, num_failing=1, sha256=sha
         )
 
     def _manifest_like(self, store, entries):
@@ -202,10 +201,10 @@ class TestSeedDisjointness:
 
     def test_partial_overlap_rejected(self, baseline_store):
         a = self._manifest_like(
-            baseline_store, [self._entry("x.npz", 0, 10)]
+            baseline_store, [self._entry(0, 10)]
         )
         b = self._manifest_like(
-            baseline_store, [self._entry("y.npz", 5, 10, sha="1" * 64)]
+            baseline_store, [self._entry(5, 10, sha="1" * 64)]
         )
         dest = self._manifest_like(baseline_store, [])
         with pytest.raises(FederationError, match="double-count"):
@@ -215,9 +214,9 @@ class TestSeedDisjointness:
             )
 
     def test_same_range_different_content_rejected(self, baseline_store):
-        a = self._manifest_like(baseline_store, [self._entry("x.npz", 0, 10)])
+        a = self._manifest_like(baseline_store, [self._entry(0, 10)])
         b = self._manifest_like(
-            baseline_store, [self._entry("x.npz", 0, 10, sha="f" * 64)]
+            baseline_store, [self._entry(0, 10, sha="f" * 64)]
         )
         dest = self._manifest_like(baseline_store, [])
         with pytest.raises(FederationError, match="different content"):
@@ -226,29 +225,33 @@ class TestSeedDisjointness:
                 [(self._FakeSource("a", a), a), (self._FakeSource("b", b), b)],
             )
 
-    def test_same_range_unknown_sha_rejected(self, baseline_store):
-        # Without digests there is no proof the copies agree.
-        a = self._manifest_like(
-            baseline_store, [self._entry("x.npz", 0, 10, sha=None)]
-        )
-        dest = self._manifest_like(baseline_store, [])
-        with pytest.raises(FederationError, match="different content"):
-            plan_sync(
-                dest,
-                [
-                    (self._FakeSource("a", a), a),
-                    (self._FakeSource("b", a), a),
-                ],
-            )
+    def _document_with(self, store, **changes):
+        """``store``'s manifest document, its first entry changed (a
+        ``None`` value deletes the key)."""
+        document = store.manifest.to_json()
+        entry = document["shards"][0]
+        entry.update(changes)
+        for key in [k for k, v in changes.items() if v is None]:
+            del entry[key]
+        return document
 
-    def test_unseeded_entry_rejected(self, baseline_store):
-        a = self._manifest_like(
-            baseline_store,
-            [ShardEntry(filename="x.npz", n_runs=10, num_failing=2)],
-        )
-        dest = self._manifest_like(baseline_store, [])
-        with pytest.raises(FederationError, match="seed provenance"):
-            plan_sync(dest, [(self._FakeSource("a", a), a)])
+    @pytest.mark.parametrize("sha256", [None, "unknown"])
+    def test_entry_without_digest_rejected(self, baseline_store, sha256):
+        # Without digests there is no proof two copies agree: such an
+        # entry never gets past the manifest check to plan_sync.
+        document = self._document_with(baseline_store, sha256=sha256)
+        with pytest.raises(ManifestError) as info:
+            ShardManifest.from_json(document)
+        assert info.value.field == "sha256"
+
+    @pytest.mark.parametrize("seed_start", [None, -1, "0"])
+    def test_unseeded_entry_rejected(self, baseline_store, seed_start):
+        # Federation cannot prove disjointness for unseeded shards; the
+        # manifest check refuses them before any plan is made.
+        document = self._document_with(baseline_store, seed_start=seed_start)
+        with pytest.raises(ManifestError) as info:
+            ShardManifest.from_json(document)
+        assert info.value.field == "seed_start"
 
     def test_overlap_with_destination_rejected(self, tmp_path, baseline_store):
         fleet = distribute(baseline_store, [tmp_path / "src"])
@@ -256,11 +259,7 @@ class TestSeedDisjointness:
             str(tmp_path / "dest"), baseline_store.manifest
         )
         first = baseline_store.manifest.shards[0]
-        shifted = dataclasses.replace(
-            first,
-            filename="shard-offset.npz",
-            seed_start=first.seed_start + 1,
-        )
+        shifted = dataclasses.replace(first, seed_start=first.seed_start + 1)
         dest.ingest_shard_bytes(read_shard(baseline_store, first.filename), shifted)
         with pytest.raises(FederationError, match="double-count"):
             federate_stores([LocalSource(fleet[0].directory)], dest)
@@ -292,17 +291,21 @@ class TestIngestShardBytes:
             if name != "manifest.json"
         )
 
-    def test_entry_without_digest_refused(self, tmp_path, baseline_store):
+    def test_entry_digest_always_checked(self, tmp_path, baseline_store):
+        # Every entry carries a digest (the manifest check refuses one
+        # without), and ingest checks it even against intact bytes.
         dest = ShardStore.create_like(
             str(tmp_path / "dest"), baseline_store.manifest
         )
         entry = dataclasses.replace(
-            baseline_store.manifest.shards[0], sha256=None
+            baseline_store.manifest.shards[0], sha256="0" * 64
         )
-        with pytest.raises(ValueError, match="digest"):
+        with pytest.raises(ShardIntegrityError) as info:
             dest.ingest_shard_bytes(
                 read_shard(baseline_store, entry.filename), entry
             )
+        assert info.value.reason == "checksum-mismatch"
+        assert sorted(os.listdir(dest.directory)) == ["manifest.json"]
 
     def test_create_like_copies_identity(self, tmp_path, baseline_store):
         dest = ShardStore.create_like(
@@ -428,7 +431,7 @@ class TestFetchErrors:
     def test_missing_file_reason(self, tmp_path, baseline_store):
         source = LocalSource(baseline_store.directory)
         entry = dataclasses.replace(
-            baseline_store.manifest.shards[0], filename="gone.npz"
+            baseline_store.manifest.shards[0], seed_start=10**6
         )
         with pytest.raises(FederationFetchError) as exc:
             source.fetch(entry)
@@ -444,6 +447,93 @@ class TestFetchErrors:
     def test_non_store_directory_rejected(self, tmp_path):
         with pytest.raises(FederationError, match="not a shard store"):
             LocalSource(str(tmp_path)).manifest()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[]",
+            b'"manifest"',
+            b"null",
+            json.dumps({"schema": MANIFEST_SCHEMA}).encode(),
+            json.dumps({"manifest": {}}).encode(),
+            b"\xff\xfe not utf-8",
+        ],
+        ids=["list", "string", "null", "no-manifest", "no-schema", "not-utf8"],
+    )
+    def test_daemon_answer_without_manifest_refused(self, monkeypatch, body):
+        """A ``GET /manifest`` answer that is not a manifest document is
+        a FederationError, never a KeyError or AttributeError."""
+
+        class Answer:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                return body
+
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: Answer())
+        with pytest.raises(FederationError, match="manifest"):
+            HTTPSource("http://127.0.0.1:9").manifest()
+
+
+class TestHostileManifest:
+    """A source manifest is outside input: its entries are checked
+    before anything is pulled, planned or written."""
+
+    def _traversal_source(self, tmp_path, baseline_store):
+        """A source store whose one entry names ``../elsewhere/x.npz``
+        -- a real shard, with its true digest, outside the source."""
+        source = tmp_path / "a" / "src"
+        elsewhere = tmp_path / "a" / "elsewhere"
+        os.makedirs(source)
+        os.makedirs(elsewhere)
+        entry = baseline_store.manifest.shards[0]
+        (elsewhere / "x.npz").write_bytes(read_shard(baseline_store, entry.filename))
+        document = baseline_store.manifest.to_json()
+        document["shards"] = [dict(entry.to_json(), filename="../elsewhere/x.npz")]
+        (source / "manifest.json").write_text(json.dumps(document))
+        return source
+
+    def test_traversal_entry_refused_before_any_write(
+        self, tmp_path, baseline_store, capsys
+    ):
+        source = self._traversal_source(tmp_path, baseline_store)
+        # Where the entry points from inside a destination at b/dest.
+        os.makedirs(tmp_path / "b" / "elsewhere")
+        dest = tmp_path / "b" / "dest"
+        code = cli_main(["federate", str(source), str(dest)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: manifest entry '../elsewhere/x.npz': filename must be "
+            "'shard-00000000.npz', the name of its seed_start, got "
+            "'../elsewhere/x.npz'"
+        ]
+        # Nothing was written: no destination, nothing beside it.
+        assert os.listdir(tmp_path / "b") == ["elsewhere"]
+        assert os.listdir(tmp_path / "b" / "elsewhere") == []
+
+    def test_traversal_entry_refused_into_existing_store(
+        self, tmp_path, baseline_store
+    ):
+        source = self._traversal_source(tmp_path, baseline_store)
+        # Where the entry points from inside a destination at b/dest.
+        os.makedirs(tmp_path / "b" / "elsewhere")
+        dest = ShardStore.create_like(
+            str(tmp_path / "b" / "dest"), baseline_store.manifest
+        )
+        with pytest.raises(ManifestError) as info:
+            federate_stores([LocalSource(str(source))], dest)
+        assert (info.value.field, info.value.entry) == (
+            "filename", "'../elsewhere/x.npz'"
+        )
+        assert sorted(os.listdir(tmp_path / "b")) == ["dest", "elsewhere"]
+        assert os.listdir(tmp_path / "b" / "elsewhere") == []
+        assert os.listdir(dest.directory) == ["manifest.json"]
+        assert ShardStore.open(dest.directory).manifest.shards == []
 
 
 class TestCli:

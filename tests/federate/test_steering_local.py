@@ -2,11 +2,11 @@
 
 A steering document describes one daemon's live fit over its own
 committed population; replicated into another store it would be a lie
-about that store's evidence.  Two layers enforce this:
+about that store's evidence.  This holds by construction:
 
-* ``plan_sync`` refuses outright any source manifest that *lists* a
-  store-local file (a structurally broken manifest, not a skippable
-  entry);
+* a manifest entry is named by its seed (``shard-XXXXXXXX.npz``), so a
+  source manifest that *lists* a store-local file fails the manifest
+  check, typed, before any pull;
 * a real federation of a steered store's directory copies only shard
   archives -- ``steering.json``, ``steering_log.jsonl`` and the ingest
   WAL stay behind even though they sit right next to the shards.
@@ -14,18 +14,20 @@ about that store's evidence.  Two layers enforce this:
 
 from __future__ import annotations
 
+import json
 import os
-import shutil
 
 import pytest
 
-from repro.federate import FederationError, LocalSource, federate_stores
-from repro.federate.merge import plan_sync
-from repro.serve.steering import STORE_LOCAL_FILES
-from repro.store import ShardStore
-from repro.store.manifest import ShardEntry
+from repro.federate import LocalSource, federate_stores
+from repro.serve.server import WAL_NAME
+from repro.serve.steering import STEERING_LOG_NAME, STEERING_NAME
+from repro.store import ManifestError, ShardStore
 
 from tests.conftest import build_synthetic_store
+
+#: Files of a daemon's store directory that belong to that daemon alone.
+STORE_LOCAL_FILES = frozenset({STEERING_NAME, STEERING_LOG_NAME, WAL_NAME})
 
 
 @pytest.fixture()
@@ -42,19 +44,23 @@ def steered_store(tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(STORE_LOCAL_FILES))
-def test_plan_sync_refuses_manifest_listing_store_local_file(
-    tmp_path, steered_store, name
-):
+def test_manifest_listing_store_local_file_refused(tmp_path, steered_store, name):
     dest = ShardStore.create_like(str(tmp_path / "dest"), steered_store.manifest)
-    poisoned = steered_store.manifest
-    poisoned.shards.append(
-        ShardEntry(filename=name, n_runs=1, num_failing=0, seed_start=10_000)
-    )
+    with open(steered_store.manifest_path) as fh:
+        document = json.load(fh)
+    listed = dict(document["shards"][0], filename=name, seed_start=10_000)
+    document["shards"].append(listed)
+    with open(steered_store.manifest_path, "w") as fh:
+        json.dump(document, fh)
+
     source = LocalSource(steered_store.directory)
-    with pytest.raises(FederationError) as excinfo:
-        plan_sync(dest.manifest, [(source, poisoned)])
-    assert name in str(excinfo.value)
-    assert "never replicated" in str(excinfo.value)
+    with pytest.raises(ManifestError) as excinfo:
+        source.manifest()
+    assert (excinfo.value.field, excinfo.value.entry) == ("filename", repr(name))
+    with pytest.raises(ManifestError):
+        federate_stores([source], dest)
+    assert sorted(os.listdir(dest.directory)) == ["manifest.json"]
+    assert ShardStore.open(dest.directory).manifest.shards == []
 
 
 def test_federation_leaves_steering_files_behind(tmp_path, steered_store):

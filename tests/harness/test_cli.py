@@ -1,6 +1,7 @@
 """CLI smoke tests."""
 
 import dataclasses
+import json
 import os
 import signal
 import subprocess
@@ -13,6 +14,7 @@ from repro.core.io import file_sha256
 from repro.factory.mutate import MUTATION_CLASSES
 from repro.store import ShardStore
 
+from tests.conftest import build_synthetic_store
 from tests.helpers import shorten_archive_stats
 
 SRC = os.path.join(
@@ -591,6 +593,17 @@ class TestBadArguments:
             (["federate", "a", "b", "--max-attempts", "0"], "--max-attempts"),
             (["serve", "store", "--watchlist-k", "-1"], "--watchlist-k"),
             (["serve", "store", "--max-buffered", "0"], "--max-buffered"),
+            (["collect", "--chunk-timeout", "0"], "--chunk-timeout"),
+            (["collect", "--chunk-timeout", "nan"], "--chunk-timeout"),
+            (["submit", "--timeout", "0"], "--timeout"),
+            (["submit", "--timeout", "-1"], "--timeout"),
+            (["federate", "a", "b", "--timeout", "inf"], "--timeout"),
+            (["serve", "store", "--stop-epsilon", "0"], "--stop-epsilon"),
+            (["serve", "store", "--stop-epsilon", "nan"], "--stop-epsilon"),
+            (["submit", "--max-rounds", "0"], "--max-rounds"),
+            (["serve", "store", "--stop-min-runs", "-1"], "--stop-min-runs"),
+            (["serve", "store", "--stop-min-failing", "-1"], "--stop-min-failing"),
+            (["serve", "store", "--port", "65536"], "--port"),
         ],
     )
     def test_rejected_as_usage_error(self, capsys, tmp_path, argv, flag):
@@ -608,6 +621,27 @@ class TestBadArguments:
         assert info.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("port", ["-1", "65536", "http"])
+    def test_bad_port_creates_no_store(self, capsys, tmp_path, port):
+        """The port is checked with the other arguments, not when the
+        daemon binds -- by then the store would exist."""
+        with pytest.raises(SystemExit) as info:
+            main(["serve", str(tmp_path / "S"), "--subject", "ccrypt",
+                  "--port", port])
+        assert info.value.code == 2
+        assert "argument --port" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_edge_values_still_accepted(self):
+        args = build_parser().parse_args(
+            ["serve", "S", "--port", "0", "--stop-min-runs", "0",
+             "--stop-min-failing", "0", "--stop-epsilon", "1e-9"]
+        )
+        assert (args.port, args.stop_min_runs, args.stop_min_failing) == (0, 0, 0)
+        assert build_parser().parse_args(
+            ["serve", "S", "--port", "65535"]
+        ).port == 65535
 
     def test_zero_submit_runs_still_means_drain_only(self):
         args = build_parser().parse_args(
@@ -674,6 +708,24 @@ class TestTypedErrors:
         junk.write_bytes(b"not an archive" * 10)
         lines = self._analyze(capsys, junk)
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_manifest_entry_without_n_runs(self, capsys, tmp_path):
+        store, _ = build_synthetic_store(tmp_path / "store")
+        with open(store.manifest_path) as fh:
+            document = json.load(fh)
+        del document["shards"][1]["n_runs"]
+        with open(store.manifest_path, "w") as fh:
+            json.dump(document, fh)
+        name = store.manifest.shards[1].filename
+        assert self._analyze(capsys, store.directory) == [
+            f"error: manifest entry {name!r}: n_runs is missing"
+        ]
+
+    def test_manifest_not_json(self, capsys, tmp_path):
+        (tmp_path / "manifest.json").write_bytes(b'{"shards": [')
+        lines = self._analyze(capsys, tmp_path)
+        assert len(lines) == 1
+        assert lines[0].startswith("error: manifest: document is not JSON")
 
     def test_directory_without_manifest(self, capsys, tmp_path):
         lines = self._analyze(capsys, tmp_path)

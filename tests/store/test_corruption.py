@@ -45,7 +45,7 @@ from repro.store import (
     StoreError,
     parse_faults,
 )
-from repro.store.errors import ShardCheckError
+from repro.store.errors import ManifestError, ShardCheckError
 from repro.store.faults import damage_flip_bytes, damage_truncate, parse_fault
 from repro.store.manifest import ShardEntry, ShardManifest
 from repro.store.shards import PENDING_SUFFIX, check_shard, shard_filename
@@ -360,7 +360,6 @@ class TestCommitProtocol:
         # Simulate dying between the manifest append and the rename.
         store.register_shard(
             ShardEntry(
-                filename=filename,
                 n_runs=part.n_runs,
                 num_failing=part.num_failing,
                 seed_start=24,
@@ -402,7 +401,7 @@ class TestCommitProtocol:
         store, _ = _build_store(tmp_path)
         with pytest.raises(FileNotFoundError, match="pending"):
             store.commit_shard(
-                ShardEntry(filename=shard_filename(99), n_runs=1, num_failing=0)
+                ShardEntry(seed_start=99, n_runs=1, num_failing=0, sha256="0" * 64)
             )
 
     def test_recover_is_idempotent(self, tmp_path):
@@ -452,17 +451,33 @@ class TestAuditQuarantine:
         assert store.n_shards == 2
         store.sufficient_stats()  # analysis proceeds over survivors
 
-    def test_unreadable_shard_without_digest_quarantined(self, tmp_path):
-        """Entries predating recorded digests (sha256=None) still get
-        caught -- by readability instead of checksum."""
+    def test_unreadable_shard_under_matching_digest_quarantined(self, tmp_path):
+        """A truncated shard whose entry was re-digested to match it
+        passes the checksum and is caught by readability."""
         store, _ = _build_store(tmp_path)
+        path = store.shard_paths()[1]
+        damage_truncate(path, keep_fraction=0.4)
         store.manifest.shards[1] = dataclasses.replace(
-            store.manifest.shards[1], sha256=None
+            store.manifest.shards[1], sha256=file_sha256(path)
         )
         store.manifest.save(store.manifest_path)
-        damage_truncate(store.shard_paths()[1], keep_fraction=0.4)
-        report = store.audit()
+        report = ShardStore.open(store.directory).audit()
         assert [r.reason for r in report.quarantined] == ["unreadable"]
+
+    def test_entry_without_digest_refused_at_open(self, tmp_path):
+        """A manifest entry with no digest cannot be checked, so no
+        opener accepts it: the manifest check refuses it, typed."""
+        store, _ = _build_store(tmp_path)
+        with open(store.manifest_path) as fh:
+            document = json.load(fh)
+        del document["shards"][1]["sha256"]
+        with open(store.manifest_path, "w") as fh:
+            json.dump(document, fh)
+        with pytest.raises(ManifestError) as info:
+            ShardStore.open(store.directory)
+        assert (info.value.field, info.value.entry) == (
+            "sha256", repr(shard_filename(8))
+        )
 
     def test_npz_shard_quarantined_unreadable(self, tmp_path):
         """A retired ``.npz`` archive planted under a committed shard's
@@ -510,9 +525,7 @@ class TestAuditQuarantine:
         shutil.copyfile(
             store.shard_paths()[0], os.path.join(store.directory, dup_name)
         )
-        store.manifest.shards.append(
-            dataclasses.replace(first, filename=dup_name, seed_start=4)
-        )
+        store.manifest.shards.append(dataclasses.replace(first, seed_start=4))
         store.manifest.save(store.manifest_path)
 
         report = store.audit()
@@ -722,9 +735,10 @@ def _entry_lies_about_failing(store, entry):
     return dataclasses.replace(entry, num_failing=entry.num_failing + 1)
 
 
-def _drop_digest_and_truncate(store, entry):
-    damage_truncate(os.path.join(store.directory, entry.filename), keep_fraction=0.4)
-    return dataclasses.replace(entry, sha256=None)
+def _truncate_under_digest(store, entry):
+    path = os.path.join(store.directory, entry.filename)
+    damage_truncate(path, keep_fraction=0.4)
+    return dataclasses.replace(entry, sha256=file_sha256(path))
 
 
 def _plant_foreign_table(store, entry):
@@ -772,7 +786,7 @@ class TestOneShardCheck:
                 _in_place(lambda p: damage_truncate(p, keep_fraction=0.4)),
                 "checksum-mismatch",
             ),
-            (_drop_digest_and_truncate, "unreadable"),
+            (_truncate_under_digest, "unreadable"),
             (_plant_foreign_table, "table-mismatch"),
             (_lie_about_count, "count-mismatch"),
             (_in_place(os.unlink), "missing-file"),
@@ -780,7 +794,7 @@ class TestOneShardCheck:
             (_shorten_entry_stats, "unreadable"),
             (_entry_lies_about_failing, "count-mismatch"),
         ],
-        ids=["flipped", "truncated", "truncated-no-digest", "foreign-table",
+        ids=["flipped", "truncated", "truncated-redigested", "foreign-table",
              "count-lie", "missing", "failing-count-lie", "short-statistics",
              "entry-failing-count-lie"],
     )
@@ -799,12 +813,7 @@ class TestOneShardCheck:
         assert checked.value.reason == reason
 
         # The replication path: fetch the source's bytes, then ingest.
-        # Ingest needs a digest; federation gives a digest-less entry
-        # the hash of the bytes it fetched, as here.
         dest = ShardStore.create_like(str(tmp_path / "dest"), store.manifest)
-        if entry.sha256 is None:
-            path = os.path.join(store.directory, entry.filename)
-            entry = dataclasses.replace(entry, sha256=file_sha256(path))
         with pytest.raises((ShardCheckError, FederationFetchError)) as pulled:
             dest.ingest_shard_bytes(LocalSource(store.directory).fetch(entry), entry)
         assert pulled.value.reason == reason

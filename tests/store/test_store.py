@@ -14,6 +14,8 @@ from repro.core.scores import SufficientStats, compute_scores
 from repro.core.truth import GroundTruth
 from repro.instrument.sampling import SamplingPlan
 from repro.store import (
+    DuplicateSeedRangeError,
+    ManifestError,
     ShardCorruptionError,
     ShardIntegrityError,
     ShardStore,
@@ -107,8 +109,10 @@ class TestShardStore:
         store = ShardStore.create(
             str(tmp_path / "store"), "synthetic", table, SamplingPlan.full()
         )
+        seed = 0
         for part in _split(whole, k):
-            store.append_shard(part)
+            store.append_shard(part, seed_start=seed)
+            seed += part.n_runs
         return store
 
     def test_append_and_reopen(self, tmp_path):
@@ -149,7 +153,7 @@ class TestShardStore:
         for part in parts:
             mask = np.zeros(whole.n_runs, dtype=bool)
             mask[offset : offset + part.n_runs] = True
-            store.append_shard(part, truth=truth.subset(mask))
+            store.append_shard(part, truth=truth.subset(mask), seed_start=offset)
             offset += part.n_runs
         _, merged_truth = ShardStore.open(store.directory).load_merged()
         assert merged_truth is not None
@@ -160,7 +164,7 @@ class TestShardStore:
         store = self._store(tmp_path, whole)
         alien = make_reports(9, [(True, {0}, None)])
         with pytest.raises(ValueError, match="different predicate table"):
-            store.append_shard(alien)
+            store.append_shard(alien, seed_start=store.next_seed)
 
     def test_open_or_create_rejects_other_subject(self, tmp_path):
         whole = _population(n_runs=10)
@@ -194,9 +198,9 @@ class TestShardStore:
         whole = _population(n_runs=10)
         store = self._store(tmp_path, whole, k=1)
         entry = store.manifest.shards[0]
-        with pytest.raises(ValueError, match="already registered"):
+        with pytest.raises(DuplicateSeedRangeError, match="double-count"):
             store.register_shard(
-                ShardEntry(entry.filename, entry.n_runs, entry.num_failing)
+                ShardEntry(entry.seed_start, entry.n_runs, entry.num_failing, "0" * 64)
             )
 
     def test_stats_read_does_not_rebuild_matrices(self, tmp_path):
@@ -333,7 +337,9 @@ class TestManifest:
             table_sha="ab" * 32,
             config_sha=config_digest(None),
             plan=plan_to_json(SamplingPlan.uniform(0.05)),
-            shards=[ShardEntry("shard-00000000.npz", 100, 7, seed_start=0)],
+            shards=[
+                ShardEntry(seed_start=0, n_runs=100, num_failing=7, sha256="cd" * 32)
+            ],
         )
         path = str(tmp_path / "manifest.json")
         manifest.save(path)
@@ -361,12 +367,15 @@ class TestManifest:
             InstrumentationConfig(branches=False)
         )
 
-    def test_newer_manifest_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version, match", [(99, "newer"), (0, "not supported")])
+    def test_other_manifest_version_rejected(self, tmp_path, version, match):
+        """Only this build's schema is read: a newer one, or the 0 an
+        old build would have saved back, is a typed refusal."""
         path = str(tmp_path / "manifest.json")
         with open(path, "w") as fh:
             json.dump(
                 {
-                    "manifest_version": 99,
+                    "manifest_version": version,
                     "subject": "x",
                     "table_sha": "0" * 64,
                     "config_sha": "0" * 64,
@@ -375,8 +384,9 @@ class TestManifest:
                 },
                 fh,
             )
-        with pytest.raises(ValueError, match="newer"):
+        with pytest.raises(ManifestError, match=match) as info:
             ShardManifest.load(path)
+        assert info.value.field == "manifest_version"
 
     @pytest.mark.parametrize("declared", [1, 2, None])
     def test_pre_v3_store_refused(self, tmp_path, declared):
