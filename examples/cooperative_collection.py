@@ -29,8 +29,8 @@ from repro.instrument.tracer import instrument_source
 from repro.serve import (
     CollectionService,
     FeedbackServer,
-    collect_and_submit,
     fetch_scores,
+    submit_session,
     watched_from_scores,
 )
 from repro.store import ShardStore
@@ -59,7 +59,7 @@ def main() -> None:
 
     try:
         print(f"\nphase 2: two clients upload {per_client} runs each...")
-        smooth = collect_and_submit(
+        smooth = submit_session(
             subject, program, plan, server.url,
             os.path.join(workdir, "spool-a"), per_client, seed=0,
         )
@@ -67,7 +67,7 @@ def main() -> None:
               f"({smooth.requests} requests)")
         # Client B's first POST is refused; the spool + backoff retry
         # make the flaky network invisible in the final population.
-        flaky = collect_and_submit(
+        flaky = submit_session(
             subject, program, plan, server.url,
             os.path.join(workdir, "spool-b"), per_client, seed=per_client,
             faults=FaultInjector(parse_faults("net-refuse@0")),

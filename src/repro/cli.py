@@ -628,75 +628,47 @@ def _serve(args) -> int:
 
 def _submit(args) -> int:
     """Run trials, spool their reports, and drain the spool to a server."""
-    from repro.serve import (
-        ReportSpool,
-        drain_spool,
-        fetch_scores,
-        run_and_spool,
-        steered_collect_and_submit,
-        submit_until_converged,
-    )
+    from repro.serve import fetch_scores, submit_session
 
     faults = _injected_faults(args)
     subject = SUBJECTS[args.subject]()
     runs = args.runs if args.runs is not None else subject.trial_budget
+    if args.until_converged and not runs:
+        runs = subject.trial_budget  # rounds of no trials would never converge
     program = subject.build_program()
-    plan = _sampling_plan(args, subject, program, seed=args.seed)
-    upload = dict(
-        timeout=args.timeout, max_attempts=args.max_attempts, faults=faults
+    session = submit_session(
+        subject,
+        program,
+        _sampling_plan(args, subject, program, seed=args.seed),
+        args.url,
+        args.spool,
+        runs,
+        seed=args.seed,
+        steered=args.steered,
+        until_converged=args.until_converged,
+        max_rounds=args.max_rounds,
+        batch_size=args.batch_size,
+        timeout=args.timeout,
+        max_attempts=args.max_attempts,
+        faults=faults,
     )
     if args.until_converged:
-        session = submit_until_converged(
-            subject,
-            program,
-            args.url,
-            args.spool,
-            runs_per_round=runs or subject.trial_budget,
-            seed=args.seed,
-            max_rounds=args.max_rounds,
-            batch_size=args.batch_size,
-            fallback_plan=plan,
-            **upload,
-        )
         print(
             f"{'converged' if session.converged else 'round budget exhausted'} "
             f"after {session.rounds} rounds ({session.runs} trials, "
             f"steering epoch {session.final_epoch})"
         )
     else:
-        if args.steered:
-            result = steered_collect_and_submit(
-                subject,
-                program,
-                args.url,
-                args.spool,
-                runs,
-                seed=args.seed,
-                batch_size=args.batch_size,
-                fallback_plan=plan,
-                **upload,
-            )
-        else:
-            spool = ReportSpool(args.spool)
-            if runs:
-                run_and_spool(subject, program, plan, spool, runs, seed=args.seed)
-                print(
-                    f"spooled {runs} reports (seeds {args.seed}.."
-                    f"{args.seed + runs - 1}) to {args.spool}",
-                    file=sys.stderr,
-                )
-            result = drain_spool(
-                spool,
-                args.url,
-                subject.name,
-                program.table.signature(),
-                batch_size=args.batch_size,
-                **upload,
+        if runs and not args.steered:
+            print(
+                f"spooled {runs} reports (seeds {args.seed}.."
+                f"{args.seed + runs - 1}) to {args.spool}",
+                file=sys.stderr,
             )
         print(
-            f"submitted: {len(result.accepted)} accepted, "
-            f"{len(result.duplicate)} duplicate, {len(result.rejected)} rejected "
-            f"({result.requests} requests, {result.retries} retries)"
+            f"submitted: {len(session.accepted)} accepted, "
+            f"{len(session.duplicate)} duplicate, {len(session.rejected)} rejected "
+            f"({session.requests} requests, {session.retries} retries)"
         )
     if args.top:
         scores = fetch_scores(args.url, k=args.top, timeout=args.timeout)
@@ -705,9 +677,8 @@ def _submit(args) -> int:
             f"({scores['num_failing']} failing):"
         )
         for entry in scores["predicates"]:
-            value = entry.get("score", entry.get("importance", 0.0))
             print(
-                f"{value:>10.3f}  {entry['increase']:>8.3f}  "
+                f"{entry['score']:>10.3f}  {entry['increase']:>8.3f}  "
                 f"{entry['F']:>6}  {entry['S']:>6}  {entry['name']}"
             )
     return 0

@@ -10,9 +10,9 @@ answers it twice over identical trial budgets --
 * **steered**: the closed loop itself -- an in-process collection
   daemon (:class:`~repro.serve.server.CollectionService` behind a
   :class:`~repro.serve.server.FeedbackServer` on localhost) refits the
-  per-site rates every ``refit_runs`` committed runs, and a steered
-  client (:func:`~repro.serve.client.steered_collect_and_submit`) runs
-  each round of ``refit_runs`` trials under the served document (the
+  per-site rates every ``refit_runs`` committed runs, and one steered
+  :func:`~repro.serve.client.submit_session` per round runs that
+  round's ``refit_runs`` trials under the document it fetched (the
   first round under the epoch-0 document: rate 1.0 at every site)
 
 -- and reports each population's :func:`~repro.core.runs_needed.runs_to_isolate`.
@@ -37,7 +37,7 @@ from repro.core.scores import DEFAULT_CONFIDENCE
 from repro.core.truth import dominant_bug
 from repro.harness.experiment import Experiment, run_experiment
 from repro.instrument.sampling import SamplingPlan
-from repro.serve.client import steered_collect_and_submit
+from repro.serve.client import submit_session
 from repro.serve.server import CollectionService, FeedbackServer
 from repro.store import ShardStore
 from repro.subjects.base import Subject
@@ -116,12 +116,10 @@ def _steered_analysis(
     round may be partial; the closing drain commits it.
     """
     program = subject.build_program()
+    plan = SamplingPlan.full()
     with tempfile.TemporaryDirectory(prefix="repro-steering-") as directory:
         store = ShardStore.create(
-            os.path.join(directory, "store"),
-            subject.name,
-            program.table,
-            SamplingPlan.full(),
+            os.path.join(directory, "store"), subject.name, program.table, plan
         )
         service = CollectionService(
             store, subject, batch_runs=refit_runs, refit_runs=refit_runs
@@ -129,13 +127,15 @@ def _steered_analysis(
         server = FeedbackServer(service, port=0).start()
         try:
             for offset in range(0, n_runs, refit_runs):
-                steered_collect_and_submit(
+                submit_session(
                     subject,
                     program,
+                    plan,
                     server.url,
                     os.path.join(directory, "spool"),
                     min(refit_runs, n_runs - offset),
                     seed=seed + offset,
+                    steered=True,
                 )
         finally:
             server.close(drain=True)

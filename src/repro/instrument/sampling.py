@@ -124,7 +124,7 @@ class SamplingPlan:
     def per_site(cls, site_rates: Sequence[float]) -> "SamplingPlan":
         """Nonuniform per-site rates (Section 4's adaptive sampling)."""
         rates = np.asarray(site_rates, dtype=np.float64)
-        if rates.size and (rates.min() <= 0.0 or rates.max() > 1.0):
+        if not ((rates > 0.0) & (rates <= 1.0)).all():  # NaN fails too
             raise ValueError("site rates must be in (0, 1]")
         return cls(mode="per-site", site_rates=rates)
 

@@ -18,7 +18,11 @@ that network boundary, built entirely on the standard library:
   ``GET /scores``, plus ``/healthz`` and ``/metrics``.
 * :mod:`repro.serve.client` -- the uploader: a crash-safe disk spool
   drained with retry + exponential backoff + jitter, so injected or real
-  network faults never lose a report.
+  network faults never lose a report.  Every client mode -- plain,
+  steered, until-converged -- is rounds of one
+  :func:`~repro.serve.client.submit_session` loop (fetch steering, run,
+  spool, drain), tallied in one
+  :class:`~repro.serve.client.SubmitReport`.
 * :mod:`repro.serve.steering` -- closed-loop adaptive collection: the
   daemon's periodically refit ``repro-steering/v1`` rate-table +
   watchlist document behind ``GET /steering``, applied by steered
@@ -32,16 +36,13 @@ seed range collected locally by
 
 from repro.serve.batcher import BatcherFull, ReportBatcher
 from repro.serve.client import (
-    ConvergenceReport,
     ReportSpool,
     SubmitReport,
     UploadError,
-    collect_and_submit,
     drain_spool,
     fetch_scores,
     run_and_spool,
-    steered_collect_and_submit,
-    submit_until_converged,
+    submit_session,
     watched_from_scores,
 )
 from repro.serve.protocol import (
@@ -76,12 +77,9 @@ __all__ = [
     "ReportSpool",
     "SubmitReport",
     "UploadError",
-    "ConvergenceReport",
     "run_and_spool",
     "drain_spool",
-    "collect_and_submit",
-    "steered_collect_and_submit",
-    "submit_until_converged",
+    "submit_session",
     "fetch_scores",
     "watched_from_scores",
     "STEERING_SCHEMA",

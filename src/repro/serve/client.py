@@ -11,7 +11,10 @@ failures (refused connections, resets mid-body, 500s, 503 throttling,
 timeouts) retry with exponential backoff and jitter; permanent
 rejections (a 400 with a protocol reason) move the batch into the
 spool's ``rejected/`` corner with the server's reason alongside, exactly
-mirroring the server-side quarantine.
+mirroring the server-side quarantine.  Every client mode -- plain,
+steered, until-converged -- is rounds of one :func:`submit_session`
+loop: fetch the steering document (steered rounds only), run and spool
+the round's trials, drain.
 
 Deterministic network faults for the test suite come from the same
 :mod:`repro.store.faults` DSL as the collection faults: ``net-refuse``
@@ -35,7 +38,14 @@ from typing import Dict, List, Optional
 
 from repro.core.io import atomic_write_bytes_via
 from repro.harness.runner import run_one_trial
-from repro.serve.protocol import RunReport, encode_batch, report_from_wire
+from repro.instrument.sampling import SamplingPlan
+from repro.serve.protocol import (
+    ProtocolError,
+    RunReport,
+    encode_batch,
+    report_from_wire,
+)
+from repro.serve.steering import fetch_steering
 
 #: Filename pattern for spooled reports.
 SPOOL_PATTERN = "report-{seed:08d}.json"
@@ -50,14 +60,20 @@ class UploadError(RuntimeError):
 
 @dataclass
 class SubmitReport:
-    """What one drain session did.
+    """What one submit session (:func:`submit_session`) or drain did.
 
     Attributes:
         accepted: Seeds the server newly accepted.
         duplicate: Seeds the server had already seen (idempotent retries).
         rejected: Seeds permanently rejected (moved to ``rejected/``).
-        requests: HTTP requests attempted, including failed ones.
+        requests: Upload requests attempted, including failed ones.
         retries: Re-sends after a transient failure.
+        rounds: Rounds run (0 for a bare :func:`drain_spool`).
+        runs: Trials run across all rounds.
+        converged: Whether the last steering document fetched said the
+            daemon has converged.
+        final_epoch: That document's epoch (None when the session
+            fetched none, or the server publishes none).
     """
 
     accepted: List[int] = field(default_factory=list)
@@ -65,6 +81,10 @@ class SubmitReport:
     rejected: List[int] = field(default_factory=list)
     requests: int = 0
     retries: int = 0
+    rounds: int = 0
+    runs: int = 0
+    converged: bool = False
+    final_epoch: Optional[int] = None
 
 
 class ReportSpool:
@@ -310,7 +330,7 @@ def drain_spool(
     return report
 
 
-def collect_and_submit(
+def submit_session(
     subject,
     program,
     plan,
@@ -318,155 +338,82 @@ def collect_and_submit(
     spool_dir: str,
     n_runs: int,
     seed: int = 0,
-    batch_size: int = 32,
-    **drain_kwargs,
-) -> SubmitReport:
-    """Run trials, spool them, and drain the spool to a server.
-
-    The composition of :func:`run_and_spool` and :func:`drain_spool`
-    most callers want; see those for the semantics.
-    """
-    spool = ReportSpool(spool_dir)
-    run_and_spool(subject, program, plan, spool, n_runs, seed=seed)
-    return drain_spool(
-        spool,
-        url,
-        subject.name,
-        program.table.signature(),
-        batch_size=batch_size,
-        **drain_kwargs,
-    )
-
-
-def steered_collect_and_submit(
-    subject,
-    program,
-    url: str,
-    spool_dir: str,
-    n_runs: int,
-    seed: int = 0,
-    batch_size: int = 32,
-    fallback_plan=None,
-    timeout: float = 10.0,
-    **drain_kwargs,
-) -> SubmitReport:
-    """One steered round: fetch ``/steering``, run under its rates, drain.
-
-    When the server publishes a steering document, its per-site rate
-    table becomes the trial plan and every spooled report is stamped
-    with the document's version.  When the endpoint 404s (an
-    old/unsteered server), ``fallback_plan`` runs instead with no stamp
-    — byte-identical to the pre-steering client (old-server compat).
-
-    Raises:
-        ProtocolError: The served document targets a different
-            predicate table than ``program`` was instrumented with.
-    """
-    from repro.instrument.sampling import SamplingPlan
-    from repro.serve.protocol import ProtocolError
-    from repro.serve.steering import fetch_steering
-
-    document = fetch_steering(url, timeout=timeout)
-    if document is None:
-        if fallback_plan is None:
-            raise ValueError(
-                "server does not publish steering and no fallback_plan given"
-            )
-        plan, version = fallback_plan, None
-    else:
-        table_sha = program.table.signature()
-        if document.table_sha != table_sha:
-            raise ProtocolError(
-                "table-mismatch",
-                f"steering document targets table {document.table_sha[:12]}..., "
-                f"client is instrumented against {table_sha[:12]}...",
-            )
-        plan, version = SamplingPlan.from_steering(document), document.version
-    spool = ReportSpool(spool_dir)
-    run_and_spool(
-        subject, program, plan, spool, n_runs, seed=seed, steering_version=version
-    )
-    return drain_spool(
-        spool,
-        url,
-        subject.name,
-        program.table.signature(),
-        batch_size=batch_size,
-        timeout=timeout,
-        **drain_kwargs,
-    )
-
-
-@dataclass
-class ConvergenceReport:
-    """What a ``submit --until-converged`` session did.
-
-    Attributes:
-        converged: Whether the daemon flipped its flag before the round
-            budget ran out.
-        rounds: Steered rounds executed.
-        runs: Trials executed across all rounds.
-        final_epoch: The last steering epoch observed (None when the
-            server never served a document).
-    """
-
-    converged: bool
-    rounds: int
-    runs: int
-    final_epoch: Optional[int] = None
-
-
-def submit_until_converged(
-    subject,
-    program,
-    url: str,
-    spool_dir: str,
-    runs_per_round: int,
-    seed: int = 0,
+    steered: bool = False,
+    until_converged: bool = False,
     max_rounds: int = 50,
     batch_size: int = 32,
-    fallback_plan=None,
     timeout: float = 10.0,
     **drain_kwargs,
-) -> ConvergenceReport:
-    """Steered rounds until the daemon reports convergence.
+) -> SubmitReport:
+    """Run trials, spool their reports and drain the spool, in rounds.
 
-    Each round fetches the current steering document, runs
-    ``runs_per_round`` trials under its rates (seeds stay contiguous
-    across rounds), drains the spool, and re-checks the ``converged``
-    flag.  Stops when the daemon converges, or after ``max_rounds``.
+    Every client mode is a sequence of rounds of one loop.  A steered
+    round first fetches ``GET /steering``; every round then runs
+    ``n_runs`` trials at the next contiguous seeds
+    (:func:`run_and_spool`) and drains the spool (:func:`drain_spool`,
+    which also re-sends whatever an earlier session left behind).
+
+    * Unsteered (the default): one round under ``plan``.
+    * ``steered``: one round under the served rate table, each report
+      stamped with the document's version.  A 404 (steering disabled,
+      or an old server) runs ``plan`` with no stamp instead, which is
+      byte-identical to an unsteered round.
+    * ``until_converged``: steered rounds until the document fetched at
+      the start of a round says ``converged``, at most ``max_rounds``.
+      That one fetch both decides whether to stop and supplies the
+      round's plan, so ``R`` rounds make ``R + 1`` steering requests.
+
+    ``timeout`` bounds every steering fetch and upload request; the
+    other ``drain_kwargs`` pass through to :func:`drain_spool`.
+
+    Returns:
+        The session's :class:`SubmitReport`: the upload tally summed
+        over all rounds, plus ``rounds``, ``runs`` and the last fetched
+        document's ``converged`` and ``epoch``.
+
+    Raises:
+        ProtocolError: A served document targets a different predicate
+            table than ``program`` was instrumented with.
+        UploadError: From :func:`drain_spool`; the spool is intact.
     """
-    from repro.serve.steering import fetch_steering
-
-    total = 0
+    spool = ReportSpool(spool_dir)
+    table_sha = program.table.signature()
+    tally = SubmitReport()
     document = None
-    for round_index in range(max_rounds):
-        document = fetch_steering(url, timeout=timeout)
-        if document is not None and document.converged:
-            return ConvergenceReport(
-                True, round_index, total, final_epoch=document.epoch
-            )
-        steered_collect_and_submit(
-            subject,
-            program,
-            url,
-            spool_dir,
-            runs_per_round,
-            seed=seed + total,
-            batch_size=batch_size,
-            fallback_plan=fallback_plan,
-            timeout=timeout,
-            **drain_kwargs,
+    while True:
+        if steered or until_converged:
+            document = fetch_steering(url, timeout=timeout)
+            tally.converged = document is not None and document.converged
+            tally.final_epoch = None if document is None else document.epoch
+        if until_converged and (tally.converged or tally.rounds == max_rounds):
+            return tally
+        round_plan, version = plan, None
+        if document is not None:
+            if document.table_sha != table_sha:
+                raise ProtocolError(
+                    "table-mismatch",
+                    f"steering document targets table {document.table_sha[:12]}..., "
+                    f"client is instrumented against {table_sha[:12]}...",
+                )
+            round_plan = SamplingPlan.from_steering(document)
+            version = document.version
+        run_and_spool(
+            subject, program, round_plan, spool, n_runs,
+            seed=seed + tally.runs, steering_version=version,
         )
-        total += runs_per_round
-    document = fetch_steering(url, timeout=timeout)
-    converged = document is not None and document.converged
-    return ConvergenceReport(
-        converged,
-        max_rounds,
-        total,
-        final_epoch=document.epoch if document is not None else None,
-    )
+        drained = drain_spool(
+            spool, url, subject.name, table_sha,
+            batch_size=batch_size, timeout=timeout, **drain_kwargs,
+        )
+        tally.accepted += drained.accepted
+        tally.duplicate += drained.duplicate
+        tally.rejected += drained.rejected
+        tally.requests += drained.requests
+        tally.retries += drained.retries
+        tally.rounds += 1
+        tally.runs += n_runs
+        if not until_converged:
+            return tally
 
 
 def fetch_scores(url: str, k: Optional[int] = None, timeout: float = 10.0) -> dict:
@@ -481,12 +428,10 @@ def fetch_scores(url: str, k: Optional[int] = None, timeout: float = 10.0) -> di
 def watched_from_scores(document: dict, k: int = 5) -> Dict[int, float]:
     """Turn a ``/scores`` document into an ``OnlineMonitor`` watch map.
 
-    Returns the top-``k`` predicate indices mapped to the selected
-    measure's value: the ``score`` field carries whichever measure the
-    ``/scores`` query asked for, with the legacy ``importance`` field as
-    the fallback for documents from pre-measure-registry servers.
+    Returns the top-``k`` predicate indices mapped to the ``score``
+    field: the value of whichever measure the ``/scores`` query asked for.
     """
     return {
-        int(entry["index"]): float(entry.get("score", entry.get("importance", 0.0)))
+        int(entry["index"]): float(entry["score"])
         for entry in document.get("predicates", [])[:k]
     }

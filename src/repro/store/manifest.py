@@ -70,15 +70,34 @@ def plan_to_json(plan: SamplingPlan) -> Dict[str, object]:
 
 
 def plan_from_json(spec: Dict[str, object]) -> SamplingPlan:
-    """Reconstruct a sampling plan serialised by :func:`plan_to_json`."""
+    """Reconstruct a sampling plan serialised by :func:`plan_to_json`.
+
+    Raises:
+        KeyError: A field the plan's mode needs is missing.
+        TypeError: A rate is not a JSON number, or ``site_rates`` is
+            not a list.
+        ValueError: The mode is unknown, or a rate is outside ``(0, 1]``.
+    """
     mode = spec["mode"]
     if mode == "full":
         return SamplingPlan.full()
     if mode == "uniform":
-        return SamplingPlan.uniform(float(spec["rate"]))
+        return SamplingPlan.uniform(_rate(spec["rate"]))
     if mode == "per-site":
-        return SamplingPlan.per_site(np.asarray(spec["site_rates"], dtype=np.float64))
-    raise ValueError(f"unknown sampling mode {mode!r} in manifest")
+        rates = spec["site_rates"]
+        if type(rates) is not list:
+            raise TypeError(f"site_rates must be a list, got {rates!r}")
+        return SamplingPlan.per_site(
+            np.asarray([_rate(rate) for rate in rates], dtype=np.float64)
+        )
+    raise ValueError(f"unknown sampling mode {mode!r}")
+
+
+def _rate(value: object) -> float:
+    """A plan rate as written by :func:`plan_to_json` (a bool is no number)."""
+    if type(value) not in (int, float):
+        raise TypeError(f"a rate must be a number, got {value!r}")
+    return float(value)
 
 
 #: Entry and store-level fields with their JSON types (a bool is no int).
@@ -256,7 +275,8 @@ class ShardManifest:
 
         Raises:
             ManifestError: Not the shape this class and
-                :class:`ShardEntry` state, or two entries share a name.
+                :class:`ShardEntry` state, two entries share a name, or
+                the plan is none :func:`plan_from_json` reads.
             StoreVersionError: The store's shards are not in
                 :data:`~repro.core.io.FORMAT_VERSION` (a v1/v2 store, whose
                 manifest says 1 or 2 or has no ``format_version``).
@@ -284,6 +304,11 @@ class ShardManifest:
                 "re-collect the runs"
             )
         _check_fields(spec, _MANIFEST_FIELDS)
+        try:
+            plan_from_json(spec["plan"])
+        except (KeyError, TypeError, ValueError) as exc:
+            detail = f"lacks {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ManifestError("plan", f"is not a sampling plan ({detail})") from None
         shards = [ShardEntry.from_json(e, i) for i, e in enumerate(spec["shards"])]
         names = [e.filename for e in shards]
         if len(set(names)) < len(names):

@@ -721,6 +721,27 @@ class TestTypedErrors:
             f"error: manifest entry {name!r}: n_runs is missing"
         ]
 
+    def test_serve_over_manifest_with_unreadable_plan(self, capsys, tmp_path):
+        """``serve`` takes an existing store's plan, so a plan it cannot
+        read is one ``error:`` line at open, not a traceback later."""
+        store_dir = tmp_path / "store"
+        assert main([
+            "collect", "--subject", "ccrypt", "--runs", "20",
+            "--sampling", "full", "--out", str(store_dir),
+        ]) == 0
+        capsys.readouterr()
+        manifest_path = store_dir / "manifest.json"
+        document = json.loads(manifest_path.read_text())
+        document["plan"] = {"mode": "per-site", "site_rates": [2.0]}
+        manifest_path.write_text(json.dumps(document))
+        assert main(["serve", str(store_dir), "--port", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: manifest: plan is not a sampling plan "
+            "(site rates must be in (0, 1])"
+        ]
+
     def test_manifest_not_json(self, capsys, tmp_path):
         (tmp_path / "manifest.json").write_bytes(b'{"shards": [')
         lines = self._analyze(capsys, tmp_path)

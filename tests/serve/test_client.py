@@ -1,4 +1,5 @@
-"""Client-side tests: the disk spool and the retrying drain loop."""
+"""Client-side tests: the disk spool, the retrying drain loop and the
+submit session whose rounds compose them."""
 
 from __future__ import annotations
 
@@ -8,17 +9,24 @@ import os
 
 import pytest
 
+from repro.core.stopping import StoppingPolicy
 from repro.serve import (
+    FeedbackServer,
     ReportSpool,
     RunReport,
     UploadError,
     drain_spool,
     fetch_scores,
     run_and_spool,
+    submit_session,
     watched_from_scores,
 )
 from repro.serve.client import REJECTED_DIR, SPOOL_PATTERN
+from repro.serve.steering import STEERING_LOG_NAME, fetch_steering
+from repro.store import ShardStore
 from repro.store.faults import FaultInjector, parse_faults
+
+from .conftest import make_service
 
 FAST_RETRY = dict(backoff_base=0.01, backoff_cap=0.05, jitter=0.0)
 
@@ -279,3 +287,147 @@ class TestScoresClient:
         for index, importance in watched.items():
             assert isinstance(index, int)
             assert 0.0 <= importance <= 1.0
+
+
+def _steering_requests(service) -> int:
+    return int(service.metrics.counter("serve.steering_requests"))
+
+
+def _steering_log(store_dir):
+    with open(os.path.join(str(store_dir), STEERING_LOG_NAME)) as handle:
+        return handle.read().splitlines()
+
+
+#: A two-round steered ccrypt session at seeds 0..39 (``batch_runs ==
+#: refit_runs == 20``, default stopping policy), as committed by the
+#: three separate submit loops the session replaced: round two runs
+#: under the epoch-20 refit, so these bytes pin the steered plan too.
+TWO_ROUND_SHARDS = [
+    ("shard-00000000.npz",
+     "8bd1d3df65a097f773503aa1d5aebd0d55c52c137396d78813c9e228a082ce47"),
+    ("shard-00000020.npz",
+     "0ce44c26b3be905c2939b0e31b77466bdfc0ee2f3afcb3025d8b850c5f468215"),
+]
+TWO_ROUND_STEERING_LOG = [
+    '{"filename": "shard-00000000.npz", "n_runs": 20, "seed_start": 0, '
+    '"versions": ["eb7bb05b94c4/0"]}',
+    '{"filename": "shard-00000020.npz", "n_runs": 20, "seed_start": 20, '
+    '"versions": ["fd35a36a97e3/20"]}',
+]
+
+
+class TestSubmitSession:
+    """Every client mode is rounds of one fetch -> run -> spool -> drain loop."""
+
+    def _serve(self, tmp_path, subject, program, plan, **service_kwargs):
+        store, service = make_service(
+            tmp_path / "store", subject, program, plan,
+            batch_runs=20, refit_runs=20, **service_kwargs,
+        )
+        return store, service, FeedbackServer(service, port=0).start()
+
+    def test_unsteered_round_fetches_nothing(
+        self, tmp_path, ccrypt_subject, ccrypt_program, full_plan
+    ):
+        store, service, server = self._serve(
+            tmp_path, ccrypt_subject, ccrypt_program, full_plan
+        )
+        try:
+            session = submit_session(
+                ccrypt_subject, ccrypt_program, full_plan, server.url,
+                str(tmp_path / "spool"), n_runs=25, seed=0, **FAST_RETRY,
+            )
+            assert _steering_requests(service) == 0
+        finally:
+            server.close(drain=True)
+        assert sorted(session.accepted) == list(range(25))
+        assert (session.rounds, session.runs) == (1, 25)
+        assert (session.converged, session.final_epoch) == (False, None)
+        assert _steering_log(tmp_path / "store") == [
+            '{"filename": "shard-00000000.npz", "n_runs": 20, "seed_start": 0, '
+            '"versions": []}',
+            '{"filename": "shard-00000020.npz", "n_runs": 5, "seed_start": 20, '
+            '"versions": []}',
+        ]
+
+    def test_until_converged_drains_to_verdict(
+        self, tmp_path, ccrypt_subject, ccrypt_program, full_plan
+    ):
+        """The closed loop ends itself: steered rounds run until the
+        daemon's CI-based stopping rule flips ``converged``.  R rounds
+        make R + 1 steering requests: the fetch that opens a round both
+        decides convergence and supplies the round's plan."""
+        policy = StoppingPolicy(min_runs=60, min_failing=5, epsilon=1.0, top_k=3)
+        store, service, server = self._serve(
+            tmp_path, ccrypt_subject, ccrypt_program, full_plan, stopping=policy
+        )
+        try:
+            session = submit_session(
+                ccrypt_subject, ccrypt_program, full_plan, server.url,
+                str(tmp_path / "spool"), n_runs=20, until_converged=True,
+                max_rounds=10, **FAST_RETRY,
+            )
+            requests = _steering_requests(service)
+            health = service.health_payload()
+        finally:
+            server.close(drain=True)
+        assert session.converged
+        assert session.rounds >= 3  # min_runs=60 at 20 runs a round
+        assert requests == session.rounds + 1
+        assert session.runs == 20 * session.rounds == session.final_epoch
+        assert sorted(session.accepted) == list(range(session.runs))
+        assert health["steering"] is True
+        assert health["converged"] is True
+        assert health["steering_epoch"] == session.final_epoch
+
+    def test_two_round_session_commits_pinned_bytes(
+        self, tmp_path, ccrypt_subject, ccrypt_program, full_plan
+    ):
+        store, service, server = self._serve(
+            tmp_path, ccrypt_subject, ccrypt_program, full_plan
+        )
+        try:
+            session = submit_session(
+                ccrypt_subject, ccrypt_program, full_plan, server.url,
+                str(tmp_path / "spool"), n_runs=20, until_converged=True,
+                max_rounds=2, **FAST_RETRY,
+            )
+            requests = _steering_requests(service)
+        finally:
+            server.close(drain=True)
+        assert (session.rounds, session.runs) == (2, 40)
+        assert (session.converged, session.final_epoch) == (False, 40)
+        assert requests == 3  # two rounds, plus the fetch that ends the budget
+        committed = ShardStore.open(str(tmp_path / "store")).manifest.shards
+        assert [(e.filename, e.sha256) for e in committed] == TWO_ROUND_SHARDS
+        assert _steering_log(tmp_path / "store") == TWO_ROUND_STEERING_LOG
+
+    def test_steered_round_runs_against_converged_daemon(
+        self, tmp_path, ccrypt_subject, ccrypt_program, full_plan
+    ):
+        """``--steered`` is one round whatever the document says; only
+        ``until_converged`` stops on the flag."""
+        policy = StoppingPolicy(min_runs=60, min_failing=5, epsilon=1.0, top_k=3)
+        store, service, server = self._serve(
+            tmp_path, ccrypt_subject, ccrypt_program, full_plan, stopping=policy
+        )
+        try:
+            submit_session(
+                ccrypt_subject, ccrypt_program, full_plan, server.url,
+                str(tmp_path / "spool"), n_runs=60, **FAST_RETRY,
+            )
+            document = fetch_steering(server.url)
+            assert document.converged
+            session = submit_session(
+                ccrypt_subject, ccrypt_program, full_plan, server.url,
+                str(tmp_path / "spool"), n_runs=20, seed=60, steered=True,
+                **FAST_RETRY,
+            )
+        finally:
+            server.close(drain=True)
+        assert sorted(session.accepted) == list(range(60, 80))
+        assert (session.rounds, session.runs) == (1, 20)
+        assert (session.converged, session.final_epoch) == (True, 60)
+        assert ShardStore.open(str(tmp_path / "store")).n_runs == 80
+        last = json.loads(_steering_log(tmp_path / "store")[-1])
+        assert (last["seed_start"], last["versions"]) == (60, [document.version])

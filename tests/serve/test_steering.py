@@ -29,12 +29,7 @@ from repro.harness.experiment import build_plan
 from repro.instrument.sampling import MIN_ADAPTIVE_RATE, SamplingPlan
 from repro.instrument.tracer import instrument_source
 from repro.serve import FeedbackServer, ReportSpool
-from repro.serve.client import (
-    collect_and_submit,
-    run_and_spool,
-    steered_collect_and_submit,
-    submit_until_converged,
-)
+from repro.serve.client import run_and_spool, submit_session
 from repro.serve.steering import (
     STEERING_LOG_NAME,
     STEERING_NAME,
@@ -78,9 +73,10 @@ def test_every_batch_carries_producing_version(tmp_path, name):
         for round_index in range(2):
             document = fetch_steering(server.url)
             round_versions.append(document.version)
-            result = steered_collect_and_submit(
-                subject, program, server.url, str(tmp_path / f"spool{round_index}"),
-                n_runs=24, seed=round_index * 24, **FAST_RETRY,
+            result = submit_session(
+                subject, program, SamplingPlan.full(), server.url,
+                str(tmp_path / f"spool{round_index}"),
+                n_runs=24, seed=round_index * 24, steered=True, **FAST_RETRY,
             )
             assert len(result.accepted) == 24
     finally:
@@ -103,7 +99,7 @@ def test_served_rates_never_below_floor(tmp_path, ccrypt_subject, ccrypt_program
     )
     server = FeedbackServer(service, port=0).start()
     try:
-        collect_and_submit(
+        submit_session(
             ccrypt_subject, ccrypt_program, SamplingPlan.full(), server.url,
             str(tmp_path / "spool"), n_runs=150, **FAST_RETRY,
         )
@@ -213,10 +209,9 @@ class TestCompat:
         try:
             assert fetch_steering(server.url) is None
             assert service.health_payload()["steering"] is False
-            result = steered_collect_and_submit(
-                ccrypt_subject, ccrypt_program, server.url,
-                str(tmp_path / "spool"), n_runs=40,
-                fallback_plan=full_plan, **FAST_RETRY,
+            result = submit_session(
+                ccrypt_subject, ccrypt_program, full_plan, server.url,
+                str(tmp_path / "spool"), n_runs=40, steered=True, **FAST_RETRY,
             )
             assert sorted(result.accepted) == list(range(40))
         finally:
@@ -243,7 +238,7 @@ class TestCompat:
     def test_old_client_against_steering_server(
         self, tmp_path, ccrypt_subject, ccrypt_program, full_plan
     ):
-        """A pre-steering client (plain collect_and_submit, no stamp)
+        """A pre-steering client (an unsteered session, no stamp)
         is accepted unchanged; its batches log an empty version list."""
         store, service = make_service(
             tmp_path / "store", ccrypt_subject, ccrypt_program, full_plan,
@@ -251,7 +246,7 @@ class TestCompat:
         )
         server = FeedbackServer(service, port=0).start()
         try:
-            result = collect_and_submit(
+            result = submit_session(
                 ccrypt_subject, ccrypt_program, full_plan, server.url,
                 str(tmp_path / "spool"), n_runs=40, **FAST_RETRY,
             )
@@ -288,7 +283,7 @@ def test_pinned_rates_bit_identical_to_local_adaptive(
     )
     server = FeedbackServer(service, port=0).start()
     try:
-        collect_and_submit(
+        submit_session(
             ccrypt_subject, ccrypt_program, SamplingPlan.full(), server.url,
             str(tmp_path / "train-spool"), n_runs=training_runs,
             seed=777_000, **FAST_RETRY,
@@ -323,31 +318,3 @@ def test_pinned_rates_bit_identical_to_local_adaptive(
         assert (
             json.dumps(steered_spec, sort_keys=True) + "\n"
         ).encode() == local_bytes
-
-
-def test_submit_until_converged_drains_to_verdict(
-    tmp_path, ccrypt_subject, ccrypt_program, full_plan
-):
-    """The closed loop ends itself: steered rounds run until the
-    daemon's CI-based stopping rule flips ``converged``."""
-    policy = StoppingPolicy(min_runs=60, min_failing=5, epsilon=1.0, top_k=3)
-    store, service = make_service(
-        tmp_path / "store", ccrypt_subject, ccrypt_program, full_plan,
-        batch_runs=20, refit_runs=20, stopping=policy,
-    )
-    server = FeedbackServer(service, port=0).start()
-    try:
-        session = submit_until_converged(
-            ccrypt_subject, ccrypt_program, server.url, str(tmp_path / "spool"),
-            runs_per_round=20, max_rounds=10, **FAST_RETRY,
-        )
-        health = service.health_payload()
-    finally:
-        server.close(drain=True)
-
-    assert session.converged
-    assert session.runs >= policy.min_runs
-    assert session.final_epoch >= policy.min_runs
-    assert health["steering"] is True
-    assert health["converged"] is True
-    assert health["steering_epoch"] == session.final_epoch

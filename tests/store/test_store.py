@@ -367,6 +367,40 @@ class TestManifest:
             InstrumentationConfig(branches=False)
         )
 
+    @pytest.mark.parametrize(
+        "plan, detail",
+        [
+            ({"mode": "uniform"}, "lacks 'rate'"),
+            ({"rate": 0.5}, "lacks 'mode'"),
+            ({"mode": "steered"}, "unknown sampling mode 'steered'"),
+            ({"mode": "uniform", "rate": 1.5}, "rate must be in (0, 1]"),
+            ({"mode": "uniform", "rate": "0.5"}, "must be a number"),
+            ({"mode": "per-site", "site_rates": [0.5, 2.0]}, "must be in (0, 1]"),
+            ({"mode": "per-site", "site_rates": [0.5, 0.0]}, "must be in (0, 1]"),
+            ({"mode": "per-site", "site_rates": [float("nan")]}, "must be in (0, 1]"),
+            ({"mode": "per-site", "site_rates": 0.5}, "must be a list"),
+            ({"mode": "per-site", "site_rates": {"0": 0.5}}, "must be a list"),
+            ({"mode": "per-site", "site_rates": [0.5, True]}, "must be a number"),
+        ],
+    )
+    def test_unreadable_plan_refused_on_load(self, tmp_path, plan, detail):
+        """A plan ``plan_from_json`` cannot read is refused when the
+        manifest opens, not when ``ShardStore.plan()`` first reads it."""
+        path = str(tmp_path / "manifest.json")
+        ShardManifest(
+            subject="x", table_sha="0" * 64, config_sha="0" * 64,
+            plan={"mode": "full"},
+        ).save(path)
+        with open(path) as fh:
+            document = json.load(fh)
+        document["plan"] = plan
+        with open(path, "w") as fh:
+            json.dump(document, fh)
+        with pytest.raises(ManifestError) as info:
+            ShardManifest.load(path)
+        assert (info.value.field, info.value.entry) == ("plan", None)
+        assert detail in info.value.detail
+
     @pytest.mark.parametrize("version, match", [(99, "newer"), (0, "not supported")])
     def test_other_manifest_version_rejected(self, tmp_path, version, match):
         """Only this build's schema is read: a newer one, or the 0 an
