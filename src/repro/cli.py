@@ -763,16 +763,24 @@ def _collect(args) -> int:
     if args.runs is None:
         args.runs = subject.trial_budget
     program = subject.build_program()
-    plan = _sampling_plan(args, subject, program, seed=args.seed or 0)
+    try:
+        existing = ShardStore.open(args.out)
+    except FileNotFoundError:
+        existing = None
+    # As in serve: an existing store keeps the plan it was created with,
+    # so only a new one is worth the adaptive plan's training trials.
+    if existing is None:
+        plan = _sampling_plan(args, subject, program, seed=args.seed or 0)
+        sampling = args.sampling
+    else:
+        plan = existing.plan()
+        sampling = f"the store's {plan.mode}"
     seed = args.seed
     if seed is None:
-        try:
-            seed = ShardStore.open(args.out).next_seed
-        except FileNotFoundError:
-            seed = 0
+        seed = 0 if existing is None else existing.next_seed
     print(
         f"collecting {args.runs} trials of {args.subject} into {args.out} "
-        f"(seeds {seed}..{seed + args.runs - 1}, {args.sampling} sampling)...",
+        f"(seeds {seed}..{seed + args.runs - 1}, {sampling} sampling)...",
         file=sys.stderr,
     )
     obs_on = bool(args.metrics or args.trace)

@@ -149,9 +149,11 @@ class Runtime:
             self._log_q = math.log(1.0 - plan.rate) if plan.rate < 1.0 else 0.0
             self._gap = geometric_gap(plan.rate, self._rng_random())
         elif plan.mode == "per-site":
-            if plan.site_rates is None or len(plan.site_rates) < n_sites:
-                raise ValueError("per-site plan lacks rates for every site")
-            self._rates = [float(r) for r in plan.site_rates[:n_sites]]
+            if plan.site_rates is None or len(plan.site_rates) != n_sites:
+                raise ValueError(
+                    f"per-site plan needs exactly one rate per site ({n_sites})"
+                )
+            self._rates = [float(r) for r in plan.site_rates]
             self._gaps = [
                 geometric_gap(r, self._rng_random()) for r in self._rates
             ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -152,17 +152,3 @@ class SamplingPlan:
         rates = document["rates"] if isinstance(document, dict) else document.rates
         return cls.per_site(rates)
 
-    def initial_gaps(self, n_sites: int, rng: np.random.Generator) -> List[int]:
-        """Draw the initial countdown for each site (or the global one).
-
-        Returns a single-element list in ``uniform`` mode, a per-site list
-        in ``per-site`` mode, and an empty list in ``full`` mode.
-        """
-        if self.mode == "full":
-            return []
-        if self.mode == "uniform":
-            return [geometric_gap(self.rate, float(rng.random()))]
-        if self.site_rates is None or self.site_rates.shape[0] < n_sites:
-            raise ValueError("per-site plan lacks rates for every site")
-        us = rng.random(n_sites)
-        return [geometric_gap(float(r), float(u)) for r, u in zip(self.site_rates, us)]

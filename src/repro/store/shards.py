@@ -93,6 +93,7 @@ from repro.obs import (
 )
 from repro.store.errors import (
     DuplicateSeedRangeError,
+    ManifestError,
     ShardCheckError,
     ShardCorruptionError,
     ShardIntegrityError,
@@ -122,6 +123,16 @@ PENDING_SUFFIX = ".pending"
 
 #: What a shard read returns.
 T = TypeVar("T")
+
+
+def _check_plan_fits(plan: SamplingPlan, table: PredicateTable) -> None:
+    """Refuse a per-site plan without exactly one rate per site."""
+    if plan.mode == "per-site" and len(plan.site_rates) != table.n_sites:
+        raise ManifestError(
+            "plan",
+            f"has {len(plan.site_rates)} site rates for a table of "
+            f"{table.n_sites} sites",
+        )
 
 
 def _merged_truth(truths) -> Optional[GroundTruth]:
@@ -397,9 +408,15 @@ class ShardStore:
         predicate table must match what it was created with; the sampling
         plan may differ between sessions (the analysis is sampling-agnostic)
         but the manifest keeps the original.
+
+        Raises:
+            ManifestError: The store's plan (or, for a new store,
+                ``plan``) is per-site without exactly one rate per site
+                of ``table``.
         """
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         if not os.path.exists(manifest_path):
+            _check_plan_fits(plan, table)
             return cls.create(directory, subject, table, plan, config=config)
         store = cls.open(directory)
         if store.manifest.subject != subject:
@@ -418,6 +435,7 @@ class ShardStore:
                 "store was collected with a different instrumentation "
                 "configuration; appending would mix incompatible predicates"
             )
+        _check_plan_fits(store.plan(), table)
         store._table = table
         return store
 

@@ -145,6 +145,64 @@ class TestCollectCommand:
         out = capsys.readouterr().out + capsys.readouterr().err
         assert "90 runs" in out
 
+    @pytest.mark.parametrize("sampling", ["uniform", "adaptive"])
+    def test_append_collects_under_the_store_plan(
+        self, capsys, monkeypatch, tmp_path, sampling
+    ):
+        """A second session keeps the manifest's plan whatever
+        ``--sampling`` says, and trains no adaptive plan for it."""
+        import repro.harness.experiment as experiment
+
+        def collect(store_dir, runs, *extra):
+            return main([
+                "collect", "--subject", "ccrypt", "--runs", runs,
+                "--out", str(store_dir), "--chunk-size", "20", *extra,
+            ])
+
+        reference = tmp_path / "reference"
+        assert collect(reference, "40", "--sampling", "full") == 0
+        store_dir = tmp_path / "store"
+        assert collect(store_dir, "20", "--sampling", "full") == 0
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained a sampling plan")
+
+        monkeypatch.setattr(experiment, "collect_site_means", refuse)
+        assert collect(store_dir, "20", "--sampling", sampling) == 0
+        assert "(seeds 20..39, the store's full sampling)" in capsys.readouterr().err
+        store = ShardStore.open(str(store_dir))
+        assert store.manifest.plan == {"mode": "full"}
+        assert [e.sha256 for e in store.manifest.shards] == [
+            e.sha256 for e in ShardStore.open(str(reference)).manifest.shards
+        ]
+
+    def test_per_site_plan_must_rate_every_site(self, capsys, tmp_path):
+        """A manifest plan with one rate for ccrypt's many sites is refused
+        by collect and serve with one error line, before any trial."""
+        store_dir = tmp_path / "store"
+        assert self._collect(store_dir, runs="30") == 0
+        path = store_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["plan"] = {"mode": "per-site", "site_rates": [0.5]}
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (
+            ["collect", "--subject", "ccrypt", "--runs", "30",
+             "--out", str(store_dir)],
+            ["serve", str(store_dir), "--port", "0"],
+        ):
+            assert main(argv) == 1
+            err = [
+                line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("error:")
+            ]
+            assert err == [
+                "error: manifest: plan has 1 site rates for a table of "
+                f"{SUBJECTS['ccrypt']().build_program().table.n_sites} sites"
+            ]
+        assert ShardStore.open(str(store_dir)).n_runs == 30
+
     def test_analyze_store_stats_only(self, capsys, tmp_path):
         store_dir = tmp_path / "store"
         self._collect(store_dir)

@@ -139,6 +139,14 @@ class TestSamplingIntegration:
         assert site_obs[rare.index] == 1  # rate-1.0 site never misses
         assert site_obs.get(hot.index, 0) < 50
 
+    @pytest.mark.parametrize("rates", [[0.5], [0.5, 0.5, 0.5]])
+    def test_per_site_plan_needs_one_rate_per_site(self, rates):
+        table = PredicateTable()
+        table.add_site(Scheme.BRANCHES, "f", 1, "a")
+        table.add_site(Scheme.BRANCHES, "f", 2, "b")
+        with pytest.raises(ValueError, match="exactly one rate per site"):
+            Runtime(table).begin_run(SamplingPlan.per_site(rates), seed=0)
+
     def test_runs_are_reproducible_by_seed(self):
         rt, site, _ = _runtime_with(Scheme.BRANCHES)
 

@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,28 +80,6 @@ class TestSamplingPlan:
             SamplingPlan.per_site([0.5, 0.0])
         plan = SamplingPlan.per_site([0.5, 1.0])
         assert plan.mode == "per-site"
-
-    def test_full_plan_has_no_gaps(self):
-        rng = np.random.default_rng(0)
-        assert SamplingPlan.full().initial_gaps(5, rng) == []
-
-    def test_uniform_plan_single_gap(self):
-        rng = np.random.default_rng(0)
-        gaps = SamplingPlan.uniform(0.1).initial_gaps(5, rng)
-        assert len(gaps) == 1 and gaps[0] >= 1
-
-    def test_per_site_plan_gap_per_site(self):
-        rng = np.random.default_rng(0)
-        plan = SamplingPlan.per_site([0.5, 1.0, 0.01])
-        gaps = plan.initial_gaps(3, rng)
-        assert len(gaps) == 3
-        assert gaps[1] == 1  # rate 1.0 always samples
-
-    def test_per_site_plan_requires_enough_rates(self):
-        rng = np.random.default_rng(0)
-        plan = SamplingPlan.per_site([0.5])
-        with pytest.raises(ValueError):
-            plan.initial_gaps(3, rng)
 
     def test_adaptive_constructor_combines_training(self):
         plan = SamplingPlan.adaptive([1000.0, 3.0], target_samples=100)
