@@ -401,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     bakeoff.add_argument(
         "--runs", type=positive_int, default=None,
         help="deterministic full-observation trials per subject "
-        "(default: 400)",
+        "(default: 400 for built-in subjects, each factory subject's "
+        "trial_budget)",
     )
     bakeoff.add_argument("--seed", type=int, default=0, help="base trial seed")
     bakeoff.add_argument(

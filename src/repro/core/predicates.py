@@ -33,15 +33,9 @@ class Scheme(enum.Enum):
     BRANCHES = "branches"
     RETURNS = "returns"
     SCALAR_PAIRS = "scalar-pairs"
-    #: One predicate per function entry; the sum of its counters gives
-    #: the code-coverage view the paper relates to software tomography
-    #: (Section 6's GAMMA comparison).  Off by default.
-    FUNCTION_ENTRIES = "function-entries"
-    #: Classification of floating-point values at assignments (negative,
-    #: zero, positive, NaN, infinite, subnormal) -- a scheme the CBI
-    #: system shipped alongside the three the paper describes.  Off by
-    #: default.
-    FLOAT_KINDS = "float-kinds"
+    #: Hand-rolled families registered with
+    #: :meth:`PredicateTable.add_custom_site`; the transform never emits
+    #: them.
     CUSTOM = "custom"
 
 
@@ -60,13 +54,6 @@ class PredicateKind(enum.Enum):
     GE = (">= 0", 3)
     NE = ("!= 0", 4)
     LE = ("<= 0", 5)
-    ENTERED = ("entered", 0)
-    FK_NEG = ("is negative", 0)
-    FK_ZERO = ("is zero", 1)
-    FK_POS = ("is positive", 2)
-    FK_NAN = ("is NaN", 3)
-    FK_INF = ("is infinite", 4)
-    FK_SUBNORMAL = ("is subnormal", 5)
     CUSTOM = ("", 0)
 
     def __init__(self, label: str, offset: int) -> None:
@@ -106,15 +93,6 @@ SCHEME_KINDS: Dict[Scheme, Tuple[PredicateKind, ...]] = {
         PredicateKind.GE,
         PredicateKind.NE,
         PredicateKind.LE,
-    ),
-    Scheme.FUNCTION_ENTRIES: (PredicateKind.ENTERED,),
-    Scheme.FLOAT_KINDS: (
-        PredicateKind.FK_NEG,
-        PredicateKind.FK_ZERO,
-        PredicateKind.FK_POS,
-        PredicateKind.FK_NAN,
-        PredicateKind.FK_INF,
-        PredicateKind.FK_SUBNORMAL,
     ),
 }
 
@@ -251,15 +229,9 @@ class PredicateTable:
 
     @staticmethod
     def _default_name(scheme: Scheme, description: str, kind: PredicateKind) -> str:
-        if scheme is Scheme.BRANCHES:
-            return f"{description} {kind.label}"
-        if scheme is Scheme.RETURNS:
-            return f"{description} {kind.label}"
         if scheme is Scheme.SCALAR_PAIRS:
             # description is "x __ y"; splice the operator in.
             return description.replace("__", _PAIR_OPS[kind.offset], 1)
-        if scheme is Scheme.FUNCTION_ENTRIES:
-            return f"{description} entered"
         if kind.label:
             return f"{description} {kind.label}"
         return description

@@ -41,7 +41,7 @@ from repro.core.predicates import PredicateTable
 from repro.instrument.runtime import Runtime
 from repro.instrument.sampling import SamplingPlan
 from repro.instrument.tracer import InstrumentedProgram
-from repro.instrument.transform import InstrumentationConfig, Instrumenter
+from repro.instrument.transform import RUNTIME_NAME, Instrumenter
 from repro.subjects.base import record_bug
 
 
@@ -169,7 +169,6 @@ def _exec_under_finder(
 def instrument_package(
     package: str,
     modules: Optional[Dict[str, str]] = None,
-    config: Optional[InstrumentationConfig] = None,
     table: Optional[PredicateTable] = None,
 ) -> PackageProgram:
     """Instrument a whole package into one :class:`PackageProgram`.
@@ -179,7 +178,6 @@ def instrument_package(
         modules: ``{module name: source}`` in instrumentation order.
             Defaults to :func:`package_modules` on the installed package.
             Callers injecting mutated sources pass this explicitly.
-        config: Instrumentation configuration shared by every module.
         table: Optional existing predicate table to extend.
 
     Returns:
@@ -190,15 +188,11 @@ def instrument_package(
         modules = package_modules(package)
     if package not in modules:
         raise ValueError(f"module map must contain the root module {package!r}")
-    config = config if config is not None else InstrumentationConfig()
-
     table = table if table is not None else PredicateTable()
     codes: Dict[str, object] = {}
     texts: Dict[str, str] = {}
     for name, source in modules.items():
-        inst = Instrumenter(
-            table=table, config=config, function_prefix=function_prefix(name)
-        )
+        inst = Instrumenter(table=table, function_prefix=function_prefix(name))
         filename = module_filename(package, name)
         tree = inst.instrument(source, filename=filename)
         codes[name] = compile(tree, filename, "exec")
@@ -220,7 +214,7 @@ def instrument_package(
         for name in codes
         if any(other.startswith(name + ".") for other in codes)
     }
-    inject = {config.runtime_name: runtime, "record_bug": record_bug}
+    inject = {RUNTIME_NAME: runtime, "record_bug": record_bug}
     loaders = {name: _FactoryLoader(codes[name], inject) for name in codes}
     module_objs = _exec_under_finder(package, loaders, packages)
     runtime.end_run()

@@ -146,11 +146,9 @@ class FactorySubject(Subject):
             return next(iter(mods.values()))
         return "\n".join(f"# === {name} ===\n{src}" for name, src in mods.items())
 
-    def build_program(self, config=None, table=None):
+    def build_program(self, table=None):
         """Instrument the whole (mutated) package behind the import hook."""
-        return instrument_package(
-            self.package, modules=self.modules(), config=config, table=table
-        )
+        return instrument_package(self.package, modules=self.modules(), table=table)
 
     def bug_sites(self):
         """Ground-truth sites across all modules, module-qualified."""

@@ -16,7 +16,6 @@ artefact, so benchmarks can regenerate any table from one run.
 
 from __future__ import annotations
 
-import contextlib
 import tempfile
 import time
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from repro.core.scores import DEFAULT_CONFIDENCE
 from repro.core.truth import GroundTruth
 from repro.instrument.sampling import DEFAULT_RATE, SamplingPlan
 from repro.instrument.tracer import InstrumentedProgram
-from repro.instrument.transform import InstrumentationConfig
 from repro.harness.runner import collect_site_means, run_trials
 from repro.subjects.base import Subject
 
@@ -52,19 +50,12 @@ class Experiment:
         confidence: Confidence level for the score intervals.
         strategy: Elimination discard strategy (Section 5).
         max_predictors: Optional cap on the elimination output length.
-        instrumentation: Scheme configuration for the transformer.
         jobs: Worker processes for trial collection (1 = in-process
-            serial).  Above 1, trials are collected as shards by
-            :func:`repro.harness.parallel.run_trials_sharded` -- into a
-            temporary store unless ``shard_dir`` is set -- and the merged
-            population, bit-identical to serial collection for the same
-            seed, feeds the analysis.
-        shard_dir: When set, trials are collected as on-disk shards
-            written directly by the workers
-            (:func:`repro.harness.parallel.run_trials_sharded`), then the
-            merged population -- bit-identical to serial collection --
-            feeds the analysis.  The shard store remains on disk for
-            later ``repro-cbi analyze`` sessions.
+            serial).  Above 1, trials are collected as shards into a
+            temporary store by
+            :func:`repro.harness.parallel.run_trials_sharded`, and the
+            merged population, bit-identical to serial collection for
+            the same seed, feeds the analysis.
     """
 
     subject: Subject
@@ -76,9 +67,7 @@ class Experiment:
     confidence: float = DEFAULT_CONFIDENCE
     strategy: DiscardStrategy = DiscardStrategy.DISCARD_ALL
     max_predictors: Optional[int] = 30
-    instrumentation: Optional[InstrumentationConfig] = None
     jobs: int = 1
-    shard_dir: Optional[str] = None
 
 
 @dataclass
@@ -143,7 +132,7 @@ def build_plan(
 def run_experiment(config: Experiment) -> ExperimentResult:
     """Execute the full pipeline for one configuration."""
     started = time.perf_counter()
-    program = config.subject.build_program(config=config.instrumentation)
+    program = config.subject.build_program()
     plan = build_plan(
         config.subject,
         program,
@@ -152,15 +141,10 @@ def run_experiment(config: Experiment) -> ExperimentResult:
         training_runs=config.training_runs,
         seed=config.seed,
     )
-    if config.jobs > 1 or config.shard_dir is not None:
+    if config.jobs > 1:
         from repro.harness.parallel import run_trials_sharded
 
-        store_dir = (
-            contextlib.nullcontext(config.shard_dir)
-            if config.shard_dir is not None
-            else tempfile.TemporaryDirectory(prefix="repro-shards-")
-        )
-        with store_dir as directory:
+        with tempfile.TemporaryDirectory(prefix="repro-shards-") as directory:
             store = run_trials_sharded(
                 config.subject,
                 config.n_runs,
@@ -168,7 +152,6 @@ def run_experiment(config: Experiment) -> ExperimentResult:
                 directory,
                 seed=config.seed,
                 jobs=config.jobs,
-                config=config.instrumentation,
             )
             reports, truth = store.load_merged()
         if truth is None:  # pragma: no cover - shards always carry truth here

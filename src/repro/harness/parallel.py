@@ -39,11 +39,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.reports import ReportBuilder
-from repro.core.truth import GroundTruth
-from repro.harness.runner import run_one_trial
+from repro.harness.runner import run_trials
 from repro.instrument.sampling import SamplingPlan
-from repro.instrument.transform import InstrumentationConfig
 from repro.obs import (
     enabled as _obs_enabled,
     inc as _obs_inc,
@@ -71,17 +68,9 @@ def _run_chunk_to_shard(
 
     subject: Subject = _WORKER["subject"]  # type: ignore[assignment]
     program = _WORKER["program"]
-    entry = program.func(subject.entry)  # type: ignore[attr-defined]
-
-    builder = ReportBuilder(program.table)  # type: ignore[attr-defined]
-    truth = GroundTruth(bug_ids=list(subject.bug_ids))
-    for run_seed in range(start, start + count):
-        failed, site_obs, pred_true, stack, bugs = run_one_trial(
-            subject, program, entry, plan, run_seed  # type: ignore[arg-type]
-        )
-        builder.add_run(failed, site_obs, pred_true, stack=stack, seed=run_seed)
-        truth.add_run(bugs)
-    reports = builder.build()
+    reports, truth = run_trials(
+        subject, program, count, plan, seed=start  # type: ignore[arg-type]
+    )
     save_reports(shard_path, reports, truth)
     return reports.num_failing
 
@@ -186,7 +175,6 @@ def run_trials_sharded(
     store_dir: str,
     seed: int = 0,
     jobs: int = 2,
-    config: Optional[InstrumentationConfig] = None,
     chunk_size: int = 200,
     max_attempts: int = 3,
     chunk_timeout: Optional[float] = None,
@@ -227,7 +215,6 @@ def run_trials_sharded(
             to otherwise (the instrumentation must match).
         seed: Base seed; trial ``i`` uses ``seed + i``.
         jobs: Concurrent worker process count.
-        config: Instrumentation configuration.
         chunk_size: Trials per shard.
         max_attempts: Total attempts per chunk before giving up.
         chunk_timeout: Seconds a single chunk attempt may run; ``None``
@@ -263,10 +250,8 @@ def run_trials_sharded(
 
     injector = FaultInjector(faults or ())
 
-    program = subject.build_program(config=config)
-    store = ShardStore.open_or_create(
-        store_dir, subject.name, program.table, plan, config=config
-    )
+    program = subject.build_program()
+    store = ShardStore.open_or_create(store_dir, subject.name, program.table, plan)
     store.recover()
 
     chunks = [

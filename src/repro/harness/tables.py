@@ -131,17 +131,22 @@ def format_bakeoff_table(document: Mapping[str, object]) -> str:
     One row per measure, one column pair per subject:
     ``rank`` (rank of first faulty site) and ``waste`` (distinct
     non-faulty sites examined first).  ``-`` marks subjects with no
-    ground-truth faulty predicate.
+    ground-truth faulty predicate.  The ``runs`` row gives the trials
+    each subject ran: without ``--runs`` factory subjects run their own
+    ``trial_budget``, so the counts can differ per column.
     """
-    subjects = list(document["subjects"])
+    subjects = document["subjects"]
     header = f"{'measure':<14}" + "".join(
         f" {s[:10]:>10} {'waste':>6}" for s in subjects
     )
     lines = [
-        f"bake-off: {document['runs']} runs/subject, seed {document['seed']}, "
-        f"{document['sampling']} sampling",
+        f"bake-off: seed {document['seed']}, {document['sampling']} sampling",
         header,
         "-" * len(header),
+        (
+            f"{'runs':<14}"
+            + "".join(f" {subjects[s]['runs']:>10d} {'':>6}" for s in subjects)
+        ).rstrip(),
     ]
     for entry in document["measures"]:
         cells = ""

@@ -24,7 +24,7 @@ from repro.instrument.sampling import (
     geometric_gap,
 )
 from repro.instrument.runtime import Runtime
-from repro.instrument.transform import InstrumentationConfig, Instrumenter
+from repro.instrument.transform import Instrumenter
 from repro.instrument.tracer import InstrumentedProgram, instrument_source
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "adaptive_rates",
     "geometric_gap",
     "Runtime",
-    "InstrumentationConfig",
     "Instrumenter",
     "InstrumentedProgram",
     "instrument_source",

@@ -71,13 +71,6 @@ _NUMERIC = (int, float)
 #: decision stream is invariant under this constant.
 GAP_BATCH = 64
 
-#: Smallest positive normal double; values strictly inside (0, _TINY)
-#: are subnormal.
-_TINY = 2.2250738585072014e-308
-
-_INF = float("inf")
-_NINF = float("-inf")
-
 #: Integer mode ids the hot helpers branch on (cheaper than string
 #: comparison).
 _MODE_FULL, _MODE_UNIFORM, _MODE_PER_SITE = 0, 1, 2
@@ -367,66 +360,6 @@ class Runtime:
                 t[b + 2] += 1  # >
                 t[b + 3] += 1  # >=
                 t[b + 4] += 1  # !=
-
-    def float_kind(self, site: int, value) -> None:
-        """Classify a freshly assigned floating-point value.
-
-        Family offsets: negative, zero, positive, NaN, infinite,
-        subnormal.  The families are **mutually exclusive** (the paper's
-        Section 5 "kinds": every sampled value belongs to exactly one),
-        classified specific-first: NaN, then infinite, then zero, then
-        subnormal, then the sign of an ordinary normal value -- see
-        docs/ALGORITHM.md.  Non-float values leave the site unobserved.
-        """
-        if type(value) is float:
-            m = self._mode_id
-            if m == _MODE_UNIFORM:
-                g = self._gap - 1
-                if g > 0:
-                    self._gap = g
-                    return
-                self._gap = self._next_gap()
-            elif m == _MODE_PER_SITE:
-                gaps = self._gaps
-                g = gaps[site] - 1
-                if g > 0:
-                    gaps[site] = g
-                    return
-                gaps[site] = geometric_gap(self._rates[site], self._rng_random())
-            self._site_obs[site] += 1
-            b = self._base[site]
-            t = self._true
-            if value != value:  # NaN
-                t[b + 3] += 1
-            elif value == _INF or value == _NINF:
-                t[b + 4] += 1
-            elif value == 0.0:
-                t[b + 1] += 1
-            elif -_TINY < value < _TINY:
-                t[b + 5] += 1  # subnormal (nonzero, below the normal floor)
-            elif value < 0.0:
-                t[b] += 1
-            else:
-                t[b + 2] += 1
-
-    def enter(self, site: int) -> None:
-        """Record a function entry (the ``function-entries`` scheme)."""
-        m = self._mode_id
-        if m == _MODE_UNIFORM:
-            g = self._gap - 1
-            if g > 0:
-                self._gap = g
-                return
-            self._gap = self._next_gap()
-        elif m == _MODE_PER_SITE:
-            gaps = self._gaps
-            g = gaps[site] - 1
-            if g > 0:
-                gaps[site] = g
-                return
-            gaps[site] = geometric_gap(self._rates[site], self._rng_random())
-        self._site_obs[site] += 1
-        self._true[self._base[site]] += 1
 
     def custom(self, site: int, flags: Sequence[bool]) -> None:
         """Record a hand-rolled predicate family (Section 5 extensions)."""

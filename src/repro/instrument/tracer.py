@@ -22,7 +22,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.core.predicates import PredicateTable
 from repro.instrument.runtime import Runtime
 from repro.instrument.sampling import SamplingPlan
-from repro.instrument.transform import InstrumentationConfig, Instrumenter
+from repro.instrument.transform import RUNTIME_NAME, Instrumenter
 
 
 @dataclass
@@ -63,7 +63,6 @@ class InstrumentedProgram:
 def instrument_source(
     source: str,
     name: str = "subject",
-    config: Optional[InstrumentationConfig] = None,
     table: Optional[PredicateTable] = None,
     extra_globals: Optional[Dict[str, object]] = None,
 ) -> InstrumentedProgram:
@@ -72,7 +71,6 @@ def instrument_source(
     Args:
         source: The subject's Python source text.
         name: Module name; also used to derive the pseudo-filename.
-        config: Instrumentation configuration (defaults: all schemes on).
         table: Optional existing predicate table to extend.
         extra_globals: Additional names injected into the module globals
             before execution (e.g. test doubles).
@@ -80,8 +78,7 @@ def instrument_source(
     Returns:
         An :class:`InstrumentedProgram` ready to run.
     """
-    config = config if config is not None else InstrumentationConfig()
-    inst = Instrumenter(table=table, config=config)
+    inst = Instrumenter(table=table)
     filename = f"<instrumented:{name}>"
     tree = inst.instrument(source, filename=filename)
     code = compile(tree, filename, "exec")
@@ -95,7 +92,7 @@ def instrument_source(
     namespace: Dict[str, object] = {
         "__name__": name,
         "__file__": filename,
-        config.runtime_name: runtime,
+        RUNTIME_NAME: runtime,
     }
     if extra_globals:
         namespace.update(extra_globals)

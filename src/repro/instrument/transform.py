@@ -23,9 +23,13 @@ wrapped value):
   with the numeric constants appearing in the function.  Each pair is a
   distinct instrumentation site, as in the paper.
 
-Calls whose (dotted) name starts with an excluded prefix -- by default the
-runtime itself and the ground-truth side channel ``record_bug`` -- are
-never instrumented.
+Pair sites compare against at most the :data:`MAX_PAIR_VARS` most
+recently assigned variables and the first :data:`MAX_PAIR_CONSTS`
+constants of the function.  Calls whose (dotted) name starts with one of
+:data:`EXCLUDED_CALL_PREFIXES` -- the runtime itself and the ground-truth
+side channel ``record_bug`` -- are never instrumented.  These are the
+transform's only settings; there is one instrumentation, so stores
+record one configuration digest (:data:`repro.store.manifest.CONFIG_SHA`).
 """
 
 from __future__ import annotations
@@ -45,43 +49,19 @@ if hasattr(ast, "TryStar"):  # pragma: no branch - version gate
     _TRY_NODES = (ast.Try, ast.TryStar)
 
 
-@dataclass(frozen=True)
-class InstrumentationConfig:
-    """Which schemes to apply and how aggressively.
+#: Global name the runtime object is bound to in instrumented code.
+RUNTIME_NAME = "_cbi"
 
-    Attributes:
-        branches / returns / scalar_pairs: Scheme on/off switches.
-        function_entries: One coverage predicate per function entry
-            (off by default; the paper's C system did not have it, but
-            Section 6 notes the counters double as coverage data).
-        float_kinds: Classify floating-point assignment values
-            (negative/zero/positive/NaN/infinite/subnormal); a scheme
-            the CBI system shipped beyond the three in the paper.  Off
-            by default.
-        max_pair_vars: Cap on in-scope variables compared per assignment
-            (the most recently assigned are kept); ``None`` = no cap.
-        max_pair_consts: Cap on function constants compared per
-            assignment; ``None`` = no cap.
-        include_old_value: Whether to emit the "new value of x vs old
-            value of x" pair site.
-        exclude_functions: Function names to leave uninstrumented (the
-            paper's escape hatch for performance-critical kernels).
-        exclude_call_prefixes: Dotted-name prefixes never treated as
-            instrumentable calls.
-        runtime_name: Global name the runtime object is bound to.
-    """
+#: Cap on in-scope variables compared per assignment (the most recently
+#: assigned are kept).
+MAX_PAIR_VARS = 8
 
-    branches: bool = True
-    returns: bool = True
-    scalar_pairs: bool = True
-    function_entries: bool = False
-    float_kinds: bool = False
-    max_pair_vars: Optional[int] = 8
-    max_pair_consts: Optional[int] = 6
-    include_old_value: bool = True
-    exclude_functions: frozenset = frozenset()
-    exclude_call_prefixes: Tuple[str, ...] = ("_cbi", "record_bug")
-    runtime_name: str = "_cbi"
+#: Cap on function constants compared per assignment (the first found
+#: by :func:`_collect_constants` are kept).
+MAX_PAIR_CONSTS = 6
+
+#: Dotted-name prefixes never treated as instrumentable calls.
+EXCLUDED_CALL_PREFIXES: Tuple[str, ...] = (RUNTIME_NAME, "record_bug")
 
 
 @dataclass
@@ -91,7 +71,6 @@ class _FunctionContext:
     name: str
     assigned: List[str] = field(default_factory=list)
     constants: List[object] = field(default_factory=list)
-    instrument: bool = True
     is_class_body: bool = False
 
     def note_assigned(self, name: str) -> None:
@@ -102,7 +81,8 @@ class _FunctionContext:
 
 
 def _collect_constants(node: ast.AST) -> List[object]:
-    """Distinct numeric constants in source order (bools excluded)."""
+    """Distinct numeric constants in ``ast.walk`` (breadth-first) order,
+    bools excluded."""
     seen: List[object] = []
     for sub in ast.walk(node):
         if isinstance(sub, ast.Constant):
@@ -143,15 +123,12 @@ class Instrumenter:
     def __init__(
         self,
         table: Optional[PredicateTable] = None,
-        config: Optional[InstrumentationConfig] = None,
         function_prefix: str = "",
     ) -> None:
         self.table = table if table is not None else PredicateTable()
-        self.config = config if config is not None else InstrumentationConfig()
         #: Prepended to every site's function name.  The factory sets this
         #: to ``"<module>:"`` so sites from different modules of one
-        #: package never collide in the shared table; ``exclude_functions``
-        #: still matches on the bare function name.
+        #: package never collide in the shared table.
         self.function_prefix = function_prefix
 
     # ------------------------------------------------------------------
@@ -176,7 +153,7 @@ class Instrumenter:
     # ------------------------------------------------------------------
     def _runtime_attr(self, method: str) -> ast.Attribute:
         return ast.Attribute(
-            value=ast.Name(id=self.config.runtime_name, ctx=ast.Load()),
+            value=ast.Name(id=RUNTIME_NAME, ctx=ast.Load()),
             attr=method,
             ctx=ast.Load(),
         )
@@ -213,7 +190,7 @@ class Instrumenter:
         if name is None:
             return False
         parts = name.split(".")
-        for prefix in self.config.exclude_call_prefixes:
+        for prefix in EXCLUDED_CALL_PREFIXES:
             if any(p.startswith(prefix) for p in parts):
                 return True
         return False
@@ -223,8 +200,6 @@ class Instrumenter:
     # ------------------------------------------------------------------
     def _transform_expr(self, node: ast.AST, ctx: _FunctionContext) -> ast.AST:
         """Instrument calls / boolean operators inside one expression tree."""
-        if not ctx.instrument:
-            return node
         return _ExprInstrumenter(self, ctx).visit(node)
 
     # ------------------------------------------------------------------
@@ -232,26 +207,20 @@ class Instrumenter:
     # ------------------------------------------------------------------
     def _pair_candidates(
         self, ctx: _FunctionContext, target: str
-    ) -> Tuple[List[Tuple[str, ast.expr]], bool]:
-        """Return ``(candidates, include_old)`` for an assignment to target.
+    ) -> List[Tuple[str, ast.expr]]:
+        """Return the non-old-value candidates for an assignment to target.
 
         Each candidate is ``(description, value expression)``; description
         uses the paper's ``x __ y`` placeholder, expanded per relation by
         the predicate table's default names.
         """
-        cfg = self.config
         cands: List[Tuple[str, ast.expr]] = []
-        names = [n for n in ctx.assigned if n != target]
-        if cfg.max_pair_vars is not None:
-            names = names[-cfg.max_pair_vars :]
+        names = [n for n in ctx.assigned if n != target][-MAX_PAIR_VARS:]
         for name in names:
             cands.append((f"{target} __ {name}", ast.Name(id=name, ctx=ast.Load())))
-        consts = ctx.constants
-        if cfg.max_pair_consts is not None:
-            consts = consts[: cfg.max_pair_consts]
-        for value in consts:
+        for value in ctx.constants[:MAX_PAIR_CONSTS]:
             cands.append((f"{target} __ {value}", ast.Constant(value=value)))
-        return cands, cfg.include_old_value
+        return cands
 
     def _emit_pairs(
         self,
@@ -261,12 +230,12 @@ class Instrumenter:
         capture_old: bool,
     ) -> Tuple[List[ast.stmt], List[ast.stmt]]:
         """Build (pre-statements, post-statements) around an assignment."""
-        cands, include_old = self._pair_candidates(ctx, target)
+        cands = self._pair_candidates(ctx, target)
         site_ids: List[int] = []
         value_exprs: List[ast.expr] = []
 
         pre: List[ast.stmt] = []
-        if include_old and capture_old:
+        if capture_old:
             site = self.table.add_site(
                 Scheme.SCALAR_PAIRS,
                 ctx.name,
@@ -357,24 +326,6 @@ class Instrumenter:
             ]
         return pre, post
 
-    def _emit_float_kind(
-        self, ctx: _FunctionContext, target: str, line: int
-    ) -> List[ast.stmt]:
-        """Statement recording the float classification of ``target``."""
-        site = self.table.add_site(Scheme.FLOAT_KINDS, ctx.name, line, target)
-        return [
-            ast.Expr(
-                value=ast.Call(
-                    func=self._runtime_attr("float_kind"),
-                    args=[
-                        ast.Constant(value=site.index),
-                        ast.Name(id=target, ctx=ast.Load()),
-                    ],
-                    keywords=[],
-                )
-            )
-        ]
-
     # ------------------------------------------------------------------
     # Statement walking
     # ------------------------------------------------------------------
@@ -401,13 +352,10 @@ class Instrumenter:
         return out
 
     def _process_stmt(self, stmt: ast.stmt, ctx: _FunctionContext) -> List[ast.stmt]:
-        cfg = self.config
-
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = _FunctionContext(
                 name=self.function_prefix + stmt.name,
                 constants=_collect_constants(stmt),
-                instrument=ctx.instrument and stmt.name not in cfg.exclude_functions,
             )
             args = stmt.args
             for a in (
@@ -418,21 +366,7 @@ class Instrumenter:
                 + ([args.kwarg] if args.kwarg else [])
             ):
                 inner.note_assigned(a.arg)
-            entry_prefix: List[ast.stmt] = []
-            if cfg.function_entries and inner.instrument:
-                site = self.table.add_site(
-                    Scheme.FUNCTION_ENTRIES, inner.name, stmt.lineno, stmt.name
-                )
-                entry_prefix = [
-                    ast.Expr(
-                        value=ast.Call(
-                            func=self._runtime_attr("enter"),
-                            args=[ast.Constant(value=site.index)],
-                            keywords=[],
-                        )
-                    )
-                ]
-            stmt.body = entry_prefix + self._process_stmts(stmt.body, inner)
+            stmt.body = self._process_stmts(stmt.body, inner)
             ctx.note_assigned(stmt.name)
             return [stmt]
 
@@ -440,29 +374,15 @@ class Instrumenter:
             inner = _FunctionContext(
                 name=self.function_prefix + stmt.name,
                 constants=_collect_constants(stmt),
-                instrument=ctx.instrument and stmt.name not in cfg.exclude_functions,
                 is_class_body=True,
             )
             stmt.body = self._process_stmts(stmt.body, inner)
             return [stmt]
 
-        if not ctx.instrument:
-            return [stmt]
-
-        if isinstance(stmt, ast.If):
+        if isinstance(stmt, (ast.If, ast.While)):
             desc = _snippet(stmt.test)
             stmt.test = self._transform_expr(stmt.test, ctx)
-            if cfg.branches:
-                stmt.test = self._wrap_branch(ctx, stmt.test, desc)
-            stmt.body = self._process_stmts(stmt.body, ctx)
-            stmt.orelse = self._process_stmts(stmt.orelse, ctx)
-            return [stmt]
-
-        if isinstance(stmt, ast.While):
-            desc = _snippet(stmt.test)
-            stmt.test = self._transform_expr(stmt.test, ctx)
-            if cfg.branches:
-                stmt.test = self._wrap_branch(ctx, stmt.test, desc)
+            stmt.test = self._wrap_branch(ctx, stmt.test, desc)
             stmt.body = self._process_stmts(stmt.body, ctx)
             stmt.orelse = self._process_stmts(stmt.orelse, ctx)
             return [stmt]
@@ -471,7 +391,7 @@ class Instrumenter:
             stmt.iter = self._transform_expr(stmt.iter, ctx)
             self._note_target_names(stmt.target, ctx)
             body_prefix: List[ast.stmt] = []
-            if cfg.scalar_pairs and isinstance(stmt.target, ast.Name):
+            if isinstance(stmt.target, ast.Name):
                 _, post = self._emit_pairs(
                     ctx, stmt.target.id, stmt.lineno, capture_old=False
                 )
@@ -509,8 +429,7 @@ class Instrumenter:
                 if case.guard is not None:
                     desc = _snippet(case.guard)
                     case.guard = self._transform_expr(case.guard, ctx)
-                    if cfg.branches:
-                        case.guard = self._wrap_branch(ctx, case.guard, desc)
+                    case.guard = self._wrap_branch(ctx, case.guard, desc)
                 case.body = self._process_stmts(case.body, ctx)
             return [stmt]
 
@@ -523,14 +442,7 @@ class Instrumenter:
                 and not stmt.targets[0].id.startswith("_cbi")
             ):
                 target = stmt.targets[0].id
-                pre: List[ast.stmt] = []
-                post: List[ast.stmt] = []
-                if cfg.scalar_pairs:
-                    pre, post = self._emit_pairs(
-                        ctx, target, stmt.lineno, capture_old=True
-                    )
-                if cfg.float_kinds:
-                    post = post + self._emit_float_kind(ctx, target, stmt.lineno)
+                pre, post = self._emit_pairs(ctx, target, stmt.lineno, capture_old=True)
                 result = pre + [stmt] + post
                 ctx.note_assigned(target)
             else:
@@ -543,14 +455,7 @@ class Instrumenter:
             result = [stmt]
             if isinstance(stmt.target, ast.Name):
                 target = stmt.target.id
-                pre = []
-                post = []
-                if cfg.scalar_pairs:
-                    pre, post = self._emit_pairs(
-                        ctx, target, stmt.lineno, capture_old=True
-                    )
-                if cfg.float_kinds:
-                    post = post + self._emit_float_kind(ctx, target, stmt.lineno)
+                pre, post = self._emit_pairs(ctx, target, stmt.lineno, capture_old=True)
                 result = pre + [stmt] + post
                 ctx.note_assigned(target)
             return result
@@ -558,7 +463,7 @@ class Instrumenter:
         if isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
                 stmt.value = self._transform_expr(stmt.value, ctx)
-                if cfg.scalar_pairs and isinstance(stmt.target, ast.Name):
+                if isinstance(stmt.target, ast.Name):
                     target = stmt.target.id
                     pre, post = self._emit_pairs(
                         ctx, target, stmt.lineno, capture_old=True
@@ -599,8 +504,6 @@ class _ExprInstrumenter(ast.NodeTransformer):
 
     def visit_Call(self, node: ast.Call):
         self.generic_visit(node)
-        if not self.owner.config.returns:
-            return node
         if self.owner._excluded_call(node.func):
             return node
         return self.owner._wrap_call(self.ctx, node)
@@ -608,26 +511,21 @@ class _ExprInstrumenter(ast.NodeTransformer):
     def visit_BoolOp(self, node: ast.BoolOp):
         descs = [_snippet(v) for v in node.values]
         self.generic_visit(node)
-        if self.owner.config.branches:
-            node.values = [
-                self.owner._wrap_branch(self.ctx, v, d)
-                for v, d in zip(node.values, descs)
-            ]
+        node.values = [
+            self.owner._wrap_branch(self.ctx, v, d) for v, d in zip(node.values, descs)
+        ]
         return node
 
     def visit_IfExp(self, node: ast.IfExp):
         desc = _snippet(node.test)
         self.generic_visit(node)
-        if self.owner.config.branches:
-            node.test = self.owner._wrap_branch(self.ctx, node.test, desc)
+        node.test = self.owner._wrap_branch(self.ctx, node.test, desc)
         return node
 
     def visit_comprehension(self, node: ast.comprehension):
         descs = [_snippet(i) for i in node.ifs]
         self.generic_visit(node)
-        if self.owner.config.branches:
-            node.ifs = [
-                self.owner._wrap_branch(self.ctx, i, d)
-                for i, d in zip(node.ifs, descs)
-            ]
+        node.ifs = [
+            self.owner._wrap_branch(self.ctx, i, d) for i, d in zip(node.ifs, descs)
+        ]
         return node

@@ -45,9 +45,9 @@ from repro.store.faults import (
     parse_faults,
 )
 from repro.store.manifest import (
+    CONFIG_SHA,
     ShardEntry,
     ShardManifest,
-    config_digest,
     plan_from_json,
     plan_to_json,
 )
@@ -64,6 +64,7 @@ from repro.store.shards import (
 __all__ = [
     "AuditReport",
     "COLLECTION_LOG_NAME",
+    "CONFIG_SHA",
     "CollectionError",
     "DuplicateSeedRangeError",
     "FAULT_KINDS",
@@ -82,7 +83,6 @@ __all__ = [
     "StaleManifestError",
     "StoreError",
     "StoreVersionError",
-    "config_digest",
     "parse_faults",
     "plan_from_json",
     "plan_to_json",

@@ -4,8 +4,8 @@ The manifest (``manifest.json``) is the store's source of truth for
 membership and provenance.  It records:
 
 * which subject the reports were collected from;
-* a digest of the :class:`~repro.instrument.transform.InstrumentationConfig`
-  and the predicate table's content signature -- together these pin the
+* the instrumentation configuration digest (:data:`CONFIG_SHA`) and the
+  predicate table's content signature -- together these pin the
   instrumentation, so ``analyze`` can refuse shards that would
   mis-attribute counters;
 * the sampling plan used during collection;
@@ -20,7 +20,6 @@ Every manifest read from outside goes through one check,
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -30,31 +29,19 @@ import numpy as np
 
 from repro.core.io import FORMAT_VERSION, atomic_write_bytes_via
 from repro.instrument.sampling import SamplingPlan
-from repro.instrument.transform import InstrumentationConfig
 from repro.store.errors import ManifestError, StoreVersionError
 
 #: Manifest schema version, independent of the shard archive version.
 MANIFEST_VERSION = 1
 
 
-def config_digest(config: Optional[InstrumentationConfig]) -> str:
-    """Return a stable digest of an instrumentation configuration.
-
-    ``None`` (the defaults) hashes identically to an explicitly
-    constructed default config, so collection sessions that spell the
-    default differently still append to the same store.
-    """
-    config = config if config is not None else InstrumentationConfig()
-    spec = {}
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, frozenset):
-            value = sorted(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        spec[f.name] = value
-    blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+#: Digest of the one instrumentation configuration
+#: (:mod:`repro.instrument.transform`): every store records it as
+#: ``config_sha``.  It is the SHA-256 of the transform's settings as
+#: canonical JSON, kept as a constant so existing stores and their
+#: digests stay valid; a manifest carrying any other value was written
+#: by a different instrumentation and is refused on append.
+CONFIG_SHA = "65f12b5b538809174e6cb51512a2128dcbdbae629f02f467421363ee6db71161"
 
 
 def plan_to_json(plan: SamplingPlan) -> Dict[str, object]:

@@ -84,7 +84,6 @@ from repro.core.reports import ReportSet
 from repro.core.scores import SufficientStats
 from repro.core.truth import GroundTruth
 from repro.instrument.sampling import SamplingPlan
-from repro.instrument.transform import InstrumentationConfig
 from repro.obs import (
     enabled as _obs_enabled,
     inc as _obs_inc,
@@ -100,9 +99,9 @@ from repro.store.errors import (
     StaleManifestError,
 )
 from repro.store.manifest import (
+    CONFIG_SHA,
     ShardEntry,
     ShardManifest,
-    config_digest,
     plan_from_json,
     plan_to_json,
     shard_filename,
@@ -347,7 +346,6 @@ class ShardStore:
         subject: str,
         table: PredicateTable,
         plan: SamplingPlan,
-        config: Optional[InstrumentationConfig] = None,
     ) -> "ShardStore":
         """Initialise an empty store (directory may exist but not a manifest)."""
         store = cls.create_like(
@@ -355,7 +353,7 @@ class ShardStore:
             ShardManifest(
                 subject=subject,
                 table_sha=table.signature(),
-                config_sha=config_digest(config),
+                config_sha=CONFIG_SHA,
                 plan=plan_to_json(plan),
             ),
         )
@@ -400,14 +398,14 @@ class ShardStore:
         subject: str,
         table: PredicateTable,
         plan: SamplingPlan,
-        config: Optional[InstrumentationConfig] = None,
     ) -> "ShardStore":
         """Open ``directory`` for appending, creating it on first use.
 
-        When the store exists, the subject, instrumentation config and
-        predicate table must match what it was created with; the sampling
-        plan may differ between sessions (the analysis is sampling-agnostic)
-        but the manifest keeps the original.
+        When the store exists, the subject, the instrumentation digest
+        (:data:`~repro.store.manifest.CONFIG_SHA`) and the predicate table
+        must match what it was created with; the sampling plan may differ
+        between sessions (the analysis is sampling-agnostic) but the
+        manifest keeps the original.
 
         Raises:
             ManifestError: The store's plan (or, for a new store,
@@ -417,7 +415,7 @@ class ShardStore:
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         if not os.path.exists(manifest_path):
             _check_plan_fits(plan, table)
-            return cls.create(directory, subject, table, plan, config=config)
+            return cls.create(directory, subject, table, plan)
         store = cls.open(directory)
         if store.manifest.subject != subject:
             raise ValueError(
@@ -430,7 +428,7 @@ class ShardStore:
                 "(instrumentation changed?); appending would mis-attribute "
                 "counters"
             )
-        if store.manifest.config_sha != config_digest(config):
+        if store.manifest.config_sha != CONFIG_SHA:
             raise ValueError(
                 "store was collected with a different instrumentation "
                 "configuration; appending would mix incompatible predicates"

@@ -81,7 +81,7 @@ class Subject(abc.ABC):
     def source(self) -> str:
         """Return the program source text to instrument."""
 
-    def build_program(self, config=None, table=None):
+    def build_program(self, table=None):
         """Instrument this subject and return an ``InstrumentedProgram``.
 
         Every production consumer (collect/analyze/serve/bakeoff)
@@ -92,9 +92,7 @@ class Subject(abc.ABC):
         """
         from repro.instrument.tracer import instrument_source
 
-        return instrument_source(
-            self.source(), name=self.name, config=config, table=table
-        )
+        return instrument_source(self.source(), name=self.name, table=table)
 
     def bug_sites(self):
         """Static ground-truth ``record_bug`` sites for this subject.

@@ -5,6 +5,11 @@ Usage (from the repository root)::
     PYTHONPATH=src python -m tests.golden.regenerate            # rewrite
     PYTHONPATH=src python -m tests.golden.regenerate --check    # compare
 
+``--check`` exits 1 on any difference and prints one line per differing
+key and field (``table_sha``, ``stats``, ``scores``, ``shards`` with the
+differing shard positions, ``analyze``), so one run on an interpreter
+says which layer moved.
+
 Every value comes from the two local collection paths only: the serial
 runner (:func:`repro.harness.runner.run_trials`) gives the table
 signature, statistics and scores; :func:`run_trials_sharded` at the
@@ -21,7 +26,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Dict
+from typing import Dict, List
 
 from tests.golden import (
     CASES,
@@ -77,6 +82,35 @@ def render(golden: Dict[str, Dict[str, object]]) -> str:
     return json.dumps(golden, indent=2, sort_keys=True) + "\n"
 
 
+def differences(
+    committed: Dict[str, Dict[str, object]], fresh: Dict[str, Dict[str, object]]
+) -> List[str]:
+    """One line per key and field on which two golden documents differ."""
+    lines: List[str] = []
+    for key in sorted(set(committed) | set(fresh)):
+        if key not in fresh:
+            lines.append(f"{key}: committed but no longer generated")
+            continue
+        if key not in committed:
+            lines.append(f"{key}: generated but not committed")
+            continue
+        old, new = committed[key], fresh[key]
+        for field in sorted(set(old) | set(new)):
+            a, b = old.get(field), new.get(field)
+            if a == b:
+                continue
+            if field == "shards" and isinstance(a, list) and isinstance(b, list):
+                moved = [
+                    i
+                    for i in range(max(len(a), len(b)))
+                    if i >= len(a) or i >= len(b) or a[i] != b[i]
+                ]
+                lines.append(f"{key}: shards differ at positions {moved}")
+            else:
+                lines.append(f"{key}: {field} differs ({a!r} -> {b!r})")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -90,9 +124,13 @@ def main(argv=None) -> int:
     text = render(golden)
     if args.check:
         with open(GOLDEN_PATH, encoding="utf-8") as handle:
-            if handle.read() != text:
-                print(f"{GOLDEN_PATH} differs from a fresh regeneration", file=sys.stderr)
-                return 1
+            committed_text = handle.read()
+        if committed_text != text:
+            print(f"{GOLDEN_PATH} differs from a fresh regeneration:", file=sys.stderr)
+            lines = differences(json.loads(committed_text), golden)
+            for line in lines or ["(formatting only; every value agrees)"]:
+                print(f"  {line}", file=sys.stderr)
+            return 1
         print(f"{GOLDEN_PATH} reproduced byte for byte")
         return 0
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:

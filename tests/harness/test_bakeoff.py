@@ -182,6 +182,36 @@ class TestBakeoffDocument:
         for name in measures.available():
             assert name in text
 
+    def test_table_renders_each_subjects_runs(self):
+        """Without ``--runs`` the document's ``runs`` is null and each
+        subject ran its own count; the header used to print ``None``."""
+        document = {
+            "runs": None,
+            "seed": 0,
+            "sampling": "full",
+            "subjects": {"ccrypt": {"runs": 400}, "csvlite-brel1": {"runs": 990}},
+            "measures": [
+                {
+                    "measure": "importance",
+                    "results": {
+                        "ccrypt": {
+                            "rank_of_first_faulty_site": 2,
+                            "wasted_effort_sites": 1,
+                        },
+                        "csvlite-brel1": {
+                            "rank_of_first_faulty_site": 1,
+                            "wasted_effort_sites": 0,
+                        },
+                    },
+                }
+            ],
+        }
+        lines = format_bakeoff_table(document).splitlines()
+        assert "None" not in "\n".join(lines)
+        assert lines[0] == "bake-off: seed 0, full sampling"
+        assert lines[3].split() == ["runs", "400", "990"]
+        assert lines[4].split() == ["importance", "2", "1", "1", "0"]
+
 
 class TestBaselineGate:
     def test_self_comparison_is_clean(self, ccrypt_bakeoff):

@@ -5,7 +5,6 @@ import pytest
 from repro.core.elimination import DiscardStrategy
 from repro.harness.experiment import Experiment, build_plan, run_experiment
 from repro.instrument.tracer import instrument_source
-from repro.instrument.transform import InstrumentationConfig
 
 from tests.harness.test_runner import TinySubject
 
@@ -72,19 +71,17 @@ class TestConfiguration:
     def test_custom_instrumentation_config(self):
         result = run_experiment(
             Experiment(
-                subject=TinySubject(),
-                n_runs=50,
-                sampling="full",
-                training_runs=0,
-                instrumentation=InstrumentationConfig(
-                    returns=False, scalar_pairs=False
-                ),
+                subject=TinySubject(), n_runs=50, sampling="full", training_runs=0
             )
         )
         from repro.core.predicates import Scheme
 
         schemes = {s.scheme for s in result.program.table.sites}
-        assert schemes <= {Scheme.BRANCHES}
+        assert schemes <= {Scheme.BRANCHES, Scheme.RETURNS, Scheme.SCALAR_PAIRS}
+        branch_sites = [
+            s for s in result.program.table.sites if s.scheme is Scheme.BRANCHES
+        ]
+        assert branch_sites
 
     def test_parallel_jobs_match_serial(self):
         serial = run_experiment(
@@ -103,27 +100,6 @@ class TestConfiguration:
         assert [p.name for p in parallel.elimination.predicates] == [
             p.name for p in serial.elimination.predicates
         ]
-
-    def test_shard_dir_matches_in_memory(self, tmp_path):
-        in_memory = run_experiment(
-            Experiment(
-                subject=TinySubject(), n_runs=200, sampling="full",
-                training_runs=0, seed=3,
-            )
-        )
-        sharded = run_experiment(
-            Experiment(
-                subject=TinySubject(), n_runs=200, sampling="full",
-                training_runs=0, seed=3, jobs=2,
-                shard_dir=str(tmp_path / "store"),
-            )
-        )
-        assert sharded.reports.failed.tolist() == in_memory.reports.failed.tolist()
-        assert [p.name for p in sharded.elimination.predicates] == [
-            p.name for p in in_memory.elimination.predicates
-        ]
-        # The store stays behind for later `analyze` sessions.
-        assert (tmp_path / "store" / "manifest.json").exists()
 
     def test_relabel_strategy_runs(self):
         result = run_experiment(

@@ -172,56 +172,6 @@ class TestSamplingIntegration:
             rt.begin_run(SamplingPlan(mode="bogus"), seed=0)
 
 
-class TestFloatKinds:
-    def _rt(self):
-        table = PredicateTable()
-        site = table.add_site(Scheme.FLOAT_KINDS, "f", 1, "x")
-        rt = Runtime(table)
-        rt.begin_run(SamplingPlan.full(), seed=0)
-        return rt, site
-
-    @pytest.mark.parametrize(
-        "value,offsets",
-        [
-            (-2.5, {0}),
-            (0.0, {1}),
-            (-0.0, {1}),
-            (3.25, {2}),
-            (float("nan"), {3}),
-            (float("inf"), {4}),
-            (float("-inf"), {4}),
-            (1e-310, {5}),   # subnormal positive
-            (-1e-310, {5}),  # subnormal negative
-        ],
-    )
-    def test_classification(self, value, offsets):
-        """Regression: the six families are mutually exclusive (paper §5
-        "kinds") -- ``±inf`` used to count in both the infinite family
-        and a sign family, and subnormals in both subnormal and sign,
-        while NaN was already exclusive.  Every value now lands in
-        exactly one family; see docs/ALGORITHM.md for the layout."""
-        rt, site = self._rt()
-        rt.float_kind(site.index, value)
-        site_obs, pred_true = rt.end_run()
-        assert set(pred_true) == offsets
-        assert site_obs[site.index] == 1
-        assert sum(pred_true.values()) == 1  # exclusive: one family per value
-
-    def test_non_floats_leave_site_unobserved(self):
-        rt, site = self._rt()
-        rt.float_kind(site.index, 7)      # int
-        rt.float_kind(site.index, "7.0")  # str
-        site_obs, _ = rt.end_run()
-        assert site_obs == {}
-
-    def test_predicate_names(self):
-        table = PredicateTable()
-        table.add_site(Scheme.FLOAT_KINDS, "f", 1, "ratio")
-        names = [p.name for p in table.predicates]
-        assert "ratio is NaN" in names
-        assert "ratio is subnormal" in names
-
-
 class TestCustomScheme:
     def test_custom_flags(self):
         table = PredicateTable()

@@ -5,10 +5,10 @@ Two families of properties:
 * the geometric-countdown sampler is *distributionally equivalent* to
   per-opportunity Bernoulli coin flips (the paper's "each potential
   sample is taken or skipped randomly and independently"), and the
-  countdown inlined into every observation helper the transform emits
-  (``branch``, ``ret``, ``pairs``, ``float_kind``, ``enter``,
-  ``custom``) is *exactly* equivalent to drawing geometric gaps from the
-  same RNG stream.  The oracle is written here and shares no code with
+  countdown inlined into every observation helper (the transform's
+  ``branch``, ``ret`` and ``pairs``, and the hand-rolled ``custom``) is
+  *exactly* equivalent to drawing geometric gaps from the same RNG
+  stream.  The oracle is written here and shares no code with
   :class:`Runtime`: it draws the gaps by inverse CDF from
   ``random.Random(seed)`` itself;
 * sampler state round-trips through
@@ -53,8 +53,6 @@ HELPERS = {
     "branch": (Scheme.BRANCHES, lambda rt, s: rt.branch(s, True)),
     "ret": (Scheme.RETURNS, lambda rt, s: rt.ret(s, 3)),
     "pairs": (Scheme.SCALAR_PAIRS, lambda rt, s: rt.pairs((s,), 1, (2,))),
-    "float_kind": (Scheme.FLOAT_KINDS, lambda rt, s: rt.float_kind(s, 0.5)),
-    "enter": (Scheme.FUNCTION_ENTRIES, lambda rt, s: rt.enter(s)),
     "custom": (Scheme.CUSTOM, lambda rt, s: rt.custom(s, [True])),
 }
 
@@ -205,8 +203,7 @@ class TestGeometricEquivalence:
 class TestTickRule:
     """Which calls consume a countdown tick.  Today only an opportunity
     the helper can observe does: a non-scalar ``ret``/``pairs`` operand
-    (``bool`` included) and a non-float ``float_kind`` value leave the
-    sampler untouched, as if the call never happened."""
+    (``bool`` included) leaves the sampler untouched, as if the call never happened."""
 
     _NO_TICK = [
         ("ret", lambda rt, s: rt.ret(s, True)),
@@ -216,9 +213,6 @@ class TestTickRule:
         ("pairs", lambda rt, s: rt.pairs((s,), 1, (False,))),
         ("pairs", lambda rt, s: rt.pairs((s,), 1, (UNBOUND,))),
         ("pairs", lambda rt, s: rt.pairs((s,), [1], (2,))),
-        ("float_kind", lambda rt, s: rt.float_kind(s, 1)),
-        ("float_kind", lambda rt, s: rt.float_kind(s, True)),
-        ("float_kind", lambda rt, s: rt.float_kind(s, None)),
     ]
 
     @settings(max_examples=15, **_SETTINGS)

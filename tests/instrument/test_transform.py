@@ -14,20 +14,25 @@ from hypothesis import strategies as st
 from repro.core.predicates import Scheme
 from repro.instrument.sampling import SamplingPlan
 from repro.instrument.tracer import instrument_source
-from repro.instrument.transform import InstrumentationConfig, Instrumenter
+from repro.instrument.transform import Instrumenter
 
 
-def _run_both(source, func, *args, config=None):
+def _run_both(source, func, *args):
     """Execute ``func(*args)`` in the plain and the instrumented module."""
     plain = {}
     exec(compile(source, "<plain>", "exec"), plain)
     expected = plain[func](*args)
 
-    prog = instrument_source(source, "t", config=config)
+    prog = instrument_source(source, "t")
     prog.begin_run(SamplingPlan.full(), seed=1)
     actual = prog.func(func)(*args)
     prog.end_run()
     return expected, actual, prog
+
+
+def _descriptions(prog, scheme):
+    """Descriptions of the program's sites of one scheme, in order."""
+    return [s.description for s in prog.table.sites if s.scheme is scheme]
 
 
 class TestSemanticPreservation:
@@ -171,9 +176,7 @@ def f(x):
         x -= 1
     return x
 """
-        prog = instrument_source(
-            src, "t", config=InstrumentationConfig(returns=False, scalar_pairs=False)
-        )
+        prog = instrument_source(src, "t")
         branch_sites = [s for s in prog.table.sites if s.scheme is Scheme.BRANCHES]
         assert len(branch_sites) == 2
         descs = {s.description for s in branch_sites}
@@ -208,9 +211,7 @@ def g(x):
 def h(x):
     return x
 """
-        prog = instrument_source(
-            src, "t", config=InstrumentationConfig(branches=False, scalar_pairs=False)
-        )
+        prog = instrument_source(src, "t")
         ret_sites = [s for s in prog.table.sites if s.scheme is Scheme.RETURNS]
         assert len(ret_sites) == 3
         assert {s.description for s in ret_sites} == {"g", "h"}
@@ -222,10 +223,7 @@ def f(a):
     x = x * 2
     return x
 """
-        prog = instrument_source(
-            src, "t", config=InstrumentationConfig(branches=False, returns=False)
-        )
-        descs = [s.description for s in prog.table.sites]
+        descs = _descriptions(instrument_source(src, "t"), Scheme.SCALAR_PAIRS)
         assert "new value of x __ old value of x" in descs
         assert any(d == "x __ a" for d in descs)
 
@@ -237,10 +235,7 @@ def f(n):
         total += i
     return total
 """
-        prog = instrument_source(
-            src, "t", config=InstrumentationConfig(branches=False, returns=False)
-        )
-        descs = [s.description for s in prog.table.sites]
+        descs = _descriptions(instrument_source(src, "t"), Scheme.SCALAR_PAIRS)
         assert any(d.startswith("i __ ") for d in descs)
 
     def test_constants_appear_as_pair_candidates(self):
@@ -250,11 +245,82 @@ def f(a):
     count = a
     return count
 """
-        prog = instrument_source(
-            src, "t", config=InstrumentationConfig(branches=False, returns=False)
-        )
-        names = [p.name for p in prog.table.predicates]
+        prog = instrument_source(src, "t")
+        names = [
+            p.name
+            for p in prog.table.predicates
+            if prog.table.site_of(p.index).scheme is Scheme.SCALAR_PAIRS
+        ]
         assert "count > 500" in names
+
+
+B, R, P = Scheme.BRANCHES, Scheme.RETURNS, Scheme.SCALAR_PAIRS
+
+#: (id, source, expected sites as (scheme, description) in table order).
+#: Each program isolates one rewritten (or deliberately skipped) construct.
+_CONSTRUCT_SITES = [
+    ("if", "def f(x):\n    if x > 0:\n        pass\n", [(B, "x > 0")]),
+    ("while", "def f(x):\n    while x < 3:\n        break\n", [(B, "x < 3")]),
+    ("ternary", "def f(x):\n    return 1 if x else 2\n", [(B, "x")]),
+    ("comprehension-guard", "def f(x):\n    return [v for v in x if v]\n", [(B, "v")]),
+    ("and-operands", "def f(x):\n    return x and not x\n", [(B, "x"), (B, "not x")]),
+    (
+        "or-operand-call",
+        "def f(x):\n    return g(x) or x\n",
+        [(R, "g"), (B, "g(x)"), (B, "x")],
+    ),
+    (
+        "match-guard",
+        "def f(x):\n    match x:\n        case int() if x > 1:\n            pass\n",
+        [(B, "x > 1")],
+    ),
+    ("if-test-call", "def f(x):\n    if g(x):\n        pass\n", [(R, "g"), (B, "g(x)")]),
+    ("dotted-call", "def f(x):\n    return x.strip()\n", [(R, "x.strip")]),
+    ("computed-call", "def f(x):\n    return x[0](1)\n", [(R, "x[0]")]),
+    ("nested-calls", "def f(x):\n    return g(h(x))\n", [(R, "h"), (R, "g")]),
+    ("assert", "def f(x):\n    assert g(x)\n", [(R, "g")]),
+    ("raise", "def f(x):\n    raise g(x)\n", [(R, "g")]),
+    ("with", "def f(x):\n    with g(x):\n        pass\n", [(R, "g")]),
+    (
+        "assign",
+        "def f(x):\n    y = x\n",
+        [(P, "new value of y __ old value of y"), (P, "y __ x")],
+    ),
+    (
+        "aug-assign",
+        "def f(x):\n    x += 1\n",
+        [(P, "new value of x __ old value of x"), (P, "x __ 1")],
+    ),
+    (
+        "ann-assign",
+        "def f(x):\n    y: int = x\n",
+        [(P, "new value of y __ old value of y"), (P, "y __ x")],
+    ),
+    ("ann-without-value", "def f(x):\n    y: int\n", []),
+    ("for-target", "def f(x):\n    for v in x:\n        pass\n", [(P, "v __ x")]),
+    ("tuple-unpacking", "def f(x):\n    a, b = x\n", []),
+    ("attribute-assign", "def f(x):\n    x.a = x\n", []),
+    ("lambda-body", "def f(x):\n    return lambda v: g(v) if v else 0\n", []),
+    (
+        "class-body",
+        "class C:\n    k = 2\n",
+        [(P, "new value of k __ old value of k"), (P, "k __ 2")],
+    ),
+]
+
+
+class TestSitesPerConstruct:
+    """Every program registers sites of the three paper schemes only, and
+    each construct registers exactly the sites the transform documents."""
+
+    @pytest.mark.parametrize(
+        "src, expected",
+        [pytest.param(src, exp, id=name) for name, src, exp in _CONSTRUCT_SITES],
+    )
+    def test_construct_registers_its_sites(self, src, expected):
+        inst = Instrumenter()
+        inst.instrument(src)
+        assert [(s.scheme, s.description) for s in inst.table.sites] == expected
 
 
 class TestExclusions:
@@ -266,181 +332,84 @@ def record_bug(x):
 def f():
     return record_bug("id")
 """
-        prog = instrument_source(
-            src, "t", config=InstrumentationConfig(branches=False, scalar_pairs=False)
-        )
-        assert all(s.description != "record_bug" for s in prog.table.sites)
+        descs = _descriptions(instrument_source(src, "t"), Scheme.RETURNS)
+        assert "record_bug" not in descs
 
-    def test_excluded_functions_not_instrumented(self):
-        src = """
-def hot(x):
-    if x > 0:
-        return x
-    return -x
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "record_bug('id')",
+            "self.record_bug('id')",
+            "record_bug_detail()",
+            "_cbi_log()",
+            "x._cbi.branch()",
+        ],
+    )
+    def test_call_with_excluded_part_is_not_a_site(self, call):
+        """A call is left alone when any part of its dotted name starts
+        with ``_cbi`` or ``record_bug``."""
+        inst = Instrumenter()
+        inst.instrument(f"def f(x, self):\n    {call}\n")
+        assert inst.table.n_sites == 0
 
-def f(x):
-    if x > 1:
-        return hot(x)
-    return 0
-"""
-        config = InstrumentationConfig(
-            returns=False, scalar_pairs=False, exclude_functions=frozenset({"hot"})
-        )
-        prog = instrument_source(src, "t", config=config)
-        functions = {s.function for s in prog.table.sites}
-        assert "hot" not in functions
-        assert "f" in functions
-
-    def test_scheme_toggles(self):
-        src = """
-def f(x):
-    y = g(x)
-    if y > 0:
-        return y
-    return 0
-
-def g(x):
-    return x
-"""
-        none = instrument_source(
-            src,
-            "t",
-            config=InstrumentationConfig(
-                branches=False, returns=False, scalar_pairs=False
-            ),
-        )
-        assert none.table.n_sites == 0
-
-
-class TestFunctionEntries:
-    SRC = """
-def alpha(x):
-    return x + 1
-
-def beta(x):
-    return alpha(x) * 2
-"""
-
-    def test_entry_sites_registered(self):
-        prog = instrument_source(
-            self.SRC,
-            "t",
-            config=InstrumentationConfig(
-                branches=False,
-                returns=False,
-                scalar_pairs=False,
-                function_entries=True,
-            ),
-        )
-        entry_sites = [
-            s for s in prog.table.sites if s.scheme is Scheme.FUNCTION_ENTRIES
+    @pytest.mark.parametrize(
+        "call, name", [("recorder()", "recorder"), ("x.bug_record()", "x.bug_record")]
+    )
+    def test_other_calls_are_sites(self, call, name):
+        inst = Instrumenter()
+        inst.instrument(f"def f(x):\n    {call}\n")
+        assert [(s.scheme, s.description) for s in inst.table.sites] == [
+            (Scheme.RETURNS, name)
         ]
-        assert {s.description for s in entry_sites} == {"alpha", "beta"}
-        names = [p.name for p in prog.table.predicates]
-        assert "alpha entered" in names
-
-    def test_entries_recorded_as_coverage(self):
-        prog = instrument_source(
-            self.SRC,
-            "t",
-            config=InstrumentationConfig(
-                branches=False,
-                returns=False,
-                scalar_pairs=False,
-                function_entries=True,
-            ),
-        )
-        prog.begin_run(SamplingPlan.full(), seed=0)
-        assert prog.func("beta")(3) == 8
-        site_obs, pred_true = prog.end_run()
-        assert len(site_obs) == 2  # both functions entered
-        assert all(count == 1 for count in pred_true.values())
-
-    def test_default_config_has_no_entry_sites(self):
-        prog = instrument_source(self.SRC, "t")
-        assert not any(
-            s.scheme is Scheme.FUNCTION_ENTRIES for s in prog.table.sites
-        )
-
-    def test_semantics_preserved(self):
-        expected, actual, _ = _run_both(
-            self.SRC,
-            "beta",
-            5,
-            config=InstrumentationConfig(function_entries=True),
-        )
-        assert expected == actual
-
-
-class TestFloatKindsScheme:
-    SRC = """
-def f(a, b):
-    ratio = a / b if b else float('nan')
-    total = a + b
-    return (ratio, total)
-"""
-
-    def _config(self):
-        return InstrumentationConfig(
-            branches=False, returns=False, scalar_pairs=False, float_kinds=True
-        )
-
-    def test_sites_registered_per_assignment(self):
-        prog = instrument_source(self.SRC, "t", config=self._config())
-        fk = [s for s in prog.table.sites if s.scheme is Scheme.FLOAT_KINDS]
-        assert {s.description for s in fk} == {"ratio", "total"}
-
-    def test_observations_classify_values(self):
-        prog = instrument_source(self.SRC, "t", config=self._config())
-        prog.begin_run(SamplingPlan.full(), seed=0)
-        prog.func("f")(1.0, 0)
-        _, pred_true = prog.end_run()
-        names = {prog.table.predicates[i].name for i in pred_true}
-        assert "ratio is NaN" in names
-        # total = 1.0 + 0 = 1.0 (float): positive.
-        assert "total is positive" in names
-
-    def test_semantics_preserved(self):
-        expected, actual, _ = _run_both(
-            self.SRC, "f", 6.0, 3.0, config=self._config()
-        )
-        assert expected == actual
-
-    def test_int_assignments_unobserved(self):
-        prog = instrument_source(self.SRC, "t", config=self._config())
-        prog.begin_run(SamplingPlan.full(), seed=0)
-        prog.func("f")(6, 3)  # ints: ratio is float (true div), total int
-        site_obs, _ = prog.end_run()
-        fk_sites = {
-            s.index for s in prog.table.sites if s.scheme is Scheme.FLOAT_KINDS
-        }
-        observed_fk = fk_sites & set(site_obs)
-        descs = {prog.table.sites[s].description for s in observed_fk}
-        assert descs == {"ratio"}
 
 
 class TestPairCaps:
-    def test_max_pair_vars_cap(self):
-        lines = ["def f(a):"]
-        for i in range(15):
-            lines.append(f"    v{i} = a + {i}")
-        lines.append("    final = a")
-        lines.append("    return final")
-        src = "\n".join(lines) + "\n"
-        capped = Instrumenter(
-            config=InstrumentationConfig(
-                branches=False, returns=False, max_pair_vars=3, max_pair_consts=0,
-                include_old_value=False,
-            )
-        )
-        capped.instrument(src)
-        final_sites = [
-            s for s in capped.table.sites if s.description.startswith("final __ ")
+    def test_pair_sites_are_capped(self):
+        """An assignment pairs with the 8 most recently assigned names,
+        the function's first 6 constants, and its own old value."""
+        params = ", ".join(f"v{i}" for i in range(10))
+        consts = ", ".join(str(c) for c in range(10, 18))
+        src = f"def f({params}):\n    k = ({consts})\n    k = v0\n    return k\n"
+        inst = Instrumenter()
+        inst.instrument(src)
+        descs = [
+            s.description
+            for s in inst.table.sites
+            if s.scheme is Scheme.SCALAR_PAIRS and s.line == 3
         ]
-        assert len(final_sites) == 3
-        # The most recently assigned variables are kept.
-        assert {s.description for s in final_sites} == {
-            "final __ v12",
-            "final __ v13",
-            "final __ v14",
-        }
+        assert descs == (
+            ["new value of k __ old value of k"]
+            + [f"k __ v{i}" for i in range(2, 10)]
+            + [f"k __ {c}" for c in range(10, 16)]
+        )
+
+    @staticmethod
+    def _pairs_on_line(src, line):
+        inst = Instrumenter()
+        inst.instrument(src)
+        return [
+            s.description
+            for s in inst.table.sites
+            if s.scheme is Scheme.SCALAR_PAIRS and s.line == line
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 9, 12])
+    def test_pair_vars_cap_boundary(self, n):
+        """With ``n`` names in scope and no constants, an assignment pairs
+        with the last ``min(n, 8)`` of them."""
+        params = ", ".join(f"v{i}" for i in range(n))
+        src = f"def f({params}):\n    k = None\n"
+        assert self._pairs_on_line(src, 2) == (
+            ["new value of k __ old value of k"]
+            + [f"k __ v{i}" for i in range(max(0, n - 8), n)]
+        )
+
+    @pytest.mark.parametrize("m", [0, 1, 6, 7, 10])
+    def test_pair_consts_cap_boundary(self, m):
+        """With ``m`` constants and no other names, an assignment pairs
+        with the first ``min(m, 6)`` of them."""
+        consts = [100 + c for c in range(m)]
+        src = f"def f():\n    k = {consts!r}\n"
+        assert self._pairs_on_line(src, 2) == (
+            ["new value of k __ old value of k"] + [f"k __ {c}" for c in consts[:6]]
+        )

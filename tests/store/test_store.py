@@ -24,8 +24,7 @@ from repro.store import (
     plan_to_json,
 )
 from repro.store.faults import damage_truncate
-from repro.store.manifest import ShardEntry, ShardManifest, config_digest
-from repro.instrument.transform import InstrumentationConfig
+from repro.store.manifest import CONFIG_SHA, ShardEntry, ShardManifest
 
 from tests.conftest import build_synthetic_store
 from tests.helpers import make_population, make_reports, make_table, split_reports
@@ -177,13 +176,14 @@ class TestShardStore:
     def test_open_or_create_rejects_other_config(self, tmp_path):
         whole = _population(n_runs=10)
         store = self._store(tmp_path, whole)
+        with open(store.manifest_path) as fh:
+            spec = json.load(fh)
+        spec["config_sha"] = "0" * 64
+        with open(store.manifest_path, "w") as fh:
+            json.dump(spec, fh)
         with pytest.raises(ValueError, match="configuration"):
             ShardStore.open_or_create(
-                store.directory,
-                "synthetic",
-                whole.table,
-                SamplingPlan.full(),
-                config=InstrumentationConfig(scalar_pairs=False),
+                store.directory, "synthetic", whole.table, SamplingPlan.full()
             )
 
     def test_empty_store_scoring_rejected(self, tmp_path):
@@ -335,7 +335,7 @@ class TestManifest:
         manifest = ShardManifest(
             subject="moss",
             table_sha="ab" * 32,
-            config_sha=config_digest(None),
+            config_sha=CONFIG_SHA,
             plan=plan_to_json(SamplingPlan.uniform(0.05)),
             shards=[
                 ShardEntry(seed_start=0, n_runs=100, num_failing=7, sha256="cd" * 32)
@@ -361,11 +361,16 @@ class TestManifest:
             if plan.mode == "per-site":
                 np.testing.assert_array_equal(back.site_rates, plan.site_rates)
 
-    def test_config_digest_stable_for_defaults(self):
-        assert config_digest(None) == config_digest(InstrumentationConfig())
-        assert config_digest(None) != config_digest(
-            InstrumentationConfig(branches=False)
+    def test_new_store_records_pinned_config_sha(self, tmp_path):
+        """Every store carries the one instrumentation's digest; a change
+        to it would orphan every existing store on append."""
+        store = ShardStore.create(
+            str(tmp_path / "s"), "synthetic", make_table(3), SamplingPlan.full()
         )
+        with open(store.manifest_path) as fh:
+            assert json.load(fh)["config_sha"] == (
+                "65f12b5b538809174e6cb51512a2128dcbdbae629f02f467421363ee6db71161"
+            )
 
     @pytest.mark.parametrize(
         "plan, detail",
