@@ -9,7 +9,7 @@ Run with:  python examples/quickstart.py
 import os
 import random
 
-from repro import ReportBuilder, compute_scores, eliminate, prune_predicates
+from repro import compute_scores, eliminate, prune_predicates
 from repro.core.truth import GroundTruth
 from repro.harness.runner import run_trials
 from repro.harness.tables import format_predictor_table

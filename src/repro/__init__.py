@@ -22,7 +22,7 @@ debugging system:
 """
 
 from repro.core.predicates import Predicate, PredicateKind, PredicateTable, Scheme, Site
-from repro.core.reports import FeedbackReport, ReportBuilder, ReportSet
+from repro.core.reports import ReportSet, RunReport
 from repro.core.scores import PredicateScores, SufficientStats, compute_scores
 from repro.core.importance import importance_scores
 from repro.core.pruning import prune_predicates
@@ -42,9 +42,8 @@ __all__ = [
     "PredicateTable",
     "Scheme",
     "Site",
-    "FeedbackReport",
-    "ReportBuilder",
     "ReportSet",
+    "RunReport",
     "PredicateScores",
     "SufficientStats",
     "compute_scores",

@@ -595,19 +595,20 @@ def _serve(args) -> int:
             min_failing=args.stop_min_failing,
         ),
     )
-    server = FeedbackServer(service, host=args.host, port=args.port, faults=faults)
-    server.start()
-    # The smoke tests parse this line to find the bound port; keep its
-    # shape (and the flush) stable.
-    print(f"serving {subject.name} on {server.url} (store {args.store})", flush=True)
-
     stop = threading.Event()
 
     def _handle(signum, frame):
         stop.set()
 
+    # Before the line below: a SIGTERM sent as soon as it is read must
+    # drain, not kill.
     signal.signal(signal.SIGTERM, _handle)
     signal.signal(signal.SIGINT, _handle)
+    server = FeedbackServer(service, host=args.host, port=args.port, faults=faults)
+    server.start()
+    # The smoke tests parse this line to find the bound port; keep its
+    # shape (and the flush) stable.
+    print(f"serving {subject.name} on {server.url} (store {args.store})", flush=True)
     try:
         while not stop.is_set():
             stop.wait(0.2)

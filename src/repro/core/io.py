@@ -17,7 +17,7 @@ and uncompressed.  The archive holds:
 * the predicate table (sites and predicate names) and its ``table_sha``
   signature, so an archive is self-describing and shards of one
   population can be checked for instrumentation compatibility;
-* crash-stack signatures and per-run metadata as JSON.
+* crash-stack signatures and per-run trial seeds as JSON.
 
 Every read goes through one :class:`Archive`: the file is ``mmap``-ed
 and its header parsed and extent-checked once, and each section read
@@ -26,14 +26,11 @@ columns, site totals) hands back zero-copy views of that one mapping
 and checks what it reads against the header.  The statistics read
 touches only the four statistic columns' pages, which is what lets
 ``analyze`` and the serve daemon's incremental scorer stream shards at
-page-cache speed.  :func:`load_reports`, :func:`load_table` and
-:func:`load_shard_stats` are the path-level loaders over it.
+page-cache speed.  :func:`load_reports` is the path-level loader over it.
 
 The byte stream is a pure function of the report population (sorted-key
-JSON, no timestamps), so shard SHAs stay reproducible.  Round-tripping is exact, and per-run metadata must
-be JSON-clean -- :func:`save_reports` raises on values that would come
-back as a different type (see :func:`validate_metas`).  See DESIGN.md
-("Archive format v3") for the on-disk spec.
+JSON, no timestamps), so shard SHAs stay reproducible, and round-tripping
+is exact.  See DESIGN.md ("Archive format v3") for the on-disk spec.
 
 Archives of the retired ``.npz`` formats (versions 1 and 2) are refused
 with :class:`ArchiveVersionError`; their runs must be re-collected.
@@ -47,13 +44,13 @@ import json
 import mmap
 import os
 import struct
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.predicates import PredicateTable, Scheme
-from repro.core.reports import ReportSet
+from repro.core.reports import ReportSet, is_seed
 from repro.core.truth import GroundTruth
 
 #: The archive format version this module reads and writes.
@@ -70,9 +67,6 @@ _ALIGN = 64
 
 #: Fixed-size preamble: magic + little-endian uint64 header length.
 _PREAMBLE = len(V3_MAGIC) + 8
-
-#: JSON-representable scalar types that survive a round trip unchanged.
-_JSON_SCALARS = (str, int, float, bool, type(None))
 
 
 class ArchiveError(ValueError):
@@ -191,48 +185,6 @@ def _table_from_json(text: str) -> PredicateTable:
     return table
 
 
-def _check_json_clean(value: object, where: str) -> None:
-    if isinstance(value, _JSON_SCALARS):
-        return
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_json_clean(item, f"{where}[{i}]")
-        return
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise ValueError(
-                    f"report meta {where} has non-string key {key!r} "
-                    f"({type(key).__name__}); JSON would turn it into a "
-                    "string and break exact round-tripping"
-                )
-            _check_json_clean(item, f"{where}[{key!r}]")
-        return
-    raise ValueError(
-        f"report meta {where} has non-JSON value {value!r} "
-        f"({type(value).__name__}); convert it to str/int/float/bool/None/"
-        "list/dict before saving so load_reports returns exactly what was "
-        "saved"
-    )
-
-
-def validate_metas(metas: List[Dict[str, object]]) -> None:
-    """Check per-run metadata survives a JSON round trip *exactly*.
-
-    ``json.dumps(..., default=str)`` would silently stringify anything,
-    so a run tagged ``seed=np.int64(7)`` or ``path=Path(...)`` would load
-    back as a different type, violating this module's round-tripping
-    contract.  Only ``str``/``int``/``float``/``bool``/``None`` scalars,
-    lists of them, and string-keyed dicts are accepted; tuples are
-    rejected too (JSON would return lists).
-
-    Raises:
-        ValueError: Naming the run index and key of the first offender.
-    """
-    for run, meta in enumerate(metas):
-        _check_json_clean(meta, f"run {run}")
-
-
 def save_reports(
     path: str,
     reports: ReportSet,
@@ -250,12 +202,10 @@ def save_reports(
     ``path``.
 
     Raises:
-        ValueError: When a per-run meta is not JSON-clean (see
-            :func:`validate_metas`), or ``reports`` is a partial set
-            (see ``ReportSet.columns``).
+        ValueError: When ``reports`` is a partial set (see
+            ``ReportSet.columns``).
     """
     reports.require_whole("save")
-    validate_metas(reports.metas)
     if truth is not None:
         truth._check_aligned(reports)
     atomic_write_bytes_via(path, lambda handle: _write_reports(handle, reports, truth))
@@ -323,7 +273,8 @@ def _write_reports(handle, reports: ReportSet, truth: Optional[GroundTruth]) -> 
         "stacks_json": json.dumps(
             [list(s) if s is not None else None for s in reports.stacks]
         ),
-        "metas_json": json.dumps(reports.metas),
+        # The frozen format's per-run metadata: one {"seed": s} a run.
+        "metas_json": json.dumps([{"seed": int(s)} for s in reports.seeds]),
         "arrays": toc,
     }
     if truth is not None:
@@ -353,7 +304,7 @@ def _write_reports(handle, reports: ReportSet, truth: Optional[GroundTruth]) -> 
 #: shard parses its header once (see :class:`Archive`).
 HeaderMemo = Dict[str, Tuple[bytes, Dict[str, object]]]
 
-#: The sufficient-statistic sections, in :func:`load_shard_stats` order.
+#: The sufficient-statistic sections, in :meth:`Archive.stats` order.
 _STATS = ("stats_F", "stats_S", "stats_F_obs", "stats_S_obs")
 
 
@@ -659,12 +610,13 @@ class Archive:
         return decoded
 
     @_translated
-    def truth(self) -> Optional[GroundTruth]:
-        """The header's ground truth, or ``None`` when it was saved without."""
+    def truth(self, n_runs: int) -> Optional[GroundTruth]:
+        """The header's ground truth of its ``n_runs`` runs, or ``None``
+        when it was saved without."""
         if "truth_bugs_json" not in self.header:
             return None
         truth = GroundTruth(bug_ids=json.loads(str(self.header["truth_bugs_json"])))
-        for bugs in json.loads(str(self.header["truth_runs_json"])):
+        for bugs in self._per_run("truth_runs", n_runs):
             truth.add_run(bugs)
         return truth
 
@@ -676,18 +628,43 @@ class Archive:
 
         The statistic sections are checked (:meth:`stats`) though not
         returned: an archive whose statistics disagree with its matrices
-        is refused by every whole read.
+        is refused by every whole read.  So is a header whose stacks or
+        per-run metadata do not hold one entry per run, whose stacks are
+        not null or a list of strings, or whose metadata is not
+        ``{"seed": s}`` with ``s`` an int in ``[0, 2**63)``.  So is a
+        ground truth that does not hold one entry per run.
         """
         failed, sites, preds = self.runs()
         self.stats()
         table = self.table(table)
-        stacks_raw = json.loads(str(self.header["stacks_json"]))
+        stacks_raw = self._per_run("stacks", len(failed))
+        if not all(
+            s is None or (isinstance(s, list) and all(isinstance(f, str) for f in s))
+            for s in stacks_raw
+        ):
+            raise ValueError("archive stacks are not null or a list of frame names per run")
         stacks = [tuple(s) if s is not None else None for s in stacks_raw]
-        metas = json.loads(str(self.header["metas_json"]))
+        metas = self._per_run("metas", len(failed))
+        if not all(
+            isinstance(meta, dict) and meta.keys() == {"seed"} and is_seed(meta["seed"])
+            for meta in metas
+        ):
+            raise ValueError(
+                'archive run metadata is not one {"seed": <int in [0, 2**63)>} per run'
+            )
+        seeds = [meta["seed"] for meta in metas]
         site_counts = sparse.csr_matrix(sites[:3], shape=sites[3])
         true_counts = sparse.csr_matrix(preds[:3], shape=preds[3])
-        reports = ReportSet(table, failed, site_counts, true_counts, stacks, metas)
-        return reports, self.truth()
+        reports = ReportSet(table, failed, site_counts, true_counts, stacks, seeds)
+        return reports, self.truth(len(failed))
+
+    def _per_run(self, name: str, n_runs: int) -> list:
+        """The header's ``<name>_json`` list, which must hold one entry
+        for each of the ``n_runs`` runs."""
+        column = json.loads(str(self.header[f"{name}_json"]))
+        if not isinstance(column, list) or len(column) != n_runs:
+            raise ValueError(f"archive {name}_json does not hold {n_runs} entries")
+        return column
 
     @_translated
     def columns(
@@ -724,7 +701,7 @@ class Archive:
             failed,
             _select(pred_sections, predicates),
             _select(site_sections, sites),
-            self.truth(),
+            self.truth(len(failed)),
         )
 
     @_translated
@@ -782,38 +759,3 @@ def load_reports(
     """
     archive = path if isinstance(path, Archive) else Archive(path)
     return archive.reports(table)
-
-
-def load_table(path: str) -> PredicateTable:
-    """Read only an archive's predicate table.
-
-    Parses the header and decodes the table, without building any count
-    matrix.
-
-    Raises:
-        ArchiveCorruptError, ArchiveVersionError, FileNotFoundError: As
-            for :class:`Archive`.
-    """
-    return Archive(path).table()
-
-
-def load_shard_stats(
-    path: str,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int, str]:
-    """Read only the sufficient statistics from an archive.
-
-    Memory-maps the file and returns zero-copy (read-only) views of the
-    four statistic columns, which sit on the file's leading pages -- no
-    copy, no matrix reconstruction (see :meth:`Archive.stats`).
-
-    Returns:
-        ``(F, S, F_obs, S_obs, num_failing, num_successful, table_sha)``.
-        The arrays are read-only views backed by the file mapping; copy
-        before mutating (see ``SufficientStats.materialized``).
-
-    Raises:
-        ArchiveCorruptError, ArchiveVersionError, FileNotFoundError: As
-            for :class:`Archive`.
-    """
-    archive = Archive(path)
-    return (*archive.stats(), archive.table_sha)  # type: ignore[return-value]

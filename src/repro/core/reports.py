@@ -8,120 +8,122 @@ the raw counts ("in reality, we count the number of times P is observed to
 be true, but the analysis ... only uses whether P is observed to be true at
 least once"); the counts additionally give relative site coverage.
 
-:class:`ReportSet` stores a whole population of runs as sparse matrices so
+:class:`RunReport` is one run's report, from the trial through the spool,
+the wire and the daemon's write-ahead log; :class:`ReportSet` stores a
+whole population of runs as sparse matrices so
 the scoring passes are vectorised NumPy/SciPy operations.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.predicates import PredicateTable
 
+#: Seeds and counters are stored as int64; each must lie below this.
+INT64_LIMIT = 2**63
 
-@dataclass
-class FeedbackReport:
-    """A single run's feedback report.
+
+def is_seed(value: object) -> bool:
+    """Whether ``value`` is a storable trial seed: an int in ``[0, 2**63)``."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and 0 <= value < INT64_LIMIT
+    )
+
+
+@dataclass(frozen=True)
+class RunReport:
+    """One run's feedback report: the record every collection path carries.
+
+    The same record leaves a trial, sits in a client spool, crosses the
+    wire, is logged in the daemon's write-ahead log and is batched into
+    a :class:`ReportSet` (:meth:`ReportSet.from_runs`).
 
     Attributes:
+        seed: The trial seed -- the run's identity (idempotent delivery,
+            shard seed ranges).
         failed: ``True`` for a failing run (the ``Crash`` label; any
             success/failure labelling works, e.g. an output oracle).
-        site_observed: Map from site index to the number of times the site
+        site_obs: Map from site index to the number of times the site
             was sampled during the run.
         pred_true: Map from predicate index to the number of times the
             predicate was observed to be true.
         stack: Optional crash stack signature (innermost frame last); used
             only by the stack-trace baseline, never by the algorithm.
-        meta: Free-form per-run metadata (e.g. the generator seed).
+        bugs: Ground-truth bug occurrences (the paper's evaluation side
+            channel; empty without an oracle's ground truth).
+        steering: The ``repro-steering/v1`` version string of the rate
+            table the trial ran under, or None for unsteered collection.
+            Emitted on the wire only when set, so unsteered payload bytes
+            are identical to pre-steering clients.
     """
 
+    seed: int
     failed: bool
-    site_observed: Dict[int, int] = field(default_factory=dict)
+    site_obs: Dict[int, int] = field(default_factory=dict)
     pred_true: Dict[int, int] = field(default_factory=dict)
     stack: Optional[Tuple[str, ...]] = None
-    meta: Dict[str, object] = field(default_factory=dict)
+    bugs: Tuple[str, ...] = ()
+    steering: Optional[str] = None
 
-    def observed_true(self, predicate_index: int) -> bool:
-        """Return ``R(P)``: was the predicate observed true at least once?"""
-        return self.pred_true.get(predicate_index, 0) > 0
-
-
-class ReportBuilder:
-    """Accumulates :class:`FeedbackReport` objects into a :class:`ReportSet`."""
-
-    def __init__(self, table: PredicateTable) -> None:
-        self.table = table
-        self._reports: List[FeedbackReport] = []
-
-    def add(self, report: FeedbackReport) -> None:
-        """Append one run's report."""
-        self._reports.append(report)
-
-    def add_run(
-        self,
-        failed: bool,
-        site_observed: Mapping[int, int],
-        pred_true: Mapping[int, int],
-        stack: Optional[Sequence[str]] = None,
-        **meta: object,
-    ) -> None:
-        """Convenience wrapper building and appending a report."""
-        self.add(
-            FeedbackReport(
-                failed=failed,
-                site_observed=dict(site_observed),
-                pred_true=dict(pred_true),
-                stack=tuple(stack) if stack is not None else None,
-                meta=dict(meta),
-            )
+    @classmethod
+    def from_trial(
+        cls, seed: int, trial: tuple, steering: Optional[str] = None
+    ) -> "RunReport":
+        """The record of ``run_one_trial``'s ``(failed, site_obs,
+        pred_true, stack, bugs)`` for trial ``seed``."""
+        failed, site_obs, pred_true, stack, bugs = trial
+        return cls(
+            seed=seed,
+            failed=failed,
+            site_obs=dict(site_obs),
+            pred_true=dict(pred_true),
+            stack=tuple(stack) if stack is not None else None,
+            bugs=tuple(bugs),
+            steering=steering,
         )
 
-    def __len__(self) -> int:
-        return len(self._reports)
+    def to_wire(self) -> dict:
+        """The JSON-ready dict for this report."""
+        wire = {
+            "seed": self.seed,
+            "failed": self.failed,
+            "site_obs": {str(k): v for k, v in sorted(self.site_obs.items())},
+            "pred_true": {str(k): v for k, v in sorted(self.pred_true.items())},
+            "stack": list(self.stack) if self.stack is not None else None,
+            "bugs": list(self.bugs),
+        }
+        if self.steering is not None:
+            wire["steering"] = self.steering
+        return wire
 
-    def build(self) -> "ReportSet":
-        """Assemble the accumulated reports into a :class:`ReportSet`."""
-        n_runs = len(self._reports)
-        n_sites = self.table.n_sites
-        n_preds = self.table.n_predicates
+    def to_line(self) -> str:
+        """One sorted-key JSON line: a spool entry's bytes, a WAL record."""
+        return json.dumps(self.to_wire(), sort_keys=True) + "\n"
 
-        outcomes = np.zeros(n_runs, dtype=bool)
-        stacks: List[Optional[Tuple[str, ...]]] = []
-        metas: List[Dict[str, object]] = []
 
-        srow: List[int] = []
-        scol: List[int] = []
-        sval: List[int] = []
-        prow: List[int] = []
-        pcol: List[int] = []
-        pval: List[int] = []
-
-        for i, rep in enumerate(self._reports):
-            outcomes[i] = rep.failed
-            stacks.append(rep.stack)
-            metas.append(rep.meta)
-            for site, count in rep.site_observed.items():
-                if count > 0:
-                    srow.append(i)
-                    scol.append(site)
-                    sval.append(count)
-            for pred, count in rep.pred_true.items():
-                if count > 0:
-                    prow.append(i)
-                    pcol.append(pred)
-                    pval.append(count)
-
-        site_counts = sparse.csr_matrix(
-            (np.asarray(sval, dtype=np.int64), (srow, scol)), shape=(n_runs, n_sites)
-        )
-        true_counts = sparse.csr_matrix(
-            (np.asarray(pval, dtype=np.int64), (prow, pcol)), shape=(n_runs, n_preds)
-        )
-        return ReportSet(self.table, outcomes, site_counts, true_counts, stacks, metas)
+def _counts(maps: List[Dict[int, int]], n_columns: int) -> sparse.csr_matrix:
+    """The ``(len(maps), n_columns)`` matrix with one counter map a row;
+    zero counts are not stored."""
+    rows: List[int] = []
+    cols: List[int] = []
+    vals: List[int] = []
+    for i, counts in enumerate(maps):
+        for col, count in counts.items():
+            if count > 0:
+                rows.append(i)
+                cols.append(col)
+                vals.append(count)
+    return sparse.csr_matrix(
+        (np.asarray(vals, dtype=np.int64), (rows, cols)), shape=(len(maps), n_columns)
+    )
 
 
 class ReportSet:
@@ -136,7 +138,7 @@ class ReportSet:
             observed-to-be-true counts per predicate.
         stacks: Per-run crash stack signatures (``None`` for successes or
             for failures with no captured stack).
-        metas: Per-run metadata dictionaries.
+        seeds: ``(n_runs,)`` int64 trial seeds, one per run.
         columns: Boolean mask of the predicate columns loaded, or
             ``None`` when all are.  A *partial* set (see
             ``ShardStore.load_columns``) holds only those predicates'
@@ -150,8 +152,8 @@ class ReportSet:
         failed: np.ndarray,
         site_counts: sparse.csr_matrix,
         true_counts: sparse.csr_matrix,
-        stacks: Optional[List[Optional[Tuple[str, ...]]]] = None,
-        metas: Optional[List[Dict[str, object]]] = None,
+        stacks: Optional[List[Optional[Tuple[str, ...]]]],
+        seeds: Sequence[int],
         columns: Optional[np.ndarray] = None,
     ) -> None:
         self.table = table
@@ -159,8 +161,14 @@ class ReportSet:
         self.failed = np.asarray(failed, dtype=bool)
         self.site_counts = site_counts.tocsr()
         self.true_counts = true_counts.tocsr()
-        self.stacks = stacks if stacks is not None else [None] * len(self.failed)
-        self.metas = metas if metas is not None else [{} for _ in range(len(self.failed))]
+        n_runs = len(self.failed)
+        self.stacks = stacks if stacks is not None else [None] * n_runs
+        self.seeds = np.asarray(seeds, dtype=np.int64)
+        for name, column in (("stacks", self.stacks), ("seeds", self.seeds)):
+            if len(column) != n_runs:
+                raise ValueError(
+                    f"{len(column)} {name} for a report set of {n_runs} runs"
+                )
         #: Site index of each predicate column, for mapping site-level
         #: observation counts to predicate-level "P observed" statistics.
         self.pred_site = np.asarray(
@@ -169,6 +177,19 @@ class ReportSet:
         self._true_csc: Optional[sparse.csc_matrix] = None
         self._true_ind: Optional[sparse.csc_matrix] = None
         self._site_ind: Optional[sparse.csc_matrix] = None
+
+    @classmethod
+    def from_runs(cls, table: PredicateTable, runs: Sequence[RunReport]) -> "ReportSet":
+        """The population of ``runs``, in their order, against ``table``."""
+        runs = list(runs)
+        return cls(
+            table,
+            np.fromiter((run.failed for run in runs), dtype=bool, count=len(runs)),
+            _counts([run.site_obs for run in runs], table.n_sites),
+            _counts([run.pred_true for run in runs], table.n_predicates),
+            [run.stack for run in runs],
+            np.fromiter((run.seed for run in runs), dtype=np.int64, count=len(runs)),
+        )
 
     # ------------------------------------------------------------------
     # Shape and basic statistics
@@ -211,7 +232,7 @@ class ReportSet:
         """0/1 int64 copy of a count matrix, in CSC for fast column sums.
 
         Stored entries that happen to be zero (none are written by
-        :class:`ReportBuilder`, but archives are not trusted) map to 0,
+        :meth:`from_runs`, but archives are not trusted) map to 0,
         matching ``counts.astype(bool)``.
         """
         return sparse.csc_matrix(
@@ -303,7 +324,7 @@ class ReportSet:
             self.site_counts[idx],
             self.true_counts[idx],
             [self.stacks[i] for i in idx],
-            [self.metas[i] for i in idx],
+            self.seeds[idx],
             self.columns,
         )
 
@@ -321,7 +342,7 @@ class ReportSet:
             self.site_counts,
             self.true_counts,
             self.stacks,
-            self.metas,
+            self.seeds,
             self.columns,
         )
 
@@ -361,7 +382,7 @@ class ReportSet:
                 first.site_counts,
                 first.true_counts,
                 list(first.stacks),
-                list(first.metas),
+                first.seeds,
             )
         sig = parts[0].table.signature()
         for i, part in enumerate(parts[1:], start=1):
@@ -372,17 +393,15 @@ class ReportSet:
                     "instrumentations"
                 )
         stacks: List[Optional[Tuple[str, ...]]] = []
-        metas: List[Dict[str, object]] = []
         for part in parts:
             stacks.extend(part.stacks)
-            metas.extend(part.metas)
         return cls(
             parts[0].table,
             np.concatenate([p.failed for p in parts]),
             sparse.vstack([p.site_counts for p in parts], format="csr"),
             sparse.vstack([p.true_counts for p in parts], format="csr"),
             stacks,
-            metas,
+            np.concatenate([p.seeds for p in parts]),
         )
 
     # ------------------------------------------------------------------

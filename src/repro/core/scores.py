@@ -273,7 +273,7 @@ class SufficientStats:
 
         Statistics loaded from a format-v3 archive are zero-copy
         *read-only* views of the file mapping
-        (:func:`repro.core.io.load_shard_stats`), so an accumulator
+        (:meth:`repro.core.io.Archive.stats`), so an accumulator
         seeded directly from one (``total = part; total.add(...)``)
         would crash on the in-place ``+=``.  Seed accumulators with a
         copy; the per-shard parts themselves are never written to.

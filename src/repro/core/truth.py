@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.reports import ReportSet
+from repro.core.reports import ReportSet, RunReport
 
 
 @dataclass
@@ -32,6 +32,14 @@ class GroundTruth:
 
     bug_ids: List[str]
     occurrences: List[FrozenSet[str]] = field(default_factory=list)
+
+    @classmethod
+    def from_runs(cls, bug_ids: Sequence[str], runs: Sequence[RunReport]) -> "GroundTruth":
+        """The bugs of ``runs``, in their order, over the ``bug_ids`` universe."""
+        truth = cls(bug_ids=list(bug_ids))
+        for run in runs:
+            truth.add_run(run.bugs)
+        return truth
 
     def add_run(self, bugs: Sequence[str]) -> None:
         """Record the bugs triggered during one run (may be empty)."""

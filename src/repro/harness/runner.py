@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.reports import ReportBuilder, ReportSet
+from repro.core.reports import ReportSet, RunReport
 from repro.core.truth import GroundTruth
 from repro.instrument.sampling import SamplingPlan
 from repro.instrument.tracer import InstrumentedProgram, crash_stack
@@ -92,18 +92,15 @@ def run_trials(
     Returns:
         ``(reports, truth)``, run-aligned.
     """
-    builder = ReportBuilder(program.table)
-    truth = GroundTruth(bug_ids=list(subject.bug_ids))
     entry = program.func(subject.entry)
-
+    runs = []
     for i in range(n_runs):
-        failed, site_obs, pred_true, stack, bugs = run_one_trial(
-            subject, program, entry, plan, seed + i
-        )
-        builder.add_run(failed, site_obs, pred_true, stack=stack, seed=seed + i)
-        truth.add_run(bugs)
-
-    return builder.build(), truth
+        trial = run_one_trial(subject, program, entry, plan, seed + i)
+        runs.append(RunReport.from_trial(seed + i, trial))
+    return (
+        ReportSet.from_runs(program.table, runs),
+        GroundTruth.from_runs(subject.bug_ids, runs),
+    )
 
 
 def collect_site_means(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Tuple
 
-from repro.serve.protocol import RunReport
+from repro.core.reports import RunReport
 
 
 class BatcherFull(RuntimeError):

@@ -11,7 +11,9 @@ failures (refused connections, resets mid-body, 500s, 503 throttling,
 timeouts) retry with exponential backoff and jitter; permanent
 rejections (a 400 with a protocol reason) move the batch into the
 spool's ``rejected/`` corner with the server's reason alongside, exactly
-mirroring the server-side quarantine.  Every client mode -- plain,
+mirroring the server-side quarantine.  A spool entry that cannot be read
+back (torn, edited) goes there too, with reason ``bad-spool-entry``, and
+its neighbours upload as usual.  Every client mode -- plain,
 steered, until-converged -- is rounds of one :func:`submit_session`
 loop: fetch the steering document (steered rounds only), run and spool
 the round's trials, drain.
@@ -104,8 +106,7 @@ class ReportSpool:
     def save(self, report: RunReport) -> str:
         """Persist one report; returns its spool path."""
         path = self._path(report.seed)
-        # One write: json.dump would call write once per encoder chunk.
-        data = (json.dumps(report.to_wire(), sort_keys=True) + "\n").encode()
+        data = report.to_line().encode()
         atomic_write_bytes_via(path, lambda handle: handle.write(data))
         return path
 
@@ -121,13 +122,25 @@ class ReportSpool:
         return sorted(seeds)
 
     def load(self, seed: int) -> RunReport:
-        """Read one spooled report back (validated)."""
+        """Read one spooled report back (validated).
+
+        Raises:
+            ValueError: The entry's bytes are not a valid wire report of
+                ``seed`` (``JSONDecodeError``, ``UnicodeDecodeError`` or
+                :class:`ProtocolError`).
+        """
         with open(self._path(seed), "r", encoding="utf-8") as handle:
             spec = json.load(handle)
         # Bounds here only sanity-check the spool's own bytes; the
         # server re-validates against its table.
         big = 1 << 62
-        return report_from_wire(spec, big, big, spec.get("bugs", []))
+        bugs = spec.get("bugs", []) if isinstance(spec, dict) else []
+        report = report_from_wire(spec, big, big, bugs)
+        if report.seed != seed:
+            raise ProtocolError(
+                "bad-report", f"spool entry for seed {seed} holds seed {report.seed}"
+            )
+        return report
 
     def remove(self, seed: int) -> None:
         """Forget an acknowledged report."""
@@ -178,21 +191,8 @@ def run_and_spool(
     """
     entry = program.func(subject.entry)
     for i in range(n_runs):
-        trial_seed = seed + i
-        failed, site_obs, pred_true, stack, bugs = run_one_trial(
-            subject, program, entry, plan, trial_seed
-        )
-        spool.save(
-            RunReport(
-                seed=trial_seed,
-                failed=failed,
-                site_obs=dict(site_obs),
-                pred_true=dict(pred_true),
-                stack=tuple(stack) if stack is not None else None,
-                bugs=tuple(bugs),
-                steering=steering_version,
-            )
-        )
+        trial = run_one_trial(subject, program, entry, plan, seed + i)
+        spool.save(RunReport.from_trial(seed + i, trial, steering_version))
     return n_runs
 
 
@@ -223,6 +223,8 @@ def drain_spool(
     Entries leave the spool only on server acknowledgement, so killing
     this loop (or the server) at any instant loses nothing: the next
     drain re-sends whatever remains and the server deduplicates by seed.
+    An entry :meth:`ReportSpool.load` cannot read is moved to
+    ``rejected/`` with reason ``bad-spool-entry`` instead of being sent.
 
     Args:
         spool: The local disk queue.
@@ -258,13 +260,21 @@ def drain_spool(
 
     while True:
         pending = spool.pending_seeds()
-        if not pending:
+        if not pending or (max_batches is not None and batch_index + 1 >= max_batches):
             break
+        seeds, batch = [], []
+        for seed in pending[:batch_size]:
+            try:
+                batch.append(spool.load(seed))
+                seeds.append(seed)
+            except ValueError as exc:
+                # An entry that cannot be read can never be sent: set it
+                # aside so it does not block its neighbours.
+                spool.reject(seed, "bad-spool-entry", str(exc))
+                report.rejected.append(seed)
+        if not batch:
+            continue
         batch_index += 1
-        if max_batches is not None and batch_index >= max_batches:
-            break
-        seeds = pending[:batch_size]
-        batch = [spool.load(seed) for seed in seeds]
         body, headers = encode_batch(batch, subject, table_sha, compress=True)
 
         response = None

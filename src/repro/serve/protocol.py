@@ -40,6 +40,9 @@ vintage interoperate.  :data:`MAX_BODY_BYTES` bounds the decompressed
 size and is enforced while decompressing, so a gzip bomb is refused
 before it inflates past the limit.
 
+Each entry of ``reports`` is one :class:`~repro.core.reports.RunReport`
+(:meth:`~repro.core.reports.RunReport.to_wire`; re-exported here).
+
 Validation is strict -- every structural or semantic problem raises
 :class:`ProtocolError` with a machine-readable ``reason`` code that the
 server echoes in its 400 response and records in the quarantine reason
@@ -51,8 +54,9 @@ from __future__ import annotations
 import gzip
 import json
 import zlib
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.core.reports import INT64_LIMIT, RunReport, is_seed
 
 #: Schema identifier accepted by the server.
 REPORT_SCHEMA = "repro-report/v1"
@@ -87,43 +91,6 @@ class ProtocolError(ValueError):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """One run's feedback report in wire form.
-
-    Mirrors :class:`repro.core.reports.FeedbackReport` plus the trial
-    seed (the run's identity for idempotent delivery) and the ground-truth
-    bug occurrences (the paper's evaluation side channel; an empty list
-    for deployments without an oracle's ground truth).
-    """
-
-    seed: int
-    failed: bool
-    site_obs: Dict[int, int] = field(default_factory=dict)
-    pred_true: Dict[int, int] = field(default_factory=dict)
-    stack: Optional[Tuple[str, ...]] = None
-    bugs: Tuple[str, ...] = ()
-    #: Steering provenance: the ``repro-steering/v1`` version string of the
-    #: rate table the trial ran under, or None for unsteered collection.
-    #: Emitted on the wire only when set, so unsteered payload bytes are
-    #: identical to pre-steering clients.
-    steering: Optional[str] = None
-
-    def to_wire(self) -> dict:
-        """The JSON-ready dict for this report."""
-        wire = {
-            "seed": self.seed,
-            "failed": self.failed,
-            "site_obs": {str(k): v for k, v in sorted(self.site_obs.items())},
-            "pred_true": {str(k): v for k, v in sorted(self.pred_true.items())},
-            "stack": list(self.stack) if self.stack is not None else None,
-            "bugs": list(self.bugs),
-        }
-        if self.steering is not None:
-            wire["steering"] = self.steering
-        return wire
-
-
 def _counter_map(raw: object, bound: int, what: str, seed: object) -> Dict[int, int]:
     """Validate a sparse ``{"index": count}`` map against an index bound."""
     if not isinstance(raw, dict):
@@ -141,10 +108,15 @@ def _counter_map(raw: object, bound: int, what: str, seed: object) -> Dict[int, 
                 "bad-report",
                 f"report seed={seed}: {what} index {index} out of range [0, {bound})",
             )
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+        if (
+            not isinstance(value, int)
+            or isinstance(value, bool)
+            or not 0 < value < INT64_LIMIT
+        ):
             raise ProtocolError(
                 "bad-report",
-                f"report seed={seed}: {what}[{index}] = {value!r} is not a positive int",
+                f"report seed={seed}: {what}[{index}] = {value!r} is not an int "
+                f"in [1, 2**63)",
             )
         out[index] = value
     return out
@@ -161,8 +133,8 @@ def report_from_wire(
     if not isinstance(spec, dict):
         raise ProtocolError("bad-report", "report entry is not an object")
     seed = spec.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ProtocolError("bad-report", f"seed {seed!r} is not a non-negative integer")
+    if not is_seed(seed):
+        raise ProtocolError("bad-report", f"seed {seed!r} is not an integer in [0, 2**63)")
     failed = spec.get("failed")
     if not isinstance(failed, bool):
         raise ProtocolError("bad-report", f"report seed={seed}: failed {failed!r} is not a bool")

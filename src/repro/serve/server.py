@@ -61,7 +61,7 @@ from repro.core.engine import AnalysisEngine
 from repro.core.io import atomic_write_bytes_via
 from repro.core.importance import importance_scores
 from repro.core.ranking import rank
-from repro.core.reports import ReportBuilder
+from repro.core.reports import ReportSet
 from repro.core.scores import SufficientStats
 from repro.core.truth import GroundTruth
 from repro.obs import span as _obs_span
@@ -182,7 +182,7 @@ class CollectionService:
         # never acknowledged, which _replay_wal drops.
         with open(self.wal_path, "a", encoding="utf-8") as handle:
             for report in reports:
-                handle.write(json.dumps(report.to_wire(), sort_keys=True) + "\n")
+                handle.write(report.to_line())
             handle.flush()
             os.fsync(handle.fileno())
 
@@ -193,8 +193,7 @@ class CollectionService:
         so the reports this drops are already in a committed shard.
         """
         data = "".join(
-            json.dumps(report.to_wire(), sort_keys=True) + "\n"
-            for report in self.batcher.pending_reports()
+            report.to_line() for report in self.batcher.pending_reports()
         ).encode()
         atomic_write_bytes_via(self.wal_path, lambda handle: handle.write(data))
 
@@ -394,18 +393,8 @@ class CollectionService:
             self._commit_batch(seed_start, records)
 
     def _commit_batch(self, seed_start: int, records: List[RunReport]) -> None:
-        builder = ReportBuilder(self.table)
-        truth = GroundTruth(bug_ids=list(self.subject.bug_ids))
-        for record in records:
-            builder.add_run(
-                record.failed,
-                record.site_obs,
-                record.pred_true,
-                stack=record.stack,
-                seed=record.seed,
-            )
-            truth.add_run(list(record.bugs))
-        reports = builder.build()
+        reports = ReportSet.from_runs(self.table, records)
+        truth = GroundTruth.from_runs(self.subject.bug_ids, records)
         with self.metrics.timer("serve.commit_batch"):
             with _obs_span("serve.commit_batch", seed_start=seed_start, runs=len(records)):
                 shard_path = self.store.append_shard(reports, truth, seed_start=seed_start)

@@ -205,23 +205,31 @@ def _read_shard(
         raise ShardCorruptionError(entry.filename, str(exc)) from exc
 
 
+def _require_runs(
+    entry: ShardEntry, n_runs: int, num_failing: Optional[int] = None
+) -> None:
+    """Raise ``count-mismatch`` unless a shard read of ``entry`` holds
+    ``entry.n_runs`` runs and, when ``num_failing`` is given,
+    ``entry.num_failing`` failing ones."""
+    if n_runs == entry.n_runs and num_failing in (None, entry.num_failing):
+        return
+    held, says = f"{n_runs} runs", f"{entry.n_runs}"
+    if num_failing is not None:
+        held += f" ({num_failing} failing)"
+        says += f" ({entry.num_failing} failing)"
+    raise ShardIntegrityError(
+        entry.filename,
+        f"archive holds {held}, entry says {says}",
+        reason="count-mismatch",
+    )
+
+
 def _held_runs(entry: ShardEntry) -> Callable[[Archive], None]:
     """The shard check's read: sound sections holding ``entry.n_runs``
-    runs, ``entry.num_failing`` of them failing.
-
-    The returned read raises ``count-mismatch`` when the archive holds
-    another number of runs or of failing runs than ``entry`` says.
-    """
+    runs, ``entry.num_failing`` of them failing (else ``count-mismatch``)."""
 
     def read(archive: Archive) -> None:
-        held = (len(archive.runs()[0]), archive.stats()[4])
-        if held != (entry.n_runs, entry.num_failing):
-            raise ShardIntegrityError(
-                entry.filename,
-                f"archive holds {held[0]} runs ({held[1]} failing), entry says "
-                f"{entry.n_runs} ({entry.num_failing} failing)",
-                reason="count-mismatch",
-            )
+        _require_runs(entry, len(archive.runs()[0]), archive.stats()[4])
 
     return read
 
@@ -590,11 +598,22 @@ class ShardStore:
 
         Returns:
             The shard's absolute path.
+
+        Raises:
+            ValueError: The shard's table is not the store's, or its
+                seeds are not ``seed_start, seed_start + 1, ...`` (the
+                seed range its entry names).
         """
         if reports.table.signature() != self.manifest.table_sha:
             raise ValueError(
                 "shard was collected against a different predicate table than "
                 "this store; refusing to append"
+            )
+        seeds = reports.seeds
+        if len(seeds) and (seeds[0] != seed_start or np.any(np.diff(seeds) != 1)):
+            raise ValueError(
+                f"shard seeds {seeds[0]}..{seeds[-1]} are not the contiguous "
+                f"range starting at seed_start={seed_start}; refusing to append"
             )
         filename = shard_filename(seed_start)
         path = os.path.join(self.directory, filename)
@@ -929,8 +948,9 @@ class ShardStore:
         crash stacks and run metadata are never decoded.  The result is
         a partial :class:`~repro.core.reports.ReportSet` (its
         ``columns`` is ``predicates``) of the full table shape, in
-        collection order.  Its loaded columns, ``failed`` and the
-        ground truth equal :meth:`load_merged`'s.
+        collection order.  Its loaded columns, ``failed``, ``seeds``
+        (taken from the manifest entries' seed ranges) and the ground
+        truth equal :meth:`load_merged`'s.
 
         Args:
             predicates: Boolean mask over the store's predicate table.
@@ -941,7 +961,9 @@ class ShardStore:
             StaleManifestError: A committed shard file is missing.
             ShardCorruptionError: A shard's bytes fail to parse.
             ShardIntegrityError: A shard carries a different predicate
-                table than the manifest.
+                table than the manifest (``table-mismatch``), or holds
+                another number of runs than its entry, whose seed range
+                names its runs (``count-mismatch``).
         """
         if not self.manifest.shards:
             raise ValueError("cannot load columns of an empty shard store")
@@ -955,16 +977,23 @@ class ShardStore:
         sites = np.zeros(table.n_sites, dtype=bool)
         sites[[table.predicates[i].site_index for i in np.flatnonzero(predicates)]] = True
         with _obs_timer("store.load_columns"):
-            parts = [
-                self._read(entry, lambda archive: archive.columns(predicates, sites))
-                for entry in self.manifest.shards
-            ]
+            parts = []
+            for entry in self.manifest.shards:
+                part = self._read(entry, lambda archive: archive.columns(predicates, sites))
+                _require_runs(entry, len(part[0]))
+                parts.append(part)
             failed, preds, site_cols, truths = zip(*parts)
+            # Every shard holds the trials of its entry's seed range.
+            seeds = np.concatenate(
+                [np.arange(e.seed_start, e.seed_range.stop) for e in self.manifest.shards]
+            )
             reports = ReportSet(
                 table,
                 np.concatenate(failed),
                 sparse.vstack(site_cols, format="csr"),
                 sparse.vstack(preds, format="csr"),
+                stacks=None,
+                seeds=seeds,
                 columns=predicates,
             )
             return reports, _merged_truth(truths)

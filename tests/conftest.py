@@ -71,7 +71,9 @@ def build_synthetic_store(
 
     from tests.helpers import make_population, split_reports
 
-    whole = make_population(n_preds=n_preds, n_runs=n_runs, seed=seed)
+    whole = make_population(
+        n_preds=n_preds, n_runs=n_runs, seed=seed, first_seed=seed_start
+    )
     store = ShardStore.create(
         str(directory), "synthetic", whole.table, SamplingPlan.full()
     )

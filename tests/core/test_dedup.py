@@ -5,7 +5,7 @@ import numpy as np
 from repro.core.dedup import intra_site_dedup
 from repro.core.elimination import eliminate
 from repro.core.predicates import PredicateTable, Scheme
-from repro.core.reports import ReportBuilder
+from repro.core.reports import ReportSet, RunReport
 
 
 def _returns_population(values_per_run):
@@ -13,8 +13,8 @@ def _returns_population(values_per_run):
     value, so the six sign predicates form equivalence classes."""
     table = PredicateTable()
     site = table.add_site(Scheme.RETURNS, "f", 1, "g")
-    builder = ReportBuilder(table)
-    for failed, value in values_per_run:
+    runs = []
+    for seed, (failed, value) in enumerate(values_per_run):
         true = set()
         if value < 0:
             true = {0, 4, 5}
@@ -22,8 +22,8 @@ def _returns_population(values_per_run):
             true = {1, 3, 5}
         else:
             true = {2, 3, 4}
-        builder.add_run(failed, {site.index: 1}, {p: 1 for p in true})
-    return builder.build()
+        runs.append(RunReport(seed, failed, {site.index: 1}, {p: 1 for p in true}))
+    return ReportSet.from_runs(table, runs)
 
 
 class TestDedup:
@@ -55,9 +55,9 @@ class TestDedup:
         table = PredicateTable()
         s1 = table.add_custom_site("f", 1, "a", ["A"])
         s2 = table.add_custom_site("f", 2, "b", ["B"])
-        builder = ReportBuilder(table)
-        builder.add_run(True, {0: 1, 1: 1}, {0: 1, 1: 1})
-        reports = builder.build()
+        reports = ReportSet.from_runs(
+            table, [RunReport(0, True, {0: 1, 1: 1}, {0: 1, 1: 1})]
+        )
         result = intra_site_dedup(reports)
         assert result.representative.all()
 

@@ -77,7 +77,7 @@ class TestBasicElimination:
         loaded = np.array([True, True, False])
         partial = ReportSet(
             whole.table, whole.failed, whole.site_counts, whole.true_counts,
-            columns=loaded,
+            whole.stacks, whole.seeds, columns=loaded,
         )
         with pytest.raises(ValueError, match="predicate 2 is not loaded"):
             eliminate(partial)

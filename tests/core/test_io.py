@@ -1,13 +1,14 @@
 """Tests for report-archive persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.io import (
+    Archive,
     ArchiveVersionError,
     load_reports,
-    load_shard_stats,
-    load_table,
     save_reports,
 )
 from repro.core.scores import compute_scores
@@ -54,6 +55,7 @@ class TestRoundTrip:
         save_reports(str(path), reports, truth)
         loaded, _ = load_reports(str(path))
         assert loaded.stacks == reports.stacks
+        assert loaded.seeds.tolist() == reports.seeds.tolist() == [0, 1, 2]
 
     def test_truth_roundtrip(self, tmp_path):
         reports, truth = _population()
@@ -77,14 +79,14 @@ class TestRoundTrip:
 
     def test_real_scheme_tables_roundtrip(self, tmp_path):
         from repro.core.predicates import PredicateTable, Scheme
-        from repro.core.reports import ReportBuilder
+        from repro.core.reports import ReportSet, RunReport
 
         table = PredicateTable()
         table.add_site(Scheme.BRANCHES, "f", 3, "x > 0")
         table.add_site(Scheme.RETURNS, "f", 4, "g")
-        builder = ReportBuilder(table)
-        builder.add_run(True, {0: 2, 1: 1}, {0: 2, 4: 1})
-        reports = builder.build()
+        reports = ReportSet.from_runs(
+            table, [RunReport(0, True, {0: 2, 1: 1}, {0: 2, 4: 1})]
+        )
         path = tmp_path / "r.npz"
         save_reports(str(path), reports)
         loaded, _ = load_reports(str(path))
@@ -100,7 +102,7 @@ class TestRoundTrip:
             path = tmp_path / f"reports.v{version}"
             save_reports(str(path), reports, truth)
             rewrite_archive_header(path, format_version=version)
-            for loader in (load_reports, load_table, load_shard_stats):
+            for loader in (load_reports, Archive):
                 with pytest.raises(ArchiveVersionError, match=f"version {version}"):
                     loader(str(path))
 
@@ -115,8 +117,7 @@ class TestFormatVersions:
         assert FORMAT_VERSION == 3
         with open(path, "rb") as fh:
             assert fh.read(len(V3_MAGIC)) == V3_MAGIC
-        *_, table_sha = load_shard_stats(str(path))
-        assert table_sha == reports.table.signature()
+        assert Archive(str(path)).table_sha == reports.table.signature()
 
     def test_unwritable_version_rejected(self, tmp_path):
         """There is one archive format; ``save_reports`` takes no version."""
@@ -137,7 +138,7 @@ class TestFormatVersions:
         reports, _ = _population()
         path = tmp_path / "r.v3"
         save_reports(str(path), reports)
-        F, *_ = load_shard_stats(str(path))
+        F, *_ = Archive(str(path)).stats()
         assert not F.flags.writeable
         with pytest.raises((ValueError, RuntimeError)):
             F[0] = 99
@@ -148,7 +149,7 @@ class TestFormatVersions:
         reports, _ = _population()
         path = tmp_path / "reports.npz"
         save_reports(str(path), reports)
-        F, S, F_obs, S_obs, numf, nums, _ = load_shard_stats(str(path))
+        F, S, F_obs, S_obs, numf, nums = Archive(str(path)).stats()
         want = SufficientStats.from_reports(reports)
         np.testing.assert_array_equal(F, want.F)
         np.testing.assert_array_equal(S, want.S)
@@ -158,7 +159,7 @@ class TestFormatVersions:
 
 
 class TestShardStatsCorruption:
-    """Every escape from ``load_shard_stats`` is a typed ``ArchiveError``."""
+    """Every escape from a statistics read is a typed ``ArchiveError``."""
 
     def test_garbage_bytes_raise_typed_error(self, tmp_path):
         from repro.core.io import ArchiveError
@@ -173,7 +174,7 @@ class TestShardStatsCorruption:
             path = tmp_path / name
             path.write_bytes(payload)
             with pytest.raises(ArchiveError):
-                load_shard_stats(str(path))
+                Archive(str(path)).stats()
 
     def test_truncated_v3_archive_raises_typed_error(self, tmp_path):
         from repro.core.io import ArchiveError
@@ -186,67 +187,68 @@ class TestShardStatsCorruption:
             bad = tmp_path / f"cut{cut}"
             bad.write_bytes(data[:cut])
             with pytest.raises(ArchiveError):
-                load_shard_stats(str(bad))
+                Archive(str(bad)).stats()
             with pytest.raises(ArchiveError):
                 load_reports(str(bad))
 
 
-class TestMetaValidation:
-    def test_non_json_meta_rejected_with_clear_message(self, tmp_path):
-        """Regression: v1 silently stringified non-JSON metas via
-        ``default=str``, so e.g. a Path loaded back as a str.  The writer
-        must refuse instead."""
-        from pathlib import Path
+class TestPerRunColumns:
+    """The header's stacks, per-run metadata and ground truth hold one
+    entry per run: a stack is null or a list of frame names, and the
+    metadata is one ``{"seed": s}`` with ``0 <= s < 2**63``, read back
+    as ``seeds``."""
 
-        from repro.core.reports import ReportBuilder
-        from tests.helpers import make_table
+    def test_seeds_round_trip_as_seed_metas(self, tmp_path):
+        from repro.core.reports import ReportSet, RunReport
+        from tests.helpers import archive_header, make_table
 
-        builder = ReportBuilder(make_table(2))
-        builder.add_run(True, {0: 1}, {0: 1}, seed=1, source=Path("/tmp/x"))
-        reports = builder.build()
-        with pytest.raises(ValueError, match=r"run 0.*'source'.*PosixPath"):
-            save_reports(str(tmp_path / "r.npz"), reports)
-
-    def test_tuple_meta_rejected(self, tmp_path):
-        """Tuples would come back as lists -- not an exact round trip."""
-        from repro.core.reports import ReportBuilder
-        from tests.helpers import make_table
-
-        builder = ReportBuilder(make_table(2))
-        builder.add_run(False, {0: 1}, {}, span=(3, 7))
-        reports = builder.build()
-        with pytest.raises(ValueError, match="tuple"):
-            save_reports(str(tmp_path / "r.npz"), reports)
-
-    def test_non_string_dict_key_rejected(self, tmp_path):
-        from repro.core.reports import ReportBuilder
-        from tests.helpers import make_table
-
-        builder = ReportBuilder(make_table(2))
-        builder.add_run(False, {0: 1}, {}, counts={1: "a"})
-        reports = builder.build()
-        with pytest.raises(ValueError, match="non-string key"):
-            save_reports(str(tmp_path / "r.npz"), reports)
-
-    def test_clean_nested_metas_round_trip_exactly(self, tmp_path):
-        from repro.core.reports import ReportBuilder
-        from tests.helpers import make_table
-
-        meta = {
-            "seed": 3,
-            "tags": ["a", "b"],
-            "nested": {"ratio": 0.5, "ok": True, "none": None},
-        }
-        builder = ReportBuilder(make_table(2))
-        builder.add_run(True, {0: 1}, {0: 1}, **meta)
-        reports = builder.build()
-        path = tmp_path / "r.npz"
+        runs = [RunReport(s, s == 9, {0: 1}, {}) for s in (7, 9, 8)]
+        reports = ReportSet.from_runs(make_table(2), runs)
+        path = tmp_path / "r.v3"
         save_reports(str(path), reports)
+        assert json.loads(archive_header(path)["metas_json"]) == [
+            {"seed": 7},
+            {"seed": 9},
+            {"seed": 8},
+        ]
         loaded, _ = load_reports(str(path))
-        assert loaded.metas == [meta]
-        # Types, not just values, survive the round trip.
-        assert type(loaded.metas[0]["seed"]) is int
-        assert type(loaded.metas[0]["nested"]["ratio"]) is float
+        assert loaded.seeds.tolist() == [7, 9, 8]
+        assert loaded.seeds.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("stacks_json", "[null]"),
+            ("stacks_json", '["main", null, null]'),
+            ("stacks_json", "[[1, 2], null, null]"),
+            ("metas_json", '[{"seed": 0}]'),
+            ("metas_json", '[{"seed": 0}, {"seed": 1}, {"seed": 2}, {"seed": 3}]'),
+            ("metas_json", '[{"seed": 0}, {"seed": 1}, {}]'),
+            ("metas_json", '[{"seed": 0}, {"seed": 1}, {"seed": 2, "tag": "x"}]'),
+            ("metas_json", '[{"seed": 0}, {"seed": 1}, {"seed": -2}]'),
+            ("metas_json", '[{"seed": 0}, {"seed": 1}, {"seed": 9223372036854775808}]'),
+            ("metas_json", '[{"seed": 0}, {"seed": 1}, {"seed": 2.0}]'),
+            ("metas_json", '[{"seed": 0}, {"seed": 1}, {"seed": true}]'),
+            ("metas_json", '[{"seed": 0}, {"seed": 1}, [2]]'),
+            ("metas_json", '{"seed": 0}'),
+            ("truth_runs_json", '[["a"]]'),
+            ("truth_runs_json", '[["a"], [], [], []]'),
+        ],
+    )
+    def test_misaligned_or_free_form_columns_are_corrupt(self, tmp_path, field, value):
+        """Regression: a 3-run archive with 1 stack loaded back with 1
+        stack, and a later ``subset`` raised a bare ``IndexError``; with
+        1 truth run, a later ``bug_profile`` raised a bare ``ValueError``;
+        a seed of 2**63 raised a bare ``OverflowError``."""
+        from repro.core.io import ArchiveCorruptError
+        from tests.helpers import rewrite_archive_header
+
+        reports, truth = _population()
+        path = tmp_path / "r.v3"
+        save_reports(str(path), reports, truth)
+        rewrite_archive_header(path, **{field: value})
+        with pytest.raises(ArchiveCorruptError):
+            load_reports(str(path))
 
 
 class TestFileSha256:

@@ -74,9 +74,7 @@ class TestShardedCollection:
         _assert_populations_identical(
             merged_reports, merged_truth, serial_reports, serial_truth
         )
-        assert [m["seed"] for m in merged_reports.metas] == list(
-            range(seed, seed + n_runs)
-        )
+        assert merged_reports.seeds.tolist() == list(range(seed, seed + n_runs))
         assert merged_reports.num_failing > 0
         for stack, failed in zip(merged_reports.stacks, merged_reports.failed):
             if failed:
@@ -112,7 +110,7 @@ class TestShardedCollection:
         )
         assert store.n_runs == 100
         merged, _ = store.load_merged()
-        assert [m["seed"] for m in merged.metas] == list(range(100))
+        assert merged.seeds.tolist() == list(range(100))
 
     def test_overlapping_seed_range_rejected(self, tmp_path):
         subject = TinySubject()
@@ -274,7 +272,7 @@ class TestSupervision:
         assert store.n_runs == 40
         assert "reclaim-uncommitted" in [e["event"] for e in store.read_log()]
         merged, _ = store.load_merged()
-        assert [m["seed"] for m in merged.metas] == list(range(40))
+        assert merged.seeds.tolist() == list(range(40))
         assert store.audit().clean
 
     @pytest.mark.slow
@@ -293,7 +291,7 @@ class TestSupervision:
         assert store.n_runs == 60
         assert store.audit().quarantined == []
         merged, _ = store.load_merged()
-        assert [m["seed"] for m in merged.metas] == list(range(60))
+        assert merged.seeds.tolist() == list(range(60))
 
     def test_faulted_run_merges_identical_to_serial(self, tmp_path):
         """The supervision loop must not perturb the population: a

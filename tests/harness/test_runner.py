@@ -79,10 +79,10 @@ class TestRunTrials:
         r2, _ = run_trials(subject, tiny_program, 50, SamplingPlan.full(), seed=2)
         assert r1.failed.tolist() != r2.failed.tolist()
 
-    def test_run_meta_records_seed(self, tiny_program):
+    def test_runs_record_their_seeds(self, tiny_program):
         subject = TinySubject()
         reports, _ = run_trials(subject, tiny_program, 3, SamplingPlan.full(), seed=5)
-        assert [m["seed"] for m in reports.metas] == [5, 6, 7]
+        assert reports.seeds.tolist() == [5, 6, 7]
 
 
 class TestTraining:

@@ -8,7 +8,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.predicates import PredicateTable
-from repro.core.reports import ReportBuilder, ReportSet
+from repro.core.reports import ReportSet, RunReport
 
 
 def partition_bounds(n: int, parts: int) -> List[Tuple[int, int]]:
@@ -50,16 +50,17 @@ def make_reports(
     n_predicates: int,
     runs: Sequence[Tuple[bool, Iterable[int], Optional[Iterable[int]]]],
     stacks: Optional[Sequence[Optional[Tuple[str, ...]]]] = None,
+    first_seed: int = 0,
 ) -> ReportSet:
     """Build a report set from per-run specs.
 
     Each run is ``(failed, true_predicates, observed_sites)``; when
     ``observed_sites`` is ``None`` it defaults to *all* sites (complete
     observation, i.e. no sampling).  Predicates listed as true are always
-    also observed.
+    also observed.  Run ``i`` gets seed ``first_seed + i``.
     """
     table = make_table(n_predicates)
-    builder = ReportBuilder(table)
+    records = []
     for idx, (failed, true_preds, observed) in enumerate(runs):
         true_set: Set[int] = set(true_preds)
         if observed is None:
@@ -69,20 +70,22 @@ def make_reports(
         stack = None
         if stacks is not None:
             stack = stacks[idx]
-        builder.add_run(
-            failed,
-            {s: 1 for s in obs_set},
-            {p: 1 for p in true_set},
-            stack=stack,
+        records.append(
+            RunReport(
+                first_seed + idx, failed, {s: 1 for s in obs_set}, {p: 1 for p in true_set}, stack
+            )
         )
-    return builder.build()
+    return ReportSet.from_runs(table, records)
 
 
-def make_population(n_preds: int = 4, n_runs: int = 24, seed: int = 0) -> ReportSet:
+def make_population(
+    n_preds: int = 4, n_runs: int = 24, seed: int = 0, first_seed: int = 0
+) -> ReportSet:
     """A deterministic synthetic population with mixed outcomes.
 
     Failure rate ~40%; predicates fire more often in failing runs (60%
-    vs 20%) under ~80% observation, so scores are non-degenerate.
+    vs 20%) under ~80% observation, so scores are non-degenerate.  Its
+    runs carry the trial seeds ``first_seed, first_seed + 1, ...``.
     """
     rng = random.Random(seed)
     runs = []
@@ -91,7 +94,7 @@ def make_population(n_preds: int = 4, n_runs: int = 24, seed: int = 0) -> Report
         true = {i for i in range(n_preds) if rng.random() < (0.6 if failed else 0.2)}
         observed = {i for i in range(n_preds) if rng.random() < 0.8} | true
         runs.append((failed, true, observed))
-    return make_reports(n_preds, runs)
+    return make_reports(n_preds, runs, first_seed=first_seed)
 
 
 def split_reports(reports: ReportSet, k: int) -> List[ReportSet]:

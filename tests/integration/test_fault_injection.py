@@ -9,7 +9,7 @@ bit-identical to an uninjected run with the same seeds.
 import numpy as np
 import pytest
 
-from repro.core.io import load_shard_stats
+from repro.core.io import Archive
 from repro.core.importance import importance_scores
 from repro.core.scores import SufficientStats
 from repro.store import Fault, StaleManifestError
@@ -112,7 +112,7 @@ class TestGracefulDegradation:
         for entry, path in zip(clean.manifest.shards, clean.shard_paths()):
             if entry.seed_start == _CHUNK:  # the lost range
                 continue
-            F, S, F_obs, S_obs, nf, ns, _ = load_shard_stats(path)
+            F, S, F_obs, S_obs, nf, ns = Archive(path).stats()
             part = SufficientStats(F, S, F_obs, S_obs, nf, ns)
             # v3 stats are read-only mmap views; seed a writable copy.
             expected = part.materialized() if expected is None else expected.add(part)

@@ -247,6 +247,36 @@ class TestDrain:
             assert json.load(handle)["reason"] == "table-mismatch"
         assert store.n_runs == 0
 
+    def test_damaged_spool_entry_is_set_aside(self, tmp_path, ccrypt_server):
+        """Regression: one torn ``report-*.json`` made every drain raise
+        ``JSONDecodeError``, so nothing uploaded, ever."""
+        store, service, server = ccrypt_server
+        spool = ReportSpool(str(tmp_path / "spool"))
+        _fill(spool, 4)
+        path = spool._path(1)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
+        result = _drain(spool, server, store, batch_size=4)
+        assert sorted(result.accepted) == [0, 2, 3]
+        assert result.rejected == [1]
+        assert spool.pending_seeds() == []
+        rejected = os.path.join(spool.directory, REJECTED_DIR)
+        name = SPOOL_PATTERN.format(seed=1)
+        assert os.path.exists(os.path.join(rejected, name))
+        with open(os.path.join(rejected, name + ".reason.json")) as handle:
+            assert json.load(handle)["reason"] == "bad-spool-entry"
+        assert service.batcher.queue_depth == 3
+
+    def test_spool_entry_naming_another_seed_is_set_aside(self, tmp_path, ccrypt_server):
+        store, service, server = ccrypt_server
+        spool = ReportSpool(str(tmp_path / "spool"))
+        _fill(spool, 2)
+        os.replace(spool._path(1), spool._path(5))
+        result = _drain(spool, server, store)
+        assert result.accepted == [0]
+        assert result.rejected == [5]
+        assert spool.pending_seeds() == []
+
     def test_dead_server_gives_up_with_spool_intact(self, tmp_path, ccrypt_service):
         store, service = ccrypt_service
         spool = ReportSpool(str(tmp_path / "spool"))

@@ -253,12 +253,19 @@ class TestValidation:
             _validate(_valid([_report(4), _report(4)]))
         assert err.value.reason == "bad-report"
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None, 2**63])
     def test_bad_seed(self, seed):
         wire = _report().to_wire()
         wire["seed"] = seed
         with pytest.raises(ProtocolError):
             report_from_wire(wire, 10, 10, ["bug1"])
+
+    def test_largest_seed_and_count_are_accepted(self):
+        wire = _report().to_wire()
+        wire["seed"] = 2**63 - 1
+        wire["site_obs"] = {"1": 2**63 - 1}
+        report = report_from_wire(wire, 10, 10, ["bug1"])
+        assert (report.seed, report.site_obs) == (2**63 - 1, {1: 2**63 - 1})
 
     def test_site_index_out_of_range(self):
         wire = _report().to_wire()
@@ -272,7 +279,7 @@ class TestValidation:
         with pytest.raises(ProtocolError):
             report_from_wire(wire, 10, 10, ["bug1"])
 
-    @pytest.mark.parametrize("count", [0, -2, 1.5, True, "3"])
+    @pytest.mark.parametrize("count", [0, -2, 1.5, True, "3", 2**63])
     def test_bad_counter_value(self, count):
         wire = _report().to_wire()
         wire["site_obs"] = {"1": count}

@@ -107,6 +107,24 @@ class TestRejection:
             record = json.load(handle)
         assert record["reason"] == "upload-table-mismatch"
 
+    def test_seed_beyond_int64_is_refused_before_it_is_queued(self, ccrypt_service):
+        """Regression: a full batch at seed 2**63 was acked and queued,
+        then its commit raised ``OverflowError`` on every later request,
+        at shutdown and on each WAL replay.  It is now a 400, and the
+        next batch commits."""
+        store, service = ccrypt_service  # batch_runs=20
+        status, doc = _post_reports(
+            service, [_synthetic(2**63 + s) for s in range(20)], store
+        )
+        assert status == 400
+        assert doc["error"] == "bad-report"
+        assert service.batcher.queue_depth == 0
+        status, doc = _post_reports(
+            service, [_synthetic(s) for s in range(20)], store
+        )
+        assert status == 200
+        assert store.n_runs == 20
+
     def test_garbage_body_rejected(self, ccrypt_service):
         store, service = ccrypt_service
         status, doc = service.ingest_body(b"{nope", None)

@@ -28,8 +28,6 @@ from repro.core.io import (
     ArchiveVersionError,
     file_sha256,
     load_reports,
-    load_shard_stats,
-    load_table,
     save_reports,
 )
 from repro.core.scores import SufficientStats
@@ -68,8 +66,18 @@ def _build_store(tmp_path, k=3, n_runs=24, n_preds=4, seed=0):
     )
 
 
+def read_stats(path):
+    """The statistics stream's read of the archive at ``path``."""
+    return Archive(path).stats()
+
+
+def read_table(path):
+    """The predicate-table read of the archive at ``path``."""
+    return Archive(path).table()
+
+
 def _shard_stats(path):
-    F, S, F_obs, S_obs, nf, ns, _ = load_shard_stats(path)
+    F, S, F_obs, S_obs, nf, ns = read_stats(path)
     # v3 stats come back as read-only file-mapping views; materialize so
     # the accumulating .add() calls below may mutate in place.
     return SufficientStats(F, S, F_obs, S_obs, nf, ns).materialized()
@@ -93,14 +101,14 @@ class TestLoaderFuzz:
         save_reports(path, whole)
         return path
 
-    @pytest.mark.parametrize("loader", [load_reports, load_shard_stats])
+    @pytest.mark.parametrize("loader", [load_reports, read_stats])
     def test_truncated_archive(self, tmp_path, loader):
         path = self._archive(tmp_path)
         damage_truncate(path, keep_fraction=0.5)
         with pytest.raises(ArchiveCorruptError):
             loader(path)
 
-    @pytest.mark.parametrize("loader", [load_reports, load_shard_stats])
+    @pytest.mark.parametrize("loader", [load_reports, read_stats])
     def test_flipped_bytes(self, tmp_path, loader):
         path = self._archive(tmp_path)
         # Invert nearly the whole body so every member is damaged.
@@ -108,7 +116,7 @@ class TestLoaderFuzz:
         with pytest.raises(ArchiveCorruptError):
             loader(path)
 
-    @pytest.mark.parametrize("loader", [load_reports, load_shard_stats])
+    @pytest.mark.parametrize("loader", [load_reports, read_stats])
     def test_garbage_bytes(self, tmp_path, loader):
         path = str(tmp_path / "junk.npz")
         with open(path, "wb") as fh:
@@ -116,26 +124,26 @@ class TestLoaderFuzz:
         with pytest.raises(ArchiveCorruptError):
             loader(path)
 
-    @pytest.mark.parametrize("loader", [load_reports, load_shard_stats])
+    @pytest.mark.parametrize("loader", [load_reports, read_stats])
     def test_empty_file(self, tmp_path, loader):
         path = str(tmp_path / "empty.npz")
         open(path, "wb").close()
         with pytest.raises(ArchiveCorruptError):
             loader(path)
 
-    @pytest.mark.parametrize("loader", [load_reports, load_shard_stats])
+    @pytest.mark.parametrize("loader", [load_reports, read_stats])
     def test_missing_file(self, tmp_path, loader):
         with pytest.raises(FileNotFoundError):
             loader(str(tmp_path / "absent.npz"))
 
-    @pytest.mark.parametrize("loader", [load_reports, load_shard_stats])
+    @pytest.mark.parametrize("loader", [load_reports, read_stats])
     def test_unsupported_version(self, tmp_path, loader):
         path = self._archive(tmp_path)
         rewrite_archive_header(path, format_version=99)
         with pytest.raises(ArchiveVersionError, match="version 99"):
             loader(path)
 
-    @pytest.mark.parametrize("loader", [load_reports, load_table, load_shard_stats])
+    @pytest.mark.parametrize("loader", [load_reports, read_table, read_stats])
     def test_npz_archive_refused(self, tmp_path, loader):
         """A retired v1/v2 ``.npz`` archive is a version error, not
         corruption: its runs must be re-collected."""
@@ -240,12 +248,12 @@ class TestCsrSections:
             load_reports(path)
         if stats_match is None:
             # The statistics stream reads only the leading pages.
-            load_shard_stats(path)
+            read_stats(path)
         else:
             # A header that contradicts itself is refused by the
             # statistics stream too: its checks read the header only.
             with pytest.raises(ArchiveCorruptError, match=stats_match):
-                load_shard_stats(path)
+                read_stats(path)
 
     def test_column_read_checks_masks_against_the_archive(self, tmp_path):
         """A header whose matrix shape disagrees with its own table
@@ -385,7 +393,7 @@ class TestCommitProtocol:
 
         monkeypatch.setattr(store, "register_shard", crash)
         with pytest.raises(RuntimeError, match="commit point"):
-            store.append_shard(_population(n_runs=4, seed=5), seed_start=24)
+            store.append_shard(_population(n_runs=4, seed=5, first_seed=24), seed_start=24)
         monkeypatch.undo()
 
         reopened = ShardStore.open(store.directory)
@@ -394,7 +402,7 @@ class TestCommitProtocol:
         assert back == [shard_filename(24) + PENDING_SUFFIX]
         # The seed range is free again: the append can simply be retried.
         reopened._table = whole.table
-        reopened.append_shard(_population(n_runs=4, seed=5), seed_start=24)
+        reopened.append_shard(_population(n_runs=4, seed=5, first_seed=24), seed_start=24)
         assert reopened.n_runs == whole.n_runs + 4
 
     def test_commit_without_pending_file_rejected(self, tmp_path):
@@ -412,7 +420,7 @@ class TestCommitProtocol:
     def test_overlapping_registration_rejected(self, tmp_path):
         store, _ = _build_store(tmp_path, k=3, n_runs=24)  # shards at 0, 8, 16
         with pytest.raises(DuplicateSeedRangeError, match="double-count"):
-            store.append_shard(_population(n_runs=8, seed=2), seed_start=4)
+            store.append_shard(_population(n_runs=8, seed=2, first_seed=4), seed_start=4)
 
     def test_store_errors_share_a_base(self):
         for exc in (
@@ -642,6 +650,27 @@ class TestAuditQuarantine:
         report = store.audit()
         assert [r.reason for r in report.quarantined] == ["unreadable"]
         _assert_stats_equal(store.sufficient_stats(), survivors)
+
+    @pytest.mark.parametrize("field", ["stacks_json", "metas_json"])
+    def test_misaligned_run_columns_are_unreadable(self, tmp_path, field):
+        """A header whose stacks or run metadata are one entry short of
+        its runs, under a matching digest: the whole-set read refuses
+        the shard as ``unreadable``.  The statistics stream and the
+        audit read neither column, so they still pass it."""
+        store, _ = _build_store(tmp_path)
+        path = store.shard_paths()[1]
+        column = json.loads(archive_header(path)[field])
+        rewrite_archive_header(path, **{field: json.dumps(column[:-1])})
+        store.manifest.shards[1] = dataclasses.replace(
+            store.manifest.shards[1], sha256=file_sha256(path)
+        )
+        store.manifest.save(store.manifest_path)
+        with pytest.raises(ShardCorruptionError, match=field) as err:
+            store.load_merged()
+        assert (err.value.filename, err.value.reason) == (
+            store.manifest.shards[1].filename, "unreadable"
+        )
+        assert store.audit().clean
 
     def test_failing_count_lie_refused_by_the_stream(self, tmp_path, capsys):
         """A header that moves one run from successful to failing, under

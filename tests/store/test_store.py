@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.elimination import DiscardStrategy, eliminate
-from repro.core.io import file_sha256, load_shard_stats, save_reports
+from repro.core.io import Archive, file_sha256, save_reports
 from repro.core.reports import ReportSet
 from repro.core.scores import SufficientStats, compute_scores
 from repro.core.truth import GroundTruth
@@ -55,7 +55,7 @@ class TestReportSetMerge:
         assert (merged.true_counts != whole.true_counts).nnz == 0
         assert (merged.site_counts != whole.site_counts).nnz == 0
         assert merged.stacks == whole.stacks
-        assert merged.metas == whole.metas
+        assert merged.seeds.tolist() == whole.seeds.tolist()
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_merged_scores_exactly_equal(self, k):
@@ -121,6 +121,28 @@ class TestShardStore:
         reopened = ShardStore.open(store.directory)
         assert reopened.n_runs == whole.n_runs
         assert reopened.num_failing == whole.num_failing
+
+    @pytest.mark.parametrize(
+        "seeds, seed_start", [([0, 1, 2, 3, 4, 5], 1), ([3, 4, 6, 5, 7, 8], 3)]
+    )
+    def test_append_refuses_seeds_outside_the_seed_range(
+        self, tmp_path, seeds, seed_start
+    ):
+        """A shard holds the seed range its entry names: runs seeded
+        otherwise (offset or out of order) are refused before a byte is
+        written."""
+        whole = _population(n_runs=6)
+        shard = ReportSet(
+            whole.table, whole.failed, whole.site_counts, whole.true_counts,
+            None, seeds,
+        )
+        store = ShardStore.create(
+            str(tmp_path / "store"), "synthetic", whole.table, SamplingPlan.full()
+        )
+        with pytest.raises(ValueError, match="not the contiguous range"):
+            store.append_shard(shard, seed_start=seed_start)
+        assert store.n_shards == 0
+        assert os.listdir(store.directory) == ["manifest.json"]
 
     def test_load_merged_equals_monolithic(self, tmp_path):
         whole = _population(n_preds=5, n_runs=30, seed=5)
@@ -208,8 +230,9 @@ class TestShardStore:
         whole = _population(n_preds=4, n_runs=16)
         store = self._store(tmp_path, whole, k=2)
         path = store.shard_paths()[0]
-        F, S, F_obs, S_obs, numf, nums, sha = load_shard_stats(path)
-        assert sha == whole.table.signature()
+        archive = Archive(path)
+        F, S, F_obs, S_obs, numf, nums = archive.stats()
+        assert archive.table_sha == whole.table.signature()
         first, _ = next(iter(ShardStore.open(store.directory).iter_reports()))
         _assert_counters_equal(
             SufficientStats(F, S, F_obs, S_obs, numf, nums),
@@ -234,6 +257,16 @@ class TestKeptColumns:
         assert partial.n_predicates == whole.n_predicates
         for pred in np.flatnonzero(self.KEPT):
             np.testing.assert_array_equal(partial.true_mask(pred), whole.true_mask(pred))
+
+    def test_seeds_come_from_the_manifest_ranges(self, tmp_path):
+        store, whole = build_synthetic_store(
+            tmp_path / "store", n_runs=30, n_preds=6, seed_start=100
+        )
+        reopened = ShardStore.open(store.directory)
+        partial, _ = reopened.load_columns(self.KEPT)
+        merged, _ = reopened.load_merged()
+        assert partial.seeds.tolist() == merged.seeds.tolist() == whole.seeds.tolist()
+        assert whole.seeds.tolist() == list(range(100, 130))
 
     def test_unloaded_column_raises(self, tmp_path):
         _, _, partial = self._partial(tmp_path)
@@ -329,6 +362,18 @@ class TestKeptColumns:
         assert info.value.reason == "table-mismatch"
         assert info.value.filename == store.manifest.shards[1].filename
 
+
+    def test_run_count_lie_raises_integrity_error(self, tmp_path):
+        """Regression: an entry claiming one run fewer than its shard
+        holds was read without complaint (its seeds would not cover
+        the shard's runs); the read is now ``count-mismatch``."""
+        store, _ = build_synthetic_store(tmp_path / "store", n_preds=6)
+        last = store.manifest.shards[-1]
+        last.n_runs -= 1
+        store.manifest.save(store.manifest_path)
+        with pytest.raises(ShardIntegrityError) as info:
+            ShardStore.open(store.directory).load_columns(self.KEPT)
+        assert (info.value.reason, info.value.filename) == ("count-mismatch", last.filename)
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
