@@ -424,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """CLI entry point."""
     from repro.core.io import ArchiveError
+    from repro.serve.client import UploadError
     from repro.store.errors import StoreError
 
     args = build_parser().parse_args(argv)
@@ -432,9 +433,10 @@ def main(argv=None) -> int:
     except _Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArchiveError, StoreError, FileNotFoundError) as exc:
-        # A damaged, retired or missing archive or store: refuse with
-        # the reason, not a traceback.
+    except (ArchiveError, StoreError, FileNotFoundError, UploadError) as exc:
+        # A damaged, retired or missing archive or store, or an upload
+        # that gave up with its reports still spooled: refuse with the
+        # reason, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -117,37 +117,6 @@ class AnalysisEngine:
         with _obs_span("engine.stream_stats", shards=store.n_shards):
             return store.sufficient_stats()
 
-    def multi_store_stats(self, stores) -> SufficientStats:
-        """Stream several stores' statistics as one population.
-
-        The federation analysis entry point: integer sufficient
-        statistics add exactly across stores, so summing N daemon-owned
-        stores is bit-identical to summing the one store a federated
-        merge of them would produce -- without materialising that merge.
-        All stores must share a predicate table (same ``table_sha``);
-        anything else would mis-attribute counters.
-        """
-        stores = list(stores)
-        if not stores:
-            raise ValueError("need at least one store")
-        table_sha = stores[0].manifest.table_sha
-        for store in stores[1:]:
-            if store.manifest.table_sha != table_sha:
-                raise ValueError(
-                    f"store {store.directory} has predicate table "
-                    f"{store.manifest.table_sha[:12]}..., expected "
-                    f"{table_sha[:12]}...; cannot sum statistics across tables"
-                )
-        populated = [store for store in stores if store.manifest.shards]
-        if not populated:
-            raise ValueError("cannot score empty shard stores")
-        shards = sum(store.n_shards for store in populated)
-        with _obs_span("engine.stream_multi_stats", stores=len(stores), shards=shards):
-            total = populated[0].sufficient_stats()
-            for store in populated[1:]:
-                total.add(store.sufficient_stats())
-        return total
-
     # ------------------------------------------------------------------
     # Stage 2: scores, p-values, pruning and the measure
     # ------------------------------------------------------------------

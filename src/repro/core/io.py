@@ -519,7 +519,8 @@ class Archive:
         view = np.frombuffer(self._buf, dtype=dtype, count=count, offset=offset)
         return view.reshape(shape)
 
-    def _counts(self) -> Tuple[int, int]:
+    @_translated
+    def counts(self) -> Tuple[int, int]:
         """``(num_failing, num_successful)``, which must add up to both
         matrices' row count, ``num_failing`` being the failing outcomes
         (the ``failed`` column sits on the leading pages)."""
@@ -545,13 +546,13 @@ class Archive:
         Read-only views of the four statistic columns, which sit on the
         file's leading pages -- no copy, no matrix reconstruction.  The
         header must agree with the file: its run counts pass
-        :meth:`_counts`, and each statistic column holds one entry per
+        :meth:`counts`, and each statistic column holds one entry per
         predicate column.  A header that lies about its population -- its
         run counts or its failing count -- is refused before it is
         scored; the checks read the header and the outcome column only.
         """
         columns = [self._array(name) for name in _STATS]
-        counts = self._counts()
+        counts = self.counts()
         n_preds = int(self.header["preds_shape"][1])
         for name, column in zip(_STATS, columns):
             if column.shape != (n_preds,):
@@ -575,7 +576,7 @@ class Archive:
         """``(failed, sites, preds)``: the run-level sections, validated.
 
         Both matrices pass :func:`_check_csr`; they and ``failed`` agree
-        on the number of runs, which is the header's (:meth:`_counts`);
+        on the number of runs, which is the header's (:meth:`counts`);
         and the header's ``num_failing`` is the number of failing
         outcomes.
         """
@@ -587,7 +588,7 @@ class Archive:
                 f"archive disagrees on its run count: {failed.shape[0]} outcomes, "
                 f"{sites[3][0]} site rows, {preds[3][0]} predicate rows"
             )
-        self._counts()
+        self.counts()
         return failed, sites, preds
 
     @_translated
@@ -747,7 +748,7 @@ def load_reports(
             never decoded; otherwise the embedded table is decoded as
             without it.  Callers that must reject a foreign table
             compare ``Archive.table_sha`` themselves (see
-            ``ShardStore.iter_reports``).
+            ``ShardStore.load_merged``).
 
     Returns:
         ``(reports, truth)``; ``truth`` is ``None`` when the archive was

@@ -328,24 +328,6 @@ class ReportSet:
             self.columns,
         )
 
-    def relabelled(self, to_success_mask: np.ndarray) -> "ReportSet":
-        """Return a copy with the masked runs relabelled as successful.
-
-        Implements discard strategy (3) of Section 5: "relabel all failing
-        runs where R(P)=1 as successful runs".
-        """
-        failed = self.failed.copy()
-        failed[np.asarray(to_success_mask, dtype=bool)] = False
-        return ReportSet(
-            self.table,
-            failed,
-            self.site_counts,
-            self.true_counts,
-            self.stacks,
-            self.seeds,
-            self.columns,
-        )
-
     # ------------------------------------------------------------------
     # Merging
     # ------------------------------------------------------------------

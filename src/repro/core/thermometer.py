@@ -142,30 +142,3 @@ class Thermometer:
         for n in remainders[:leftover]:
             floors[n] += 1
         return floors
-
-
-def render_table_text(rows, table, max_runs=None, width: int = 24):
-    """Render ``(ScoreRow, ...)`` sequences as aligned thermometer lines.
-
-    Args:
-        rows: Iterable of :class:`~repro.core.scores.ScoreRow`.
-        table: The :class:`~repro.core.predicates.PredicateTable` for names.
-        max_runs: Normalisation maximum (defaults to the largest ``F+S``).
-        width: Character width of the thermometer bars.
-
-    Returns:
-        A list of formatted strings, one per row.
-    """
-    rows = list(rows)
-    if max_runs is None:
-        max_runs = max((r.F + r.S for r in rows), default=1)
-    lines = []
-    for row in rows:
-        therm = Thermometer.from_row(row, max_runs=max_runs)
-        name = table.predicates[row.predicate_index].name
-        lines.append(
-            f"{therm.render_text(width)} ctx={row.context:5.3f} "
-            f"inc={row.increase:5.3f}±{row.increase - row.increase_lo:5.3f} "
-            f"S={row.S:<6d} F={row.F:<6d} {name}"
-        )
-    return lines

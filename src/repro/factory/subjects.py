@@ -28,11 +28,7 @@ import random
 from typing import Callable, Dict, Optional
 
 from repro.factory import corpus
-from repro.factory.loader import (
-    instrument_package,
-    package_modules,
-    pristine_namespace,
-)
+from repro.factory.loader import instrument_package, pristine_namespace
 from repro.factory.mutate import MutationSpec, apply_mutation
 from repro.subjects.base import Subject
 
@@ -85,30 +81,6 @@ class FactorySubject(Subject):
             )
 
     # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_installed(
-        cls,
-        package: str,
-        generator: Callable[[random.Random], object],
-        mutation: Optional[MutationSpec] = None,
-        oracle: Optional[Callable[[object, object], bool]] = None,
-        name: Optional[str] = None,
-    ) -> "FactorySubject":
-        """Manufacture a subject from any importable package.
-
-        ``generator`` produces one entry-point input per call from a
-        seeded RNG; ``oracle`` defaults to the differential comparison
-        against the pristine package.
-        """
-        return cls(
-            name=name or (mutation.bug_id if mutation else package),
-            package=package,
-            modules=package_modules(package),
-            generator=generator,
-            mutation=mutation,
-            oracle=oracle,
-        )
 
     @classmethod
     def from_corpus_bug(cls, bug: "corpus.CorpusBug") -> "FactorySubject":

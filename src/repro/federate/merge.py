@@ -9,11 +9,10 @@ that add exactly across disjoint seed ranges.
 Replicating committed shard *bytes* (not reports, not counts) therefore
 preserves every downstream result bit for bit: shard SHAs, streamed
 statistics, scores, rankings.  The same property holds for every
-registered suspiciousness measure (:mod:`repro.core.measures`):
-``AnalysisEngine.score_stats(engine.multi_store_stats(stores),
-measure=...)`` scores the un-materialised union of N stores
-bit-identically to ``store.sufficient_stats().to_scores()`` on the
-merged store this module produces, under any measure.
+registered suspiciousness measure (:mod:`repro.core.measures`): scoring
+the sum of the N stores' ``store.sufficient_stats()`` with
+``AnalysisEngine.score_stats(..., measure=...)`` is bit-identical to
+scoring the merged store this module produces, under any measure.
 
 Protocol (manifest-diff sync):
 

@@ -43,24 +43,6 @@ BAKEOFF_SCHEMA = "repro-bakeoff/v1"
 DEFAULT_RUNS = 400
 
 
-@dataclass(frozen=True)
-class BakeoffCell:
-    """Metrics for one measure on one subject."""
-
-    measure: str
-    subject: str
-    rank_of_first_faulty_site: Optional[int]
-    wasted_effort_sites: Optional[int]
-    first_faulty_predicate: Optional[str]
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "rank_of_first_faulty_site": self.rank_of_first_faulty_site,
-            "wasted_effort_sites": self.wasted_effort_sites,
-            "first_faulty_predicate": self.first_faulty_predicate,
-        }
-
-
 def rank_metrics(
     table, values: np.ndarray, faulty_mask: np.ndarray
 ) -> Dict[str, object]:

@@ -29,8 +29,8 @@ as cheap as pure Python allows:
 * the countdown is **inlined** into each helper -- a skipped opportunity
   costs one attribute load, an integer decrement and a store, with no
   method call (no frame push) on the way;
-* the sampler's identity is an explicit :attr:`mode` attribute (mirrored
-  by the integer ``_mode_id`` the helpers branch on);
+* the sampler's identity is the integer ``_mode_id`` the helpers branch
+  on (cheaper than comparing mode strings);
 * nothing reads or writes the instance ``__dict__`` directly: on CPython
   3.11+ that materialises the dict and roughly doubles the cost of every
   attribute load in the helpers (the no-op floor gate in
@@ -41,8 +41,10 @@ as cheap as pure Python allows:
   attribute traffic of a per-refill draw.  Pre-drawing consumes the RNG
   in exactly the order a lazy draw would, so the take/skip decision
   stream -- and therefore every downstream count and score -- is
-  bit-identical to the unbatched sampler; the pending gaps travel inside
-  :meth:`sampler_state` snapshots so resumability is unaffected.
+  bit-identical to the unbatched sampler.
+
+Each run's countdowns are seeded in :meth:`Runtime.begin_run`, so a run
+is a pure function of its seed and nothing is ever resumed mid-run.
 
 The countdown each helper inlines is checked against a geometric gap
 stream drawn in the test itself (``tests/instrument/
@@ -83,9 +85,6 @@ class Runtime:
 
     Attributes:
         table: The :class:`PredicateTable` registered by the transformer.
-        mode: The active sampling mode (``"full"``, ``"uniform"`` or
-            ``"per-site"``) -- the explicit sampler identity that
-            :meth:`sampler_state` snapshots.
     """
 
     #: Exposed so instrumented code can reference ``_cbi.UNBOUND``.
@@ -96,7 +95,6 @@ class Runtime:
         self._base: List[int] = []
         self._site_obs: List[int] = []
         self._true: List[int] = []
-        self.mode = "full"
         self._mode_id = _MODE_FULL
         self._rate = 1.0
         self._gap = 1
@@ -152,7 +150,6 @@ class Runtime:
             ]
         elif plan.mode != "full":
             raise ValueError(f"unknown sampling mode {plan.mode!r}")
-        self.mode = plan.mode
         self._mode_id = _MODE_IDS[plan.mode]
 
     def end_run(self) -> Tuple[Dict[int, int], Dict[int, int]]:
@@ -170,62 +167,6 @@ class Runtime:
             _obs_inc("runtime.samples_taken", sum(site_obs.values()))
             _obs_inc("runtime.predicates_true", sum(pred_true.values()))
         return site_obs, pred_true
-
-    # ------------------------------------------------------------------
-    # Sampler-state round-tripping
-    # ------------------------------------------------------------------
-    def sampler_state(self) -> Dict[str, object]:
-        """Snapshot the sampler mid-run: countdowns, rates, RNG state.
-
-        Together with :meth:`restore_sampler_state` this makes the
-        take/skip decision stream *resumable*: a runtime restored from a
-        snapshot continues with exactly the decisions the snapshotting
-        runtime would have made, which the property suite
-        (`tests/instrument/test_sampling_properties.py`) pins at an
-        arbitrary split point.  The fault-tolerant collector does not
-        use snapshots: a retried chunk reruns its seed range from
-        scratch (:mod:`repro.harness.parallel`), each run a pure
-        function of its seed.
-
-        The snapshot carries the explicit :attr:`mode` attribute and the
-        batched sampler's undealt pre-drawn gaps (``"pending"``, in
-        consumption order).
-        """
-        return {
-            "mode": self.mode,
-            "rate": self._rate,
-            "gap": self._gap,
-            "rates": list(self._rates),
-            "gaps": list(self._gaps),
-            "pending": list(reversed(self._pending)),
-            "rng": self._rng.getstate(),
-        }
-
-    def restore_sampler_state(self, state: Dict[str, object]) -> None:
-        """Restore a sampler snapshot taken by :meth:`sampler_state`.
-
-        Only the sampling side (countdowns and RNG) is restored; the
-        observation counters are left alone, so a caller can both resume
-        a run and splice decision streams across runtime instances.
-
-        Raises:
-            ValueError: The snapshot has no ``"mode"`` key or names an
-                unknown mode.
-        """
-        mode = state.get("mode")
-        if mode not in _MODE_IDS:
-            raise ValueError(f"unknown sampler mode {mode!r} in snapshot")
-        self._rate = float(state["rate"])  # type: ignore[arg-type]
-        self._gap = int(state["gap"])  # type: ignore[arg-type]
-        self._rates = [float(r) for r in state["rates"]]  # type: ignore[union-attr]
-        self._gaps = [int(g) for g in state["gaps"]]  # type: ignore[union-attr]
-        self._pending = [int(g) for g in reversed(state.get("pending", ()))]  # type: ignore[arg-type]
-        self._log_q = math.log(1.0 - self._rate) if 0.0 < self._rate < 1.0 else 0.0
-        self._rng = random.Random()
-        self._rng.setstate(state["rng"])  # type: ignore[arg-type]
-        self._rng_random = self._rng.random
-        self.mode = mode  # type: ignore[assignment]
-        self._mode_id = _MODE_IDS[mode]  # type: ignore[index]
 
     def _next_gap(self) -> int:
         """Deal the next uniform-mode gap, refilling the batch when dry.
@@ -360,26 +301,3 @@ class Runtime:
                 t[b + 2] += 1  # >
                 t[b + 3] += 1  # >=
                 t[b + 4] += 1  # !=
-
-    def custom(self, site: int, flags: Sequence[bool]) -> None:
-        """Record a hand-rolled predicate family (Section 5 extensions)."""
-        m = self._mode_id
-        if m == _MODE_UNIFORM:
-            g = self._gap - 1
-            if g > 0:
-                self._gap = g
-                return
-            self._gap = self._next_gap()
-        elif m == _MODE_PER_SITE:
-            gaps = self._gaps
-            g = gaps[site] - 1
-            if g > 0:
-                gaps[site] = g
-                return
-            gaps[site] = geometric_gap(self._rates[site], self._rng_random())
-        self._site_obs[site] += 1
-        base = self._base[site]
-        t = self._true
-        for offset, flag in enumerate(flags):
-            if flag:
-                t[base + offset] += 1

@@ -30,7 +30,7 @@ import json
 import os
 import threading
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 #: Schema tag of the metrics JSON document.
 METRICS_SCHEMA = "repro-metrics/v1"

@@ -319,7 +319,9 @@ def drain_spool(
             if attempt + 1 >= max_attempts:
                 raise UploadError(
                     f"batch of seeds {seeds[0]}..{seeds[-1]} failed "
-                    f"{max_attempts} attempts against {endpoint}"
+                    f"{max_attempts} attempts against {endpoint}; spool "
+                    f"{spool.directory} still holds "
+                    f"{len(spool.pending_seeds())} reports"
                 )
             delay = min(backoff_cap, backoff_base * (2 ** attempt))
             time.sleep(delay * (1.0 + jitter * rng.random()))

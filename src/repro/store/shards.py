@@ -45,7 +45,8 @@ partially written shard under a committed name.
 Every read of a committed shard and every shard check goes through one
 routine, :func:`_read_shard`: it resolves the path, opens the archive
 once through the store's header memo, compares its recorded table
-signature with the manifest's, and turns archive errors into
+signature with the manifest's and its run counts with the entry's, and
+turns archive errors into
 :class:`~repro.store.errors.ShardCorruptionError`.
 
 Bytes count toward a store only after :func:`check_shard` accepts them.
@@ -65,7 +66,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 import numpy as np
 from scipy import sparse
@@ -164,7 +165,11 @@ def _read_shard(
     4. its recorded table signature must be ``table_sha``
        (``table-mismatch``);
     5. ``read(archive)`` takes the sections the caller needs from the
-       open archive; what those reads refuse is ``unreadable`` too.
+       open archive; what those reads refuse is ``unreadable`` too, as
+       are header run counts that disagree with the matrices
+       (:meth:`~repro.core.io.Archive.counts`);
+    6. it must hold ``entry.n_runs`` runs, ``entry.num_failing`` of them
+       failing (``count-mismatch``).
 
     Only archive errors become :class:`ShardCorruptionError`: ``read``
     should do nothing but archive reads, and the caller's own work on
@@ -172,7 +177,8 @@ def _read_shard(
 
     Raises:
         StaleManifestError: ``missing-file``.
-        ShardIntegrityError: ``checksum-mismatch`` or ``table-mismatch``.
+        ShardIntegrityError: ``checksum-mismatch``, ``table-mismatch`` or
+            ``count-mismatch``.
         ShardCorruptionError: ``unreadable``.
     """
     if not os.path.exists(path):
@@ -200,38 +206,25 @@ def _read_shard(
                 f"expects {table_sha[:12]}...",
                 reason="table-mismatch",
             )
-        return read(archive)
+        result = read(archive)
+        num_failing, num_successful = archive.counts()
     except ArchiveError as exc:
         raise ShardCorruptionError(entry.filename, str(exc)) from exc
+    n_runs = num_failing + num_successful
+    if (n_runs, num_failing) != (entry.n_runs, entry.num_failing):
+        raise ShardIntegrityError(
+            entry.filename,
+            f"archive holds {n_runs} runs ({num_failing} failing), entry says "
+            f"{entry.n_runs} ({entry.num_failing} failing)",
+            reason="count-mismatch",
+        )
+    return result
 
 
-def _require_runs(
-    entry: ShardEntry, n_runs: int, num_failing: Optional[int] = None
-) -> None:
-    """Raise ``count-mismatch`` unless a shard read of ``entry`` holds
-    ``entry.n_runs`` runs and, when ``num_failing`` is given,
-    ``entry.num_failing`` failing ones."""
-    if n_runs == entry.n_runs and num_failing in (None, entry.num_failing):
-        return
-    held, says = f"{n_runs} runs", f"{entry.n_runs}"
-    if num_failing is not None:
-        held += f" ({num_failing} failing)"
-        says += f" ({entry.num_failing} failing)"
-    raise ShardIntegrityError(
-        entry.filename,
-        f"archive holds {held}, entry says {says}",
-        reason="count-mismatch",
-    )
-
-
-def _held_runs(entry: ShardEntry) -> Callable[[Archive], None]:
-    """The shard check's read: sound sections holding ``entry.n_runs``
-    runs, ``entry.num_failing`` of them failing (else ``count-mismatch``)."""
-
-    def read(archive: Archive) -> None:
-        _require_runs(entry, len(archive.runs()[0]), archive.stats()[4])
-
-    return read
+def _sound(archive: Archive) -> None:
+    """The shard check's read: every run-level and statistic section."""
+    archive.runs()
+    archive.stats()
 
 
 def check_shard(path: str, entry: ShardEntry, table_sha: str) -> None:
@@ -259,7 +252,7 @@ def check_shard(path: str, entry: ShardEntry, table_sha: str) -> None:
             or ``count-mismatch``.
         ShardCorruptionError: ``unreadable``.
     """
-    _read_shard(path, entry, table_sha, _held_runs(entry), check=True)
+    _read_shard(path, entry, table_sha, _sound, check=True)
 
 
 @dataclass
@@ -329,7 +322,7 @@ class ShardStore:
 
     Every read of a committed shard (:meth:`audit`,
     :meth:`sufficient_stats`, :meth:`table`, :meth:`load_columns`,
-    :meth:`iter_reports`, :meth:`site_totals`) goes through one routine,
+    :meth:`load_merged`, :meth:`site_totals`) goes through one routine,
     :func:`_read_shard`, which parses the header through the store's
     header memo: a shard whose header bytes are those of its last parse
     is not parsed again, while rewritten or damaged bytes are.  Every
@@ -495,8 +488,8 @@ class ShardStore:
         """The store's one predicate table, shared by every shard read.
 
         Stores made by :meth:`create` or :meth:`open_or_create` hold the
-        program's table from the start.  Otherwise the first shard read
-        (:meth:`iter_reports`) fills it, or, called first, this decodes
+        program's table from the start.  Otherwise :meth:`load_merged`
+        fills it from the first shard it reads, or, called first, this decodes
         just the first shard's embedded table -- so a store decodes at
         most one table per open.
 
@@ -505,7 +498,8 @@ class ShardStore:
             StaleManifestError: The first shard's file is missing.
             ShardCorruptionError: Its bytes fail to parse.
             ShardIntegrityError: It carries a different predicate table
-                than the manifest.
+                than the manifest, or another number of runs than its
+                entry.
         """
         if self._table is None:
             if not self.manifest.shards:
@@ -846,7 +840,7 @@ class ShardStore:
                 )
             else:
                 try:
-                    self._read(entry, _held_runs(entry), check=True)
+                    self._read(entry, _sound, check=True)
                 except ShardCheckError as exc:
                     reason = (exc.reason, exc.detail)
             if reason is None:
@@ -893,48 +887,40 @@ class ShardStore:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def iter_reports(self) -> Iterator[Tuple[ReportSet, Optional[GroundTruth]]]:
-        """Yield ``(reports, truth)`` per shard, in collection order.
-
-        Peak memory is one shard at a time.  Every yielded report set
-        shares the store's one :meth:`table`: a shard whose recorded
-        ``table_sha`` names it skips decoding its embedded copy, and the
-        first shard read fills the table when the store holds none yet.
-        This is also where a foreign table is caught -- a shard whose
-        table is not the manifest's raises rather than being swapped in
-        or mixed with the store's.
-
-        Raises:
-            StaleManifestError: A committed shard file is missing.
-            ShardCorruptionError: A shard's bytes fail to parse.
-            ShardIntegrityError: A shard carries a different predicate
-                table than the manifest.  In all three cases,
-                :meth:`audit` quarantines the offender so a retry
-                proceeds over the survivors.
-        """
-        for entry in self.manifest.shards:
-            reports, truth = self._read(
-                entry, lambda archive: load_reports(archive, table=self._table)
-            )
-            if self._table is None:
-                self._table = reports.table
-            yield reports, truth
-
     def load_merged(self) -> Tuple[ReportSet, Optional[GroundTruth]]:
         """Materialise the whole population (all shards concatenated).
 
         Row order equals collection order, so the result is bit-identical
         to a monolithic collection with the same seeds.  Ground truth is
-        merged when *every* shard carries it; otherwise ``None``.
+        merged when *every* shard carries it; otherwise ``None``.  Every
+        shard's report set shares the store's one :meth:`table`: a shard
+        whose recorded ``table_sha`` names it skips decoding its
+        embedded copy, and the first shard read fills the table when the
+        store holds none yet.
+
+        Raises:
+            ValueError: The store is empty.
+            StaleManifestError: A committed shard file is missing.
+            ShardCorruptionError: A shard's bytes fail to parse.
+            ShardIntegrityError: A shard carries a different predicate
+                table than the manifest (``table-mismatch``) or another
+                number of runs than its entry (``count-mismatch``).  In
+                all three cases, :meth:`audit` quarantines the offender
+                so a retry proceeds over the survivors.
         """
+        if not self.manifest.shards:
+            raise ValueError("cannot merge an empty shard store")
         with _obs_timer("store.load_merged"):
             parts: List[ReportSet] = []
             truths: List[Optional[GroundTruth]] = []
-            for reports, truth in self.iter_reports():
+            for entry in self.manifest.shards:
+                reports, truth = self._read(
+                    entry, lambda archive: load_reports(archive, table=self._table)
+                )
+                if self._table is None:
+                    self._table = reports.table
                 parts.append(reports)
                 truths.append(truth)
-            if not parts:
-                raise ValueError("cannot merge an empty shard store")
             return ReportSet.merge(parts), _merged_truth(truths)
 
     def load_columns(
@@ -977,11 +963,10 @@ class ShardStore:
         sites = np.zeros(table.n_sites, dtype=bool)
         sites[[table.predicates[i].site_index for i in np.flatnonzero(predicates)]] = True
         with _obs_timer("store.load_columns"):
-            parts = []
-            for entry in self.manifest.shards:
-                part = self._read(entry, lambda archive: archive.columns(predicates, sites))
-                _require_runs(entry, len(part[0]))
-                parts.append(part)
+            parts = [
+                self._read(entry, lambda archive: archive.columns(predicates, sites))
+                for entry in self.manifest.shards
+            ]
             failed, preds, site_cols, truths = zip(*parts)
             # Every shard holds the trials of its entry's seed range.
             seeds = np.concatenate(
@@ -1006,14 +991,15 @@ class ShardStore:
         (:meth:`~repro.core.io.Archive.site_totals`) once its table
         signature and both count matrices pass their checks; no
         predicate matrix, stack, meta or ground truth is built.  Equals
-        the sum of ``reports.site_coverage()`` over :meth:`iter_reports`.
+        ``load_merged()[0].site_coverage()``.
 
         Raises:
             ValueError: The store is empty and was opened without a table.
             StaleManifestError: A committed shard file is missing.
             ShardCorruptionError: A shard's bytes fail to parse.
             ShardIntegrityError: A shard carries a different predicate
-                table than the manifest.
+                table than the manifest, or another number of runs than
+                its entry.
         """
         n_sites = self.table().n_sites
         totals = np.zeros(n_sites, dtype=np.int64)
@@ -1038,9 +1024,9 @@ class ShardStore:
             StaleManifestError: A committed shard file is missing.
             ShardCorruptionError: A shard's bytes fail to parse.
             ShardIntegrityError: A shard carries a different predicate
-                table than the manifest.  In all three cases,
-                :meth:`audit` quarantines the offender so a retry
-                proceeds over the survivors.
+                table than the manifest, or another number of runs than
+                its entry.  In all three cases, :meth:`audit` quarantines
+                the offender so a retry proceeds over the survivors.
         """
         if not self.manifest.shards:
             raise ValueError("cannot score an empty shard store")

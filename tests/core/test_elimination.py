@@ -113,6 +113,15 @@ class TestDiscardStrategies:
         assert result.selected[0].runs_discarded == 0
         assert result.selected[0].failing_runs_covered == 12
 
+    def test_strategy3_leaves_the_population_untouched(self):
+        """RELABEL works on the loop's own label mask: the caller's
+        report set keeps its labels and counts."""
+        reports = self._population()
+        failed = reports.failed.copy()
+        eliminate(reports, strategy=DiscardStrategy.RELABEL)
+        assert reports.num_failing == 12
+        np.testing.assert_array_equal(reports.failed, failed)
+
     @pytest.mark.parametrize(
         "strategy",
         [DiscardStrategy.DISCARD_ALL, DiscardStrategy.DISCARD_FAILING, DiscardStrategy.RELABEL],

@@ -446,41 +446,37 @@ class TestEngineUnit:
         assert {"scores.from_counts", "analysis.prune"} <= set(snap["timers"])
         assert snap["gauges"]["analysis.pruning_initial"] == 3.0
 
-    def test_multi_store_stats_sums_stores(self, tmp_path):
-        """Disjoint stores sum to the whole population; empty ones add
-        nothing."""
+    def test_summed_store_stats_equal_the_whole_population(self, tmp_path):
+        """Disjoint stores' ``sufficient_stats()`` sum to the statistics
+        of the population they split (in any order)."""
         reports = make_reports(
             3, [(True, {0}, None), (True, {0, 1}, None), (False, {2}, None)] * 3
         )
         stores = []
-        for name, (lo, hi) in zip("abc", [(0, 4), (4, 4), (4, reports.n_runs)]):
+        for name, (lo, hi) in zip("abc", [(0, 4), (4, 5), (5, reports.n_runs)]):
             store = ShardStore.create(
-                str(tmp_path / name), "multi", reports.table, SamplingPlan.full()
+                str(tmp_path / name), "split", reports.table, SamplingPlan.full()
             )
-            if hi > lo:
-                mask = np.zeros(reports.n_runs, dtype=bool)
-                mask[lo:hi] = True
-                store.append_shard(reports.subset(mask), seed_start=lo)
+            mask = np.zeros(reports.n_runs, dtype=bool)
+            mask[lo:hi] = True
+            store.append_shard(reports.subset(mask), seed_start=lo)
             stores.append(ShardStore.open(store.directory))
-        got = AnalysisEngine().multi_store_stats(stores)
-        _assert_stats_equal(got, SufficientStats.from_reports(reports))
+        parts = [store.sufficient_stats() for store in stores]
+        want = SufficientStats.from_reports(reports)
+        _assert_stats_equal(parts[0] + parts[1] + parts[2], want)
+        _assert_stats_equal(parts[2] + parts[0] + parts[1], want)
 
-    def test_multi_store_stats_rejects_bad_input(self, tmp_path):
-        small = make_reports(2, [(True, {0}, None)])
-        large = make_reports(3, [(True, {0}, None)])
-        stores = []
-        for name, reports in (("small", small), ("large", large)):
+    def test_summing_stores_of_other_tables_rejected(self, tmp_path):
+        parts = []
+        for name, n_preds in (("small", 2), ("large", 3)):
+            reports = make_reports(n_preds, [(True, {0}, None)])
             store = ShardStore.create(
                 str(tmp_path / name), name, reports.table, SamplingPlan.full()
             )
-            stores.append(store)
-        engine = AnalysisEngine()
-        with pytest.raises(ValueError, match="at least one"):
-            engine.multi_store_stats([])
-        with pytest.raises(ValueError, match="empty shard stores"):
-            engine.multi_store_stats(stores[:1])
-        with pytest.raises(ValueError, match="across tables"):
-            engine.multi_store_stats(stores)
+            store.append_shard(reports, seed_start=0)
+            parts.append(store.sufficient_stats())
+        with pytest.raises(ValueError, match="different tables"):
+            parts[0] + parts[1]
 
     def test_empty_store_rejected(self, tmp_path):
         reports = make_reports(2, [(True, {0}, None)])

@@ -7,7 +7,7 @@ value arrays agree **bitwise** (``tobytes``, never ``allclose``) across
 * the registry applied to the monolithic scores (``Measure.values``),
 * engine scoring (``AnalysisEngine().score_stats``) of a 3-shard store,
 * the collection daemon's ``GET /scores?measure=m`` payload, and
-* ``multi_store_stats`` over a two-store split of the same seeds,
+* the summed ``sufficient_stats()`` of a two-store split of the same seeds,
 
 on all five paper subjects.  The identity holds *structurally* (measures
 are elementwise over sufficient statistics that add exactly) -- these
@@ -103,7 +103,10 @@ class TestMeasureBitIdentity:
         stores = measure_stores(request, subject_fixture)
         engine = AnalysisEngine()
         whole_stats = engine.store_stats(stores["whole"])
-        split_stats = engine.multi_store_stats(stores["split"])
+        split_stats = sum(
+            (store.sufficient_stats() for store in stores["split"][1:]),
+            stores["split"][0].sufficient_stats(),
+        )
         for name in measures.available():
             whole = engine.score_stats(whole_stats, measure=name)
             federated = engine.score_stats(split_stats, measure=name)

@@ -63,12 +63,11 @@ class TestPerRunColumns:
         with pytest.raises(ValueError, match="2 seeds for a report set of 3 runs"):
             ReportSet(*self._matrices(3), stacks=None, seeds=[0, 1])
 
-    def test_subset_relabelled_and_merge_carry_seeds(self):
+    def test_subset_and_merge_carry_seeds(self):
         table = make_table(1)
         runs = [RunReport(s, s % 2 == 0, {0: 1}, {}) for s in (10, 11, 12)]
         reports = ReportSet.from_runs(table, runs)
         assert reports.subset(np.array([True, False, True])).seeds.tolist() == [10, 12]
-        assert reports.relabelled(reports.failed).seeds.tolist() == [10, 11, 12]
         merged = ReportSet.merge([reports, reports.subset(np.array([False, True, False]))])
         assert merged.seeds.tolist() == [10, 11, 12, 11]
         assert merged.seeds.dtype == np.int64
@@ -97,13 +96,6 @@ class TestMasks:
         assert sub.n_runs == 2
         assert sub.failed.tolist() == [True, True]
         assert run_pattern(sub, 1) == [1]
-
-    def test_relabelled_changes_only_labels(self):
-        reports = make_reports(1, [(True, {0}, None), (True, set(), None)])
-        relabelled = reports.relabelled(reports.true_mask(0))
-        assert relabelled.num_failing == 1
-        assert reports.num_failing == 2  # original untouched
-        assert relabelled.true_counts is reports.true_counts
 
 
 class TestCoverage:

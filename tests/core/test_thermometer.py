@@ -7,10 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scores import ScoreRow
-from repro.core.thermometer import Thermometer, render_table_text
-
-from tests.helpers import make_reports
-from repro.core.scores import compute_scores
+from repro.core.thermometer import Thermometer
 
 
 def _row(F, S, context, increase_lo, increase_hi, increase=None):
@@ -84,15 +81,3 @@ class TestRendering:
         html = therm.render_html()
         assert "#000000" in html  # context band
         assert "#cc0000" in html  # increase band
-
-    def test_table_rendering_includes_names(self):
-        reports = make_reports(
-            2, [(True, {0}, None)] * 10 + [(False, {1}, None)] * 10
-        )
-        scores = compute_scores(reports)
-        lines = render_table_text(
-            [scores.row(0), scores.row(1)], reports.table
-        )
-        assert len(lines) == 2
-        assert "P0" in lines[0]
-        assert "P1" in lines[1]

@@ -193,7 +193,10 @@ class TestFleetMatrix:
         # And the merge-free analysis path agrees too: summing the
         # daemon stores in place is the same population.
         engine = AnalysisEngine()
-        merged = engine.multi_store_stats(stores)
+        merged = sum(
+            (store.sufficient_stats() for store in stores[1:]),
+            stores[0].sufficient_stats(),
+        )
         direct = engine.store_stats(baseline)
         np.testing.assert_array_equal(merged.F, direct.F)
         np.testing.assert_array_equal(merged.S, direct.S)

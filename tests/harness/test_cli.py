@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 
@@ -591,6 +592,32 @@ class TestServeSubmitCLI:
         )
         assert code == 2
         assert "--testing" in capsys.readouterr().err
+
+    def test_submit_that_gives_up_is_one_error_line(self, capsys, tmp_path):
+        """Regression: an upload that ran out of attempts ended the
+        command in an ``UploadError`` traceback.  It is one ``error:``
+        line naming the spool, which keeps every report for a retry."""
+        from repro.serve.client import ReportSpool
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        spool = tmp_path / "spool"
+        code = main(
+            [
+                "submit", "--subject", "ccrypt", "--url", url,
+                "--runs", "4", "--spool", str(spool), "--sampling", "full",
+                "--max-attempts", "1",
+            ]
+        )
+        assert code == 1
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(errors) == 1
+        assert f"spool {spool} still holds 4 reports" in errors[0]
+        assert ReportSpool(str(spool)).pending_seeds() == [0, 1, 2, 3]
 
     def test_serve_inject_fault_requires_testing(self, capsys, tmp_path):
         code = main(

@@ -39,6 +39,13 @@ class TestRankingTable:
         assert "Context" in text
         assert "[" in text  # thermometer bars
 
+    def test_one_line_per_entry_in_rank_order(self):
+        reports = _population()
+        ranking = _importance_ranking(reports)
+        lines = format_ranking_table(ranking, "test", "harmonic mean", top=5).splitlines()
+        rows = lines[2 : 2 + len(ranking)]
+        assert [row.split()[-1] for row in rows] == [e.predicate.name for e in ranking]
+
     def test_truncation_note(self):
         reports = _population()
         ranking = _importance_ranking(reports)

@@ -172,51 +172,22 @@ class TestSamplingIntegration:
             rt.begin_run(SamplingPlan(mode="bogus"), seed=0)
 
 
-class TestCustomScheme:
-    def test_custom_flags(self):
+class TestCustomSitesInTheTable:
+    def test_helpers_index_past_custom_sites(self):
+        """A table may hold custom sites (the synthetic tables, decoded
+        archives), one with no predicates at all.  The runtime still
+        builds and each helper counts at its own site's predicates."""
         table = PredicateTable()
-        site = table.add_custom_site("f", 1, "heap", ["ok", "corrupt", "big"])
+        table.add_custom_site("f", 1, "empty family", [])
+        table.add_custom_site("f", 2, "heap", ["ok", "bad"])
+        branch = table.add_site(Scheme.BRANCHES, "f", 3, "x")
+        ret = table.add_site(Scheme.RETURNS, "f", 4, "g()")
         rt = Runtime(table)
         rt.begin_run(SamplingPlan.full(), seed=0)
-        rt.custom(site.index, [True, False, True])
+        rt.branch(branch.index, False)
+        rt.ret(ret.index, -1)
         site_obs, pred_true = rt.end_run()
-        assert site_obs[site.index] == 1
-        assert set(pred_true) == {0, 2}
-
-    def test_predicate_less_custom_site(self):
-        """Regression: ``Runtime.custom`` used to call
-        ``table.predicate_indices_at(site)[0]`` per observation, which
-        raised IndexError on a custom site registered with no predicates
-        (and paid a table lookup on the hot path); it now uses the cached
-        ``_base`` table like every other helper."""
-        table = PredicateTable()
-        site = table.add_custom_site("f", 1, "empty family", [])
-        rt = Runtime(table)
-        rt.begin_run(SamplingPlan.full(), seed=0)
-        rt.custom(site.index, [])  # must not raise
-        site_obs, pred_true = rt.end_run()
-        assert site_obs[site.index] == 1
-        assert pred_true == {}
-
-    def test_custom_uses_cached_base_not_table_lookup(self):
-        """The hot path must not consult the PredicateTable per call."""
-        table = PredicateTable()
-        site = table.add_custom_site("f", 1, "heap", ["ok", "bad"])
-        rt = Runtime(table)
-        rt.begin_run(SamplingPlan.full(), seed=0)
-
-        calls = []
-        original = table.predicate_indices_at
-
-        def spying(index):
-            calls.append(index)
-            return original(index)
-
-        table.predicate_indices_at = spying
-        try:
-            rt.custom(site.index, [False, True])
-        finally:
-            table.predicate_indices_at = original
-        assert calls == []
-        _, pred_true = rt.end_run()
-        assert set(pred_true) == {1}
+        assert site_obs == {branch.index: 1, ret.index: 1}
+        b = table.predicate_indices_at(branch.index)[0]
+        r = table.predicate_indices_at(ret.index)[0]
+        assert pred_true == {b + 1: 1, r: 1, r + 4: 1, r + 5: 1}

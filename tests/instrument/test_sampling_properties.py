@@ -1,21 +1,19 @@
 """Property-based tests for the sampling machinery.
 
-Two families of properties:
+Three families of properties:
 
 * the geometric-countdown sampler is *distributionally equivalent* to
   per-opportunity Bernoulli coin flips (the paper's "each potential
   sample is taken or skipped randomly and independently"), and the
   countdown inlined into every observation helper (the transform's
-  ``branch``, ``ret`` and ``pairs``, and the hand-rolled ``custom``) is
-  *exactly* equivalent to drawing geometric gaps from the same RNG
-  stream.  The oracle is written here and shares no code with
-  :class:`Runtime`: it draws the gaps by inverse CDF from
-  ``random.Random(seed)`` itself;
-* sampler state round-trips through
-  :meth:`Runtime.sampler_state`/:meth:`restore_sampler_state`, so the
-  take/skip decision stream survives an arbitrary split point.  (The
-  fault-tolerant collector does not rely on this: a retried chunk reruns
-  its seed range from scratch, each run a pure function of its seed.)
+  ``branch``, ``ret`` and ``pairs``) is *exactly* equivalent to drawing
+  geometric gaps from the same RNG stream.  The oracle is written here
+  and shares no code with :class:`Runtime`: it draws the gaps by inverse
+  CDF from ``random.Random(seed)`` itself;
+* each run's stream is the oracle's for its own seed, whatever an
+  earlier run on the same runtime left behind;
+* sufficient statistics add exactly over any run partition, and scoring
+  is elementwise over predicates.
 
 Every decision is read off the public helpers: an opportunity counts as
 taken when it raised the site's observation counter.
@@ -53,10 +51,7 @@ HELPERS = {
     "branch": (Scheme.BRANCHES, lambda rt, s: rt.branch(s, True)),
     "ret": (Scheme.RETURNS, lambda rt, s: rt.ret(s, 3)),
     "pairs": (Scheme.SCALAR_PAIRS, lambda rt, s: rt.pairs((s,), 1, (2,))),
-    "custom": (Scheme.CUSTOM, lambda rt, s: rt.custom(s, [True])),
 }
-
-_helpers = st.sampled_from(sorted(HELPERS))
 
 
 def _mean(xs):
@@ -223,180 +218,99 @@ class TestTickRule:
         n=st.integers(min_value=1, max_value=200),
     )
     def test_unobservable_operands_consume_no_tick(self, mode, rate, seed, n):
-        plan = (
-            SamplingPlan.uniform(rate)
-            if mode == "uniform"
-            else SamplingPlan.per_site([rate, 0.5])
-        )
+        rates = [rate, 0.5]
+        visits = _visits(seed, 2, n)
+        if mode == "uniform":
+            plan, want = SamplingPlan.uniform(rate), _uniform_oracle(rate, seed, n)
+        else:
+            plan, want = SamplingPlan.per_site(rates), _per_site_oracle(rates, seed, visits)
         for helper, skip in self._NO_TICK:
             runtime = _runtime(helper, 2)
             runtime.begin_run(plan, seed=seed)
-            # Real opportunities in between move the countdowns, so the
-            # unobservable calls meet every gap state, including the one
-            # where a tick would take a sample.
-            for s in _visits(seed, 2, n):
-                state, observed = runtime.sampler_state(), list(runtime._site_obs)
+            # An unobservable call before every real opportunity meets
+            # every gap state, including the one where a tick would take
+            # a sample: the real opportunities' stream stays the oracle's
+            # only if none of those calls ticked.
+            stream = []
+            for s in visits:
+                counts = runtime.end_run()
                 skip(runtime, s)
-                assert runtime.sampler_state() == state, helper
-                assert runtime._site_obs == observed, helper
-                taken(runtime, helper, s)
+                assert runtime.end_run() == counts, helper
+                stream.append(taken(runtime, helper, s))
+            assert stream == want, helper
 
 
-class TestSamplerStateRoundTrip:
-    """Countdown state survives an arbitrary split point: restoring a
-    snapshot into a *different* Runtime instance continues the decision
-    stream exactly where the original would have."""
+def _plan(mode, rates):
+    """A ``mode`` plan over ``len(rates)`` sites (uniform takes ``rates[0]``)."""
+    if mode == "full":
+        return SamplingPlan.full()
+    if mode == "uniform":
+        return SamplingPlan.uniform(rates[0])
+    return SamplingPlan.per_site(rates)
 
-    @settings(max_examples=25, **_SETTINGS)
-    @given(
-        helper=_helpers,
-        rate=_rates,
-        seed=_seeds,
-        n=st.integers(min_value=2, max_value=300),
-        data=st.data(),
-    )
-    def test_uniform_stream_survives_split(self, helper, rate, seed, n, data):
-        split = data.draw(st.integers(min_value=0, max_value=n))
-        whole = _uniform_oracle(rate, seed, n)
 
-        first = _runtime(helper)
-        first.begin_run(SamplingPlan.uniform(rate), seed=seed)
-        head = [taken(first, helper) for _ in range(split)]
-        snapshot = first.sampler_state()
+class TestRunStartsFromItsSeed:
+    """A run's countdowns come from its seed alone.  Whatever an earlier
+    run on the same :class:`Runtime` left behind -- another mode, a
+    half-dealt uniform gap batch, per-site countdowns -- the next run's
+    take/skip stream is the oracle's for its own seed.  That is what lets
+    a retried chunk rerun its seeds from scratch instead of resuming a
+    sampler mid-run."""
 
-        second = _runtime(helper)
-        second.begin_run(SamplingPlan.uniform(rate), seed=seed + 12345)
-        second.restore_sampler_state(snapshot)
-        tail = [taken(second, helper) for _ in range(n - split)]
-        assert head + tail == whole
+    _earlier = st.sampled_from(["full", "uniform", "per-site"])
 
+    @staticmethod
+    def _leave_behind(runtime, helper, mode, rates, seed, warmup):
+        runtime.begin_run(_plan(mode, rates), seed=seed)
+        for i in range(warmup):
+            taken(runtime, helper, i % len(rates))
+
+    @pytest.mark.parametrize("helper", sorted(HELPERS))
     @settings(max_examples=20, **_SETTINGS)
     @given(
-        helper=_helpers,
-        seed=_seeds,
-        n=st.integers(min_value=2, max_value=200),
-        rates=st.lists(_rates, min_size=2, max_size=4),
-        data=st.data(),
-    )
-    def test_per_site_stream_survives_split(self, helper, seed, n, rates, data):
-        split = data.draw(st.integers(min_value=0, max_value=n))
-        n_sites = len(rates)
-        plan = SamplingPlan.per_site(rates)
-        visits = _visits(seed, n_sites, n)
-        whole = _per_site_oracle(rates, seed, visits)
-
-        first = _runtime(helper, n_sites)
-        first.begin_run(plan, seed=seed)
-        head = [taken(first, helper, s) for s in visits[:split]]
-        snapshot = first.sampler_state()
-
-        second = _runtime(helper, n_sites)
-        second.begin_run(plan, seed=seed + 999)
-        second.restore_sampler_state(snapshot)
-        tail = [taken(second, helper, s) for s in visits[split:]]
-        assert head + tail == whole
-
-    @settings(max_examples=20, **_SETTINGS)
-    @given(helper=_helpers, seed=_seeds)
-    def test_full_mode_round_trips(self, helper, seed):
-        runtime = _runtime(helper)
-        runtime.begin_run(SamplingPlan.full(), seed=seed)
-        snapshot = runtime.sampler_state()
-        assert snapshot["mode"] == "full"
-        other = _runtime(helper)
-        other.begin_run(SamplingPlan.uniform(0.5), seed=seed)
-        other.restore_sampler_state(snapshot)
-        assert all(taken(other, helper) for _ in range(50))
-
-    @settings(max_examples=15, **_SETTINGS)
-    @given(rate=_rates, seed=_seeds)
-    def test_snapshot_does_not_disturb_counters(self, rate, seed):
-        """Snapshotting and restoring is observation-neutral: only the
-        sampling side moves, never the counters."""
-        runtime = _runtime("branch")
-        runtime.begin_run(SamplingPlan.uniform(rate), seed=seed)
-        for _ in range(20):
-            runtime.branch(0, True)
-        before = runtime.end_run()
-        runtime.restore_sampler_state(runtime.sampler_state())
-        assert runtime.end_run() == before
-
-    def test_unknown_snapshot_kind_rejected(self):
-        """A snapshot must name a known sampler ``mode``."""
-        runtime = _runtime("branch")
-        runtime.begin_run(SamplingPlan.full(), seed=0)
-        snapshot = runtime.sampler_state()
-        snapshot["mode"] = "quantum"
-        with pytest.raises(ValueError, match="unknown sampler mode 'quantum'"):
-            runtime.restore_sampler_state(snapshot)
-        del snapshot["mode"]
-        with pytest.raises(ValueError, match="unknown sampler mode None"):
-            runtime.restore_sampler_state(snapshot)
-
-
-class TestExplicitModeRoundTrip:
-    """The runtime's explicit ``mode`` attribute round-trips through
-    ``sampler_state`` / ``restore_sampler_state``: restoring reproduces
-    the attribute (and the integer dispatch id behind the helpers)
-    exactly."""
-
-    def _begin(self, runtime, mode, rate, seed):
-        if mode == "full":
-            runtime.begin_run(SamplingPlan.full(), seed=seed)
-        elif mode == "uniform":
-            runtime.begin_run(SamplingPlan.uniform(rate), seed=seed)
-        else:
-            runtime.begin_run(SamplingPlan.per_site([rate, 1.0]), seed=seed)
-
-    @settings(max_examples=40, **_SETTINGS)
-    @given(
-        mode=st.sampled_from(["full", "uniform", "per-site"]),
+        earlier=_earlier,
         rate=_rates,
         seed=_seeds,
-        warmup=st.integers(min_value=0, max_value=80),
-    )
-    def test_mode_round_trips(self, mode, rate, seed, warmup):
-        runtime = _runtime("branch", 2)
-        self._begin(runtime, mode, rate, seed)
-        for _ in range(warmup):
-            taken(runtime, "branch")
-        assert runtime.mode == mode
-        snapshot = runtime.sampler_state()
-        assert snapshot["mode"] == mode
-
-        other = _runtime("branch", 2)
-        # Start the receiver in a *different* mode: the snapshot wins.
-        self._begin(other, "uniform" if mode != "uniform" else "full", 0.5, seed + 7)
-        other.restore_sampler_state(snapshot)
-        assert other.mode == mode
-        assert other.sampler_state()["mode"] == mode
-
-    @settings(max_examples=25, **_SETTINGS)
-    @given(
-        helper=_helpers,
-        rate=_rates,
-        seed=_seeds,
-        warmup=st.integers(min_value=0, max_value=120),
+        warmup=st.integers(min_value=0, max_value=150),
         n=st.integers(min_value=1, max_value=200),
     )
-    def test_pending_gap_batch_survives_round_trip(self, helper, rate, seed, warmup, n):
-        """Uniform-mode refills pre-draw a batch of countdown gaps; a
-        snapshot taken mid-batch must hand the unconsumed gaps (in
-        consumption order) to the restored instance, keeping the decision
-        stream bit-identical to the uninterrupted one."""
-        whole = _uniform_oracle(rate, seed, warmup + n)
+    def test_uniform_run_ignores_the_earlier_run(self, helper, earlier, rate, seed, warmup, n):
+        runtime = _runtime(helper)
+        self._leave_behind(runtime, helper, earlier, [rate], seed + 1, warmup)
+        runtime.begin_run(SamplingPlan.uniform(rate), seed=seed)
+        stream = [taken(runtime, helper) for _ in range(n)]
+        assert stream == _uniform_oracle(rate, seed, n)
 
-        first = _runtime(helper)
-        first.begin_run(SamplingPlan.uniform(rate), seed=seed)
-        head = [taken(first, helper) for _ in range(warmup)]
-        snapshot = first.sampler_state()
-        assert snapshot["pending"] == first.sampler_state()["pending"]
+    @pytest.mark.parametrize("helper", sorted(HELPERS))
+    @settings(max_examples=20, **_SETTINGS)
+    @given(
+        earlier=_earlier,
+        seed=_seeds,
+        warmup=st.integers(min_value=0, max_value=150),
+        n=st.integers(min_value=1, max_value=200),
+        rates=st.lists(_rates, min_size=2, max_size=4),
+    )
+    def test_per_site_run_ignores_the_earlier_run(self, helper, earlier, seed, warmup, n, rates):
+        visits = _visits(seed, len(rates), n)
+        runtime = _runtime(helper, len(rates))
+        self._leave_behind(runtime, helper, earlier, rates, seed + 1, warmup)
+        runtime.begin_run(SamplingPlan.per_site(rates), seed=seed)
+        stream = [taken(runtime, helper, s) for s in visits]
+        assert stream == _per_site_oracle(rates, seed, visits)
 
-        second = _runtime(helper)
-        second.begin_run(SamplingPlan.uniform(0.9), seed=seed + 1)
-        second.restore_sampler_state(snapshot)
-        tail = [taken(second, helper) for _ in range(n)]
-        assert head + tail == whole
+    @pytest.mark.parametrize("helper", sorted(HELPERS))
+    @settings(max_examples=20, **_SETTINGS)
+    @given(
+        earlier=_earlier,
+        rate=_rates,
+        seed=_seeds,
+        warmup=st.integers(min_value=0, max_value=150),
+    )
+    def test_full_run_takes_every_opportunity(self, helper, earlier, rate, seed, warmup):
+        runtime = _runtime(helper)
+        self._leave_behind(runtime, helper, earlier, [rate], seed, warmup)
+        runtime.begin_run(SamplingPlan.full(), seed=seed)
+        assert all(taken(runtime, helper) for _ in range(50))
 
 
 class TestSufficientStatsPartitionAlgebra:

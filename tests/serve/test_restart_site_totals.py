@@ -16,7 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core.io import file_sha256
+from repro.core.io import file_sha256, load_reports
 from repro.harness.runner import run_trials
 from repro.instrument.sampling import SamplingPlan
 from repro.serve import CollectionService, FeedbackServer
@@ -82,8 +82,8 @@ def _restart(directory, subject, program, **kwargs):
 
 def _coverage_totals(store):
     totals = np.zeros(store.table().n_sites, dtype=np.int64)
-    for reports, _ in store.iter_reports():
-        totals += reports.site_coverage()
+    for path in store.shard_paths():
+        totals += load_reports(path)[0].site_coverage()
     return totals
 
 

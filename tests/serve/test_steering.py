@@ -116,9 +116,7 @@ def test_served_rates_never_below_floor(tmp_path, ccrypt_subject, ccrypt_program
     # a sub-run sample target clips every reached site's rate to the
     # minimum rather than below it.
     reopened = ShardStore.open(str(tmp_path / "store"))
-    totals = np.zeros(ccrypt_program.table.n_sites, dtype=np.int64)
-    for reports, _ in reopened.iter_reports():
-        totals += np.asarray(reports.site_counts.sum(axis=0)).ravel().astype(np.int64)
+    totals = reopened.load_merged()[0].site_coverage().astype(np.int64)
     forced = fit_steering(
         reopened, ccrypt_subject.name, totals, target_samples=0.5,
     )
@@ -171,11 +169,7 @@ def test_restart_reserves_refit_from_recovered_store(
         assert snapshot.n_runs == 20
         assert document.epoch == snapshot.n_runs
         assert document.converged is False
-        totals = np.zeros(ccrypt_program.table.n_sites, dtype=np.int64)
-        for reports, _ in snapshot.iter_reports():
-            totals += (
-                np.asarray(reports.site_counts.sum(axis=0)).ravel().astype(np.int64)
-            )
+        totals = snapshot.load_merged()[0].site_coverage().astype(np.int64)
         offline = fit_steering(
             snapshot, ccrypt_subject.name, totals, policy=StoppingPolicy(),
         )

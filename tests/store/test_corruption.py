@@ -753,7 +753,7 @@ class TestAuditQuarantine:
         with pytest.raises(StaleManifestError, match="audit"):
             store.sufficient_stats()
         with pytest.raises(StaleManifestError, match="audit"):
-            list(store.iter_reports())
+            store.load_merged()
 
 
 def _lie_about_count(store, entry):
@@ -853,6 +853,33 @@ class TestOneShardCheck:
         assert [(r.filename, r.reason) for r in report.quarantined] == [
             (entry.filename, reason)
         ]
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda store: store.sufficient_stats(),
+            lambda store: store.site_totals(),
+            lambda store: store.load_merged(),
+            lambda store: store.load_columns(np.ones(store.table().n_predicates, bool)),
+        ],
+        ids=["sufficient_stats", "site_totals", "load_merged", "load_columns"],
+    )
+    def test_every_read_applies_the_entry_run_counts(self, tmp_path, read):
+        """Regression: an entry claiming more runs (and failing runs)
+        than its intact shard holds was refused by ``load_columns`` and
+        ``audit`` only; the streamed statistics, the site totals and the
+        merged population went on scoring the shard's own runs under the
+        entry's counts."""
+        store, _ = _build_store(tmp_path)
+        last = store.manifest.shards[-1]
+        store.manifest.shards[-1] = dataclasses.replace(
+            last, n_runs=last.n_runs + 1, num_failing=last.num_failing + 1
+        )
+        store.manifest.save(store.manifest_path)
+        reopened = ShardStore.open(store.directory)
+        with pytest.raises(ShardIntegrityError) as info:
+            read(reopened)
+        assert (info.value.reason, info.value.filename) == ("count-mismatch", last.filename)
 
     def test_errors_pickle_with_their_reason(self):
         for exc in (

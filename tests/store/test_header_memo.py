@@ -17,7 +17,7 @@ import pytest
 
 import repro.core.io as core_io
 from repro.core.engine import AnalysisEngine
-from repro.core.io import file_sha256
+from repro.core.io import file_sha256, load_reports
 from repro.harness.parallel import run_trials_sharded
 from repro.instrument.sampling import SamplingPlan
 from repro.serve import CollectionService
@@ -62,8 +62,8 @@ def parses(monkeypatch):
 
 def _site_totals_by_reports(store):
     totals = np.zeros(store.table().n_sites, dtype=np.int64)
-    for reports, _ in store.iter_reports():
-        totals += reports.site_coverage()
+    for path in store.shard_paths():
+        totals += load_reports(path)[0].site_coverage()
     return totals
 
 
