@@ -12,11 +12,8 @@ The validation experiment of Section 4.1.  Shape claims:
   survivors.
 """
 
-import numpy as np
-import pytest
-
 from repro.core.elimination import eliminate
-from repro.core.truth import bugs_covered, cooccurrence_table, dominant_bug
+from repro.core.truth import bugs_covered, cooccurrence_table
 from repro.harness.tables import format_predictor_table
 
 from benchmarks.conftest import write_result

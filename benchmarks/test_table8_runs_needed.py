@@ -14,8 +14,6 @@ Shape claims:
   fewer runs, with the predictors for rare bugs dropping out first".
 """
 
-import numpy as np
-
 from repro.core.runs_needed import runs_needed
 from repro.core.truth import dominant_bug
 from repro.harness.tables import format_runs_needed_table

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.elimination import eliminate
 from repro.core.pruning import prune_predicates
-from repro.core.reports import ReportSet
 from repro.core.scores import compute_scores
 from repro.harness.runner import run_trials
 from repro.harness.tables import format_predictor_table

@@ -10,7 +10,6 @@ import os
 import random
 
 from repro import compute_scores, eliminate, prune_predicates
-from repro.core.truth import GroundTruth
 from repro.harness.runner import run_trials
 from repro.harness.tables import format_predictor_table
 from repro.instrument.sampling import SamplingPlan

@@ -5,10 +5,12 @@ the analysis half runs later, elsewhere.  This example mirrors that
 split:
 
 1. collect a BC population on all cores as a shard store
-   (`run_trials_sharded`) and merge its shards (`load_merged`);
-2. archive it to one self-describing v3 report archive (`save_reports`);
-3. in the "lab", load the archive and run the full analysis -- pruning,
-   elimination, affinity grouping -- without touching the subject.
+   (`run_trials_sharded`);
+2. hand the store directory -- the one on-disk form of the corpus --
+   to the "lab";
+3. there, open the store, merge its shards (`load_merged`) and run the
+   full analysis -- pruning, elimination, affinity grouping -- without
+   touching the subject.
 
 Run with:  python examples/report_archive_workflow.py [n_runs]
 """
@@ -17,12 +19,13 @@ import os
 import sys
 import tempfile
 
-from repro import compute_scores, eliminate, load_reports, prune_predicates, save_reports
+from repro import compute_scores, eliminate, prune_predicates
 from repro.core.affinity import affinity_groups
 from repro.core.truth import dominant_bug
 from repro.harness.parallel import run_trials_sharded
 from repro.harness.tables import format_predictor_table
 from repro.instrument.sampling import SamplingPlan
+from repro.store import ShardStore
 from repro.subjects.bc import BcSubject
 
 
@@ -31,24 +34,21 @@ def main(n_runs: int = 1500) -> None:
 
     with tempfile.TemporaryDirectory(prefix="bc-") as workdir:
         print(f"collection site: running {n_runs} bc programs on 4 workers...")
+        store_dir = os.path.join(workdir, "store")
         store = run_trials_sharded(
             subject,
             n_runs,
             SamplingPlan.uniform(0.1),
-            os.path.join(workdir, "store"),
+            store_dir,
             seed=0,
             jobs=4,
         )
-        reports, truth = store.load_merged()
-        archive = os.path.join(workdir, "bc_reports.cbi")
-        save_reports(archive, reports, truth)
-        size_kb = os.path.getsize(archive) // 1024
-        print(f"archived {reports.n_runs} runs ({reports.num_failing} failing) "
-              f"from {len(store.manifest.shards)} shard(s) to {archive} "
-              f"({size_kb} KiB)")
+        size_kb = sum(os.path.getsize(p) for p in store.shard_paths()) // 1024
+        print(f"stored {store.n_runs} runs ({store.num_failing} failing) "
+              f"in {store.n_shards} shard(s) under {store_dir} ({size_kb} KiB)")
 
-        print("\nanalysis site: loading the archive...")
-        loaded, loaded_truth = load_reports(archive)
+        print("\nanalysis site: opening the store...")
+        loaded, loaded_truth = ShardStore.open(store_dir).load_merged()
         pruning = prune_predicates(compute_scores(loaded))
         result = eliminate(loaded, candidates=pruning.kept, max_predictors=6)
         print(f"pruning: {pruning.n_initial} -> {pruning.n_kept}; "

@@ -30,7 +30,6 @@ from repro.core.elimination import DiscardStrategy, EliminationResult, SelectedP
 from repro.core.affinity import affinity_groups, affinity_list
 from repro.core.ranking import rank
 from repro.core.runs_needed import runs_needed
-from repro.core.io import load_reports, save_reports
 from repro.core.online import OnlineMonitor, monitor_from_elimination
 from repro.harness.experiment import Experiment, ExperimentResult, run_experiment
 
@@ -57,8 +56,6 @@ __all__ = [
     "affinity_groups",
     "rank",
     "runs_needed",
-    "save_reports",
-    "load_reports",
     "OnlineMonitor",
     "monitor_from_elimination",
     "Experiment",

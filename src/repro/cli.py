@@ -197,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write an interactive-style HTML report",
     )
     run.add_argument(
-        "--save", metavar="PATH", default=None,
+        "--save", metavar="DIR", default=None,
         help="save the collected feedback reports (+ ground truth) as a "
-        "report archive",
+        "new one-shard store",
     )
 
     collect = command(
@@ -230,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = command(
         "analyze", _analyze,
-        "re-analyse a saved feedback-report archive or a shard store",
+        "re-analyse a shard store",
         elimination, measure,
     )
     analyze.add_argument(
-        "archive",
-        help="archive written by `run --save`, or a directory written by `collect`",
+        "store",
+        help="store directory written by `collect`, `serve`, `federate` or `run --save`",
     )
     analyze.add_argument(
         "--method", choices=["interval", "ztest"], default="interval",
@@ -249,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--no-audit", action="store_true",
-        help="shard stores only: skip the integrity audit (checksum "
-        "verification and quarantine of damaged shards) before analysis",
+        help="skip the integrity audit (checksum verification and "
+        "quarantine of damaged shards) before analysis",
     )
     analyze.add_argument(
         "--profile", action="store_true",
@@ -433,10 +433,12 @@ def main(argv=None) -> int:
     except _Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArchiveError, StoreError, FileNotFoundError, UploadError) as exc:
-        # A damaged, retired or missing archive or store, or an upload
-        # that gave up with its reports still spooled: refuse with the
-        # reason, not a traceback.
+    except (
+        ArchiveError, StoreError, FileNotFoundError, FileExistsError, UploadError
+    ) as exc:
+        # A damaged, retired, missing or already existing store, or an
+        # upload that gave up with its reports still spooled: refuse with
+        # the reason, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -472,6 +474,17 @@ def _list(args) -> int:
 
 def _run(args) -> int:
     """Run one end-to-end experiment and print its tables."""
+    from repro.store import ShardStore
+    from repro.store.shards import MANIFEST_NAME
+
+    if args.save and (
+        os.path.isfile(args.save)
+        or os.path.exists(os.path.join(args.save, MANIFEST_NAME))
+    ):
+        # Refuse before the trials, not after: `--save` makes a new store.
+        raise FileExistsError(
+            f"{args.save} is a file or a shard store; `run --save` writes a new store"
+        )
     subject = SUBJECTS[args.subject]()
     if args.runs is None:
         args.runs = subject.trial_budget
@@ -499,10 +512,11 @@ def _run(args) -> int:
         write_report(result, args.html)
         print(f"wrote HTML report to {args.html}", file=sys.stderr)
     if args.save:
-        from repro.core.io import save_reports
-
-        save_reports(args.save, result.reports, result.truth)
-        print(f"saved feedback reports to {args.save}", file=sys.stderr)
+        store = ShardStore.create(
+            args.save, subject.name, result.program.table, result.plan
+        )
+        store.append_shard(result.reports, result.truth, seed_start=args.seed)
+        print(f"saved feedback reports to shard store {args.save}", file=sys.stderr)
     return 0
 
 
@@ -870,7 +884,7 @@ def _analyze_store(args) -> int:
     from repro.core.engine import AnalysisEngine
     from repro.store import ShardStore
 
-    store = ShardStore.open(args.archive)
+    store = ShardStore.open(args.store)
     print(
         f"opened shard store: {store.n_shards} shards, {store.n_runs} runs "
         f"({store.num_failing} failing), subject {store.manifest.subject}",
@@ -930,8 +944,8 @@ def _analyze_store(args) -> int:
 def _print_stats_ranking(table, analysis, top) -> None:
     """Print the pruning survivors ranked by the analysis's measure.
 
-    The ``--stats-only`` output of archives and stores alike; ties
-    resolve in ascending predicate-index order.
+    The ``--stats-only`` output; ties resolve in ascending
+    predicate-index order.
     """
     from repro.core.ranking import rank
 
@@ -967,54 +981,18 @@ def _predictor_table(analysis) -> str:
 
 
 def _analyze(args) -> int:
-    """Analyse a shard store (a directory) or a saved archive."""
+    """Analyse a shard store, profiling the analysis on request."""
     from repro import obs
 
     if args.profile:
         obs.configure()
     try:
-        if os.path.isdir(args.archive):
-            code = _analyze_store(args)
-        else:
-            code = _analyze_archive(args)
+        code = _analyze_store(args)
         if args.profile:
             obs.print_profile()
         return code
     finally:
         obs.shutdown()
-
-
-def _analyze_archive(args) -> int:
-    """Re-run the analysis half of the pipeline on a saved archive."""
-    from repro.core.engine import AnalysisEngine
-    from repro.core.io import load_reports
-
-    reports, truth = load_reports(args.archive)
-    print(
-        f"loaded {reports.n_runs} runs ({reports.num_failing} failing), "
-        f"{reports.n_predicates} predicates",
-        file=sys.stderr,
-    )
-    analysis = AnalysisEngine().analyze_reports(
-        reports,
-        truth=truth,
-        method=args.method,
-        strategy=DiscardStrategy(args.strategy),
-        max_predictors=args.top,
-        stats_only=args.stats_only,
-        measure=args.measure,
-    )
-    pruning = analysis.pruning
-    if args.stats_only:
-        print(f"pruning kept {pruning.n_kept}/{pruning.n_initial} predicates")
-        _print_stats_ranking(reports.table, analysis, args.top)
-        return 0
-    print(
-        f"pruning kept {pruning.n_kept}/{pruning.n_initial} predicates; "
-        f"elimination selected {len(analysis.elimination)}"
-    )
-    print(_predictor_table(analysis))
-    return 0
 
 
 if __name__ == "__main__":

@@ -198,7 +198,7 @@ class AnalysisEngine:
         stats_only: bool = False,
         measure: str = DEFAULT_MEASURE,
     ) -> EngineAnalysis:
-        """Analyse an in-memory population (a ``run --save`` archive)
+        """Analyse an in-memory population (an experiment's reports)
         exactly as :meth:`analyze_store` analyses a store."""
         with _obs_span("engine.analyze", runs=reports.n_runs):
             stats = SufficientStats.from_reports(reports)

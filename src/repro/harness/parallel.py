@@ -234,6 +234,8 @@ def run_trials_sharded(
     Raises:
         ValueError: ``chunk_size`` is not positive or ``n_runs`` is
             negative.
+        repro.store.errors.DuplicateSeedRangeError: The seed range
+            overlaps a registered shard; no trial has run.
         repro.store.errors.CollectionError: A chunk failed
             ``max_attempts`` times; everything committed before the
             failure remains committed and recoverable.
@@ -243,7 +245,11 @@ def run_trials_sharded(
     if n_runs < 0:
         raise ValueError(f"n_runs must be >= 0, got {n_runs}")
     from repro.store import ShardStore
-    from repro.store.errors import CollectionError, ShardCheckError
+    from repro.store.errors import (
+        CollectionError,
+        DuplicateSeedRangeError,
+        ShardCheckError,
+    )
     from repro.store.faults import FaultInjector
     from repro.store.manifest import ShardEntry, shard_filename
     from repro.store.shards import PENDING_SUFFIX, check_shard
@@ -258,15 +264,19 @@ def run_trials_sharded(
         _ChunkState(index=i, start=seed + offset, count=min(chunk_size, n_runs - offset))
         for i, offset in enumerate(range(0, n_runs, chunk_size))
     ]
+    # The chunks tile [seed, seed + n_runs); refuse a session that would
+    # re-collect registered seeds before any trial runs.
+    session = ShardEntry(seed_start=seed, n_runs=n_runs, num_failing=0, sha256="")
+    clash = store.manifest.overlapping(session) if n_runs else None
+    if clash is not None:
+        raise DuplicateSeedRangeError(
+            f"seeds [{seed}, {seed + n_runs}) overlap registered shard "
+            f"{clash.filename} in {store_dir}; choose a disjoint seed range "
+            f"(next free seed: {store.next_seed})"
+        )
     for chunk in chunks:
-        final_path = os.path.join(store_dir, shard_filename(chunk.start))
-        filename = os.path.basename(final_path)
-        if store.manifest.find(filename) is not None:
-            raise FileExistsError(
-                f"shard {filename} already exists in "
-                f"{store_dir}; choose a disjoint seed range (next free seed: "
-                f"{store.next_seed})"
-            )
+        filename = shard_filename(chunk.start)
+        final_path = os.path.join(store_dir, filename)
         if os.path.exists(final_path):
             # A shard file with no manifest entry was never committed
             # (e.g. a pre-commit-protocol session died between the shard

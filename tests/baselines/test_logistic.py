@@ -1,7 +1,6 @@
 """Tests for the L1 logistic-regression baseline."""
 
 import numpy as np
-import pytest
 
 from repro.baselines.logistic import l1_logistic_regression
 

@@ -1,7 +1,5 @@
 """Tests for intra-site logical redundancy elimination (Section 3.4)."""
 
-import numpy as np
-
 from repro.core.dedup import intra_site_dedup
 from repro.core.elimination import eliminate
 from repro.core.predicates import PredicateTable, Scheme

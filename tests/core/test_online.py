@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.online import Alert, OnlineMonitor, monitor_from_elimination
+from repro.core.online import OnlineMonitor, monitor_from_elimination
 from repro.instrument.sampling import SamplingPlan
 from repro.instrument.tracer import instrument_source
 
@@ -134,7 +134,6 @@ class TestFromElimination:
         from repro.core.scores import compute_scores
         from repro.harness.runner import run_trials
         from repro.subjects.base import Subject
-        import random
 
         class S(Subject):
             name = "s"

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.core.predicates import (
-    SCHEME_KINDS,
-    Predicate,
     PredicateKind,
     PredicateTable,
     Scheme,

@@ -1,6 +1,5 @@
 """Tests for the Increase > 0 confidence-interval pruning."""
 
-import numpy as np
 import pytest
 
 from repro.core.pruning import prune_predicates

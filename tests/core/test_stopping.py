@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.stopping import (
-    StoppingAssessment,
     StoppingPolicy,
     assess_stats,
 )

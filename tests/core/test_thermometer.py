@@ -1,7 +1,5 @@
 """Tests for bug-thermometer rendering."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -67,7 +67,7 @@ class TestRunCommand:
         assert "predicate" in out
 
     def test_save_then_analyze_round_trip(self, capsys, tmp_path):
-        archive = tmp_path / "reports.npz"
+        store_dir = tmp_path / "store"
         html = tmp_path / "report.html"
         code = main(
             [
@@ -81,37 +81,77 @@ class TestRunCommand:
                 "--training-runs",
                 "0",
                 "--save",
-                str(archive),
+                str(store_dir),
                 "--html",
                 str(html),
             ]
         )
         assert code == 0
-        assert archive.exists() and html.exists()
+        assert html.exists()
+        store = ShardStore.open(str(store_dir))
+        assert (store.n_shards, store.n_runs) == (1, 150)
+        assert store.manifest.shards[0].seed_start == 0
         run_out = capsys.readouterr().out
 
-        code = main(["analyze", str(archive)])
+        code = main(["analyze", str(store_dir)])
         assert code == 0
         analyze_out = capsys.readouterr().out
-        # The same predictor list is recovered from the archive.
+        # The same predictor list is recovered from the store.
         for line in run_out.splitlines():
             if "cursor" in line:
                 assert any("cursor" in l for l in analyze_out.splitlines())
                 break
 
     def test_analyze_ztest_method(self, capsys, tmp_path):
-        archive = tmp_path / "reports.npz"
+        store_dir = tmp_path / "store"
         main(
             [
                 "run", "--subject", "ccrypt", "--runs", "150",
                 "--sampling", "full", "--training-runs", "0",
-                "--save", str(archive),
+                "--save", str(store_dir),
             ]
         )
         capsys.readouterr()
-        assert main(["analyze", str(archive), "--method", "ztest"]) == 0
+        assert main(["analyze", str(store_dir), "--method", "ztest"]) == 0
         out = capsys.readouterr().out
         assert "elimination selected" in out
+
+    @pytest.mark.parametrize("existing", ["store", "file"])
+    def test_save_onto_an_existing_path_refused_before_any_trial(
+        self, capsys, monkeypatch, tmp_path, existing
+    ):
+        """``run --save`` makes a new store: an existing store or file is
+        one ``error:`` line before the trials, and stays as it was."""
+        import repro.cli as cli
+
+        target = tmp_path / "target"
+        if existing == "store":
+            assert main([
+                "collect", "--subject", "ccrypt", "--runs", "20",
+                "--sampling", "full", "--out", str(target),
+            ]) == 0
+            before = sorted(os.listdir(target))
+        else:
+            target.write_bytes(b"not a store")
+        capsys.readouterr()
+
+        def refuse(config):
+            raise AssertionError("ran the experiment")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        assert main([
+            "run", "--subject", "ccrypt", "--runs", "20", "--save", str(target),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {target} is a file or a shard store; "
+            "`run --save` writes a new store"
+        ]
+        if existing == "store":
+            assert sorted(os.listdir(target)) == before
+        else:
+            assert target.read_bytes() == b"not a store"
 
 
 class TestCollectCommand:
@@ -204,6 +244,33 @@ class TestCollectCommand:
             ]
         assert ShardStore.open(str(store_dir)).n_runs == 30
 
+    @pytest.mark.parametrize("seed", [0, 10])
+    def test_overlapping_seed_range_refused_before_any_trial(
+        self, capsys, tmp_path, seed
+    ):
+        """A session whose seeds overlap a registered shard is one
+        ``error:`` line before any trial: no session is logged and no
+        pending shard is left behind."""
+        store_dir = tmp_path / "store"
+        argv = [
+            "collect", "--subject", "ccrypt", "--runs", "20", "--sampling", "full",
+            "--chunk-size", "20", "--out", str(store_dir), "--seed",
+        ]
+        assert main(argv + ["0"]) == 0
+        before = sorted(os.listdir(store_dir))
+        log = ShardStore.open(str(store_dir)).read_log()
+        capsys.readouterr()
+        assert main(argv + [str(seed)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert [l for l in captured.err.splitlines() if l.startswith("error:")] == [
+            f"error: seeds [{seed}, {seed + 20}) overlap registered shard "
+            f"shard-00000000.npz in {store_dir}; choose a disjoint seed range "
+            "(next free seed: 20)"
+        ]
+        assert sorted(os.listdir(store_dir)) == before
+        assert ShardStore.open(str(store_dir)).read_log() == log
+
     def test_analyze_store_stats_only(self, capsys, tmp_path):
         store_dir = tmp_path / "store"
         self._collect(store_dir)
@@ -213,88 +280,68 @@ class TestCollectCommand:
         assert "Importance" in out
         assert "predicate" in out
 
-    def test_store_analysis_matches_archive_analysis(self, capsys, tmp_path):
-        """`collect` + `analyze DIR` finds the same top predictor as the
-        monolithic `run --save` + `analyze FILE` path at equal seeds."""
-        archive = tmp_path / "reports.npz"
-        main(
+    def test_saved_run_and_collected_store_analyze_identically(
+        self, capsys, tmp_path
+    ):
+        """The one-shard store of `run --save` and a three-shard `collect`
+        store of the same seeds give byte-identical `analyze` stdout."""
+        saved = tmp_path / "saved"
+        assert main(
             [
                 "run", "--subject", "ccrypt", "--runs", "90",
                 "--sampling", "full", "--training-runs", "0",
-                "--save", str(archive),
+                "--save", str(saved),
             ]
-        )
-        capsys.readouterr()
-        main(["analyze", str(archive)])
-        mono_out = capsys.readouterr().out
-
+        ) == 0
         store_dir = tmp_path / "store"
-        self._collect(store_dir, seed="0")
+        assert self._collect(store_dir, seed="0") == 0
+        assert ShardStore.open(str(saved)).n_shards == 1
+        assert ShardStore.open(str(store_dir)).n_shards == 3
         capsys.readouterr()
-        main(["analyze", str(store_dir)])
-        store_out = capsys.readouterr().out
 
-        def predictor_lines(text):
-            return [
-                line for line in text.splitlines()
-                if "is TRUE" in line or "is FALSE" in line
-            ]
+        def stdout(path, flags):
+            assert main(["analyze", str(path), *flags]) == 0
+            return capsys.readouterr().out
 
-        assert predictor_lines(store_out) == predictor_lines(mono_out)
+        for flags in (
+            [],
+            ["--strategy", "2"],
+            ["--strategy", "3"],
+            ["--method", "ztest"],
+            ["--stats-only", "--measure", "ochiai"],
+        ):
+            out = stdout(saved, flags)
+            assert "is TRUE" in out or "is FALSE" in out
+            assert out == stdout(store_dir, flags), flags
 
     @pytest.mark.parametrize("strategy", ["1", "2", "3"])
     def test_store_and_archive_of_same_runs_rank_identically(
         self, capsys, tmp_path, strategy
     ):
         """`analyze DIR` (elimination over the kept columns) prints the
-        same ranked rows, co-occurrence columns included, as `analyze
-        FILE` over the whole population of the same runs."""
-        from repro.core.io import save_reports
-
+        same ranked rows, co-occurrence columns included, as `run` does
+        with elimination over the whole population of the same runs."""
         store_dir = tmp_path / "store"
-        self._collect(store_dir, seed="0")
-        archive = str(tmp_path / "reports.npz")
-        save_reports(archive, *ShardStore.open(str(store_dir)).load_merged())
-        capsys.readouterr()
-
-        def rows(path):
-            assert main(["analyze", path, "--strategy", strategy]) == 0
-            out = capsys.readouterr().out.splitlines()
-            assert out[0].startswith("pruning kept")
-            return [
-                line for line in out
-                if not line.startswith(("pruning kept", "elimination selected"))
-            ]
-
-        store_rows = rows(str(store_dir))
-        assert len(store_rows) > 1
-        assert store_rows == rows(archive)
-
-    def test_stats_only_measure_same_for_archive_and_store(self, capsys, tmp_path):
-        """``--stats-only --measure`` ranks an archive exactly as it ranks
-        a store of the same runs, not with the elimination table."""
-        archive = tmp_path / "reports.npz"
-        main(
+        assert main(
             [
                 "run", "--subject", "ccrypt", "--runs", "90",
                 "--sampling", "full", "--training-runs", "0",
-                "--save", str(archive),
+                "--strategy", strategy, "--save", str(store_dir),
             ]
-        )
-        store_dir = tmp_path / "store"
-        self._collect(store_dir, seed="0")
-        capsys.readouterr()
+        ) == 0
+        run_out = capsys.readouterr().out.splitlines()
+        # `run` prints the summary table, a blank line, then the rows.
+        run_rows = run_out[run_out.index("") + 1:]
 
-        def ranked_rows(path):
-            argv = ["analyze", str(path), "--stats-only", "--measure", "ochiai"]
-            assert main(argv) == 0
-            lines = capsys.readouterr().out.splitlines()
-            header = next(i for i, line in enumerate(lines) if "Ochiai" in line)
-            return lines[header:]
-
-        archive_rows = ranked_rows(archive)
-        assert len(archive_rows) > 1
-        assert archive_rows == ranked_rows(store_dir)
+        assert main(["analyze", str(store_dir), "--strategy", strategy]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("pruning kept")
+        store_rows = [
+            line for line in out
+            if not line.startswith(("pruning kept", "elimination selected"))
+        ]
+        assert len(store_rows) > 1
+        assert store_rows == run_rows
 
 
 class TestFaultInjectionCLI:
@@ -789,10 +836,12 @@ class TestTypedErrors:
         assert "audit left no usable shards" in err
 
     def test_garbage_archive(self, capsys, tmp_path):
+        """``analyze`` reads only stores: a file is refused, whatever it holds."""
         junk = tmp_path / "junk.npz"
         junk.write_bytes(b"not an archive" * 10)
-        lines = self._analyze(capsys, junk)
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert self._analyze(capsys, junk) == [
+            f"error: no manifest.json in {junk}; not a shard store"
+        ]
 
     def test_manifest_entry_without_n_runs(self, capsys, tmp_path):
         store, _ = build_synthetic_store(tmp_path / "store")
@@ -840,7 +889,7 @@ class TestTypedErrors:
         ]
 
     def test_missing_path(self, capsys, tmp_path):
-        missing = tmp_path / "missing.npz"
+        missing = tmp_path / "missing"
         assert self._analyze(capsys, missing) == [
-            f"error: {missing}: no such file"
+            f"error: no manifest.json in {missing}; not a shard store"
         ]

@@ -11,7 +11,7 @@ from repro.harness.parallel import run_trials_sharded
 from repro.harness.runner import collect_site_means, run_trials
 from repro.instrument.sampling import SamplingPlan
 from repro.instrument.tracer import instrument_source
-from repro.store import CollectionError, Fault, ShardStore
+from repro.store import CollectionError, DuplicateSeedRangeError, Fault, ShardStore
 
 from tests.harness.test_runner import TinySubject
 
@@ -116,11 +116,17 @@ class TestShardedCollection:
         subject = TinySubject()
         plan = SamplingPlan.full()
         store_dir = str(tmp_path / "store")
-        run_trials_sharded(subject, 40, plan, store_dir, seed=0, jobs=1, chunk_size=20)
-        with pytest.raises(FileExistsError, match="next free seed: 40"):
+        store = run_trials_sharded(
+            subject, 40, plan, store_dir, seed=0, jobs=1, chunk_size=20
+        )
+        before, log = sorted(os.listdir(store_dir)), store.read_log()
+        with pytest.raises(DuplicateSeedRangeError, match="next free seed: 40"):
             run_trials_sharded(
                 subject, 40, plan, store_dir, seed=20, jobs=1, chunk_size=20
             )
+        # Refused before session-start: no trial ran, nothing was staged.
+        assert sorted(os.listdir(store_dir)) == before
+        assert store.read_log() == log
 
     @pytest.mark.parametrize(
         "n_runs, chunk_size, match",

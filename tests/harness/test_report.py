@@ -1,7 +1,5 @@
 """Tests for the HTML report generator."""
 
-import pytest
-
 from repro.harness.report import render_report, write_report
 
 

@@ -2,13 +2,12 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.instrument.sampling import SamplingPlan
 from repro.instrument.tracer import instrument_source
 from repro.harness.runner import collect_site_means, run_trials
-from repro.subjects.base import Subject, record_bug
+from repro.subjects.base import Subject
 
 #: A tiny deterministic subject: fails (crashes) when the input is
 #: negative, records 'neg' as the bug.

@@ -1,6 +1,5 @@
 """Tests for the Bernoulli/geometric sampling machinery."""
 
-import math
 import random
 
 import pytest

@@ -5,8 +5,6 @@ We check it on hand-written programs covering every rewritten construct
 and on randomly generated programs (hypothesis).
 """
 
-import ast
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -16,7 +16,6 @@ suite pins the transform against the syntax real packages use:
 """
 
 import ast
-import asyncio
 import os
 import sys
 import sysconfig

@@ -7,7 +7,7 @@ per subject), so assertions are about *shape*, not exact counts.
 import numpy as np
 import pytest
 
-from repro.core.truth import bugs_covered, cooccurrence_table, dominant_bug
+from repro.core.truth import bugs_covered, dominant_bug
 
 
 def _selected(experiment):

@@ -25,8 +25,7 @@ import pytest
 from repro.core.engine import AnalysisEngine
 from repro.core.scores import compute_scores
 from repro.harness.parallel import run_trials_sharded
-from repro.instrument.tracer import instrument_source
-from repro.serve import CollectionService, FeedbackServer, ReportSpool
+from repro.serve import FeedbackServer, ReportSpool
 from repro.serve.client import drain_spool, run_and_spool
 from repro.store import ShardStore
 from repro.store.faults import FaultInjector, parse_faults

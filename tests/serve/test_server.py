@@ -13,7 +13,6 @@ import pytest
 from repro.core.engine import AnalysisEngine
 from repro.core.importance import importance_scores
 from repro.serve import (
-    CollectionService,
     ReportSpool,
     RunReport,
     encode_batch,

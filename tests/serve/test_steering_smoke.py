@@ -14,7 +14,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 import urllib.request
 
 import pytest

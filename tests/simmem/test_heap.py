@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simmem.errors import SimDoubleFree, SimOutOfMemory, SimSegfault
-from repro.simmem.heap import NULL, SimBuffer, SimHeap, memcpy
+from repro.simmem.heap import NULL, SimHeap, memcpy
 
 
 class TestBasicAllocation:

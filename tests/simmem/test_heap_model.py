@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simmem.errors import SimSegfault
-from repro.simmem.heap import NULL, SimHeap
+from repro.simmem.heap import SimHeap
 
 
 @st.composite

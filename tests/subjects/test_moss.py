@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.subjects import base
 from repro.subjects.moss import MossSubject, program, reference
 from repro.subjects.moss.generator import generate_job
