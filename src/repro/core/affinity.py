@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.importance import importance_scores
 from repro.core.predicates import Predicate
 from repro.core.reports import ReportSet
-from repro.core.scores import DEFAULT_CONFIDENCE, PredicateScores, compute_scores
+from repro.core.scores import compute_scores
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,7 @@ def affinity_list(
     reports: ReportSet,
     anchor: int,
     candidates: Optional[np.ndarray] = None,
-    run_mask: Optional[np.ndarray] = None,
-    confidence: float = DEFAULT_CONFIDENCE,
     top: Optional[int] = None,
-    before_scores: Optional[PredicateScores] = None,
 ) -> List[AffinityEntry]:
     """Rank predicates by how much selecting ``anchor`` deflates them.
 
@@ -57,34 +54,19 @@ def affinity_list(
         anchor: Predicate index whose affinity list is requested.
         candidates: Optional boolean mask restricting the listed
             predicates (e.g. the pruning survivors).
-        run_mask: Optional run restriction to evaluate within.
-        confidence: Confidence level for score intervals.
         top: If given, truncate the list to the ``top`` largest drops.
-        before_scores: Optional precomputed scores for the ``run_mask``
-            population; interactive tools building one affinity list per
-            selected predictor pass the shared baseline once instead of
-            rescoring it per anchor.
 
     Returns:
         Affinity entries sorted by decreasing drop, anchor excluded.
     """
-    n_runs = reports.n_runs
-    if run_mask is None:
-        run_mask = np.ones(n_runs, dtype=bool)
-    else:
-        run_mask = np.asarray(run_mask, dtype=bool)
     if candidates is None:
         candidates = np.ones(reports.n_predicates, dtype=bool)
     else:
         candidates = np.asarray(candidates, dtype=bool)
 
-    if before_scores is None:
-        before_scores = compute_scores(reports, run_mask=run_mask, confidence=confidence)
-    before = importance_scores(before_scores).importance
-
-    without_anchor = run_mask & ~reports.true_mask(anchor)
-    after_scores = compute_scores(reports, run_mask=without_anchor, confidence=confidence)
-    after = importance_scores(after_scores).importance
+    before = importance_scores(compute_scores(reports)).importance
+    without_anchor = ~reports.true_mask(anchor)
+    after = importance_scores(compute_scores(reports, run_mask=without_anchor)).importance
 
     drop = before - after
     entries: List[AffinityEntry] = []
@@ -109,7 +91,6 @@ def affinity_groups(
     reports: ReportSet,
     selected: List[int],
     threshold: float = 0.5,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> List[List[int]]:
     """Cluster selected predictors into likely same-bug groups.
 
@@ -122,15 +103,13 @@ def affinity_groups(
     Returns:
         Predicate-index groups, each sorted, in first-appearance order.
     """
-    before_scores = compute_scores(reports, confidence=confidence)
-    before = importance_scores(before_scores).importance
+    before = importance_scores(compute_scores(reports)).importance
 
     n = len(selected)
     related = np.zeros((n, n), dtype=bool)
     for i, anchor in enumerate(selected):
         without = ~reports.true_mask(anchor)
-        after_scores = compute_scores(reports, run_mask=without, confidence=confidence)
-        after = importance_scores(after_scores).importance
+        after = importance_scores(compute_scores(reports, run_mask=without)).importance
         for j, other in enumerate(selected):
             if i == j:
                 continue
@@ -161,21 +140,3 @@ def affinity_groups(
         groups.setdefault(find(i), []).append(selected[i])
     return [sorted(g) for g in groups.values()]
 
-
-def is_sub_bug_predictor(
-    reports: ReportSet,
-    candidate: int,
-    anchor: int,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> bool:
-    """Heuristic from the CCRYPT/BC case studies.
-
-    ``candidate`` is flagged as a sub-bug predictor associated with
-    ``anchor`` when ``anchor`` tops ``candidate``'s affinity list -- i.e.
-    removing the anchor's runs deflates the candidate more than removing
-    any other selected predicate's runs would.
-    """
-    entries = affinity_list(reports, candidate, confidence=confidence, top=1)
-    if not entries:
-        return False
-    return entries[0].predicate.index == anchor

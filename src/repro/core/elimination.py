@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.importance import ImportanceScores, importance_scores
 from repro.core.predicates import Predicate
 from repro.core.reports import ReportSet
-from repro.core.scores import DEFAULT_CONFIDENCE, PredicateScores, ScoreRow, compute_scores
+from repro.core.scores import PredicateScores, ScoreRow, compute_scores
 from repro.obs import enabled as _obs_enabled, inc as _obs_inc, span as _obs_span
 
 
@@ -123,7 +123,6 @@ def eliminate(
     reports: ReportSet,
     candidates: Optional[np.ndarray] = None,
     strategy: DiscardStrategy = DiscardStrategy.DISCARD_ALL,
-    confidence: float = DEFAULT_CONFIDENCE,
     max_predictors: Optional[int] = None,
     min_importance: float = 0.0,
 ) -> EliminationResult:
@@ -135,7 +134,6 @@ def eliminate(
         candidates: Boolean mask of candidate predicates; defaults to all.
         strategy: Discard policy (Section 5); the paper uses
             ``DISCARD_ALL``.
-        confidence: Confidence level for score intervals.
         max_predictors: Optional hard cap on the output list length.
         min_importance: Stop when the best remaining effective importance
             does not exceed this threshold (0 reproduces the paper: a
@@ -173,7 +171,7 @@ def eliminate(
     failed_work = reports.failed.copy()
 
     with _obs_span("analysis.eliminate", runs=reports.n_runs, predicates=n_preds):
-        initial_scores = compute_scores(reports, confidence=confidence)
+        initial_scores = compute_scores(reports)
         initial_imp = importance_scores(initial_scores)
 
         selected: List[SelectedPredictor] = []
@@ -184,9 +182,7 @@ def eliminate(
                 break
             if not cand.any() or not active.any():
                 break
-            scores = compute_scores(
-                reports, run_mask=active, confidence=confidence, failed_mask=failed_work
-            )
+            scores = compute_scores(reports, run_mask=active, failed_mask=failed_work)
             if scores.num_failing == 0:
                 break
             imp = importance_scores(scores)

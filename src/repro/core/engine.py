@@ -41,12 +41,7 @@ from repro.core.elimination import DiscardStrategy, EliminationResult, eliminate
 from repro.core.measures import DEFAULT_MEASURE, get as get_measure
 from repro.core.pruning import PruningResult, prune_predicates
 from repro.core.reports import ReportSet
-from repro.core.scores import (
-    DEFAULT_CONFIDENCE,
-    PredicateScores,
-    SufficientStats,
-    z_test_pvalues,
-)
+from repro.core.scores import PredicateScores, SufficientStats, z_test_pvalues
 from repro.core.truth import GroundTruth
 from repro.obs import span as _obs_span
 
@@ -104,10 +99,9 @@ class AnalysisEngine:
     keep working: analysis is serial, and any other value is an error.
     """
 
-    def __init__(self, jobs: int = 1, confidence: float = DEFAULT_CONFIDENCE) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         if jobs != 1:
             raise ValueError(f"analysis is serial: jobs must be 1, got {jobs}")
-        self.confidence = confidence
 
     # ------------------------------------------------------------------
     # Stage 1: sufficient statistics
@@ -135,7 +129,7 @@ class AnalysisEngine:
         scoring.
         """
         scorer = get_measure(measure)
-        scores = stats.to_scores(confidence=self.confidence)
+        scores = stats.to_scores()
         return EngineScoring(
             scores=scores,
             pvalues=z_test_pvalues(scores),
@@ -153,7 +147,6 @@ class AnalysisEngine:
         method: str = "interval",
         strategy: DiscardStrategy = DiscardStrategy.DISCARD_ALL,
         max_predictors: Optional[int] = None,
-        min_importance: float = 0.0,
         stats_only: bool = False,
         measure: str = DEFAULT_MEASURE,
     ) -> EngineAnalysis:
@@ -181,9 +174,7 @@ class AnalysisEngine:
                     reports,
                     candidates=scoring.pruning.kept,
                     strategy=strategy,
-                    confidence=self.confidence,
                     max_predictors=max_predictors,
-                    min_importance=min_importance,
                 )
             return self._analysis(stats, scoring, elimination, reports, truth)
 
@@ -194,7 +185,6 @@ class AnalysisEngine:
         method: str = "interval",
         strategy: DiscardStrategy = DiscardStrategy.DISCARD_ALL,
         max_predictors: Optional[int] = None,
-        min_importance: float = 0.0,
         stats_only: bool = False,
         measure: str = DEFAULT_MEASURE,
     ) -> EngineAnalysis:
@@ -209,9 +199,7 @@ class AnalysisEngine:
                     reports,
                     candidates=scoring.pruning.kept,
                     strategy=strategy,
-                    confidence=self.confidence,
                     max_predictors=max_predictors,
-                    min_importance=min_importance,
                 )
             return self._analysis(stats, scoring, elimination, reports, truth)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.scores import PredicateScores, _z_for_confidence
+from repro.core.scores import CRITICAL_VALUE, PredicateScores
 
 
 @dataclass
@@ -86,8 +86,8 @@ def importance_scores(scores: PredicateScores) -> ImportanceScores:
     """Compute ``Importance(P)`` for every predicate.
 
     ``NumF`` is the scored population's failing count, and the
-    delta-method interval uses the level of the ``Increase`` interval
-    (``scores.confidence``).
+    delta-method interval has the ``Increase`` interval's level,
+    :data:`~repro.core.scores.CONFIDENCE`.
     """
     sens = log_sensitivity(scores.F, scores.num_failing)
     imp = harmonic_importance(scores.increase, sens)
@@ -98,7 +98,6 @@ def importance_scores(scores: PredicateScores) -> ImportanceScores:
         denom = np.maximum(scores.increase + sens, 1e-300)
         grad = np.where(ok, 2.0 * sens * sens / (denom * denom), 0.0)
     se = grad * scores.increase_se
-    crit = _z_for_confidence(scores.confidence)
-    lo = np.clip(imp - crit * se, 0.0, 1.0)
-    hi = np.clip(imp + crit * se, 0.0, 1.0)
+    lo = np.clip(imp - CRITICAL_VALUE * se, 0.0, 1.0)
+    hi = np.clip(imp + CRITICAL_VALUE * se, 0.0, 1.0)
     return ImportanceScores(importance=imp, sensitivity=sens, lo=lo, hi=hi, se=se)

@@ -253,10 +253,6 @@ class PredicateTable:
         """Return the :class:`Site` owning the given predicate."""
         return self.sites[self.predicates[predicate_index].site_index]
 
-    def predicates_at(self, site_index: int) -> List[Predicate]:
-        """Return the predicate family of a site, in offset order."""
-        return [self.predicates[i] for i in self._site_preds[site_index]]
-
     def predicate_indices_at(self, site_index: int) -> List[int]:
         """Return the dense predicate indices of a site's family."""
         return list(self._site_preds[site_index])

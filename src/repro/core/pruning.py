@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.scores import PredicateScores, z_test_pvalues
+from repro.core.scores import CONFIDENCE, PredicateScores, z_test_pvalues
 from repro.obs import enabled as _obs_enabled, gauge as _obs_gauge, timer as _obs_timer
 
 
@@ -62,10 +62,11 @@ def prune_predicates(scores: PredicateScores, method: str = "interval") -> Pruni
     Two equivalent-in-spirit filters are provided:
 
     * ``"interval"`` (the paper's): keep ``P`` when the two-sided
-      ``scores.confidence`` interval of ``Increase(P)`` lies strictly above 0;
+      :data:`~repro.core.scores.CONFIDENCE` interval of ``Increase(P)``
+      lies strictly above 0;
     * ``"ztest"`` (the Section 3.2 reading): keep ``P`` when the
       one-sided two-proportion test rejects ``H0: pf = ps`` in favour of
-      ``H1: pf > ps`` at level ``alpha = 1 - scores.confidence``.
+      ``H1: pf > ps`` at level ``alpha = 1 - CONFIDENCE``.
 
     Section 3.2 shows ``Increase(P) > 0  <=>  pf(P) > ps(P)``, so the two
     filters agree on direction and differ only in how they weigh sample
@@ -75,8 +76,7 @@ def prune_predicates(scores: PredicateScores, method: str = "interval") -> Pruni
     from streamed statistics without materialising any matrix.
 
     Args:
-        scores: Scores of the population (their ``confidence`` sets the
-            level; the paper's is 0.95).
+        scores: Scores of the population.
         method: ``"interval"`` or ``"ztest"``.
 
     Returns:
@@ -90,7 +90,7 @@ def prune_predicates(scores: PredicateScores, method: str = "interval") -> Pruni
             # carry p = 1.0, so they can never pass the filter even
             # without the explicit `defined` mask below.
             pvalues = z_test_pvalues(scores)
-            positive = (pvalues < 1.0 - scores.confidence) & (scores.increase > 0.0)
+            positive = (pvalues < 1.0 - CONFIDENCE) & (scores.increase > 0.0)
         else:
             raise ValueError(f"unknown pruning method {method!r}")
         kept = scores.defined & positive

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.importance import importance_scores
 from repro.core.reports import ReportSet
-from repro.core.scores import DEFAULT_CONFIDENCE, compute_scores
+from repro.core.scores import compute_scores
 
 
 def default_schedule(max_runs: int) -> List[int]:
@@ -57,16 +57,11 @@ class RunsNeededResult:
     curve: List[Tuple[int, float, int]]
 
 
-def importance_at_n(
-    reports: ReportSet,
-    predicate_index: int,
-    n: int,
-    confidence: float = DEFAULT_CONFIDENCE,
-) -> Tuple[float, int]:
+def importance_at_n(reports: ReportSet, predicate_index: int, n: int) -> Tuple[float, int]:
     """Return ``(Importance_N(P), F(P) over the first N runs)``."""
     mask = np.zeros(reports.n_runs, dtype=bool)
     mask[: min(n, reports.n_runs)] = True
-    scores = compute_scores(reports, run_mask=mask, confidence=confidence)
+    scores = compute_scores(reports, run_mask=mask)
     imp = importance_scores(scores)
     return float(imp.importance[predicate_index]), int(scores.F[predicate_index])
 
@@ -76,7 +71,6 @@ def runs_needed(
     predicate_index: int,
     threshold: float = 0.2,
     schedule: Optional[Sequence[int]] = None,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> RunsNeededResult:
     """Apply the Table 8 methodology to one predictor.
 
@@ -86,7 +80,6 @@ def runs_needed(
         predicate_index: The predictor ``P``.
         threshold: Convergence threshold on the importance gap.
         schedule: N values to test, ascending; defaults to the paper's.
-        confidence: Confidence level for the underlying intervals.
 
     Returns:
         A :class:`RunsNeededResult`.
@@ -102,14 +95,14 @@ def runs_needed(
     """
     if schedule is None:
         schedule = default_schedule(reports.n_runs)
-    full_scores = compute_scores(reports, confidence=confidence)
+    full_scores = compute_scores(reports)
     full_imp = float(importance_scores(full_scores).importance[predicate_index])
 
     curve: List[Tuple[int, float, int]] = []
     found_n: Optional[int] = None
     found_f: Optional[int] = None
     for n in schedule:
-        imp_n, f_n = importance_at_n(reports, predicate_index, n, confidence)
+        imp_n, f_n = importance_at_n(reports, predicate_index, n)
         curve.append((n, imp_n, f_n))
         if found_n is None and full_imp - imp_n < threshold:
             found_n, found_f = n, f_n
@@ -128,7 +121,6 @@ def runs_to_isolate(
     predicate_indices: Sequence[int],
     threshold: float = 0.2,
     schedule: Optional[Sequence[int]] = None,
-    confidence: float = DEFAULT_CONFIDENCE,
 ) -> Optional[int]:
     """Runs needed to isolate *every* bug's predictor (the steering metric).
 
@@ -145,22 +137,8 @@ def runs_to_isolate(
         return None
     worst = 0
     for index in predicate_indices:
-        result = runs_needed(
-            reports, index, threshold=threshold, schedule=schedule, confidence=confidence
-        )
+        result = runs_needed(reports, index, threshold=threshold, schedule=schedule)
         if result.runs_needed is None:
             return None
         worst = max(worst, result.runs_needed)
     return worst
-
-
-def estimate_runs_for_failures(failures_needed: int, predictor_run_fraction: float) -> int:
-    """The paper's closing estimate: ``N ~= F / p``.
-
-    If ``F`` failing observations are needed to isolate a predictor and
-    runs where the predictor is observed true constitute a fraction ``p``
-    of all runs, about ``F / p`` runs are required.
-    """
-    if not 0.0 < predictor_run_fraction <= 1.0:
-        raise ValueError("predictor_run_fraction must be in (0, 1]")
-    return int(np.ceil(failures_needed / predictor_run_fraction))

@@ -39,15 +39,13 @@ from scipy import sparse, stats
 from repro.core.reports import ReportSet
 from repro.obs import inc as _obs_inc, timer as _obs_timer
 
-#: Two-sided confidence level used throughout the paper.
-DEFAULT_CONFIDENCE = 0.95
+#: The paper's two-sided interval level (Sections 3.1 and 3.3).  It is a
+#: fixed convention, not an input: every interval, the pruning filter and
+#: the stopping rule use it.
+CONFIDENCE = 0.95
 
-
-def _z_for_confidence(confidence: float) -> float:
-    """Return the two-sided normal critical value for a confidence level."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    return float(stats.norm.ppf(0.5 + confidence / 2.0))
+#: Two-sided normal critical value of :data:`CONFIDENCE`, evaluated once.
+CRITICAL_VALUE = float(stats.norm.ppf(0.5 + CONFIDENCE / 2.0))
 
 
 @dataclass
@@ -67,7 +65,7 @@ class PredicateScores:
         context: ``Context(P)`` (0 where undefined).
         increase: ``Increase(P)`` (0 where undefined).
         increase_se: Standard error of ``Increase(P)``.
-        increase_lo / increase_hi: Confidence interval bounds.
+        increase_lo / increase_hi: :data:`CONFIDENCE` interval bounds.
         pf: ``pf(P) = F(P)/F(P obs)`` (0 where undefined).
         ps: ``ps(P) = S(P)/S(P obs)`` (0 where undefined).
         z: Two-proportion ``Z`` statistic of Section 3.2 (0 where undefined).
@@ -76,7 +74,6 @@ class PredicateScores:
         defined: Boolean mask of well-defined predicates.
         num_failing: ``NumF`` for the population scored.
         num_successful: Number of successful runs in the population.
-        confidence: The confidence level used for the interval.
     """
 
     F: np.ndarray
@@ -96,7 +93,6 @@ class PredicateScores:
     defined: np.ndarray
     num_failing: int
     num_successful: int
-    confidence: float
 
     @property
     def n_predicates(self) -> int:
@@ -309,7 +305,7 @@ class SufficientStats:
             num_successful=self.num_successful + other.num_successful,
         )
 
-    def to_scores(self, confidence: float = DEFAULT_CONFIDENCE) -> PredicateScores:
+    def to_scores(self) -> PredicateScores:
         """Compute every Section 3.1-3.2 score from the counts alone.
 
         The one implementation of the scoring arithmetic: in-memory
@@ -368,7 +364,6 @@ class SufficientStats:
                     0.0,
                 )
 
-            crit = _z_for_confidence(confidence)
             return PredicateScores(
                 F=F,
                 S=S,
@@ -378,8 +373,8 @@ class SufficientStats:
                 context=context,
                 increase=increase,
                 increase_se=se,
-                increase_lo=increase - crit * se,
-                increase_hi=increase + crit * se,
+                increase_lo=increase - CRITICAL_VALUE * se,
+                increase_hi=increase + CRITICAL_VALUE * se,
                 pf=pf,
                 ps=ps,
                 z=z,
@@ -387,7 +382,6 @@ class SufficientStats:
                 defined=(n_true > 0) & (n_obs > 0),
                 num_failing=int(self.num_failing),
                 num_successful=int(self.num_successful),
-                confidence=confidence,
             )
 
     def __repr__(self) -> str:
@@ -400,20 +394,17 @@ class SufficientStats:
 def compute_scores(
     reports: ReportSet,
     run_mask: Optional[np.ndarray] = None,
-    confidence: float = DEFAULT_CONFIDENCE,
     failed_mask: Optional[np.ndarray] = None,
 ) -> PredicateScores:
     """Score an in-memory population:
-    ``SufficientStats.from_reports(...).to_scores(...)``.
+    ``SufficientStats.from_reports(...).to_scores()``.
 
     ``run_mask`` restricts the population (the elimination loop rescores
     after discarding runs) and ``failed_mask`` overrides the outcome
     labels (see :meth:`SufficientStats.from_reports`).
     """
     with _obs_timer("scores.compute"):
-        return SufficientStats.from_reports(reports, run_mask, failed_mask).to_scores(
-            confidence
-        )
+        return SufficientStats.from_reports(reports, run_mask, failed_mask).to_scores()
 
 
 def z_test_pvalues(scores: PredicateScores) -> np.ndarray:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.core.ranking import order
-from repro.core.scores import DEFAULT_CONFIDENCE, _z_for_confidence
+from repro.core.scores import CONFIDENCE, CRITICAL_VALUE
 
 #: Default half-interval width (on ``Increase``) below which a top
 #: predictor counts as stable.
@@ -60,14 +60,16 @@ class StoppingPolicy:
         min_runs: Floor on total runs before convergence is considered.
         min_failing: Floor on failing runs (an all-success population has
             nothing to localise, however tight its intervals).
-        confidence: Confidence level for the intervals.
+
+    The intervals have the paper's fixed level,
+    :data:`~repro.core.scores.CONFIDENCE`; :meth:`to_json` writes
+    it, so the ``repro-steering/v1`` document names the level it used.
     """
 
     top_k: int = DEFAULT_TOP_K
     epsilon: float = DEFAULT_EPSILON
     min_runs: int = 100
     min_failing: int = 10
-    confidence: float = DEFAULT_CONFIDENCE
 
     def to_json(self) -> dict:
         return {
@@ -75,7 +77,7 @@ class StoppingPolicy:
             "epsilon": float(self.epsilon),
             "min_runs": int(self.min_runs),
             "min_failing": int(self.min_failing),
-            "confidence": float(self.confidence),
+            "confidence": CONFIDENCE,
         }
 
     @classmethod
@@ -85,7 +87,6 @@ class StoppingPolicy:
             epsilon=float(spec["epsilon"]),
             min_runs=int(spec["min_runs"]),
             min_failing=int(spec["min_failing"]),
-            confidence=float(spec["confidence"]),
         )
 
 
@@ -165,7 +166,7 @@ def assess_stats(stats, policy: StoppingPolicy = StoppingPolicy()) -> StoppingAs
             reason=f"{num_failing} failing runs < min_failing {policy.min_failing}",
         )
 
-    scores = stats.to_scores(confidence=policy.confidence)
+    scores = stats.to_scores()
     # Rank by Increase descending; ties break toward the lower predicate
     # index.  Both are invariant under uniform count scaling, which is
     # what makes convergence monotone (see the module docstring).
@@ -179,13 +180,12 @@ def assess_stats(stats, policy: StoppingPolicy = StoppingPolicy()) -> StoppingAs
             False, n_runs, num_failing, reason="no candidate predictors"
         )
 
-    crit = _z_for_confidence(policy.confidence)
     imp = importance_scores(scores)
     candidates = [
         StoppingCandidate(
             index=int(i),
             increase=float(scores.increase[i]),
-            half_width=float(crit * scores.increase_se[i]),
+            half_width=float(CRITICAL_VALUE * scores.increase_se[i]),
             importance=float(imp.importance[i]),
         )
         for i in top

@@ -25,7 +25,6 @@ from repro.core.elimination import DiscardStrategy, EliminationResult
 from repro.core.engine import AnalysisEngine
 from repro.core.pruning import PruningResult
 from repro.core.reports import ReportSet
-from repro.core.scores import DEFAULT_CONFIDENCE
 from repro.core.truth import GroundTruth
 from repro.instrument.sampling import DEFAULT_RATE, SamplingPlan
 from repro.instrument.tracer import InstrumentedProgram
@@ -47,7 +46,6 @@ class Experiment:
         training_runs: Training-set size for ``"adaptive"`` sampling
             (paper: 1,000).
         seed: Base seed for input generation and samplers.
-        confidence: Confidence level for the score intervals.
         strategy: Elimination discard strategy (Section 5).
         max_predictors: Optional cap on the elimination output length.
         jobs: Worker processes for trial collection (1 = in-process
@@ -64,7 +62,6 @@ class Experiment:
     rate: float = DEFAULT_RATE
     training_runs: int = 200
     seed: int = 0
-    confidence: float = DEFAULT_CONFIDENCE
     strategy: DiscardStrategy = DiscardStrategy.DISCARD_ALL
     max_predictors: Optional[int] = 30
     jobs: int = 1
@@ -160,7 +157,7 @@ def run_experiment(config: Experiment) -> ExperimentResult:
         reports, truth = run_trials(
             config.subject, program, config.n_runs, plan, seed=config.seed
         )
-    analysis = AnalysisEngine(confidence=config.confidence).analyze_reports(
+    analysis = AnalysisEngine().analyze_reports(
         reports,
         truth,
         strategy=config.strategy,

@@ -33,7 +33,6 @@ from typing import Dict, Optional
 
 from repro.core.engine import AnalysisEngine, EngineAnalysis
 from repro.core.runs_needed import runs_to_isolate
-from repro.core.scores import DEFAULT_CONFIDENCE
 from repro.core.truth import dominant_bug
 from repro.harness.experiment import Experiment, run_experiment
 from repro.instrument.sampling import SamplingPlan
@@ -64,19 +63,6 @@ class SteeringPayoff:
     steered: Optional[int]
     unsteered_bugs: int
     steered_bugs: int
-
-    @property
-    def improved(self) -> bool:
-        """Did steering isolate at least as cheaply as uniform sampling?
-
-        An unconverged population counts as needing more than the
-        budget, so converged always beats unconverged.
-        """
-        if self.steered is None:
-            return False
-        if self.unsteered is None:
-            return True
-        return self.steered <= self.unsteered
 
 
 def chosen_predictors(result) -> Dict[str, int]:
@@ -140,7 +126,7 @@ def _steered_analysis(
         finally:
             server.close(drain=True)
         reports, truth = store.load_merged()
-    return AnalysisEngine(confidence=DEFAULT_CONFIDENCE).analyze_reports(
+    return AnalysisEngine().analyze_reports(
         reports, truth, max_predictors=30
     )
 

@@ -241,6 +241,26 @@ def _gunzip(body: bytes) -> bytes:
     return b"".join(chunks)
 
 
+def body_length(content_length: Optional[str]) -> int:
+    """Parse a ``Content-Length`` header before any of the body is read.
+
+    A missing header means an empty body.
+
+    Raises:
+        ProtocolError: ``bad-length`` unless the value is a non-negative
+            decimal integer, ``too-large`` past :data:`MAX_BODY_BYTES`.
+    """
+    text = (content_length or "0").strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ProtocolError("bad-length", f"Content-Length {content_length!r}")
+    length = int(text)
+    if length > MAX_BODY_BYTES:
+        raise ProtocolError(
+            "too-large", f"Content-Length {length} (limit {MAX_BODY_BYTES})"
+        )
+    return length
+
+
 def decode_body(body: bytes, content_encoding: Optional[str] = None) -> dict:
     """Decompress and parse a request body into the payload document.
 

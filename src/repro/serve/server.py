@@ -71,6 +71,7 @@ from repro.serve.batcher import BatcherFull, ReportBatcher
 from repro.serve.protocol import (
     ProtocolError,
     RunReport,
+    body_length,
     decode_body,
     report_from_wire,
     validate_payload,
@@ -330,6 +331,22 @@ class CollectionService:
                 with _obs_span("serve.ingest", bytes=len(body)):
                     return self._ingest_locked(body, content_encoding)
 
+    def refuse_upload(self, error: ProtocolError) -> Tuple[int, dict]:
+        """Refuse a ``POST /reports`` whose body is never read.
+
+        The handler calls this when ``Content-Length`` is unusable
+        (``bad-length``) or past the limit (``too-large``); the refusal
+        is counted and quarantined like any other.
+        """
+        with self.lock:
+            self.metrics.inc("serve.requests")
+            return self._refuse(b"", error)
+
+    def _refuse(self, body: bytes, error: ProtocolError) -> Tuple[int, dict]:
+        self.metrics.inc("serve.reports_rejected")
+        self._quarantine_upload(body, error)
+        return 400, {"error": error.reason, "detail": error.detail}
+
     def _ingest_locked(self, body: bytes, content_encoding: Optional[str]) -> Tuple[int, dict]:
         try:
             payload = decode_body(body, content_encoding)
@@ -342,9 +359,7 @@ class CollectionService:
                 bug_ids=list(self.subject.bug_ids),
             )
         except ProtocolError as exc:
-            self.metrics.inc("serve.reports_rejected")
-            self._quarantine_upload(body, exc)
-            return 400, {"error": exc.reason, "detail": exc.detail}
+            return self._refuse(body, exc)
 
         accepted: List[RunReport] = []
         duplicate: List[int] = []
@@ -584,11 +599,13 @@ class _IngestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # request logging goes through the store's event log instead
 
-    def _send_json(self, status: int, document: dict) -> None:
+    def _send_json(self, status: int, document: dict, close: bool = False) -> None:
         body = json.dumps(document, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:  # also sets close_connection
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -613,7 +630,13 @@ class _IngestHandler(BaseHTTPRequestHandler):
             self.connection.close()
             return
 
-        length = int(self.headers.get("Content-Length", "0"))
+        try:
+            length = body_length(self.headers.get("Content-Length"))
+        except ProtocolError as exc:
+            # The unread body would be parsed as the next request, so the
+            # connection closes after the refusal.
+            self._send_json(*service.refuse_upload(exc), close=True)
+            return
         body = self.rfile.read(length) if length else b""
 
         if injector.fires("net-500", ordinal, 0):

@@ -271,7 +271,7 @@ def fit_steering(
         False, n_runs, int(stats.num_failing), reason="no committed runs"
     )
     if n_runs > 0:
-        scores = stats.to_scores(confidence=policy.confidence)
+        scores = stats.to_scores()
         values = _measures.measure_values(scores, measure)
         table = store.table()
         watchlist = [

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core.affinity import affinity_groups, affinity_list, is_sub_bug_predictor
+from repro.core.affinity import affinity_groups, affinity_list
 
 from tests.helpers import make_reports
 
@@ -73,10 +73,3 @@ class TestAffinity:
         reports = make_reports(2, runs)
         groups = affinity_groups(reports, [0, 1])
         assert sorted(groups) == [[0], [1]]
-
-    def test_sub_bug_detection_matches_ccrypt_heuristic(self):
-        """The CCRYPT/BC case studies: the second selected predicate is a
-        sub-bug predictor when the first tops its affinity list."""
-        reports = _population()
-        assert is_sub_bug_predictor(reports, candidate=2, anchor=0)
-        assert not is_sub_bug_predictor(reports, candidate=3, anchor=0)

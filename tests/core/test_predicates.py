@@ -9,12 +9,17 @@ from repro.core.predicates import (
 )
 
 
+def family(table, site):
+    """A site's predicates, in offset order."""
+    return [table.predicates[i] for i in table.predicate_indices_at(site.index)]
+
+
 class TestRegistration:
     def test_branch_site_has_two_predicates(self):
         table = PredicateTable()
         site = table.add_site(Scheme.BRANCHES, "f", 3, "x > 0")
         assert table.n_sites == 1
-        preds = table.predicates_at(site.index)
+        preds = family(table, site)
         assert [p.kind for p in preds] == [
             PredicateKind.BRANCH_TRUE,
             PredicateKind.BRANCH_FALSE,
@@ -25,7 +30,7 @@ class TestRegistration:
     def test_returns_site_has_six_sign_predicates(self):
         table = PredicateTable()
         site = table.add_site(Scheme.RETURNS, "f", 9, "strcmp")
-        names = [p.name for p in table.predicates_at(site.index)]
+        names = [p.name for p in family(table, site)]
         assert names == [
             "strcmp < 0",
             "strcmp == 0",
@@ -38,7 +43,7 @@ class TestRegistration:
     def test_scalar_pair_names_splice_operator(self):
         table = PredicateTable()
         site = table.add_site(Scheme.SCALAR_PAIRS, "f", 2, "filesindex __ 25")
-        names = [p.name for p in table.predicates_at(site.index)]
+        names = [p.name for p in family(table, site)]
         assert "filesindex < 25" in names
         assert "filesindex >= 25" in names
         assert len(names) == 6
@@ -53,7 +58,7 @@ class TestRegistration:
     def test_custom_site_arbitrary_family(self):
         table = PredicateTable()
         site = table.add_custom_site("f", 1, "heap", ["heap ok", "heap corrupt"])
-        assert [p.name for p in table.predicates_at(site.index)] == [
+        assert [p.name for p in family(table, site)] == [
             "heap ok",
             "heap corrupt",
         ]
@@ -69,7 +74,7 @@ class TestComplement:
     def test_sign_complements_are_involutions(self, scheme):
         table = PredicateTable()
         site = table.add_site(scheme, "f", 1, "v __ w" if scheme is Scheme.SCALAR_PAIRS else "v")
-        for pred in table.predicates_at(site.index):
+        for pred in family(table, site):
             comp = table.complement(pred.index)
             assert comp is not None
             assert table.complement(comp) == pred.index

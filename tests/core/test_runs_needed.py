@@ -1,10 +1,7 @@
 """Tests for the Table 8 runs-needed methodology."""
 
-import pytest
-
 from repro.core.runs_needed import (
     default_schedule,
-    estimate_runs_for_failures,
     importance_at_n,
     runs_needed,
     runs_to_isolate,
@@ -190,15 +187,3 @@ class TestRunsToIsolate:
     def test_empty_predictor_list(self):
         reports = _interleaved_population(n=200)
         assert runs_to_isolate(reports, []) is None
-
-
-class TestClosingEstimate:
-    def test_n_equals_f_over_p(self):
-        assert estimate_runs_for_failures(20, 0.1) == 200
-        assert estimate_runs_for_failures(10, 1.0) == 10
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            estimate_runs_for_failures(10, 0.0)
-        with pytest.raises(ValueError):
-            estimate_runs_for_failures(10, 1.5)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scores import compute_scores, z_test_pvalues
+from repro.core.scores import CONFIDENCE, CRITICAL_VALUE, compute_scores, z_test_pvalues
 
 from tests.helpers import make_reports
 
@@ -109,16 +109,26 @@ class TestStatistics:
         se_many = compute_scores(many).increase_se[0]
         assert se_many < se_few
 
-    def test_higher_confidence_widens_interval(self):
-        reports = make_reports(1, [(True, {0}, None), (False, set(), None)] * 10)
-        lo_90 = compute_scores(reports, confidence=0.90).increase_lo[0]
-        lo_99 = compute_scores(reports, confidence=0.99).increase_lo[0]
-        assert lo_99 < lo_90
+    def test_interval_level_is_the_papers_fixed_95_percent(self, monkeypatch):
+        """Every digest depends on the exact critical value, scipy's
+        ``norm.ppf(0.975)``; it is evaluated once, at import."""
+        from scipy import stats
 
-    def test_invalid_confidence_rejected(self):
-        reports = make_reports(1, [(True, {0}, None)])
-        with pytest.raises(ValueError):
-            compute_scores(reports, confidence=1.5)
+        from repro.core.importance import importance_scores
+
+        assert CONFIDENCE == 0.95
+        assert CRITICAL_VALUE == 1.959963984540054
+
+        def no_ppf(*args, **kwargs):
+            raise AssertionError("norm.ppf evaluated while scoring")
+
+        monkeypatch.setattr(stats.norm, "ppf", no_ppf)
+        reports = make_reports(1, [(True, {0}, None), (False, set(), None)] * 10)
+        s = compute_scores(reports)
+        assert s.increase_hi[0] - s.increase[0] == pytest.approx(
+            CRITICAL_VALUE * s.increase_se[0]
+        )
+        importance_scores(s)
 
     def test_z_pvalues_small_for_strong_predictors(self):
         reports = make_reports(

@@ -10,7 +10,12 @@ standard-error and z definitions documented in ``repro.core.scores``:
 * pruning under ``interval`` and ``ztest``;
 * Importance (section 3.3) and its delta-method bounds;
 * the ranking order, ties broken by predicate index;
-* iterative elimination (section 3.4) under all three discard strategies.
+* iterative elimination (section 3.4) under all three discard strategies;
+* the stopping rule's candidates: their Increase order, ties broken by
+  predicate index, and their half-intervals ``CRIT * se``.
+
+``CRIT`` comes from the standard library's ``NormalDist``, not from
+scipy, so it checks the critical value of the 95% level independently.
 
 Floats must agree to 1e-12 relative.  Orders must agree exactly wherever
 the oracle's keys are further apart than that.
@@ -30,6 +35,7 @@ from repro.core.elimination import DiscardStrategy  # noqa: E402
 from repro.core.engine import AnalysisEngine  # noqa: E402
 from repro.core.importance import importance_scores  # noqa: E402
 from repro.core.ranking import rank  # noqa: E402
+from repro.core.stopping import StoppingPolicy, assess_stats  # noqa: E402
 
 from tests.helpers import make_reports  # noqa: E402
 
@@ -210,7 +216,7 @@ def populations(draw):
 def test_pipeline_matches_oracle(population):
     n, runs = population
     reports = make_reports(n, runs)
-    engine = AnalysisEngine(confidence=CONFIDENCE)
+    engine = AnalysisEngine()
     F, S, F_obs, S_obs, num_f, num_s = counts(runs, n)
     rows = scores(runs, n)
 
@@ -255,3 +261,50 @@ def test_pipeline_matches_oracle(population):
                 assert len(selected) == len(want), strategy
             for (gi, gimp), (wi, wimp) in zip(selected, want):
                 assert gi == wi and close(gimp, wimp), strategy
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(populations(), st.sampled_from([0.05, 0.2, 0.5]))
+def test_stopping_rule_matches_oracle(population, epsilon):
+    """``assess_stats`` ranks the defined, positive-Increase predicates by
+    Increase, ties by index, and gives each the half-interval
+    ``CRIT * se``; it converges when the widest is within ``epsilon``."""
+    n, runs = population
+    stats = AnalysisEngine().analyze_reports(
+        make_reports(n, runs), stats_only=True).stats
+    rows = scores(runs, n)
+    num_f = counts(runs, n)[4]
+    policy = StoppingPolicy(top_k=n, epsilon=epsilon, min_runs=1, min_failing=1)
+    verdict = assess_stats(stats, policy)
+
+    key = [row["increase"] for row in rows]
+    if any(row["defined"] and key[p] != 0 and close(key[p], 0.0)
+           for p, row in enumerate(rows)):
+        return
+    want = [p for p, row in enumerate(rows) if row["defined"] and key[p] > 0]
+    if num_f < 1:
+        want = []
+    got = [c.index for c in verdict.candidates]
+    assert sorted(got) == sorted(want)
+    position = {p: i for i, p in enumerate(got)}
+    for a in want:
+        for b in want:
+            if (key[a] > key[b] and not close(key[a], key[b])) or (
+                    key[a] == key[b] and a < b):
+                assert position[a] < position[b], (a, b)
+
+    for candidate in verdict.candidates:
+        row = rows[candidate.index]
+        assert close(candidate.half_width, CRIT * row["increase_se"])
+        assert close(candidate.increase, row["increase"])
+        assert close(candidate.importance, row["importance"])
+    if not want:
+        assert not verdict.converged
+        return
+    widest = max(CRIT * rows[p]["increase_se"] for p in want)
+    if not close(widest, epsilon):
+        assert verdict.converged == (widest <= epsilon)
+
+    top = assess_stats(stats, StoppingPolicy(
+        top_k=2, epsilon=epsilon, min_runs=1, min_failing=1))
+    assert [c.index for c in top.candidates] == got[:2]

@@ -15,6 +15,7 @@ from repro.serve.protocol import (
     REPORT_SCHEMA,
     ProtocolError,
     RunReport,
+    body_length,
     decode_body,
     encode_batch,
     report_from_wire,
@@ -146,6 +147,32 @@ class TestEncodeDecode:
         assert err.value.reason == "too-large"
         # Bounded by the limit, not by the bomb.
         assert peak < 1.25 * MAX_BODY_BYTES < bomb_size / 3
+
+
+class TestBodyLength:
+    """``Content-Length`` is checked before any of the body is read."""
+
+    @pytest.mark.parametrize(
+        "header, length",
+        [(None, 0), ("0", 0), (" 42 ", 42), (str(MAX_BODY_BYTES), MAX_BODY_BYTES)],
+    )
+    def test_accepted(self, header, length):
+        assert body_length(header) == length
+
+    @pytest.mark.parametrize(
+        "header, reason",
+        [
+            ("-1", "bad-length"),
+            ("+5", "bad-length"),
+            ("1_000", "bad-length"),
+            ("\u00b2", "bad-length"),  # a digit to str.isdigit, not to int()
+            (str(MAX_BODY_BYTES + 1), "too-large"),
+        ],
+    )
+    def test_refused(self, header, reason):
+        with pytest.raises(ProtocolError) as err:
+            body_length(header)
+        assert err.value.reason == reason
 
 
 class TestGzipAcceptance:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import socket
 import urllib.error
 import urllib.request
 
@@ -18,6 +19,7 @@ from repro.serve import (
     encode_batch,
     run_and_spool,
 )
+from repro.serve.protocol import MAX_BODY_BYTES
 from repro.serve.server import WAL_NAME
 from repro.store.shards import QUARANTINE_DIR
 
@@ -33,6 +35,28 @@ def _synthetic(seed: int, failed: bool = False) -> RunReport:
         stack=("boom",) if failed else None,
         bugs=(),
     )
+
+
+def _raw_post(server, content_length: str) -> tuple:
+    """POST /reports headers with a given ``Content-Length`` and no body
+    over a raw socket; return ``(status, document)`` once the server
+    closes the connection."""
+    request = (
+        "POST /reports HTTP/1.1\r\n"
+        f"Host: {server.host}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode("ascii")
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 def _post_reports(service, reports, store):
@@ -409,3 +433,35 @@ class TestHttpEndpoints:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(server.url + "/scores?k=banana", timeout=5)
         assert err.value.code == 400
+
+    def test_bad_content_length_refused_before_the_body_is_read(self, ccrypt_server):
+        """A ``Content-Length`` that is not a non-negative integer, or is
+        past the body limit, gets one JSON 400 naming its reason; the
+        refusal is counted and quarantined, and the next upload is
+        accepted."""
+        store, service, server = ccrypt_server
+        assert 10**12 > MAX_BODY_BYTES
+        for value, reason in (
+            ("abc", "bad-length"),
+            ("-5", "bad-length"),
+            (str(10**12), "too-large"),
+        ):
+            status, doc = _raw_post(server, value)
+            assert (status, doc["error"]) == (400, reason), value
+        assert service.metrics.counter("serve.reports_rejected") == 3
+        qdir = os.path.join(store.directory, QUARANTINE_DIR)
+        reasons = []
+        for name in sorted(os.listdir(qdir)):
+            if name.endswith(".reason.json"):
+                with open(os.path.join(qdir, name), encoding="utf-8") as handle:
+                    reasons.append(json.load(handle)["reason"])
+        assert sorted(reasons) == ["upload-bad-length"] * 2 + ["upload-too-large"]
+
+        body, headers = encode_batch(
+            [_synthetic(0)], store.manifest.subject, store.manifest.table_sha
+        )
+        request = urllib.request.Request(
+            server.url + "/reports", data=body, headers=headers, method="POST"
+        )
+        with urllib.request.urlopen(request, timeout=5) as resp:
+            assert json.loads(resp.read())["accepted"] == [0]
